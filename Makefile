@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test bench chaos examples shell server smoke \
 	failover-smoke dr-smoke obs-smoke admission-smoke eventtime-smoke \
-	vectorized-smoke wal-smoke partition-smoke partition-bench \
-	coverage clean
+	vectorized-smoke partition-smoke partition-bench \
+	bench-all bench-diff coverage clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -76,11 +76,6 @@ eventtime-smoke:
 vectorized-smoke:
 	$(PYTHON) benchmarks/bench_x7_vectorized.py
 
-# segmented-WAL overhead gate: rolling segments must stay within 5%
-# of the single-file baseline on the E1 durable ingest pipeline (X8)
-wal-smoke:
-	$(PYTHON) benchmarks/bench_x8_wal.py
-
 # partitioned execution end to end: real subprocess workers, SIGKILL
 # one mid-window, restart-with-replay; CQ output must be bit-identical
 # to the single engine
@@ -91,6 +86,15 @@ partition-smoke:
 # on E1 (X9); advisory-only on machines with fewer than 4 cores
 partition-bench:
 	$(PYTHON) benchmarks/bench_x9_partition.py
+
+# the ingest->emit ledger (BENCHMARK.json): five workloads end to end,
+# untraced and traced; writes benchmarks/ledger/results/ledger_*.json
+bench-all:
+	python3 benchmarks/ledger/run.py
+
+# compare two ledger files: make bench-diff A=<parent.json> B=<change.json>
+bench-diff:
+	python3 benchmarks/ledger/compare.py $(A) $(B)
 
 artifacts:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

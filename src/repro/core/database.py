@@ -51,7 +51,7 @@ from repro.core.results import ResultSet, Subscription
 class Database:
     """An embedded stream-relational database instance."""
 
-    def __init__(self, buffer_pages: int = 256, share_slices: bool = False,
+    def __init__(self, buffer_pages: int = 256,
                  emit_empty_windows: bool = True,
                  stream_retention: Optional[float] = None,
                  disorder_policy: str = "raise",
@@ -84,7 +84,6 @@ class Database:
         self.catalog = Catalog()
         self.runtime = StreamingRuntime(
             self.catalog, self.txn_manager,
-            share_slices=share_slices,
             emit_empty_windows=emit_empty_windows,
             default_retention=stream_retention,
             disorder_policy=disorder_policy,

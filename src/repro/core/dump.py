@@ -55,6 +55,7 @@ def dump_database(db, path: str) -> dict:
             "retention": stream.retention,
             "slack": stream.slack,
             "disorder_policy": stream.disorder_policy,
+            "watermark_bound": stream.watermark_bound,
             "partition_by": stream.partition_by,
         })
 
@@ -140,6 +141,7 @@ def restore_database(db, path: str) -> None:
             spec["name"], build_schema(spec["columns"]),
             retention=spec["retention"],
             slack=spec["slack"] or 0.0,
+            watermark_bound=spec.get("watermark_bound"),
             partition_by=spec.get("partition_by"),
         )
         stream.disorder_policy = spec["disorder_policy"]

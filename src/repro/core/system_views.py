@@ -123,7 +123,7 @@ def install_system_views(db) -> None:
         out = []
         for name, cq in db.runtime.cqs().items():
             out.append((
-                name, bool(getattr(cq, "shared", False)),
+                name, cq.shared,
                 cq.stats.windows_evaluated, cq.stats.rows_out,
                 cq.stats.last_close,
             ))
@@ -247,7 +247,7 @@ def install_system_views(db) -> None:
             st = cq.stats
             windows = st.windows_evaluated
             out.append((
-                name, bool(getattr(cq, "shared", False)),
+                name, cq.shared,
                 st.tuples_in, windows, st.rows_scanned, st.rows_out,
                 st.last_close,
                 round(st.last_window_seconds * 1000.0, 6),

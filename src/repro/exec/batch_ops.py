@@ -89,10 +89,12 @@ class BatchFilter(BatchOperator):
     """WHERE over batches: computes the predicate kernel, compresses."""
 
     def __init__(self, child: BatchOperator, kernel: Callable,
-                 uses_context: bool):
+                 uses_context: bool, signature: str):
         self.child = child
         self._kernel = kernel
         self.uses_context = uses_context
+        #: rendering of the compiled predicate (slice-store key part)
+        self.signature = signature
 
     def batches(self, ctx):
         kernel = self._kernel
@@ -112,10 +114,12 @@ class BatchProject(BatchOperator):
     """Projection over batches: one kernel per output column."""
 
     def __init__(self, child: BatchOperator, kernels: Sequence[Callable],
-                 uses_context: bool):
+                 uses_context: bool, signature: str):
         self.child = child
         self._kernels = list(kernels)
         self.uses_context = uses_context
+        #: rendering of the compiled select items (slice-store key part)
+        self.signature = signature
 
     def batches(self, ctx):
         kernels = self._kernels
@@ -226,13 +230,17 @@ class BatchAggregate(ops.Operator):
 
     def __init__(self, child, group_kernel: Optional[Callable],
                  vector_aggs: Sequence[VectorAgg],
-                 fallback_group_fns, fallback_specs, uses_context: bool):
+                 fallback_group_fns, fallback_specs, uses_context: bool,
+                 signature: str):
         self.child = child
         self._group_kernel = group_kernel
         self._vector_aggs = list(vector_aggs)
         self._fallback_group_fns = list(fallback_group_fns)
         self._fallback_specs = list(fallback_specs)
         self.uses_context = uses_context
+        #: rendering of the group keys and aggregate calls: with the
+        #: signatures of the chain below, what a slice partial depends on
+        self.signature = signature
         self._merged = None
         self._timed = True
 

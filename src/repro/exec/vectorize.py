@@ -86,7 +86,8 @@ def _convert(op: ops.Operator) -> ops.Operator:
             except NotVectorizable:
                 op.child = _demote(child)
                 return op
-            return batch_ops.BatchFilter(child, kernel, flags["context"])
+            return batch_ops.BatchFilter(child, kernel, flags["context"],
+                                         repr(predicate))
         op.child = _demote(child)
         return op
 
@@ -105,7 +106,8 @@ def _convert(op: ops.Operator) -> ops.Operator:
             except NotVectorizable:
                 op.child = _demote(child)
                 return op
-            return batch_ops.BatchProject(child, kernels, flags["context"])
+            return batch_ops.BatchProject(child, kernels, flags["context"],
+                                          repr(item_exprs))
         op.child = _demote(child)
         return op
 
@@ -160,4 +162,5 @@ def _convert_aggregate(op: ops.HashAggregate, child, info):
         return None
     return batch_ops.BatchAggregate(
         child, group_kernel, vector_aggs,
-        op._group_exprs, op._agg_specs, flags["context"])
+        op._group_exprs, op._agg_specs, flags["context"],
+        repr((group_exprs, agg_calls)))

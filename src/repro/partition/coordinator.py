@@ -660,8 +660,7 @@ class PartitionedEngine:
             self._request(worker, msg, record=("cq", msg, None))
         # detach the coordinator CQ's window operator from the silent
         # local twin: only the merge stage may emit
-        target = cq._window_op if cq._window_op is not None else cq
-        cq.stream.unsubscribe(target)
+        cq.detach()
         pcq = _PartitionedCQ(cq, split.agg, route)
         route.cqs.append(pcq)
         self._pcqs[cq.name] = pcq

@@ -53,8 +53,8 @@ def partition_plan(cq) -> PartitionPlan:
     workers' (they are built from the same SQL)."""
     from repro.streaming.cq import ContinuousQuery
 
-    if not isinstance(cq, ContinuousQuery) or getattr(cq, "shared", False):
-        _fail(cq, "only plain continuous queries are supported")
+    if not isinstance(cq, ContinuousQuery):
+        _fail(cq, "only continuous queries are supported")
     if cq.is_join():
         _fail(cq, "two-stream joins are not yet partitionable")
     spec = cq.window_spec

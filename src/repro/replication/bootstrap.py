@@ -22,6 +22,7 @@ from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
 from repro.core.database import Database
 from repro.core.dump import _type_from_sql_name
+from repro.errors import WALError
 from repro.storage import wal as walrec
 from repro.streaming.recovery import (
     CheckpointManager,
@@ -29,8 +30,7 @@ from repro.streaming.recovery import (
 )
 from repro.streaming.windows import TimeWindowOperator
 
-#: the legacy single-file WAL name inside a ``--data-dir`` (pre-segment
-#: layouts are migrated into the segmented directory on first open)
+#: the single-file WAL of pre-segment data dirs; no longer readable
 WAL_FILENAME = "wal.jsonl"
 #: the segmented WAL directory inside a ``--data-dir``
 WAL_DIRNAME = "wal"
@@ -39,18 +39,19 @@ WAL_ARCHIVE_DIRNAME = "wal_archive"
 
 
 def _data_dir_wal_options(data_dir: str, options: dict) -> str:
-    """Resolve a data dir to the segmented-WAL layout (migrating a
-    legacy single-file ``wal.jsonl`` into segment 1) and default the
-    segment/archive options.  Returns the WAL directory path."""
-    from repro.storage.segments import DEFAULT_SEGMENT_BYTES, segment_name
+    """Resolve a data dir to the segmented-WAL layout and default the
+    archive option.  Returns the WAL directory path.  A data dir that
+    holds only a pre-segment ``wal.jsonl`` is refused: booting past it
+    would silently start an empty database next to the old log."""
     os.makedirs(data_dir, exist_ok=True)
     wal_dir = os.path.join(data_dir, WAL_DIRNAME)
     legacy = os.path.join(data_dir, WAL_FILENAME)
     if os.path.exists(legacy) and not os.path.isdir(wal_dir):
-        os.makedirs(wal_dir, exist_ok=True)
-        os.replace(legacy, os.path.join(wal_dir, segment_name(1)))
-    if options.get("wal_segment_bytes") is None:
-        options["wal_segment_bytes"] = DEFAULT_SEGMENT_BYTES
+        raise WALError(
+            f"{legacy!r} is a single-file WAL: that layout is no longer "
+            f"supported and there is no {WAL_DIRNAME}/ segment directory "
+            "beside it (restore the data dir from a backup taken by a "
+            "segmented server)")
     if options.get("wal_archive_dir") is None:
         options["wal_archive_dir"] = os.path.join(
             data_dir, WAL_ARCHIVE_DIRNAME)
@@ -71,7 +72,7 @@ def open_database(data_dir: Optional[str] = None,
     ``wal_archive/`` sibling); boot recovery replays archive + live
     segments, then archived records are released from memory so a
     long-compacted history costs RAM only during boot.  Passing
-    ``wal_path`` directly keeps the legacy single-file mode.
+    ``wal_path`` names the segment directory directly.
     """
     if data_dir is not None:
         wal_path = _data_dir_wal_options(data_dir, options)

@@ -261,8 +261,7 @@ class WalLifecycle:
         """The single row of the ``repro_storage`` system view."""
         wal = self.wal
         if wal.segments is None:
-            mode = "file" if wal.path is not None else "memory"
-            return (mode, None, None, None, None, 0,
+            return ("memory", None, None, None, None, 0,
                     wal.head_lsn, None, None, 0,
                     self.scrubs, self.last_scrub_at, self.scrub_errors, 0)
         segs = wal.segments
@@ -364,9 +363,6 @@ def restore_backup(backup_dir: str, data_dir: str,
             written += 1
     finally:
         fh.close()
-    legacy = os.path.join(data_dir, "wal.jsonl")
-    if os.path.exists(legacy):
-        os.remove(legacy)
     return {"records": written, "head_lsn": lsns[-1],
             "first_lsn": lsns[0], "segments": index,
             "until_lsn": until_lsn,

@@ -21,8 +21,8 @@ class StorageManager:
         if faults is not None and self.disk.faults is None:
             self.disk.faults = faults
         self.pool = BufferPool(self.disk, buffer_pages, faults=faults)
-        # wal_segment_bytes switches the log to segmented mode: wal_path
-        # is then a directory of rolling segments rather than one file
+        # wal_path names a directory of rolling segments (None keeps the
+        # log in memory); wal_segment_bytes overrides the roll size
         self.wal = WriteAheadLog(self.disk, self.disk.page_size,
                                  faults=faults, path=wal_path,
                                  segment_bytes=wal_segment_bytes,

@@ -18,14 +18,11 @@ recovery *truncates* the log at the first such record — everything before
 it is trusted, everything after it is discarded — instead of failing
 mid-replay.
 
-The log runs in one of three modes:
+The log runs in one of two modes:
 
 - **in-memory** (no ``path``): records only live in ``self.records``;
-- **single-file** (``path`` points at a file): the original unbounded
-  ``wal.jsonl`` — kept for compatibility and for tests that pass a
-  ``wal_path`` directly;
-- **segmented** (``path`` is a directory + ``segment_bytes``): records
-  land in fixed-size rolling segment files managed by
+- **segmented** (``path`` names a directory): records land in
+  fixed-size rolling segment files managed by
   :class:`~repro.storage.segments.SegmentedLog`.  Sealed segments can be
   *archived* (moved to the archive dir by checkpoint-anchored
   compaction) and the matching in-memory records trimmed; the in-memory
@@ -163,17 +160,22 @@ class WriteAheadLog:
         #: anchor: segments holding these are never archived past)
         self._checkpoint_lsns = {}
         self.path = path
-        self._fh = None
         self.segments = None
         if path is not None:
-            if segment_bytes is not None:
-                from repro.storage.segments import SegmentedLog
-                self.segments = SegmentedLog(
-                    path, archive_dir=archive_dir,
-                    segment_bytes=segment_bytes)
-                self._open_segments()
-            else:
-                self._open_file(path)
+            from repro.storage.segments import (
+                DEFAULT_SEGMENT_BYTES,
+                SegmentedLog,
+            )
+            if os.path.isfile(path):
+                raise WALError(
+                    f"{path!r} is a file: the single-file WAL layout is "
+                    "no longer supported (the log is a directory of "
+                    "segments)")
+            self.segments = SegmentedLog(
+                path, archive_dir=archive_dir,
+                segment_bytes=(segment_bytes if segment_bytes is not None
+                               else DEFAULT_SEGMENT_BYTES))
+            self._open_segments()
 
     def append(self, txid: int, kind: str, table: str = None, rid=None,
                before=None, after=None, payload=None) -> LogRecord:
@@ -281,9 +283,10 @@ class WriteAheadLog:
         the last buffered record: it reaches "disk" with its tail missing,
         so its checksum no longer validates and recovery truncates there.
 
-        When the log is file-backed, buffered records are written out as
-        JSON lines; a torn record is written as a truncated line, so a
-        later load truncates the log there exactly as `_validated` does.
+        When the log is on disk, buffered records are written to the
+        active segment as JSON lines; a torn record is written as a
+        truncated line, so a later load truncates the log there exactly
+        as `_validated` does.
         """
         if self._flushed_upto == len(self.records):
             return
@@ -299,19 +302,13 @@ class WriteAheadLog:
             for _ in range(pages):
                 self.disk.write_page(self.WAL_FILE_ID, self._next_wal_page)
                 self._next_wal_page += 1
-        if self._fh is not None or self.segments is not None:
+        if self.segments is not None:
             for record in self.records[self._flushed_upto:]:
                 line = json.dumps(record_to_wire(record), default=str)
                 data = (line[:max(1, len(line) // 2)] if record.torn
                         else line + "\n")
-                if self.segments is not None:
-                    self.segments.write(record.lsn, data)
-                else:
-                    self._fh.write(data)
-            if self.segments is not None:
-                self.segments.flush()
-            else:
-                self._fh.flush()
+                self.segments.write(record.lsn, data)
+            self.segments.flush()
         self._unflushed_bytes = 0
         self._flushed_upto = len(self.records)
         self.flush_count += 1
@@ -384,37 +381,6 @@ class WriteAheadLog:
 
     # -- file persistence --------------------------------------------------
 
-    def _open_file(self, path: str) -> None:
-        """Load the durable log from ``path`` and reopen it for append.
-
-        The validated prefix is rewritten so a torn tail from the
-        previous incarnation is physically dropped, matching the
-        truncate-at-first-corrupt recovery contract.
-        """
-        loaded: List[LogRecord] = []
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = record_from_wire(json.loads(line))
-                    except (ValueError, KeyError, TypeError):
-                        break  # torn tail: trust nothing past this point
-                    if not record.is_valid():
-                        break
-                    loaded.append(record)
-        self.records = loaded
-        if loaded:
-            self._next_lsn = loaded[-1].lsn + 1
-        self._flushed_upto = len(loaded)
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in loaded:
-                fh.write(json.dumps(record_to_wire(record),
-                                    default=str) + "\n")
-        self._fh = open(path, "a", encoding="utf-8")
-
     def _open_segments(self) -> None:
         """Load the segmented log: archive + live segments, in order.
 
@@ -461,11 +427,7 @@ class WriteAheadLog:
         self.segments.rewrite_active(lines)
 
     def close(self) -> None:
-        """Flush and release the backing file (no-op when in-memory)."""
-        if self._fh is not None:
-            self.flush()
-            self._fh.close()
-            self._fh = None
+        """Flush and release the active segment (no-op when in-memory)."""
         if self.segments is not None:
             self.flush()
             self.segments.close()

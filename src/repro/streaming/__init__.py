@@ -20,7 +20,7 @@ from repro.streaming.windows import (
 from repro.streaming.cq import ContinuousQuery, CQStats
 from repro.streaming.channels import Channel
 from repro.streaming.views import StreamingView
-from repro.streaming.shared import SharedSliceAggregator, sharing_signature
+from repro.streaming.shared import SliceStore
 from repro.streaming.runtime import StreamingRuntime
 from repro.streaming.recovery import (
     CheckpointManager,
@@ -45,7 +45,6 @@ __all__ = [
     "CQStats",
     "Channel",
     "StreamingView",
-    "SharedSliceAggregator",
-    "sharing_signature",
+    "SliceStore",
     "StreamingRuntime",
 ]

@@ -34,8 +34,13 @@ from repro.exec import operators as ops
 from repro.exec.expressions import RowLayout
 from repro.exec.planner import PlanContext, Planner
 from repro.sql import ast
+from repro.streaming.shared import join_store, leave_store
 from repro.streaming.streams import BaseStream, DerivedStream, StreamConsumer
-from repro.streaming.windows import WindowSpec
+from repro.streaming.windows import (
+    SlicedTimeWindowOperator,
+    TimeWindowOperator,
+    WindowSpec,
+)
 from repro.txn.window_consistency import WindowConsistentView
 
 
@@ -231,6 +236,8 @@ class ContinuousQuery(StreamConsumer):
         self.vectorized = False
         #: the plan's BatchAggregate when the window runs sliced
         self._sliced_agg = None
+        #: what the slice partials depend on; equal keys share a store
+        self.store_key = None
         if vectorize:
             from repro.exec.vectorize import vectorize_plan
             root, changed = vectorize_plan(self._plan.root)
@@ -352,23 +359,32 @@ class ContinuousQuery(StreamConsumer):
     def is_join(self) -> bool:
         return len(self._stream_refs) == 2
 
+    def _subscriptions(self):
+        """The (stream, consumer) pairs this CQ subscribes."""
+        if self._ports is not None:
+            return list(zip(self.streams, self._ports))
+        return [(self.stream,
+                 self._window_op if self._window_op is not None else self)]
+
     def attach(self) -> None:
         """Subscribe to the source stream(s) and start running."""
-        if self._ports is not None:
-            for stream, port in zip(self.streams, self._ports):
-                stream.subscribe(port)
-            return
-        target = self._window_op if self._window_op is not None else self
-        self.stream.subscribe(target)
+        for stream, consumer in self._subscriptions():
+            stream.subscribe(consumer)
+        if self.is_sliced():
+            join_store(self.stream, self.store_key, self._window_op)
+
+    def detach(self) -> None:
+        """Stop consuming the source stream(s) without terminating: the
+        partitioned coordinator detaches its merge-stage CQ, which is
+        fed worker partials instead of the (silent) local stream."""
+        for stream, consumer in self._subscriptions():
+            stream.unsubscribe(consumer)
+        if self.is_sliced():
+            leave_store(self.stream, self._window_op)
 
     def stop(self) -> None:
         """Terminate the CQ (paper: CQs run "until explicitly terminated")."""
-        if self._ports is not None:
-            for stream, port in zip(self.streams, self._ports):
-                stream.unsubscribe(port)
-        else:
-            target = self._window_op if self._window_op is not None else self
-            self.stream.unsubscribe(target)
+        self.detach()
         self._running = False
 
     def add_sink(self, sink) -> None:
@@ -444,47 +460,74 @@ class ContinuousQuery(StreamConsumer):
             ctx["params"] = self.params
         return ctx
 
-
-    def _on_window(self, rows, open_time: float, close_time: float) -> None:
-        """Window closed: refresh the snapshot and run the plan."""
-        if not self._running:
-            return
-        if self.faults is not None:
-            self.faults.check("cq.window", self.name)
+    def _execute(self, batches, open_time: float, close_time: float,
+                 partials=None) -> list:
+        """Refresh the snapshot and run the plan over one window's
+        relation(s).  On the sliced path the window arrives as slice
+        ``partials``: they are merged + finalized and the aggregate is
+        pinned to the result, so post-aggregate operators (projection
+        with cq_close, HAVING, ORDER BY) and the plan's instrumentation
+        behave exactly as in iterator mode."""
         self.view.refresh()
+        if partials is not None:
+            self._sliced_agg.set_merged(self._finalize_slices(partials))
+        self._batches = batches
+        try:
+            return list(self._plan.execute(
+                self._make_ctx(open_time, close_time)))
+        finally:
+            self._batches = [[] for _ in batches]
+            if partials is not None:
+                self._sliced_agg.set_merged(None)
+
+    def _evaluate(self, batches, open_time: float, close_time: float,
+                  rows_scanned: int, streams, partials=None,
+                  per_tuple: bool = False) -> None:
+        """Run the plan for one window and emit the result: the one path
+        behind every window close (plain, sliced, joined) and — with
+        ``per_tuple`` — the window-less transform, which emits only
+        when the tuple produced output."""
+        if self.faults is not None and not per_tuple:
+            self.faults.check("cq.window", self.name)
         obs = self.obs
         traces = op_before = None
         if obs is not None:
             timed = self._arm_timing()
-            traces = obs.take_traces(self.stream, close_time)
+            traces = [trace for stream in streams
+                      for trace in obs.take_traces(stream, close_time,
+                                                   inclusive=per_tuple)]
             if traces and timed:
                 op_before = self._op_snapshot()
         started_wall = time.time()
         started = time.perf_counter()
-        self._batches[0] = rows
-        ctx = self._make_ctx(open_time, close_time)
-        try:
-            out = list(self._plan.execute(ctx))
-        finally:
-            self._batches[0] = []
+        out = self._execute(batches, open_time, close_time, partials)
         exec_seconds = time.perf_counter() - started
-        self.stats.windows_evaluated += 1
-        self.stats.rows_scanned += len(rows)
-        self.stats.rows_out += len(out)
-        self.stats.last_close = close_time
-        if self.late_policy == RETRACT:
-            self._remember_emitted(close_time, out)
-        if self._h_lag is not None:
-            self._h_lag.observe(self.stream.tracker.lag())
-        emit_started = time.perf_counter()
-        for sink in self._sinks:
-            sink(out, open_time, close_time)
-        if obs is not None:
+        stats = self.stats
+        stats.rows_scanned += rows_scanned
+        emit_seconds = 0.0
+        if out or not per_tuple:
+            stats.windows_evaluated += 1
+            stats.rows_out += len(out)
+            stats.last_close = close_time
+            if self.late_policy == RETRACT:
+                self._remember_emitted(close_time, out)
+            if self._h_lag is not None:
+                self._h_lag.observe(self.stream.tracker.lag())
+            emit_started = time.perf_counter()
+            for sink in self._sinks:
+                sink(out, open_time, close_time)
             emit_seconds = time.perf_counter() - emit_started
+        if obs is not None:
             self._record_window(exec_seconds + emit_seconds, close_time)
             if traces:
                 obs.trace_window(self, traces, self._plan.root, op_before,
                                  started_wall, exec_seconds, emit_seconds)
+
+    def _on_window(self, rows, open_time: float, close_time: float) -> None:
+        """Window closed: run the plan over its relation."""
+        if self._running:
+            self._evaluate([rows], open_time, close_time, len(rows),
+                           (self.stream,))
 
     # -- sliced window mode (vectorized incremental aggregation) --------------
 
@@ -495,14 +538,13 @@ class ContinuousQuery(StreamConsumer):
         stream's window relation, with nothing below the aggregate
         reading the window-close context.  Each sealed slice is then
         reduced once, and window close merges slice partials instead of
-        re-aggregating every visible row."""
+        re-aggregating every visible row.
+
+        What a slice partial depends on — the stream reference, that
+        sub-aggregate chain and the bound parameters — becomes the
+        slice-store key: CQs with equal keys read one store."""
         from repro.exec import batch_ops
         from repro.exec.vectorize import walk
-        from repro.streaming.shared import _time_gcd
-        from repro.streaming.windows import (
-            SlicedTimeWindowOperator,
-            TimeWindowOperator,
-        )
 
         spec = self._window_spec
         if (not self.vectorized
@@ -517,6 +559,7 @@ class ContinuousQuery(StreamConsumer):
         agg = aggs[0]
         if agg.uses_context:
             return
+        chain = [agg.signature]
         node = agg.child
         while isinstance(node, (batch_ops.BatchFilter,
                                 batch_ops.BatchProject)):
@@ -524,15 +567,18 @@ class ContinuousQuery(StreamConsumer):
                 # cq_close/cq_open below the aggregate vary per window;
                 # a slice partial would bake in the wrong close time
                 return
+            chain.append(node.signature)
             node = node.child
         if not (isinstance(node, batch_ops.BatchSource)
                 and node.is_stream_source):
             return
-        width = _time_gcd(spec.visible, spec.advance)
+        ref = self._stream_ref
+        self.store_key = (ref.name.lower(), (ref.alias or ref.name).lower(),
+                          tuple(chain), repr(self.params))
         self._sliced_agg = agg
         self._window_op = SlicedTimeWindowOperator(
             spec.visible, spec.advance, self._on_sliced_window, emit_empty,
-            self._slice_partial, width)
+            self._slice_partial)
 
     def _slice_partial(self, rows):
         """Reduce one sealed slice's rows to mergeable partial states by
@@ -559,50 +605,21 @@ class ContinuousQuery(StreamConsumer):
 
     def _on_sliced_window(self, partials, open_time: float,
                           close_time: float) -> None:
-        """Window closed on the sliced path: merge + finalize the slice
-        partials, then run the plan with the aggregate pinned to the
-        result — post-aggregate operators (projection with cq_close,
-        HAVING, ORDER BY) and the plan's instrumentation behave exactly
-        as in iterator mode."""
-        if not self._running:
-            return
-        if self.faults is not None:
-            self.faults.check("cq.window", self.name)
-        self.view.refresh()
-        obs = self.obs
-        traces = op_before = None
-        if obs is not None:
-            timed = self._arm_timing()
-            traces = obs.take_traces(self.stream, close_time)
-            if traces and timed:
-                op_before = self._op_snapshot()
-        started_wall = time.time()
-        started = time.perf_counter()
-        ctx = self._make_ctx(open_time, close_time)
-        rows = self._finalize_slices(partials)
-        self._sliced_agg.set_merged(rows)
-        try:
-            out = list(self._plan.execute(ctx))
-        finally:
-            self._sliced_agg.set_merged(None)
-        exec_seconds = time.perf_counter() - started
-        self.stats.windows_evaluated += 1
-        self.stats.rows_scanned += self._window_op.last_window_input
-        self.stats.rows_out += len(out)
-        self.stats.last_close = close_time
-        emit_started = time.perf_counter()
-        for sink in self._sinks:
-            sink(out, open_time, close_time)
-        if obs is not None:
-            emit_seconds = time.perf_counter() - emit_started
-            self._record_window(exec_seconds + emit_seconds, close_time)
-            if traces:
-                obs.trace_window(self, traces, self._plan.root, op_before,
-                                 started_wall, exec_seconds, emit_seconds)
+        """Window closed on the sliced path: the plan runs over the
+        merge of the slice partials the window covers."""
+        if self._running:
+            self._evaluate([[]], open_time, close_time,
+                           self._window_op.last_window_input,
+                           (self.stream,), partials=partials)
 
     def is_sliced(self) -> bool:
         """True when the window runs incremental per-slice aggregation."""
         return self._sliced_agg is not None
+
+    @property
+    def shared(self) -> bool:
+        """True when another CQ reads this CQ's slice store."""
+        return self.is_sliced() and len(self._window_op.store.readers) > 1
 
     # -- event-time: lateness, retraction, early emission ---------------------
 
@@ -636,13 +653,7 @@ class ContinuousQuery(StreamConsumer):
         retract(old)/correct(new) pair so downstream state converges."""
         if not self._running:
             return
-        self.view.refresh()
-        self._batches[0] = rows
-        ctx = self._make_ctx(open_time, close_time)
-        try:
-            out = list(self._plan.execute(ctx))
-        finally:
-            self._batches[0] = []
+        out = self._execute([rows], open_time, close_time)
         self.stats.rows_out += len(out)
         old = self._emitted.get(close_time)
         if old is not None:
@@ -655,13 +666,7 @@ class ContinuousQuery(StreamConsumer):
         still-open slice, typed so consumers can tell it from a final."""
         if not self._running:
             return
-        self.view.refresh()
-        self._batches[0] = rows
-        ctx = self._make_ctx(open_time, close_time)
-        try:
-            out = list(self._plan.execute(ctx))
-        finally:
-            self._batches[0] = []
+        out = self._execute([rows], open_time, close_time)
         self._emit_correction("early", out, open_time, close_time)
 
     def _emit_correction(self, kind: str, rows, open_time: float,
@@ -690,43 +695,9 @@ class ContinuousQuery(StreamConsumer):
         for side in self._pending:
             for stale in [k for k in side if k < key]:
                 del side[stale]
-        if self.faults is not None:
-            self.faults.check("cq.window", self.name)
-        self.view.refresh()
-        close_time = max(left[2], right[2])
-        open_time = min(left[1], right[1])
-        obs = self.obs
-        traces = op_before = None
-        if obs is not None:
-            timed = self._arm_timing()
-            traces = (obs.take_traces(self.streams[0], close_time)
-                      + obs.take_traces(self.streams[1], close_time))
-            if traces and timed:
-                op_before = self._op_snapshot()
-        started_wall = time.time()
-        started = time.perf_counter()
-        self._batches[0] = left[0]
-        self._batches[1] = right[0]
-        ctx = self._make_ctx(open_time, close_time)
-        try:
-            out = list(self._plan.execute(ctx))
-        finally:
-            self._batches[0] = []
-            self._batches[1] = []
-        exec_seconds = time.perf_counter() - started
-        self.stats.windows_evaluated += 1
-        self.stats.rows_scanned += len(left[0]) + len(right[0])
-        self.stats.rows_out += len(out)
-        self.stats.last_close = close_time
-        emit_started = time.perf_counter()
-        for sink in self._sinks:
-            sink(out, open_time, close_time)
-        if obs is not None:
-            emit_seconds = time.perf_counter() - emit_started
-            self._record_window(exec_seconds + emit_seconds, close_time)
-            if traces:
-                obs.trace_window(self, traces, self._plan.root, op_before,
-                                 started_wall, exec_seconds, emit_seconds)
+        self._evaluate([left[0], right[0]], min(left[1], right[1]),
+                       max(left[2], right[2]),
+                       len(left[0]) + len(right[0]), self.streams)
 
     def _port_flushed(self, index: int) -> None:
         """A source stream flushed; once both have, drain unmatched
@@ -749,42 +720,8 @@ class ContinuousQuery(StreamConsumer):
         if not self._running:
             return
         self.stats.tuples_in += 1
-        self.view.refresh()
-        obs = self.obs
-        traces = op_before = None
-        if obs is not None:
-            timed = self._arm_timing()
-            traces = obs.take_traces(self.stream, event_time,
-                                     inclusive=True)
-            if traces and timed:
-                op_before = self._op_snapshot()
-        started_wall = time.time()
-        started = time.perf_counter()
-        self._batches[0] = [row]
-        ctx = self._make_ctx(event_time, event_time)
-        try:
-            out = list(self._plan.execute(ctx))
-        finally:
-            self._batches[0] = []
-        exec_seconds = time.perf_counter() - started
-        self.stats.rows_scanned += 1
-        emitted = False
-        emit_started = started_wall
-        if out:
-            self.stats.windows_evaluated += 1
-            self.stats.rows_out += len(out)
-            self.stats.last_close = event_time
-            emit_started = time.perf_counter()
-            for sink in self._sinks:
-                sink(out, event_time, event_time)
-            emitted = True
-        if obs is not None:
-            emit_seconds = (time.perf_counter() - emit_started
-                            if emitted else 0.0)
-            self._record_window(exec_seconds + emit_seconds, event_time)
-            if traces:
-                obs.trace_window(self, traces, self._plan.root, op_before,
-                                 started_wall, exec_seconds, emit_seconds)
+        self._evaluate([[row]], event_time, event_time, 1, (self.stream,),
+                       per_tuple=True)
 
     def on_heartbeat(self, event_time: float) -> None:
         pass
@@ -832,8 +769,13 @@ class ContinuousQuery(StreamConsumer):
     def explain(self, analyze: bool = False) -> str:
         """The per-window relational plan; with ``analyze``, annotated
         with per-operator stats accumulated since the CQ started.
-        Event-time CQs lead with their emit clause and lateness policy."""
+        Event-time CQs lead with their emit clause and lateness policy,
+        sliced CQs with their slice store's grid and reader count."""
         text = self._plan.explain(analyze=analyze)
+        if self.is_sliced():
+            store = self._window_op.store
+            text = (f"Slices: width {store.width}s, "
+                    f"store readers {len(store.readers)}\n" + text)
         if self.is_event_time():
             if self.emit_mode == EMIT_PERIODIC:
                 emit = f"EVERY {self.emit_every}s"

@@ -2,9 +2,7 @@
 
 Creates base streams, derived streams (always-on CQs, Example 3),
 ad-hoc CQs (returned to the client as subscriptions), and channels
-(Example 4).  When slice sharing is enabled, eligible aggregate CQs are
-routed onto a :class:`~repro.streaming.shared.SharedSliceAggregator`
-instead of the generic per-window path.
+(Example 4).
 """
 
 from __future__ import annotations
@@ -17,18 +15,13 @@ from repro.errors import StreamingError, UnknownObjectError
 from repro.sql import ast
 from repro.streaming.channels import Channel
 from repro.streaming.cq import ContinuousQuery
-from repro.streaming.shared import (
-    SharedContinuousQuery,
-    build_aggregator,
-    sharing_signature,
-)
 from repro.streaming.streams import BaseStream, DerivedStream
 
 
 class StreamingRuntime:
     """The always-on half of a stream-relational database."""
 
-    def __init__(self, catalog, txn_manager, share_slices: bool = False,
+    def __init__(self, catalog, txn_manager,
                  emit_empty_windows: bool = True,
                  default_retention: Optional[float] = None,
                  disorder_policy: str = "raise",
@@ -38,7 +31,6 @@ class StreamingRuntime:
                  vectorize: bool = True):
         self.catalog = catalog
         self.txn_manager = txn_manager
-        self.share_slices = share_slices
         self.vectorize = vectorize
         self.emit_empty_windows = emit_empty_windows
         self.default_retention = default_retention
@@ -58,7 +50,6 @@ class StreamingRuntime:
         # became durable (Database.ingest_batch sets/clears this)
         self.current_batch = None
         self._cqs: Dict[str, object] = {}
-        self._aggregators: Dict[str, list] = {}
         self._derived_order: List[DerivedStream] = []
         self._counter = 0
 
@@ -102,8 +93,7 @@ class StreamingRuntime:
                                 retention=self.default_retention)
         derived.cq = cq
         cq.add_sink(derived.publish)
-        if getattr(cq, "is_event_time", None) is not None \
-                and cq.is_event_time():
+        if cq.is_event_time():
             cq.add_correction_sink(derived.publish_correction)
         cq.attach()
         self.catalog.add_relation(name, cat.DERIVED_STREAM, derived)
@@ -140,18 +130,6 @@ class StreamingRuntime:
         if name is None:
             self._counter += 1
             name = f"cq_{self._counter}"
-        # parameterized CQs take the generic path (the shared aggregator
-        # compiles expressions once for all consumers, without params),
-        # as do event-time CQs: the shared aggregator closes slices on
-        # arrival order, which event-time semantics forbids
-        if self.share_slices and params is None \
-                and getattr(select, "emit", None) is None:
-            analysis = sharing_signature(select, self.catalog)
-            if analysis is not None:
-                shared_source = self.catalog.get_relation(
-                    analysis.stream_name)
-                if getattr(shared_source, "tracker", None) is None:
-                    return self._make_shared_cq(name, select, analysis)
         cq = ContinuousQuery(name, select, self.catalog, self.txn_manager,
                              self.emit_empty_windows, params=params,
                              obs=self.obs, vectorize=self.vectorize)
@@ -172,39 +150,12 @@ class StreamingRuntime:
             cq_name, LATE_EVENT, late_reason(event_time, watermark, expired),
             [row], open_time=event_time, close_time=watermark)
 
-    def _make_shared_cq(self, name, select, analysis):
-        stream = self.catalog.get_relation(analysis.stream_name)
-        candidates = self._aggregators.setdefault(analysis.signature, [])
-        aggregator = None
-        for candidate in candidates:
-            if candidate.compatible(analysis.window.visible,
-                                    analysis.window.advance):
-                aggregator = candidate
-                break
-        if aggregator is None:
-            aggregator = build_aggregator(analysis, stream)
-            stream.subscribe(aggregator)
-            candidates.append(aggregator)
-        cq = SharedContinuousQuery(name, analysis, aggregator, stream, select)
-        if self.obs is not None:
-            cq.obs = self.obs
-            from repro.obs.service import instrument_plan
-            instrument_plan(cq._post_plan)
-        return cq
-
     def stop_cq(self, cq) -> None:
         cq.stop()
         self._cqs.pop(cq.name, None)
 
     def cqs(self):
         return dict(self._cqs)
-
-    def aggregators(self):
-        """All live shared aggregators (for the E4/A1 benches)."""
-        out = []
-        for group in self._aggregators.values():
-            out.extend(group)
-        return out
 
     # -- channels -----------------------------------------------------------------
 

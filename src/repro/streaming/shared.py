@@ -1,50 +1,31 @@
-"""Shared slice aggregation: "processing multiple continuous queries in a
-shared manner" (Section 2.2; paper refs [4] Arasu/Widom and [12]
+"""The slice store: "processing multiple continuous queries in a shared
+manner" (Section 2.2; paper refs [4] Arasu/Widom and [12]
 Krishnamurthy/Wu/Franklin "On-the-fly sharing for streamed aggregation").
 
-The idea: many aggregate CQs over the same stream differ only in their
-window extents.  Instead of each CQ buffering the stream and re-scanning
-it per window (the generic path), the engine aggregates every arriving
-tuple exactly once into the current *slice* (a pane of width
-gcd(visible, advance)); at each slice boundary the finished slice's
-partial aggregate states are stored, and any CQ whose window closes at
-that boundary merges the slices it can see.  Per-tuple work is therefore
-independent of how many CQs are attached — which is precisely the
-shape experiment E4 measures.
+Many aggregate CQs over one stream differ only in their window extents.
+A sliced window (:class:`~repro.streaming.windows.SlicedTimeWindowOperator`)
+cuts its timeline into slices and reduces each sealed slice to a
+mergeable aggregate partial; the partials live here, in a store owned by
+the source stream and keyed by what the partial depends on (the
+sub-aggregate plan and the bound ``?`` values — see
+``ContinuousQuery._maybe_slice_window``) plus the slice grid.  Every
+sliced CQ is a *reader* of a store: K readers with the same key reduce
+each slice once and each merges only the slices its own window sees, so
+per-tuple aggregation work is independent of K — the shape experiment E4
+measures.  Sharing is therefore not a kind of CQ but what happens when
+two readers have the same key.
 
-Eligibility: a CQ shares when it is a single-stream aggregate with a time
-window — ``SELECT <group cols & aggregates> FROM stream <window>
-[WHERE over stream cols] GROUP BY ... [HAVING/ORDER BY/LIMIT]``.  The
-HAVING/projection/ORDER BY/LIMIT tail runs per-CQ on the merged rows.
+A partial is filed under (slice index, row count): a reader is only ever
+served a partial reduced from as many rows as it buffered for that slice
+itself, so a reader that attached mid-slice or was rebuilt from a
+checkpoint reduces its own shorter slice instead of borrowing a
+neighbour's.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
-
-from repro.errors import StreamingError, WindowError
-from repro.exec import operators as ops
-from repro.exec.expressions import RowLayout, compile_expr, infer_type
-from repro.exec.planner import (
-    PlanningError,
-    _and_all,
-    _contains_aggregate,
-    _covered,
-    _expand_stars,
-    finish_projection,
-    make_agg_specs,
-    post_agg_layout,
-    rewrite_aggregates,
-    split_conjuncts,
-)
-from repro.sql import ast
-from repro.streaming.streams import StreamConsumer
-from repro.streaming.windows import WindowSpec
-
-_EPSILON = 1e-9
+from typing import Callable, Optional
 
 
 def _as_multiple(value: float, unit: float) -> Optional[int]:
@@ -56,385 +37,79 @@ def _as_multiple(value: float, unit: float) -> Optional[int]:
     return None
 
 
-def _time_gcd(a: float, b: float) -> float:
+def time_gcd(a: float, b: float) -> float:
     """gcd of two durations, computed on microsecond integers."""
     return math.gcd(round(a * 1e6), round(b * 1e6)) / 1e6
 
 
-@dataclass
-class SharingAnalysis:
-    """What the eligibility analyzer extracts from a shareable CQ."""
+class SliceStore:
+    """Sealed slice partials on one slice grid, shared by its readers."""
 
-    stream_name: str
-    alias: str
-    window: WindowSpec
-    where: Optional[ast.Expr]
-    group_exprs: List[ast.Expr]
-    agg_calls: List[ast.FunctionCall]
-    items: List[ast.SelectItem]           # original (star-expanded)
-    rewritten_items: List[ast.SelectItem]
-    rewritten_having: Optional[ast.Expr]
-    rewritten_order: List[ast.Expr]
-    signature: str
+    def __init__(self, key, width: float):
+        self.key = key
+        self.width = float(width)
+        #: the window operators reading this store
+        self.readers = []
+        self._partials = {}     # (slice index, row count) -> partial
+        #: rows reduced to partials — the E4 work counter: with K
+        #: same-key readers it still equals the events ingested
+        self.rows_reduced = 0
 
+    @classmethod
+    def for_window(cls, key, window) -> "SliceStore":
+        """A store on ``window``'s own grid: gcd(VISIBLE, ADVANCE), so
+        every close boundary and window open falls on a slice edge."""
+        return cls(key, time_gcd(window.visible, window.advance))
 
-def sharing_signature(select: ast.Select, catalog) -> Optional[SharingAnalysis]:
-    """Analyze a CQ for slice sharing; None when the shape doesn't fit."""
-    from repro.catalog import catalog as cat
+    def fits(self, visible: float, advance: float) -> bool:
+        """True when a window's opens and closes all fall on this grid."""
+        return (_as_multiple(visible, self.width) is not None
+                and _as_multiple(advance, self.width) is not None)
 
-    from_clause = select.from_clause
-    if not isinstance(from_clause, ast.TableRef):
-        return None
-    if from_clause.window is None or from_clause.window.is_row_based() \
-            or from_clause.window.is_window_count():
-        return None
-    kind = catalog.relation_kind(from_clause.name)
-    if kind not in (cat.STREAM, cat.DERIVED_STREAM):
-        return None
-    stream = catalog.get_relation(from_clause.name)
-    layout = RowLayout([
-        (from_clause.alias or from_clause.name, c.name, c.datatype)
-        for c in stream.schema
-    ])
+    def seal(self, index: int, rows: list, reduce: Callable) -> None:
+        """File the partial of slice ``index`` holding exactly ``rows``;
+        the first reader to seal a slice pays for the reduction."""
+        slot = (index, len(rows))
+        if slot not in self._partials:
+            self._partials[slot] = reduce(rows)
+            self.rows_reduced += len(rows)
 
-    try:
-        items = _expand_stars(select.items, layout)
-    except Exception:
-        return None
-    has_aggs = (bool(select.group_by)
-                or any(_contains_aggregate(i.expr) for i in items))
-    if not has_aggs:
-        return None
-    if select.where is not None and not _covered(select.where, layout):
-        return None
-    for expr in select.group_by:
-        if not _covered(expr, layout):
-            return None
-    try:
-        rewritten_items, rewritten_having, rewritten_order, agg_calls = \
-            rewrite_aggregates(list(select.group_by), items, select.having,
-                               [o.expr for o in select.order_by])
-    except PlanningError:
-        return None
-    for call in agg_calls:
-        for arg in call.args:
-            if not isinstance(arg, ast.Star) and not _covered(arg, layout):
-                return None
+    def partial(self, index: int, count: int):
+        return self._partials[(index, count)]
 
-    window = WindowSpec.from_clause(from_clause.window)
-    if not math.isfinite(window.visible):
-        return None  # cumulative windows don't slice; generic path
-    signature = "|".join([
-        from_clause.name.lower(),
-        (from_clause.alias or from_clause.name).lower(),
-        repr(select.where),
-        repr(list(select.group_by)),
-        repr(agg_calls),
-    ])
-    return SharingAnalysis(
-        stream_name=from_clause.name,
-        alias=from_clause.alias or from_clause.name,
-        window=window,
-        where=select.where,
-        group_exprs=list(select.group_by),
-        agg_calls=agg_calls,
-        items=items,
-        rewritten_items=rewritten_items,
-        rewritten_having=rewritten_having,
-        rewritten_order=rewritten_order,
-        signature=signature,
-    )
-
-
-@dataclass
-class SharedStats:
-    """Aggregator-level counters (the E4 evidence)."""
-
-    tuples_in: int = 0
-    tuples_filtered: int = 0
-    agg_adds: int = 0
-    state_merges: int = 0
-    slices_closed: int = 0
-    consumer_fires: int = 0
-
-
-@dataclass
-class _Consumer:
-    visible: float
-    advance: float
-    visible_slices: int
-    advance_slices: int
-    sink: Callable
-    fired_through: int = -1  # absolute slice number of the last fire
-
-
-class SharedSliceAggregator(StreamConsumer):
-    """One per (stream, filter, group, aggs, slice grid): aggregates each
-    tuple once, serves every attached window."""
-
-    def __init__(self, signature: str, filter_fn: Optional[Callable],
-                 group_fns: List[Callable], agg_specs, slice_width: float):
-        if slice_width <= 0:
-            raise WindowError("slice width must be positive")
-        self.signature = signature
-        self.slice_width = float(slice_width)
-        self._filter_fn = filter_fn
-        self._group_fns = group_fns
-        self._agg_specs = agg_specs
-        self._consumers: List[_Consumer] = []
-        self._current: dict = {}
-        self._slices: dict = {}  # absolute slice number -> {key: states}
-        self._next_slice: Optional[int] = None  # absolute number to close next
-        self.stats = SharedStats()
-
-    # -- consumers ----------------------------------------------------------
-
-    def compatible(self, visible: float, advance: float) -> bool:
-        return (_as_multiple(visible, self.slice_width) is not None
-                and _as_multiple(advance, self.slice_width) is not None)
-
-    def add_consumer(self, visible: float, advance: float,
-                     sink: Callable) -> _Consumer:
-        visible_slices = _as_multiple(visible, self.slice_width)
-        advance_slices = _as_multiple(advance, self.slice_width)
-        if visible_slices is None or advance_slices is None:
-            raise StreamingError(
-                "window extents are not multiples of the shared slice width"
-            )
-        consumer = _Consumer(visible, advance, visible_slices,
-                             advance_slices, sink)
-        self._consumers.append(consumer)
-        return consumer
-
-    def remove_consumer(self, consumer: _Consumer) -> None:
-        if consumer in self._consumers:
-            self._consumers.remove(consumer)
-
-    @property
-    def consumer_count(self) -> int:
-        return len(self._consumers)
-
-    def _max_visible_slices(self) -> int:
-        if not self._consumers:
-            return 1
-        return max(c.visible_slices for c in self._consumers)
-
-    # -- stream consumption -----------------------------------------------------
-
-    def on_tuple(self, row: tuple, event_time: float) -> None:
-        if self._next_slice is None:
-            # same grid arithmetic as TimeWindowOperator._start_at, so the
-            # shared and generic paths bucket boundary tuples identically
-            self._next_slice = math.floor(
-                event_time / self.slice_width) + 1
-        self._close_through(event_time)
-        self.stats.tuples_in += 1
-        if self._filter_fn is not None and \
-                self._filter_fn(row, None) is not True:
-            self.stats.tuples_filtered += 1
+    def evict(self) -> None:
+        """Drop every slice all readers' horizons have passed.  A reader
+        with no horizon yet holds everything: the stream delivers a
+        batch to one consumer at a time, so a reader that joined
+        between batches is about to seal the very slices an earlier
+        reader just closed over."""
+        floors = [reader.horizon_index for reader in self.readers]
+        if not floors or None in floors:
             return
-        key = tuple(g(row, None) for g in self._group_fns)
-        states = self._current.get(key)
-        if states is None:
-            states = [agg.create() for agg, _ in self._agg_specs]
-            self._current[key] = states
-        for i, (agg, arg_fn) in enumerate(self._agg_specs):
-            value = arg_fn(row, None) if arg_fn is not None else None
-            states[i] = agg.add(states[i], value)
-            self.stats.agg_adds += 1
+        floor = min(floors)
+        for slot in [s for s in self._partials if s[0] < floor]:
+            del self._partials[slot]
 
-    def on_heartbeat(self, event_time: float) -> None:
-        if self._next_slice is None:
-            return
-        self._close_through(event_time)
-
-    def on_flush(self) -> None:
-        if self._next_slice is None:
-            return
-        if self._current:
-            self._close_slice(self._next_slice)
-        last = self._next_slice - 1
-        for consumer in self._consumers:
-            target = math.ceil(last / consumer.advance_slices) \
-                * consumer.advance_slices
-            if target > consumer.fired_through:
-                self._fire(consumer, target)
-
-    # -- slices -------------------------------------------------------------------
-
-    def _close_through(self, event_time: float) -> None:
-        # strict <=, matching TimeWindowOperator: a tuple exactly at the
-        # boundary proves the slice complete and belongs to the next one
-        while self._next_slice * self.slice_width <= event_time:
-            self._close_slice(self._next_slice)
-
-    def _close_slice(self, number: int) -> None:
-        self._slices[number] = self._current
-        self._current = {}
-        self._next_slice = number + 1
-        self.stats.slices_closed += 1
-        keep_from = number - self._max_visible_slices() + 1
-        for old in [n for n in self._slices if n < keep_from]:
-            del self._slices[old]
-        for consumer in self._consumers:
-            if number % consumer.advance_slices == 0:
-                self._fire(consumer, number)
-
-    def _fire(self, consumer: _Consumer, slice_number: int) -> None:
-        close_time = slice_number * self.slice_width
-        merged: dict = {}
-        for number in range(slice_number - consumer.visible_slices + 1,
-                            slice_number + 1):
-            partials = self._slices.get(number)
-            if not partials:
-                continue
-            for key, states in partials.items():
-                existing = merged.get(key)
-                if existing is None:
-                    merged[key] = list(states)
-                else:
-                    for i, (agg, _arg) in enumerate(self._agg_specs):
-                        existing[i] = agg.merge(existing[i], states[i])
-                        self.stats.state_merges += 1
-        if not merged and not self._group_fns:
-            # scalar-aggregate semantics: an empty window still produces
-            # one row (count(*) = 0), matching the generic path
-            merged[()] = [agg.create() for agg, _ in self._agg_specs]
-        rows = [
-            key + tuple(agg.result(state)
-                        for (agg, _), state in zip(self._agg_specs, states))
-            for key, states in merged.items()
-        ]
-        consumer.fired_through = slice_number
-        self.stats.consumer_fires += 1
-        consumer.sink(rows, close_time - consumer.visible, close_time)
+    def __len__(self):
+        return len(self._partials)
 
 
-class SharedContinuousQuery:
-    """A CQ served by a :class:`SharedSliceAggregator`.
-
-    Presents the same interface as
-    :class:`~repro.streaming.cq.ContinuousQuery` (attach/stop/add_sink/
-    stats/output schema) so the runtime and subscriptions don't care
-    which path a CQ took.
-    """
-
-    def __init__(self, name: str, analysis: SharingAnalysis,
-                 aggregator: SharedSliceAggregator, stream, select: ast.Select):
-        from repro.streaming.cq import CQStats
-
-        self.name = name
-        self.select = select
-        self.analysis = analysis
-        self.aggregator = aggregator
-        self.stream = stream
-        self.stats = CQStats()
-        self.shared = True
-        self._sinks = []
-        self._holder: list = []
-        self._consumer = None
-        self.obs = None  # Observability facade, set by the runtime
-
-        stream_layout = RowLayout([
-            (select.from_clause.alias or analysis.stream_name,
-             c.name, c.datatype)
-            for c in stream.schema
-        ])
-        post_layout = post_agg_layout(
-            analysis.group_exprs, analysis.agg_calls, stream_layout)
-
-        plan = ops.RowSource(lambda: self._holder, "shared-aggregates")
-        if analysis.rewritten_having is not None:
-            plan = ops.Filter(
-                plan, compile_expr(analysis.rewritten_having, post_layout))
-        compiled = [compile_expr(i.expr, post_layout)
-                    for i in analysis.rewritten_items]
-        from repro.exec.expressions import default_name
-        self._output_layout = RowLayout([
-            (None,
-             item.alias or default_name(original.expr),
-             infer_type(item.expr, post_layout))
-            for item, original in zip(analysis.rewritten_items,
-                                      analysis.items)
-        ])
-        physical = finish_projection(
-            select, analysis.items, plan, compiled, self._output_layout,
-            analysis.rewritten_order, post_layout)
-        self._post_plan = physical.root
-
-        self.output_names = self._output_layout.names()
-
-    @property
-    def window_spec(self) -> WindowSpec:
-        return self.analysis.window
-
-    @property
-    def output_schema(self):
-        from repro.catalog.schema import Column, Schema
-        return Schema([
-            Column(n, t) for (_a, n, t) in self._output_layout.entries
-        ])
-
-    def attach(self) -> None:
-        self._consumer = self.aggregator.add_consumer(
-            self.analysis.window.visible, self.analysis.window.advance,
-            self._on_aggregated)
-
-    def stop(self) -> None:
-        if self._consumer is not None:
-            self.aggregator.remove_consumer(self._consumer)
-            self._consumer = None
-
-    def add_sink(self, sink) -> None:
-        self._sinks.append(sink)
-
-    def remove_sink(self, sink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-
-    def _on_aggregated(self, rows, open_time: float, close_time: float) -> None:
-        self._holder = rows
-        ctx = {"cq_close": close_time, "cq_open": open_time}
-        obs = self.obs
-        started = time.perf_counter() if obs is not None else 0.0
-        out = list(self._post_plan.rows(ctx))
-        self._holder = []
-        self.stats.windows_evaluated += 1
-        self.stats.rows_scanned += len(rows)
-        self.stats.rows_out += len(out)
-        self.stats.last_close = close_time
-        for sink in self._sinks:
-            sink(out, open_time, close_time)
-        if obs is not None:
-            duration = time.perf_counter() - started
-            st = self.stats
-            st.last_window_seconds = duration
-            st.total_window_seconds += duration
-            if duration > st.max_window_seconds:
-                st.max_window_seconds = duration
-            obs.on_window_close(self, duration, close_time)
-
-    def explain(self, analyze: bool = False) -> str:
-        return ("SharedSliceAggregator\n"
-                + self._post_plan.explain(1, analyze))
+def join_store(stream, key, reader) -> None:
+    """Make ``reader`` a reader of ``stream``'s store for ``key``: the
+    first store whose grid the reader's window fits, else a new one on
+    the reader's own grid (the first reader fixes the width)."""
+    for store in stream.slice_stores:
+        if store.key == key and store.fits(reader.visible, reader.advance):
+            break
+    else:
+        store = SliceStore.for_window(key, reader)
+        stream.slice_stores.append(store)
+    reader.join(store)
 
 
-def build_aggregator(analysis: SharingAnalysis, stream) -> SharedSliceAggregator:
-    """Construct the aggregator for an analysis (first CQ of its group).
-
-    Expressions compile against the first query's alias; the signature
-    includes the alias, so CQs can only join this aggregator when their
-    expressions are literally identical.
-    """
-    layout = RowLayout([
-        (analysis.alias, c.name, c.datatype) for c in stream.schema
-    ])
-    filter_fn = None
-    if analysis.where is not None:
-        conjuncts = split_conjuncts(analysis.where)
-        filter_fn = compile_expr(_and_all(conjuncts), layout)
-    group_fns = [compile_expr(g, layout) for g in analysis.group_exprs]
-    agg_specs = make_agg_specs(analysis.agg_calls, layout)
-    slice_width = _time_gcd(analysis.window.visible, analysis.window.advance)
-    return SharedSliceAggregator(
-        analysis.signature, filter_fn, group_fns, agg_specs, slice_width)
+def leave_store(stream, reader) -> None:
+    """Drop ``reader`` from its store, and the store with its last reader."""
+    store = reader.store
+    reader.leave()
+    if not store.readers and store in stream.slice_stores:
+        stream.slice_stores.remove(store)

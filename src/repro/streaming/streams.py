@@ -115,6 +115,9 @@ class BaseStream:
         self.delivery_errors = 0   # subscriber exceptions seen in fan-out
         self.slow_deliveries = 0   # stream.slow_consumer crashpoint fires
         self._consumers = []
+        #: slice stores of the sliced CQs reading this stream, one per
+        #: (key, incompatible slice grid) — see repro.streaming.shared
+        self.slice_stores = []
         self._pending = []  # reorder buffer: heap of (time, seq, row)
         self._seq = 0
         self._tail = deque()  # (event_time, row) kept for replay
@@ -596,6 +599,7 @@ class DerivedStream:
         self.retention = retention
         self._window_tail = deque()  # (open_time, close_time, rows)
         self._consumers = []
+        self.slice_stores = []  # as on BaseStream
 
     def subscribe(self, consumer) -> None:
         self._consumers.append(consumer)

@@ -220,14 +220,6 @@ class CQSupervisor:
         failures restart it through the recovery paths."""
         if id(cq) in self._by_target:
             return self._by_target[id(cq)]
-        if getattr(cq, "shared", False):
-            # shared-slice CQs multiplex one aggregator across consumers;
-            # they are tracked (visible in the status view) but their
-            # fan-in is guarded at the stream level only
-            entry = _Entry(cq.name, "cq", cq, state=RUNNING)
-            entry.last_error = "shared CQ: stream-level supervision only"
-            self._register(entry)
-            return entry
         entry = _Entry(cq.name, "cq", cq, active_table=active_table,
                        stime_column=stime_column, checkpointer=checkpointer)
         self._register(entry)

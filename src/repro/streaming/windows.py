@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 from repro.errors import WindowError
 from repro.sql import ast
+from repro.streaming.shared import SliceStore
 from repro.streaming.streams import StreamConsumer
 
 Sink = Callable[[list, float, float], None]  # (rows, open_time, close_time)
@@ -160,33 +161,64 @@ class TimeWindowOperator(StreamConsumer):
 class SlicedTimeWindowOperator(TimeWindowOperator):
     """Time window with incremental per-slice aggregation.
 
-    The window's timeline is cut into slices of ``slice_width`` (the gcd
-    of VISIBLE and ADVANCE, so every close boundary and every window
-    open falls on a slice edge).  When a slice fills, ``slice_fn``
-    reduces its rows to a mergeable aggregate *partial*; a window close
-    hands the covered partials to the sink, which merges and finalizes
-    them instead of re-aggregating the whole buffer.  An overlapping
-    window therefore pays for each row once, not once per window it is
-    visible in.  ``slice_fn`` must not raise: evaluation errors are
+    The window's timeline is cut into slices (the gcd of VISIBLE and
+    ADVANCE, or a divisor of it fixed by the store's first reader, so
+    every close boundary and every window open falls on a slice edge).
+    When a slice fills, ``slice_fn`` reduces its rows to a mergeable
+    aggregate *partial*, filed in a
+    :class:`~repro.streaming.shared.SliceStore`; a window close hands
+    the covered partials to the sink, which merges and finalizes them
+    instead of re-aggregating the whole buffer.  An overlapping window
+    therefore pays for each row once, not once per window it is visible
+    in — and, when the store has other readers with the same key, once
+    for all of them.  ``slice_fn`` must not raise: evaluation errors are
     wrapped into the partial and surface at window close, inside the
     (supervisable) sink call — exactly where the plain operator's plan
     execution would have raised them.
 
-    The row buffer is kept alongside the partials: eviction, the
-    ``buffered`` gauge, and checkpoint/recovery (which re-derives the
-    slice state via :meth:`rebuild_slices`) all work as in the parent.
+    The operator is a *reader* of its store: the boundary grid, the row
+    buffer and the per-slice row counts (which slices it saw, and how
+    much of each) stay its own, so eviction, the ``buffered`` gauge and
+    checkpoint/recovery (which re-derives the slice state via
+    :meth:`rebuild_slices`) all work as in the parent.  It starts on a
+    private store and joins the stream's when its CQ attaches.
     """
 
     def __init__(self, visible: float, advance: float, sink: Sink,
-                 emit_empty: bool, slice_fn, slice_width: float):
+                 emit_empty: bool, slice_fn):
         super().__init__(visible, advance, sink, emit_empty)
-        self.slice_width = float(slice_width)
         self._slice_fn = slice_fn        # rows -> partial (never raises)
-        self._sealed = {}                # slice index -> (row_count, partial)
+        self._sealed = {}                # slice index -> rows it held
         self._cur_index: Optional[int] = None
         self._cur_rows: list = []
         #: rows visible in the most recently closed window
         self.last_window_input = 0
+        self.join(SliceStore.for_window(None, self))
+
+    def join(self, store: SliceStore) -> None:
+        """Become a reader of ``store``.  Whatever is already buffered
+        (a recovered CQ replays before it attaches) is re-sliced on the
+        store's grid."""
+        self.store = store
+        self.slice_width = store.width
+        store.readers.append(self)
+        self.rebuild_slices()
+
+    def leave(self) -> None:
+        """Stop reading the shared store (the CQ stopped).  The stream
+        may still be mid-delivery to this reader, and nothing holds the
+        store's slices for it any more: it finishes on a private one."""
+        self.store.readers.remove(self)
+        self.join(SliceStore.for_window(None, self))
+
+    @property
+    def horizon_index(self) -> Optional[int]:
+        """The first slice a future window can still see (None before
+        the first tuple fixes the boundary grid)."""
+        boundary = self._next_boundary()
+        if boundary is None:
+            return None
+        return self._slice_index(boundary - self.visible)
 
     def _slice_index(self, event_time: float) -> int:
         # the epsilon keeps an event exactly on a slice edge (up to float
@@ -211,7 +243,6 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
         appended with two list extends instead of per-row calls."""
         n = len(rows)
         i = 0
-        width = self.slice_width
         while i < n:
             when = times[i]
             if self._base is None:
@@ -225,7 +256,8 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
             # the chunk may not cross the next close boundary (windows
             # must fire in order) nor the end of the current slice (the
             # slice edge shares _slice_index's epsilon)
-            limit = min(self._next_boundary(), (idx + 1 - 1e-9) * width)
+            limit = min(self._next_boundary(),
+                        (idx + 1 - 1e-9) * self.slice_width)
             j = bisect_left(times, limit, i)
             chunk = rows[i:j]
             self._cur_rows.extend(chunk)
@@ -236,7 +268,8 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
     def _seal_current(self) -> None:
         rows = self._cur_rows
         if rows:
-            self._sealed[self._cur_index] = (len(rows), self._slice_fn(rows))
+            self.store.seal(self._cur_index, rows, self._slice_fn)
+            self._sealed[self._cur_index] = len(rows)
         self._cur_rows = []
         self._cur_index = None
 
@@ -252,20 +285,23 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
         total = 0
         parts = []
         sealed = self._sealed
+        store = self.store
         for idx in range(first, last):
-            entry = sealed.get(idx)
-            if entry is not None:
-                total += entry[0]
-                parts.append(entry[1])
+            count = sealed.get(idx)
+            if count is not None:
+                total += count
+                parts.append(store.partial(idx, count))
         self._boundary_index += 1
         horizon = self._next_boundary() - self.visible
         buffer = self._buffer
         while buffer and buffer[0][0] < horizon:
             buffer.popleft()
-        # a slice no future window can see goes with its rows
-        horizon_index = int(math.floor(horizon / width + 1e-9))
+        # a slice no future window can see goes with its rows — here,
+        # and from the store once every other reader is past it too
+        horizon_index = self._slice_index(horizon)
         for idx in [k for k in sealed if k < horizon_index]:
             del sealed[idx]
+        store.evict()
         self.windows_closed += 1
         self.rows_emitted += total
         self.last_window_input = total

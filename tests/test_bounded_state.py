@@ -8,6 +8,7 @@ structures stay at their theoretical bounds.
 import pytest
 
 from repro import Database
+from repro.exec.columnar import HAS_NUMPY
 
 
 class TestWindowBufferBounds:
@@ -43,35 +44,43 @@ class TestWindowBufferBounds:
         assert len(stream._tail) <= 62
 
 
+@pytest.mark.skipif(not HAS_NUMPY, reason="slicing needs the batch executor")
 class TestSharedSliceBounds:
+    CQ = ("SELECT k, count(*) FROM s <VISIBLE '{} minutes' "
+          "ADVANCE '1 minute'> GROUP BY k")
+
+    def drive(self, db, minute):
+        db.insert_stream("s", [("a", minute * 60.0 + i) for i in range(10)])
+        db.advance_streams((minute + 1) * 60.0)
+
     def test_slice_store_bounded_by_max_window(self):
-        db = Database(share_slices=True)
+        """16 readers on one store: it keeps what the widest window can
+        still see, however many readers there are."""
+        db = Database()
         db.execute("CREATE STREAM s (k varchar(5), ts timestamp CQTIME USER)")
-        for minutes in (1, 5, 10):
-            db.subscribe(
-                f"SELECT k, count(*) FROM s <VISIBLE '{minutes} minutes' "
-                "ADVANCE '1 minute'> GROUP BY k")
-        aggregator = db.runtime.aggregators()[0]
+        subs = [db.subscribe(self.CQ.format(minutes))
+                for minutes in range(1, 17)]
+        (store,) = db.get_stream("s").slice_stores
+        assert len(store.readers) == 16
         for minute in range(120):
-            db.insert_stream(
-                "s", [("a", minute * 60.0 + i) for i in range(10)])
-            db.advance_streams((minute + 1) * 60.0)
+            self.drive(db, minute)
             # at most max-visible-slices slices retained
-            assert len(aggregator._slices) <= 10
+            assert len(store) <= 16
+            assert all(len(sub.cq._window_op._sealed) <= 16 for sub in subs)
+        assert store.rows_reduced == 1200
 
     def test_consumer_detach_shrinks_retention(self):
-        db = Database(share_slices=True)
+        db = Database()
         db.execute("CREATE STREAM s (k varchar(5), ts timestamp CQTIME USER)")
-        wide = db.subscribe(
-            "SELECT k, count(*) FROM s <VISIBLE '30 minutes' "
-            "ADVANCE '1 minute'> GROUP BY k")
-        db.subscribe(
-            "SELECT k, count(*) FROM s <VISIBLE '2 minutes' "
-            "ADVANCE '1 minute'> GROUP BY k")
-        aggregator = db.runtime.aggregators()[0]
-        assert aggregator._max_visible_slices() == 30
+        wide = db.subscribe(self.CQ.format(30))
+        db.subscribe(self.CQ.format(2))
+        (store,) = db.get_stream("s").slice_stores
+        for minute in range(40):
+            self.drive(db, minute)
+        assert len(store) == 29     # slices 11..39: the wide horizon
         wide.close()
-        assert aggregator._max_visible_slices() == 2
+        self.drive(db, 40)
+        assert len(store) <= 2
 
 
 class TestTwoStreamPendingBounds:

@@ -3,7 +3,7 @@
 Hypothesis generates random event streams and window extents; the oracle
 computes every window's grouped counts by brute force (scan all events
 per boundary).  The engine — window operator, planner, executor, and the
-shared-slice path — must agree exactly.
+slice store shared by same-key CQs — must agree exactly.
 """
 
 import math
@@ -42,15 +42,30 @@ def oracle(events, visible, advance, end_time):
     return out
 
 
-def run_engine(events, visible, advance, end_time, share):
-    db = Database(share_slices=share)
-    db.execute("CREATE STREAM s (k varchar(5), ts timestamp CQTIME USER)")
-    sub = db.subscribe(
-        f"SELECT k, count(*) FROM s <VISIBLE {visible} ADVANCE {advance}> "
-        "GROUP BY k")
-    db.insert_stream("s", [(key, float(t)) for key, t in events])
+DDL = "CREATE STREAM s (k varchar(5), ts timestamp CQTIME USER)"
+
+
+def cq_sql(visible, advance):
+    return (f"SELECT k, count(*) FROM s <VISIBLE {visible} "
+            f"ADVANCE {advance}> GROUP BY k")
+
+
+def run_engine(events, extents, end_time, ddl=DDL, join_after=None):
+    """One CQ per (visible, advance) in ``extents`` over one stream:
+    same-key CQs, so they read one slice store when their grids agree.
+    With ``join_after`` the last CQ subscribes only after that many
+    events.  Returns each CQ's windows and the subscriptions."""
+    db = Database()
+    db.execute(ddl)
+    rows = [(key, float(t)) for key, t in events]
+    cut = 0 if join_after is None else join_after
+    subs = [db.subscribe(cq_sql(*e)) for e in extents[:-1]]
+    db.insert_stream("s", rows[:cut])
+    subs.append(db.subscribe(cq_sql(*extents[-1])))
+    db.insert_stream("s", rows[cut:])
     db.advance_streams(end_time)
-    return [(w.close_time, dict(w.rows)) for w in sub.poll()]
+    return [[(w.close_time, dict(w.rows)) for w in sub.poll()]
+            for sub in subs], subs
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,18 +74,54 @@ def test_generic_path_matches_oracle(events, extents):
     visible, advance = extents
     end_time = float(events[-1][1]) + visible + advance
     expected = oracle(events, visible, advance, end_time)
-    actual = run_engine(events, visible, advance, end_time, share=False)
+    (actual,), _subs = run_engine(events, [extents], end_time)
     assert actual == expected
 
 
 @settings(max_examples=50, deadline=None)
+@given(events_strategy, extents_strategy, extents_strategy)
+def test_shared_path_matches_oracle(events, first, second):
+    """Two same-key CQs (one store when the second's extents fit the
+    first's slice grid, two otherwise): each matches its own oracle."""
+    end_time = float(events[-1][1]) + max(first[0] + first[1],
+                                          second[0] + second[1])
+    actual, _subs = run_engine(events, [first, second], end_time)
+    assert actual == [oracle(events, *first, end_time),
+                      oracle(events, *second, end_time)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(events_strategy, extents_strategy, extents_strategy, st.data())
+def test_reader_attached_mid_stream_matches_oracle(events, first, second,
+                                                   data):
+    """A CQ that subscribes part-way (mid-slice, usually) sees exactly
+    the events after it joined — never a slice partial an earlier reader
+    reduced from rows it did not buffer."""
+    cut = data.draw(st.integers(min_value=0, max_value=len(events) - 1))
+    end_time = float(events[-1][1]) + max(first[0] + first[1],
+                                          second[0] + second[1])
+    actual, _subs = run_engine(events, [first, second], end_time,
+                               join_after=cut)
+    assert actual == [oracle(events, *first, end_time),
+                      oracle(events[cut:], *second, end_time)]
+
+
+@settings(max_examples=30, deadline=None)
 @given(events_strategy, extents_strategy)
-def test_shared_path_matches_oracle(events, extents):
+def test_watermark_stream_matches_oracle_unshared(events, extents):
+    """Event time stays unshared until the slice store learns
+    watermarks: two same-key CQs over a WATERMARK stream still match
+    the oracle (ordered input: every window closes by watermark) and
+    report ``shared = false``."""
     visible, advance = extents
     end_time = float(events[-1][1]) + visible + advance
-    expected = oracle(events, visible, advance, end_time)
-    actual = run_engine(events, visible, advance, end_time, share=True)
-    assert actual == expected
+    actual, subs = run_engine(events, [extents, extents], end_time,
+                              ddl=DDL + " WATERMARK '0 seconds'")
+    expected = [w for w in oracle(events, visible, advance, end_time)
+                if w[1]]
+    assert [[w for w in windows if w[1]] for windows in actual] \
+        == [expected, expected]
+    assert not any(sub.cq.shared for sub in subs)
 
 
 @settings(max_examples=30, deadline=None)

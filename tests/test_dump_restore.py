@@ -106,5 +106,27 @@ class TestDumpRestore:
     def test_restore_options_apply(self, populated):
         db, path = populated
         db.dump(path)
-        restored = Database.restore(path, share_slices=True)
-        assert restored.runtime.share_slices
+        restored = Database.restore(path, stream_retention=90.0)
+        assert restored.runtime.default_retention == 90.0
+
+    def test_event_time_stream_roundtrip(self, tmp_path):
+        """A WATERMARK stream restores as an event-time stream, so a
+        derived stream with an EMIT clause over it restores too."""
+        db = Database()
+        db.execute("CREATE STREAM readings (sensor varchar(10), v integer, "
+                   "ts timestamp CQTIME USER) WATERMARK '5 seconds'")
+        db.execute(
+            "CREATE STREAM per_minute AS SELECT sensor, sum(v) total, "
+            "cq_close(*) FROM readings <VISIBLE '1 minute'> GROUP BY sensor "
+            "EMIT ON WATERMARK ALLOW LATENESS '30 seconds' RETRACT")
+        path = str(tmp_path / "eventtime.json")
+        db.dump(path)
+        restored = Database.restore(path)
+        stream = restored.get_stream("readings")
+        assert stream.watermark_bound == 5.0
+        assert stream.tracker is not None
+        sub = restored.subscribe("SELECT * FROM per_minute")
+        # out of order within the bound: accepted, not an OutOfOrderError
+        restored.insert_stream("readings", [("a", 1, 30.0), ("a", 2, 27.0),
+                                            ("a", 4, 66.0)])
+        assert sub.rows() == [("a", 3, 60.0)]

@@ -17,7 +17,7 @@ MINUTE = 60.0
 
 @pytest.fixture
 def deployed(tmp_path):
-    db = Database(share_slices=True, stream_retention=7200.0)
+    db = Database(stream_retention=7200.0)
     db.execute_script("""
         CREATE STREAM clicks (url varchar(200), uid integer,
                               ts timestamp CQTIME USER);
@@ -153,7 +153,7 @@ class TestScenario:
             drive_minute(db, minute)
         first = sorted(db.table_rows("clicks_archive"))
 
-        db2 = Database(share_slices=True, stream_retention=7200.0)
+        db2 = Database(stream_retention=7200.0)
         # replay the same DDL + workload in a fresh engine
         db2.execute_script("""
             CREATE STREAM clicks (url varchar(200), uid integer,

@@ -248,6 +248,7 @@ class TestExplain:
         db.execute(URL_STREAM)
         if HAS_NUMPY:
             expected = (
+                "Slices: width 60.0s, store readers 1\n"
                 "Limit(10, offset=0) [mode=iterator]\n"
                 "  Sort [mode=iterator]\n"
                 "    Project [mode=iterator]\n"
@@ -268,6 +269,7 @@ class TestExplain:
         db.execute(EXAMPLE_3)
         if HAS_NUMPY:
             expected = (
+                "Slices: width 60.0s, store readers 1\n"
                 "Project [mode=iterator]\n"
                 "  BatchAggregate(1 keys, 1 aggs) [mode=batch]\n"
                 "    BatchSource(url_stream) [mode=batch]")

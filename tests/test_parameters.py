@@ -4,6 +4,7 @@ import pytest
 
 from repro import Database
 from repro.errors import ExecutionError
+from repro.exec.columnar import HAS_NUMPY
 
 
 @pytest.fixture
@@ -96,8 +97,28 @@ class TestCQParameters:
         assert high.rows() == [(1,)]
 
     def test_parameterized_cq_skips_sharing(self):
-        db = Database(share_slices=True)
+        """Bound ``?`` values are part of the slice-store key: a CQ
+        skips sharing with one bound to other values, and shares with
+        one bound to the same."""
+        if not HAS_NUMPY:
+            pytest.skip("slicing needs the batch executor")
+        db = Database()
         db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-        sub = db.subscribe(
+        sql = ("SELECT count(*) FROM s <VISIBLE '1 minute'> "
+               "HAVING count(*) >= ?")
+        one = db.subscribe(sql, (1,))
+        other = db.subscribe(sql, (3,))
+        assert one.cq.is_sliced() and other.cq.is_sliced()
+        assert not one.cq.shared and not other.cq.shared
+        assert len(db.get_stream("s").slice_stores) == 2
+        same = db.subscribe(sql, (1,))
+        assert one.cq.shared and same.cq.shared and not other.cq.shared
+        # a ``?`` below the aggregate has no batch kernel: that CQ runs
+        # the per-row gear, which never slices
+        below = db.subscribe(
             "SELECT count(*) FROM s <VISIBLE '1 minute'> WHERE v > ?", (1,))
-        assert not getattr(sub.cq, "shared", False)
+        assert not below.cq.is_sliced() and not below.cq.shared
+        db.insert_stream("s", [(5, 1.0), (200, 2.0)])
+        db.advance_streams(60.0)
+        assert one.rows() == same.rows() == below.rows() == [(2,)]
+        assert other.rows() == []

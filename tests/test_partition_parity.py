@@ -26,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Database
+from repro.exec.columnar import HAS_NUMPY
 from repro.partition import PartitionedEngine
 
 KEYS = ["alpha", "beta", "gamma", "delta"]
@@ -154,6 +155,40 @@ class TestArrivalParity:
         want = run_single(ARRIVAL_DDL, cq, batches)
         for n in (1, 2, 3):
             assert run_partitioned(n, ARRIVAL_DDL, cq, batches) == want
+
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="slicing needs numpy")
+    def test_two_same_key_cqs_share_a_store_on_every_worker(self):
+        # sharing composes with partitioning: the two CQs differ only in
+        # VISIBLE, so each worker's pair reads one slice store — and the
+        # merged output of each still matches the single engine's
+        cqs = [GROUPED_CQ, GROUPED_CQ.replace("visible 10", "visible 20")]
+        rows = [(float(t), KEYS[(t * 7) % 4], float(t % 5))
+                for t in range(60)]
+        batches = split_batches(rows, 6)
+
+        db = Database()
+        db.execute(ARRIVAL_DDL.replace(" PARTITION BY k", ""))
+        subs = [db.execute(sql) for sql in cqs]
+        for batch in batches:
+            db.ingest_batch("s", batch)
+        db.flush_streams()
+        want = [exact(sub) for sub in subs]
+        assert all(sub.cq.shared for sub in subs)
+
+        eng = PartitionedEngine(partitions=2, transport="inline")
+        try:
+            eng.execute(ARRIVAL_DDL)
+            subs = [eng.execute(sql) for sql in cqs]
+            for batch in batches:
+                eng.ingest("s", batch)
+            eng.flush()
+            assert [exact(sub) for sub in subs] == want
+            for handle in eng._handles:
+                (store,) = handle.engine.db.get_stream("s").slice_stores
+                assert len(store.readers) == 2
+        finally:
+            eng.close()
 
 
 class TestEventTimeParity:

@@ -56,14 +56,13 @@ class TestUnboundedWindows:
         assert sub.rows() == [(1,)]
         db.flush_streams()  # idempotent, no crash
 
-    def test_not_shared_even_when_sharing_enabled(self):
-        shared_db = Database(share_slices=True)
-        shared_db.execute("CREATE STREAM s (k varchar(5), v integer, "
-                          "ts timestamp CQTIME USER)")
-        sub = shared_db.subscribe(
-            "SELECT count(*) FROM s <VISIBLE UNBOUNDED ADVANCE '1 minute'>")
-        assert not getattr(sub.cq, "shared", False)
-        assert shared_db.runtime.aggregators() == []
+    def test_not_shared_even_when_sharing_enabled(self, db):
+        """Cumulative windows do not slice, so two identical ones read
+        no store."""
+        sql = "SELECT count(*) FROM s <VISIBLE UNBOUNDED ADVANCE '1 minute'>"
+        subs = [db.subscribe(sql), db.subscribe(sql)]
+        assert not any(sub.cq.shared for sub in subs)
+        assert db.get_stream("s").slice_stores == []
 
 
 class TestMedianInQueries:
@@ -81,16 +80,20 @@ class TestMedianInQueries:
         assert sub.rows() == [("a", 4)]
 
     def test_median_shared_path_matches_generic(self):
+        """median has no mergeable partial: same-key CQs take the
+        per-window path and agree with the iterator engine."""
         results = []
-        for share in (True, False):
-            db = Database(share_slices=share)
+        for vectorize in (True, False):
+            db = Database(vectorize=vectorize)
             db.execute("CREATE STREAM s (k varchar(5), v integer, "
                        "ts timestamp CQTIME USER)")
-            sub = db.subscribe(
-                "SELECT median(v) FROM s <VISIBLE '2 minutes' "
-                "ADVANCE '1 minute'>")
+            sql = ("SELECT median(v) FROM s <VISIBLE '2 minutes' "
+                   "ADVANCE '1 minute'>")
+            subs = [db.subscribe(sql), db.subscribe(sql)]
             db.insert_stream("s", [("a", 3, 5.0), ("a", 9, 70.0),
                                    ("a", 5, 100.0)])
             db.advance_streams(180.0)
-            results.append([(w.close_time, w.rows) for w in sub.poll()])
-        assert results[0] == results[1]
+            results.extend([(w.close_time, w.rows) for w in sub.poll()]
+                           for sub in subs)
+            assert not any(sub.cq.shared for sub in subs)
+        assert results[0] == results[1] == results[2] == results[3]

@@ -21,7 +21,11 @@ from repro.faults import FaultInjector
 from repro.replication.bootstrap import open_database
 from repro.server import ServerThread
 from repro.storage.lifecycle import restore_backup
-from repro.storage.segments import MANIFEST_NAME, segment_name
+from repro.storage.segments import (
+    DEFAULT_SEGMENT_BYTES,
+    MANIFEST_NAME,
+    segment_name,
+)
 from repro.storage.wal import WriteAheadLog
 
 
@@ -131,16 +135,18 @@ class TestSegmentRolling:
             make_wal(tmp_path)
         assert "sealed" in str(info.value)
 
-    def test_single_file_mode_unchanged(self, tmp_path):
-        """No segment_bytes: the original wal.jsonl file layout."""
+    def test_path_without_segment_bytes_is_a_segment_directory(self,
+                                                               tmp_path):
+        """One on-disk layout: a bare ``path`` (whatever its name) is a
+        directory of default-sized segments."""
         path = str(tmp_path / "wal.jsonl")
         wal = WriteAheadLog(path=path)
         fill(wal, 4)
         wal.close()
-        assert os.path.isfile(path)
+        assert os.path.isfile(os.path.join(path, segment_name(1)))
         back = WriteAheadLog(path=path)
         assert back.head_lsn == 8
-        assert back.segments is None
+        assert back.segments.segment_bytes == DEFAULT_SEGMENT_BYTES
         back.close()
 
 
@@ -724,19 +730,18 @@ class TestStorageSurfaces:
         shell.handle_line("\\storage")
         assert "memory" in out.getvalue()
 
-    def test_legacy_single_file_data_dir_migrates(self, tmp_path):
-        """A pre-segmentation data dir (wal.jsonl) opens seamlessly:
-        the file becomes segment 1 and history is preserved."""
+    def test_single_file_wal_is_refused(self, tmp_path):
+        """A pre-segmentation data dir (``wal.jsonl``, no ``wal/``) is
+        refused by name — never booted past as an empty database — and
+        so is a ``wal_path`` that points at a file."""
         data_dir = tmp_path / "node"
         data_dir.mkdir()
-        legacy = WriteAheadLog(path=str(data_dir / "wal.jsonl"))
-        fill(legacy, 4)
-        legacy.close()
-
-        db = open_database(data_dir=str(data_dir))
-        wal = db.storage.wal
-        assert wal.segments is not None
-        assert wal.head_lsn == 8
-        assert not os.path.exists(data_dir / "wal.jsonl")
-        assert os.path.exists(data_dir / "wal" / segment_name(1))
-        db.close()
+        legacy = data_dir / "wal.jsonl"
+        legacy.write_text('{"lsn": 1}\n')
+        with pytest.raises(WALError) as info:
+            open_database(data_dir=str(data_dir))
+        assert "wal.jsonl" in str(info.value)
+        assert legacy.exists() and not (data_dir / "wal").exists()
+        with pytest.raises(WALError) as info:
+            WriteAheadLog(path=str(legacy))
+        assert "wal.jsonl" in str(info.value)
