@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test bench chaos examples shell server smoke \
 	failover-smoke dr-smoke obs-smoke admission-smoke eventtime-smoke \
-	vectorized-smoke partition-smoke partition-bench \
-	bench-all bench-diff coverage clean
+	vectorized-smoke partition-smoke \
+	bench-all bench-diff bench-smoke coverage clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -82,15 +82,15 @@ vectorized-smoke:
 partition-smoke:
 	$(PYTHON) scripts/partition_smoke.py
 
-# partition throughput gate: 4 workers must reach 2x the single engine
-# on E1 (X9); advisory-only on machines with fewer than 4 cores
-partition-bench:
-	$(PYTHON) benchmarks/bench_x9_partition.py
-
 # the ingest->emit ledger (BENCHMARK.json): five workloads end to end,
 # untraced and traced; writes benchmarks/ledger/results/ledger_*.json
 bench-all:
 	python3 benchmarks/ledger/run.py
+
+# the ledger at 1/20 size, every workload untraced and traced, < 30 s:
+# the check that catches a function trace.py wraps going away
+bench-smoke:
+	$(PYTHON) -m pytest benchmarks/ledger/test_ledger_smoke.py -q
 
 # compare two ledger files: make bench-diff A=<parent.json> B=<change.json>
 bench-diff:

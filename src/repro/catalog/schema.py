@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import BindError, ConstraintError
-from repro.types.datatypes import DataType
+from repro.types.datatypes import DataType, type_from_name
 
 #: value types ``DataType.coerce`` returns unchanged, per type class;
 #: keyed by class name so bigint/smallint (IntegerType instances) share
@@ -57,6 +57,26 @@ class Schema:
             # first occurrence wins for duplicate names (SQL allows dups
             # in intermediate results; unqualified lookup is ambiguous)
             self._index.setdefault(column.name.lower(), i)
+
+    def to_specs(self) -> List[dict]:
+        """The columns as plain data — the form the WAL's ``ddl`` and
+        ``ddl_obj`` records carry.  :meth:`from_specs` is the inverse."""
+        return [{"name": c.name, "type": c.datatype.sql_name(),
+                 "not_null": c.not_null, "primary_key": c.primary_key,
+                 "cqtime": c.cqtime} for c in self.columns]
+
+    @classmethod
+    def from_specs(cls, specs) -> "Schema":
+        columns = []
+        for spec in specs:
+            base, _, length = spec["type"].partition("(")
+            datatype = type_from_name(
+                base, int(length.rstrip(")")) if length else None)
+            columns.append(Column(
+                spec["name"], datatype, not_null=spec["not_null"],
+                primary_key=spec["primary_key"],
+                cqtime=spec.get("cqtime")))
+        return cls(columns)
 
     def __len__(self):
         return len(self.columns)

@@ -168,20 +168,11 @@ class Database:
         that is already on record is harmless; what matters is that no
         live object is *missing* from the log when a standby attaches.
         """
-        from repro.core.dump import _column_spec
         from repro.sql.render import render_statement
         from repro.streaming.supervisor import DEAD_LETTER_STREAM
         for name, stream in self.catalog.relations(cat.STREAM):
-            if name == DEAD_LETTER_STREAM:
-                continue
-            self._log_ddl({
-                "op": "create", "kind": "stream", "name": name,
-                "columns": [_column_spec(c) for c in stream.schema],
-                "retention": stream.retention, "slack": stream.slack,
-                "disorder_policy": stream.disorder_policy,
-                "watermark_bound": stream.watermark_bound,
-                "partition_by": stream.partition_by,
-            })
+            if name != DEAD_LETTER_STREAM:
+                self._log_stream_ddl(stream)
         for name, view in self.catalog.relations(cat.VIEW):
             self._log_ddl({
                 "op": "create", "kind": "view", "name": name,
@@ -205,6 +196,16 @@ class Database:
                 "columns": list(index.column_names),
                 "unique": index.unique,
             })
+
+    def _log_stream_ddl(self, stream) -> None:
+        self._log_ddl({
+            "op": "create", "kind": "stream", "name": stream.name,
+            "columns": stream.schema.to_specs(),
+            "retention": stream.retention, "slack": stream.slack,
+            "disorder_policy": stream.disorder_policy,
+            "watermark_bound": stream.watermark_bound,
+            "partition_by": stream.partition_by,
+        })
 
     def _log_ddl(self, payload: dict) -> None:
         """Durably log one streaming-DDL action as a ``ddl_obj`` record.
@@ -624,10 +625,8 @@ class Database:
         table = self.storage.create_table(name, schema)
         self.catalog.add_relation(name, cat.TABLE, table)
         if not self._recovering:
-            from repro.core.dump import _column_spec
-            self.storage.wal.append(
-                0, "ddl", name,
-                payload=[_column_spec(c) for c in schema])
+            self.storage.wal.append(0, "ddl", name,
+                                    payload=schema.to_specs())
             self.storage.wal.flush()
         return table
 
@@ -639,15 +638,7 @@ class Database:
             statement.name, schema,
             watermark_bound=statement.watermark_bound,
             partition_by=statement.partition_by)
-        from repro.core.dump import _column_spec
-        self._log_ddl({
-            "op": "create", "kind": "stream", "name": statement.name,
-            "columns": [_column_spec(c) for c in schema],
-            "retention": stream.retention, "slack": stream.slack,
-            "disorder_policy": stream.disorder_policy,
-            "watermark_bound": stream.watermark_bound,
-            "partition_by": stream.partition_by,
-        })
+        self._log_stream_ddl(stream)
         return _ok()
 
     def _create_derived_stream(
@@ -1094,24 +1085,6 @@ class Database:
         self.close()
         return False
 
-    # -- dump / restore -----------------------------------------------------
-
-    def dump(self, path: str) -> dict:
-        """Write the whole database (schema + data + pipelines) to a
-        file; returns a manifest of object counts.  See
-        :mod:`repro.core.dump` for what is and is not preserved."""
-        from repro.core.dump import dump_database
-        return dump_database(self, path)
-
-    @classmethod
-    def restore(cls, path: str, **options) -> "Database":
-        """Create a new database from a dump file (options as in the
-        constructor)."""
-        from repro.core.dump import restore_database
-        db = cls(**options)
-        restore_database(db, path)
-        return db
-
     @classmethod
     def recover_from_wal(cls, wal, **options) -> "Database":
         """Rebuild durable table state from a surviving write-ahead log.
@@ -1119,23 +1092,16 @@ class Database:
         The crash model of the paper's Section 4: "all in-flight
         transactions are deemed aborted on failure" — only durably
         logged, committed work is reconstructed.  Streams, views,
-        channels and CQ runtime state are *not* in the WAL; rebuild those
-        from a dump and the streaming recovery strategies.
+        channels and CQ runtime state are not rebuilt here; a file-backed
+        log carries them too, and
+        :func:`repro.replication.bootstrap.open_database` recovers them.
         """
-        from repro.catalog.schema import Column, Schema
-        from repro.core.dump import _type_from_sql_name
-
         db = cls(**options)
         for record in wal.durable_records():
             if record.kind == "ddl" and record.payload is not None \
                     and not db.catalog.has_relation(record.table):
-                schema = Schema([
-                    Column(spec["name"], _type_from_sql_name(spec["type"]),
-                           not_null=spec["not_null"],
-                           primary_key=spec["primary_key"])
-                    for spec in record.payload
-                ])
-                db._register_table(record.table, schema)
+                db._register_table(record.table,
+                                   Schema.from_specs(record.payload))
         for name, rows in wal.replay().items():
             if db.catalog.has_relation(name):
                 db.insert_table(name, rows)

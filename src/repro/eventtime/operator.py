@@ -190,6 +190,15 @@ class EventTimeWindowOperator(TimeWindowOperator):
 
     # -- close / eviction -------------------------------------------------------
 
+    @property
+    def horizon(self) -> Optional[float]:
+        """As the parent's, minus what the retract policy keeps
+        recomputable (nothing once the stream has flushed)."""
+        horizon = super().horizon
+        if horizon is None or self._flushing:
+            return horizon
+        return horizon - self._retain_extra
+
     def _close(self, boundary: float) -> None:
         open_time = boundary - self.visible
         visible_rows = [
@@ -202,8 +211,7 @@ class EventTimeWindowOperator(TimeWindowOperator):
         # stale *prefix* is popped — rows parked behind a fresher one
         # fall out on a later close, which retains slightly longer but
         # never evicts a row a recomputation could still need
-        extra = 0.0 if self._flushing else self._retain_extra
-        horizon = self._next_boundary() - self.visible - extra
+        horizon = self.horizon
         while self._buffer and self._buffer[0][0] < horizon:
             self._buffer.popleft()
         self.windows_closed += 1

@@ -4,50 +4,47 @@
 every ``PARTITION BY`` stream's rows across N workers by consistent
 hash of the declared key (NULL keys take the spill lane).  Each worker
 runs the full engine on its shard with partition-eligible CQs rewired
-to ship mergeable window partials (see :mod:`repro.partition.worker`);
-the coordinator mirrors the global window boundary grid, gates each
-close on the **minimum acked worker watermark** (min-of-inputs merge,
-:class:`~repro.eventtime.watermark.WatermarkMerge`), merges the shard
-partials, and runs the CQ's unchanged post-aggregate plan with the
-aggregate pinned to the merged rows — output is the single-engine
-output, bit for bit.
+to ship mergeable window partials (see :mod:`repro.partition.worker`).
 
-Unpartitioned streams (and their CQs) pass straight through to the
-local database.  Partitioned streams keep a **silent** local twin for
-the catalog and the system views: no rows are ever delivered to it and
-the coordinator CQ's window operator is detached, so only the merge
-stage can emit.
+The coordinator's stream is the real one: every batch goes through
+:meth:`Database.ingest_batch`, and a router subscribed to the stream
+forwards what it delivers.  For each partitionized CQ the coordinator
+runs the window operator the single engine would — it decides *when* a
+boundary closes or a late row re-opens one — while the workers' partials
+supply *what* the window holds: each recorded boundary is gated on the
+**minimum acked worker watermark** (min-of-inputs merge,
+:class:`~repro.eventtime.watermark.WatermarkMerge`), the shard partials
+are merged, and the CQ's unchanged post-aggregate plan runs with the
+aggregate pinned to the merged rows — output is the single-engine
+output, bit for bit.  A CQ :func:`partition_plan` refuses, a derived
+stream, a channel or a ``since=`` replay reads the same stream and runs
+on the coordinator like on any single engine.
 
 Worker lifecycle: a worker that dies (socket drop, injected
 ``partition.worker_crash``, SIGKILL) is respawned and replayed from the
 coordinator's per-worker log of acked frames, then synced to the
 current watermark — stale finals for already-merged boundaries are
-ignored and re-sent corrections converge via compare-and-skip, so a
+ignored and replayed partials only overwrite what is stored, so a
 crash is invisible in the output.  Crashpoints ``partition.route`` (the
-router dies before any shard is sent: batch refused atomically) and
+router dies before the stream sees a row: batch refused whole) and
 ``partition.merge`` (the merge stage dies before emitting: partials
 retained, boundary stays pending) cover the coordinator's own hot path.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import socket
 import subprocess
 import sys
+from collections import deque
 from typing import Dict, List, Optional
 
 from repro.core.database import Database
 from repro.core.results import Subscription
-from repro.errors import (
-    FaultInjected,
-    OutOfOrderError,
-    PartitionError,
-    StreamingError,
-    WorkerDiedError,
-)
+from repro.errors import FaultInjected, PartitionError, WorkerDiedError
 from repro.eventtime.lateness import RETRACT
+from repro.eventtime.operator import EventTimeWindowOperator
 from repro.eventtime.watermark import WatermarkMerge
 from repro.partition import wire
 from repro.partition.hashring import HashRing
@@ -55,7 +52,8 @@ from repro.partition.planner import partition_plan
 from repro.partition.worker import WorkerEngine
 from repro.sql import ast
 from repro.sql.parser import parse_statement
-from repro.streaming.streams import DROP
+from repro.streaming.streams import StreamConsumer
+from repro.streaming.windows import TimeWindowOperator
 
 NEG_INF = float("-inf")
 
@@ -226,35 +224,43 @@ class _ProcessHandle:
 # -- per-stream router --------------------------------------------------------
 
 
-class _StreamRoute:
-    """Routing + clock state for one partitioned stream.
+class _StreamRoute(StreamConsumer):
+    """The router: the one consumer a partitioned stream has on behalf
+    of its partitionized CQs.
 
-    The router is the stream's single point of order: for arrival-order
-    streams it enforces global monotonicity itself (so every shard sees
-    a monotone sub-sequence and workers never drop), and for event-time
-    streams it mirrors the global watermark tracker and interleaves
-    ``("wm", t)`` sync segments so each worker judges lateness against
-    exactly the watermark the single engine would have used."""
+    Every row the stream delivers is hashed into a per-worker
+    ``("rows", [...], at)`` run (``at`` carries the stamped arrival time
+    of a SYSTEM-time stream).  On an event-time stream a ``("wm", t)``
+    sync goes in front of a row whose worker is behind the watermark the
+    row is judged against, so each worker makes the single engine's
+    late/on-time call; :meth:`sync` tops every worker up to the stream's
+    watermark before the segments go out.  The same deliveries drive
+    each partitionized CQ's boundary operator, which appends what closed
+    (or re-opened) to :attr:`pending`.
+    """
 
     def __init__(self, stream, ring: HashRing, n_workers: int):
-        self.stream = stream            # the silent local twin
+        self.stream = stream
         self.name = stream.name
         self.ring = ring
         self.n = n_workers
         self.key_index = stream.schema.index_of(stream.partition_by)
-        self.cqtime_index = stream.cqtime_index
-        self.system_time = stream.cqtime_mode == "system"
-        self.tracker = stream.tracker   # event-time mirror (None = arrival)
-        self.clock = NEG_INF            # arrival-order delivered clock
-        self.max_time = NEG_INF         # max event time ever routed
         self.wm_merge = WatermarkMerge(range(n_workers))
-        #: watermark as of the last fully-acked batch — the respawn
+        #: watermark as of the last fully-acked send — the respawn
         #: fast-forward may only sync this far, or the retried
         #: in-flight frame's rows would arrive below the fresh
         #: worker's watermark
         self.completed_wm = NEG_INF
+        #: boundaries at or below it were closed by a flush every worker
+        #: has acked: their partials are in, whatever the watermarks say
+        self.flush_gate = NEG_INF
         self._sent_wm = [NEG_INF] * n_workers
         self._memo: Dict[object, int] = {}
+        #: per worker, the segments collected since its last acked send
+        self.segments: List[list] = [[] for _ in range(n_workers)]
+        #: (pcq, "final" | "correct", close boundary) in the order the
+        #: boundary operators decided them; merged in that order
+        self.pending = deque()
         self.rows_routed = [0] * n_workers
         self.spill_rows = [0] * n_workers
         self.batches = 0
@@ -274,172 +280,86 @@ class _StreamRoute:
         except TypeError:                 # unhashable key value
             return self.ring.worker_for(key)
 
-    def current_watermark(self) -> float:
-        return self.tracker.watermark if self.tracker is not None \
-            else self.clock
+    # -- the stream's deliveries --------------------------------------------
 
-    def route_batch(self, rows, at, watermark):
-        """Split one ingest batch into per-worker segment lists.
-
-        Returns ``({worker: segments}, counts)``.  Segments are
-        ``("rows", [row, ...], at)`` runs interleaved with ``("wm", t)``
-        watermark syncs, in exact delivery order."""
-        n = self.n
-        segs: List[list] = [[] for _ in range(n)]
-        runs: List[Optional[list]] = [None] * n
-        accepted = dropped = 0
-        tracker = self.tracker
-        key_index = self.key_index
-        time_index = self.cqtime_index
-        if self.system_time:
-            t_sys = float(at) if at is not None else max(self.clock, 0.0)
-            seg_at = t_sys
-        else:
-            seg_at = at
-        # grid-mirror updates are only needed while some CQ's boundary
-        # grid is still starting (or, event-time, still rebase-able: no
-        # heartbeat has closed its first boundary yet)
-        watch_grid = any(
-            pcq.base is None
-            or (pcq.event_time
-                and pcq.heartbeat_wm < pcq.base + pcq.advance)
-            for pcq in self.cqs)
-        for row in rows:
-            if self.system_time:
-                t = t_sys
-            else:
-                t = row[time_index]
-                if t is None:
-                    raise StreamingError(
-                        f"stream {self.name!r}: CQTIME value is NULL")
-            if tracker is None:
-                # the router is the disorder gate; refusal is atomic
-                # (nothing has been sent yet), unlike the single
-                # engine's row-at-a-time raise — see docs/PARTITION.md
-                if t < self.clock:
-                    if self.stream.disorder_policy == DROP:
-                        dropped += 1
-                        continue
-                    raise OutOfOrderError(
-                        f"stream {self.name!r}: event time {t} is before "
-                        f"watermark {self.clock}")
-                if t > self.clock:
-                    self.clock = t
-                pre = t
-            else:
-                pre = tracker.watermark
-            key = row[key_index]
-            worker = self.worker_for(key)
-            if tracker is not None and self._sent_wm[worker] < pre:
-                # the worker must judge this row's lateness against the
-                # same watermark the single engine would have
-                runs[worker] = None
-                segs[worker].append(("wm", pre))
-                self._sent_wm[worker] = pre
-            run = runs[worker]
-            if run is None:
-                run = []
-                runs[worker] = run
-                segs[worker].append(("rows", run, seg_at))
-            run.append(tuple(row))
-            self.rows_routed[worker] += 1
-            if key is None:
-                self.spill_rows[worker] += 1
-            accepted += 1
-            if watch_grid:
-                for pcq in self.cqs:
-                    if pcq.base is None:
-                        pcq.start_at(t)
-                    elif (pcq.event_time and t < pcq.base
-                          and pcq.heartbeat_wm < pcq.base + pcq.advance):
-                        # mirror of the event-time operator's rebase: an
-                        # earlier row pulls the first close back while
-                        # no heartbeat has closed anything yet (late
-                        # rows rebase too — the operator checks the
-                        # grid before judging lateness)
-                        pcq.start_at(t)
-                watch_grid = any(
-                    pcq.event_time
-                    and pcq.heartbeat_wm < pcq.base + pcq.advance
-                    for pcq in self.cqs)
-            if tracker is not None:
-                advanced = tracker.observe(t)
-                if advanced is not None:
-                    self._heartbeat(advanced)
-            if t > self.max_time:
-                self.max_time = t
-        if tracker is not None:
-            if watermark is not None:
-                advanced = tracker.inject(watermark)
-                if advanced is not None:
-                    self._heartbeat(advanced)
-            wm_now = tracker.watermark
-        else:
-            if watermark is not None and watermark > self.clock:
-                self.clock = watermark
-            wm_now = self.clock
-        # trailing sync: every worker reaches the global watermark so
-        # shard windows close and partials ship with this batch's acks
-        for worker in range(n):
-            if self._sent_wm[worker] < wm_now:
-                segs[worker].append(("wm", wm_now))
-                self._sent_wm[worker] = wm_now
-        self.batches += 1
-        self._mirror_local(accepted, dropped, wm_now)
-        out = {worker: segs[worker] for worker in range(n) if segs[worker]}
-        return out, {"accepted": accepted, "shed": 0, "dropped": dropped}
-
-    def _heartbeat(self, wm: float) -> None:
-        """Mirror of the event-time stream's heartbeat broadcast: each
-        watermark *advance* licenses closes up to the new value for
-        every CQ whose grid existed at that moment."""
-        for pcq in self.cqs:
-            if pcq.event_time and pcq.base is not None \
-                    and wm > pcq.heartbeat_wm:
-                pcq.heartbeat_wm = wm
-
-    def sync_segments(self, t: float) -> dict:
-        """Watermark-only segments (explicit advance / injection)."""
-        if self.tracker is not None:
-            advanced = self.tracker.inject(t)
-            if advanced is not None:
-                self._heartbeat(advanced)
-            wm_now = self.tracker.watermark
-        else:
-            if t > self.clock:
-                self.clock = t
-            wm_now = self.clock
-        out = {}
-        for worker in range(self.n):
-            if self._sent_wm[worker] < wm_now:
-                out[worker] = [("wm", wm_now)]
-                self._sent_wm[worker] = wm_now
-        self._mirror_local(0, 0, wm_now)
-        return out
-
-    def _mirror_local(self, accepted: int, dropped: int,
-                      wm_now: float) -> None:
-        """Keep the silent local twin's counters honest for the system
-        views (and the retract bookkeeping, which prunes remembered
-        output against ``stream.watermark``).  Plain field writes — the
-        twin has no consumers, so nothing can fire."""
+    def on_tuple(self, row: tuple, event_time: float) -> None:
         stream = self.stream
-        stream.tuples_in += accepted
-        stream.tuples_dropped += dropped
-        if self.tracker is not None:
-            stream.watermark = self.tracker.watermark
-            stream.raw_watermark = self.tracker.max_event_time
-        elif wm_now > stream.watermark:
-            stream.watermark = wm_now
-            stream.raw_watermark = wm_now
+        key = row[self.key_index]
+        worker = self.worker_for(key)
+        segs = self.segments[worker]
+        if stream.tracker is not None \
+                and self._sent_wm[worker] < stream.watermark:
+            # delivery precedes the tracker's observation of the row:
+            # this is the watermark the single engine judges it by
+            segs.append(("wm", stream.watermark))
+            self._sent_wm[worker] = stream.watermark
+        at = event_time if stream.cqtime_mode == "system" else None
+        if segs and segs[-1][0] == "rows" and segs[-1][2] == at:
+            segs[-1][1].append(row)
+        else:
+            segs.append(("rows", [row], at))
+        self.rows_routed[worker] += 1
+        if key is None:
+            self.spill_rows[worker] += 1
+        for pcq in self.cqs:
+            pcq.op.on_tuple(row, event_time)
+
+    def on_tuples(self, rows: list, times: list) -> None:
+        """An arrival-ordered batch off the stream's fast path."""
+        runs: List[list] = [[] for _ in range(self.n)]
+        memo = self._memo
+        key_index = self.key_index
+        for row in rows:
+            key = row[key_index]
+            try:
+                worker = memo[key]
+            except (KeyError, TypeError):   # NULL, new or unhashable key
+                worker = self.worker_for(key)
+            runs[worker].append(row)
+        at = times[0] if self.stream.cqtime_mode == "system" else None
+        for worker, run in enumerate(runs):
+            if run:
+                self.segments[worker].append(("rows", run, at))
+                self.rows_routed[worker] += len(run)
+        spill = self.ring.spill_worker
+        self.spill_rows[spill] += sum(
+            1 for row in runs[spill] if row[key_index] is None)
+        # closes depend on times only, and on_flush on the newest
+        # buffered one: the ends of an ordered batch say everything
+        ends = [(rows[0], times[0])]
+        if len(rows) > 1:
+            ends.append((rows[-1], times[-1]))
+        for pcq in self.cqs:
+            for row, when in ends:
+                pcq.op.on_tuple(row, when)
+
+    def on_heartbeat(self, event_time: float) -> None:
+        for pcq in self.cqs:
+            pcq.op.on_heartbeat(event_time)
+
+    def on_flush(self) -> None:
+        for pcq in self.cqs:
+            pcq.op.on_flush()
+
+    def sync(self) -> None:
+        """Top every worker up to the stream's watermark, so shard
+        windows close and their partials ride this send's acks."""
+        watermark = self.stream.watermark
+        for worker in range(self.n):
+            if self._sent_wm[worker] < watermark:
+                self.segments[worker].append(("wm", watermark))
+                self._sent_wm[worker] = watermark
 
 
-# -- per-CQ boundary grid -----------------------------------------------------
+# -- per-CQ merge state -------------------------------------------------------
 
 
 class _PartitionedCQ:
-    """Coordinator state for one partitioned CQ: the mirror of the
-    global window boundary grid plus the shard-partial store."""
+    """Coordinator state for one partitionized CQ.  *When* a window
+    closes or re-opens is decided by ``op`` — the operator the single
+    engine would run for this CQ, fed by the router and recording
+    boundaries instead of evaluating them; *what* the window holds comes
+    from the workers' partials in ``store``."""
 
     def __init__(self, cq, agg, route: _StreamRoute):
         self.cq = cq
@@ -447,43 +367,31 @@ class _PartitionedCQ:
         self.route = route
         self.name = cq.name
         spec = cq.window_spec
-        self.visible = float(spec.visible)
-        self.advance = float(spec.advance)
-        self.event_time = cq.is_event_time()
-        self.retract = self.event_time and cq.late_policy == RETRACT
-        self.retain_extra = (cq.allowed_lateness + self.advance
-                             if self.retract else 0.0)
-        self.base: Optional[float] = None
-        self.index = 1
-        self.flushed = False
-        # event-time closes are licensed by watermark-advance heartbeats
-        # observed *after* the grid (re)started — a grid rebased below
-        # the current watermark stays open until the next advance (or
-        # flush), exactly like EventTimeWindowOperator.on_heartbeat
-        self.heartbeat_wm = math.inf if not self.event_time else NEG_INF
+        self.visible = spec.visible
+        self.retract = cq.late_policy == RETRACT
+        #: how long merged partials stay recomputable under retract
+        #: (ContinuousQuery._remember_emitted's horizon)
+        self.retain = cq.allowed_lateness + spec.advance
+        def record(kind):
+            return lambda _rows, _open, close: \
+                route.pending.append((self, kind, close))
+
+        # a shard cannot tell an empty window from an open one, so every
+        # boundary is recorded; the CQ's emit_empty gates at the merge
+        if cq.is_event_time():
+            stream = route.stream
+            self.op = EventTimeWindowOperator(
+                spec.visible, spec.advance, record("final"), True,
+                wm_fn=lambda: stream.watermark,
+                allowed_lateness=cq.allowed_lateness,
+                late_policy=cq.late_policy, on_late=cq._on_late,
+                on_correction=record("correct"))
+        else:
+            self.op = TimeWindowOperator(
+                spec.visible, spec.advance, record("final"), True)
         #: close boundary -> {worker: (groups, shard_row_count)}
         self.store: Dict[float, Dict[int, tuple]] = {}
-        self.merged = set()
-
-    def start_at(self, event_time: float) -> None:
-        # identical arithmetic to TimeWindowOperator._start_at
-        self.base = math.floor(event_time / self.advance) * self.advance
-        self.index = 1
-        if self.event_time:
-            self.heartbeat_wm = NEG_INF
-
-    def next_boundary(self) -> Optional[float]:
-        if self.base is None:
-            return None
-        return self.base + self.index * self.advance
-
-    def prune_horizon(self) -> float:
-        """Rows below this event time can no longer contribute to any
-        unmerged window or in-bound recomputation of this CQ."""
-        boundary = self.next_boundary()
-        if boundary is None:
-            return NEG_INF
-        return boundary - self.visible - self.retain_extra
+        self.merged_through = NEG_INF
 
 
 # -- the engine ---------------------------------------------------------------
@@ -523,7 +431,6 @@ class PartitionedEngine:
         self._handles = [self._spawn(w) for w in range(partitions)]
         self._routes: Dict[str, _StreamRoute] = {}
         self._pcqs: Dict[str, _PartitionedCQ] = {}
-        self._corrections: List[tuple] = []
         #: per-worker ordered log of acked frames, for restart-replay:
         #: ("ddl"|"cq"|"flush"|"stopcq", msg, None) or
         #: ("ingest", msg, max_event_time)
@@ -563,66 +470,37 @@ class PartitionedEngine:
     # -- statement dispatch -------------------------------------------------
 
     def execute(self, sql: str, params=None):
-        """Run one TruSQL statement, partition-aware: CQs over
-        ``PARTITION BY`` streams split into per-worker aggregation plus
-        a coordinator merge stage; everything else passes through to
-        the local database."""
+        """Run one TruSQL statement on the local database, then place
+        what it made: a ``PARTITION BY`` stream gets a router, a CQ over
+        one splits into per-worker aggregation plus a coordinator merge
+        stage when :func:`partition_plan` accepts it — and otherwise
+        simply runs on the coordinator, reading the same stream."""
         statement = parse_statement(sql)
-        self._guard_statement(statement)
-        if isinstance(statement, ast.Insert) \
-                and statement.table in self._routes:
-            # SQL INSERT into a partitioned stream must route like
-            # ingest() — the local twin is silent, so rows delivered
-            # to it would vanish from every partitionized CQ
-            from repro.core.database import _count
-            stream = self.db.get_stream(statement.table)
-            rows = self.db._insert_rows(statement, stream.schema)
-            counts = self.ingest(statement.table, rows)
-            return _count(counts["accepted"])
-        result = self.db.execute(sql, params)
+        try:
+            result = self.db.execute(sql, params)
+        finally:
+            # an INSERT INTO a partitioned stream is a delivery like
+            # any other: the router holds it until it is sent
+            self._pump()
         if isinstance(statement, ast.CreateStream):
             self._register_stream(statement, sql)
         elif isinstance(statement, ast.CreateView):
             self._broadcast_ddl(statement.name, sql)
-        elif isinstance(result, Subscription):
-            cq = result.cq
-            refs = getattr(cq, "streams", None) or [cq.stream]
-            if any(s.name in self._routes for s in refs):
-                try:
-                    self._partitionize(cq, sql, params)
-                except PartitionError:
-                    result.close()
-                    raise
+        elif isinstance(statement, ast.CreateDerivedStream):
+            cq = self.db.runtime.cqs()[f"derived:{statement.name}"]
+            if self._reads_partitioned(cq):
+                cq.explain_note = ("partitioned: no (a derived stream's "
+                                   "CQ runs on the coordinator)")
+        elif isinstance(result, Subscription) \
+                and self._reads_partitioned(result.cq):
+            self._partitionize(result, sql, params)
         return result
 
     def query(self, sql: str, params=None):
         return self.db.query(sql, params)
 
-    def _guard_statement(self, statement) -> None:
-        if not self._routes:
-            return
-        if isinstance(statement, (ast.CreateDerivedStream, ast.CreateView)):
-            query = statement.query
-        elif isinstance(statement, ast.CreateChannel):
-            if statement.source in self._routes:
-                raise PartitionError(
-                    f"channel {statement.name!r}: cannot source from "
-                    f"partitioned stream {statement.source!r}")
-            return
-        else:
-            return
-        from repro.streaming.cq import find_stream_refs
-        try:
-            refs = find_stream_refs(query.from_clause, self.db.catalog)
-        except Exception:
-            return      # unresolvable refs fail later, in the planner
-        partitioned = [r.name for r in refs if r.name in self._routes]
-        if partitioned and isinstance(statement, ast.CreateDerivedStream):
-            raise PartitionError(
-                f"derived stream {statement.name!r}: deriving from "
-                f"partitioned stream {partitioned[0]!r} is not supported "
-                "(the derived CQ would run unpartitioned; see "
-                "docs/PARTITION.md)")
+    def _reads_partitioned(self, cq) -> bool:
+        return any(stream.name in self._routes for stream in cq.streams)
 
     def _register_stream(self, statement: ast.CreateStream,
                          sql: str) -> None:
@@ -636,8 +514,9 @@ class PartitionedEngine:
             raise PartitionError(
                 f"stream {stream.name!r}: SLACK reordering is per-shard "
                 "state and cannot be partitioned")
-        self._routes[stream.name] = _StreamRoute(stream, self.ring,
-                                                 self.partitions)
+        route = _StreamRoute(stream, self.ring, self.partitions)
+        stream.subscribe(route)
+        self._routes[stream.name] = route
 
     def _broadcast_ddl(self, name: str, sql: str) -> None:
         if name in self._broadcast_names:
@@ -647,20 +526,29 @@ class PartitionedEngine:
         for worker in range(self.partitions):
             self._request(worker, msg, record=("ddl", msg, None))
 
-    def _partitionize(self, cq, sql: str, params) -> None:
-        split = partition_plan(cq)
-        route = self._routes.get(split.stream_name)
-        if route is None:
-            raise PartitionError(
-                f"CQ {cq.name!r}: stream {split.stream_name!r} is not "
-                "partitioned")
+    def _partitionize(self, sub: Subscription, sql: str, params) -> None:
+        """Split a CQ over a partitioned stream — or, when
+        :func:`partition_plan` refuses its shape, leave it running on
+        the coordinator and say why in EXPLAIN."""
+        cq = sub.cq
+        try:
+            split = partition_plan(cq)
+        except PartitionError as exc:
+            cq.explain_note = f"partitioned: no ({exc.reason})"
+            return
         msg = {"op": "cq", "name": cq.name, "sql": sql, "params": params,
                "vectorize": self.db.runtime.vectorize}
-        for worker in range(self.partitions):
-            self._request(worker, msg, record=("cq", msg, None))
-        # detach the coordinator CQ's window operator from the silent
-        # local twin: only the merge stage may emit
+        try:
+            for worker in range(self.partitions):
+                self._request(worker, msg, record=("cq", msg, None))
+        except PartitionError:      # a worker could not set its half up
+            self._stop_on_workers(cq.name)
+            sub.close()
+            raise
+        # the CQ's own window operator leaves the stream: the router
+        # feeds its stand-in, and only the merge stage may emit
         cq.detach()
+        route = self._routes[split.stream_name]
         pcq = _PartitionedCQ(cq, split.agg, route)
         route.cqs.append(pcq)
         self._pcqs[cq.name] = pcq
@@ -668,7 +556,10 @@ class PartitionedEngine:
     def _drop_pcq(self, pcq: _PartitionedCQ) -> None:
         pcq.route.cqs.remove(pcq)
         self._pcqs.pop(pcq.name, None)
-        msg = {"op": "stopcq", "name": pcq.name}
+        self._stop_on_workers(pcq.name)
+
+    def _stop_on_workers(self, name: str) -> None:
+        msg = {"op": "stopcq", "name": name}
         for worker in range(self.partitions):
             try:
                 self._request(worker, msg, record=("stopcq", msg, None))
@@ -681,159 +572,133 @@ class PartitionedEngine:
                watermark: Optional[float] = None,
                sender: Optional[str] = None,
                seq: Optional[int] = None) -> dict:
-        """Apply one ingest batch; same counted-ack shape as
-        :meth:`Database.ingest_batch`."""
-        route = self._routes.get(name)
-        if route is None:
+        """Apply one ingest batch: :meth:`Database.ingest_batch`, then
+        send what the router collected.  A batch the stream refuses part
+        way (an out-of-order row under the ``raise`` policy) has still
+        delivered the rows before the offender — they go out too."""
+        if name in self._routes \
+                and self.faults is not None and self.faults.armed:
+            # before the stream sees a row: an injected router death
+            # refuses the whole batch — nothing partial to undo
+            self.faults.check("partition.route", name)
+        try:
             return self.db.ingest_batch(name, rows, at=at, sender=sender,
                                         seq=seq, watermark=watermark)
-        rows = [rows] if rows and not isinstance(rows[0], (tuple, list)) \
-            else list(rows)
-        idempotent = sender is not None and seq is not None
-        if idempotent:
-            sender, seq = str(sender), int(seq)
-            if self.db.admission.dedup.seen(name, sender, seq):
-                counts = {"accepted": 0, "shed": 0, "dropped": 0,
-                          "duplicate": len(rows)}
-                if route.tracker is not None:
-                    counts["watermark"] = route.current_watermark()
-                return counts
-        if self.faults is not None and self.faults.armed:
-            # before any shard send: an injected router death refuses
-            # the whole batch atomically — nothing partial to undo
-            self.faults.check("partition.route", name)
-        segments, counts = route.route_batch(rows, at, watermark)
-        for worker, segs in segments.items():
-            msg = {"op": "ingest", "stream": name, "segments": segs}
-            ack = self._request(worker, msg,
-                                record=("ingest", msg, route.max_time))
-            self._note_ack(route, worker, ack)
-        if idempotent:
-            self.db.admission.dedup.record(name, sender, seq)
-        route.completed_wm = route.current_watermark()
-        # corrections first: the single engine emits a late row's
-        # retract/correct pair during delivery, before the heartbeat
-        # that closes newer windows
-        self._process_corrections()
-        self._drive(route)
-        if route.batches % _PRUNE_EVERY == 0:
-            self._prune_logs(route)
-        counts["duplicate"] = 0
-        if route.tracker is not None:
-            counts["watermark"] = route.current_watermark()
-        return counts
+        finally:
+            self._pump()
 
     def insert(self, name: str, values, at: Optional[float] = None) -> dict:
         return self.ingest(name, [values], at=at)
 
     def advance(self, event_time: float) -> None:
-        """Heartbeat every stream — local ones directly, partitioned
-        ones via watermark segments to every worker."""
-        self.db.advance_streams(event_time)
-        for route in self._routes.values():
-            self._sync_route(route, event_time)
+        """Heartbeat every stream; the routers pass it on to the
+        workers as watermark segments."""
+        try:
+            self.db.advance_streams(event_time)
+        finally:
+            self._pump()
 
     def inject_watermark(self, name: str, watermark: float) -> float:
-        route = self._routes.get(name)
-        if route is None:
+        try:
             return self.db.inject_watermark(name, watermark)
-        self._sync_route(route, watermark)
-        return route.current_watermark()
-
-    def _sync_route(self, route: _StreamRoute, event_time: float) -> None:
-        segments = route.sync_segments(event_time)
-        for worker, segs in segments.items():
-            msg = {"op": "ingest", "stream": route.name, "segments": segs}
-            ack = self._request(worker, msg,
-                                record=("ingest", msg, route.max_time))
-            self._note_ack(route, worker, ack)
-        route.completed_wm = route.current_watermark()
-        self._process_corrections()
-        self._drive(route)
+        finally:
+            self._pump()
 
     def flush(self) -> None:
         """End-of-input: every pending window out, merged."""
-        self.db.flush_streams()
-        msg = {"op": "flush"}
-        for worker in range(self.partitions):
-            self._request(worker, msg, record=("flush", msg, None))
-        for route in self._routes.values():
-            self._drive_flush(route)
-        self._process_corrections()
+        try:
+            self.db.flush_streams()
+        finally:
+            self._pump(flush=True)
 
-    def _note_ack(self, route: _StreamRoute, worker: int,
-                  ack: dict) -> None:
-        wm = ack.get("watermark")
-        if wm is not None and wm > NEG_INF:
-            route.wm_merge.update(worker, wm)
+    def _pump(self, flush: bool = False) -> None:
+        """Send what the routers collected, absorb the partials riding
+        the acks, merge what closed.  Segments leave a worker's queue
+        when it answers: what a dead worker never got (its respawn
+        failed too) goes out, in order, with the next pump."""
+        routes = list(self._routes.values())
+        for route in routes:
+            route.sync()
+            stream = route.stream
+            routed = False
+            for worker, segs in enumerate(route.segments):
+                if not segs:
+                    continue
+                msg = {"op": "ingest", "stream": route.name,
+                       "segments": segs}
+                try:
+                    self._request(
+                        worker, msg,
+                        record=("ingest", msg, stream.raw_watermark))
+                finally:
+                    if self._handles[worker].alive:
+                        route.segments[worker] = []
+                routed = routed or any(s[0] == "rows" for s in segs)
+            route.completed_wm = stream.watermark
+            if routed:
+                route.batches += 1
+                if route.batches % _PRUNE_EVERY == 0:
+                    self._prune_logs(route)
+        if flush:
+            msg = {"op": "flush"}
+            for worker in range(self.partitions):
+                self._request(worker, msg, record=("flush", msg, None))
+            for route in routes:
+                route.flush_gate = max(
+                    [route.flush_gate] + [b for _p, _k, b in route.pending])
+        for route in routes:
+            self._merge_pending(route)
 
     # -- merge stage --------------------------------------------------------
 
-    def _drive(self, route: _StreamRoute) -> None:
-        """Close every boundary the min-of-inputs worker watermark has
-        passed, in grid order, one merged emission per boundary."""
+    def _merge_pending(self, route: _StreamRoute) -> None:
+        """Merge the recorded boundaries, in recorded order, as far as
+        every shard has reported: the min-of-inputs worker watermark (or
+        an acked flush) reaching a boundary is the proof its partials
+        are all in.  An entry leaves the list only once its emission
+        returned — a merge that dies is retried, exactly once."""
         for pcq in list(route.cqs):
             if not pcq.cq._running:
                 self._drop_pcq(pcq)
-                continue
-            gate = route.wm_merge.merged
-            if pcq.heartbeat_wm < gate:
-                # the single engine has not *heard* about this watermark
-                # yet (no advance since the grid last rebased), so its
-                # operator has these boundaries still open
-                gate = pcq.heartbeat_wm
-            while True:
-                boundary = pcq.next_boundary()
-                if boundary is None or boundary > gate:
+        gate = max(route.wm_merge.merged, route.flush_gate)
+        pending = route.pending
+        while pending:
+            pcq, kind, boundary = pending[0]
+            if pcq.cq._running:
+                if boundary > gate:
                     break
-                self._merge_boundary(pcq, boundary)
+                self._merge_boundary(pcq, kind, boundary)
+            pending.popleft()
 
-    def _drive_flush(self, route: _StreamRoute) -> None:
-        # mirror of TimeWindowOperator.on_flush: close while a routed
-        # row is still visible to the next window; sticky like the op's
-        # _flushed flag
-        for pcq in list(route.cqs):
-            if not pcq.cq._running:
-                self._drop_pcq(pcq)
-                continue
-            if pcq.flushed:
-                continue
-            pcq.flushed = True
-            while True:
-                boundary = pcq.next_boundary()
-                if boundary is None \
-                        or boundary - pcq.visible > route.max_time:
-                    break
-                self._merge_boundary(pcq, boundary)
-
-    def _merge_boundary(self, pcq: _PartitionedCQ,
+    def _merge_boundary(self, pcq: _PartitionedCQ, kind: str,
                         boundary: float) -> None:
         if self.faults is not None and self.faults.armed:
             # before emitting: an injected merge death leaves the
-            # partials stored and the boundary pending — the next
-            # drive retries and emits exactly once
+            # partials stored and the boundary pending
             self.faults.check("partition.merge", f"{pcq.name}:{boundary}")
         entry = pcq.store.get(boundary, {})
         parts = [entry.get(w) for w in range(self.partitions)]
-        total = sum(p[1] for p in parts if p is not None)
-        pcq.index += 1
-        pcq.merged.add(boundary)
-        if total or pcq.cq.emit_empty:
-            groups = pcq.agg.merge_partials(
-                [p[0] if p is not None else {} for p in parts])
-            self._emit_merged(pcq, groups, boundary)
+        if kind == "correct":
+            # a late row re-opened the window: retract/correct pair
+            self._emit_merged(pcq, parts, pcq.cq._on_reopened, boundary)
+            return
+        if pcq.cq.emit_empty or any(p is not None and p[1] for p in parts):
+            self._emit_merged(pcq, parts, pcq.cq._on_window, boundary)
+        pcq.merged_through = boundary
         self._prune_store(pcq)
 
-    def _emit_merged(self, pcq: _PartitionedCQ, groups: dict,
+    def _emit_merged(self, pcq: _PartitionedCQ, parts: list, emit,
                      boundary: float) -> None:
-        """Finalize merged partials and run the CQ's unchanged
-        post-aggregate plan with the aggregate pinned to the result —
-        sinks, stats, EXPLAIN counters and retract bookkeeping all
-        behave exactly as in single-engine mode."""
+        """Merge + finalize the shard partials and run the CQ's
+        unchanged post-aggregate plan with the aggregate pinned to the
+        result — sinks, stats, EXPLAIN counters and retract bookkeeping
+        all behave exactly as in single-engine mode."""
         agg = pcq.agg
+        groups = agg.merge_partials(
+            [p[0] if p is not None else {} for p in parts])
         agg.set_merged(agg.finalize(groups))
         try:
-            pcq.cq._on_window([], boundary - pcq.visible, boundary)
+            emit([], boundary - pcq.visible, boundary)
         finally:
             agg.set_merged(None)
 
@@ -842,64 +707,29 @@ class PartitionedEngine:
         if pcq is None:
             return
         boundary = frame["close"]
-        if frame["kind"] == "final" and boundary in pcq.merged:
-            return      # stale replay of an already-merged boundary
-        entry = pcq.store.setdefault(boundary, {})
-        entry[worker] = (frame["groups"], frame["rows"])
-        if frame["kind"] == "correct":
-            # fire even when the coordinator never merged this boundary:
-            # the operator's late-row recompute is grid-independent
-            # (any boundary <= watermark), so it corrects windows it
-            # never emitted.  Every shard holding rows in that window
-            # has reported them by now (as a final or its own
-            # correction), so merging the stored partials is exact.
-            self._corrections.append((pcq, boundary))
-
-    def _process_corrections(self) -> None:
-        while self._corrections:
-            pcq, boundary = self._corrections.pop(0)
-            if not pcq.cq._running:
-                continue
-            entry = pcq.store.get(boundary, {})
-            parts = [entry.get(w) for w in range(self.partitions)]
-            groups = pcq.agg.merge_partials(
-                [p[0] if p is not None else {} for p in parts])
-            agg = pcq.agg
-            agg.set_merged(agg.finalize(groups))
-            try:
-                cq = pcq.cq
-                ctx = cq._make_ctx(boundary - pcq.visible, boundary)
-                out = list(cq._plan.execute(ctx))
-                if out == cq._emitted.get(boundary):
-                    # replayed (or no-op) correction: downstream state
-                    # already matches — emitting a retract/correct pair
-                    # here would un-converge idempotent consumers
-                    continue
-                cq._on_reopened([], boundary - pcq.visible, boundary)
-            finally:
-                agg.set_merged(None)
+        if frame["kind"] == "final" and boundary <= pcq.merged_through:
+            return      # a restarted worker replaying a merged boundary
+        # a "correct" partial replaces the shard's contribution; the
+        # coordinator's own boundary operator saw the same late row and
+        # has the re-merge pending
+        pcq.store.setdefault(boundary, {})[worker] = (
+            frame["groups"], frame["rows"])
 
     def _prune_store(self, pcq: _PartitionedCQ) -> None:
-        if not pcq.retract:
-            for boundary in [b for b in pcq.store if b in pcq.merged]:
-                del pcq.store[boundary]
-            return
-        # retract: merged partials stay recomputable for the lateness
-        # bound, mirroring ContinuousQuery._remember_emitted's horizon
-        horizon = (pcq.route.current_watermark() - pcq.retain_extra)
-        if horizon == NEG_INF:
-            return
-        for boundary in [b for b in pcq.store
-                         if b in pcq.merged and b < horizon]:
+        """Drop merged partials — under retract only once the lateness
+        bound has passed them too."""
+        horizon = pcq.merged_through
+        if pcq.retract:
+            horizon = min(horizon,
+                          pcq.route.stream.watermark - pcq.retain)
+        for boundary in [b for b in pcq.store if b <= horizon]:
             del pcq.store[boundary]
-            pcq.merged.discard(boundary)
 
     # -- worker lifecycle ---------------------------------------------------
 
     def _request(self, worker: int, msg: dict, record=None) -> dict:
         """Send one frame; on worker death, restart-with-replay and
-        retry the frame once.  Partial frames riding the response are
-        absorbed; the frame is logged only after its ack."""
+        retry the frame once.  The frame is logged only after its ack."""
         frames = None
         for attempt in (0, 1):
             handle = self._handles[worker]
@@ -910,23 +740,35 @@ class PartitionedEngine:
                 if attempt:
                     raise
                 self._respawn(worker)
-        ack = frames[-1]
-        if ack.get("type") == "error":
-            raise PartitionError(
-                f"worker {worker}: {ack.get('error')}: "
-                f"{ack.get('message')}")
-        for frame in frames[:-1]:
-            if frame.get("type") == "partial":
-                self._absorb_partial(worker, frame)
+        ack = self._take(worker, msg, frames)
         if record is not None:
             self._logs[worker].append(record)
         return ack
 
+    def _take(self, worker: int, msg: dict, frames: list,
+              what: str = "") -> dict:
+        """One worker response: its error frame raises, the partials
+        riding it are absorbed, and the shard watermark an ingest ack
+        carries moves that route's min-of-inputs merge."""
+        ack = frames[-1]
+        if ack.get("type") == "error":
+            raise PartitionError(
+                f"worker {worker}{what}: {ack.get('error')}: "
+                f"{ack.get('message')}")
+        for frame in frames[:-1]:
+            if frame.get("type") == "partial":
+                self._absorb_partial(worker, frame)
+        wm = ack.get("watermark")
+        if wm is not None and wm > NEG_INF:
+            self._routes[msg["stream"]].wm_merge.update(worker, wm)
+        return ack
+
     def _respawn(self, worker: int) -> None:
         """Restart a dead worker and replay its acked frame log, then
-        sync it to the current watermarks.  Replayed partials for
-        already-merged boundaries are ignored; replayed corrections
-        converge via compare-and-skip — the restart is invisible."""
+        sync it to the current watermarks.  Replayed finals for
+        already-merged boundaries are ignored and replayed corrections
+        overwrite what is stored with the same content — the restart is
+        invisible."""
         old = self._handles[worker]
         reap = getattr(old, "reap", None)
         if reap is not None:
@@ -935,47 +777,26 @@ class PartitionedEngine:
         handle = self._spawn(worker)
         self._handles[worker] = handle
         for kind, msg, _max_time in self._logs[worker]:
-            frames = handle.request(msg)
-            ack = frames[-1]
-            if ack.get("type") == "error":
-                raise PartitionError(
-                    f"worker {worker} replay failed: {ack.get('error')}: "
-                    f"{ack.get('message')}")
-            for frame in frames[:-1]:
-                if frame.get("type") == "partial":
-                    self._absorb_partial(worker, frame)
+            self._take(worker, msg, handle.request(msg), " replay failed")
             if kind == "ingest":
                 self.replayed_batches[worker] += 1
-                ack_wm = ack.get("watermark")
-                stream = msg.get("stream")
-                route = self._routes.get(stream)
-                if route is not None and ack_wm is not None \
-                        and ack_wm > NEG_INF:
-                    route.wm_merge.update(worker, ack_wm)
         # fast-forward past pruned frames — only to the last *completed*
         # batch's watermark: the in-flight frame is about to be retried
         # and its rows must not land below the fresh worker's clock
         for route in self._routes.values():
-            wm_now = route.completed_wm
-            if wm_now == NEG_INF:
+            if route.completed_wm == NEG_INF:
                 continue
             sync = {"op": "ingest", "stream": route.name,
-                    "segments": [("wm", wm_now)]}
-            frames = handle.request(sync)
-            for frame in frames[:-1]:
-                if frame.get("type") == "partial":
-                    self._absorb_partial(worker, frame)
-            ack_wm = frames[-1].get("watermark")
-            if ack_wm is not None and ack_wm > NEG_INF:
-                route.wm_merge.update(worker, ack_wm)
+                    "segments": [("wm", route.completed_wm)]}
+            self._take(worker, sync, handle.request(sync))
 
     def _prune_logs(self, route: _StreamRoute) -> None:
         """Drop replayable ingest frames no unmerged window (nor any
         in-bound recomputation) can still need."""
-        if route.cqs:
-            horizon = min(pcq.prune_horizon() for pcq in route.cqs)
-        else:
-            horizon = route.current_watermark()
+        horizons = [pcq.op.horizon for pcq in route.cqs]
+        if None in horizons:
+            return      # some CQ's boundary grid has not started yet
+        horizon = min(horizons, default=route.stream.watermark)
         if horizon == NEG_INF:
             return
         for worker in range(self.partitions):
@@ -1055,7 +876,7 @@ class PartitionedEngine:
                     continue
                 worker_wm = acked if worker_wm is None \
                     else min(worker_wm, acked)
-                current = route.current_watermark()
+                current = route.stream.watermark
                 if current > NEG_INF:
                     route_lag = max(0.0, current - acked)
                     lag = route_lag if lag is None else max(lag, route_lag)

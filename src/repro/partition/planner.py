@@ -42,9 +42,11 @@ class PartitionPlan:
 
 
 def _fail(cq, reason: str):
-    raise PartitionError(
+    error = PartitionError(
         f"CQ {getattr(cq, 'name', '?')!r} cannot run partitioned: "
         f"{reason} (see docs/PARTITION.md for the supported plan shape)")
+    error.reason = reason
+    raise error
 
 
 def partition_plan(cq) -> PartitionPlan:

@@ -19,15 +19,11 @@ import os
 from typing import List, Optional
 
 from repro.catalog import catalog as cat
-from repro.catalog.schema import Column, Schema
+from repro.catalog.schema import Schema
 from repro.core.database import Database
-from repro.core.dump import _type_from_sql_name
 from repro.errors import WALError
 from repro.storage import wal as walrec
-from repro.streaming.recovery import (
-    CheckpointManager,
-    recover_from_active_table,
-)
+from repro.streaming.recovery import recover_cq
 from repro.streaming.windows import TimeWindowOperator
 
 #: the single-file WAL of pre-segment data dirs; no longer readable
@@ -185,15 +181,6 @@ def recover_runtime(db: Database, promote: bool = True,
 # ---------------------------------------------------------------------------
 
 
-def _build_schema(specs) -> Schema:
-    return Schema([
-        Column(spec["name"], _type_from_sql_name(spec["type"]),
-               not_null=spec["not_null"], primary_key=spec["primary_key"],
-               cqtime=spec.get("cqtime"))
-        for spec in specs
-    ])
-
-
 def _has_channel(db: Database, name: str) -> bool:
     return any(n == name for n, _c in db.catalog.channels())
 
@@ -213,7 +200,7 @@ def apply_ddl_record(db: Database, record, deferred: List[dict]) -> None:
     if record.kind == walrec.DDL:
         if record.payload is not None \
                 and not db.catalog.has_relation(record.table):
-            db._register_table(record.table, _build_schema(record.payload))
+            db._register_table(record.table, Schema.from_specs(record.payload))
         return
     payload = record.payload
     if not isinstance(payload, dict):
@@ -235,7 +222,7 @@ def apply_ddl_record(db: Database, record, deferred: List[dict]) -> None:
     if kind == "stream":
         if not db.catalog.has_relation(name):
             stream = db.runtime.create_base_stream(
-                name, _build_schema(payload["columns"]),
+                name, Schema.from_specs(payload["columns"]),
                 retention=payload.get("retention"),
                 slack=payload.get("slack") or 0.0,
                 watermark_bound=payload.get("watermark_bound"),
@@ -278,12 +265,12 @@ def apply_streaming_ddl(db: Database, deferred: List[dict]) -> None:
 def recover_cqs(db: Database, faults=None) -> List[tuple]:
     """Rebuild in-flight window state for every derived-stream CQ.
 
-    Strategy per CQ, in order of preference (the supervisor's order):
-    latest ``cq_checkpoint`` record, then active-table realignment via
-    the CQ's archiving channel, then a cold start.  A failure (including
-    the ``server.boot_recovery`` crashpoint) quarantines the CQ as a
-    dead letter when supervision is on — one unrecoverable CQ must not
-    keep the server down — and falls back to a cold start.
+    Strategy per CQ: :func:`~repro.streaming.recovery.recover_cq`'s
+    ladder, the active table being the one the CQ's archiving channel
+    writes.  A failure (including the ``server.boot_recovery``
+    crashpoint) quarantines the CQ as a dead letter when supervision is
+    on — one unrecoverable CQ must not keep the server down — and falls
+    back to a cold start.
 
     Returns ``[(cq_name, strategy), ...]``; failed CQs report
     ``"cold:<error>"``.
@@ -305,19 +292,11 @@ def recover_cqs(db: Database, faults=None) -> List[tuple]:
         try:
             if faults is not None:
                 faults.check("server.boot_recovery", cq.name)
-            if wal.latest_checkpoint(cq.name) is not None:
-                CheckpointManager.recover(cq, wal)
-                outcomes.append((cq.name, "checkpoint"))
-                continue
             channel = channels_by_source.get(derived.name)
-            stime = (_guess_stime_column(channel.table)
-                     if channel is not None else None)
-            if channel is not None and stime is not None:
-                recover_from_active_table(
-                    cq, channel.table, db.txn_manager, stime)
-                outcomes.append((cq.name, "active-table"))
-                continue
-            outcomes.append((cq.name, "cold"))
+            table = channel.table if channel is not None else None
+            stime = _guess_stime_column(table) if table is not None else None
+            outcomes.append((cq.name, recover_cq(
+                cq, wal, table, stime, db.txn_manager)))
         except Exception as exc:
             outcomes.append((cq.name, f"cold:{exc}"))
             if db.supervisor is not None:

@@ -209,6 +209,9 @@ class ContinuousQuery(StreamConsumer):
         self._running = True
         self.faults = None  # optional FaultInjector (cq.window crashpoint)
         self.obs = obs      # Observability facade (None = uninstrumented)
+        #: a line EXPLAIN leads with, set by whoever placed the CQ (the
+        #: partition coordinator: why it runs unpartitioned)
+        self.explain_note = None
         # per-operator timing is sampled: armed on every Nth evaluation
         # so untimed windows run through a bare yield-from pass-through
         self._timing_index = 0
@@ -376,7 +379,7 @@ class ContinuousQuery(StreamConsumer):
     def detach(self) -> None:
         """Stop consuming the source stream(s) without terminating: the
         partitioned coordinator detaches its merge-stage CQ, which is
-        fed worker partials instead of the (silent) local stream."""
+        fed merged worker partials instead of the stream's rows."""
         for stream, consumer in self._subscriptions():
             stream.unsubscribe(consumer)
         if self.is_sliced():
@@ -785,4 +788,6 @@ class ContinuousQuery(StreamConsumer):
                       f"policy {self.late_policy}, watermark bound "
                       f"{self.stream.watermark_bound}s)")
             text = header + "\n" + text
+        if self.explain_note is not None:
+            text = self.explain_note + "\n" + text
         return text

@@ -186,6 +186,32 @@ def recover_from_active_table(new_cq: ContinuousQuery, table, txn_manager,
     return replay_from
 
 
+def recover_cq(cq: ContinuousQuery, wal, active_table, stime_column,
+               txn_manager, fall_through: bool = False) -> str:
+    """The CQ-recovery ladder: latest ``cq_checkpoint``, else the
+    active table via its window-close column, else a cold start.
+    Returns the name of the rung that recovered ``cq`` (``"checkpoint"``
+    / ``"active-table"`` / ``"cold"``).  A rung that raises
+    :class:`RecoveryError` propagates it — unless ``fall_through``, which
+    tries the next rung instead (the supervisor: a restart must come back
+    with whatever state it can get)."""
+    rungs = []
+    if wal is not None and wal.latest_checkpoint(cq.name) is not None:
+        rungs.append(("checkpoint",
+                      lambda: CheckpointManager.recover(cq, wal)))
+    if active_table is not None and stime_column is not None:
+        rungs.append(("active-table", lambda: recover_from_active_table(
+            cq, active_table, txn_manager, stime_column)))
+    for name, recover in rungs:
+        try:
+            recover()
+            return name
+        except RecoveryError:
+            if not fall_through:
+                raise
+    return "cold"
+
+
 def _suppress_through(cq: ContinuousQuery, last_close: float) -> None:
     """Wrap the CQ's emission so windows already produced are dropped."""
     op = cq._window_op

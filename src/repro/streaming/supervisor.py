@@ -41,13 +41,9 @@ from typing import Callable, List, Optional
 
 from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
-from repro.errors import RecoveryError
 from repro.eventtime.lateness import LATE_EVENT as _LATE_EVENT
 from repro.streaming.cq import ContinuousQuery
-from repro.streaming.recovery import (
-    CheckpointManager,
-    recover_from_active_table,
-)
+from repro.streaming.recovery import recover_cq
 from repro.streaming.streams import BaseStream
 from repro.types.datatypes import (
     IntegerType,
@@ -388,36 +384,20 @@ class CQSupervisor:
         self._wrap_cq(entry)
 
     def _build_replacement(self, old) -> ContinuousQuery:
-        fresh = ContinuousQuery(
-            old.name, old.select, self.runtime.catalog,
-            self.runtime.txn_manager, emit_empty=old.emit_empty,
-            params=old.params)
-        fresh.faults = old.faults
+        """A fresh CQ from the runtime's one constructor (same executor
+        gear, instrumentation, faults and late-row quarantine as any
+        CQ), with the old one's sinks handed over."""
+        fresh = self.runtime._make_cq(old.select, old.name, old.params)
         fresh._sinks = old._sinks  # keep subscriptions/derived/channels
-        # event-time wiring rides along: corrections keep flowing to the
-        # same channels/subscriptions and late rows to the same quarantine
+        # corrections keep flowing to the same channels/subscriptions
         fresh._correction_sinks = old._correction_sinks
-        fresh.late_handler = old.late_handler
         return fresh
 
     def _recover(self, entry: _Entry, fresh: ContinuousQuery) -> bool:
-        """Recover runtime state: checkpoint first, then active table."""
-        if self.wal is not None \
-                and self.wal.latest_checkpoint(fresh.name) is not None:
-            try:
-                CheckpointManager.recover(fresh, self.wal)
-                return True
-            except RecoveryError:
-                pass
-        if entry.active_table is not None and entry.stime_column is not None:
-            try:
-                recover_from_active_table(
-                    fresh, entry.active_table, self.runtime.txn_manager,
-                    entry.stime_column)
-                return True
-            except RecoveryError:
-                pass
-        return False
+        """Recover runtime state; False when the CQ comes back cold."""
+        return recover_cq(fresh, self.wal, entry.active_table,
+                          entry.stime_column, self.runtime.txn_manager,
+                          fall_through=True) != "cold"
 
     def _rebind(self, entry: _Entry, old, fresh) -> None:
         """Point everything that referenced the old CQ at the fresh one."""

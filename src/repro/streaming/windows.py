@@ -101,6 +101,13 @@ class TimeWindowOperator(StreamConsumer):
         self._base = math.floor(event_time / self.advance) * self.advance
         self._boundary_index = 1
 
+    @property
+    def horizon(self) -> Optional[float]:
+        """Rows before this event time can never be visible again
+        (None until the first tuple starts the boundary grid)."""
+        boundary = self._next_boundary()
+        return None if boundary is None else boundary - self.visible
+
     # -- consumer protocol --------------------------------------------------------
 
     def on_tuple(self, row: tuple, event_time: float) -> None:
@@ -145,7 +152,7 @@ class TimeWindowOperator(StreamConsumer):
         ]
         self._boundary_index += 1
         # evict rows no future window can see
-        horizon = self._next_boundary() - self.visible
+        horizon = self.horizon
         while self._buffer and self._buffer[0][0] < horizon:
             self._buffer.popleft()
         self.windows_closed += 1
@@ -292,7 +299,7 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
                 total += count
                 parts.append(store.partial(idx, count))
         self._boundary_index += 1
-        horizon = self._next_boundary() - self.visible
+        horizon = self.horizon
         buffer = self._buffer
         while buffer and buffer[0][0] < horizon:
             buffer.popleft()

@@ -4,8 +4,8 @@ An e-commerce analytics deployment, as the paper's introduction
 motivates: a clickstream and an order stream; enrichment tables;
 always-on KPIs into active tables (APPEND and REPLACE); a real-time
 alert transform; historical comparison; ad-hoc snapshot analysis over
-archived metrics; ANALYZE/vacuum maintenance; and a dump/restore at the
-end.  Every number is checked.
+archived metrics; and ANALYZE/vacuum maintenance.  Every number is
+checked.
 """
 
 import pytest
@@ -16,7 +16,7 @@ MINUTE = 60.0
 
 
 @pytest.fixture
-def deployed(tmp_path):
+def deployed():
     db = Database(stream_retention=7200.0)
     db.execute_script("""
         CREATE STREAM clicks (url varchar(200), uid integer,
@@ -47,7 +47,7 @@ def deployed(tmp_path):
     """)
     db.insert_table("users", [(i, "gold" if i % 3 == 0 else "basic")
                               for i in range(30)])
-    return db, str(tmp_path / "scenario.json")
+    return db
 
 
 def drive_minute(db, minute, clicks_per_minute=30, orders_per_minute=6):
@@ -67,7 +67,7 @@ def drive_minute(db, minute, clicks_per_minute=30, orders_per_minute=6):
 
 class TestScenario:
     def test_full_deployment(self, deployed):
-        db, dump_path = deployed
+        db = deployed
 
         # real-time alert transform: big orders, row-by-row
         alerts = db.subscribe(
@@ -137,18 +137,8 @@ class TestScenario:
             "SELECT name, batches FROM repro_channels ORDER BY name").rows
         assert ("clicks_ch", 10) in channels
 
-        # --- dump, restore, keep running ----------------------------------
-        manifest = db.dump(dump_path)
-        assert manifest["channels"] == 2
-        restored = Database.restore(dump_path)
-        assert restored.query(
-            "SELECT sum(c) FROM clicks_archive").scalar() == 300
-        drive_minute(restored, 20)
-        assert restored.query(
-            "SELECT sum(c) FROM clicks_archive").scalar() == 330
-
     def test_deployment_is_deterministic(self, deployed):
-        db, _path = deployed
+        db = deployed
         for minute in range(4):
             drive_minute(db, minute)
         first = sorted(db.table_rows("clicks_archive"))

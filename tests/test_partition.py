@@ -296,15 +296,20 @@ class TestPartitionByDDL:
                        "PARTITION BY missing")
 
     def test_partition_by_survives_dump_and_restore(self, tmp_path):
-        from repro.core.dump import dump_database, restore_database
-        db = Database()
-        db.execute("CREATE STREAM s (t DOUBLE CQTIME, k TEXT) "
-                   "PARTITION BY k")
-        path = str(tmp_path / "dump.json")
-        dump_database(db, path)
-        restored = Database()
-        restore_database(restored, path)
-        assert restored.get_stream("s").partition_by == "k"
+        # the durability story is the WAL: PARTITION BY and WATERMARK
+        # ride the stream's ddl_obj record through a reopen
+        from repro.replication.bootstrap import open_database
+        wal_path = str(tmp_path / "wal")
+        db = Database(wal_path=wal_path)
+        db.execute("CREATE STREAM s (k TEXT, ts TIMESTAMP CQTIME USER) "
+                   "WATERMARK '4 seconds' PARTITION BY k")
+        db.storage.wal.close()
+        reopened = open_database(wal_path=wal_path)
+        stream = reopened.get_stream("s")
+        assert stream.partition_by == "k"
+        assert stream.watermark_bound == 4.0
+        assert stream.schema.names() == ["k", "ts"]
+        assert stream.cqtime_mode == "user"
 
     def test_parse_error_without_column(self):
         db = Database()
@@ -322,25 +327,6 @@ class TestEngineSurface:
         eng.flush()
         results = sub.poll()
         assert [sorted(w.rows) for w in results] == [[(1,)], [(1,)]]
-        eng.close()
-
-    def test_non_partitionable_cq_on_partitioned_stream_rejected(self):
-        eng = PartitionedEngine(partitions=2)
-        eng.execute("CREATE STREAM s (t DOUBLE CQTIME, k TEXT) "
-                    "PARTITION BY k")
-        with pytest.raises(PartitionError):
-            eng.execute("SELECT k FROM s <visible 10 advance 10>")
-        # the rejected CQ must not linger half-attached
-        assert not eng.db.runtime.cqs()
-        eng.close()
-
-    def test_derived_stream_over_partitioned_rejected(self):
-        eng = PartitionedEngine(partitions=2)
-        eng.execute("CREATE STREAM s (t DOUBLE CQTIME, k TEXT) "
-                    "PARTITION BY k")
-        with pytest.raises(PartitionError, match="derived"):
-            eng.execute("CREATE STREAM d AS SELECT k, count(*) AS n "
-                        "FROM s <visible 10 advance 10> GROUP BY k")
         eng.close()
 
     def test_null_keys_spill_and_are_counted(self):
@@ -368,6 +354,202 @@ class TestEngineSurface:
         text = eng.explain("cq_1", analyze=True)
         assert "-- partition worker 0 --" in text
         assert "-- partition worker 1 --" in text
+        eng.close()
+
+
+# -- the coordinator's stream is real: what composes, what still refuses ------
+
+#: same column order for the arrival-time and the event-time stream, so
+#: one row shape serves both
+ROWS_DDL = ("CREATE STREAM s (k TEXT, v DOUBLE, ts TIMESTAMP CQTIME USER) "
+            "PARTITION BY k")
+EVENT_DDL = ROWS_DDL.replace(" PARTITION", " WATERMARK '2 seconds' PARTITION")
+SIDE_DDL = "CREATE STREAM s2 (k TEXT, ts TIMESTAMP CQTIME USER)"
+MERGED_CQ = ("SELECT k, count(*) AS n, sum(v) AS total FROM s "
+             "<visible 2 advance 2> GROUP BY k ORDER BY k")
+BATCHES = [
+    [("a", 1.0, 0.5), ("b", 2.0, 1.0), ("c", 3.0, 1.5)],
+    [("a", 4.0, 2.5), ("d", 5.0, 3.0)],
+    [("b", 6.0, 4.5), ("a", 7.0, 5.0), ("c", 8.0, 7.5)],
+]
+
+
+def engines(ddl=ROWS_DDL, **options):
+    """One ``Database`` and one 2-partition inline engine with the same
+    options and the same streams."""
+    single = Database(**options)
+    single.execute(ddl.replace(" PARTITION BY k", ""))
+    single.execute(SIDE_DDL)
+    eng = PartitionedEngine(partitions=2, db=Database(**options))
+    eng.execute(ddl)
+    eng.execute(SIDE_DDL)
+    return single, eng
+
+
+def feed(single, eng, batches=BATCHES, side=True):
+    for rows in batches:
+        assert single.ingest_batch("s", rows) == eng.ingest("s", rows)
+        if side:
+            rows = [(k, ts) for k, _v, ts in rows]
+            assert single.ingest_batch("s2", rows) == eng.ingest("s2", rows)
+    single.flush_streams()
+    eng.flush()
+
+
+def windows(sub):
+    return [(w.kind, w.open_time, w.close_time, tuple(w.rows))
+            for w in sub.poll()]
+
+
+class TestCoordinatorStreamIsReal:
+    @pytest.mark.parametrize("policy", ["raise", "drop"])
+    def test_out_of_order_batch_matches_one_database(self, policy):
+        from repro.errors import OutOfOrderError
+        single, eng = engines(disorder_policy=policy)
+        subs = [single.subscribe(MERGED_CQ), eng.execute(MERGED_CQ)]
+        bad = [("a", 1.0, 3.0), ("b", 2.0, 0.5)]
+        outcomes = []
+        for ingest in (single.ingest_batch, eng.ingest):
+            ingest("s", [("a", 1.0, 1.0)])
+            try:
+                outcomes.append(ingest("s", bad))
+            except OutOfOrderError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if policy == "drop":
+            assert outcomes[1]["dropped"] == 1
+        theirs, ours = single.get_stream("s"), eng.db.get_stream("s")
+        assert (ours.watermark, ours.tuples_in, ours.tuples_dropped) \
+            == (theirs.watermark, theirs.tuples_in, theirs.tuples_dropped)
+        assert (ours.watermark, ours.tuples_in) == (3.0, 2)
+        # the row before the offender went out to its worker ...
+        assert sum(row[5] for row in eng.status_rows()) == 2
+        assert all(row[8] == 3.0 for row in eng.status_rows())
+        # ... and the stream goes on where one Database's does
+        for ingest in (single.ingest_batch, eng.ingest):
+            assert ingest("s", [("b", 4.0, 3.5)])["accepted"] == 1
+        single.flush_streams()
+        eng.flush()
+        want = windows(subs[0])
+        assert windows(subs[1]) == want
+        assert ("window", 2.0, 4.0, (("a", 1, 1.0), ("b", 1, 4.0))) in want
+        eng.close()
+
+    def test_uncoercible_value_raises_the_single_engine_error(self):
+        single, eng = engines()
+        eng.execute(MERGED_CQ)
+        errors = []
+        for ingest in (single.ingest_batch, eng.ingest):
+            with pytest.raises(Exception) as info:
+                ingest("s", [("a", "not a number", 1.0)])
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert not issubclass(errors[1][0], PartitionError)
+        assert sum(row[5] for row in eng.status_rows()) == 0
+        eng.close()
+
+    @pytest.mark.parametrize("ddl, sql, reason", [
+        (ROWS_DDL, "SELECT k, v FROM s WHERE v > 2", "time window"),
+        (ROWS_DDL, "SELECT count(*) AS n FROM s <visible 2 advance 2> "
+                   "JOIN s2 <visible 2 advance 2> ON s.k = s2.k", "join"),
+        (ROWS_DDL, "SELECT count(*) AS n FROM s "
+                   "<visible unbounded advance 2>", "UNBOUNDED"),
+        (EVENT_DDL, "SELECT k, count(*) AS n FROM s <visible 2 advance 2> "
+                    "GROUP BY k EMIT ON CHANGE ORDER BY k", "EMIT"),
+    ], ids=["windowless", "join", "unbounded", "emit-on-change"])
+    def test_unpartitionable_cq_runs_on_the_coordinator(self, ddl, sql,
+                                                        reason):
+        single, eng = engines(ddl)
+        want = [single.subscribe(MERGED_CQ), single.subscribe(sql)]
+        got = [eng.execute(MERGED_CQ), eng.execute(sql)]
+        feed(single, eng)
+        assert windows(got[1]) == windows(want[1])
+        assert windows(got[0]) == windows(want[0])
+        assert got[1].cq.stats.windows_evaluated > 0
+        # the split CQ has per-worker sections, the other says why not
+        assert "-- partition worker 0 --" in eng.explain(got[0].cq.name)
+        text = eng.explain(got[1].cq.name)
+        assert text.startswith("partitioned: no (") and reason in text
+        via_sql = eng.execute(f"EXPLAIN {got[1].cq.name}").rows
+        assert via_sql[0][0] == text.split("\n")[0]
+        eng.close()
+
+    def test_derived_stream_cq_and_channel_over_a_partitioned_stream(self):
+        script = [
+            "CREATE STREAM d AS SELECT k, count(*) AS n, cq_close(*) "
+            "FROM s <visible 2 advance 2> GROUP BY k",
+            "CREATE TABLE arch (k TEXT, n BIGINT, stime TIMESTAMP)",
+            "CREATE CHANNEL ch FROM d INTO arch APPEND",
+        ]
+        single, eng = engines()
+        for statement in script:
+            single.execute(statement)
+            eng.execute(statement)
+        over_d = "SELECT k, n FROM d WHERE n > 0"
+        want = [single.subscribe(MERGED_CQ), single.subscribe(over_d)]
+        got = [eng.execute(MERGED_CQ), eng.execute(over_d)]
+        feed(single, eng)
+        assert windows(got[0]) == windows(want[0])
+        assert windows(got[1]) == windows(want[1])
+        rows = sorted(eng.db.table_rows("arch"))
+        assert rows == sorted(single.table_rows("arch")) and rows
+        assert eng.explain("d").startswith("partitioned: no (")
+        eng.close()
+
+    def test_replay_since_returns_the_routed_rows(self):
+        single, eng = engines(stream_retention=100.0)
+        eng.execute(MERGED_CQ)
+        feed(single, eng)
+        replayed = list(eng.db.get_stream("s").replay_since(0.0))
+        assert replayed == list(single.get_stream("s").replay_since(0.0))
+        assert [row for _when, row in replayed] \
+            == [row for batch in BATCHES for row in batch]
+        eng.close()
+
+    def test_late_row_is_dead_lettered_once(self):
+        sql = ("SELECT k, count(*) AS n FROM s <visible 2 advance 2> "
+               "GROUP BY k EMIT ON WATERMARK ALLOW LATENESS '0 seconds' "
+               "DEAD LETTER ORDER BY k")
+        single, eng = engines(EVENT_DDL, supervised=True)
+        subs = [single.subscribe(sql), eng.execute(sql)]
+        late = [[("a", 1.0, 1.0)], [("b", 1.0, 9.0)], [("c", 1.0, 2.0)]]
+        feed(single, eng, late, side=False)
+        assert windows(subs[1]) == windows(subs[0])
+        for db in (single, eng.db):
+            letters = db.query(
+                "SELECT source, kind, rowcount FROM repro_dead_letters").rows
+            assert letters == [(subs[0].cq.name, "late-event", 1)]
+            assert db.query("SELECT value FROM repro_metrics WHERE "
+                            "name = 'eventtime.late_rows'").scalar() == 1
+        eng.close()
+
+    def test_stream_counters_equal_the_single_engine(self):
+        single, eng = engines(disorder_policy="drop")
+        single.subscribe(MERGED_CQ)
+        eng.execute(MERGED_CQ)
+        feed(single, eng, BATCHES + [[("a", 1.0, 0.25), ("b", 1.0, 9.0)]],
+             side=False)
+        view = "SELECT * FROM repro_streams WHERE name = 's'"
+        assert eng.query(view).rows == single.query(view).rows
+        assert eng.query(view).rows[0][2:4] == (9, 1)
+        eng.close()
+
+    def test_slack_and_partition_by_still_refuse(self):
+        eng = PartitionedEngine(partitions=2,
+                                db=Database(stream_slack=5.0))
+        with pytest.raises(PartitionError, match="SLACK"):
+            eng.execute(ROWS_DDL)
+        eng.close()
+
+    def test_worker_side_failure_raises_and_leaves_no_cq(self):
+        eng = PartitionedEngine(partitions=2)
+        eng.execute(ROWS_DDL)
+        # worker 1 loses the stream behind the coordinator's back
+        eng._handles[1].engine.db.execute("DROP STREAM s")
+        with pytest.raises(PartitionError, match="worker 1"):
+            eng.execute(MERGED_CQ)
+        assert not eng.db.runtime.cqs()
+        assert not eng._handles[0].engine._cqs
         eng.close()
 
 

@@ -20,7 +20,7 @@ failure reproducible; nothing here sleeps or races.
 
 import pytest
 
-from repro.errors import FaultInjected
+from repro.errors import FaultInjected, PartitionError
 from repro.partition import PartitionedEngine
 
 DDL = ("CREATE STREAM s (t DOUBLE CQTIME, k TEXT, v DOUBLE) "
@@ -196,6 +196,36 @@ class TestWorkerCrashCrashpoint:
                    for w in sub.poll()]
             assert got == want
             assert sum(r[10] for r in eng.status_rows()) >= 1
+        finally:
+            eng.close()
+
+    def test_rows_a_dead_worker_never_got_go_out_with_the_next_send(self):
+        # the stream accepted the batch, so its rows may not be lost
+        # when the workers cannot be respawned just then
+        want = run_reference()
+        eng = PartitionedEngine(partitions=3)
+        try:
+            eng.execute(DDL)
+            sub = eng.execute(CQ)
+            eng.ingest("s", BATCHES[0])
+            for worker in range(3):
+                eng.kill_worker(worker)
+            spawn = eng._spawn
+
+            def no_slots(worker):
+                raise PartitionError(f"worker {worker}: cannot spawn")
+            eng._spawn = no_slots
+            with pytest.raises(PartitionError, match="cannot spawn"):
+                eng.ingest("s", BATCHES[1])
+            eng._spawn = spawn
+            for rows in BATCHES[2:]:
+                eng.ingest("s", rows)
+            eng.flush()
+            got = [(w.kind, w.open_time, w.close_time, tuple(w.rows))
+                   for w in sub.poll()]
+            assert got == want
+            assert eng.db.get_stream("s").tuples_in == \
+                sum(len(rows) for rows in BATCHES)
         finally:
             eng.close()
 

@@ -192,6 +192,33 @@ class TestRestart:
         closes = [row[2] for row in db.table_rows("arch")]
         assert len(closes) == len(set(closes))
 
+    @pytest.mark.parametrize("vectorize", [True, False],
+                             ids=["batch", "iterator"])
+    def test_restart_keeps_the_gear_and_the_instrumentation(self,
+                                                            vectorize):
+        db = Database(supervised=True, stream_retention=3600.0,
+                      vectorize=vectorize)
+        db.execute(STREAM_DDL)
+        self.failing_pipeline(db)
+        old = db.runtime.cqs()["derived:agg"]
+        for close in (60.0, 120.0):
+            db.insert_stream("s", [("a", 0, close - 5.0)])
+            db.advance_streams(close)
+        fresh = db.runtime.cqs()["derived:agg"]
+        assert fresh is not old
+        assert db.supervisor.entry_for(fresh).restarts == 1
+        # the replacement is the CQ the runtime would have built: same
+        # window operator class, same executor gear, still instrumented
+        assert type(fresh._window_op) is type(old._window_op)
+        assert fresh.vectorized == old.vectorized
+        assert fresh.obs is old.obs and fresh.obs is not None
+        assert fresh.late_handler is not None
+        db.insert_stream("s", [("b", 5, 125.0)])
+        db.advance_streams(180.0)
+        stats = db.query("SELECT operator FROM repro_operator_stats "
+                         "WHERE cq = 'derived:agg'").rows
+        assert stats, "EXPLAIN ANALYZE went dark after the restart"
+
     def test_flapping_cq_is_quarantined(self, db):
         policy = db.supervisor.policy
         policy.restart_limit = 1
