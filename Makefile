@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: install test bench chaos examples shell server smoke \
 	failover-smoke dr-smoke obs-smoke admission-smoke eventtime-smoke \
 	vectorized-smoke partition-smoke \
-	bench-all bench-diff bench-smoke coverage clean
+	bench-all bench-diff bench-smoke bench-pairs coverage clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -95,6 +95,12 @@ bench-smoke:
 # compare two ledger files: make bench-diff A=<parent.json> B=<change.json>
 bench-diff:
 	python3 benchmarks/ledger/compare.py $(A) $(B)
+
+# ten alternating pairs of one workload, a ref against the working tree,
+# with medians, quartiles, pairs won and failed operations per metric:
+# make bench-pairs REF=HEAD W=served_durable_e1
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py $(REF) $(W)
 
 artifacts:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

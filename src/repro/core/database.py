@@ -40,6 +40,7 @@ from repro.errors import (
 from repro.exec.expressions import RowLayout, compile_expr
 from repro.exec.planner import PlanContext, Planner
 from repro.sql import ast, parse_script, parse_statement
+from repro.storage import wal as walrec
 from repro.storage.manager import StorageManager
 from repro.streaming.runtime import StreamingRuntime
 from repro.streaming.views import StreamingView
@@ -136,7 +137,7 @@ class Database:
     def enable_replication_logging(self) -> None:
         """Start logging stream traffic and streaming DDL into the WAL.
 
-        Base-stream tuples and heartbeats become ``stream_insert`` /
+        Base-stream ingest batches and heartbeats become ``stream_rows`` /
         ``stream_advance`` records, and every CREATE/DROP of a streaming
         object becomes a ``ddl_obj`` record — the extra record kinds a
         WAL-shipping standby (or a crash-consistent restart) needs to
@@ -146,13 +147,21 @@ class Database:
             return
         wal = self.storage.wal
 
-        def logger(name, kind, row, event_time):
-            # rows applied inside an idempotent ingest batch carry that
-            # batch's (sender, seq) as their rid, so recovery can discard
-            # them when the batch's dedup marker never became durable
-            wal.append(0, "stream_" + kind, name,
-                       rid=self.runtime.current_batch,
-                       after=row, payload=event_time)
+        def logger(name, kind, rows, when):
+            if kind == "advance":
+                wal.append(0, walrec.STREAM_ADVANCE, name, payload=when)
+                return
+            # one record per delivered batch (several when it exceeds
+            # MAX_ROWS_PER_RECORD).  Rows applied inside an idempotent
+            # ingest batch carry that batch's (sender, seq) as their rid,
+            # so recovery can discard them when the batch's dedup marker
+            # never became durable
+            rid = self.runtime.current_batch
+            step = walrec.MAX_ROWS_PER_RECORD
+            for start in range(0, len(rows), step):
+                wal.append(0, walrec.STREAM_ROWS, name, rid=rid,
+                           payload=[when[start:start + step],
+                                    rows[start:start + step]])
 
         self.runtime.stream_logger = logger
         from repro.streaming.supervisor import DEAD_LETTER_STREAM

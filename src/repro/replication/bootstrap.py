@@ -134,33 +134,25 @@ def recover_runtime(db: Database, promote: bool = True,
         finally:
             restore_wal(db)
         # idempotent-ingest batch markers: a batch's rows and its
-        # stream_dedup marker become durable in one flush, so a row
-        # tagged with a (sender, seq) rid whose marker never made it is
-        # half of a torn batch — discard it; the client's retry of that
-        # whole batch will be accepted fresh
+        # stream_dedup marker become durable in one flush, so a rows
+        # record tagged with a (sender, seq) rid whose marker never made
+        # it is half of a torn batch — discard it; the client's retry of
+        # that whole batch will be accepted fresh
         durable_batches = set()
         for record in records:
             if record.kind == walrec.STREAM_DEDUP \
                     and record.rid is not None:
                 durable_batches.add(
                     (record.table, tuple(record.rid)))
-        # stream tails: watermark + retained tuples, no consumer fan-out
         for record in records:
-            if record.kind == walrec.STREAM_INSERT:
-                if record.rid is not None and \
-                        (record.table, tuple(record.rid)) \
-                        not in durable_batches:
+            if record.rid is not None and \
+                    (record.table, tuple(record.rid)) not in durable_batches:
+                points = walrec.stream_points(record)
+                if points is not None:
                     stats["torn_batch_rows"] = \
-                        stats.get("torn_batch_rows", 0) + 1
+                        stats.get("torn_batch_rows", 0) + len(points)
                     continue
-                if db.catalog.relation_kind(record.table) == cat.STREAM:
-                    db.catalog.get_relation(record.table).restore_point(
-                        record.payload, record.after)
-                    stats["stream_tuples"] += 1
-            elif record.kind == walrec.STREAM_ADVANCE:
-                if db.catalog.relation_kind(record.table) == cat.STREAM:
-                    db.catalog.get_relation(record.table).restore_point(
-                        record.payload)
+            stats["stream_tuples"] += restore_stream_record(db, record)
         # rebuild the dedup index from durable markers so replays sent
         # to the recovered (or promoted) server are still recognised
         stats["dedup_markers"] = db.admission.dedup.restore_from_wal(wal)
@@ -174,6 +166,23 @@ def recover_runtime(db: Database, promote: bool = True,
     finally:
         db._recovering = False
     return stats
+
+
+def restore_stream_record(db: Database, record) -> int:
+    """Replay a ``stream_rows`` / ``stream_advance`` record into its
+    stream: watermark + retained tail, no consumer fan-out.  Returns the
+    rows restored; other records (and dropped streams) restore none."""
+    if record.kind == walrec.STREAM_ADVANCE:
+        points = [(record.payload, None)]
+    else:
+        points = walrec.stream_points(record)
+    if points is None \
+            or db.catalog.relation_kind(record.table) != cat.STREAM:
+        return 0
+    stream = db.catalog.get_relation(record.table)
+    for event_time, row in points:
+        stream.restore_point(event_time, row)
+    return 0 if record.kind == walrec.STREAM_ADVANCE else len(points)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,17 @@ single-writer executor.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ReplicationGapError
 from repro.server import protocol
-from repro.storage.wal import record_to_wire
+from repro.storage.wal import record_from_wire, record_line, record_to_wire
 
-#: records per backlog frame (well under the 32 MiB frame cap)
+#: most records per backlog frame
 BACKLOG_CHUNK = 512
+#: most encoded bytes per backlog frame: a ``stream_rows`` record weighs
+#: ~100 KB, so a record count alone does not keep a frame under the cap
+BACKLOG_FRAME_BYTES = protocol.MAX_FRAME_BYTES // 4
 
 
 class StandbyPeer:
@@ -83,11 +86,13 @@ class ReplicationManager:
             archived = wal.archived_wire_records(
                 gap.missing_from, gap.missing_to)
             self.archive_serves += 1
-            for start in range(0, len(archived), BACKLOG_CHUNK):
-                self._send_wire(peer, archived[start:start + BACKLOG_CHUNK])
+            for chunk in _backlog_frames(
+                    archived,
+                    lambda wire: len(record_line(record_from_wire(wire)))):
+                self._send_wire(peer, chunk)
             backlog = wal.records_from(gap.missing_to + 1)
-        for start in range(0, len(backlog), BACKLOG_CHUNK):
-            chunk = backlog[start:start + BACKLOG_CHUNK]
+        for chunk in _backlog_frames(backlog,
+                                     lambda record: len(record_line(record))):
             self._send(peer, chunk)
         return peer
 
@@ -158,6 +163,23 @@ class ReplicationManager:
             rows.append(("primary", None, "no-standby",
                          head, None, None, None, None))
         return rows
+
+
+def _backlog_frames(records: List, weigh) -> Iterator[List]:
+    """Cut a backlog into frames of at most ``BACKLOG_CHUNK`` records and
+    ``BACKLOG_FRAME_BYTES`` encoded bytes, ``weigh(record)`` each (a
+    single heavier record still ships, alone)."""
+    frame, size = [], 0
+    for record in records:
+        weight = weigh(record)
+        if frame and (len(frame) == BACKLOG_CHUNK
+                      or size + weight > BACKLOG_FRAME_BYTES):
+            yield frame
+            frame, size = [], 0
+        frame.append(record)
+        size += weight
+    if frame:
+        yield frame
 
 
 def wal_push(sub_id: int, wire_records: List[dict], head: int) -> dict:

@@ -41,6 +41,7 @@ from repro.replication.bootstrap import (
     apply_streaming_ddl,
     quiesce_wal,
     recover_cqs,
+    restore_stream_record,
     restore_wal,
 )
 
@@ -144,14 +145,6 @@ class WalApplier:
         kind = record.kind
         if kind in (walrec.DDL, walrec.DDL_OBJ):
             apply_ddl_record(db, record, self.deferred)
-        elif kind == walrec.STREAM_INSERT:
-            if db.catalog.relation_kind(record.table) == cat.STREAM:
-                db.catalog.get_relation(record.table).restore_point(
-                    record.payload, record.after)
-        elif kind == walrec.STREAM_ADVANCE:
-            if db.catalog.relation_kind(record.table) == cat.STREAM:
-                db.catalog.get_relation(record.table).restore_point(
-                    record.payload)
         elif kind == walrec.STREAM_DEDUP:
             # keep the standby's dedup index warm: after promotion a
             # client replaying an idempotent batch must still be told
@@ -165,6 +158,8 @@ class WalApplier:
             self._commit(record.txid)
         elif kind == walrec.ABORT:
             self._pending.pop(record.txid, None)
+        else:
+            restore_stream_record(db, record)
         # cq_checkpoint needs no live effect: it is now durable in the
         # standby's log, where promotion-time recovery will find it
 

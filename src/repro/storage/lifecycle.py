@@ -43,7 +43,7 @@ from repro.storage.segments import (
     segment_name,
     verify_segment,
 )
-from repro.storage.wal import record_from_wire, record_to_wire
+from repro.storage.wal import record_from_wire, record_line
 
 #: the file that commits a backup; absent = incomplete, refuse restore
 BACKUP_MANIFEST = "BACKUP.json"
@@ -350,8 +350,7 @@ def restore_backup(backup_dir: str, data_dir: str,
     size = 0
     try:
         for lsn in lsns:
-            line = json.dumps(record_to_wire(by_lsn[lsn]),
-                              default=str) + "\n"
+            line = record_line(by_lsn[lsn])
             if size and size + len(line) > segment_bytes:
                 fh.close()
                 index += 1

@@ -11,7 +11,9 @@ The WAL serves two masters, as in the paper (Section 4):
   rebuild-from-active-tables strategy.
 
 Every record carries a CRC32 of its content, computed at append time the
-way a real engine checksums each log record on its way to disk.  A torn
+way a real engine checksums each log record on its way to disk.  A record
+is encoded exactly once, at append: the same field encodings make the
+checksummed body, the flush-cost size and the on-disk line.  A torn
 or partial write (crashpoint ``wal.torn_write``, or a crash mid-flush)
 leaves a record whose stored checksum no longer matches its content;
 recovery *truncates* the log at the first such record — everything before
@@ -39,7 +41,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ReplicationGapError, WALError
 
@@ -52,12 +54,17 @@ ABORT = "abort"
 CHECKPOINT = "cq_checkpoint"
 DDL = "ddl"                      # table registration (schema payload)
 DDL_OBJ = "ddl_obj"              # stream/view/channel/index/drop (spec payload)
-STREAM_INSERT = "stream_insert"  # one stream tuple (replication / tail rebuild)
+STREAM_ROWS = "stream_rows"      # an ingest batch: payload [times, rows]
 STREAM_ADVANCE = "stream_advance"  # a stream heartbeat (watermark move)
 STREAM_DEDUP = "stream_dedup"    # idempotent-ingest marker: rid=(sender, seq)
 
 #: approximate bytes per log record header, for flush cost accounting
 _RECORD_OVERHEAD = 40
+
+#: most rows one ``stream_rows`` record carries; a larger ingest batch is
+#: logged as several records (same rid), so no single record — and no
+#: replication frame shipping it — grows with the client's batch size
+MAX_ROWS_PER_RECORD = 1024
 
 
 @dataclass
@@ -124,6 +131,63 @@ def _as_tuple(values):
     return tuple(values) if isinstance(values, list) else values
 
 
+# -- the one record encoder ----------------------------------------------------
+
+#: canonical JSON, spelled as :meth:`LogRecord.content_crc` spells it
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                           default=str).encode
+_BODY = "[%d,%s,%s,%s,%s,%s,%s]"
+_LINE = ('{"lsn":%d,"txid":%d,"kind":%s,"table":%s,"rid":%s,"before":%s,'
+         '"after":%s,"payload":%s,"crc":%d}\n')
+
+
+def _field_json(value) -> str:
+    return "null" if value is None else _encode(value)
+
+
+def _name_json(name: Optional[str]) -> str:
+    # kinds and relation names are plain identifiers, which JSON never
+    # escapes: quoting them by hand saves an encoder call per record
+    if isinstance(name, str) and name.isascii() and name.isidentifier():
+        return '"' + name + '"'
+    return _field_json(name)
+
+
+def _encode_fields(txid, kind, table, rid, before, after, payload) -> tuple:
+    """A record's content fields, each encoded once as canonical JSON.
+
+    Compact JSON of a list is its items' compact JSON joined by commas,
+    so ``_BODY % fields`` is byte for byte what ``content_crc`` hashes,
+    and ``_LINE % (lsn, *fields, crc)`` is the record's log line.
+    """
+    return (txid, _name_json(kind), _name_json(table), _field_json(rid),
+            _field_json(before), _field_json(after), _field_json(payload))
+
+
+def record_line(record: LogRecord) -> str:
+    """The record as its log line: the JSON object `record_to_wire`
+    describes, newline-terminated, carrying the *stored* checksum."""
+    return _LINE % ((record.lsn,) + _encode_fields(
+        record.txid, record.kind, record.table, record.rid, record.before,
+        record.after, record.payload) + (record.crc,))
+
+
+def stream_points(record: LogRecord) -> Optional[List[Tuple[float, tuple]]]:
+    """``(event_time, row)`` pairs a stream record carries, in arrival
+    order; None for every other kind of record.
+
+    Besides ``stream_rows`` this reads the one-row ``stream_insert``
+    records (row in ``after``, time in ``payload``) that logs, archives
+    and backups written before batch records still hold.
+    """
+    if record.kind == STREAM_ROWS:
+        times, rows = record.payload
+        return list(zip(times, map(tuple, rows)))
+    if record.kind == "stream_insert":
+        return [(record.payload, record.after)]
+    return None
+
+
 class WriteAheadLog:
     """An in-memory append-only log with disk-flush cost accounting.
 
@@ -146,6 +210,9 @@ class WriteAheadLog:
         self._next_lsn = 1
         self._unflushed_bytes = 0
         self._flushed_upto = 0  # index into records
+        #: log lines of records[_flushed_upto:], encoded at append
+        #: (segmented mode only)
+        self._unflushed_lines = []
         self._next_wal_page = 0
         self.flush_count = 0
         self.torn_records = 0
@@ -179,17 +246,23 @@ class WriteAheadLog:
 
     def append(self, txid: int, kind: str, table: str = None, rid=None,
                before=None, after=None, payload=None) -> LogRecord:
-        """Add a record to the tail buffer (not yet durable)."""
-        record = LogRecord(self._next_lsn, txid, kind, table, rid,
-                           before, after, payload)
-        record.crc = record.content_crc()
-        self._next_lsn += 1
-        self.records.append(record)
-        self._unflushed_bytes += _RECORD_OVERHEAD + _value_bytes(before) \
-            + _value_bytes(after) + _payload_bytes(payload)
-        self._note_record(record)
-        if self.on_append is not None:
-            self.on_append(record)
+        """Add a record to the tail buffer (not yet durable).
+
+        The one place a record is encoded: checksum, flush-cost size
+        and (when the log is on disk) the line `flush` writes all come
+        from the same field encodings.
+        """
+        fields = _encode_fields(txid, kind, table, rid, before, after,
+                                payload)
+        body = _BODY % fields
+        crc = zlib.crc32(body.encode("utf-8"))
+        lsn = self._next_lsn
+        record = LogRecord(lsn, txid, kind, table, rid, before, after,
+                           payload, crc)
+        self._next_lsn = lsn + 1
+        self._buffer(record, len(body),
+                     _LINE % ((lsn,) + fields + (crc,))
+                     if self.segments is not None else None)
         return record
 
     def append_replicated(self, record: LogRecord) -> LogRecord:
@@ -199,15 +272,21 @@ class WriteAheadLog:
         so a promoted standby continues the same LSN sequence and a
         restarted standby knows exactly where to resume shipping from.
         """
-        self.records.append(record)
+        line = record_line(record)
         self._next_lsn = record.lsn + 1
-        self._unflushed_bytes += _RECORD_OVERHEAD \
-            + _value_bytes(record.before) + _value_bytes(record.after) \
-            + _payload_bytes(record.payload)
+        self._buffer(record, len(line),
+                     line if self.segments is not None else None)
+        return record
+
+    def _buffer(self, record: LogRecord, size: int,
+                line: Optional[str]) -> None:
+        self.records.append(record)
+        self._unflushed_bytes += _RECORD_OVERHEAD + size
+        if line is not None:
+            self._unflushed_lines.append(line)
         self._note_record(record)
         if self.on_append is not None:
             self.on_append(record)
-        return record
 
     def _note_record(self, record: LogRecord) -> None:
         """Track compaction anchors as records pass through.
@@ -303,11 +382,12 @@ class WriteAheadLog:
                 self.disk.write_page(self.WAL_FILE_ID, self._next_wal_page)
                 self._next_wal_page += 1
         if self.segments is not None:
-            for record in self.records[self._flushed_upto:]:
-                line = json.dumps(record_to_wire(record), default=str)
-                data = (line[:max(1, len(line) // 2)] if record.torn
-                        else line + "\n")
-                self.segments.write(record.lsn, data)
+            for record, line in zip(self.records[self._flushed_upto:],
+                                    self._unflushed_lines):
+                self.segments.write(
+                    record.lsn,
+                    line[:max(1, len(line) // 2)] if record.torn else line)
+            self._unflushed_lines.clear()
             self.segments.flush()
         self._unflushed_bytes = 0
         self._flushed_upto = len(self.records)
@@ -420,8 +500,7 @@ class WriteAheadLog:
         survivors = []
         if active.first_lsn is not None:
             survivors = [r for r in loaded if r.lsn >= active.first_lsn]
-            lines = [json.dumps(record_to_wire(r), default=str) + "\n"
-                     for r in survivors]
+            lines = [record_line(r) for r in survivors]
         active.first_lsn = survivors[0].lsn if survivors else None
         active.last_lsn = survivors[-1].lsn if survivors else None
         self.segments.rewrite_active(lines)
@@ -535,22 +614,3 @@ class WriteAheadLog:
 
     def __len__(self):
         return len(self.records)
-
-
-def _value_bytes(values) -> int:
-    if values is None:
-        return 0
-    total = 0
-    for value in values:
-        if isinstance(value, str):
-            total += 4 + len(value)
-        else:
-            total += 8
-    return total
-
-
-def _payload_bytes(payload) -> int:
-    if payload is None:
-        return 0
-    # checkpoint payloads are nested dict/list structures; a rough size
-    return len(repr(payload))

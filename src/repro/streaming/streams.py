@@ -127,10 +127,12 @@ class BaseStream:
         self.error_handler = None   # fn(row, event_time, [(consumer, exc)])
         self.shed_handler = None    # fn(row, event_time, reason)
         self.faults = None          # optional FaultInjector
-        # replication hook (set by Database.enable_replication_logging):
-        # fn(stream_name, kind, row_or_None, event_time) called for every
-        # delivered tuple and every watermark advance, so a WAL-shipping
-        # standby can mirror the stream tail
+        # replication hook (set by Database.enable_replication_logging),
+        # so a WAL-shipping standby can mirror the stream tail:
+        # fn(stream_name, "rows", rows, times) once per delivered batch
+        # (the per-row path delivers batches of one), before any
+        # consumer sees it; fn(stream_name, "advance", None, event_time)
+        # for every logged watermark advance
         self.replication_log = None
         # observability facade (set by Observability.bind_stream);
         # sampled traces of in-flight tuples park here until their
@@ -286,7 +288,7 @@ class BaseStream:
     def _deliver(self, row: tuple, event_time: float) -> None:
         self._retain(event_time, row)
         if self.replication_log is not None:
-            self.replication_log(self.name, "insert", row, event_time)
+            self.replication_log(self.name, "rows", (row,), (event_time,))
         errors = None
         faults = self.faults
         if faults is not None and faults.armed:
@@ -438,10 +440,7 @@ class BaseStream:
             for when, row in zip(times, final_rows):
                 self._retain(when, row)
         if self.replication_log is not None:
-            log = self.replication_log
-            name = self.name
-            for when, row in zip(times, final_rows):
-                log(name, "insert", row, when)
+            self.replication_log(self.name, "rows", final_rows, times)
         if batch_capable:
             for consumer in tuple(consumers):
                 try:

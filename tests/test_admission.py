@@ -371,6 +371,49 @@ class TestDatabaseSurfaces:
         finally:
             recovered.close()
 
+    def test_batch_record_without_durable_marker_is_discarded_whole(
+            self, tmp_path):
+        """The marker's flush tears the marker itself: the batch's one
+        rows record is durable, its marker is not, so recovery drops
+        every row of it and the client's retry lands exactly once."""
+        from repro.faults import FaultInjector
+        from repro.replication import open_database
+        wal_path = str(tmp_path / "wal")
+        db = Database(wal_path=wal_path, stream_retention=600.0)
+        db.execute(STREAM_DDL)
+        first = [(i, float(i)) for i in range(1, 6)]
+        second = [(i, float(i)) for i in range(6, 14)]
+        db.ingest_batch("s", first, sender="c1", seq=1)
+        # only the log is fault-armed: the stream keeps its fast path
+        faults = FaultInjector(seed=7)
+        db.storage.wal.faults = faults
+        faults.arm("wal.torn_write", probability=1.0, count=1)
+        db.ingest_batch("s", second, sender="c1", seq=2)
+        tagged = [r for r in db.storage.wal.records
+                  if r.kind == "stream_rows" and r.rid == ("c1", 2)]
+        assert [len(r.payload[1]) for r in tagged] == [len(second)]
+        db.close()
+
+        recovered = open_database(wal_path=wal_path,
+                                  stream_retention=600.0)
+        try:
+            stats = recovered.recovery_stats
+            assert stats["torn_batch_rows"] == len(second)
+            assert stats["stream_tuples"] == len(first)
+            assert stats["dedup_markers"] == 1
+            retry = recovered.ingest_batch("s", second,
+                                           sender="c1", seq=2)
+            assert retry["accepted"] == len(second)
+            assert retry["duplicate"] == 0
+            again = recovered.ingest_batch("s", second,
+                                           sender="c1", seq=2)
+            assert again["accepted"] == 0
+            assert again["duplicate"] == len(second)
+            assert [row for _t, row in recovered.get_stream("s")
+                    .replay_since(float("-inf"))] == first + second
+        finally:
+            recovered.close()
+
 
 # ---------------------------------------------------------------------------
 # server integration: hello binding, wire errors, client retry, reaper

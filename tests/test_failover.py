@@ -220,8 +220,13 @@ class TestFailover:
             durable = watcher.subscribe("s")
 
             sconn = client.connect(stby.host, stby.port)
+            # lag == 0 also holds before the standby has received
+            # anything; wait for it to have applied the primary's head
+            # (which carries stream s) instead
+            head = pconn.query("SELECT head_lsn FROM repro_storage").scalar()
             wait_until(lambda: sconn.query(
-                "SELECT lag FROM repro_replication_status").scalar() == 0)
+                "SELECT applied_lsn FROM repro_replication_status")
+                .scalar() >= head)
             prim.kill()
             wait_until(lambda: sconn.query(
                 "SELECT role FROM repro_replication_status")

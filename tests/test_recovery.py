@@ -6,6 +6,7 @@ exactly the windows an uninterrupted run would have produced.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Database
 from repro.errors import RecoveryError
@@ -345,3 +346,176 @@ class TestRecordsFromEdges:
         assert reloaded.records_from(3) == []
         assert [r.lsn for r in reloaded.records_from(2)] == [2]
         assert [r.lsn for r in reloaded.records_from(1)] == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# stream_rows: one WAL record per ingest batch
+# ---------------------------------------------------------------------------
+
+STREAM_DDL = "CREATE STREAM s (v integer, ts timestamp CQTIME USER)"
+EVENT_TIME_DDL = ("CREATE STREAM s (v integer, ts timestamp CQTIME USER) "
+                  "WATERMARK '5 seconds'")
+
+
+def stream_tail(db, name="s"):
+    return list(db.get_stream(name).replay_since(float("-inf")))
+
+
+class TestBatchRecordRecovery:
+    def test_fast_path_batch_is_one_record(self, tmp_path):
+        db = Database(wal_path=str(tmp_path / "wal"),
+                      stream_retention=3600.0)
+        db.execute(STREAM_DDL)
+        db.insert_stream("s", [(i, float(i)) for i in range(50)])
+        kinds = [r.kind for r in db.storage.wal.records]
+        assert kinds.count("stream_rows") == 1
+        assert all(r.is_valid() for r in db.storage.wal.records)
+        db.close()
+
+    def test_torn_batch_record_truncates_there(self, tmp_path):
+        """``wal.torn_write`` tearing a batch record: the log ends at
+        the record before it and none of its rows are recovered."""
+        from repro.faults import FaultInjector
+        from repro.replication import open_database
+        wal_path = str(tmp_path / "wal")
+        faults = FaultInjector(7)
+        db = Database(wal_path=wal_path, stream_retention=3600.0,
+                      fault_injector=faults)
+        db.execute(STREAM_DDL)
+        kept = [(i, float(i)) for i in range(20)]
+        db.insert_stream("s", kept)
+        db.storage.wal.flush()
+        head = db.storage.wal.head_lsn
+        # unarmed while the rows go in (an armed injector sends them
+        # down the per-row path), armed for the flush that tears them
+        db.insert_stream("s", [(i, float(i)) for i in range(20, 40)])
+        assert db.storage.wal.head_lsn == head + 1
+        faults.arm("wal.torn_write", probability=1.0, count=1)
+        db.storage.wal.flush()
+        db.close()
+
+        recovered = open_database(wal_path=wal_path,
+                                  stream_retention=3600.0)
+        try:
+            assert recovered.storage.wal.head_lsn == head
+            assert stream_tail(recovered) == [(t, (v, t)) for v, t in kept]
+            assert recovered.recovery_stats["stream_tuples"] == len(kept)
+            assert recovered.get_stream("s").watermark == 19.0
+        finally:
+            recovered.close()
+
+    def test_legacy_per_tuple_segment_recovers(self, tmp_path):
+        """A segment written before batch records — one ``stream_insert``
+        line per tuple, spaced JSON — still opens: same tail, same
+        watermark, marker-less batch rows discarded row by row."""
+        import json
+        import os
+        from repro.replication import open_database
+        from repro.storage.wal import LogRecord, record_to_wire
+        reference = Database(wal_path=str(tmp_path / "ref"))
+        reference.execute(STREAM_DDL)
+        ddl = next(r for r in reference.storage.wal.records
+                   if r.kind == "ddl_obj")
+        reference.close()
+        ddl.payload["retention"] = 3600.0
+        content = [ddl]
+        for v in range(5):
+            content.append(LogRecord(0, 0, "stream_insert", "s",
+                                     after=(v, float(v)),
+                                     payload=float(v)))
+        content.append(LogRecord(0, 0, "stream_advance", "s", payload=9.0))
+        # an idempotent batch that committed, and one that did not
+        for v, rid in ((10, ("c1", 1)), (11, ("c1", 1)), (12, ("c1", 2))):
+            content.append(LogRecord(0, 0, "stream_insert", "s", rid=rid,
+                                     after=(v, float(v)),
+                                     payload=float(v)))
+            if v == 11:
+                content.append(LogRecord(0, 0, "stream_dedup", "s",
+                                         rid=("c1", 1)))
+        wal_dir = tmp_path / "wal"
+        os.makedirs(wal_dir)
+        with open(wal_dir / "wal.000001.log", "w", encoding="utf-8") as fh:
+            for lsn, record in enumerate(content, 1):
+                record.lsn = lsn
+                record.crc = record.content_crc()
+                fh.write(json.dumps(record_to_wire(record), default=str)
+                         + "\n")
+
+        recovered = open_database(wal_path=str(wal_dir))
+        try:
+            stats = recovered.recovery_stats
+            assert stats["stream_tuples"] == 7
+            assert stats["torn_batch_rows"] == 1
+            assert [row for _t, row in stream_tail(recovered)] == \
+                [(v, float(v)) for v in (0, 1, 2, 3, 4, 10, 11)]
+            assert recovered.get_stream("s").watermark == 11.0
+            # and the reopened log keeps appending after the old lines
+            recovered.insert_stream("s", [(20, 20.0)])
+            assert recovered.storage.wal.records[-1].kind == "stream_rows"
+        finally:
+            recovered.close()
+
+
+_value = st.integers(min_value=-5, max_value=5)
+_ordered_batch = st.lists(
+    st.floats(min_value=0.0, max_value=3.0, allow_nan=False), max_size=12)
+_raw_batch = st.lists(
+    st.one_of(st.none(),
+              st.floats(min_value=0.0, max_value=40.0, allow_nan=False)),
+    max_size=12)
+
+
+class TestBatchRecordProperties:
+    """Whatever path a batch takes into the stream — the fast path, the
+    per-row path an unordered or NULL-CQTIME batch falls to (which may
+    raise part way), a ``WATERMARK`` stream — the reopened tail is the
+    tail the live stream held, and recovery counts rows, not records."""
+
+    @given(event_time=st.booleans(),
+           batches=st.lists(st.one_of(
+               st.tuples(st.just("ordered"), _ordered_batch),
+               st.tuples(st.just("raw"), _raw_batch)), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_reopened_tail_equals_accepted_rows(self, event_time, batches):
+        import tempfile
+        from repro.errors import StreamingError
+        from repro.replication import open_database
+        with tempfile.TemporaryDirectory() as work:
+            db = Database(wal_path=work, stream_retention=1e9)
+            db.execute(EVENT_TIME_DDL if event_time else STREAM_DDL)
+            clock = 0.0
+            for shape, batch in batches:
+                if shape == "ordered":   # non-decreasing, past the clock
+                    times = []
+                    for step in batch:
+                        clock += step
+                        times.append(clock)
+                else:
+                    times = batch
+                rows = [(i, when) for i, when in enumerate(times)]
+                try:
+                    db.insert_stream("s", rows)
+                except StreamingError:
+                    pass                 # rows before the bad one stay
+                clock = max(clock, db.get_stream("s").raw_watermark)
+            live = db.get_stream("s")
+            accepted = stream_tail(db)
+            assert len(accepted) == live.tuples_in
+            watermark = live.watermark
+            rows_records = sum(1 for r in db.storage.wal.records
+                               if r.kind == "stream_rows")
+            assert rows_records <= len(accepted)
+            db.storage.wal.flush()
+            db.close()
+
+            recovered = open_database(wal_path=work, stream_retention=1e9)
+            try:
+                if recovered.recovery_stats is None:    # nothing logged
+                    assert not accepted
+                    return
+                assert stream_tail(recovered) == accepted
+                assert recovered.recovery_stats["stream_tuples"] \
+                    == len(accepted)
+                assert recovered.get_stream("s").watermark == watermark
+            finally:
+                recovered.close()

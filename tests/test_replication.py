@@ -317,6 +317,54 @@ class TestShipping:
         sconn.close()
         pconn.close()
 
+    def test_batch_records_mirror_stream_before_and_after_promotion(
+            self, primary, standby_of):
+        """One push frame per ingest batch: the standby's stream ends
+        with the primary's tuple count, watermark and retained tail,
+        and keeps them through promotion."""
+        def stream_state(server_thread):
+            def read():
+                stream = server_thread.server.db.get_stream("s")
+                return (stream.tuples_in, stream.watermark,
+                        list(stream.replay_since(float("-inf"))))
+            return server_thread.server.executor.submit(read).result(10.0)
+
+        pconn = client.connect(primary.host, primary.port)
+        pconn.execute(STREAM_DDL)
+        stby = standby_of(primary)
+        batches = [[(i, float(b * 100 + i)) for i in range(40)]
+                   for b in range(5)]
+        for seq, batch in enumerate(batches):
+            # plain and idempotent batches alike ship as batch records
+            pconn.ingest("s", batch, sender="c1" if seq % 2 else None,
+                         seq=seq if seq % 2 else None)
+        kinds = [r.kind for r in primary.server.db.storage.wal.records]
+        assert kinds.count("stream_rows") == len(batches)
+        want = stream_state(primary)
+        assert want[0] == 200 and want[1] == 439.0
+        head = primary.server.db.storage.wal.head_lsn
+        sconn = client.connect(stby.host, stby.port)
+        wait_until(lambda: sconn.query(
+            "SELECT applied_lsn FROM repro_replication_status")
+            .scalar() == head)
+        assert stream_state(stby) == want
+
+        sconn.promote("batch records")
+        assert stream_state(stby) == want
+        fresh = client.connect(stby.host, stby.port)
+        # the promoted node still refuses a replayed idempotent batch...
+        replay = fresh.ingest("s", batches[1], sender="c1", seq=1)
+        assert replay.duplicate == len(batches[1])
+        # ...and logs its own ingest the same way
+        fresh.ingest("s", [(0, 500.0), (1, 501.0)])
+        tuples, watermark, tail = stream_state(stby)
+        assert (tuples, watermark) == (202, 501.0)
+        assert tail == want[2] + [(500.0, (0, 500.0)), (501.0, (1, 501.0))]
+        assert stby.server.db.storage.wal.records[-1].kind == "stream_rows"
+        fresh.close()
+        sconn.close()
+        pconn.close()
+
     def test_ship_crashpoint_standby_recovers_via_resume(
             self, tmp_path, standby_of):
         faults = FaultInjector(11)

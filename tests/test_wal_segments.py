@@ -26,7 +26,13 @@ from repro.storage.segments import (
     MANIFEST_NAME,
     segment_name,
 )
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import (
+    MAX_ROWS_PER_RECORD,
+    WriteAheadLog,
+    record_from_wire,
+    record_line,
+    record_to_wire,
+)
 
 
 def make_wal(tmp_path, segment_bytes=256, faults=None):
@@ -119,6 +125,46 @@ class TestSegmentRolling:
         assert back.head_lsn == head     # torn record dropped
         # and physically dropped: the rewritten active file has no tail
         assert back.first_corrupt_lsn() is None
+        back.close()
+
+    def test_line_on_disk_is_the_checksummed_encoding(self, tmp_path):
+        """A record is encoded once: the line `flush` wrote parses to
+        the wire dict, carries the checksum `content_crc` recomputes,
+        and is what the rewrite paths (`record_line`) produce."""
+        wal = make_wal(tmp_path, segment_bytes=1 << 20)
+        payloads = [None, 1.5, {"b": [1, {"z": None, "a": "é"}], "a": 2},
+                    [[0.5, 1.0], [[1, "x"], [2, None]]]]
+        for i, payload in enumerate(payloads):
+            wal.append(i, "insert", "t" if i % 2 else "weird name",
+                       rid=(0, i), before=None, after=(i, "v\"\n", 2.5),
+                       payload=payload)
+        wal.flush()
+        with open(tmp_path / "wal" / segment_name(1), encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert lines == [record_line(r) for r in wal.records]
+        for line, record in zip(lines, wal.records):
+            assert record.crc == record.content_crc()
+            back = record_from_wire(json.loads(line))
+            assert back.is_valid() and back == record_from_wire(
+                json.loads(json.dumps(record_to_wire(record))))
+        wal.close()
+
+    def test_large_batch_splits_into_bounded_records(self, tmp_path):
+        db = boot(tmp_path, segment_bytes=DEFAULT_SEGMENT_BYTES,
+                  stream_retention=1e9)
+        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
+        n = 2 * MAX_ROWS_PER_RECORD + 5
+        rows = [(i, float(i)) for i in range(n)]
+        db.ingest_batch("s", rows, sender="c1", seq=1)
+        sizes = [len(r.payload[1]) for r in db.storage.wal.records
+                 if r.kind == "stream_rows"]
+        assert sizes == [MAX_ROWS_PER_RECORD, MAX_ROWS_PER_RECORD, 5]
+        db.close()
+        back = boot(tmp_path, segment_bytes=DEFAULT_SEGMENT_BYTES,
+                    stream_retention=1e9)
+        assert back.recovery_stats["stream_tuples"] == n
+        assert [row for _t, row in back.get_stream("s").replay_since(
+            float("-inf"))] == rows
         back.close()
 
     def test_corrupt_sealed_segment_refuses_to_load(self, tmp_path):
@@ -352,6 +398,62 @@ class TestArchiveCatchup:
             finally:
                 stby.stop()
             pconn.close()
+
+    def test_standby_attach_behind_heavy_batch_backlog(
+            self, tmp_path, monkeypatch):
+        """A backlog of full-size batch records outweighs the frame cap
+        long before it reaches ``BACKLOG_CHUNK`` records: attach cuts
+        frames by encoded bytes, and the standby catches up."""
+        from repro.replication import primary as shipping
+        from repro.server import protocol
+        sent = []
+        encode = protocol.encode_frame
+
+        def measuring(payload):
+            data = encode(payload)
+            if payload.get("push") == "wal":
+                sent.append((len(payload["records"]), len(data)))
+            return data
+        monkeypatch.setattr(protocol, "encode_frame", measuring)
+        pad = "x" * 2000
+        batches = 20
+        with ServerThread(data_dir=str(tmp_path / "prim"),
+                          stream_retention=1e9) as primary:
+            pconn = client.connect(primary.host, primary.port)
+            pconn.execute("CREATE STREAM s (v integer, pad varchar(2100), "
+                          "ts timestamp CQTIME USER)")
+            for b in range(batches):
+                base = b * MAX_ROWS_PER_RECORD
+                pconn.ingest("s", [(base + i, pad, float(base + i))
+                                   for i in range(MAX_ROWS_PER_RECORD)])
+            wal = primary.server.db.storage.wal
+            weights = [len(record_line(r)) for r in wal.records]
+            assert wal.head_lsn < shipping.BACKLOG_CHUNK
+            assert sum(weights) > protocol.MAX_FRAME_BYTES
+            assert max(weights) < shipping.BACKLOG_FRAME_BYTES
+
+            stby = ServerThread(
+                data_dir=str(tmp_path / "stby"),
+                standby_of=f"{primary.host}:{primary.port}",
+                stream_retention=1e9, auto_promote=False,
+                heartbeat_interval=0.15)
+            stby.start()
+            try:
+                sconn = client.connect(stby.host, stby.port)
+                wait_until(lambda: sconn.query(
+                    "SELECT tuples FROM repro_streams WHERE name = 's'")
+                    .scalar() == batches * MAX_ROWS_PER_RECORD,
+                    timeout=60.0)
+                assert sconn.query(
+                    "SELECT applied_lsn FROM repro_replication_status"
+                ).scalar() == wal.head_lsn
+                sconn.close()
+            finally:
+                stby.stop()
+            pconn.close()
+        assert len(sent) > 1
+        assert all(size <= shipping.BACKLOG_FRAME_BYTES * 1.01
+                   for _count, size in sent)
 
     def test_gap_error_carries_range_over_the_wire(self, tmp_path):
         """When even the archive cannot help, the standby gets a typed
