@@ -18,6 +18,14 @@ loopback sockets, runs the standard keyed window CQ, then:
 5. checks the restart surfaced in the status rows (``restarts == 1``,
    ``replayed_batches >= 1``) and that every worker ended ``up``.
 
+Then the stall detector: it times window-closing round trips through
+two process workers and **fails if their median is ≥ 20 ms** — a
+worker response split over two writes on a Nagle socket costs the
+coordinator's delayed ACK (~40 ms) per round trip, and once shipped an
+11× throughput loss that no functional test noticed.  It also prints
+the process-transport and single-engine events/s on the same rows; those
+are for reading, not gating — no machine-dependent floor.
+
 Run from the repository root::
 
     PYTHONPATH=src python scripts/partition_smoke.py
@@ -25,7 +33,9 @@ Run from the repository root::
 
 import os
 import signal
+import statistics
 import sys
+import time
 
 
 def fail(message):
@@ -47,6 +57,10 @@ BATCHES = [
 ]
 KILL_AFTER = 2          # SIGKILL between batches 2 and 3 (mid-window)
 
+STALL_MS = 20.0         # half a delayed ACK: no healthy loopback hop is near
+ROUND_TRIPS = 41
+BULK_ROWS, BULK_CHUNK = 40_000, 2_000
+
 
 def collect(sub):
     return [(w.kind, w.open_time, w.close_time, tuple(w.rows))
@@ -65,6 +79,66 @@ def reference():
     out = collect(sub)
     db.close()
     return out
+
+
+def bulk_rows():
+    """400 events a second over 200 keys: every chunk closes a window."""
+    return [(t / 400.0, f"key{(t * 7) % 200}", float(t % 11))
+            for t in range(BULK_ROWS)]
+
+
+def timed_feed(ingest, rows):
+    started = time.perf_counter()
+    for i in range(0, len(rows), BULK_CHUNK):
+        ingest(rows[i:i + BULK_CHUNK])
+    return len(rows) / (time.perf_counter() - started)
+
+
+def stall_check():
+    from repro import Database
+    from repro.partition import PartitionedEngine
+
+    print("== partition smoke: round trips and throughput, "
+          "two process workers ==")
+    rows = bulk_rows()
+    db = Database()
+    db.execute(DDL.replace(" PARTITION BY k", ""))
+    single_sub = db.execute(CQ)
+    single_rate = timed_feed(lambda chunk: db.ingest_batch("s", chunk), rows)
+    db.flush_streams()
+    want = collect(single_sub)
+    db.close()
+
+    with PartitionedEngine(partitions=2, transport="process") as eng:
+        eng.execute(DDL)
+        sub = eng.execute(CQ)
+        rate = timed_feed(lambda chunk: eng.ingest("s", chunk), rows)
+        eng.flush()
+        if collect(sub) != want:
+            fail("bulk feed: merged windows differ from the single engine")
+        # each call moves the clock one ADVANCE on: every worker closes
+        # a window and answers with partial(s) + ack
+        start = rows[-1][0] + 100.0
+        trips = []
+        for i in range(ROUND_TRIPS):
+            began = time.perf_counter()
+            eng.ingest("s", [(start + 5.0 * i, KEYS[i % len(KEYS)], 1.0)])
+            trips.append((time.perf_counter() - began) * 1000.0)
+        if len(sub.poll()) < ROUND_TRIPS - 1:
+            fail("round trips closed no windows: nothing was measured")
+        status = eng.status_rows()
+    median = statistics.median(trips)
+    print(f"  process transport: {rate:,.0f} ev/s   single engine: "
+          f"{single_rate:,.0f} ev/s   ({rate / single_rate:.2f}x)")
+    for line in status:
+        print(f"  worker {line[0]}: busy {line[12]:.3f} s, coordinator "
+              f"waited {line[13]:.3f} s")
+    print(f"  window-closing round trip: median {median:.2f} ms, "
+          f"max {max(trips):.2f} ms over {len(trips)}")
+    if median >= STALL_MS:
+        fail(f"median window-closing round trip {median:.1f} ms >= "
+             f"{STALL_MS:.0f} ms: the coordinator<->worker hop is stalling "
+             "(one write per response? TCP_NODELAY on both ends?)")
 
 
 def main():
@@ -114,8 +188,9 @@ def main():
     finally:
         eng.close()
 
+    stall_check()
     print(f"PARTITION SMOKE PASS: {len(want)} windows bit-identical "
-          "across a SIGKILL + restart-with-replay")
+          "across a SIGKILL + restart-with-replay, no stalled hop")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ commands:
     \\replication    replication role, shipped/applied LSNs, lag
     \\storage        WAL segments, archive, backups, scrub status
     \\watermarks     per-stream event-time watermark, lag, late rows
-    \\partitions     per-worker shard, routed rows, watermark, lag
+    \\partitions     per-worker shard, routed rows, watermark, lag, busy/wait
     \\tenants        per-tenant admission counters + controller status
     \\stats [cq]     engine metrics + per-CQ window/operator stats
     \\trace [N]      span trees of the last N sampled tuples (default 5)
@@ -202,7 +202,8 @@ class Shell:
         result = source.query(
             "SELECT worker, pid, state, transport, streams, rows_routed, "
             "batches, spill_rows, watermark, lag_seconds, restarts, "
-            "replayed_batches FROM repro_partitions")
+            "replayed_batches, busy_seconds, wait_seconds "
+            "FROM repro_partitions")
         if result.rows:
             self.write(result.pretty())
         else:

@@ -387,6 +387,10 @@ def install_system_views(db) -> None:
         _int("spill_rows"), Column("watermark", TimestampType()),
         Column("lag_seconds", DoubleType()), _int("restarts"),
         _int("replayed_batches"),
+        # what the worker spent on its frames vs. what the coordinator
+        # spent blocked on it: wait >> busy is the hop, not the worker
+        Column("busy_seconds", DoubleType()),
+        Column("wait_seconds", DoubleType()),
     ]), partitions_rows)
 
     def traces_rows():

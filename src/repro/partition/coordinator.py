@@ -20,6 +20,11 @@ output, bit for bit.  A CQ :func:`partition_plan` refuses, a derived
 stream, a channel or a ``since=`` replay reads the same stream and runs
 on the coordinator like on any single engine.
 
+Every exchange with the workers — a pump's ingest frames, a flush, a
+DDL or CQ broadcast — scatters all its frames before it gathers any
+ack (``PartitionedEngine._exchange``), so the shards work at the same
+time.
+
 Worker lifecycle: a worker that dies (socket drop, injected
 ``partition.worker_crash``, SIGKILL) is respawned and replayed from the
 coordinator's per-worker log of acked frames, then synced to the
@@ -38,6 +43,7 @@ import socket
 import subprocess
 import sys
 from collections import deque
+from time import perf_counter
 from typing import Dict, List, Optional
 
 from repro.core.database import Database
@@ -71,7 +77,8 @@ class _InlineHandle:
     wire encoding, so serialization is exercised identically to the
     subprocess transport — and an injected worker crash kills the
     handle exactly as a SIGKILL kills a subprocess: state gone, no
-    error frame, only a :class:`WorkerDiedError` on use."""
+    error frame, only a :class:`WorkerDiedError` on use.  The work is
+    done at :meth:`send` and its response waits for :meth:`collect`."""
 
     kind = "inline"
 
@@ -79,12 +86,13 @@ class _InlineHandle:
         self.worker_id = worker_id
         self.engine = WorkerEngine(worker_id)
         self.alive = True
+        self._response: list = []
 
     @property
     def pid(self) -> int:
         return os.getpid()
 
-    def request(self, msg: dict) -> list:
+    def send(self, msg: dict) -> None:
         if not self.alive:
             raise WorkerDiedError(f"worker {self.worker_id} is down")
         try:
@@ -94,15 +102,23 @@ class _InlineHandle:
             raise WorkerDiedError(
                 f"worker {self.worker_id} crashed "
                 f"({getattr(exc, 'crashpoint', 'fault')})") from exc
-        return [wire.roundtrip(frame) for frame in frames]
+        self._response = [wire.roundtrip(frame) for frame in frames]
+
+    def collect(self) -> list:
+        if not self.alive:
+            raise WorkerDiedError(f"worker {self.worker_id} is down")
+        return self._response
 
     def kill(self) -> None:
         self.alive = False
 
+    def reap(self) -> None:
+        pass
+
     def close(self) -> None:
         if self.alive:
             try:
-                self.request({"op": "stop"})
+                self.send({"op": "stop"})
             except (WorkerDiedError, PartitionError):
                 pass
         self.alive = False
@@ -114,7 +130,11 @@ class _ProcessHandle:
     The coordinator listens, the worker connects back and authenticates
     with a nonce handed over argv — nothing outside the process tree
     can impersonate a worker, which is what makes the pickle wire
-    format safe."""
+    format safe.  The socket is blocking and ``TCP_NODELAY``:
+    :meth:`send` writes one frame whole, :meth:`collect` reads the one
+    response it is owed (partials, then the ack).  A worker never
+    writes before it has read its whole frame, so a coordinator may
+    send to every worker before collecting from any."""
 
     kind = "process"
 
@@ -137,73 +157,83 @@ class _ProcessHandle:
             [sys.executable, "-m", "repro.partition.worker",
              host, str(port), str(worker_id), nonce],
             env=env, start_new_session=True)
+        try:
+            self.sock = self._handshake(listener, nonce, timeout)
+        except BaseException:
+            self.reap()     # a failed spawn must not leave a zombie
+            raise
+
+    def _handshake(self, listener, nonce: str, timeout: float):
         listener.settimeout(timeout)
         try:
             conn, _addr = listener.accept()
         except socket.timeout:
-            self.proc.kill()
             raise PartitionError(
-                f"worker {worker_id} did not connect back within "
-                f"{timeout}s")
-        hello = wire.recv_frame(conn)
-        if (hello.get("type") != "hello"
-                or hello.get("worker") != worker_id
-                or hello.get("nonce") != nonce):
+                f"worker {self.worker_id} did not connect back within "
+                f"{timeout}s") from None
+        try:
+            conn.settimeout(timeout)
+            wire.no_delay(conn)
+            hello = wire.recv_frame(conn)
+            if (hello.get("type") != "hello"
+                    or hello.get("worker") != self.worker_id
+                    or hello.get("nonce") != nonce):
+                raise PartitionError(
+                    f"worker {self.worker_id}: bad hello handshake")
+        except BaseException:
             conn.close()
-            self.proc.kill()
-            raise PartitionError(
-                f"worker {worker_id}: bad hello handshake")
-        conn.settimeout(timeout)
-        self.sock = conn
+            raise
+        return conn
 
     @property
     def pid(self) -> int:
         return self.proc.pid
 
-    def request(self, msg: dict) -> list:
+    def send(self, msg: dict) -> None:
         if not self.alive:
             raise WorkerDiedError(f"worker {self.worker_id} is down")
         try:
             wire.send_frame(self.sock, msg)
+        except WorkerDiedError:
+            self._drop()
+            raise
+
+    def collect(self) -> list:
+        if not self.alive:
+            raise WorkerDiedError(f"worker {self.worker_id} is down")
+        try:
             frames = []
             while True:
                 frame = wire.recv_frame(self.sock)
                 frames.append(frame)
                 if frame.get("type") in ("ack", "error"):
                     return frames
-        except (WorkerDiedError, socket.timeout) as exc:
-            self.alive = False
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            if isinstance(exc, socket.timeout):
-                raise WorkerDiedError(
-                    f"worker {self.worker_id} timed out") from exc
+        except WorkerDiedError:     # EOF, reset or the socket's timeout
+            self._drop()
             raise
 
-    def kill(self) -> None:
+    def _drop(self) -> None:
         self.alive = False
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+
+    def kill(self) -> None:
         try:
             self.proc.kill()
         except OSError:
             pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self._drop()
 
     def close(self) -> None:
         if self.alive:
             try:
-                self.request({"op": "stop"})
+                self.send({"op": "stop"})
+                self.collect()
             except (WorkerDiedError, PartitionError):
                 pass
-        self.alive = False
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self._drop()
         try:
             self.proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
@@ -428,7 +458,6 @@ class PartitionedEngine:
             self._listener.bind((self._host, 0))
             self._listener.listen(partitions + 2)
             self._port = self._listener.getsockname()[1]
-        self._handles = [self._spawn(w) for w in range(partitions)]
         self._routes: Dict[str, _StreamRoute] = {}
         self._pcqs: Dict[str, _PartitionedCQ] = {}
         #: per-worker ordered log of acked frames, for restart-replay:
@@ -438,7 +467,19 @@ class PartitionedEngine:
         self._broadcast_names = set()
         self.restarts = [0] * partitions
         self.replayed_batches = [0] * partitions
+        #: per worker, seconds it reported inside ``WorkerEngine.handle``
+        #: and seconds the coordinator spent blocked collecting from it:
+        #: wait far above busy is a slow hop, not a slow worker
+        self.busy_seconds = [0.0] * partitions
+        self.wait_seconds = [0.0] * partitions
         self._closed = False
+        self._handles: list = []
+        try:
+            for worker in range(partitions):
+                self._handles.append(self._spawn(worker))
+        except BaseException:
+            self.close()    # the workers that did start, and the listener
+            raise
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -522,9 +563,7 @@ class PartitionedEngine:
         if name in self._broadcast_names:
             return
         self._broadcast_names.add(name)
-        msg = {"op": "ddl", "sql": sql}
-        for worker in range(self.partitions):
-            self._request(worker, msg, record=("ddl", msg, None))
+        self._broadcast({"op": "ddl", "sql": sql}, "ddl")
 
     def _partitionize(self, sub: Subscription, sql: str, params) -> None:
         """Split a CQ over a partitioned stream — or, when
@@ -539,8 +578,7 @@ class PartitionedEngine:
         msg = {"op": "cq", "name": cq.name, "sql": sql, "params": params,
                "vectorize": self.db.runtime.vectorize}
         try:
-            for worker in range(self.partitions):
-                self._request(worker, msg, record=("cq", msg, None))
+            self._broadcast(msg, "cq")
         except PartitionError:      # a worker could not set its half up
             self._stop_on_workers(cq.name)
             sub.close()
@@ -559,12 +597,10 @@ class PartitionedEngine:
         self._stop_on_workers(pcq.name)
 
     def _stop_on_workers(self, name: str) -> None:
-        msg = {"op": "stopcq", "name": name}
-        for worker in range(self.partitions):
-            try:
-                self._request(worker, msg, record=("stopcq", msg, None))
-            except (WorkerDiedError, PartitionError):
-                pass
+        try:
+            self._broadcast({"op": "stopcq", "name": name}, "stopcq")
+        except (WorkerDiedError, PartitionError):
+            pass
 
     # -- ingest -------------------------------------------------------------
 
@@ -620,29 +656,25 @@ class PartitionedEngine:
         for route in routes:
             route.sync()
             stream = route.stream
-            routed = False
-            for worker, segs in enumerate(route.segments):
-                if not segs:
-                    continue
-                msg = {"op": "ingest", "stream": route.name,
-                       "segments": segs}
-                try:
-                    self._request(
-                        worker, msg,
-                        record=("ingest", msg, stream.raw_watermark))
-                finally:
+            frames = {
+                worker: ({"op": "ingest", "stream": route.name,
+                          "segments": segs},
+                         ("ingest", stream.raw_watermark))
+                for worker, segs in enumerate(route.segments) if segs}
+            try:
+                self._exchange(frames)
+            finally:
+                for worker in frames:
                     if self._handles[worker].alive:
                         route.segments[worker] = []
-                routed = routed or any(s[0] == "rows" for s in segs)
             route.completed_wm = stream.watermark
-            if routed:
+            if any(seg[0] == "rows" for msg, _record in frames.values()
+                   for seg in msg["segments"]):
                 route.batches += 1
                 if route.batches % _PRUNE_EVERY == 0:
                     self._prune_logs(route)
         if flush:
-            msg = {"op": "flush"}
-            for worker in range(self.partitions):
-                self._request(worker, msg, record=("flush", msg, None))
+            self._broadcast({"op": "flush"}, "flush")
             for route in routes:
                 route.flush_gate = max(
                     [route.flush_gate] + [b for _p, _k, b in route.pending])
@@ -727,23 +759,63 @@ class PartitionedEngine:
 
     # -- worker lifecycle ---------------------------------------------------
 
-    def _request(self, worker: int, msg: dict, record=None) -> dict:
-        """Send one frame; on worker death, restart-with-replay and
-        retry the frame once.  The frame is logged only after its ack."""
-        frames = None
-        for attempt in (0, 1):
-            handle = self._handles[worker]
+    def _exchange(self, frames: dict) -> dict:
+        """Scatter, then gather: ``frames`` maps worker to ``(msg,
+        record)``; every frame is written before any ack is read, and
+        the acks are collected in worker order, so the workers work at
+        the same time.  Per worker the contract is one round trip's: a
+        death at send *or* collect respawns it, replays its log and
+        re-sends its frame once; the frame is logged (``record`` is
+        ``(kind, max_event_time)``, or None for an unlogged frame) only
+        after its ack.  One worker's failure does not stop the gather —
+        an ack left unread would answer that worker's next frame — so
+        the first failure is raised once every worker has been seen."""
+        unsent = {}
+        for worker, (msg, _record) in frames.items():
             try:
-                frames = handle.request(msg)
-                break
-            except WorkerDiedError:
-                if attempt:
-                    raise
-                self._respawn(worker)
-        ack = self._take(worker, msg, frames)
-        if record is not None:
-            self._logs[worker].append(record)
-        return ack
+                self._handles[worker].send(msg)
+            except Exception as exc:    # noqa: BLE001 — raised below
+                unsent[worker] = exc
+        acks = {}
+        failure = None
+        for worker, (msg, record) in frames.items():
+            try:
+                try:
+                    if worker in unsent:
+                        raise unsent[worker]
+                    response = self._collect(worker)
+                except WorkerDiedError:
+                    self._respawn(worker)
+                    response = self._ask(worker, msg)
+                acks[worker] = self._take(worker, msg, response)
+            except Exception as exc:    # noqa: BLE001 — raised below
+                failure = failure or exc
+                continue
+            if record is not None:
+                self._logs[worker].append((record[0], msg, record[1]))
+        if failure is not None:
+            raise failure
+        return acks
+
+    def _broadcast(self, msg: dict, kind: str) -> None:
+        """One logged frame to every worker."""
+        self._exchange({worker: (msg, (kind, None))
+                        for worker in range(self.partitions)})
+
+    def _request(self, worker: int, msg: dict) -> dict:
+        """One unlogged round trip with one worker."""
+        return self._exchange({worker: (msg, None)})[worker]
+
+    def _ask(self, worker: int, msg: dict) -> list:
+        self._handles[worker].send(msg)
+        return self._collect(worker)
+
+    def _collect(self, worker: int) -> list:
+        started = perf_counter()
+        try:
+            return self._handles[worker].collect()
+        finally:
+            self.wait_seconds[worker] += perf_counter() - started
 
     def _take(self, worker: int, msg: dict, frames: list,
               what: str = "") -> dict:
@@ -758,6 +830,7 @@ class PartitionedEngine:
         for frame in frames[:-1]:
             if frame.get("type") == "partial":
                 self._absorb_partial(worker, frame)
+        self.busy_seconds[worker] += ack.get("busy_s", 0.0)
         wm = ack.get("watermark")
         if wm is not None and wm > NEG_INF:
             self._routes[msg["stream"]].wm_merge.update(worker, wm)
@@ -769,15 +842,12 @@ class PartitionedEngine:
         already-merged boundaries are ignored and replayed corrections
         overwrite what is stored with the same content — the restart is
         invisible."""
-        old = self._handles[worker]
-        reap = getattr(old, "reap", None)
-        if reap is not None:
-            reap()
+        self._handles[worker].reap()
         self.restarts[worker] += 1
-        handle = self._spawn(worker)
-        self._handles[worker] = handle
+        self._handles[worker] = self._spawn(worker)
         for kind, msg, _max_time in self._logs[worker]:
-            self._take(worker, msg, handle.request(msg), " replay failed")
+            self._take(worker, msg, self._ask(worker, msg),
+                       " replay failed")
             if kind == "ingest":
                 self.replayed_batches[worker] += 1
         # fast-forward past pruned frames — only to the last *completed*
@@ -788,7 +858,7 @@ class PartitionedEngine:
                 continue
             sync = {"op": "ingest", "stream": route.name,
                     "segments": [("wm", route.completed_wm)]}
-            self._take(worker, sync, handle.request(sync))
+            self._take(worker, sync, self._ask(worker, sync))
 
     def _prune_logs(self, route: _StreamRoute) -> None:
         """Drop replayable ingest frames no unmerged window (nor any
@@ -893,5 +963,7 @@ class PartitionedEngine:
                 lag,
                 self.restarts[worker],
                 self.replayed_batches[worker],
+                self.busy_seconds[worker],
+                self.wait_seconds[worker],
             ))
         return rows

@@ -9,11 +9,19 @@ and dominate small-batch cost.  Pickle is safe here because both ends
 of the socket are the same trusted process tree (the coordinator spawns
 the workers; nothing else can connect — the listener is loopback-bound
 and workers authenticate with a nonce handed over argv).
+
+Writes are whole responses: everything one side has to say goes out in
+**one** ``sendall`` (:func:`send_frames`), and both ends of the socket
+set ``TCP_NODELAY`` (:func:`no_delay`).  Two small writes in a row on a
+default TCP socket is the Nagle / delayed-ACK trap — the second write
+waits ~40 ms for the peer's ACK of the first — and a worker response
+used to be exactly that (partials, then the ack).
 """
 
 from __future__ import annotations
 
 import pickle
+import socket
 import struct
 
 from repro.errors import ProtocolError, WorkerDiedError
@@ -48,9 +56,21 @@ def roundtrip(message: dict) -> dict:
     return decode_body(data[_LENGTH.size:_LENGTH.size + length])
 
 
+def no_delay(sock) -> None:
+    """Turn Nagle off: a frame is written whole and is wanted now."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def send_frame(sock, message: dict) -> None:
+    send_frames(sock, (message,))
+
+
+def send_frames(sock, messages) -> None:
+    """Write every message of one response with a single ``sendall``,
+    in order (a worker's partials precede its ack)."""
+    data = b"".join([encode_frame(message) for message in messages])
     try:
-        sock.sendall(encode_frame(message))
+        sock.sendall(data)
     except OSError as exc:
         raise WorkerDiedError(f"send failed: {exc}") from exc
 

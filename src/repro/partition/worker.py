@@ -12,16 +12,19 @@ The module doubles as the subprocess entry point::
 
     python -m repro.partition.worker <host> <port> <worker_id> <nonce>
 
-which connects back to the coordinator's loopback listener,
-authenticates with the argv nonce, and serves frames until the socket
-closes or a ``stop`` frame arrives.  :class:`WorkerEngine` itself is
-transport-free so the inline (in-process) transport used by tests runs
-the identical code path.
+which pins the process to one CPU, connects back to the coordinator's
+loopback listener, authenticates with the argv nonce, and serves frames
+— one write per response — until the socket closes or a ``stop`` frame
+arrives.  :class:`WorkerEngine` itself is transport-free so the inline
+(in-process) transport used by tests runs the identical code path.
 """
 
 from __future__ import annotations
 
+import os
+import socket
 import sys
+from time import perf_counter
 from typing import Optional
 
 from repro.core.database import Database
@@ -124,10 +127,13 @@ class WorkerEngine:
 
     def handle(self, msg: dict) -> list:
         """Apply one coordinator frame; returns response frames, the
-        last of which is an ``ack`` (or a single ``error`` frame).  A
+        last of which is an ``ack`` (or a single ``error`` frame).  The
+        ack's ``busy_s`` is the wall time spent in here, so the
+        coordinator can tell a slow worker from a slow hop.  A
         ``partition.worker_crash`` fault is *not* folded into an error
         frame — it propagates, so the transport dies exactly as a real
         worker crash would."""
+        started = perf_counter()
         self._out = []
         try:
             ack = self._dispatch(msg)
@@ -139,6 +145,7 @@ class WorkerEngine:
         except Exception as exc:            # noqa: BLE001 — one frame,
             return [{"type": "error", "error": type(exc).__name__,
                      "message": str(exc)}]  # typed for the coordinator
+        ack["busy_s"] = perf_counter() - started
         return self._out + [ack]
 
     def _dispatch(self, msg: dict) -> dict:
@@ -201,31 +208,46 @@ class WorkerEngine:
         return ack
 
 
+def pin_to_cpu(worker_id: int) -> None:
+    """One worker per core, the coordinator floats.  Left to the
+    scheduler, the worker a ``sendall`` wakes is placed on the sender's
+    core and preempts it mid-scatter, so the shards run one after the
+    other.  More workers than CPUs wrap around and timeshare."""
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[(worker_id + 1) % len(cpus)]})
+
+
+def serve_frames(engine: WorkerEngine, sock) -> int:
+    """Answer coordinator frames until the socket closes or a ``stop``
+    frame arrives.  Every response — however many partials ride in
+    front of its ack — is one write."""
+    while True:
+        try:
+            msg = wire.recv_frame(sock)
+        except Exception:
+            return 0        # coordinator went away; die quietly
+        try:
+            frames = engine.handle(msg)
+        except FaultInjected:
+            # injected worker crash: die like a SIGKILL would —
+            # no error frame, no socket shutdown courtesy
+            os._exit(23)
+        wire.send_frames(sock, frames)
+        if frames[-1].get("stopping"):
+            return 0
+
+
 def serve(host: str, port: int, worker_id: int, nonce: str) -> int:
     """Subprocess main loop: connect back, authenticate, serve frames."""
-    import socket
-
+    pin_to_cpu(worker_id)
     engine = WorkerEngine(worker_id)
     sock = socket.create_connection((host, port))
     try:
+        wire.no_delay(sock)
         wire.send_frame(sock, {"type": "hello", "worker": worker_id,
                                "nonce": nonce})
-        while True:
-            try:
-                msg = wire.recv_frame(sock)
-            except Exception:
-                return 0        # coordinator went away; die quietly
-            try:
-                frames = engine.handle(msg)
-            except FaultInjected:
-                # injected worker crash: die like a SIGKILL would —
-                # no error frame, no socket shutdown courtesy
-                import os
-                os._exit(23)
-            for frame in frames:
-                wire.send_frame(sock, frame)
-            if frames and frames[-1].get("stopping"):
-                return 0
+        return serve_frames(engine, sock)
     finally:
         sock.close()
 

@@ -4,12 +4,19 @@ Covers the consistent-hash ring (determinism, spread, spill lane), the
 pickle wire framing (dtype-preserving serialization of partial state —
 the satellite fix: JSON framing lost numpy dtypes), partial-state
 normalization, the iterator-path HashAggregate's mergeable-partial
-protocol, partition-plan validation, PARTITION BY DDL, and the
-``repro_partitions`` system view + ``\\partitions`` shell command.
+protocol, partition-plan validation, PARTITION BY DDL, the
+coordinator↔worker transport (one write per response, no Nagle stall,
+failed spawns reaped), and the ``repro_partitions`` system view +
+``\\partitions`` shell command.
 """
 
 import io
 import pickle
+import signal
+import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -25,6 +32,7 @@ from repro.partition import HashRing, PartitionedEngine, partition_plan
 from repro.partition import wire
 from repro.partition.hashring import stable_hash
 from repro.partition.state import normalize_partial, normalize_value
+from repro.partition.worker import WorkerEngine, serve_frames
 
 
 # -- hash ring ----------------------------------------------------------------
@@ -553,6 +561,132 @@ class TestCoordinatorStreamIsReal:
         eng.close()
 
 
+# -- transport: one write per response, no stall, no leaked child ------------
+
+
+class _RecordingSocket:
+    """Serves ``recv`` from canned bytes and records every ``sendall``."""
+
+    def __init__(self, data: bytes = b""):
+        self._incoming = io.BytesIO(data)
+        self.writes = []
+
+    def recv(self, n):
+        return self._incoming.read(n)
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+
+def frames_in(data: bytes) -> list:
+    reader = _RecordingSocket(data)
+    frames = []
+    while reader._incoming.tell() < len(data):
+        frames.append(wire.recv_frame(reader))
+    return frames
+
+
+class TestTransport:
+    DDL = ("CREATE STREAM s (t DOUBLE CQTIME, k TEXT, v DOUBLE) "
+           "PARTITION BY k")
+    CQ = ("SELECT k, count(*) AS n FROM s <visible 10 advance 5> "
+          "GROUP BY k ORDER BY k")
+
+    def test_a_response_is_one_write_however_many_partials_ride_it(self):
+        rows = [(float(t), "a", 1.0) for t in range(1, 26)]
+        requests = [
+            {"op": "ddl", "sql": self.DDL},
+            {"op": "cq", "name": "one", "sql": self.CQ},
+            {"op": "cq", "name": "two", "sql": self.CQ},
+            {"op": "ingest", "stream": "s",
+             "segments": [("rows", rows, None)]},
+            {"op": "ping"},
+            {"op": "stop"},
+        ]
+        sock = _RecordingSocket(
+            b"".join(wire.encode_frame(msg) for msg in requests))
+        assert serve_frames(WorkerEngine(0), sock) == 0
+        assert len(sock.writes) == len(requests)
+        kinds = [[frame["type"] for frame in frames_in(write)]
+                 for write in sock.writes]
+        # five boundaries closed under two CQs: ten partials, then
+        # the ack, in the one write that answers the ingest frame
+        assert kinds[3] == ["partial"] * 10 + ["ack"]
+        assert all(k == ["ack"] for k in kinds[:3] + kinds[4:])
+
+    def test_send_frames_keeps_order_in_a_single_sendall(self):
+        sock = _RecordingSocket()
+        wire.send_frames(sock, [{"n": 1}, {"n": 2}, {"n": 3}])
+        assert len(sock.writes) == 1
+        assert [f["n"] for f in frames_in(sock.writes[0])] == [1, 2, 3]
+
+    def test_every_frame_is_sent_before_any_ack_is_read(self):
+        eng = PartitionedEngine(partitions=3)
+        eng.execute(self.DDL)
+        eng.execute(self.CQ)
+        calls = []
+        for handle in eng._handles:
+            for name in ("send", "collect"):
+                def spy(*args, _call=getattr(handle, name),
+                        _what=(name, handle.worker_id)):
+                    calls.append(_what)
+                    return _call(*args)
+                setattr(handle, name, spy)
+        eng.ingest("s", [(float(t), f"k{t}", 1.0) for t in range(12)])
+        eng.flush()
+        scatter_gather = [(op, w) for op in ("send", "collect")
+                          for w in range(3)]
+        assert calls == scatter_gather * 2      # the ingest, the flush
+        eng.close()
+
+    def test_coordinator_sockets_have_nagle_off(self):
+        with PartitionedEngine(partitions=2, transport="process") as eng:
+            for handle in eng._handles:
+                assert handle.sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+    def test_window_closing_round_trips_do_not_stall(self):
+        # a response written as partial-then-ack used to wait out the
+        # coordinator's delayed ACK, ~40 ms per worker per round trip:
+        # 40 of them could not finish under 1.6 s; unstalled they take
+        # ~0.1 s, so the bound is a stall detector, not a speed floor
+        with PartitionedEngine(partitions=2, transport="process") as eng:
+            eng.execute(self.DDL)
+            sub = eng.execute(self.CQ)
+            eng.ingest("s", [(1.0, "a", 1.0), (2.0, "b", 1.0)])
+            started = time.perf_counter()
+            for i in range(1, 41):
+                eng.ingest("s", [(10.0 * i, "a", 1.0),
+                                 (10.0 * i + 1.0, "b", 1.0)])
+            elapsed = time.perf_counter() - started
+            assert len(sub.poll()) >= 40
+            assert elapsed < 0.8
+
+    @pytest.mark.parametrize("sabotage, error", [
+        (lambda argv: [sys.executable, "-c", "import time; time.sleep(60)"],
+         "did not connect back"),
+        (lambda argv: argv[:-1] + ["0" * 32], "bad hello"),
+    ], ids=["never-connects", "wrong-nonce"])
+    def test_failed_spawn_leaves_no_child_behind(self, monkeypatch,
+                                                 sabotage, error):
+        spawned = []
+        popen = subprocess.Popen
+
+        def second_worker_is_broken(argv, **kwargs):
+            proc = popen(sabotage(argv) if spawned else argv, **kwargs)
+            spawned.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", second_worker_is_broken)
+        with pytest.raises(PartitionError, match=error):
+            PartitionedEngine(partitions=2, transport="process",
+                              spawn_timeout=0.5)
+        # reaped (wait() set a return code), not left as zombies: the
+        # broken child killed, the healthy one stopped with the engine
+        assert [proc.returncode for proc in spawned] == \
+            [0, -signal.SIGKILL]
+
+
 # -- repro_partitions view + shell command ------------------------------------
 
 
@@ -602,6 +736,26 @@ class TestPartitionsView:
         shell.run(iter(["\\partitions"]))
         text = out.getvalue()
         assert "worker" in text and "inline" in text
+        eng.close()
+
+    def test_view_tells_worker_time_from_hop_time(self):
+        eng = PartitionedEngine(partitions=2)
+        eng.execute("CREATE STREAM s (t DOUBLE CQTIME, k TEXT) "
+                    "PARTITION BY k")
+        eng.execute("SELECT k, count(*) AS n FROM s "
+                    "<visible 10 advance 10> GROUP BY k")
+        eng.ingest("s", [(float(t), f"k{t}") for t in range(40)])
+        rows = eng.query("SELECT worker, busy_seconds, wait_seconds "
+                         "FROM repro_partitions ORDER BY worker").rows
+        assert all(busy > 0.0 and wait > 0.0 for _w, busy, wait in rows)
+        # appended at the end: positional readers of the row keep working
+        status = eng.status_rows()
+        assert [row[-2:] for row in status] == [row[1:] for row in rows]
+        assert sum(row[5] for row in status) == 40      # rows_routed
+        out = io.StringIO()
+        Shell(db=eng.db, out=out).run(iter(["\\partitions"]))
+        assert "busy_seconds" in out.getvalue()
+        assert "wait_seconds" in out.getvalue()
         eng.close()
 
     def test_restart_counters_surface_in_view(self):

@@ -14,12 +14,19 @@ Promises under test (see docs/PARTITION.md):
   fast-forwards the watermark, and retries the in-flight frame — the
   merged output is gap-free and identical to a never-crashed run.
 
+A pump scatters every worker's frame before it gathers any ack, so a
+worker can also die *between* the two — at the send, or with its frame
+received and its neighbour's answer already waiting.  The per-worker
+contract is unchanged (respawn, replay, re-send once; a frame is logged
+once, after its ack) and the output is the single engine's.
+
 The deterministic schedule (seed 2009, ``make chaos``) keeps every
 failure reproducible; nothing here sleeps or races.
 """
 
 import pytest
 
+from repro import Database
 from repro.errors import FaultInjected, PartitionError
 from repro.partition import PartitionedEngine
 
@@ -240,5 +247,79 @@ class TestWorkerCrashCrashpoint:
             assert eng.ping(1)
             assert eng.status_rows()[1][2] == "up"
             assert eng.status_rows()[1][10] == 1
+        finally:
+            eng.close()
+
+
+#: BATCHES with both shards of a two-worker ring holding rows from the
+#: first window on ("delta" is worker 1's, the other keys worker 0's)
+SPLIT_BATCHES = [
+    [(1.0, "alpha", 1.0), (2.0, "delta", 2.0), (3.0, "gamma", 3.0)],
+] + BATCHES[1:]
+
+
+def run_single(batches):
+    db = Database()
+    try:
+        db.execute(DDL.replace(" PARTITION BY k", ""))
+        sub = db.execute(CQ)
+        for rows in batches:
+            db.ingest_batch("s", rows)
+        db.flush_streams()
+        return [(w.kind, w.open_time, w.close_time, tuple(w.rows))
+                for w in sub.poll()]
+    finally:
+        db.close()
+
+
+def die_at_send(eng):
+    eng.kill_worker(1)
+
+
+def die_between_scatter_and_gather(eng):
+    """Worker 1 is killed when worker 0's ack is about to be read:
+    every frame of the pump is out, none is answered."""
+    first = eng._handles[0]
+    collect = first.collect
+
+    def kill_then_collect():
+        first.collect = collect
+        eng.kill_worker(1)
+        return collect()
+    first.collect = kill_then_collect
+
+
+def crash_shipping_a_partial(eng):
+    eng.arm_fault("partition.worker_crash", worker=1, seed=2009)
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+@pytest.mark.parametrize("death", [
+    die_at_send, die_between_scatter_and_gather, crash_shipping_a_partial])
+class TestDeathAroundTheScatter:
+    def test_one_respawn_one_log_entry_single_engine_output(
+            self, transport, death):
+        want = run_single(SPLIT_BATCHES)
+        eng = PartitionedEngine(partitions=2, transport=transport)
+        try:
+            eng.execute(DDL)
+            sub = eng.execute(CQ)
+            eng.ingest("s", SPLIT_BATCHES[0])
+            logged = [len(log) for log in eng._logs]
+            death(eng)
+            # closes boundary 5 on both shards: worker 0's response
+            # carries partials too, and is absorbed exactly once
+            eng.ingest("s", SPLIT_BATCHES[1])
+            assert eng.restarts == [0, 1]
+            assert [len(log) for log in eng._logs] == \
+                [n + 1 for n in logged]
+            for rows in SPLIT_BATCHES[2:]:
+                eng.ingest("s", rows)
+            eng.flush()
+            got = [(w.kind, w.open_time, w.close_time, tuple(w.rows))
+                   for w in sub.poll()]
+            assert got == want               # nothing lost, nothing twice
+            assert eng.restarts == [0, 1]
+            assert all(r[2] == "up" for r in eng.status_rows())
         finally:
             eng.close()

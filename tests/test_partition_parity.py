@@ -257,6 +257,17 @@ class TestEventTimeParity:
                 run_partitioned(n, EVENT_DDL, RETRACT_CQ, batches))
             assert got == want, f"partitions={n}"
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
+    def test_retract_late_row_for_a_window_its_own_frame_closes(self):
+        # one frame carries a late row for a window the same frame
+        # closes: a single engine converges (-5, 5] to
+        # (('alpha', 2, 0.0),), every partition count to ()
+        prop = type(self).test_retract_converged_state_at_any_batch_size
+        prop.hypothesis.inner_test(
+            self, rows=[("alpha", 0.0, 0.0), ("alpha", 0.0, 9.0),
+                        ("alpha", 0.0, 0.0), ("alpha", 0.0, 20.0)],
+            batch=4)
+
 
 def converged(sequence):
     """Final state per window boundary after replaying the sequence."""
