@@ -1079,13 +1079,15 @@ class Database:
 
     def close(self) -> None:
         """Shut down the streaming side: stop every CQ (including those
-        behind derived streams) and detach every channel.  Tables and
-        the WAL remain readable; the object can still serve snapshot
-        queries but no longer reacts to stream input."""
+        behind derived streams), detach every channel and flush the WAL
+        (stream rows logged since the last commit reach disk here).
+        Tables and the WAL remain readable; the object can still serve
+        snapshot queries but no longer reacts to stream input."""
         for name, _channel in list(self.catalog.channels()):
             self.runtime.drop_channel(name)
         for _name, cq in list(self.runtime.cqs().items()):
             self.runtime.stop_cq(cq)
+        self.storage.wal.flush()
 
     def __enter__(self):
         return self

@@ -1,26 +1,27 @@
 """Event-time window operator: watermark-driven closes, bounded
-lateness, and retraction-correct slices.
+lateness, and retraction-correct windows.
 
 Arrival-time windows (:class:`~repro.streaming.windows.TimeWindowOperator`)
 close as soon as a tuple's timestamp proves the boundary passed; under
 reordered traffic that silently drops or mis-assigns late rows.  This
-operator keeps the same boundary arithmetic and recovery-visible state
-(``_buffer`` / ``_base`` / ``_boundary_index``) but:
+operator keeps the parent's buffer (the held slices), its close, its
+eviction and its checkpoint surface, and overrides only *when*:
 
-- **assigns** every tuple to slices by its *event time* (the stream's
-  designated timestamp column), regardless of arrival order;
+- **assigns** every tuple to its slice by its *event time* (the
+  stream's designated timestamp column), regardless of arrival order —
+  so a window's rows come slice-major, arrival order within a slice;
 - **closes** windows only when the stream's watermark passes the
   boundary (delivered as heartbeats by the event-time stream), never
   on raw tuple arrival;
 - **classifies** tuples below the watermark as late and applies the
   CQ's lateness policy; under ``retract`` an in-bound late tuple
-  re-opens each closed slice it belonged to, recomputes it from the
-  retained buffer (incremental: only the affected slices, not the
-  whole history), and reports it through ``on_correction`` so the CQ
-  can emit a typed retract/correct pair;
+  re-opens each closed window it belonged to, gathers it again from
+  the retained slices (only the affected windows, not the whole
+  history), and reports it through ``on_correction`` so the CQ can
+  emit a typed retract/correct pair;
 - implements ``EMIT`` control: ``ON WATERMARK`` (default — final
   results only), ``ON CHANGE`` (speculative early emission of the
-  open slice on every change), and ``EVERY '<dur>'`` (periodic early
+  open window on every change), and ``EVERY '<dur>'`` (periodic early
   emission by event time).
 """
 
@@ -80,17 +81,17 @@ class EventTimeWindowOperator(TimeWindowOperator):
         self.emit_every = emit_every
         self.late_rows = 0           # tuples below the watermark
         self.expired_rows = 0        # late beyond allowed_lateness
-        self.corrections = 0         # closed slices recomputed
+        self.corrections = 0         # closed windows recomputed
         self.early_emits = 0
         self._last_early = float("-inf")
         self._flushing = False
-        # under retract, closed slices stay recomputable for the
+        # under retract, a closed window stays correctable for the
         # lateness bound; one extra ADVANCE covers the boundary that
-        # closed just before the watermark the late tuple is judged by
+        # closed just before the watermark the late tuple is judged by.
+        # The one rule: the CQ's remembered output and the partitioned
+        # coordinator's merged partials read it from here.
         if late_policy == RETRACT:
-            self._retain_extra = self.allowed_lateness + self.advance
-        else:
-            self._retain_extra = 0.0
+            self.retention = self.allowed_lateness + self.advance
 
     # -- consumer protocol ------------------------------------------------------
 
@@ -107,7 +108,7 @@ class EventTimeWindowOperator(TimeWindowOperator):
         if event_time < watermark:
             self._on_late_tuple(row, event_time, watermark)
             return
-        self._buffer.append((event_time, row))
+        self._file(row, event_time)
         self.tuples_in += 1
         if self.emit_mode != EMIT_ON_WATERMARK:
             self._maybe_emit_early(event_time)
@@ -133,7 +134,7 @@ class EventTimeWindowOperator(TimeWindowOperator):
         self.late_rows += 1
         if self.late_policy == RETRACT:
             if event_time >= watermark - self.allowed_lateness:
-                self._buffer.append((event_time, row))
+                self._file(row, event_time)
                 self.tuples_in += 1
                 if self.on_late is not None:
                     self.on_late(row, event_time, watermark, False)
@@ -148,16 +149,16 @@ class EventTimeWindowOperator(TimeWindowOperator):
 
     def _recompute_closed(self, event_time: float,
                           watermark: float) -> None:
-        """Re-open and recompute every slice the late tuple belongs to
+        """Re-open and recompute every window the late tuple belongs to
         that the watermark has already passed: boundaries ``B`` on the
         (epoch-aligned) advance grid with ``event_time < B <=
         event_time + visible`` and ``B <= watermark``.  That covers
-        both slices that closed normally and slices the watermark
+        both windows that closed normally and windows the watermark
         overtook before the grid started (the operator booted on a
         reordered later row) — those were never emitted, so the
         correction is their first output.  Boundaries still ahead of
         the watermark are left alone: they close later and the buffered
-        row is simply part of them.  Only the affected slices are
+        row is simply part of them.  Only the affected windows are
         recomputed."""
         if self.on_correction is None:
             return
@@ -165,10 +166,9 @@ class EventTimeWindowOperator(TimeWindowOperator):
         while boundary <= watermark \
                 and boundary - self.visible <= event_time:
             open_time = boundary - self.visible
-            rows = [r for when, r in self._buffer
-                    if open_time <= when < boundary]
             self.corrections += 1
-            self.on_correction(rows, open_time, boundary)
+            self.on_correction(self._rows(open_time, boundary),
+                               open_time, boundary)
             boundary += self.advance
 
     # -- EMIT control -----------------------------------------------------------
@@ -183,38 +183,16 @@ class EventTimeWindowOperator(TimeWindowOperator):
             self._last_early = event_time
         boundary = self._next_boundary()
         open_time = boundary - self.visible
-        rows = [r for when, r in self._buffer
-                if open_time <= when < boundary]
         self.early_emits += 1
-        self.on_early(rows, open_time, boundary)
+        self.on_early(self._rows(open_time, boundary), open_time, boundary)
 
-    # -- close / eviction -------------------------------------------------------
+    # -- eviction -----------------------------------------------------------------
 
     @property
     def horizon(self) -> Optional[float]:
         """As the parent's, minus what the retract policy keeps
-        recomputable (nothing once the stream has flushed)."""
+        correctable (nothing once the stream has flushed)."""
         horizon = super().horizon
         if horizon is None or self._flushing:
             return horizon
-        return horizon - self._retain_extra
-
-    def _close(self, boundary: float) -> None:
-        open_time = boundary - self.visible
-        visible_rows = [
-            row for when, row in self._buffer
-            if open_time <= when < boundary
-        ]
-        self._boundary_index += 1
-        # keep closed slices recomputable for the lateness bound; the
-        # buffer is arrival-ordered (not time-sorted), so only the
-        # stale *prefix* is popped — rows parked behind a fresher one
-        # fall out on a later close, which retains slightly longer but
-        # never evicts a row a recomputation could still need
-        horizon = self.horizon
-        while self._buffer and self._buffer[0][0] < horizon:
-            self._buffer.popleft()
-        self.windows_closed += 1
-        self.rows_emitted += len(visible_rows)
-        if visible_rows or self.emit_empty:
-            self.sink(visible_rows, open_time, boundary)
+        return horizon - self.retention

@@ -49,7 +49,6 @@ from typing import Dict, List, Optional
 from repro.core.database import Database
 from repro.core.results import Subscription
 from repro.errors import FaultInjected, PartitionError, WorkerDiedError
-from repro.eventtime.lateness import RETRACT
 from repro.eventtime.operator import EventTimeWindowOperator
 from repro.eventtime.watermark import WatermarkMerge
 from repro.partition import wire
@@ -398,10 +397,6 @@ class _PartitionedCQ:
         self.name = cq.name
         spec = cq.window_spec
         self.visible = spec.visible
-        self.retract = cq.late_policy == RETRACT
-        #: how long merged partials stay recomputable under retract
-        #: (ContinuousQuery._remember_emitted's horizon)
-        self.retain = cq.allowed_lateness + spec.advance
         def record(kind):
             return lambda _rows, _open, close: \
                 route.pending.append((self, kind, close))
@@ -749,12 +744,16 @@ class PartitionedEngine:
 
     def _prune_store(self, pcq: _PartitionedCQ) -> None:
         """Drop merged partials — under retract only once the lateness
-        bound has passed them too."""
-        horizon = pcq.merged_through
-        if pcq.retract:
-            horizon = min(horizon,
-                          pcq.route.stream.watermark - pcq.retain)
-        for boundary in [b for b in pcq.store if b <= horizon]:
+        bound has passed them too, and never a boundary a pending entry
+        still names: a frame can carry a late row for a window it also
+        closes, and merges under the whole frame's watermark."""
+        horizon, named = pcq.merged_through, ()
+        retention = pcq.op.retention
+        if retention:
+            horizon = min(horizon, pcq.route.stream.watermark - retention)
+            named = {b for p, _kind, b in pcq.route.pending if p is pcq}
+        for boundary in [b for b in pcq.store
+                         if b <= horizon and b not in named]:
             del pcq.store[boundary]
 
     # -- worker lifecycle ---------------------------------------------------

@@ -631,8 +631,7 @@ class ContinuousQuery(StreamConsumer):
         correctable (the retract policy's lateness bound), so a
         recomputation can emit the matching retraction first."""
         self._emitted[close_time] = list(out)
-        horizon = (self.stream.watermark - self.allowed_lateness
-                   - self._window_spec.advance)
+        horizon = self.stream.watermark - self._window_op.retention
         if horizon > float("-inf"):
             for stale in [c for c in self._emitted if c < horizon]:
                 del self._emitted[stale]

@@ -33,7 +33,7 @@ from repro.streaming.windows import TimeWindowOperator
 def capture_window_state(cq: ContinuousQuery) -> dict:
     """Serialize a CQ's window-operator state (plain data, no pickling).
 
-    The replay point is derived from the *buffer*, not the stream's
+    The replay point is derived from the buffered rows, not the stream's
     watermark: the tuple whose arrival triggered the current window close
     has already advanced the watermark but is not yet buffered, and must
     be replayed after a crash.
@@ -42,8 +42,9 @@ def capture_window_state(cq: ContinuousQuery) -> dict:
     if not isinstance(op, TimeWindowOperator):
         raise RecoveryError(
             "checkpointing is implemented for time-window CQs")
-    if op._buffer:
-        replay_after = max(when for when, _row in op._buffer)
+    points = op.points()
+    if points:
+        replay_after = max(when for when, _row in points)
         replay_from = None
     else:
         replay_after = None
@@ -54,7 +55,7 @@ def capture_window_state(cq: ContinuousQuery) -> dict:
         else:
             replay_from = float("-inf")
     return {
-        "buffer": [(when, list(row)) for when, row in op._buffer],
+        "buffer": [(when, list(row)) for when, row in points],
         "base": op._base,
         "boundary_index": op._boundary_index,
         "replay_after": replay_after,
@@ -69,16 +70,11 @@ def restore_window_state(cq: ContinuousQuery, state: dict) -> None:
     if not isinstance(op, TimeWindowOperator):
         raise RecoveryError(
             "checkpoint restore needs a time-window CQ")
-    op._buffer.clear()
-    for when, row in state["buffer"]:
-        op._buffer.append((when, tuple(row)))
+    # plain data in any order: the operator files the rows on its slice
+    # grid, and a sliced one reduces them at the next close over them
+    op.load((when, tuple(row)) for when, row in state["buffer"])
     op._base = state["base"]
     op._boundary_index = state["boundary_index"]
-    # sliced operators re-derive their per-slice aggregate partials
-    # from the restored buffer (the checkpoint stays plain data)
-    rebuild = getattr(op, "rebuild_slices", None)
-    if rebuild is not None:
-        rebuild()
 
 
 class CheckpointManager:

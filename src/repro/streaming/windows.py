@@ -10,6 +10,16 @@ Boundary convention: windows close at event times that are multiples of
 ADVANCE (aligned to the epoch); the window closing at ``T`` covers
 ``[T - VISIBLE, T)``.  A tuple with event time exactly ``T`` proves the
 window closed and belongs to the next one.
+
+One buffer for every time window: the timeline is cut into *slices* of
+gcd(VISIBLE, ADVANCE) — every window open and close is a slice edge —
+and :class:`TimeWindowOperator` holds ``{slice index: (times, rows)}``.
+A window is the run of held slices between its open and its close; one
+``_close`` gathers it, drops every slice no future window can see and
+calls the sink.  The three time-window classes differ only in what they
+override: the event-time operator *when* a boundary has passed (the
+watermark, not arrival), the sliced operator *what* a close hands the
+sink (per-slice aggregate partials instead of rows).
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from typing import Callable, Optional
 
 from repro.errors import WindowError
 from repro.sql import ast
-from repro.streaming.shared import SliceStore
+from repro.streaming.shared import SliceStore, time_gcd
 from repro.streaming.streams import StreamConsumer
 
 Sink = Callable[[list, float, float], None]  # (rows, open_time, close_time)
@@ -65,12 +75,17 @@ class WindowSpec:
 
 
 class TimeWindowOperator(StreamConsumer):
-    """Sliding/tumbling time window with eviction.
+    """Sliding/tumbling time window over the slice grid.
 
-    State is a buffer of (event_time, row) plus the next close boundary;
-    after a close at ``T``, rows older than ``T + advance - visible`` can
-    never be visible again and are evicted.
+    State is the held slices plus the next close boundary; after a close
+    at ``T``, slices below ``T + advance - visible`` can never be visible
+    again and are dropped.  Subclasses override *when* a boundary has
+    passed or *what* a close hands the sink (:meth:`_window`) — never the
+    buffer, the close or the eviction.
     """
+
+    #: how long a closed window stays correctable (event time, retract)
+    retention = 0.0
 
     def __init__(self, visible: float, advance: float, sink: Sink,
                  emit_empty: bool = True):
@@ -80,7 +95,12 @@ class TimeWindowOperator(StreamConsumer):
         self.advance = float(advance)
         self.sink = sink
         self.emit_empty = emit_empty
-        self._buffer = deque()            # (event_time, row)
+        # the slice grid: every window open and close is a slice edge
+        self.slice_width = (self.advance if math.isinf(self.visible)
+                            else time_gcd(self.visible, self.advance))
+        if self.slice_width <= 0:
+            raise WindowError("window extents must be at least 1 microsecond")
+        self._slices = {}                 # slice index -> (times, rows)
         self._base: Optional[float] = None
         self._boundary_index = 0          # next close = base + index*advance
         self.tuples_in = 0
@@ -108,13 +128,93 @@ class TimeWindowOperator(StreamConsumer):
         boundary = self._next_boundary()
         return None if boundary is None else boundary - self.visible
 
+    @property
+    def horizon_index(self) -> Optional[int]:
+        """The first slice a future window can still see (None while
+        that is every slice: no grid yet, or VISIBLE is unbounded)."""
+        horizon = self.horizon
+        if horizon is None or math.isinf(horizon):
+            return None
+        return self._slice_index(horizon)
+
+    def _slice_index(self, event_time: float) -> int:
+        # the epsilon keeps an event exactly on a slice edge (up to float
+        # representation) in the slice it opens
+        return int(math.floor(event_time / self.slice_width + 1e-9))
+
+    # -- the buffer ---------------------------------------------------------------
+
+    def _file(self, row: tuple, event_time: float) -> None:
+        index = self._slice_index(event_time)
+        held = self._slices.get(index)
+        if held is None:
+            self._slices[index] = ([event_time], [row])
+        else:
+            held[0].append(event_time)
+            held[1].append(row)
+
+    def _covered(self, open_time: float, boundary: float) -> list:
+        """The held slices of the window ``[open_time, boundary)`` as
+        ``[(index, rows)]``, in slice order.  Walks the held keys, not
+        the index range: a window holds few slices however fine its grid."""
+        slices, width = self._slices, self.slice_width
+        # window edges sit on the grid; an unbounded window opens at -inf
+        first = open_time if math.isinf(open_time) \
+            else round(open_time / width)
+        last = round(boundary / width)
+        return [(k, slices[k][1])
+                for k in sorted(k for k in slices if first <= k < last)]
+
+    def _rows(self, open_time: float, boundary: float) -> list:
+        """The rows of the window ``[open_time, boundary)``, slice-major
+        (arrival order within a slice)."""
+        return [row for _index, rows in self._covered(open_time, boundary)
+                for row in rows]
+
+    def _window(self, open_time: float, boundary: float):
+        """What a close hands the sink, and how many rows that is."""
+        rows = self._rows(open_time, boundary)
+        return rows, len(rows)
+
+    def _evict(self) -> None:
+        """Drop every slice no future window can see."""
+        floor = self.horizon_index
+        if floor is not None:
+            slices = self._slices
+            for index in [k for k in slices if k < floor]:
+                del slices[index]
+
+    def points(self) -> list:
+        """The buffer as ``[(event_time, row)]`` — the checkpoint
+        surface, with :meth:`load`."""
+        return [point for _index, (times, rows) in sorted(self._slices.items())
+                for point in zip(times, rows)]
+
+    def load(self, points) -> None:
+        """Replace the buffer with ``points`` (any order), filed on the
+        current slice grid."""
+        self._slices = {}
+        for event_time, row in points:
+            self._file(row, event_time)
+
+    @property
+    def buffered(self) -> int:
+        return sum(len(rows) for _times, rows in self._slices.values())
+
     # -- consumer protocol --------------------------------------------------------
 
     def on_tuple(self, row: tuple, event_time: float) -> None:
         if self._base is None:
             self._start_at(event_time)
         self._close_through(event_time)
-        self._buffer.append((event_time, row))
+        # _file, inline: this is the per-row path
+        index = int(math.floor(event_time / self.slice_width + 1e-9))
+        held = self._slices.get(index)
+        if held is None:
+            self._slices[index] = ([event_time], [row])
+        else:
+            held[0].append(event_time)
+            held[1].append(row)
         self.tuples_in += 1
 
     def on_heartbeat(self, event_time: float) -> None:
@@ -128,12 +228,12 @@ class TimeWindowOperator(StreamConsumer):
         self._flushed = True
         if math.isinf(self.visible):
             # cumulative window: one final emission covers everything
-            if self._buffer:
+            if self._slices:
                 self._close(self._next_boundary())
-                self._buffer.clear()
+                self._slices.clear()
             return
         # emit every remaining window that still sees a buffered row
-        while self._buffer:
+        while self._slices:
             self._close(self._next_boundary())
 
     def _close_through(self, event_time: float) -> None:
@@ -146,108 +246,65 @@ class TimeWindowOperator(StreamConsumer):
 
     def _close(self, boundary: float) -> None:
         open_time = boundary - self.visible
-        visible_rows = [
-            row for when, row in self._buffer
-            if open_time <= when < boundary
-        ]
+        window, count = self._window(open_time, boundary)
         self._boundary_index += 1
-        # evict rows no future window can see
-        horizon = self.horizon
-        while self._buffer and self._buffer[0][0] < horizon:
-            self._buffer.popleft()
+        self._evict()
         self.windows_closed += 1
-        self.rows_emitted += len(visible_rows)
-        if visible_rows or self.emit_empty:
-            self.sink(visible_rows, open_time, boundary)
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
+        self.rows_emitted += count
+        if count or self.emit_empty:
+            self.sink(window, open_time, boundary)
 
 
 class SlicedTimeWindowOperator(TimeWindowOperator):
     """Time window with incremental per-slice aggregation.
 
-    The window's timeline is cut into slices (the gcd of VISIBLE and
-    ADVANCE, or a divisor of it fixed by the store's first reader, so
-    every close boundary and every window open falls on a slice edge).
-    When a slice fills, ``slice_fn`` reduces its rows to a mergeable
-    aggregate *partial*, filed in a
-    :class:`~repro.streaming.shared.SliceStore`; a window close hands
-    the covered partials to the sink, which merges and finalizes them
-    instead of re-aggregating the whole buffer.  An overlapping window
-    therefore pays for each row once, not once per window it is visible
-    in — and, when the store has other readers with the same key, once
-    for all of them.  ``slice_fn`` must not raise: evaluation errors are
-    wrapped into the partial and surface at window close, inside the
-    (supervisable) sink call — exactly where the plain operator's plan
-    execution would have raised them.
+    A close hands the sink not the covered slices' rows but their
+    mergeable aggregate *partials*: ``slice_fn`` reduces each covered
+    slice once — at the first close that covers it — into a
+    :class:`~repro.streaming.shared.SliceStore`, and the sink merges and
+    finalizes the partials instead of re-aggregating the whole window.
+    An overlapping window therefore pays for each row once, not once
+    per window it is visible in — and, when the store has other readers
+    with the same key, once for all of them.  ``slice_fn`` must not
+    raise: evaluation errors are wrapped into the partial and surface
+    inside the (supervisable) sink call — exactly where the plain
+    operator's plan execution would have raised them.
 
-    The operator is a *reader* of its store: the boundary grid, the row
-    buffer and the per-slice row counts (which slices it saw, and how
-    much of each) stay its own, so eviction, the ``buffered`` gauge and
-    checkpoint/recovery (which re-derives the slice state via
-    :meth:`rebuild_slices`) all work as in the parent.  It starts on a
-    private store and joins the stream's when its CQ attaches.
+    The operator is a *reader* of its store: the boundary grid and the
+    held slices (which it saw, and how much of each) stay its own.  It
+    starts on a private store and joins the stream's when its CQ attaches.
     """
 
     def __init__(self, visible: float, advance: float, sink: Sink,
                  emit_empty: bool, slice_fn):
         super().__init__(visible, advance, sink, emit_empty)
         self._slice_fn = slice_fn        # rows -> partial (never raises)
-        self._sealed = {}                # slice index -> rows it held
-        self._cur_index: Optional[int] = None
-        self._cur_rows: list = []
         #: rows visible in the most recently closed window
         self.last_window_input = 0
-        self.join(SliceStore.for_window(None, self))
+        self.join(SliceStore(None, self.slice_width))
 
     def join(self, store: SliceStore) -> None:
-        """Become a reader of ``store``.  Whatever is already buffered
-        (a recovered CQ replays before it attaches) is re-sliced on the
-        store's grid."""
+        """Become a reader of ``store``.  Whatever is already held (a
+        recovered CQ replays before it attaches) is re-slotted when the
+        store's grid is finer than the window's own."""
         self.store = store
-        self.slice_width = store.width
         store.readers.append(self)
-        self.rebuild_slices()
+        if store.width != self.slice_width:
+            points = self.points()
+            self.slice_width = store.width
+            self.load(points)
 
     def leave(self) -> None:
         """Stop reading the shared store (the CQ stopped).  The stream
         may still be mid-delivery to this reader, and nothing holds the
         store's slices for it any more: it finishes on a private one."""
         self.store.readers.remove(self)
-        self.join(SliceStore.for_window(None, self))
-
-    @property
-    def horizon_index(self) -> Optional[int]:
-        """The first slice a future window can still see (None before
-        the first tuple fixes the boundary grid)."""
-        boundary = self._next_boundary()
-        if boundary is None:
-            return None
-        return self._slice_index(boundary - self.visible)
-
-    def _slice_index(self, event_time: float) -> int:
-        # the epsilon keeps an event exactly on a slice edge (up to float
-        # representation) in the slice it opens
-        return int(math.floor(event_time / self.slice_width + 1e-9))
-
-    def on_tuple(self, row: tuple, event_time: float) -> None:
-        if self._base is None:
-            self._start_at(event_time)
-        self._close_through(event_time)
-        idx = self._slice_index(event_time)
-        if idx != self._cur_index:
-            if self._cur_index is not None:
-                self._seal_current()
-            self._cur_index = idx
-        self._cur_rows.append(row)
-        self._buffer.append((event_time, row))
-        self.tuples_in += 1
+        self.join(SliceStore(None, self.slice_width))
 
     def on_tuples(self, rows: list, times: list) -> None:
         """Bulk arrival (sorted): chunk rows by slice so each chunk is
-        appended with two list extends instead of per-row calls."""
+        filed with two list extends instead of per-row calls."""
+        slices = self._slices
         n = len(rows)
         i = 0
         while i < n:
@@ -256,80 +313,41 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
                 self._start_at(when)
             self._close_through(when)
             idx = self._slice_index(when)
-            if idx != self._cur_index:
-                if self._cur_index is not None:
-                    self._seal_current()
-                self._cur_index = idx
             # the chunk may not cross the next close boundary (windows
             # must fire in order) nor the end of the current slice (the
             # slice edge shares _slice_index's epsilon)
             limit = min(self._next_boundary(),
                         (idx + 1 - 1e-9) * self.slice_width)
             j = bisect_left(times, limit, i)
-            chunk = rows[i:j]
-            self._cur_rows.extend(chunk)
-            self._buffer.extend(zip(times[i:j], chunk))
+            held = slices.get(idx)
+            if held is None:
+                slices[idx] = (times[i:j], rows[i:j])
+            else:
+                held[0].extend(times[i:j])
+                held[1].extend(rows[i:j])
             self.tuples_in += j - i
             i = j
 
-    def _seal_current(self) -> None:
-        rows = self._cur_rows
-        if rows:
-            self.store.seal(self._cur_index, rows, self._slice_fn)
-            self._sealed[self._cur_index] = len(rows)
-        self._cur_rows = []
-        self._cur_index = None
-
-    def _close(self, boundary: float) -> None:
-        # every buffered row is below the boundary and boundaries are
-        # multiples of the slice width, so the open slice is complete
-        if self._cur_index is not None:
-            self._seal_current()
-        open_time = boundary - self.visible
-        width = self.slice_width
-        first = int(round(open_time / width))
-        last = int(round(boundary / width))
-        total = 0
-        parts = []
-        sealed = self._sealed
+    def _window(self, open_time: float, boundary: float):
+        # boundaries are slice edges, so each covered slice is complete;
+        # sealing is idempotent per (slice, row count), across readers too
         store = self.store
-        for idx in range(first, last):
-            count = sealed.get(idx)
-            if count is not None:
-                total += count
-                parts.append(store.partial(idx, count))
-        self._boundary_index += 1
-        horizon = self.horizon
-        buffer = self._buffer
-        while buffer and buffer[0][0] < horizon:
-            buffer.popleft()
+        parts = []
+        total = 0
+        for index, rows in self._covered(open_time, boundary):
+            store.seal(index, rows, self._slice_fn)
+            parts.append(store.partial(index, len(rows)))
+            total += len(rows)
+        self.last_window_input = total
+        # the sink merges + finalizes the partials; a deferred slice
+        # error re-raises there, under the supervisor's window guard
+        return parts, total
+
+    def _evict(self) -> None:
         # a slice no future window can see goes with its rows — here,
         # and from the store once every other reader is past it too
-        horizon_index = self._slice_index(horizon)
-        for idx in [k for k in sealed if k < horizon_index]:
-            del sealed[idx]
-        store.evict()
-        self.windows_closed += 1
-        self.rows_emitted += total
-        self.last_window_input = total
-        if total or self.emit_empty:
-            # the sink merges + finalizes the partials; a deferred slice
-            # error re-raises there, under the supervisor's window guard
-            self.sink(parts, open_time, boundary)
-
-    def rebuild_slices(self) -> None:
-        """Recompute the slice state from the (restored) row buffer;
-        called by checkpoint recovery after it refills ``_buffer``."""
-        self._sealed = {}
-        self._cur_index = None
-        self._cur_rows = []
-        for event_time, row in self._buffer:
-            idx = self._slice_index(event_time)
-            if idx != self._cur_index:
-                if self._cur_index is not None:
-                    self._seal_current()
-                self._cur_index = idx
-            self._cur_rows.append(row)
+        super()._evict()
+        self.store.evict()
 
 
 class RowWindowOperator(StreamConsumer):
@@ -342,7 +360,7 @@ class RowWindowOperator(StreamConsumer):
         self.visible_rows = int(visible_rows)
         self.advance_rows = int(advance_rows)
         self.sink = sink
-        self._buffer = deque(maxlen=self.visible_rows)
+        self._recent = deque(maxlen=self.visible_rows)
         self._since_emit = 0
         self._last_time = None
         self._first_time = None
@@ -351,7 +369,7 @@ class RowWindowOperator(StreamConsumer):
         self._flushed = False
 
     def on_tuple(self, row: tuple, event_time: float) -> None:
-        self._buffer.append((event_time, row))
+        self._recent.append((event_time, row))
         self.tuples_in += 1
         self._since_emit += 1
         self._last_time = event_time
@@ -364,12 +382,12 @@ class RowWindowOperator(StreamConsumer):
         if self._flushed:
             return
         self._flushed = True
-        if self._since_emit > 0 and self._buffer:
+        if self._since_emit > 0 and self._recent:
             self._emit()
 
     def _emit(self) -> None:
-        rows = [row for _when, row in self._buffer]
-        open_time = self._buffer[0][0]
+        rows = [row for _when, row in self._recent]
+        open_time = self._recent[0][0]
         self.windows_closed += 1
         self._since_emit = 0
         self.sink(rows, open_time, self._last_time)

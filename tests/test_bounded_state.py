@@ -26,6 +26,23 @@ class TestWindowBufferBounds:
             assert op.buffered <= 5 * rate + rate
         assert sub.stats.windows_evaluated >= 59
 
+    def test_event_time_buffer_bounded_by_window_not_arrival_order(self):
+        """Eviction is by slice, so a fresh row that arrived first does
+        not pin the stale rows that arrived behind it."""
+        db = Database()
+        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER) "
+                   "WATERMARK '50 seconds'")
+        sub = db.subscribe(
+            "SELECT count(*) FROM s <VISIBLE '10 seconds' ADVANCE '5 seconds'>")
+        op = sub.cq._window_op
+        db.insert_stream("s", [(50, 50.0)])
+        db.insert_stream("s", [(i, float(i)) for i in range(50)])
+        assert op.buffered == 51 and op.late_rows == 0
+        db.inject_watermark("s", 45.0)
+        assert [w.close_time for w in sub.poll()][-1] == 45.0
+        # what a future window can still see: [40, 50) and the head row
+        assert op.buffered == 11
+
     def test_slack_buffer_drains(self):
         db = Database(stream_slack=30.0)
         db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
@@ -66,7 +83,7 @@ class TestSharedSliceBounds:
             self.drive(db, minute)
             # at most max-visible-slices slices retained
             assert len(store) <= 16
-            assert all(len(sub.cq._window_op._sealed) <= 16 for sub in subs)
+            assert all(len(sub.cq._window_op._slices) <= 16 for sub in subs)
         assert store.rows_reduced == 1200
 
     def test_consumer_detach_shrinks_retention(self):

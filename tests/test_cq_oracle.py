@@ -106,6 +106,40 @@ def test_reader_attached_mid_stream_matches_oracle(events, first, second,
                       oracle(events[cut:], *second, end_time)]
 
 
+# (visible, advance, seconds per event-time tick): a hopping window with
+# a gap, extents whose gcd is neither of them, decimal extents, and the
+# cumulative window.  Boundaries k * 0.1 are not exact floats, and an
+# event within 1e-9 slices of an edge belongs to the slice it opens —
+# which the oracle's float compare cannot say — so the decimal case puts
+# its events half a tick off every edge.
+EDGE_EXTENTS = [(1.0, 5.0, 1.0), (7.0, 3.0, 1.0), (0.3, 0.1, 0.01),
+                (math.inf, 60.0, 1.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(events_strategy, st.sampled_from(EDGE_EXTENTS))
+def test_gapped_uneven_and_unbounded_extents_match_oracle(events, case):
+    """The same oracle in both gears: the batch executor (sliced where
+    the window is finite) and the iterator engine."""
+    visible, advance, tick = case
+    events = [(key, (t + 0.5) * tick) for key, t in events]
+    span = advance if math.isinf(visible) else visible + advance
+    end_time = events[-1][1] + span
+    expected = oracle(events, visible, advance, end_time)
+    window = "UNBOUNDED" if math.isinf(visible) else visible
+    for vectorize in (True, False):
+        db = Database(vectorize=vectorize)
+        db.execute(DDL)
+        sub = db.subscribe(cq_sql(window, advance))
+        db.insert_stream("s", events)
+        db.advance_streams(end_time)
+        assert [(w.close_time, dict(w.rows)) for w in sub.poll()] \
+            == expected, f"vectorize={vectorize}"
+        if not math.isinf(visible):
+            # nothing outlives the last window that could see it
+            assert sub.cq._window_op.buffered == 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(events_strategy, extents_strategy)
 def test_watermark_stream_matches_oracle_unshared(events, extents):

@@ -1,0 +1,66 @@
+"""The benchmark ledger's contract with the engine, checked in tier-1.
+
+``benchmarks/ledger/trace.py`` wraps engine functions *by name* and
+``layers.py`` predicts which per-layer metrics are non-zero; a refactor
+that renames a wrapped function, or makes a slow path fast, fails the
+ledger's traced pass — minutes into a benchmark run.  These tests read
+the ledger's files (they edit none) and fail here instead.
+"""
+
+import importlib.util
+import os
+import sys
+
+LEDGER_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks", "ledger")
+
+
+def load_trace():
+    """``trace.py`` by path, as ``harness.load_trace`` does: a bare
+    ``import trace`` finds the standard library's."""
+    spec = importlib.util.spec_from_file_location(
+        "ledger_trace_contract", os.path.join(LEDGER_DIR, "trace.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_name_the_ledger_wraps_still_exists():
+    from repro.eventtime.operator import EventTimeWindowOperator
+    from repro.exec.columnar import ColumnBatch
+    from repro.streaming.windows import (
+        SlicedTimeWindowOperator,
+        TimeWindowOperator,
+    )
+    trace = load_trace()
+    recorder = trace.Recorder()
+    try:
+        # raises RuntimeError naming the first wrapped function that is gone
+        trace.install(recorder, late_bound=2.0)
+        patched = {(owner, attr) for owner, attr, _fn in recorder._originals}
+        assert len(patched) >= 40
+        # the window layer: late rows are timed through the event-time
+        # class's own on_tuple, slices are reduced through from_rows
+        for name in ((TimeWindowOperator, "on_tuple"),
+                     (SlicedTimeWindowOperator, "on_tuples"),
+                     (EventTimeWindowOperator, "on_tuple"),
+                     (ColumnBatch, "from_rows")):
+            assert name in patched, name
+    finally:
+        recorder.uninstall()
+    assert not recorder._originals
+    assert not hasattr(TimeWindowOperator.on_tuple, "__wrapped__")
+
+
+def test_plain_time_window_stays_on_the_per_row_path():
+    from repro.streaming.windows import TimeWindowOperator
+    assert not hasattr(TimeWindowOperator, "on_tuples"), (
+        "the ledger predicts a non-zero streaming.slow_path_row_share for "
+        "embedded_multi_cq's mixed phase and embedded_eventtime_late "
+        "(benchmarks/ledger/layers.py PREDICTED_NONZERO): a batch-capable "
+        "TimeWindowOperator makes it read 0 and the traced pass fails. "
+        "Change the ledger in a benchmark-only PR first.")

@@ -257,7 +257,6 @@ class TestEventTimeParity:
                 run_partitioned(n, EVENT_DDL, RETRACT_CQ, batches))
             assert got == want, f"partitions={n}"
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
     def test_retract_late_row_for_a_window_its_own_frame_closes(self):
         # one frame carries a late row for a window the same frame
         # closes: a single engine converges (-5, 5] to

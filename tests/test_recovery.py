@@ -57,8 +57,69 @@ class TestCaptureRestore:
         fresh = ContinuousQuery("copy", parse_statement(CQ_SQL),
                                 db.catalog, db.txn_manager)
         restore_window_state(fresh, state)
-        assert fresh._window_op._buffer == cq._window_op._buffer
+        assert fresh._window_op.points() == cq._window_op.points()
         assert fresh._window_op._base == cq._window_op._base
+
+
+    EVENT_CQ = ("SELECT count(*) FROM clicks "
+                "<VISIBLE '10 seconds' ADVANCE '5 seconds'>")
+
+    def event_time_db(self):
+        db = Database(stream_retention=3600.0)
+        db.execute("CREATE STREAM clicks (url varchar(100), "
+                   "ts timestamp CQTIME USER) WATERMARK '5 seconds'")
+        return db
+
+    def windows_after_restore(self, db, state):
+        """Restore ``state`` into a fresh copy of EVENT_CQ and flush it."""
+        fresh = ContinuousQuery("copy", parse_statement(self.EVENT_CQ),
+                                db.catalog, db.txn_manager)
+        out = []
+        fresh.add_sink(lambda rows, o, c: out.append((o, c, rows)))
+        restore_window_state(fresh, state)
+        fresh._window_op.on_flush()
+        return out
+
+    def test_event_time_roundtrip_of_an_out_of_order_buffer(self):
+        db = self.event_time_db()
+        cq = db.runtime.create_cq(parse_statement(self.EVENT_CQ))
+        live = []
+        cq.add_sink(lambda rows, o, c: live.append((o, c, rows)))
+        arrivals = [("/a", 4.0), ("/b", 8.0), ("/c", 6.0), ("/d", 11.0),
+                    ("/e", 9.0), ("/f", 7.0)]
+        db.insert_stream("clicks", arrivals)
+        # the watermark (6) has closed [-5, 5); the rest is buffered,
+        # filed by event time: slice-major, arrival order within a slice
+        assert live == [(-5.0, 5.0, [(1,)])]
+        state = capture_window_state(cq)
+        assert [when for when, _row in state["buffer"]] \
+            == [4.0, 8.0, 6.0, 9.0, 7.0, 11.0]
+        restored = self.windows_after_restore(db, state)
+        assert restored == [(0.0, 10.0, [(5,)]), (5.0, 15.0, [(5,)]),
+                            (10.0, 20.0, [(1,)])]
+        del live[:]
+        db.flush_streams()
+        assert live == restored
+
+    def test_old_arrival_ordered_payload_restores_to_the_same_windows(self):
+        """A ``cq_checkpoint`` written when the buffer was one
+        arrival-ordered list: same keys, same ``[[when, row], ...]``."""
+        db = self.event_time_db()
+        cq = db.runtime.create_cq(parse_statement(self.EVENT_CQ))
+        arrivals = [("/a", 4.0), ("/b", 8.0), ("/c", 6.0), ("/d", 11.0),
+                    ("/e", 9.0), ("/f", 7.0)]
+        db.insert_stream("clicks", arrivals)
+        state = capture_window_state(cq)
+        old = {"buffer": [[when, [url, when]] for url, when in arrivals],
+               "base": 0.0, "boundary_index": 2,
+               "replay_after": 11.0, "replay_from": None,
+               "last_close": 5.0, "close_time": 5.0}
+        assert set(state) | {"close_time"} == set(old)
+        assert sorted(map(repr, old["buffer"])) \
+            == sorted(repr([when, row]) for when, row in state["buffer"])
+        from_new = self.windows_after_restore(db, state)
+        from_old = self.windows_after_restore(db, old)
+        assert from_old == from_new and len(from_old) == 3
 
 
 class TestCheckpointRecovery:
@@ -401,6 +462,25 @@ class TestBatchRecordRecovery:
             assert stream_tail(recovered) == [(t, (v, t)) for v, t in kept]
             assert recovered.recovery_stats["stream_tuples"] == len(kept)
             assert recovered.get_stream("s").watermark == 19.0
+        finally:
+            recovered.close()
+
+    def test_close_flushes_the_stream_tail(self, tmp_path):
+        """Plain ``insert_stream`` commits nothing, so its batch record
+        sits in the WAL's buffer; ``close()`` flushes it — a reopen
+        finds the tail without the caller flushing by hand."""
+        from repro.replication import open_database
+        wal_path = str(tmp_path / "wal")
+        db = Database(wal_path=wal_path, stream_retention=3600.0)
+        db.execute(STREAM_DDL)
+        rows = [(i, float(i)) for i in range(20)]
+        db.insert_stream("s", rows)
+        db.close()
+
+        recovered = open_database(wal_path=wal_path,
+                                  stream_retention=3600.0)
+        try:
+            assert [row for _t, row in stream_tail(recovered)] == rows
         finally:
             recovered.close()
 

@@ -398,6 +398,56 @@ class TestStoreSafety:
 
         assert run(crash_minute=4) == run(crash_minute=None)
 
+    def test_restored_reader_reslots_onto_a_finer_store(self):
+        """A recovered CQ is restored before it attaches, so its buffer
+        is filed on its own grid (2-minute slices); attaching joins the
+        survivor's 1-minute store: the held rows are re-slotted, the
+        slices the survivor already reduced are not reduced again, and
+        the output equals the uninterrupted run."""
+        sql_a = ("SELECT url, count(*) c FROM clicks "
+                 "<VISIBLE '4 minutes' ADVANCE '2 minutes'> GROUP BY url")
+        sql_b = CQ_TEMPLATE.format(v="2 minutes")
+        events = click_events(n_per_minute=4, minutes=10)
+
+        def collector(out):
+            return lambda rows, o, c: out.append((c, sorted(rows)))
+
+        def run(crash):
+            db = Database(stream_retention=3600.0)
+            db.execute(CLICKS_DDL)
+            out = []
+            db.runtime.create_cq(parse_statement(sql_b), name="b")
+            cq_a = db.runtime.create_cq(parse_statement(sql_a), name="a")
+            cq_a.add_sink(collector(out))
+            CheckpointManager(cq_a, db.storage.wal)
+            (store,) = stores(db)
+            assert store.width == 60.0
+            if not crash:
+                db.insert_stream("clicks", events)
+            else:
+                cut = 4 * 5         # minute 5: one closed minute held
+                db.insert_stream("clicks", events[:cut])
+                db.runtime.stop_cq(cq_a)
+                fresh = ContinuousQuery("a", parse_statement(sql_a),
+                                        db.catalog, db.txn_manager)
+                fresh.add_sink(collector(out))
+                CheckpointManager.recover(fresh, db.storage.wal)
+                op = fresh._window_op
+                assert op.slice_width == 120.0 and op.buffered
+                held = op.points()
+                fresh.attach()
+                assert fresh.shared and op.store is store
+                assert op.slice_width == 60.0 and op.points() == held
+                assert sorted(op._slices) == sorted(
+                    {int(when // 60) for when, _row in held})
+                db.insert_stream("clicks", events[cut:])
+            db.advance_streams(600.0)
+            # one pass over the stream, whoever asked for a slice first
+            assert store.rows_reduced == len(events)
+            return out
+
+        assert run(crash=True) == run(crash=False)
+
     def test_sixteen_readers_one_pass(self, db):
         """The issue's headline: 16 CQs differing only in VISIBLE reduce
         each slice once, emit what 16 key-distinct CQs emit, and stay

@@ -97,6 +97,15 @@ class TestTimeWindows:
             op.on_tuple((t,), t)
         assert op.buffered <= 7  # at most one window's worth + in-flight
 
+    def test_hopping_gap_rows_never_emitted_and_evicted(self):
+        op, out = collect(1, 5)
+        for t in (4.5, 6, 7, 9.5, 12):
+            op.on_tuple((t,), t)
+        # 6 and 7 fall between [4, 5) and [9, 10): no window sees them,
+        # and they go with the next close
+        assert out == [(4, 5, [4.5]), (9, 10, [9.5])]
+        assert op.buffered == 1
+
     def test_heartbeat_before_any_tuple_is_noop(self):
         op, out = collect(60, 60)
         op.on_heartbeat(500)
@@ -107,6 +116,11 @@ class TestTimeWindows:
             TimeWindowOperator(0, 60, lambda *a: None)
         with pytest.raises(WindowError):
             TimeWindowOperator(60, -1, lambda *a: None)
+
+    def test_extents_below_the_slice_grid_resolution_rejected(self):
+        # the slice grid is a gcd on whole microseconds
+        with pytest.raises(WindowError):
+            TimeWindowOperator(1e-8, 1e-8, lambda *a: None)
 
     def test_stats(self):
         op, _out = collect(60, 60)
@@ -154,6 +168,32 @@ def test_time_window_matches_reference(times, extents):
     expected = reference_windows(events, visible, advance, end_time)
     actual = [(c, rows) for _o, c, rows in out]
     assert actual == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=500), min_size=1,
+             max_size=60).map(sorted),
+    st.sampled_from([(1, 5), (7, 3), (math.inf, 60)]),
+)
+def test_gapped_uneven_and_unbounded_windows_match_reference(times, extents):
+    """The same reference for a hopping window with a gap, extents
+    whose gcd is neither of them, and the cumulative window."""
+    visible, advance = extents
+    events = [(float(t), t) for t in times]
+    end_time = float(times[-1]) + (
+        advance if math.isinf(visible) else visible + advance)
+
+    op, out = collect(visible, advance)
+    for t, v in events:
+        op.on_tuple((v,), t)
+    op.on_heartbeat(end_time)
+
+    expected = reference_windows(events, visible, advance, end_time)
+    assert [(c, rows) for _o, c, rows in out] == expected
+    # a cumulative window holds everything; any other, nothing no
+    # future window can see
+    assert op.buffered == (len(times) if math.isinf(visible) else 0)
 
 
 class TestRowWindows:
