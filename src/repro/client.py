@@ -449,9 +449,12 @@ class Connection:
 
     def _try_client_option(self, sql: str) -> Optional[ResultSet]:
         """SET/SHOW of a *client* option (failover_targets,
-        reconnect_max_backoff) never touches the server."""
+        reconnect_max_backoff) never touches the server; anything not
+        starting with one of those words goes there unparsed."""
+        from repro.sql import ast, first_word, parse_statement
+        if first_word(sql) not in ("SET", "SHOW"):
+            return None
         try:
-            from repro.sql import ast, parse_statement
             statement = parse_statement(sql)
         except Exception:
             return None

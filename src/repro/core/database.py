@@ -53,7 +53,6 @@ class Database:
     """An embedded stream-relational database instance."""
 
     def __init__(self, buffer_pages: int = 256,
-                 emit_empty_windows: bool = True,
                  stream_retention: Optional[float] = None,
                  disorder_policy: str = "raise",
                  stream_slack: float = 0.0,
@@ -64,7 +63,6 @@ class Database:
                  wal_path: Optional[str] = None,
                  wal_segment_bytes: Optional[int] = None,
                  wal_archive_dir: Optional[str] = None,
-                 replication_logging: bool = True,
                  observability: bool = True,
                  trace_sample_rate: float = 0.01,
                  vectorize: bool = True,
@@ -85,7 +83,6 @@ class Database:
         self.catalog = Catalog()
         self.runtime = StreamingRuntime(
             self.catalog, self.txn_manager,
-            emit_empty_windows=emit_empty_windows,
             default_retention=stream_retention,
             disorder_policy=disorder_policy,
             default_slack=stream_slack,
@@ -100,9 +97,6 @@ class Database:
             self.enable_supervision()
         self._session_txn = None
         self._current_params = None
-        # True while boot recovery / standby apply replays logged DDL:
-        # suppresses re-logging so the log stays duplicate-free
-        self._recovering = False
         # set by the network server (repro.server): a zero-argument
         # callable returning one row per live client connection, exposed
         # through the repro_connections system view
@@ -126,12 +120,12 @@ class Database:
         from repro.core.system_views import install_system_views
         install_system_views(self)
         self.obs.bind_admission(self.admission)
-        if wal_path is not None and replication_logging:
+        if wal_path is not None:
             # file-backed logs carry streaming DDL and the stream tail,
-            # not just table rows — log those from the start.  A standby
-            # passes replication_logging=False: its WAL must stay a
-            # verbatim prefix of the primary's, so nothing may append to
-            # it locally until promotion.
+            # not just table rows — log those from the start.  Whether
+            # anything this engine does is *authored* into the log is the
+            # log's own switch (`wal.muted`: boot replay, a standby until
+            # promotion), not a second kind of database.
             self.enable_replication_logging()
 
     def enable_replication_logging(self) -> None:
@@ -223,11 +217,9 @@ class Database:
         record kinds on — a plain embedded database keeps the seed WAL
         byte-for-byte (and the seeded chaos fault schedule with it).
         """
-        if self._recovering or self.runtime.stream_logger is None:
-            return
-        self.storage.wal.append(0, "ddl_obj", payload.get("name"),
-                                payload=payload)
-        self.storage.wal.flush()
+        if self.runtime.stream_logger is not None:
+            self.storage.wal.append(0, "ddl_obj", payload.get("name"),
+                                    payload=payload, flush=True)
 
     def enable_supervision(self, policy=None):
         """Switch the runtime to supervised mode: every CQ, channel and
@@ -633,10 +625,8 @@ class Database:
         :meth:`recover_from_wal` can rebuild the schema after a crash."""
         table = self.storage.create_table(name, schema)
         self.catalog.add_relation(name, cat.TABLE, table)
-        if not self._recovering:
-            self.storage.wal.append(0, "ddl", name,
-                                    payload=schema.to_specs())
-            self.storage.wal.flush()
+        self.storage.wal.append(0, "ddl", name, payload=schema.to_specs(),
+                                flush=True)
         return table
 
     def _create_stream(self, statement: ast.CreateStream) -> ResultSet:
@@ -1006,8 +996,7 @@ class Database:
                              f"{stream_name}:{sender}:{seq}")
             if self.runtime.stream_logger is not None:
                 wal.append(0, "stream_dedup", stream_name,
-                           rid=(sender, seq))
-                wal.flush()
+                           rid=(sender, seq), flush=True)
         finally:
             self.admission.dedup.record(stream_name, sender, seq)
 

@@ -53,8 +53,7 @@ class EventTimeWindowOperator(TimeWindowOperator):
     closes a window by itself.
     """
 
-    def __init__(self, visible: float, advance: float, sink: Sink,
-                 emit_empty: bool = True, *,
+    def __init__(self, visible: float, advance: float, sink: Sink, *,
                  wm_fn: Callable[[], float],
                  allowed_lateness: float = 0.0,
                  late_policy: str = DROP,
@@ -63,7 +62,7 @@ class EventTimeWindowOperator(TimeWindowOperator):
                  on_early: Optional[CorrectionFn] = None,
                  emit_mode: str = EMIT_ON_WATERMARK,
                  emit_every: Optional[float] = None):
-        super().__init__(visible, advance, sink, emit_empty)
+        super().__init__(visible, advance, sink)
         if late_policy not in LATENESS_POLICIES:
             raise WindowError(
                 f"unknown lateness policy {late_policy!r}; choose one of "

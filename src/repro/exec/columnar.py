@@ -6,36 +6,15 @@ built from the row-tuple lists the streaming runtime already produces,
 and convert back to plain Python row tuples at the iterator boundary, so
 the vectorized path is a drop-in replacement for any subtree of a plan.
 
-numpy is an *optional* dependency: the iterator executor works without
-it.  Everything that needs numpy goes through :func:`require_numpy`,
-which raises a clear error naming the install command.  Setting the
-``REPRO_DISABLE_NUMPY`` environment variable simulates a missing numpy
-(used by tests to prove the iterator fallback stays green).
+numpy is a required dependency (``pyproject.toml``); the iterator
+executor stays reachable as the spec — ``vectorize=False`` and every
+plan the vectorizer refuses run on it.
 """
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-try:
-    if os.environ.get("REPRO_DISABLE_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_DISABLE_NUMPY")
-    import numpy as np
-    HAS_NUMPY = True
-    _IMPORT_ERROR: Optional[str] = None
-except ImportError as exc:  # pragma: no cover - exercised via env knob
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
-    _IMPORT_ERROR = str(exc)
-
-
-def require_numpy() -> None:
-    """Raise a helpful error when the vectorized path is used sans numpy."""
-    if not HAS_NUMPY:
-        raise ImportError(
-            "repro.exec.columnar requires numpy for the vectorized "
-            "executor (install it with `pip install numpy`); the "
-            f"iterator executor works without it [{_IMPORT_ERROR}]")
+import numpy as np
 
 
 # DataType kind -> numpy dtype used for the value array.  Anything not
@@ -47,7 +26,6 @@ _INT_KINDS = {"integer", "bigint", "smallint"}
 
 def dtype_for(datatype) -> object:
     """Pick the numpy dtype for a column of the given engine DataType."""
-    require_numpy()
     name = type(datatype).__name__
     if name == "IntegerType":
         return np.int64
@@ -77,7 +55,6 @@ class ColumnBatch:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], types: Sequence) -> "ColumnBatch":
         """Build a batch from row tuples using the schema's data types."""
-        require_numpy()
         n = len(rows)
         ncols = len(types)
         if n == 0:

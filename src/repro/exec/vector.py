@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ExecutionError
-from repro.exec.columnar import ColumnBatch, np, require_numpy
+from repro.exec.columnar import ColumnBatch, np
 from repro.exec.expressions import CONTEXT_FUNCTIONS, RowLayout, infer_type
 from repro.sql import ast
 from repro.types.datatypes import (
@@ -97,8 +97,6 @@ def compile_batch_expr(expr: ast.Expr, layout: RowLayout, flags: dict):
     expression reads ``cq_close``/``cq_open``, which vary per window and
     therefore must not be evaluated per slice).
     """
-    require_numpy()
-
     if isinstance(expr, ast.Literal):
         return _literal_kernel(expr.value)
 

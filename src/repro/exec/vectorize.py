@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.exec import batch_ops, operators as ops
-from repro.exec.columnar import HAS_NUMPY
 from repro.exec.vector import NotVectorizable, compile_batch_expr, expr_family
 from repro.sql import ast
 
@@ -40,9 +39,7 @@ def walk(root: ops.Operator):
 
 
 def vectorize_plan(root: ops.Operator) -> Tuple[ops.Operator, bool]:
-    """Return (new_root, changed); identity when numpy is unavailable."""
-    if not HAS_NUMPY:
-        return root, False
+    """Return (new_root, changed)."""
     new_root = _demote(_convert(root))
     changed = any(
         isinstance(op, (batch_ops.BatchOperator, batch_ops.BatchAggregate))

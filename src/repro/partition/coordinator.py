@@ -77,7 +77,11 @@ class _InlineHandle:
     subprocess transport — and an injected worker crash kills the
     handle exactly as a SIGKILL kills a subprocess: state gone, no
     error frame, only a :class:`WorkerDiedError` on use.  The work is
-    done at :meth:`send` and its response waits for :meth:`collect`."""
+    done at :meth:`send` and its response waits for :meth:`collect`.
+
+    Why it stays (ROADMAP 3c): it is tier-1's in-process topology — the
+    parity and chaos suites need N workers without N processes — and it
+    checks the bytes a process worker would get, not a shortcut."""
 
     kind = "inline"
 
@@ -402,18 +406,18 @@ class _PartitionedCQ:
                 route.pending.append((self, kind, close))
 
         # a shard cannot tell an empty window from an open one, so every
-        # boundary is recorded; the CQ's emit_empty gates at the merge
+        # boundary is recorded (every close reaches the sink)
         if cq.is_event_time():
             stream = route.stream
             self.op = EventTimeWindowOperator(
-                spec.visible, spec.advance, record("final"), True,
+                spec.visible, spec.advance, record("final"),
                 wm_fn=lambda: stream.watermark,
                 allowed_lateness=cq.allowed_lateness,
                 late_policy=cq.late_policy, on_late=cq._on_late,
                 on_correction=record("correct"))
         else:
             self.op = TimeWindowOperator(
-                spec.visible, spec.advance, record("final"), True)
+                spec.visible, spec.advance, record("final"))
         #: close boundary -> {worker: (groups, shard_row_count)}
         self.store: Dict[float, Dict[int, tuple]] = {}
         self.merged_through = NEG_INF
@@ -457,7 +461,13 @@ class PartitionedEngine:
         self._pcqs: Dict[str, _PartitionedCQ] = {}
         #: per-worker ordered log of acked frames, for restart-replay:
         #: ("ddl"|"cq"|"flush"|"stopcq", msg, None) or
-        #: ("ingest", msg, max_event_time)
+        #: ("ingest", msg, max_event_time).  Why it stays (ROADMAP 3b):
+        #: it is the zero-copy replay source — the coordinator's WAL as
+        #: the workers' log costs 2.1 us/event of append (every field is
+        #: encoded for the CRC, in memory too) on partitioned_e1's 3.05
+        #: us/event path, until one binary frame makes the append cheap.
+        #: Only ingest entries are pruned (`_prune_logs`); the broadcast
+        #: entries are kept for the engine's life.
         self._logs: List[list] = [[] for _ in range(partitions)]
         self._broadcast_names = set()
         self.restarts = [0] * partitions
@@ -709,8 +719,7 @@ class PartitionedEngine:
             # a late row re-opened the window: retract/correct pair
             self._emit_merged(pcq, parts, pcq.cq._on_reopened, boundary)
             return
-        if pcq.cq.emit_empty or any(p is not None and p[1] for p in parts):
-            self._emit_merged(pcq, parts, pcq.cq._on_window, boundary)
+        self._emit_merged(pcq, parts, pcq.cq._on_window, boundary)
         pcq.merged_through = boundary
         self._prune_store(pcq)
 

@@ -17,16 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-try:
-    import numpy as _np
-except ImportError:                          # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 def normalize_value(value):
     """Native-Python twin of ``value`` (numpy scalars via ``.item()``,
     containers recursively)."""
-    if _np is not None and isinstance(value, _np.generic):
+    if isinstance(value, _np.generic):
         return value.item()
     if isinstance(value, tuple):
         return tuple(normalize_value(v) for v in value)

@@ -73,11 +73,9 @@ class WorkerEngine:
         split = partition_plan(cq)
         agg = split.agg
         op = cq._window_op
-        # a shard with no rows in a window must still report an (empty)
-        # partial, or the coordinator could not tell "empty" from
-        # "still open"; emission gating by the CQ's real emit_empty
-        # happens once, at the merge stage
-        op.emit_empty = True
+        # every close ships: a shard with no rows in a window reports an
+        # (empty) partial, or the coordinator could not tell "empty"
+        # from "still open"
         if cq.is_sliced():
             op.sink = self._make_sliced_ship(name, cq, agg)
         else:

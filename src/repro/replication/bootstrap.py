@@ -55,7 +55,8 @@ def _data_dir_wal_options(data_dir: str, options: dict) -> str:
 
 
 def open_database(data_dir: Optional[str] = None,
-                  wal_path: Optional[str] = None, **options) -> Database:
+                  wal_path: Optional[str] = None, standby: bool = False,
+                  **options) -> Database:
     """Open (or create) a database on a data directory.
 
     When the directory already holds a WAL, the returned database has
@@ -69,39 +70,25 @@ def open_database(data_dir: Optional[str] = None,
     segments, then archived records are released from memory so a
     long-compacted history costs RAM only during boot.  Passing
     ``wal_path`` names the segment directory directly.
+
+    ``standby=True`` opens the database of a follower: its log is muted
+    from the start — it must remain a verbatim prefix of the primary's,
+    so shipped records slot in at their original LSNs — and stays muted
+    until promotion unmutes it.  A restarted standby recovers tables,
+    streams and catalog objects but holds the streaming pipeline DDL
+    back, in ``db.recovery_stats["deferred"]``, for the promotion path.
     """
     if data_dir is not None:
         wal_path = _data_dir_wal_options(data_dir, options)
     db = Database(wal_path=wal_path, **options)
+    # before any replay: nothing below may author into a follower's log
+    db.storage.wal.muted = standby
     if db.storage.wal.records:
-        db.recovery_stats = recover_runtime(db)
+        db.recovery_stats = recover_runtime(db, promote=not standby)
     else:
         db.recovery_stats = None
     db.storage.wal.release_archived()
     return db
-
-
-def open_standby_database(data_dir: Optional[str] = None,
-                          wal_path: Optional[str] = None, **options):
-    """Open a database for a *standby*: file-backed WAL, but nothing is
-    ever appended locally — the log must remain a verbatim prefix of the
-    primary's, so shipped records slot in at their original LSNs.
-
-    A restarted standby recovers tables, streams, and catalog objects
-    but defers the streaming pipeline.  Returns ``(db, deferred)`` where
-    ``deferred`` is the held streaming DDL for the promotion path.
-    """
-    if data_dir is not None:
-        wal_path = _data_dir_wal_options(data_dir, options)
-    db = Database(wal_path=wal_path, replication_logging=False, **options)
-    deferred: List[dict] = []
-    if db.storage.wal.records:
-        db.recovery_stats = recover_runtime(db, promote=False)
-        deferred = db.recovery_stats["deferred"]
-    else:
-        db.recovery_stats = None
-    db.storage.wal.release_archived()
-    return db, deferred
 
 
 def recover_runtime(db: Database, promote: bool = True,
@@ -117,22 +104,17 @@ def recover_runtime(db: Database, promote: bool = True,
     stats = {"tables": 0, "rows": 0, "streams": 0,
              "stream_tuples": 0, "deferred": [], "cqs": []}
     deferred: List[dict] = []
-    db._recovering = True
-    try:
+    # replay with the log muted: recovery must not re-log what it is
+    # reading from the log
+    with wal.mute():
         records = list(wal.durable_records())
         for record in records:
             if record.kind in (walrec.DDL, walrec.DDL_OBJ):
                 apply_ddl_record(db, record, deferred)
-        # durable table rows — re-inserted with the WAL detached, so
-        # recovery does not re-log what it just read from the log
-        quiesce_wal(db)
-        try:
-            for name, rows in wal.replay().items():
-                if db.catalog.relation_kind(name) == cat.TABLE:
-                    db.insert_table(name, rows)
-                    stats["rows"] += len(rows)
-        finally:
-            restore_wal(db)
+        for name, rows in wal.replay().items():
+            if db.catalog.relation_kind(name) == cat.TABLE:
+                db.insert_table(name, rows)
+                stats["rows"] += len(rows)
         # idempotent-ingest batch markers: a batch's rows and its
         # stream_dedup marker become durable in one flush, so a rows
         # record tagged with a (sender, seq) rid whose marker never made
@@ -158,13 +140,14 @@ def recover_runtime(db: Database, promote: bool = True,
         stats["dedup_markers"] = db.admission.dedup.restore_from_wal(wal)
         stats["tables"] = len(list(db.catalog.relations(cat.TABLE)))
         stats["streams"] = len(list(db.catalog.relations(cat.STREAM)))
-        if promote:
-            apply_streaming_ddl(db, deferred)
-            stats["cqs"] = recover_cqs(db, faults=faults)
-        else:
+        if not promote:
             stats["deferred"] = deferred
-    finally:
-        db._recovering = False
+            return stats
+        apply_streaming_ddl(db, deferred)
+    # outside the mute: what a recovered CQ emits from here on (tail
+    # replay past its last close -> channel -> active table) is new,
+    # and is logged
+    stats["cqs"] = recover_cqs(db, faults=faults)
     return stats
 
 
@@ -313,30 +296,6 @@ def recover_cqs(db: Database, faults=None) -> List[tuple]:
                     cq.name, "recovery",
                     f"{type(exc).__name__}: {exc}", [])
     return outcomes
-
-
-# ---------------------------------------------------------------------------
-# WAL quiescing (recovery and standby apply must not re-log)
-# ---------------------------------------------------------------------------
-
-
-def quiesce_wal(db: Database) -> None:
-    """Detach the WAL from every write path.
-
-    Used while re-inserting replayed rows (boot) and while applying
-    shipped records (standby): the records describing these writes are
-    already in the log — side effects must not log them again.
-    """
-    db.txn_manager.wal = None
-    for _name, table in db.catalog.relations(cat.TABLE):
-        table._wal = None
-
-
-def restore_wal(db: Database) -> None:
-    """Reattach the WAL after :func:`quiesce_wal`."""
-    db.txn_manager.wal = db.storage.wal
-    for _name, table in db.catalog.relations(cat.TABLE):
-        table._wal = db.storage.wal
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,8 @@ from repro.storage.wal import record_from_wire
 from repro.replication.bootstrap import (
     apply_ddl_record,
     apply_streaming_ddl,
-    quiesce_wal,
     recover_cqs,
     restore_stream_record,
-    restore_wal,
 )
 
 
@@ -58,11 +56,15 @@ class WalApplier:
     """Applies shipped WAL records to the standby engine.
 
     Every method runs on the engine thread (the controller crosses over
-    through the server's single-writer executor).
+    through the server's single-writer executor).  The followed log is
+    muted from here on: applying a shipped record's effect (a replayed
+    transaction, replayed DDL) authors nothing, `append_replicated` is
+    the only way in, and promotion unmutes it.
     """
 
     def __init__(self, db, faults=None):
         self.db = db
+        db.storage.wal.muted = True
         self.faults = faults if faults is not None else db.faults
         self.deferred: List[dict] = []   # streaming DDL held for promotion
         self._pending: Dict[int, list] = {}  # txid -> buffered data records
@@ -121,14 +123,11 @@ class WalApplier:
             wal.append_replicated(record)
             return
         wal.append_replicated(record)
-        self.db._recovering = True      # suppress DDL re-logging
         try:
             self._apply_effect(record)
             self.applied_records += 1
         except Exception as exc:        # never kill the apply loop
             self._quarantine(record, f"{type(exc).__name__}: {exc}")
-        finally:
-            self.db._recovering = False
 
     def _quarantine(self, record, reason: str) -> None:
         self.poisoned += 1
@@ -164,31 +163,27 @@ class WalApplier:
         # standby's log, where promotion-time recovery will find it
 
     def _commit(self, txid: int) -> None:
-        """Replay one primary transaction's data ops atomically, with
-        the WAL detached — these ops are already in the log."""
+        """Replay one primary transaction's data ops atomically (the
+        log is muted — these ops are already in it)."""
         ops = self._pending.pop(txid, None)
         if not ops:
             return
         db = self.db
-        quiesce_wal(db)
+        txn = db.txn_manager.begin()
         try:
-            txn = db.txn_manager.begin()
-            try:
-                for record in ops:
-                    table = db.catalog.get_relation(record.table, cat.TABLE)
-                    if record.kind == walrec.INSERT:
-                        table.insert(txn, record.after)
-                    elif record.kind == walrec.DELETE:
-                        self._delete_matching(table, txn, record.before)
-                    else:  # UPDATE (defensive: engine logs delete+insert)
-                        self._delete_matching(table, txn, record.before)
-                        table.insert(txn, record.after)
-                txn.commit()
-            except Exception:
-                txn.abort()
-                raise
-        finally:
-            restore_wal(db)
+            for record in ops:
+                table = db.catalog.get_relation(record.table, cat.TABLE)
+                if record.kind == walrec.INSERT:
+                    table.insert(txn, record.after)
+                elif record.kind == walrec.DELETE:
+                    self._delete_matching(table, txn, record.before)
+                else:  # UPDATE (defensive: engine logs delete+insert)
+                    self._delete_matching(table, txn, record.before)
+                    table.insert(txn, record.after)
+            txn.commit()
+        except Exception:
+            txn.abort()
+            raise
 
     def _delete_matching(self, table, txn, before) -> None:
         """Delete one visible row matching the primary's before-image.
@@ -383,12 +378,12 @@ class StandbyController:
         self._promoted.set()
         self.state = "promoting"
         db = self.db
-        db._recovering = True
-        try:
-            apply_streaming_ddl(db, self.applier.deferred)
-            cqs = recover_cqs(db)
-        finally:
-            db._recovering = False
+        # still muted: the held DDL is already in the log
+        apply_streaming_ddl(db, self.applier.deferred)
+        # promotion = unmute: from here this node authors its own log
+        # (what the recovered CQs emit included)
+        db.storage.wal.muted = False
+        cqs = recover_cqs(db)
         self.promotion_stats = {
             "reason": reason, "cqs": cqs,
             "applied_lsn": self.applier.applied_lsn,

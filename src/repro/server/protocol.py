@@ -137,11 +137,13 @@ class FrameDecoder:
         return len(self._buffer)
 
 
-async def read_frame(reader) -> dict:
+async def read_frame(reader):
     """Read one frame from an ``asyncio.StreamReader``.
 
-    Returns ``None`` on clean EOF at a frame boundary; raises
-    :class:`ProtocolError` on a truncated or oversized frame.
+    Returns ``(payload, body length in bytes)`` — the length is what the
+    byte quota charges an ingest frame — or ``None`` on clean EOF at a
+    frame boundary; raises :class:`ProtocolError` on a truncated or
+    oversized frame.
     """
     import asyncio
 
@@ -160,7 +162,7 @@ async def read_frame(reader) -> dict:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ProtocolError("connection closed mid-frame") from None
-    return decode_body(body)
+    return decode_body(body), length
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.errors import ExecutionError, ProtocolError, TruvisoError
 from repro.server import protocol
 from repro.server.engine import SingleWriterExecutor
 from repro.server.session import Session
-from repro.sql import ast, parse_statement
+from repro.sql import ast, parse_statement, split_script
 
 _BANNER = "repro-server listening on {host}:{port}"
 
@@ -79,15 +79,12 @@ class TruSQLServer:
         if clock is not None and db is None:
             db_options.setdefault("clock", clock)
         self.role = "standby" if standby_of else "primary"
-        self._standby_deferred = []
         if db is None:
-            if standby_of is not None:
-                from repro.replication.bootstrap import open_standby_database
-                db, self._standby_deferred = open_standby_database(
-                    data_dir=data_dir, **db_options)
-            elif data_dir is not None:
+            if data_dir is not None or standby_of is not None:
                 from repro.replication.bootstrap import open_database
-                db = open_database(data_dir=data_dir, **db_options)
+                db = open_database(data_dir=data_dir,
+                                   standby=standby_of is not None,
+                                   **db_options)
             else:
                 db = Database(**db_options)
         self.db = db
@@ -159,7 +156,10 @@ class TruSQLServer:
                 heartbeat_interval=self.heartbeat_interval,
                 miss_limit=self.miss_limit,
                 auto_promote=self.auto_promote)
-            self.standby.applier.deferred.extend(self._standby_deferred)
+            # a restarted standby's boot replay held the pipeline DDL back
+            stats = getattr(self.db, "recovery_stats", None)
+            if stats:
+                self.standby.applier.deferred.extend(stats["deferred"])
             self.standby.start()
         if self.idle_timeout is not None:
             self._reaper_task = asyncio.ensure_future(self._reap_idle())
@@ -207,10 +207,7 @@ class TruSQLServer:
             await self._server.wait_closed()
         if drain and self.sessions:
             try:
-                flush = (self.partition_engine.flush
-                         if self.partition_engine is not None
-                         else self.db.flush_streams)
-                await self.on_engine(flush)
+                await self.on_engine(self.flush_entry)
             except Exception:
                 pass  # a poisoned stream must not wedge shutdown
         for session in list(self.sessions.values()):
@@ -245,6 +242,13 @@ class TruSQLServer:
         if self.partition_engine is not None:
             return self.partition_engine.execute(sql, params)
         return self.db.execute(sql, params)
+
+    def run_script(self, source: str) -> None:
+        """Engine thread: run a ``;``-separated script (``--init``)
+        statement by statement through :meth:`execute_entry`, so a
+        ``PARTITION BY`` stream it creates gets its router."""
+        for statement in split_script(source):
+            self.execute_entry(statement)
 
     def ingest_entry(self, name, rows, at=None, sender=None, seq=None,
                      watermark=None):
@@ -498,14 +502,15 @@ class TruSQLServer:
         self.sessions[session.session_id] = session
         try:
             while True:
-                frame = await protocol.read_frame(reader)
-                if frame is None:
+                received = await protocol.read_frame(reader)
+                if received is None:
                     break
+                frame, nbytes = received
                 session.last_seen = self.clock.monotonic()
                 session.last_seen_wall = time.time()
                 if self._c_frames_in is not None:
                     self._c_frames_in.inc()
-                response = await self._dispatch(session, frame)
+                response = await self._dispatch(session, frame, nbytes)
                 if response is not None:
                     writer.write(protocol.encode_frame(response))
                     await writer.drain()
@@ -548,7 +553,7 @@ class TruSQLServer:
             except Exception:
                 pass
 
-    async def _dispatch(self, session: Session, frame: dict):
+    async def _dispatch(self, session: Session, frame: dict, nbytes: int):
         request_id = frame.get("id")
         op = frame.get("op")
         try:
@@ -566,7 +571,7 @@ class TruSQLServer:
             if op == "unsubscribe":
                 return await session.handle_unsubscribe(frame)
             if op == "ingest":
-                return await session.handle_ingest(frame)
+                return await session.handle_ingest(frame, nbytes)
             if op == "advance":
                 return await session.handle_advance(frame)
             if op == "flush":
@@ -855,8 +860,7 @@ def main(argv=None) -> int:
             stream_retention=args.retention)
         if args.init and server.role == "primary":
             with open(args.init, "r", encoding="utf-8") as handle:
-                await server.on_engine(
-                    server.db.execute_script, handle.read())
+                await server.on_engine(server.run_script, handle.read())
         await server.start()
         print(_BANNER.format(host=server.host, port=server.port),
               flush=True)

@@ -35,7 +35,7 @@ from repro.errors import (
     UnknownObjectError,
 )
 from repro.server import protocol
-from repro.sql import ast, parse_statement
+from repro.sql import ast, first_word, parse_statement
 from repro.streaming.streams import StreamConsumer
 
 #: slow-client policies (the engine's backpressure vocabulary + an alias)
@@ -335,7 +335,10 @@ class Session:
 
     def _try_session_option(self, sql: str) -> Optional[dict]:
         """SET/SHOW of a *session* option is handled without touching
-        the engine; returns None when the statement is engine business."""
+        the engine; returns None when the statement is engine business
+        (told by its first word: the engine parses what it runs)."""
+        if first_word(sql) not in ("SET", "SHOW"):
+            return None
         try:
             statement = parse_statement(sql)
         except Exception:
@@ -468,7 +471,9 @@ class Session:
         await self.server.on_engine_fair(self, entry.detach)
         return protocol.ok_response(frame.get("id"))
 
-    async def handle_ingest(self, frame: dict) -> dict:
+    async def handle_ingest(self, frame: dict, nbytes: int) -> dict:
+        """``nbytes`` is the frame's body length as read off the socket:
+        the unit the tenant byte quota counts."""
         stream_name = frame.get("stream")
         rows = frame.get("rows")
         if not isinstance(stream_name, str) or not isinstance(rows, list):
@@ -488,7 +493,6 @@ class Session:
                                       or not isinstance(watermark,
                                                         (int, float))):
             raise ExecutionError("'watermark' must be an event time")
-        nbytes = _batch_bytes(rows)
         admission = self.server.db.admission
         if sender is not None:
             # recognise replays before the admission decision: the
@@ -513,9 +517,8 @@ class Session:
                 frame.get("id"), accepted=0, shed=len(rows), dropped=0,
                 duplicate=0)
         counts = await self.server.on_engine_fair(
-            self, self.server.ingest_entry, stream_name,
-            [tuple(row) for row in rows], at, sender, seq,
-            watermark=watermark)
+            self, self.server.ingest_entry, stream_name, rows, at,
+            sender, seq, watermark=watermark)
         self.rows_ingested += counts["accepted"]
         # a batch the engine recognised as a replay applied nothing, so
         # it must not count against the tenant's byte quota either
@@ -632,11 +635,6 @@ def _wire_event_time(cq, sink: SessionSink) -> bool:
     stream = cq.stream
     sink.watermark_fn = lambda: stream.watermark
     return True
-
-
-def _batch_bytes(rows) -> int:
-    """Cheap wire-size estimate of an ingest batch (byte-quota unit)."""
-    return sum(len(repr(row)) + 2 for row in rows)
 
 
 def _render_option(value) -> str:

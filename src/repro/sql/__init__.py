@@ -7,14 +7,21 @@ derived streams (``CREATE STREAM ... AS SELECT``), and channels
 (``CREATE CHANNEL ... FROM ... INTO ... APPEND|REPLACE``).
 """
 
-from repro.sql.lexer import Lexer, Token, tokenize
-from repro.sql.parser import Parser, parse_script, parse_statement
+from repro.sql.lexer import Lexer, Token, first_word, tokenize
+from repro.sql.parser import (
+    Parser,
+    parse_script,
+    parse_statement,
+    split_script,
+)
 
 __all__ = [
     "Lexer",
     "Token",
     "tokenize",
+    "first_word",
     "Parser",
     "parse_statement",
     "parse_script",
+    "split_script",
 ]

@@ -168,3 +168,18 @@ class Lexer:
 def tokenize(source: str):
     """Convenience wrapper returning the token list for ``source``."""
     return Lexer(source).tokens()
+
+
+def first_word(source: str) -> str:
+    """Upper-cased text of the first token of ``source`` — past leading
+    whitespace and comments — or ``""`` when there is none or it does
+    not lex: enough to tell ``SET`` / ``SHOW`` from engine business
+    without parsing the statement."""
+    lexer = Lexer(source)
+    try:
+        lexer._skip_whitespace_and_comments()
+        if lexer.pos >= len(source):
+            return ""
+        return lexer._next_token().upper
+    except LexerError:
+        return ""

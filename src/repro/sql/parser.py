@@ -898,3 +898,17 @@ def parse_statement(source: str):
 def parse_script(source: str):
     """Parse a ``;``-separated script into a list of statements."""
     return Parser(source).parse_script()
+
+
+def split_script(source: str):
+    """The source text of each statement of a ``;``-separated script,
+    for callers that hand statements on one at a time as text."""
+    texts, start = [], None
+    for token in tokenize(source):
+        if token.kind == EOF or (token.kind == OP and token.text == ";"):
+            if start is not None:
+                texts.append(source[start:token.position])
+            start = None
+        elif start is None:
+            start = token.position
+    return texts

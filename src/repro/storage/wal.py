@@ -40,6 +40,7 @@ import json
 import os
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -216,6 +217,12 @@ class WriteAheadLog:
         self._next_wal_page = 0
         self.flush_count = 0
         self.torn_records = 0
+        #: the author switch.  A muted log takes nothing from `append`:
+        #: what the engine does while replaying records it already holds
+        #: (boot recovery), or while following a primary whose log this
+        #: one must stay a byte-prefix of (a standby, until promotion),
+        #: is not authored here.  `append_replicated` is the only way in.
+        self.muted = False
         #: called with each appended record (primary-side WAL shipping)
         self.on_append = None
         #: obs histogram observing flush wall time (None = untimed)
@@ -245,13 +252,19 @@ class WriteAheadLog:
             self._open_segments()
 
     def append(self, txid: int, kind: str, table: str = None, rid=None,
-               before=None, after=None, payload=None) -> LogRecord:
-        """Add a record to the tail buffer (not yet durable).
+               before=None, after=None, payload=None,
+               flush: bool = False) -> Optional[LogRecord]:
+        """Add a record to the tail buffer; durable only once flushed
+        (``flush=True`` does that — everything buffered, in one flush —
+        before returning).
 
         The one place a record is encoded: checksum, flush-cost size
         and (when the log is on disk) the line `flush` writes all come
-        from the same field encodings.
+        from the same field encodings.  A :attr:`muted` log appends
+        nothing, flushes nothing and returns None.
         """
+        if self.muted:
+            return None
         fields = _encode_fields(txid, kind, table, rid, before, after,
                                 payload)
         body = _BODY % fields
@@ -263,7 +276,19 @@ class WriteAheadLog:
         self._buffer(record, len(body),
                      _LINE % ((lsn,) + fields + (crc,))
                      if self.segments is not None else None)
+        if flush:
+            self.flush()
         return record
+
+    @contextmanager
+    def mute(self):
+        """Mute the log for a block, then put the switch back where it
+        was (a standby replaying its own log at boot stays muted)."""
+        before, self.muted = self.muted, True
+        try:
+            yield
+        finally:
+            self.muted = before
 
     def append_replicated(self, record: LogRecord) -> LogRecord:
         """Adopt a record shipped from a primary, preserving its LSN.

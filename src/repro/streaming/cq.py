@@ -179,14 +179,12 @@ class ContinuousQuery(StreamConsumer):
     """
 
     def __init__(self, name: str, select: ast.Select, catalog, txn_manager,
-                 emit_empty: bool = True, params=None, obs=None,
-                 vectorize: bool = True):
+                 params=None, obs=None, vectorize: bool = True):
         self.name = name
         self.select = select
         self._catalog = catalog
         self._txn_manager = txn_manager
         self.params = params  # bound '?' values, fixed for the CQ's life
-        self.emit_empty = emit_empty  # kept for supervised restarts
         self.stats = CQStats()
         self.view = WindowConsistentView(txn_manager)
         self._sinks = []
@@ -262,7 +260,7 @@ class ContinuousQuery(StreamConsumer):
                 raise PlanningError(
                     "stream-stream joins over event-time streams are not "
                     "supported; stage one side through a derived stream")
-            self._init_two_stream(emit_empty)
+            self._init_two_stream()
         elif self._stream_ref.window is None:
             if emit is not None:
                 raise PlanningError(
@@ -275,14 +273,14 @@ class ContinuousQuery(StreamConsumer):
             self._window_spec = WindowSpec.from_clause(self._stream_ref.window)
             if emit is not None \
                     or getattr(self.stream, "tracker", None) is not None:
-                self._window_op = self._init_event_time(emit, emit_empty)
+                self._window_op = self._init_event_time(emit)
             else:
                 self._window_op = self._window_spec.make_operator(
-                    self._on_window, emit_empty)
-                self._maybe_slice_window(emit_empty)
+                    self._on_window)
+                self._maybe_slice_window()
             self._ports = None
 
-    def _init_event_time(self, emit, emit_empty: bool):
+    def _init_event_time(self, emit):
         """Window assignment by event time: the stream's watermark (not
         arrival order) closes slices, and the CQ's EMIT clause controls
         emission and lateness handling."""
@@ -312,7 +310,7 @@ class ContinuousQuery(StreamConsumer):
                 "eventtime.watermark_lag_seconds")
         stream = self.stream
         return EventTimeWindowOperator(
-            spec.visible, spec.advance, self._on_window, emit_empty,
+            spec.visible, spec.advance, self._on_window,
             wm_fn=lambda: stream.watermark,
             allowed_lateness=self.allowed_lateness,
             late_policy=self.late_policy,
@@ -322,7 +320,7 @@ class ContinuousQuery(StreamConsumer):
             emit_mode=self.emit_mode,
             emit_every=self.emit_every)
 
-    def _init_two_stream(self, emit_empty: bool) -> None:
+    def _init_two_stream(self) -> None:
         specs = []
         for ref in self._stream_refs:
             if ref.window is None:
@@ -346,8 +344,7 @@ class ContinuousQuery(StreamConsumer):
         self._flushed = [False, False]
         ops_pair = [
             spec.make_operator(
-                (lambda rows, o, c, i=i: self._on_joint(i, rows, o, c)),
-                emit_empty=True)
+                lambda rows, o, c, i=i: self._on_joint(i, rows, o, c))
             for i, spec in enumerate(specs)
         ]
         self._ports = [_StreamPort(self, i, op)
@@ -534,7 +531,7 @@ class ContinuousQuery(StreamConsumer):
 
     # -- sliced window mode (vectorized incremental aggregation) --------------
 
-    def _maybe_slice_window(self, emit_empty: bool) -> None:
+    def _maybe_slice_window(self) -> None:
         """Upgrade a plain time window to per-slice incremental
         aggregation when the vectorized plan allows it: a single
         BatchAggregate over a batch filter/project chain rooted at the
@@ -580,7 +577,7 @@ class ContinuousQuery(StreamConsumer):
                           tuple(chain), repr(self.params))
         self._sliced_agg = agg
         self._window_op = SlicedTimeWindowOperator(
-            spec.visible, spec.advance, self._on_sliced_window, emit_empty,
+            spec.visible, spec.advance, self._on_sliced_window,
             self._slice_partial)
 
     def _slice_partial(self, rows):

@@ -97,8 +97,8 @@ class CheckpointManager:
         payload["close_time"] = close_time
         # checkpoint records are durability-critical: force them out,
         # paying the I/O the paper says this strategy costs
-        self.wal.append(0, "cq_checkpoint", self.cq.name, payload=payload)
-        self.wal.flush()
+        self.wal.append(0, "cq_checkpoint", self.cq.name, payload=payload,
+                        flush=True)
         self.checkpoints_taken += 1
 
     @staticmethod

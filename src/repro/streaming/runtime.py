@@ -22,7 +22,6 @@ class StreamingRuntime:
     """The always-on half of a stream-relational database."""
 
     def __init__(self, catalog, txn_manager,
-                 emit_empty_windows: bool = True,
                  default_retention: Optional[float] = None,
                  disorder_policy: str = "raise",
                  default_slack: float = 0.0,
@@ -32,7 +31,6 @@ class StreamingRuntime:
         self.catalog = catalog
         self.txn_manager = txn_manager
         self.vectorize = vectorize
-        self.emit_empty_windows = emit_empty_windows
         self.default_retention = default_retention
         self.disorder_policy = disorder_policy
         self.default_slack = default_slack
@@ -131,8 +129,8 @@ class StreamingRuntime:
             self._counter += 1
             name = f"cq_{self._counter}"
         cq = ContinuousQuery(name, select, self.catalog, self.txn_manager,
-                             self.emit_empty_windows, params=params,
-                             obs=self.obs, vectorize=self.vectorize)
+                             params=params, obs=self.obs,
+                             vectorize=self.vectorize)
         cq.faults = self.faults
         cq.late_handler = self._quarantine_late
         return cq

@@ -60,10 +60,9 @@ class WindowSpec:
         return cls("time", visible=float(clause.visible),
                    advance=float(clause.advance))
 
-    def make_operator(self, sink: Sink, emit_empty: bool = True):
+    def make_operator(self, sink: Sink):
         if self.kind == "time":
-            return TimeWindowOperator(self.visible, self.advance, sink,
-                                      emit_empty)
+            return TimeWindowOperator(self.visible, self.advance, sink)
         if self.kind == "rows":
             return RowWindowOperator(self.visible, self.advance, sink)
         return WindowCountOperator(self.count, sink)
@@ -87,14 +86,12 @@ class TimeWindowOperator(StreamConsumer):
     #: how long a closed window stays correctable (event time, retract)
     retention = 0.0
 
-    def __init__(self, visible: float, advance: float, sink: Sink,
-                 emit_empty: bool = True):
+    def __init__(self, visible: float, advance: float, sink: Sink):
         if visible <= 0 or advance <= 0:
             raise WindowError("window extents must be positive")
         self.visible = float(visible)
         self.advance = float(advance)
         self.sink = sink
-        self.emit_empty = emit_empty
         # the slice grid: every window open and close is a slice edge
         self.slice_width = (self.advance if math.isinf(self.visible)
                             else time_gcd(self.visible, self.advance))
@@ -251,8 +248,7 @@ class TimeWindowOperator(StreamConsumer):
         self._evict()
         self.windows_closed += 1
         self.rows_emitted += count
-        if count or self.emit_empty:
-            self.sink(window, open_time, boundary)
+        self.sink(window, open_time, boundary)
 
 
 class SlicedTimeWindowOperator(TimeWindowOperator):
@@ -276,8 +272,8 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
     """
 
     def __init__(self, visible: float, advance: float, sink: Sink,
-                 emit_empty: bool, slice_fn):
-        super().__init__(visible, advance, sink, emit_empty)
+                 slice_fn):
+        super().__init__(visible, advance, sink)
         self._slice_fn = slice_fn        # rows -> partial (never raises)
         #: rows visible in the most recently closed window
         self.last_window_input = 0

@@ -117,8 +117,7 @@ class TransactionManager:
         if txn.status != ACTIVE:
             raise TransactionError(f"cannot commit {txn}")
         if self.wal is not None:
-            self.wal.append(txn.txid, "commit")
-            self.wal.flush()
+            self.wal.append(txn.txid, "commit", flush=True)
         self._status[txn.txid] = COMMITTED
         self._active.discard(txn.txid)
         txn.status = COMMITTED

@@ -535,6 +535,22 @@ class TestServerAdmission:
             finally:
                 conn.close()
 
+    def test_byte_quota_counts_the_ingest_frame(self):
+        from repro.server.protocol import encode_frame
+        with ServerThread() as st:
+            conn = client.connect(st.host, st.port, tenant="acme")
+            try:
+                conn.execute(STREAM_DDL)
+                conn.ingest("s", [(1, 1.0), (2, 2.0)])
+                sent = encode_frame({
+                    "id": conn._request_counter, "op": "ingest",
+                    "stream": "s", "rows": [[1, 1.0], [2, 2.0]]})
+                assert conn.query(
+                    "SELECT bytes_ingested FROM repro_tenants"
+                ).rows[0][0] == len(sent) - 4     # body, not the prefix
+            finally:
+                conn.close()
+
     def test_client_retries_rate_limit_on_shared_manual_clock(self):
         clk = ManualClock()
         with ServerThread(clock=clk) as st:

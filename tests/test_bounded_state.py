@@ -5,10 +5,7 @@ production; these tests drive moderate volumes and assert the in-memory
 structures stay at their theoretical bounds.
 """
 
-import pytest
-
 from repro import Database
-from repro.exec.columnar import HAS_NUMPY
 
 
 class TestWindowBufferBounds:
@@ -61,7 +58,6 @@ class TestWindowBufferBounds:
         assert len(stream._tail) <= 62
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="slicing needs the batch executor")
 class TestSharedSliceBounds:
     CQ = ("SELECT k, count(*) FROM s <VISIBLE '{} minutes' "
           "ADVANCE '1 minute'> GROUP BY k")

@@ -15,7 +15,6 @@ import pytest
 import repro.client as client
 from repro import Database
 from repro.errors import ExecutionError
-from repro.exec.columnar import HAS_NUMPY
 from repro.obs import (MetricsRegistry, NULL_COUNTER, NULL_HISTOGRAM,
                        Tracer)
 from repro.server import ServerThread
@@ -246,38 +245,24 @@ class TestExplain:
     def test_example_2_streaming_select(self):
         db = Database()
         db.execute(URL_STREAM)
-        if HAS_NUMPY:
-            expected = (
-                "Slices: width 60.0s, store readers 1\n"
-                "Limit(10, offset=0) [mode=iterator]\n"
-                "  Sort [mode=iterator]\n"
-                "    Project [mode=iterator]\n"
-                "      BatchAggregate(1 keys, 1 aggs) [mode=batch]\n"
-                "        BatchSource(url_stream) [mode=batch]")
-        else:
-            expected = (
-                "Limit(10, offset=0)\n"
-                "  Sort\n"
-                "    Project\n"
-                "      HashAggregate(1 keys, 1 aggs)\n"
-                "        RowSource(url_stream)")
+        expected = (
+            "Slices: width 60.0s, store readers 1\n"
+            "Limit(10, offset=0) [mode=iterator]\n"
+            "  Sort [mode=iterator]\n"
+            "    Project [mode=iterator]\n"
+            "      BatchAggregate(1 keys, 1 aggs) [mode=batch]\n"
+            "        BatchSource(url_stream) [mode=batch]")
         assert db.explain("EXPLAIN " + EXAMPLE_2.strip()) == expected
 
     def test_example_3_derived_stream_by_name(self):
         db = Database()
         db.execute(URL_STREAM)
         db.execute(EXAMPLE_3)
-        if HAS_NUMPY:
-            expected = (
-                "Slices: width 60.0s, store readers 1\n"
-                "Project [mode=iterator]\n"
-                "  BatchAggregate(1 keys, 1 aggs) [mode=batch]\n"
-                "    BatchSource(url_stream) [mode=batch]")
-        else:
-            expected = (
-                "Project\n"
-                "  HashAggregate(1 keys, 1 aggs)\n"
-                "    RowSource(url_stream)")
+        expected = (
+            "Slices: width 60.0s, store readers 1\n"
+            "Project [mode=iterator]\n"
+            "  BatchAggregate(1 keys, 1 aggs) [mode=batch]\n"
+            "    BatchSource(url_stream) [mode=batch]")
         assert db.explain("EXPLAIN urls_now") == expected
 
     def test_example_4_channel_resolves_to_source_cq(self):
@@ -294,22 +279,13 @@ class TestExplain:
         db.execute(URL_STREAM)
         db.execute(EXAMPLE_3)
         db.execute(EXAMPLE_4A)
-        if HAS_NUMPY:
-            expected = (
-                "Project [mode=iterator]\n"
-                "  HashJoin(INNER, 1 keys, build=right) [mode=iterator]\n"
-                "    Project [mode=iterator]\n"
-                "      BatchAggregate(0 keys, 1 aggs) [mode=batch]\n"
-                "        BatchSource(urls_now) [mode=batch]\n"
-                "    SeqScan(urls_archive, ~0 rows) [mode=iterator]")
-        else:
-            expected = (
-                "Project\n"
-                "  HashJoin(INNER, 1 keys, build=right)\n"
-                "    Project\n"
-                "      HashAggregate(0 keys, 1 aggs)\n"
-                "        RowSource(urls_now)\n"
-                "    SeqScan(urls_archive, ~0 rows)")
+        expected = (
+            "Project [mode=iterator]\n"
+            "  HashJoin(INNER, 1 keys, build=right) [mode=iterator]\n"
+            "    Project [mode=iterator]\n"
+            "      BatchAggregate(0 keys, 1 aggs) [mode=batch]\n"
+            "        BatchSource(urls_now) [mode=batch]\n"
+            "    SeqScan(urls_archive, ~0 rows) [mode=iterator]")
         assert db.explain("EXPLAIN " + EXAMPLE_5.strip()) == expected
 
     def test_unknown_target_errors(self):
@@ -321,8 +297,7 @@ class TestExplain:
         db = Database()
         make_pipeline(db)
         text = db.explain("EXPLAIN ANALYZE urls_now")
-        source = "BatchSource" if HAS_NUMPY else "RowSource"
-        assert f"{source}(url_stream) (actual rows=50 loops=" in text
+        assert "BatchSource(url_stream) (actual rows=50 loops=" in text
         assert "never executed" not in text
         # nonzero wall time on at least the aggregate
         assert " time=" in text
@@ -431,14 +406,10 @@ class TestStatsViews:
         counts = {operator: n for operator, _, n in rows}
         assert modes["Project"] == "iterator"
         assert counts["Project"] == 0
-        if HAS_NUMPY:
-            assert modes["BatchSource(url_stream)"] == "batch"
-            # every ingested row flowed through the vectorized path
-            assert counts["BatchSource(url_stream)"] == 50
-            assert counts["BatchAggregate(1 keys, 1 aggs)"] == 50
-        else:
-            assert set(modes.values()) == {"iterator"}
-            assert set(counts.values()) == {0}
+        assert modes["BatchSource(url_stream)"] == "batch"
+        # every ingested row flowed through the vectorized path
+        assert counts["BatchSource(url_stream)"] == 50
+        assert counts["BatchAggregate(1 keys, 1 aggs)"] == 50
 
 
 class TestSlowWindowLog:

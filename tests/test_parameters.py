@@ -4,7 +4,6 @@ import pytest
 
 from repro import Database
 from repro.errors import ExecutionError
-from repro.exec.columnar import HAS_NUMPY
 
 
 @pytest.fixture
@@ -100,8 +99,6 @@ class TestCQParameters:
         """Bound ``?`` values are part of the slice-store key: a CQ
         skips sharing with one bound to other values, and shares with
         one bound to the same."""
-        if not HAS_NUMPY:
-            pytest.skip("slicing needs the batch executor")
         db = Database()
         db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
         sql = ("SELECT count(*) FROM s <VISIBLE '1 minute'> "

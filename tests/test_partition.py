@@ -846,6 +846,28 @@ class TestServerPartitions:
                 total = sum(row[1] for w in windows for row in w.rows)
                 assert total >= 4
 
+    def test_init_script_goes_through_the_router(self):
+        """``--partitions`` + ``--init``: a PARTITION BY stream the
+        script creates gets its route, so a CQ over it is partitionized
+        (run on the bare database it got neither — silently)."""
+        from repro import client
+        from repro.server import ServerThread
+
+        with ServerThread(partitions=2) as st:
+            server = st.server
+            server.executor.submit(
+                server.run_script,
+                f"-- init\n{self.DDL};\nCREATE TABLE t (note TEXT);\n"
+                "INSERT INTO t VALUES ('a;b');").result(10.0)
+            assert list(server.partition_engine._routes) == ["s"]
+            with client.connect(st.host, st.port) as conn:
+                assert conn.query("SELECT note FROM t").rows == [("a;b",)]
+                sub = conn.execute(self.CQ)
+                text = server.executor.submit(
+                    server.partition_engine.explain, sub.name).result(10.0)
+                assert "-- partition worker 1 --" in text
+                assert "partitioned: no" not in text
+
     def test_partitions_refused_with_standby(self):
         from repro.server import TruSQLServer
 

@@ -26,7 +26,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Database
-from repro.exec.columnar import HAS_NUMPY
 from repro.partition import PartitionedEngine
 
 KEYS = ["alpha", "beta", "gamma", "delta"]
@@ -157,7 +156,6 @@ class TestArrivalParity:
             assert run_partitioned(n, ARRIVAL_DDL, cq, batches) == want
 
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="slicing needs numpy")
     def test_two_same_key_cqs_share_a_store_on_every_worker(self):
         # sharing composes with partitioning: the two CQs differ only in
         # VISIBLE, so each worker's pair reads one slice store — and the

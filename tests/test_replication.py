@@ -18,6 +18,7 @@ from repro.server import ServerThread
 from repro.storage.wal import (
     LogRecord,
     record_from_wire,
+    record_line,
     record_to_wire,
 )
 from repro.replication.standby import WalApplier, WalGap
@@ -80,7 +81,7 @@ def ship(primary, standby_applier, from_lsn=1):
 class TestWalApplier:
     def pair(self):
         primary = make_primary_db()
-        standby = Database(replication_logging=False, supervised=True)
+        standby = Database(supervised=True)
         return primary, standby, WalApplier(standby)
 
     def test_ddl_and_rows_apply(self):
@@ -153,7 +154,7 @@ class TestWalApplier:
     def test_apply_crashpoint_quarantines_record(self):
         primary = make_primary_db()
         faults = FaultInjector(7)
-        standby = Database(replication_logging=False, supervised=True,
+        standby = Database(supervised=True,
                            fault_injector=faults)
         applier = WalApplier(standby, faults=faults)
         primary.execute("CREATE TABLE t (a integer)")
@@ -355,13 +356,96 @@ class TestShipping:
         # the promoted node still refuses a replayed idempotent batch...
         replay = fresh.ingest("s", batches[1], sender="c1", seq=1)
         assert replay.duplicate == len(batches[1])
-        # ...and logs its own ingest the same way
+        # ...and logs its own ingest the same way: one batch record on
+        # top of the log the primary shipped
         fresh.ingest("s", [(0, 500.0), (1, 501.0)])
         tuples, watermark, tail = stream_state(stby)
         assert (tuples, watermark) == (202, 501.0)
         assert tail == want[2] + [(500.0, (0, 500.0)), (501.0, (1, 501.0))]
-        assert stby.server.db.storage.wal.records[-1].kind == "stream_rows"
+        wal = stby.server.db.storage.wal
+        assert wal.head_lsn == head + 1
+        assert wal.records[-1].kind == "stream_rows"
         fresh.close()
+        sconn.close()
+        pconn.close()
+
+    def test_promoted_standby_authors_its_own_durable_log(
+            self, tmp_path, primary, standby_of):
+        """Promotion = unmute: what the promoted node accepts is logged
+        record for record and survives a kill -9 of the new primary."""
+        pconn = client.connect(primary.host, primary.port)
+        pconn.execute(STREAM_DDL)
+        pconn.ingest("s", [(1, 1.0), (2, 2.0)])
+        pconn.ingest("s", [(3, 3.0)], sender="c1", seq=1)
+        stby = standby_of(primary)
+        head = primary.server.db.storage.wal.head_lsn
+        sconn = client.connect(stby.host, stby.port)
+        wait_until(lambda: sconn.query(
+            "SELECT applied_lsn FROM repro_replication_status")
+            .scalar() == head)
+        sconn.promote("durable failover")
+        wal = stby.server.db.storage.wal
+        assert wal.head_lsn == head      # promotion itself authors nothing
+
+        fresh = client.connect(stby.host, stby.port)
+        fresh.ingest("s", [(4, 4.0)], watermark=50.0)
+        fresh.ingest("s", [(5, 51.0), (6, 52.0)], sender="c1", seq=2)
+        fresh.execute("CREATE STREAM s2 (v integer, ts timestamp "
+                      "CQTIME USER)")
+        authored = [r.kind for r in wal.records_from(head + 1)]
+        assert authored == ["stream_rows", "stream_advance",
+                            "stream_rows", "stream_dedup", "ddl_obj"]
+        assert wal.head_lsn == head + len(authored)
+        fresh.close()
+        sconn.close()
+        pconn.close()
+        stby.kill()
+
+        from repro.replication import open_database
+        back = open_database(data_dir=str(tmp_path / "stby"),
+                             stream_retention=600.0)
+        try:
+            assert back.get_stream("s2") is not None
+            stream = back.get_stream("s")
+            assert stream.watermark == 52.0
+            assert [row for _t, row in stream.replay_since(3.5)] \
+                == [(4, 4.0), (5, 51.0), (6, 52.0)]
+            assert back.storage.wal.head_lsn == head + len(authored)
+            replay = back.ingest_batch("s", [(5, 51.0), (6, 52.0)],
+                                       sender="c1", seq=2)
+            assert replay["duplicate"] == 2 and replay["accepted"] == 0
+        finally:
+            back.close()
+
+    def test_restarted_standby_log_stays_a_prefix(
+            self, tmp_path, primary, standby_of):
+        """A follower authors nothing, across a restart included: boot
+        replay of its own log (pipeline DDL held back) leaves it the
+        primary's log, line for line."""
+        def lines(server_thread):
+            return [record_line(r)
+                    for r in server_thread.server.db.storage.wal.records]
+
+        pconn = client.connect(primary.host, primary.port)
+        pconn.execute(STREAM_DDL)
+        for statement in PIPELINE_DDL.split(";")[:-1]:
+            pconn.execute(statement)
+        stby = standby_of(primary)
+        pconn.ingest("s", [(i, float(i)) for i in range(1, 10)])
+        pconn.ingest("s", [(0, 11.0)])           # closes (0,10]
+        wait_until(lambda: stby.server.db.storage.wal.head_lsn
+                   == primary.server.db.storage.wal.head_lsn)
+        stby.stop()
+
+        pconn.ingest("s", [(1, 12.0), (0, 21.0)])    # while it is down
+        again = standby_of(primary)
+        assert lines(again) == lines(primary)[:len(lines(again))]
+        wait_until(lambda: again.server.db.storage.wal.head_lsn
+                   == primary.server.db.storage.wal.head_lsn)
+        assert lines(again) == lines(primary)
+        sconn = client.connect(again.host, again.port)
+        assert sconn.query("SELECT c, ts FROM archive ORDER BY ts").rows \
+            == [(9, 10.0), (2, 20.0)]
         sconn.close()
         pconn.close()
 

@@ -338,6 +338,12 @@ class TestEndToEnd:
         finally:
             other.close()
 
+    def test_leading_comment_still_sets_session_option(self, conn):
+        conn.execute("-- policy for this dashboard\n"
+                     "SET subscribe_policy = 'shed-oldest'")
+        assert conn.query("/* which? */ SHOW subscribe_policy").scalar() \
+            == "shed-oldest"
+
     def test_show_all_includes_session_options(self, conn):
         rows = dict(conn.query("SHOW all").rows)
         assert rows["subscribe_policy"] == "block"

@@ -11,13 +11,9 @@ iterator engine (``vectorize=False``) is the reference.
 import pytest
 
 from repro import Database
-from repro.exec.columnar import HAS_NUMPY
 from repro.sql import parse_statement
 from repro.streaming import CheckpointManager, ContinuousQuery
 from repro.streaming.supervisor import SupervisorPolicy
-
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="slicing (and so sharing) needs the batch executor")
 
 CLICKS_DDL = ("CREATE STREAM clicks (url varchar(100), "
               "ts timestamp CQTIME USER, ip varchar(20))")

@@ -10,30 +10,20 @@ Three layers, each pinned bit-for-bit to the row-at-a-time semantics:
   HashAggregate through a full CQ (``Database(vectorize=...)``);
 - *mixed mode*: a plan with an unconvertible operator keeps a batch
   source below an iterator aggregate and still matches.
-
-The final class proves the engine stays fully functional when numpy is
-missing (``REPRO_DISABLE_NUMPY``), satisfying the optional-dependency
-contract in :mod:`repro.exec.columnar`.
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
 from repro.errors import ExecutionError
-from repro.exec.columnar import HAS_NUMPY, ColumnBatch
+from repro.exec.columnar import ColumnBatch
 from repro.exec.expressions import RowLayout, compile_expr
 from repro.sql.parser import parse_statement
 from repro.types.datatypes import (BooleanType, DoubleType, IntegerType,
                                    VarcharType)
-
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="vectorized executor needs numpy")
 
 # schema shared by the kernel tests: two doubles, two ints, a bool, a str
 COLUMNS = ["a", "b", "i", "j", "p", "s"]
@@ -100,7 +90,6 @@ EXPRESSIONS = [
 ]
 
 
-@needs_numpy
 class TestKernelParity:
     @pytest.mark.parametrize("fragment", EXPRESSIONS)
     @settings(max_examples=40, deadline=None)
@@ -179,7 +168,6 @@ def run_cq(query, events, vectorize):
     return [(w.close_time, sorted(w.rows)) for w in sub.poll()]
 
 
-@needs_numpy
 class TestEndToEndParity:
     @settings(max_examples=25, deadline=None)
     @given(events=events_strategy)
@@ -222,34 +210,3 @@ class TestEndToEndParity:
         db.advance_streams(float(events[-1][2]) + 60.0)
         got = [(w.close_time, sorted(w.rows)) for w in sub.poll()]
         assert got == run_cq(query, events, False)
-
-
-class TestNumpyFallback:
-    def test_engine_runs_without_numpy(self):
-        """REPRO_DISABLE_NUMPY simulates a missing numpy: plans build
-        iterator-only and the pipeline still produces correct windows."""
-        code = (
-            "from repro import Database\n"
-            "from repro.exec.columnar import HAS_NUMPY\n"
-            "assert not HAS_NUMPY\n"
-            "db = Database()\n"
-            "db.execute(\"CREATE STREAM s (k integer, "
-            "ts timestamp CQTIME USER)\")\n"
-            "sub = db.subscribe(\"SELECT k, count(*) FROM s "
-            "<VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY k\")\n"
-            "text = db.explain(\"EXPLAIN SELECT count(*) FROM s "
-            "<VISIBLE '10 seconds'>\")\n"
-            "assert 'Batch' not in text and 'mode=' not in text, text\n"
-            "db.insert_stream('s', [(1, 1.0), (1, 2.0), (2, 3.0)])\n"
-            "db.advance_streams(30.0)\n"
-            "w = sub.poll()[0]\n"
-            "assert sorted(w.rows) == [(1, 2), (2, 1)], w.rows\n"
-            "print('OK')\n"
-        )
-        env = dict(os.environ, REPRO_DISABLE_NUMPY="1",
-                   PYTHONPATH=os.path.join(os.path.dirname(__file__),
-                                           os.pardir, "src"))
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "OK"

@@ -16,12 +16,11 @@ from repro.streaming.windows import (
 )
 
 
-def collect(visible, advance, emit_empty=True):
+def collect(visible, advance):
     out = []
     op = TimeWindowOperator(
         visible, advance,
-        lambda rows, o, c: out.append((o, c, [r[0] for r in rows])),
-        emit_empty)
+        lambda rows, o, c: out.append((o, c, [r[0] for r in rows])))
     return op, out
 
 
@@ -57,12 +56,6 @@ class TestTimeWindows:
         closes = [c for _o, c, _r in out]
         assert closes == [60, 120, 180, 240]
         assert out[1][2] == []
-
-    def test_empty_windows_suppressed(self):
-        op, out = collect(60, 60, emit_empty=False)
-        op.on_tuple((10,), 10)
-        op.on_heartbeat(240)
-        assert [c for _o, c, _r in out] == [60]
 
     def test_alignment_to_epoch_multiples(self):
         op, out = collect(60, 60)
