@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench chaos examples shell server smoke \
-	failover-smoke dr-smoke obs-smoke admission-smoke eventtime-smoke \
+	failover-smoke dr-smoke obs-smoke admission-smoke \
 	vectorized-smoke partition-smoke \
 	bench-all bench-diff bench-smoke bench-pairs coverage clean
 
@@ -65,11 +65,6 @@ obs-smoke:
 # degrade a well-behaved tenant's p99 delivery latency by 2x (X5)
 admission-smoke:
 	$(PYTHON) benchmarks/bench_x5_admission.py
-
-# event-time overhead gate: watermark tracking on an ordered feed must
-# stay within 10% of arrival-time windows on the E1 pipeline (X6)
-eventtime-smoke:
-	$(PYTHON) benchmarks/bench_x6_eventtime.py
 
 # vectorized executor gate: the columnar batch path must be at least
 # 3x the row-at-a-time iterator on the E1 ingest+window pipeline (X7)

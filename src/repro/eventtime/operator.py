@@ -4,7 +4,8 @@ lateness, and retraction-correct windows.
 Arrival-time windows (:class:`~repro.streaming.windows.TimeWindowOperator`)
 close as soon as a tuple's timestamp proves the boundary passed; under
 reordered traffic that silently drops or mis-assigns late rows.  This
-operator keeps the parent's buffer (the held slices), its close, its
+operator keeps the parent's buffer (the held slices), its gather (rows,
+or slice partials when constructed with a reducer), its close, its
 eviction and its checkpoint surface, and overrides only *when*:
 
 - **assigns** every tuple to its slice by its *event time* (the
@@ -15,10 +16,12 @@ eviction and its checkpoint surface, and overrides only *when*:
   on raw tuple arrival;
 - **classifies** tuples below the watermark as late and applies the
   CQ's lateness policy; under ``retract`` an in-bound late tuple
-  re-opens each closed window it belonged to, gathers it again from
-  the retained slices (only the affected windows, not the whole
-  history), and reports it through ``on_correction`` so the CQ can
-  emit a typed retract/correct pair;
+  re-opens each closed window it belonged to and gathers it again
+  through the parent's one ``_window`` (only the affected windows, not
+  the whole history; with a reducer only the slice the row was filed
+  into is reduced again, every other partial is reused), and reports
+  it through ``on_correction`` so the CQ can emit a typed
+  retract/correct pair;
 - implements ``EMIT`` control: ``ON WATERMARK`` (default — final
   results only), ``ON CHANGE`` (speculative early emission of the
   open window on every change), and ``EVERY '<dur>'`` (periodic early
@@ -40,7 +43,7 @@ EMIT_PERIODIC = "every"
 
 #: on_late callback: (row, event_time, watermark, expired)
 LateFn = Callable[[tuple, float, float, bool], None]
-#: on_correction / on_early callback: (rows, open_time, close_time)
+#: on_correction / on_early callback: (window, open_time, close_time)
 CorrectionFn = Callable[[list, float, float], None]
 
 
@@ -50,10 +53,13 @@ class EventTimeWindowOperator(TimeWindowOperator):
     ``wm_fn`` returns the source stream's current watermark; closes
     happen in :meth:`on_heartbeat` (the event-time stream broadcasts a
     heartbeat whenever its watermark advances), so tuple arrival never
-    closes a window by itself.
+    closes a window by itself.  The final close, a re-open and an early
+    emit all hand their callback the same thing — the parent's
+    ``_window``: rows, or with ``slice_fn`` the covered slices' partials.
     """
 
-    def __init__(self, visible: float, advance: float, sink: Sink, *,
+    def __init__(self, visible: float, advance: float, sink: Sink,
+                 slice_fn=None, *,
                  wm_fn: Callable[[], float],
                  allowed_lateness: float = 0.0,
                  late_policy: str = DROP,
@@ -62,7 +68,7 @@ class EventTimeWindowOperator(TimeWindowOperator):
                  on_early: Optional[CorrectionFn] = None,
                  emit_mode: str = EMIT_ON_WATERMARK,
                  emit_every: Optional[float] = None):
-        super().__init__(visible, advance, sink)
+        super().__init__(visible, advance, sink, slice_fn)
         if late_policy not in LATENESS_POLICIES:
             raise WindowError(
                 f"unknown lateness policy {late_policy!r}; choose one of "
@@ -166,7 +172,7 @@ class EventTimeWindowOperator(TimeWindowOperator):
                 and boundary - self.visible <= event_time:
             open_time = boundary - self.visible
             self.corrections += 1
-            self.on_correction(self._rows(open_time, boundary),
+            self.on_correction(self._window(open_time, boundary),
                                open_time, boundary)
             boundary += self.advance
 
@@ -183,7 +189,7 @@ class EventTimeWindowOperator(TimeWindowOperator):
         boundary = self._next_boundary()
         open_time = boundary - self.visible
         self.early_emits += 1
-        self.on_early(self._rows(open_time, boundary), open_time, boundary)
+        self.on_early(self._window(open_time, boundary), open_time, boundary)
 
     # -- eviction -----------------------------------------------------------------
 

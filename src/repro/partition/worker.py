@@ -76,18 +76,16 @@ class WorkerEngine:
         # every close ships: a shard with no rows in a window reports an
         # (empty) partial, or the coordinator could not tell "empty"
         # from "still open"
-        if cq.is_sliced():
-            op.sink = self._make_sliced_ship(name, cq, agg)
-        else:
-            op.sink = self._make_rows_ship(name, cq, agg, "final")
+        make_ship = (self._make_sliced_ship if cq.is_sliced()
+                     else self._make_rows_ship)
+        op.sink = make_ship(name, cq, agg, "final")
         if cq.is_event_time():
             # late corrections recompute the shard's contribution; the
             # coordinator re-merges and emits the retract/correct pair
-            op.on_correction = self._make_rows_ship(name, cq, agg,
-                                                    "correct")
+            op.on_correction = make_ship(name, cq, agg, "correct")
         self._cqs[name] = (cq, agg)
 
-    def _make_sliced_ship(self, name, cq, agg):
+    def _make_sliced_ship(self, name, cq, agg, kind):
         from repro.streaming.cq import _FailedSlice
 
         def ship(partials, open_time, close_time):
@@ -95,7 +93,7 @@ class WorkerEngine:
                 if isinstance(part, _FailedSlice):
                     raise part.error
             groups = agg.merge_partials(partials)
-            self._ship(name, "final", groups, open_time, close_time,
+            self._ship(name, kind, groups, open_time, close_time,
                        cq._window_op.last_window_input)
         return ship
 

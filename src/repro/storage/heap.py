@@ -78,6 +78,15 @@ class HeapFile:
             for slot, version in page.live_versions():
                 yield (page_no, slot), version
 
+    def scan_newest_first(self, pool: BufferPool
+                          ) -> Iterator[Tuple[Rid, RowVersion]]:
+        """The scan backwards — last page first, last slot first — for
+        a reader that stops once it has found recently inserted rows."""
+        for page_no in reversed(range(len(self._pages))):
+            page = pool.fetch(self, page_no)
+            for slot, version in reversed(list(page.live_versions())):
+                yield (page_no, slot), version
+
     def truncate(self, pool: BufferPool) -> None:
         """Drop all pages (REPLACE-mode channels, DROP TABLE)."""
         pool.drop_file(self.file_id)

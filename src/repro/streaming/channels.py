@@ -147,16 +147,20 @@ class Channel:
     def _delete_rows(self, txn, rows) -> int:
         """Delete one stored copy of each retracted row (values are
         coerced through the table schema so they compare equal to what
-        ``on_batch`` stored)."""
+        ``on_batch`` stored).  The heap is walked newest page first and
+        the walk stops once every row is matched: a retracted window is
+        at most the lateness bound old, so the cost follows how late the
+        row was, not how large the table has grown."""
         from collections import Counter
         wanted = Counter(tuple(self.table.schema.coerce_row(r))
                          for r in rows)
         removed = 0
-        for rid, version in list(self.table.heap.scan(self.table._pool)):
-            if version.xmax is not None:
-                continue
+        for rid, version in self.table.heap.scan_newest_first(
+                self.table._pool):
+            if removed == len(rows):
+                break
             key = tuple(version.values)
-            if wanted.get(key):
+            if version.xmax is None and wanted.get(key):
                 self.table.delete_version(txn, rid, version)
                 wanted[key] -= 1
                 removed += 1

@@ -36,11 +36,7 @@ from repro.exec.planner import PlanContext, Planner
 from repro.sql import ast
 from repro.streaming.shared import join_store, leave_store
 from repro.streaming.streams import BaseStream, DerivedStream, StreamConsumer
-from repro.streaming.windows import (
-    SlicedTimeWindowOperator,
-    TimeWindowOperator,
-    WindowSpec,
-)
+from repro.streaming.windows import WindowSpec
 from repro.txn.window_consistency import WindowConsistentView
 
 
@@ -271,16 +267,16 @@ class ContinuousQuery(StreamConsumer):
             self._check_transform_shape()
         else:
             self._window_spec = WindowSpec.from_clause(self._stream_ref.window)
+            slice_fn = self._maybe_slice_window()
             if emit is not None \
                     or getattr(self.stream, "tracker", None) is not None:
-                self._window_op = self._init_event_time(emit)
+                self._window_op = self._init_event_time(emit, slice_fn)
             else:
                 self._window_op = self._window_spec.make_operator(
-                    self._on_window)
-                self._maybe_slice_window()
+                    self._on_window, slice_fn)
             self._ports = None
 
-    def _init_event_time(self, emit):
+    def _init_event_time(self, emit, slice_fn):
         """Window assignment by event time: the stream's watermark (not
         arrival order) closes slices, and the CQ's EMIT clause controls
         emission and lateness handling."""
@@ -310,7 +306,7 @@ class ContinuousQuery(StreamConsumer):
                 "eventtime.watermark_lag_seconds")
         stream = self.stream
         return EventTimeWindowOperator(
-            spec.visible, spec.advance, self._on_window,
+            spec.visible, spec.advance, self._on_window, slice_fn,
             wm_fn=lambda: stream.watermark,
             allowed_lateness=self.allowed_lateness,
             late_policy=self.late_policy,
@@ -370,7 +366,16 @@ class ContinuousQuery(StreamConsumer):
         """Subscribe to the source stream(s) and start running."""
         for stream, consumer in self._subscriptions():
             stream.subscribe(consumer)
-        if self.is_sliced():
+        # An event-time reader stays on its private store.  Partials are
+        # filed under (slice index, row count), which names a slice's
+        # contents only while slices are append-only and sealed once;
+        # with late rows a mid-slice attacher can reach a count another
+        # reader sealed earlier over different rows (A seals 1 999 rows,
+        # a straggler makes 2 000; B attached one row later, seals
+        # 1 998, the straggler makes 1 999 — and B would be served A's
+        # stale partial of its first 1 999).  Sharing across event-time
+        # CQs waits for the sealing-policy object (ROADMAP item 2).
+        if self.is_sliced() and not self.is_event_time():
             join_store(self.stream, self.store_key, self._window_op)
 
     def detach(self) -> None:
@@ -460,28 +465,33 @@ class ContinuousQuery(StreamConsumer):
             ctx["params"] = self.params
         return ctx
 
-    def _execute(self, batches, open_time: float, close_time: float,
-                 partials=None) -> list:
+    def _execute(self, batches, open_time: float, close_time: float) -> list:
         """Refresh the snapshot and run the plan over one window's
         relation(s).  On the sliced path the window arrives as slice
-        ``partials``: they are merged + finalized and the aggregate is
+        partials: they are merged + finalized and the aggregate is
         pinned to the result, so post-aggregate operators (projection
         with cq_close, HAVING, ORDER BY) and the plan's instrumentation
-        behave exactly as in iterator mode."""
+        behave exactly as in iterator mode.  A window of no partials
+        pins nothing and the plan runs over its empty relation — which
+        also leaves alone an aggregate the partition coordinator's merge
+        stage has already pinned."""
         self.view.refresh()
-        if partials is not None:
-            self._sliced_agg.set_merged(self._finalize_slices(partials))
+        agg = self._sliced_agg
+        pinned = agg is not None and bool(batches[0])
+        if pinned:
+            agg.set_merged(self._finalize_slices(batches[0]))
+            batches = [[]]
         self._batches = batches
         try:
             return list(self._plan.execute(
                 self._make_ctx(open_time, close_time)))
         finally:
             self._batches = [[] for _ in batches]
-            if partials is not None:
-                self._sliced_agg.set_merged(None)
+            if pinned:
+                agg.set_merged(None)
 
     def _evaluate(self, batches, open_time: float, close_time: float,
-                  rows_scanned: int, streams, partials=None,
+                  rows_scanned: int, streams,
                   per_tuple: bool = False) -> None:
         """Run the plan for one window and emit the result: the one path
         behind every window close (plain, sliced, joined) and — with
@@ -500,7 +510,7 @@ class ContinuousQuery(StreamConsumer):
                 op_before = self._op_snapshot()
         started_wall = time.time()
         started = time.perf_counter()
-        out = self._execute(batches, open_time, close_time, partials)
+        out = self._execute(batches, open_time, close_time)
         exec_seconds = time.perf_counter() - started
         stats = self.stats
         stats.rows_scanned += rows_scanned
@@ -523,22 +533,28 @@ class ContinuousQuery(StreamConsumer):
                 obs.trace_window(self, traces, self._plan.root, op_before,
                                  started_wall, exec_seconds, emit_seconds)
 
-    def _on_window(self, rows, open_time: float, close_time: float) -> None:
-        """Window closed: run the plan over its relation."""
+    def _on_window(self, window, open_time: float,
+                   close_time: float) -> None:
+        """Window closed: run the plan over its relation — its rows, or
+        on the sliced path the partials of the slices it covers."""
         if self._running:
-            self._evaluate([rows], open_time, close_time, len(rows),
+            scanned = (self._window_op.last_window_input if self.is_sliced()
+                       else len(window))
+            self._evaluate([window], open_time, close_time, scanned,
                            (self.stream,))
 
     # -- sliced window mode (vectorized incremental aggregation) --------------
 
-    def _maybe_slice_window(self) -> None:
-        """Upgrade a plain time window to per-slice incremental
-        aggregation when the vectorized plan allows it: a single
-        BatchAggregate over a batch filter/project chain rooted at the
-        stream's window relation, with nothing below the aggregate
-        reading the window-close context.  Each sealed slice is then
-        reduced once, and window close merges slice partials instead of
-        re-aggregating every visible row.
+    def _maybe_slice_window(self):
+        """The reducer that upgrades a time window — arrival time or
+        event time alike — to per-slice incremental aggregation, or
+        None (the window hands the plan its rows) unless the vectorized
+        plan allows it: a single BatchAggregate over a batch
+        filter/project chain rooted at the stream's window relation,
+        with nothing below the aggregate reading the window-close
+        context.  Each sealed slice is then reduced once, and window
+        close merges slice partials instead of re-aggregating every
+        visible row.
 
         What a slice partial depends on — the stream reference, that
         sub-aggregate chain and the bound parameters — becomes the
@@ -549,16 +565,15 @@ class ContinuousQuery(StreamConsumer):
         spec = self._window_spec
         if (not self.vectorized
                 or spec.kind != "time"
-                or math.isinf(spec.visible)
-                or type(self._window_op) is not TimeWindowOperator):
-            return
+                or math.isinf(spec.visible)):
+            return None
         aggs = [op for op in walk(self._plan.root)
                 if isinstance(op, batch_ops.BatchAggregate)]
         if len(aggs) != 1:
-            return
+            return None
         agg = aggs[0]
         if agg.uses_context:
-            return
+            return None
         chain = [agg.signature]
         node = agg.child
         while isinstance(node, (batch_ops.BatchFilter,
@@ -566,19 +581,17 @@ class ContinuousQuery(StreamConsumer):
             if node.uses_context:
                 # cq_close/cq_open below the aggregate vary per window;
                 # a slice partial would bake in the wrong close time
-                return
+                return None
             chain.append(node.signature)
             node = node.child
         if not (isinstance(node, batch_ops.BatchSource)
                 and node.is_stream_source):
-            return
+            return None
         ref = self._stream_ref
         self.store_key = (ref.name.lower(), (ref.alias or ref.name).lower(),
                           tuple(chain), repr(self.params))
         self._sliced_agg = agg
-        self._window_op = SlicedTimeWindowOperator(
-            spec.visible, spec.advance, self._on_sliced_window,
-            self._slice_partial)
+        return self._slice_partial
 
     def _slice_partial(self, rows):
         """Reduce one sealed slice's rows to mergeable partial states by
@@ -602,15 +615,6 @@ class ContinuousQuery(StreamConsumer):
                 raise part.error
         agg = self._sliced_agg
         return agg.finalize(agg.merge_partials(partials))
-
-    def _on_sliced_window(self, partials, open_time: float,
-                          close_time: float) -> None:
-        """Window closed on the sliced path: the plan runs over the
-        merge of the slice partials the window covers."""
-        if self._running:
-            self._evaluate([[]], open_time, close_time,
-                           self._window_op.last_window_input,
-                           (self.stream,), partials=partials)
 
     def is_sliced(self) -> bool:
         """True when the window runs incremental per-slice aggregation."""
@@ -645,14 +649,15 @@ class ContinuousQuery(StreamConsumer):
             self.late_handler(self.name, row, event_time, watermark,
                               expired)
 
-    def _on_reopened(self, rows, open_time: float,
+    def _on_reopened(self, window, open_time: float,
                      close_time: float) -> None:
-        """An in-bound late tuple re-opened a closed slice: rerun the
-        plan over the recomputed relation and emit a typed
-        retract(old)/correct(new) pair so downstream state converges."""
+        """An in-bound late tuple re-opened a closed window: rerun the
+        plan over the gathered relation (rows or slice partials, as
+        :meth:`_on_window`) and emit a typed retract(old)/correct(new)
+        pair so downstream state converges."""
         if not self._running:
             return
-        out = self._execute([rows], open_time, close_time)
+        out = self._execute([window], open_time, close_time)
         self.stats.rows_out += len(out)
         old = self._emitted.get(close_time)
         if old is not None:
@@ -660,12 +665,12 @@ class ContinuousQuery(StreamConsumer):
         self._emit_correction("correct", out, open_time, close_time)
         self._emitted[close_time] = out
 
-    def _on_early(self, rows, open_time: float, close_time: float) -> None:
+    def _on_early(self, window, open_time: float, close_time: float) -> None:
         """EMIT ON CHANGE / EMIT EVERY: speculative early output of the
-        still-open slice, typed so consumers can tell it from a final."""
+        still-open window, typed so consumers can tell it from a final."""
         if not self._running:
             return
-        out = self._execute([rows], open_time, close_time)
+        out = self._execute([window], open_time, close_time)
         self._emit_correction("early", out, open_time, close_time)
 
     def _emit_correction(self, kind: str, rows, open_time: float,

@@ -213,8 +213,7 @@ def _suppress_through(cq: ContinuousQuery, last_close: float) -> None:
     op = cq._window_op
     if op is None:
         return
-    # wrap the operator's live sink (plain windows use _on_window,
-    # sliced windows _on_sliced_window) rather than assuming one
+    # wrap the operator's live sink rather than assuming which one it is
     original = op.sink
 
     def guarded(rows, open_time, close_time):

@@ -3,7 +3,8 @@ manner" (Section 2.2; paper refs [4] Arasu/Widom and [12]
 Krishnamurthy/Wu/Franklin "On-the-fly sharing for streamed aggregation").
 
 Many aggregate CQs over one stream differ only in their window extents.
-A sliced window (:class:`~repro.streaming.windows.SlicedTimeWindowOperator`)
+A sliced window (a :class:`~repro.streaming.windows.TimeWindowOperator`
+constructed with a reducer — arrival time or event time alike)
 cuts its timeline into slices and reduces each sealed slice to a
 mergeable aggregate partial; the partials live here, in a store owned by
 the source stream and keyed by what the partial depends on (the
@@ -19,7 +20,12 @@ A partial is filed under (slice index, row count): a reader is only ever
 served a partial reduced from as many rows as it buffered for that slice
 itself, so a reader that attached mid-slice or was rebuilt from a
 checkpoint reduces its own shorter slice instead of borrowing a
-neighbour's.
+neighbour's.  The pair names a slice's *contents* only while slices are
+append-only and sealed once, which is arrival time; an event-time slice
+is sealed again whenever a late row grows it, so event-time readers keep
+a private store (see ``ContinuousQuery.attach``).  Within one reader a
+slice only grows, so a seal at a higher count retires the lower ones:
+no slot outlives the count it was reduced at.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ class SliceStore:
         self.width = float(width)
         #: the window operators reading this store
         self.readers = []
-        self._partials = {}     # (slice index, row count) -> partial
+        self._partials = {}     # slice index -> {row count: partial}
         #: rows reduced to partials — the E4 work counter: with K
         #: same-key readers it still equals the events ingested
         self.rows_reduced = 0
@@ -66,16 +72,21 @@ class SliceStore:
         return (_as_multiple(visible, self.width) is not None
                 and _as_multiple(advance, self.width) is not None)
 
-    def seal(self, index: int, rows: list, reduce: Callable) -> None:
-        """File the partial of slice ``index`` holding exactly ``rows``;
-        the first reader to seal a slice pays for the reduction."""
-        slot = (index, len(rows))
-        if slot not in self._partials:
-            self._partials[slot] = reduce(rows)
-            self.rows_reduced += len(rows)
-
-    def partial(self, index: int, count: int):
-        return self._partials[(index, count)]
+    def seal(self, index: int, rows: list, reduce: Callable):
+        """The partial of slice ``index`` holding exactly ``rows``; the
+        first reader to seal a slice at that count pays for the
+        reduction, and partials of fewer rows are dropped — a re-seal
+        (a late row, ``EMIT ON CHANGE``) replaces the previous partial.
+        A neighbour that attached mid-slice and still holds fewer rows
+        reduces its own count again: sealing is idempotent."""
+        counts = self._partials.setdefault(index, {})
+        count = len(rows)
+        if count not in counts:
+            for stale in [c for c in counts if c < count]:
+                del counts[stale]
+            counts[count] = reduce(rows)
+            self.rows_reduced += count
+        return counts[count]
 
     def evict(self) -> None:
         """Drop every slice all readers' horizons have passed.  A reader
@@ -87,11 +98,11 @@ class SliceStore:
         if not floors or None in floors:
             return
         floor = min(floors)
-        for slot in [s for s in self._partials if s[0] < floor]:
-            del self._partials[slot]
+        for index in [k for k in self._partials if k < floor]:
+            del self._partials[index]
 
     def __len__(self):
-        return len(self._partials)
+        return sum(len(counts) for counts in self._partials.values())
 
 
 def join_store(stream, key, reader) -> None:

@@ -16,10 +16,12 @@ gcd(VISIBLE, ADVANCE) — every window open and close is a slice edge —
 and :class:`TimeWindowOperator` holds ``{slice index: (times, rows)}``.
 A window is the run of held slices between its open and its close; one
 ``_close`` gathers it, drops every slice no future window can see and
-calls the sink.  The three time-window classes differ only in what they
-override: the event-time operator *when* a boundary has passed (the
-watermark, not arrival), the sliced operator *what* a close hands the
-sink (per-slice aggregate partials instead of rows).
+calls the sink.  *What* a close hands the sink is decided by the
+reducer the operator is constructed with, not by *when* it closes: none
+→ the window's rows (the iterator gear), a reducer → the mergeable
+aggregate partials of the slices it covers.  The event-time operator
+overrides only when a boundary has passed (the watermark, not arrival);
+the sliced operator only adds the bulk ``on_tuples``.
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ class WindowSpec:
         return cls("time", visible=float(clause.visible),
                    advance=float(clause.advance))
 
-    def make_operator(self, sink: Sink):
+    def make_operator(self, sink: Sink, slice_fn=None):
         if self.kind == "time":
-            return TimeWindowOperator(self.visible, self.advance, sink)
+            cls = (TimeWindowOperator if slice_fn is None
+                   else SlicedTimeWindowOperator)
+            return cls(self.visible, self.advance, sink, slice_fn)
         if self.kind == "rows":
             return RowWindowOperator(self.visible, self.advance, sink)
         return WindowCountOperator(self.count, sink)
@@ -79,19 +83,39 @@ class TimeWindowOperator(StreamConsumer):
     State is the held slices plus the next close boundary; after a close
     at ``T``, slices below ``T + advance - visible`` can never be visible
     again and are dropped.  Subclasses override *when* a boundary has
-    passed or *what* a close hands the sink (:meth:`_window`) — never the
-    buffer, the close or the eviction.
+    passed — never the buffer, the gather (:meth:`_window`), the close or
+    the eviction.
+
+    Constructed with a reducer ``slice_fn``, a window is handed to the
+    sink not as the covered slices' rows but as their mergeable
+    aggregate *partials*: each covered slice is reduced once per row
+    count — at the first gather that covers it, again only if it has
+    grown since (an event-time late row) — into a
+    :class:`~repro.streaming.shared.SliceStore`, and the sink merges and
+    finalizes the partials instead of re-aggregating the whole window.
+    An overlapping window therefore pays for each row once, not once
+    per window it is visible in — and, when the store has other readers
+    with the same key, once for all of them.  ``slice_fn`` must not
+    raise: evaluation errors are wrapped into the partial and surface
+    inside the (supervisable) sink call — exactly where the rows path's
+    plan execution would have raised them.
+
+    The operator is a *reader* of its store: the boundary grid and the
+    held slices (which it saw, and how much of each) stay its own.  It
+    starts on a private store and joins the stream's when its CQ attaches.
     """
 
     #: how long a closed window stays correctable (event time, retract)
     retention = 0.0
 
-    def __init__(self, visible: float, advance: float, sink: Sink):
+    def __init__(self, visible: float, advance: float, sink: Sink,
+                 slice_fn=None):
         if visible <= 0 or advance <= 0:
             raise WindowError("window extents must be positive")
         self.visible = float(visible)
         self.advance = float(advance)
         self.sink = sink
+        self._slice_fn = slice_fn        # rows -> partial (never raises)
         # the slice grid: every window open and close is a slice edge
         self.slice_width = (self.advance if math.isinf(self.visible)
                             else time_gcd(self.visible, self.advance))
@@ -103,7 +127,30 @@ class TimeWindowOperator(StreamConsumer):
         self.tuples_in = 0
         self.windows_closed = 0
         self.rows_emitted = 0
+        #: rows visible in the most recently gathered window
+        self.last_window_input = 0
         self._flushed = False
+        self.join(SliceStore(None, self.slice_width))
+
+    # -- the slice store ----------------------------------------------------------
+
+    def join(self, store: SliceStore) -> None:
+        """Become a reader of ``store``.  Whatever is already held (a
+        recovered CQ replays before it attaches) is re-slotted when the
+        store's grid is finer than the window's own."""
+        self.store = store
+        store.readers.append(self)
+        if store.width != self.slice_width:
+            points = self.points()
+            self.slice_width = store.width
+            self.load(points)
+
+    def leave(self) -> None:
+        """Stop reading the shared store (the CQ stopped).  The stream
+        may still be mid-delivery to this reader, and nothing holds the
+        store's slices for it any more: it finishes on a private one."""
+        self.store.readers.remove(self)
+        self.join(SliceStore(None, self.slice_width))
 
     # -- boundary arithmetic ----------------------------------------------------
 
@@ -162,24 +209,32 @@ class TimeWindowOperator(StreamConsumer):
         return [(k, slices[k][1])
                 for k in sorted(k for k in slices if first <= k < last)]
 
-    def _rows(self, open_time: float, boundary: float) -> list:
-        """The rows of the window ``[open_time, boundary)``, slice-major
-        (arrival order within a slice)."""
-        return [row for _index, rows in self._covered(open_time, boundary)
-                for row in rows]
-
-    def _window(self, open_time: float, boundary: float):
-        """What a close hands the sink, and how many rows that is."""
-        rows = self._rows(open_time, boundary)
-        return rows, len(rows)
+    def _window(self, open_time: float, boundary: float) -> list:
+        """What the window ``[open_time, boundary)`` hands the sink: its
+        rows, slice-major (arrival order within a slice) — or, with a
+        reducer, one partial per covered slice.  Sealing is idempotent
+        per (slice, row count), across readers too, so every gather —
+        the close, an event-time re-open, an early emit — reduces only
+        the slices that grew since the last one."""
+        covered = self._covered(open_time, boundary)
+        self.last_window_input = sum(len(rows) for _index, rows in covered)
+        reduce = self._slice_fn
+        if reduce is None:
+            return [row for _index, rows in covered for row in rows]
+        # the sink merges + finalizes the partials; a deferred slice
+        # error re-raises there, under the supervisor's window guard
+        seal = self.store.seal
+        return [seal(index, rows, reduce) for index, rows in covered]
 
     def _evict(self) -> None:
-        """Drop every slice no future window can see."""
+        """Drop every slice no future window can see — here, and from
+        the store once every other reader is past it too."""
         floor = self.horizon_index
         if floor is not None:
             slices = self._slices
             for index in [k for k in slices if k < floor]:
                 del slices[index]
+        self.store.evict()
 
     def points(self) -> list:
         """The buffer as ``[(event_time, row)]`` — the checkpoint
@@ -243,59 +298,17 @@ class TimeWindowOperator(StreamConsumer):
 
     def _close(self, boundary: float) -> None:
         open_time = boundary - self.visible
-        window, count = self._window(open_time, boundary)
+        window = self._window(open_time, boundary)
         self._boundary_index += 1
         self._evict()
         self.windows_closed += 1
-        self.rows_emitted += count
+        self.rows_emitted += self.last_window_input
         self.sink(window, open_time, boundary)
 
 
 class SlicedTimeWindowOperator(TimeWindowOperator):
-    """Time window with incremental per-slice aggregation.
-
-    A close hands the sink not the covered slices' rows but their
-    mergeable aggregate *partials*: ``slice_fn`` reduces each covered
-    slice once — at the first close that covers it — into a
-    :class:`~repro.streaming.shared.SliceStore`, and the sink merges and
-    finalizes the partials instead of re-aggregating the whole window.
-    An overlapping window therefore pays for each row once, not once
-    per window it is visible in — and, when the store has other readers
-    with the same key, once for all of them.  ``slice_fn`` must not
-    raise: evaluation errors are wrapped into the partial and surface
-    inside the (supervisable) sink call — exactly where the plain
-    operator's plan execution would have raised them.
-
-    The operator is a *reader* of its store: the boundary grid and the
-    held slices (which it saw, and how much of each) stay its own.  It
-    starts on a private store and joins the stream's when its CQ attaches.
-    """
-
-    def __init__(self, visible: float, advance: float, sink: Sink,
-                 slice_fn):
-        super().__init__(visible, advance, sink)
-        self._slice_fn = slice_fn        # rows -> partial (never raises)
-        #: rows visible in the most recently closed window
-        self.last_window_input = 0
-        self.join(SliceStore(None, self.slice_width))
-
-    def join(self, store: SliceStore) -> None:
-        """Become a reader of ``store``.  Whatever is already held (a
-        recovered CQ replays before it attaches) is re-slotted when the
-        store's grid is finer than the window's own."""
-        self.store = store
-        store.readers.append(self)
-        if store.width != self.slice_width:
-            points = self.points()
-            self.slice_width = store.width
-            self.load(points)
-
-    def leave(self) -> None:
-        """Stop reading the shared store (the CQ stopped).  The stream
-        may still be mid-delivery to this reader, and nothing holds the
-        store's slices for it any more: it finishes on a private one."""
-        self.store.readers.remove(self)
-        self.join(SliceStore(None, self.slice_width))
+    """An arrival-time window that takes sorted batches whole: the
+    vectorized gear's bulk ``on_tuples``, nothing else."""
 
     def on_tuples(self, rows: list, times: list) -> None:
         """Bulk arrival (sorted): chunk rows by slice so each chunk is
@@ -323,27 +336,6 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
                 held[1].extend(rows[i:j])
             self.tuples_in += j - i
             i = j
-
-    def _window(self, open_time: float, boundary: float):
-        # boundaries are slice edges, so each covered slice is complete;
-        # sealing is idempotent per (slice, row count), across readers too
-        store = self.store
-        parts = []
-        total = 0
-        for index, rows in self._covered(open_time, boundary):
-            store.seal(index, rows, self._slice_fn)
-            parts.append(store.partial(index, len(rows)))
-            total += len(rows)
-        self.last_window_input = total
-        # the sink merges + finalizes the partials; a deferred slice
-        # error re-raises there, under the supervisor's window guard
-        return parts, total
-
-    def _evict(self) -> None:
-        # a slice no future window can see goes with its rows — here,
-        # and from the store once every other reader is past it too
-        super()._evict()
-        self.store.evict()
 
 
 class RowWindowOperator(StreamConsumer):

@@ -96,8 +96,8 @@ class OutOfOrderEvents:
     phone that reconnects minutes after leaving a dead zone), which can
     land behind the watermark and exercise the lateness policies.
 
-    Deterministic from the seed, so tests and the X6 bench replay the
-    exact same arrival order.
+    Deterministic from the seed, so every test replays the exact same
+    arrival order.
     """
 
     def __init__(self, bound: float, straggler_prob: float = 0.0,
