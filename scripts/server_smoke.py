@@ -1,12 +1,20 @@
 #!/usr/bin/env python
 """CI smoke test for the network server.
 
-Starts ``repro-server`` as a real subprocess, connects with the client
-library, ingests a micro-batch, subscribes to a derived stream, asserts
-one correct window arrives, asks the server to shut down gracefully,
-and checks that the process exits 0.  Exercises the full stack the way
-a deployment would: separate processes, a real TCP socket, signal-free
-shutdown over the protocol.
+Starts ``repro-server`` as a real subprocess on a data directory,
+connects with the client library and drives the full stack the way a
+deployment would — separate processes, a real TCP socket:
+
+1. the client ingests a micro-batch (a **row-block** frame) and a raw
+   socket that never says ``hello`` sends one **version 1 JSON**
+   ``ingest`` frame beside it; both must land in the same window of a
+   subscribed derived stream;
+2. a second block batch is left in an open window and the server is
+   ``kill -9``-ed; a fresh process reopens the data directory, replays
+   the block records from the log, and must close that window with
+   exactly the rows acknowledged before the kill;
+3. the second server shuts down gracefully over the protocol and must
+   exit 0.
 
 Run from the repository root::
 
@@ -14,8 +22,12 @@ Run from the repository root::
 """
 
 import re
+import shutil
+import signal
+import socket
 import subprocess
 import sys
+import tempfile
 import time
 
 
@@ -24,36 +36,98 @@ def fail(message):
     sys.exit(1)
 
 
-def main():
+def boot(data_dir):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.server", "--port", "0"],
+        [sys.executable, "-m", "repro.server", "--port", "0",
+         "--data-dir", data_dir, "--retention", "600"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    try:
-        banner = proc.stdout.readline()
-        match = re.search(r"listening on ([\d.]+):(\d+)", banner)
-        if not match:
-            fail(f"no banner, got {banner!r}")
-        host, port = match.group(1), int(match.group(2))
-        print(f"server up at {host}:{port}")
+    banner = proc.stdout.readline()
+    match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+    if not match:
+        proc.kill()
+        fail(f"no banner, got {banner!r}")
+    print(f"server up at {match.group(1)}:{match.group(2)}")
+    return proc, match.group(1), int(match.group(2))
 
-        import repro.client
+
+def json_ingest(host, port, rows):
+    """One version 1 frame from a bare socket: no hello, JSON rows."""
+    from repro.server import protocol
+    frame = protocol.encode_frame(
+        {"id": 1, "op": "ingest", "stream": "s",
+         "rows": [list(row) for row in rows]})
+    if frame[4:5] != b"{":
+        fail("the hand-made version 1 frame is not a JSON body")
+    with socket.create_connection((host, port), timeout=10.0) as raw:
+        raw.sendall(frame)
+        decoder = protocol.FrameDecoder()
+        answers = []
+        while not answers:
+            answers = decoder.feed(raw.recv(65536))
+    if not answers[0].get("ok") or answers[0].get("accepted") != len(rows):
+        fail(f"version 1 ingest was not accepted whole: {answers[0]}")
+
+
+def main():
+    import repro.client
+    from repro.server import protocol
+
+    # (0, 10): the first half from the client, the second as JSON;
+    # (10, 20): left open across the kill
+    blocked = [(i, i / 5) for i in range(1, 21)]
+    plain = [(100 + i, 5.0 + i / 2) for i in range(8)]
+    in_flight = [(2 * i, 10.0 + i / 5) for i in range(1, 21)]
+    if protocol.encode_frame({}, blocked)[4:5] != protocol.BLOCK_BODY:
+        fail("the client's batches would not be sent as row blocks")
+
+    data_dir = tempfile.mkdtemp(prefix="repro-smoke-")
+    proc = None
+    try:
+        proc, host, port = boot(data_dir)
         with repro.client.connect(host, port) as conn:
+            if (conn.protocol_version or 0) < 2:
+                fail(f"server speaks protocol {conn.protocol_version}")
             conn.execute(
                 "CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
             conn.execute("CREATE STREAM agg AS SELECT sum(v) total, "
                          "cq_close(*) FROM s <VISIBLE '10 seconds'>")
+            conn.execute("CREATE TABLE archive (total bigint, "
+                         "ts timestamp)")
+            conn.execute("CREATE CHANNEL arch FROM agg INTO archive APPEND")
             sub = conn.subscribe("agg")
 
-            accepted = conn.ingest(
-                "s", [(i, float(i)) for i in range(1, 9)])
-            if accepted != 8:
-                fail(f"ingest accepted {accepted}, wanted 8")
-            conn.advance(10.0)
+            accepted = conn.ingest("s", blocked)
+            if accepted != len(blocked):
+                fail(f"ingest accepted {accepted}, wanted {len(blocked)}")
+            json_ingest(host, port, plain)
+            accepted = conn.ingest("s", in_flight)   # closes (0, 10)
+            if accepted != len(in_flight):
+                fail(f"ingest accepted {accepted}, wanted {len(in_flight)}")
 
             windows = sub.wait_windows(1, timeout=10.0)
-            if windows[0].rows != [(36, 10.0)]:
-                fail(f"wrong window rows: {windows[0].rows}")
-            print(f"window ok: {windows[0].rows}")
+            want = sum(v for v, _t in blocked + plain)
+            if windows[0].rows != [(want, 10.0)]:
+                fail(f"wrong window rows: {windows[0].rows}, wanted the "
+                     f"block and the JSON rows together: {want}")
+            print(f"window ok (block + JSON rows): {windows[0].rows}")
+
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            print("server SIGKILLed with a window open")
+
+        proc, host, port = boot(data_dir)
+        with repro.client.connect(host, port) as conn:
+            archived = conn.query("SELECT total, ts FROM archive").rows
+            if archived != [(want, 10.0)]:
+                fail(f"archive after restart: {archived}")
+            sub = conn.subscribe("agg")
+            conn.advance(20.0)
+            windows = sub.wait_windows(1, timeout=10.0)
+            replayed = sum(v for v, _t in in_flight)
+            if windows[0].rows != [(replayed, 20.0)]:
+                fail(f"window rebuilt from replayed block records: "
+                     f"{windows[0].rows}, wanted {replayed}")
+            print(f"replayed window ok: {windows[0].rows}")
 
             conn.shutdown_server()
             deadline = time.monotonic() + 10.0
@@ -69,9 +143,10 @@ def main():
             fail(f"server exited {code}")
         print("SMOKE OK")
     finally:
-        if proc.poll() is None:
+        if proc is not None and proc.poll() is None:
             proc.kill()
             proc.wait()
+        shutil.rmtree(data_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -112,9 +112,15 @@ class Schema:
 
         Raises :class:`ConstraintError` on arity or NOT NULL violations.
         """
-        if len(values) != len(self.columns):
+        try:
+            width = len(values)
+        except TypeError:
             raise ConstraintError(
-                f"row has {len(values)} values, schema has {len(self.columns)}"
+                f"a row is a sequence of {len(self.columns)} values, "
+                f"got {values!r}") from None
+        if width != len(self.columns):
+            raise ConstraintError(
+                f"row has {width} values, schema has {len(self.columns)}"
             )
         out = []
         for column, value in zip(self.columns, values):

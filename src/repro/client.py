@@ -1,7 +1,7 @@
 """A synchronous TruSQL client with automatic failover.
 
 The blocking counterpart of :mod:`repro.server`: one TCP connection,
-the length-prefixed JSON frame protocol, and an API that mirrors the
+the length-prefixed frame protocol, and an API that mirrors the
 embedded :class:`~repro.core.database.Database` so code moves between
 embedded and client/server mode with minimal edits::
 
@@ -42,6 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro import rowblock
 from repro.clock import SYSTEM_CLOCK
 from repro.core.results import ResultSet, WindowResult
 from repro.errors import (
@@ -50,6 +51,7 @@ from repro.errors import (
     ProtocolError,
     RemoteError,
     ReplicationGapError,
+    RowBlockError,
 )
 from repro.server.protocol import FrameDecoder, encode_frame
 
@@ -532,7 +534,9 @@ class Connection:
         earlier.  Event-time streams ack their watermark back on
         :attr:`IngestAck.watermark`.
         """
-        fields = {"stream": stream, "rows": [list(row) for row in rows]}
+        fields = {"stream": stream}
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
         if at is not None:
             fields["at"] = at
         if watermark is not None:
@@ -546,7 +550,7 @@ class Connection:
         deadline = self._clock.monotonic() + self.timeout
         while True:
             try:
-                response = self._request("ingest", **fields)
+                response = self._request("ingest", _rows=rows, **fields)
             except AdmissionError as exc:
                 if not retry or not exc.retryable:
                     raise
@@ -633,24 +637,32 @@ class Connection:
     # wire mechanics
     # ------------------------------------------------------------------
 
-    def _request(self, op: str, _no_failover: bool = False,
+    def _request(self, op: str, _no_failover: bool = False, _rows=None,
                  **fields) -> dict:
         if self.closed:
             raise ProtocolError("connection is closed")
         try:
-            return self._request_once(op, fields)
+            return self._request_once(op, fields, _rows)
         except (ConnectionError, OSError):
             if _no_failover or op == "hello" or not self.failover_targets:
                 raise
             self._failover()
-            return self._request_once(op, fields)
+            return self._request_once(op, fields, _rows)
 
-    def _request_once(self, op: str, fields: dict) -> dict:
+    def _request_once(self, op: str, fields: dict, rows=None) -> dict:
         self._request_counter += 1
         request_id = self._request_counter
         frame = {"id": request_id, "op": op}
         frame.update(fields)
-        self._sock.sendall(encode_frame(frame))
+        if rows is not None and (self.protocol_version or 1) < 2:
+            # the server connected to *now* (it may be a failover target)
+            # reads JSON rows only; what a block refuses, this refuses
+            try:
+                rowblock.check(rows)
+            except RowBlockError as exc:
+                raise ProtocolError(f"rows cannot be framed: {exc}") from None
+            frame["rows"], rows = rows, None
+        self._sock.sendall(encode_frame(frame, rows))
         deadline = time.monotonic() + self.timeout
         while request_id not in self._responses:
             if self.closed:

@@ -25,6 +25,7 @@ Typical use::
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import List, Optional
 
 from repro.catalog import catalog as cat
@@ -154,8 +155,8 @@ class Database:
             step = walrec.MAX_ROWS_PER_RECORD
             for start in range(0, len(rows), step):
                 wal.append(0, walrec.STREAM_ROWS, name, rid=rid,
-                           payload=[when[start:start + step],
-                                    rows[start:start + step]])
+                           payload=(when[start:start + step],
+                                    rows[start:start + step]))
 
         self.runtime.stream_logger = logger
         from repro.streaming.supervisor import DEAD_LETTER_STREAM
@@ -931,6 +932,11 @@ class Database:
         sources can observe their own completeness claims.
         """
         stream = self.runtime.get_stream(name)
+        if watermark is not None and not isfinite(watermark):
+            # refused before a row lands, not after the batch is durable
+            raise StreamingError(
+                f"stream {name!r}: watermark {watermark!r} is not a "
+                "finite time")
         idempotent = sender is not None and seq is not None
         if idempotent:
             sender = str(sender)

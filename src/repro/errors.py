@@ -139,6 +139,12 @@ class ProtocolError(NetworkError):
     """A malformed, oversized or out-of-sequence protocol frame."""
 
 
+class RowBlockError(TruvisoError):
+    """A row block (:mod:`repro.rowblock`) is malformed, or rows cannot be
+    laid out as one: the wire reports it as :class:`ProtocolError`, the
+    log as :class:`WALError`."""
+
+
 class ConnectionTimeoutError(NetworkError):
     """A client connection attempt did not complete within its deadline.
 

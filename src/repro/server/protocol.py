@@ -1,7 +1,21 @@
-"""The wire protocol: length-prefixed JSON frames.
+"""The wire protocol: length-prefixed frames, JSON or JSON + a row block.
 
 Every frame on the socket is a 4-byte big-endian unsigned length
-followed by that many bytes of UTF-8 JSON.  Requests carry an ``id``
+followed by that many bytes of body.  A body takes one of two forms,
+told apart by its first byte:
+
+* ``{`` — a UTF-8 JSON object: every response and push, every control
+  request, and an ``ingest`` from a version 1 or non-Python client
+  (``rows`` as a JSON list of lists — accepted forever);
+* ``0x01`` — bulk rows as typed columns: ``0x01`` · u32 big-endian
+  header length · JSON header (the ``ingest`` frame without ``rows``) ·
+  one row block (layout: :mod:`repro.rowblock`).  A server announcing
+  ``protocol`` >= 2 in its ``hello`` answer reads it, and
+  :func:`decode_body` hands back the same dict the JSON form would have
+  made, ``rows`` a list of row tuples.
+
+:func:`encode_frame` and :func:`decode_body` are the only two functions
+that know either form.  Requests carry an ``id``
 (per-connection, client-chosen, monotonically increasing) and an ``op``;
 the server answers each request with exactly one frame echoing the
 ``id``.  Server-initiated frames (window/tuple pushes, shed notices,
@@ -59,15 +73,20 @@ from __future__ import annotations
 import json
 import struct
 
+from repro import rowblock
 from repro.errors import (
     AdmissionError,
     ProtocolError,
     ReplicationGapError,
+    RowBlockError,
     TruvisoError,
 )
 
-#: bump when the frame vocabulary changes incompatibly
-PROTOCOL_VERSION = 1
+#: 2: the server reads the row-block body form (and every version 1 frame)
+PROTOCOL_VERSION = 2
+
+#: first byte of a body that carries a row block behind its JSON header
+BLOCK_BODY = b"\x01"
 
 #: refuse frames larger than this (a corrupt length prefix would
 #: otherwise make the reader try to allocate gigabytes)
@@ -82,10 +101,17 @@ def _json_default(value):
     return str(value)
 
 
-def encode_frame(payload: dict) -> bytes:
-    """One frame, ready for the socket: length prefix + JSON body."""
+def encode_frame(payload: dict, rows=None) -> bytes:
+    """One frame, ready for the socket: length prefix + body.  ``rows``
+    ride behind ``payload`` as a row block (the block form)."""
     body = json.dumps(payload, separators=(",", ":"),
                       default=_json_default).encode("utf-8")
+    if rows is not None:
+        try:
+            block = rowblock.encode(rows)
+        except RowBlockError as exc:
+            raise ProtocolError(f"rows cannot be framed: {exc}") from None
+        body = b"".join((BLOCK_BODY, _LENGTH.pack(len(body)), body, block))
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the "
@@ -94,8 +120,26 @@ def encode_frame(payload: dict) -> bytes:
 
 
 def decode_body(body: bytes) -> dict:
+    if body[:1] != BLOCK_BODY:
+        return _json_object(body)
     try:
-        payload = json.loads(body.decode("utf-8"))
+        start = 1 + _LENGTH.size
+        end = start + _LENGTH.unpack_from(body, 1)[0]
+        # a header cut short by the body's end does not parse, or leaves
+        # the row block starting past the end
+        payload = _json_object(body[start:end])
+        payload["rows"], end = rowblock.decode(body, end)
+    except (struct.error, RowBlockError) as exc:
+        raise ProtocolError(f"undecodable frame body: {exc}") from None
+    if end != len(body):
+        raise ProtocolError(
+            f"{len(body) - end} bytes follow the frame's row block")
+    return payload
+
+
+def _json_object(text: bytes) -> dict:
+    try:
+        payload = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame body: {exc}") from None
     if not isinstance(payload, dict):

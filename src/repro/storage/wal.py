@@ -20,6 +20,17 @@ recovery *truncates* the log at the first such record — everything before
 it is trusted, everything after it is discarded — instead of failing
 mid-replay.
 
+A record is a line of JSON, whatever it carries.  An ingest batch is
+one ``stream_rows`` record whose ``payload`` is a *string*: the base64
+text of one row block (:mod:`repro.rowblock`), the batch's event times
+as its first column and the rows' columns after it.  Being a JSON string
+in the same line under the same CRC, it needs nothing from segments,
+torn-write truncation, scrub, backup, archive catch-up or shipping.
+:meth:`WriteAheadLog.append` writes it and :func:`stream_points` is the
+one reader of a stream record, in each shape logs hold: the block, the
+``[times, rows]`` JSON payload written before it, and the one-row
+``stream_insert`` records written before that.
+
 The log runs in one of two modes:
 
 - **in-memory** (no ``path``): records only live in ``self.records``;
@@ -44,7 +55,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.errors import ReplicationGapError, WALError
+from repro import rowblock
+from repro.errors import ReplicationGapError, RowBlockError, WALError
 
 # record kinds
 INSERT = "insert"
@@ -55,7 +67,7 @@ ABORT = "abort"
 CHECKPOINT = "cq_checkpoint"
 DDL = "ddl"                      # table registration (schema payload)
 DDL_OBJ = "ddl_obj"              # stream/view/channel/index/drop (spec payload)
-STREAM_ROWS = "stream_rows"      # an ingest batch: payload [times, rows]
+STREAM_ROWS = "stream_rows"      # an ingest batch: a row block as text
 STREAM_ADVANCE = "stream_advance"  # a stream heartbeat (watermark move)
 STREAM_DEDUP = "stream_dedup"    # idempotent-ingest marker: rid=(sender, seq)
 
@@ -177,13 +189,21 @@ def stream_points(record: LogRecord) -> Optional[List[Tuple[float, tuple]]]:
     """``(event_time, row)`` pairs a stream record carries, in arrival
     order; None for every other kind of record.
 
-    Besides ``stream_rows`` this reads the one-row ``stream_insert``
-    records (row in ``after``, time in ``payload``) that logs, archives
-    and backups written before batch records still hold.
+    The one function that looks inside a stream record, in any of the
+    three shapes the module docstring lists; a ``stream_rows`` payload
+    that is none of them raises :class:`~repro.errors.WALError`.
     """
     if record.kind == STREAM_ROWS:
-        times, rows = record.payload
-        return list(zip(times, map(tuple, rows)))
+        payload = record.payload
+        try:
+            if isinstance(payload, str):
+                return rowblock.unpack(payload)
+            times, rows = payload
+            return list(zip(times, map(tuple, rows)))
+        except (RowBlockError, TypeError, ValueError) as exc:
+            raise WALError(
+                f"stream_rows record {record.lsn}: unreadable payload "
+                f"({exc})") from None
     if record.kind == "stream_insert":
         return [(record.payload, record.after)]
     return None
@@ -260,13 +280,21 @@ class WriteAheadLog:
 
         The one place a record is encoded: checksum, flush-cost size
         and (when the log is on disk) the line `flush` writes all come
-        from the same field encodings.  A :attr:`muted` log appends
-        nothing, flushes nothing and returns None.
+        from the same field encodings, and a ``stream_rows`` payload
+        ``(times, rows)`` becomes its row-block text.  A :attr:`muted`
+        log appends nothing, flushes nothing and returns None.
         """
         if self.muted:
             return None
-        fields = _encode_fields(txid, kind, table, rid, before, after,
-                                payload)
+        if kind == STREAM_ROWS and not isinstance(payload, str):
+            # a delivered batch, ``(times, rows)``: the record holds its
+            # row-block text, and base64 has nothing for JSON to escape
+            payload = rowblock.pack(*payload)
+            fields = _encode_fields(txid, kind, table, rid, before, after,
+                                    None)[:-1] + ('"' + payload + '"',)
+        else:
+            fields = _encode_fields(txid, kind, table, rid, before, after,
+                                    payload)
         body = _BODY % fields
         crc = zlib.crc32(body.encode("utf-8"))
         lsn = self._next_lsn

@@ -54,7 +54,7 @@ def capture_window_state(cq: ContinuousQuery) -> dict:
                            - op.visible)
         else:
             replay_from = float("-inf")
-    return {
+    state = {
         "buffer": [(when, list(row)) for when, row in points],
         "base": op._base,
         "boundary_index": op._boundary_index,
@@ -62,6 +62,13 @@ def capture_window_state(cq: ContinuousQuery) -> dict:
         "replay_from": replay_from,
         "last_close": cq.stats.last_close,
     }
+    if cq._emitted:
+        # what each still-correctable window emitted (RETRACT only, and
+        # bounded by its lateness allowance): a late row after the restart
+        # must retract exactly this
+        state["emitted"] = [[close, [list(row) for row in rows]]
+                            for close, rows in cq._emitted.items()]
+    return state
 
 
 def restore_window_state(cq: ContinuousQuery, state: dict) -> None:
@@ -75,6 +82,9 @@ def restore_window_state(cq: ContinuousQuery, state: dict) -> None:
     op.load((when, tuple(row)) for when, row in state["buffer"])
     op._base = state["base"]
     op._boundary_index = state["boundary_index"]
+    # absent when nothing was correctable, and in older checkpoints
+    cq._emitted = {close: [tuple(row) for row in rows]
+                   for close, rows in state.get("emitted", ())}
 
 
 class CheckpointManager:

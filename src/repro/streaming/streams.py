@@ -16,10 +16,16 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from math import isfinite
 from typing import Optional
 
 from repro.catalog.schema import Schema
-from repro.errors import BackpressureError, OutOfOrderError, StreamingError
+from repro.errors import (
+    BackpressureError,
+    ConstraintError,
+    OutOfOrderError,
+    StreamingError,
+)
 from repro.eventtime.watermark import WatermarkTracker
 
 RAISE = "raise"
@@ -130,10 +136,14 @@ class BaseStream:
         # replication hook (set by Database.enable_replication_logging),
         # so a WAL-shipping standby can mirror the stream tail:
         # fn(stream_name, "rows", rows, times) once per delivered batch
-        # (the per-row path delivers batches of one), before any
-        # consumer sees it; fn(stream_name, "advance", None, event_time)
-        # for every logged watermark advance
+        # — before any consumer sees it on the fast path and for a single
+        # insert, when the batch ends on the per-row path (_unlogged
+        # collects what it delivers: a record is a block of columns, and
+        # one per row would cost twice the JSON it replaced);
+        # fn(stream_name, "advance", None, event_time) for every logged
+        # watermark advance
         self.replication_log = None
+        self._unlogged = None       # (rows, times) of a per-row batch
         # observability facade (set by Observability.bind_stream);
         # sampled traces of in-flight tuples park here until their
         # window closes.  _trace_countdown is the every-Nth sampling
@@ -174,6 +184,12 @@ class BaseStream:
             raise StreamingError(
                 f"stream {self.name!r}: CQTIME value is NULL"
             )
+        if not isfinite(event_time):
+            # nan and inf are floats JSON and an f8 column both carry, and
+            # a window operator closing "through" one never stops closing
+            raise ConstraintError(
+                f"stream {self.name!r}: event time {event_time!r} is "
+                "not finite")
         if self.tracker is not None:
             # event-time mode: out-of-order arrival is legal — windows
             # assign by event time and lateness is the CQ's policy, so
@@ -288,7 +304,11 @@ class BaseStream:
     def _deliver(self, row: tuple, event_time: float) -> None:
         self._retain(event_time, row)
         if self.replication_log is not None:
-            self.replication_log(self.name, "rows", (row,), (event_time,))
+            if self._unlogged is None:
+                self.replication_log(self.name, "rows", (row,), (event_time,))
+            else:
+                self._unlogged[0].append(row)
+                self._unlogged[1].append(event_time)
         errors = None
         faults = self.faults
         if faults is not None and faults.armed:
@@ -355,10 +375,19 @@ class BaseStream:
         submitted = 0
         shed_before = self.tuples_shed
         dropped_before = self.tuples_dropped
-        for row in rows:
-            submitted += 1
-            if self.insert(row, at):
-                stored += 1
+        delivered = self._unlogged = ([], [])
+        try:
+            for row in rows:
+                submitted += 1
+                if self.insert(row, at):
+                    stored += 1
+        except ConstraintError as exc:
+            # rows before the refused one stay applied, so say which it was
+            raise ConstraintError(f"row {submitted - 1}: {exc}") from None
+        finally:
+            self._unlogged = None
+            if delivered[0] and self.replication_log is not None:
+                self.replication_log(self.name, "rows", *delivered)
         rejected = submitted - stored
         dropped_late = self.tuples_dropped - dropped_before
         shed_total = self.tuples_shed - shed_before
@@ -379,7 +408,8 @@ class BaseStream:
         (no watermark tracker, no slack reorder buffer), unsupervised
         delivery, no armed fault injector.  Any disorder, NULL CQTIME,
         or coercion problem defers to the per-row path, which raises
-        (or drops) with exactly the single-insert semantics.  Consumers
+        (or drops) with exactly the single-insert semantics — and so does
+        a non-finite event time, which only that path refuses.  Consumers
         implementing ``on_tuples(rows, times)`` receive the whole sorted
         batch in one call.  Returns None when the batch must take the
         slow path.
@@ -415,9 +445,10 @@ class BaseStream:
             if any(when is None for when in times):
                 return None
             for i in range(1, n):
-                if times[i] < times[i - 1]:
+                if not times[i] >= times[i - 1]:    # disorder, or a nan
                     return None
-        if times[0] < self.watermark:
+        if not times[0] >= self.watermark \
+                or not (isfinite(times[0]) and isfinite(times[-1])):
             return None
         final_rows = coerced
         self.watermark = max(self.watermark, times[-1])
@@ -469,6 +500,10 @@ class BaseStream:
         advances, injections are WAL-logged — they are not
         reconstructible from the row records.
         """
+        if not isfinite(event_time):
+            raise StreamingError(
+                f"stream {self.name!r}: cannot advance to {event_time!r}, "
+                "not a finite time")
         if self.tracker is not None:
             advanced = self.tracker.inject(event_time)
             if advanced is not None:

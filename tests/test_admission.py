@@ -378,6 +378,7 @@ class TestDatabaseSurfaces:
         every row of it and the client's retry lands exactly once."""
         from repro.faults import FaultInjector
         from repro.replication import open_database
+        from repro.storage.wal import stream_points
         wal_path = str(tmp_path / "wal")
         db = Database(wal_path=wal_path, stream_retention=600.0)
         db.execute(STREAM_DDL)
@@ -391,7 +392,7 @@ class TestDatabaseSurfaces:
         db.ingest_batch("s", second, sender="c1", seq=2)
         tagged = [r for r in db.storage.wal.records
                   if r.kind == "stream_rows" and r.rid == ("c1", 2)]
-        assert [len(r.payload[1]) for r in tagged] == [len(second)]
+        assert [len(stream_points(r)) for r in tagged] == [len(second)]
         db.close()
 
         recovered = open_database(wal_path=wal_path,
@@ -544,7 +545,7 @@ class TestServerAdmission:
                 conn.ingest("s", [(1, 1.0), (2, 2.0)])
                 sent = encode_frame({
                     "id": conn._request_counter, "op": "ingest",
-                    "stream": "s", "rows": [[1, 1.0], [2, 2.0]]})
+                    "stream": "s"}, [(1, 1.0), (2, 2.0)])
                 assert conn.query(
                     "SELECT bytes_ingested FROM repro_tenants"
                 ).rows[0][0] == len(sent) - 4     # body, not the prefix

@@ -24,7 +24,11 @@ from hypothesis import given, settings, strategies as st
 from repro import Database
 from repro.sql import parse_statement
 from repro.streaming.cq import ContinuousQuery
-from repro.streaming.recovery import capture_window_state, recover_cq
+from repro.streaming.recovery import (
+    capture_window_state,
+    recover_cq,
+    restore_window_state,
+)
 
 DDL = ("CREATE STREAM s (k varchar(10), v integer, ts timestamp CQTIME USER) "
        "WATERMARK '5 seconds'")
@@ -265,7 +269,7 @@ class TestCheckpointRestart:
     AFTER = [("b", 6, 14.0), ("a", 7, 27.0)]    # closes 10, 15, 20
     LATE = [("z", 8, 7.0)]                      # re-opens 10 and 15
 
-    def run(self, restart):
+    def run(self, restart, late=LATE):
         db = Database(stream_retention=3600.0)
         db.execute(DDL)
         cq = db.runtime.create_cq(parse_statement(self.SQL), name="r")
@@ -296,7 +300,7 @@ class TestCheckpointRestart:
             assert cq._window_op.buffered == len(self.BEFORE)
             cq.attach()
         db.insert_stream("s", self.AFTER)
-        db.insert_stream("s", self.LATE)
+        db.insert_stream("s", late)
         return cq, out
 
     def test_a_rebuilt_cq_seals_again_and_corrects_identically(self):
@@ -310,3 +314,32 @@ class TestCheckpointRestart:
         # [5, 10) and [10, 15) hold two rows each — and the late row's
         # slice [5, 10) once more, at three
         assert cq._window_op.store.rows_reduced == 2 + 2 + 2 + 3
+
+    def test_a_window_closed_before_the_restart_is_still_retracted(self):
+        """The late row lands in [-5, 5), which closed — and emitted —
+        *before* the checkpoint: its remembered output rides the
+        checkpoint, so the rebuilt CQ retracts exactly that."""
+        late = [("z", 8, 2.0)]                  # re-opens 5 and 10
+        _, want = self.run(restart=False, late=late)
+        _, got = self.run(restart=True, late=late)
+        assert got == want
+        first_close = got[0]
+        assert first_close[:2] == ("window", 5.0)
+        assert [(kind, c) for kind, c, _rows in got[-4:]] == [
+            ("retract", 5.0), ("correct", 5.0),
+            ("retract", 10.0), ("correct", 10.0)]
+        assert got[-4][2] == first_close[2]     # the pre-restart output
+
+    def test_a_checkpoint_without_the_key_restores_with_nothing_to_retract(
+            self):
+        db = Database(stream_retention=3600.0)
+        db.execute(DDL)
+        cq = db.runtime.create_cq(parse_statement(self.SQL), name="r")
+        db.insert_stream("s", self.BEFORE)
+        payload = capture_window_state(cq)
+        assert [close for close, _rows in payload.pop("emitted")] == [5.0]
+        fresh = ContinuousQuery("r", parse_statement(self.SQL),
+                                db.catalog, db.txn_manager)
+        fresh._emitted = {1.0: []}
+        restore_window_state(fresh, payload)
+        assert fresh._emitted == {}

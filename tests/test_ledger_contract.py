@@ -64,3 +64,41 @@ def test_plain_time_window_stays_on_the_per_row_path():
         "(benchmarks/ledger/layers.py PREDICTED_NONZERO): a batch-capable "
         "TimeWindowOperator makes it read 0 and the traced pass fails. "
         "Change the ledger in a benchmark-only PR first.")
+
+
+def test_an_ingest_frame_crosses_the_two_functions_the_ledger_times():
+    """``client.encode_us_per_event`` / ``client.wire_bytes_per_event``
+    are read off ``repro.client.encode_frame`` and
+    ``server.decode_us_per_event`` off ``protocol.decode_body``, each
+    patched on its module: an ingest path that bound either function
+    early, or framed its rows elsewhere, would make them read 0 and fail
+    the traced pass.  One row-block ingest must show up in both."""
+    import repro.client as client
+    from repro.server import ServerThread, protocol
+    trace = load_trace()
+    recorder = trace.Recorder()
+    rows = [(i, float(i)) for i in range(64)]
+    try:
+        trace.install(recorder)
+        with ServerThread() as st, \
+                client.connect(st.host, st.port) as conn:
+            conn.execute("CREATE STREAM s (v integer, ts timestamp "
+                         "CQTIME USER)")
+            recorder.reset()
+            assert conn.ingest("s", rows) == len(rows)
+            totals = recorder.totals()
+            sent = list(recorder.samples["client.wire_bytes"])
+            request_id = conn._request_counter
+    finally:
+        recorder.uninstall()
+    frame = protocol.encode_frame(
+        {"id": request_id, "op": "ingest", "stream": "s"}, rows)
+    assert frame[4:5] == protocol.BLOCK_BODY
+    assert sent == [len(frame)]
+    assert totals["client.encode"]["calls"] == 1
+    assert totals["client.encode"]["self_s"] > 0
+    # the ingest frame, read on the server's event loop (the client's
+    # own decoder is FrameDecoder.feed, timed under another name)
+    assert totals["server.decode_body"]["calls"] >= 1
+    assert totals["server.decode_body"]["self_s"] > 0
+    assert totals["core.ingest_batch"]["calls"] == 1

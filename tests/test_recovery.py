@@ -536,6 +536,66 @@ class TestBatchRecordRecovery:
             recovered.close()
 
 
+    def test_three_generations_of_stream_record_in_one_log(self, tmp_path):
+        """One log holding per-tuple ``stream_insert`` lines, a JSON
+        ``stream_rows`` record (``[times, rows]``, what the log held
+        before row blocks) and row-block records written on top of them
+        recovers all three through ``stream_points``."""
+        import json
+        import os
+        from repro.replication import open_database
+        from repro.storage.wal import LogRecord, record_to_wire, stream_points
+        reference = Database(wal_path=str(tmp_path / "ref"))
+        reference.execute(STREAM_DDL)
+        ddl = next(r for r in reference.storage.wal.records
+                   if r.kind == "ddl_obj")
+        reference.close()
+        ddl.payload["retention"] = 3600.0
+        content = [ddl,
+                   LogRecord(0, 0, "stream_insert", "s", after=(0, 0.0),
+                             payload=0.0),
+                   LogRecord(0, 0, "stream_insert", "s", after=(1, 1.0),
+                             payload=1.0),
+                   LogRecord(0, 0, "stream_rows", "s",
+                             payload=[[2.0, 3.5], [[2, 2.0], [3, 3.5]]]),
+                   # an idempotent JSON batch whose marker never landed
+                   LogRecord(0, 0, "stream_rows", "s", rid=("c1", 1),
+                             payload=[[4.0], [[4, 4.0]]])]
+        wal_dir = tmp_path / "wal"
+        os.makedirs(wal_dir)
+        with open(wal_dir / "wal.000001.log", "w", encoding="utf-8") as fh:
+            for lsn, record in enumerate(content, 1):
+                record.lsn = lsn
+                record.crc = record.content_crc()
+                fh.write(json.dumps(record_to_wire(record)) + "\n")
+
+        old = [(v, float(t)) for v, t in ((0, 0), (1, 1), (2, 2), (3, 3.5))]
+        new = [(v, float(v)) for v in range(10, 30)]
+        recovered = open_database(wal_path=str(wal_dir))
+        try:
+            assert recovered.recovery_stats["stream_tuples"] == len(old)
+            assert recovered.recovery_stats["torn_batch_rows"] == 1
+            assert [row for _t, row in stream_tail(recovered)] == old
+            recovered.ingest_batch("s", new[:12], sender="c1", seq=2)
+            recovered.insert_stream("s", new[12:])
+            written = recovered.storage.wal.records[-1]
+            assert written.kind == "stream_rows"
+            assert isinstance(written.payload, str)
+            assert stream_points(written) == [(t, (v, t))
+                                              for v, t in new[12:]]
+        finally:
+            recovered.close()
+
+        again = open_database(wal_path=str(wal_dir))
+        try:
+            assert again.recovery_stats["stream_tuples"] \
+                == len(old) + len(new)
+            assert stream_tail(again) == [(t, (v, t)) for v, t in old + new]
+            assert again.get_stream("s").watermark == 29.0
+        finally:
+            again.close()
+
+
 _value = st.integers(min_value=-5, max_value=5)
 _ordered_batch = st.lists(
     st.floats(min_value=0.0, max_value=3.0, allow_nan=False), max_size=12)

@@ -398,6 +398,61 @@ class TestEndToEnd:
         windows = sub.wait_windows(10, timeout=5.0)
         assert sum(w.rows[0][0] for w in windows if w.rows) == 100
 
+    def test_a_version_1_client_and_the_block_client_feed_one_stream(
+            self, server, conn):
+        """A raw socket that never says ``hello`` and sends JSON ``rows``
+        (a version 1 or non-Python client) and the version 2 client's
+        row-block frames land in the same windows: each window holds
+        both halves, and the rows the stream retained are identical —
+        values and types — whichever way they came."""
+        conn.execute("CREATE STREAM e (k varchar(8), v integer, "
+                     "x double precision, ts timestamp CQTIME USER)")
+        conn.execute("CREATE STREAM totals AS SELECT k, count(*) c, "
+                     "sum(v) total, cq_close(*) FROM e "
+                     "<VISIBLE '10 seconds'> GROUP BY k")
+        sub = conn.subscribe("totals")
+        assert conn.protocol_version >= 2
+
+        def batch(start):
+            return [(("é" if i % 3 else None), i, (i / 4 if i % 5 else None),
+                     start + i / 8) for i in range(40)]
+        raw = socket.create_connection((server.host, server.port))
+        try:
+            decoder = protocol.FrameDecoder()
+            for step, start in enumerate((0.0, 10.0, 20.0)):
+                # the first half of each window as a block, the second
+                # half — the same values, 5 s on — as JSON
+                blocked, plain = batch(start), batch(start + 5.0)
+                frame = protocol.encode_frame(
+                    {"id": step + 1, "op": "ingest", "stream": "e"}, blocked)
+                assert frame[4:5] == protocol.BLOCK_BODY
+                assert conn.ingest("e", blocked) == 40
+                raw.sendall(protocol.encode_frame(
+                    {"id": step + 1, "op": "ingest", "stream": "e",
+                     "rows": [list(row) for row in plain]}))
+                answer = []
+                while not answer:
+                    answer = decoder.feed(raw.recv(65536))
+                assert answer[0]["ok"] and answer[0]["accepted"] == 40
+        finally:
+            raw.close()
+        conn.advance(40.0)
+        windows = sub.wait_windows(3, timeout=5.0)
+        for window in windows[:3]:
+            assert sorted(row[:3] for row in window.rows
+                          if row[0] is not None) \
+                == [("é", 52, 2 * sum(i for i in range(40) if i % 3))]
+            assert [row[1:3] for row in window.rows if row[0] is None] \
+                == [(28, 2 * sum(range(0, 40, 3)))]
+        tail = [row for _t, row in
+                server.db.get_stream("e").replay_since(float("-inf"))]
+        assert len(tail) == 240
+        halves = {who: [row[:3] for row in tail if (row[3] % 10 < 5) == first]
+                  for who, first in (("v2", True), ("v1", False))}
+        assert halves["v1"] == halves["v2"]
+        assert [[type(v) for v in row] for row in halves["v1"]] \
+            == [[type(v) for v in row] for row in halves["v2"]]
+
     def test_graceful_shutdown_drains_windows(self, server, conn):
         conn.execute(STREAM_DDL)
         conn.execute(DERIVED_DDL)

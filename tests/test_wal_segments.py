@@ -32,6 +32,7 @@ from repro.storage.wal import (
     record_from_wire,
     record_line,
     record_to_wire,
+    stream_points,
 )
 
 
@@ -156,7 +157,7 @@ class TestSegmentRolling:
         n = 2 * MAX_ROWS_PER_RECORD + 5
         rows = [(i, float(i)) for i in range(n)]
         db.ingest_batch("s", rows, sender="c1", seq=1)
-        sizes = [len(r.payload[1]) for r in db.storage.wal.records
+        sizes = [len(stream_points(r)) for r in db.storage.wal.records
                  if r.kind == "stream_rows"]
         assert sizes == [MAX_ROWS_PER_RECORD, MAX_ROWS_PER_RECORD, 5]
         db.close()
