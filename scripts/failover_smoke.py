@@ -9,10 +9,15 @@ heartbeats, the client must fail over and resume its subscription, and
 the delivered window sequence must be gap-free and duplicate-free —
 identical closes to an uninterrupted run.
 
-Also proves idempotent ingest end to end: one pre-crash batch is
-stamped with ``(sender, seq)``; after promotion the same batch is
-re-sent to the new primary, which must recognise it from the shipped
-dedup marker and ack ``duplicate`` without applying a single row.
+Also proves idempotent ingest end to end: two pre-crash batches are
+stamped with ``(sender, seq)``; after promotion both are re-sent to the
+new primary.  The one whose window had closed must be recognised from
+the shipped dedup marker and acked ``duplicate`` without applying a
+single row; the *in-flight* one (its window still open at the SIGKILL)
+must be acked exactly once across two re-sends — the standby either
+held the whole batch (rows + marker: duplicate) or none of it (rows
+without their marker are discarded at promotion: accepted fresh) — and
+counted exactly once in the window it belongs to.
 
 And proves event-time watermark durability end to end: an event-time
 stream gets rows plus an explicit watermark injection pre-crash; the
@@ -89,7 +94,8 @@ def main():
         pconn.ingest("s", [(i, float(i)) for i in range(1, 10)])
         pconn.ingest("s", [(i, 10.0 + i) for i in range(1, 6)],
                      sender="smoke", seq=7)
-        pconn.ingest("s", [(0, 21.0)])    # closes (10,20]; 21.0 in flight
+        # closes (10,20]; 21.0 in flight
+        pconn.ingest("s", [(0, 21.0)], sender="smoke", seq=8)
 
         # event-time watermark: out-of-order rows plus an explicit
         # injection; the ack must carry the injected value back
@@ -154,6 +160,13 @@ def main():
         if retry.accepted != 0 or retry.duplicate != 5:
             fail(f"replayed batch was not deduplicated: {retry!r}")
         print(f"replayed batch ack: {retry!r}")
+        # the in-flight batch: whole or not at all, never twice
+        acks = [nconn.ingest("s", [(0, 21.0)], sender="smoke", seq=8)
+                for _attempt in range(2)]
+        if acks[0].accepted + acks[0].duplicate != 1 \
+                or (acks[1].accepted, acks[1].duplicate) != (0, 1):
+            fail(f"in-flight batch was not acked exactly once: {acks!r}")
+        print(f"in-flight batch acks: {acks!r}")
 
         # the shipped watermark survived promotion, exactly
         wm = nconn.query("SELECT watermark FROM repro_watermarks "
@@ -179,7 +192,8 @@ def main():
         if closes[:3] != [10.0, 20.0, 30.0]:
             fail(f"gap in window sequence: {closes}")
         # (20,30] = 0@21 (shipped pre-crash, rebuilt from the active
-        # table at promotion) + 2..7@22..27 (post-failover) = 7 tuples
+        # table at promotion; re-sent twice above, counted once)
+        # + 2..7@22..27 (post-failover) = 7 tuples
         third = got[2]
         if third.rows != [(7, 30.0)]:
             fail(f"wrong post-failover window: {third.rows}")

@@ -9,11 +9,16 @@ deployment would — separate processes, a real TCP socket:
    socket that never says ``hello`` sends one **version 1 JSON**
    ``ingest`` frame beside it; both must land in the same window of a
    subscribed derived stream;
-2. a second block batch is left in an open window and the server is
-   ``kill -9``-ed; a fresh process reopens the data directory, replays
-   the block records from the log, and must close that window with
+2. a second block batch — idempotent, stamped ``(sender, seq)`` — is
+   left in an open window and the server is ``kill -9``-ed; a fresh
+   process reopens the data directory, replays the block records from
+   the log, is re-sent that batch (the client cannot know its ack was
+   the last thing the dead server did), and must close the window with
    exactly the rows acknowledged before the kill;
-3. the second server shuts down gracefully over the protocol and must
+3. that server is ``kill -9``-ed too: the third process must find the
+   same window in the archive, still know the batch, and still close
+   windows;
+4. the third server shuts down gracefully over the protocol and must
    exit 0.
 
 Run from the repository root::
@@ -68,6 +73,13 @@ def json_ingest(host, port, rows):
         fail(f"version 1 ingest was not accepted whole: {answers[0]}")
 
 
+def resend(conn, batch):
+    """The client's retry of its last batch: a duplicate, whole."""
+    ack = conn.ingest("s", batch, sender="smoke", seq=1)
+    if (ack.accepted, ack.duplicate) != (0, len(batch)):
+        fail(f"re-sent batch was not recognised: {ack!r}")
+
+
 def main():
     import repro.client
     from repro.server import protocol
@@ -100,7 +112,8 @@ def main():
             if accepted != len(blocked):
                 fail(f"ingest accepted {accepted}, wanted {len(blocked)}")
             json_ingest(host, port, plain)
-            accepted = conn.ingest("s", in_flight)   # closes (0, 10)
+            # closes (0, 10)
+            accepted = conn.ingest("s", in_flight, sender="smoke", seq=1)
             if accepted != len(in_flight):
                 fail(f"ingest accepted {accepted}, wanted {len(in_flight)}")
 
@@ -115,19 +128,39 @@ def main():
             proc.wait(timeout=10)
             print("server SIGKILLed with a window open")
 
+        replayed = sum(v for v, _t in in_flight)
         proc, host, port = boot(data_dir)
         with repro.client.connect(host, port) as conn:
             archived = conn.query("SELECT total, ts FROM archive").rows
             if archived != [(want, 10.0)]:
                 fail(f"archive after restart: {archived}")
             sub = conn.subscribe("agg")
+            resend(conn, in_flight)
             conn.advance(20.0)
             windows = sub.wait_windows(1, timeout=10.0)
-            replayed = sum(v for v, _t in in_flight)
             if windows[0].rows != [(replayed, 20.0)]:
                 fail(f"window rebuilt from replayed block records: "
                      f"{windows[0].rows}, wanted {replayed}")
             print(f"replayed window ok: {windows[0].rows}")
+
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            print("second server SIGKILLed after the re-send")
+
+        proc, host, port = boot(data_dir)
+        with repro.client.connect(host, port) as conn:
+            archived = conn.query(
+                "SELECT total, ts FROM archive ORDER BY ts").rows
+            if archived != [(want, 10.0), (replayed, 20.0)]:
+                fail(f"archive after the second restart: {archived}")
+            sub = conn.subscribe("agg")
+            resend(conn, in_flight)
+            conn.ingest("s", [(5, 25.0)])
+            conn.advance(30.0)
+            windows = sub.wait_windows(1, timeout=10.0)
+            if windows[0].rows != [(5, 30.0)]:
+                fail(f"window after the second restart: {windows[0].rows}")
+            print(f"second restart ok: {archived}, then {windows[0].rows}")
 
             conn.shutdown_server()
             deadline = time.monotonic() + 10.0

@@ -13,9 +13,10 @@ sender that old is retrying something long since applied; rejecting a
 duplicate twice is harmless, applying one twice is not).
 
 Durability is the WAL's job: the engine appends one ``stream_dedup``
-marker record per applied batch (see ``Database.ingest_batch``) and
-:meth:`DedupIndex.restore_from_wal` rebuilds this index from those
-markers at boot and at standby promotion.
+marker record per applied batch (see ``Database.ingest_batch``), and
+whatever replays the log — boot, a standby — records each marker here
+as it passes (``WalApplier.apply``), in log order, so a ``DROP STREAM``
+between two markers forgets the first exactly as it did live.
 """
 
 from __future__ import annotations
@@ -85,18 +86,3 @@ class DedupIndex:
     def watermark(self, stream: str, sender: str) -> int:
         state = self._senders.get((stream, sender))
         return state.high if state is not None else 0
-
-    def restore_from_wal(self, wal) -> int:
-        """Rebuild sender watermarks from durable ``stream_dedup``
-        markers; returns how many markers were applied.  Idempotent —
-        safe to call again at promotion on a standby whose index was
-        kept warm by the apply loop."""
-        from repro.storage import wal as walrec
-        applied = 0
-        for record in wal.durable_records():
-            if record.kind != walrec.STREAM_DEDUP or record.rid is None:
-                continue
-            sender, seq = record.rid[0], record.rid[1]
-            self.record(record.table, str(sender), int(seq))
-            applied += 1
-        return applied

@@ -105,6 +105,8 @@ class Database:
         # set by the replication layer: a zero-argument callable
         # returning rows for the repro_replication_status system view
         self.replication_registry = None
+        # set by `open_database`: the WalApplier that replayed this log
+        self.applier = None
         # set by the partitioned engine (repro.partition): a zero-argument
         # callable returning rows for the repro_partitions system view
         self.partition_registry = None
@@ -743,7 +745,12 @@ class Database:
             if statement.if_exists:
                 return _ok()
             raise
-        if kind in ("stream", "view", "channel", "index"):
+        if kind == "table":
+            # like its `ddl` record: logged with or without a stream logger
+            self.storage.wal.append(
+                0, "ddl_obj", name, flush=True,
+                payload={"op": "drop", "kind": kind, "name": name})
+        elif kind in ("stream", "view", "channel", "index"):
             self._log_ddl({"op": "drop", "kind": kind, "name": name})
         return _ok()
 
@@ -856,8 +863,9 @@ class Database:
     def _commit(self) -> ResultSet:
         if self._session_txn is None:
             raise TransactionError("no transaction in progress")
-        self._session_txn.commit()
-        self._session_txn = None
+        # cleared first: a commit whose flush fails aborts the transaction
+        txn, self._session_txn = self._session_txn, None
+        txn.commit()
         return _ok()
 
     def _rollback(self) -> ResultSet:
@@ -1093,24 +1101,24 @@ class Database:
 
     @classmethod
     def recover_from_wal(cls, wal, **options) -> "Database":
-        """Rebuild durable table state from a surviving write-ahead log.
+        """Rebuild a database from a surviving write-ahead log.
 
         The crash model of the paper's Section 4: "all in-flight
         transactions are deemed aborted on failure" — only durably
-        logged, committed work is reconstructed.  Streams, views,
-        channels and CQ runtime state are not rebuilt here; a file-backed
-        log carries them too, and
-        :func:`repro.replication.bootstrap.open_database` recovers them.
+        logged, committed work is reconstructed, by the one replayer
+        (:class:`~repro.replication.bootstrap.WalApplier`), into a new
+        database whose own log is *not* muted: it authors a fresh log of
+        the durable state it rebuilds — schema, pipeline DDL, committed
+        rows, an abort after a commit it took back — while stream tails
+        and dedup watermarks come back in memory only
+        (``open_database`` reopens a data dir in place, log and all).
         """
+        from repro.replication.bootstrap import WalApplier
         db = cls(**options)
+        applier = WalApplier(db)
         for record in wal.durable_records():
-            if record.kind == "ddl" and record.payload is not None \
-                    and not db.catalog.has_relation(record.table):
-                db._register_table(record.table,
-                                   Schema.from_specs(record.payload))
-        for name, rows in wal.replay().items():
-            if db.catalog.has_relation(name):
-                db.insert_table(name, rows)
+            applier.apply(record)
+        applier.promote()
         return db
 
     def vacuum(self, table_name: Optional[str] = None) -> int:

@@ -1,28 +1,55 @@
-"""Crash-consistent boot: rebuild a whole engine from its WAL.
+"""The one replayer: every way a WAL record becomes engine state.
 
-``Database.recover_from_wal`` (PR 0) rebuilt *tables only*.  This module
-rebuilds everything a server needs to come back from ``kill -9`` without
-manual DDL replay: tables and their rows, base streams and their
-retained tails, views and indexes, then — last, so no window fires
-against a half-built world — derived streams and channels, with each
-CQ's in-flight window realigned to its active table (the paper's
-preferred recovery strategy) or its latest checkpoint.
+:class:`WalApplier` is the only code that turns a ``LogRecord`` into
+tables, stream tails, catalog objects and dedup state, through two verbs:
 
-The same phases serve standby promotion: a standby applies everything
-*except* the streaming pipeline while it follows the primary, then runs
-:func:`apply_streaming_ddl` + :func:`recover_cqs` at promotion time.
+- ``apply(record)`` — one record's effect, incrementally, in log order.
+  The log's atomic units wait for the record that completes them: a
+  transaction's table ops for its ``commit``, an idempotent batch's
+  rid-tagged rows for its ``stream_dedup`` marker; and the pipeline DDL
+  (derived streams, channels) is held — while records are still
+  arriving nothing here runs a CQ.  A row is placed at its *logged*
+  rid, so the rebuilt heap is the logged one: a ``delete`` finds its
+  row without a scan, and the rids (and txids — none the log has used
+  is issued again) the engine logs after a restart mean the same thing
+  to the next replay;
+- ``promote()`` — stop following, start serving: what still waits is
+  discarded (the paper's Section 4: in-flight work is "deemed
+  aborted"), the held pipeline DDL is applied, every CQ's in-flight
+  window is rebuilt (:func:`recover_cqs`).  A discarded batch (rows
+  durable, marker lost: the client will retry it) is *aborted on
+  record* with one ``stream_abort`` tombstone — or the retry's marker
+  would vouch for the torn rows too at the next replay — so every later
+  replayer reads *rows · abort · retried rows · marker* and keeps only
+  the retry.  (Truncating cannot work: a torn batch need not be the
+  log's tail.  An older binary ignores the record.)
+
+Everything that replays a log calls those two.  Boot is a standby of its
+own log: :func:`open_database` applies the durable records with the log
+muted, then promotes — or, for a restarted standby, does not, and the
+:class:`~repro.replication.standby.StandbyController` goes on feeding
+the *same* applier (``db.applier``: what it held at the restart it
+holds still) until ``promote_on_engine`` calls the same ``promote()``.
+``Database.recover_from_wal`` is the two verbs over a new, unmuted
+database.  Whether ``apply`` authors anything is the caller's switch
+(``wal.muted``: boot and a follower are muted); ``promote()`` ends by
+turning it off.  ``apply_batches`` is the follower's transport around
+``apply`` — LSN order, ``append_replicated``, poison quarantine — and
+takes nothing once promoted.  docs/REPLICATION.md has the long form.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.catalog import catalog as cat
 from repro.catalog.schema import Schema
 from repro.core.database import Database
 from repro.errors import WALError
+from repro.sql import ast
 from repro.storage import wal as walrec
+from repro.storage.wal import record_from_wire
 from repro.streaming.recovery import recover_cq
 from repro.streaming.windows import TimeWindowOperator
 
@@ -54,16 +81,295 @@ def _data_dir_wal_options(data_dir: str, options: dict) -> str:
     return wal_dir
 
 
+class WalGap(Exception):
+    """Shipped records skipped an LSN; carries the resume point."""
+
+    def __init__(self, resume_lsn: int):
+        super().__init__(f"WAL gap: resume from lsn {resume_lsn}")
+        self.resume_lsn = resume_lsn
+
+
+class WalApplier:
+    """Turns WAL records into engine state (see the module docstring),
+    on the engine thread (a standby's controller crosses over through
+    the server's single-writer executor)."""
+
+    def __init__(self, db, faults=None):
+        self.db = db
+        self.faults = faults if faults is not None else db.faults
+        self.deferred: List[dict] = []   # pipeline DDL held for promote()
+        self._txns: Dict[int, list] = {}     # txid -> ops awaiting commit
+        # (stream, rid) -> points awaiting their marker
+        self._batches: Dict[tuple, list] = {}
+        self._applied = (None, None)  # last commit: (txid, local txn)
+        self._restored: Dict[str, int] = {}  # stream -> rows into its tail
+        self.dedup_markers = 0
+        self.torn_batch_rows = 0
+        self.promoted = False
+        self.poisoned = 0
+        self.last_error: Optional[str] = None
+
+    @property
+    def applied_lsn(self) -> int:
+        return self.db.storage.wal.head_lsn
+
+    @property
+    def stream_tuples(self) -> int:
+        """Rows restored into the tails of streams that still exist."""
+        return sum(self._restored.values())
+
+    # -- the follower's transport ------------------------------------------
+
+    def apply_batches(self, frames: List[dict]) -> int:
+        """Apply ``wal`` push frames in order; returns records applied.
+        A shipped record's effect authors nothing — a follower's log is
+        muted from the start, a bare applier's for the call — and
+        ``append_replicated`` is the only way in.  Once promoted this
+        node authors its own log: a frame the old primary still got out
+        is dropped whole.
+
+        Raises :class:`WalGap` when the shipment skips past the next
+        expected LSN (a batch was lost — e.g. the ``replication.ship``
+        crashpoint, or a shed under backpressure); the controller
+        re-requests from ``gap.resume_lsn``.
+        """
+        if self.promoted:
+            return 0
+        wal = self.db.storage.wal
+        applied = 0
+        with wal.mute():
+            try:
+                for frame in frames:
+                    for fields in frame.get("records", ()):
+                        record = record_from_wire(fields)
+                        expected = wal.head_lsn + 1
+                        if record.lsn < expected:
+                            continue    # duplicate (re-ship overlap)
+                        if record.lsn > expected:
+                            raise WalGap(expected)
+                        self._apply_one(record)
+                        applied += 1
+            finally:
+                if applied:
+                    wal.flush()         # standby durability point
+        return applied
+
+    def _apply_one(self, record) -> None:
+        """Adopt one shipped record, then apply it.  A poison record (bad
+        CRC on the wire, or the ``replication.apply`` crashpoint) is
+        quarantined through the supervisor as a dead letter, re-stamped
+        and retained in the log, so the standby neither dies nor loops
+        re-requesting the same LSN forever — bounded divergence, loudly
+        reported, instead of an outage."""
+        wal = self.db.storage.wal
+        poison = None
+        if not record.is_valid():
+            poison = (f"checksum mismatch (stored {record.crc}, "
+                      f"content {record.content_crc()})")
+        elif self.faults is not None and self.faults.armed:
+            exc = self.faults.poll("replication.apply",
+                                   f"lsn {record.lsn}")
+            if exc is not None:
+                poison = str(exc)
+        if poison is not None:
+            self._quarantine(record, poison)
+            # re-stamp so the retained log stays loadable on restart;
+            # the record's effect is intentionally NOT applied
+            record.crc = record.content_crc()
+            wal.append_replicated(record)
+            return
+        wal.append_replicated(record)
+        try:
+            self.apply(record)
+        except Exception as exc:        # never kill the apply loop
+            self._quarantine(record, f"{type(exc).__name__}: {exc}")
+
+    def _quarantine(self, record, reason: str) -> None:
+        self.poisoned += 1
+        self.last_error = f"lsn {record.lsn}: {reason}"
+        supervisor = self.db.supervisor
+        if supervisor is not None:
+            supervisor.quarantine(
+                f"replication:{record.table or record.kind}",
+                "replication_apply", self.last_error,
+                [record.after] if record.after is not None else [])
+
+    # -- apply: one record's effect ------------------------------------------
+
+    def apply(self, record) -> None:
+        db, kind = self.db, record.kind
+        if record.txid:
+            db.txn_manager.skip_past(record.txid)
+        if kind in (walrec.INSERT, walrec.DELETE, walrec.UPDATE):
+            self._txns.setdefault(record.txid, []).append(record)
+        elif kind == walrec.COMMIT:
+            self._commit(record.txid)
+        elif kind == walrec.ABORT:
+            self._txns.pop(record.txid, None)
+            if self._applied[0] == record.txid:
+                # the abort on record wins over the commit before it (a
+                # commit whose flush failed): take the transaction back,
+                # on record too if this replay authors a log of its own
+                local = self._applied[1]
+                db.txn_manager.revoke(local)
+                db.storage.wal.append(local.txid, walrec.ABORT)
+                self._applied = (None, None)
+        elif kind == walrec.DDL:
+            if record.payload is not None \
+                    and not db.catalog.has_relation(record.table):
+                db._register_table(record.table,
+                                   Schema.from_specs(record.payload))
+        elif kind == walrec.DDL_OBJ:
+            if isinstance(record.payload, dict):
+                self._apply_ddl(record.payload)
+        elif kind in (walrec.STREAM_DEDUP, walrec.STREAM_ABORT) \
+                and record.rid is not None:
+            rid = tuple(record.rid)
+            points = self._batches.pop((record.table, rid), ())
+            if kind == walrec.STREAM_DEDUP:
+                # the marker vouches for the rows held under its rid, and
+                # keeps the dedup index warm: a replay of this batch sent
+                # to the recovered (or promoted) node is a duplicate
+                self._restore(record.table, points)
+                db.admission.dedup.record(record.table, str(rid[0]),
+                                          int(rid[1]))
+                self.dedup_markers += 1
+        elif kind == walrec.STREAM_ADVANCE:
+            self._restore(record.table, [(record.payload, None)],
+                          counted=False)
+        elif kind != walrec.CHECKPOINT:
+            # (a cq_checkpoint is found in the log by `recover_cqs`.)
+            # A stream record — or a kind from the future: no points
+            points = walrec.stream_points(record)
+            if points is None:
+                return
+            if record.rid is None:
+                self._restore(record.table, points)
+            else:
+                self._batches.setdefault(
+                    (record.table, tuple(record.rid)), []).extend(points)
+
+    def _restore(self, name: str, points, counted: bool = True) -> None:
+        """Points into a stream: watermark + retained tail, no consumer
+        fan-out (a dropped stream takes none)."""
+        if self.db.catalog.relation_kind(name) != cat.STREAM:
+            return
+        stream = self.db.catalog.get_relation(name)
+        for event_time, row in points:
+            stream.restore_point(event_time, row)
+        if counted:
+            self._restored[name] = self._restored.get(name, 0) + len(points)
+
+    def _commit(self, txid: int) -> None:
+        """Replay one logged transaction's table ops atomically."""
+        ops = self._txns.pop(txid, None)
+        if not ops:
+            return
+        db = self.db
+        txn = db.txn_manager.begin()
+        try:
+            for record in ops:
+                if db.catalog.relation_kind(record.table) != cat.TABLE:
+                    continue    # dropped by a log that did not say so
+                table = db.catalog.get_relation(record.table)
+                if record.kind == walrec.DELETE:
+                    version = table.heap.read(table._pool, record.rid)
+                    if version is not None and version.xmax is None:
+                        table.delete_version(txn, record.rid, version)
+                else:
+                    # INSERT — or UPDATE, which no writer emits (the
+                    # engine logs delete + insert): the row at rid is
+                    # replaced, as `WriteAheadLog.replay` folds it
+                    table.insert(txn, record.after, record.rid)
+            txn.commit()
+        except Exception:
+            if txn.is_active():
+                txn.abort()
+            raise
+        self._applied = (txid, txn)
+
+    def _apply_ddl(self, payload: dict) -> None:
+        """One ``ddl_obj`` spec into the catalog, idempotently; pipeline
+        objects are held for :meth:`promote`."""
+        db = self.db
+        kind, name = payload.get("kind"), payload.get("name")
+        if payload.get("op") == "drop":
+            self.deferred = [d for d in self.deferred
+                             if d.get("name") != name]
+            if kind == "stream":
+                # its rows are gone with it; what still waited for a
+                # marker was torn (no marker can come: the sender's
+                # sequence restarts with the stream)
+                self._restored.pop(name, None)
+                for key in [k for k in self._batches if k[0] == name]:
+                    self.torn_batch_rows += len(self._batches.pop(key))
+            db._drop(ast.Drop(kind, name, if_exists=True))
+        elif kind in ("derived_stream", "channel"):
+            self.deferred.append(payload)
+        elif kind == "stream":
+            if not db.catalog.has_relation(name):
+                stream = db.runtime.create_base_stream(
+                    name, Schema.from_specs(payload["columns"]),
+                    retention=payload.get("retention"),
+                    slack=payload.get("slack") or 0.0,
+                    watermark_bound=payload.get("watermark_bound"),
+                    partition_by=payload.get("partition_by"))
+                policy = payload.get("disorder_policy")
+                if policy:
+                    stream.disorder_policy = policy
+                db._log_stream_ddl(stream)  # into an unmuted (fresh) log
+        elif kind == "view":
+            if not db.catalog.has_relation(name):
+                db.execute(f"CREATE VIEW {name} AS {payload['query']}")
+        elif kind == "index":
+            if not db.catalog.has_index(name):
+                unique = "UNIQUE " if payload.get("unique") else ""
+                columns = ", ".join(payload["columns"])
+                db.execute(f"CREATE {unique}INDEX {name} "
+                           f"ON {payload['table']} ({columns})")
+
+    # -- promote: stop following, start serving -------------------------------
+
+    def promote(self) -> List[tuple]:
+        """Discard what still waits, apply the held pipeline DDL, rebuild
+        every CQ's in-flight window (returns :func:`recover_cqs`'
+        outcomes).  Promotion *is* the unmute, and it happens here: the
+        held DDL goes in first, in the mute state the records were
+        applied in (a follower's log, or a booting one, already holds
+        it; ``recover_from_wal``'s fresh log takes it down); the
+        tombstones, and what the CQs emit, are logged."""
+        db = self.db
+        wal = db.storage.wal
+        self.promoted = True
+        self._txns.clear()
+        self._applied = (None, None)
+        torn, self._batches = self._batches, {}
+        deferred, self.deferred = self.deferred, []
+        for payload in deferred:        # in log order
+            kind, name = payload.get("kind"), payload.get("name")
+            if kind == "derived_stream":
+                if not db.catalog.has_relation(name):
+                    db.execute(f"CREATE STREAM {name} AS {payload['query']}")
+            elif not db.catalog.has_channel(name):
+                db.execute(
+                    f"CREATE CHANNEL {name} FROM {payload['source']} "
+                    f"INTO {payload['target']} {payload['mode'].upper()}")
+        wal.muted = False
+        for (stream, rid), points in torn.items():
+            self.torn_batch_rows += len(points)
+            if db.runtime.stream_logger is not None:
+                wal.append(0, walrec.STREAM_ABORT, stream, rid=rid)
+        return recover_cqs(db, self.faults)
+
+
 def open_database(data_dir: Optional[str] = None,
                   wal_path: Optional[str] = None, standby: bool = False,
                   **options) -> Database:
     """Open (or create) a database on a data directory.
 
     When the directory already holds a WAL, the returned database has
-    its full runtime state recovered: all objects re-registered, table
-    rows reloaded, stream tails rebuilt, and every derived CQ resumed at
-    the correct window boundary.  Recovery statistics are left on the
-    database as ``db.recovery_stats``.
+    its full runtime state recovered (:func:`recover_runtime`: stats in
+    ``db.recovery_stats``); the replayer is left as ``db.applier``.
 
     A data dir uses the segmented WAL layout (``wal/`` + a
     ``wal_archive/`` sibling); boot recovery replays archive + live
@@ -74,179 +380,45 @@ def open_database(data_dir: Optional[str] = None,
     ``standby=True`` opens the database of a follower: its log is muted
     from the start — it must remain a verbatim prefix of the primary's,
     so shipped records slot in at their original LSNs — and stays muted
-    until promotion unmutes it.  A restarted standby recovers tables,
-    streams and catalog objects but holds the streaming pipeline DDL
-    back, in ``db.recovery_stats["deferred"]``, for the promotion path.
+    until promotion.  A restarted standby is replayed, not promoted:
+    ``db.applier`` still holds what it held (see the module docstring).
     """
     if data_dir is not None:
         wal_path = _data_dir_wal_options(data_dir, options)
     db = Database(wal_path=wal_path, **options)
     # before any replay: nothing below may author into a follower's log
     db.storage.wal.muted = standby
-    if db.storage.wal.records:
-        db.recovery_stats = recover_runtime(db, promote=not standby)
-    else:
-        db.recovery_stats = None
+    db.applier = WalApplier(db)
+    db.recovery_stats = (recover_runtime(db, standby)
+                         if db.storage.wal.records else None)
     db.storage.wal.release_archived()
     return db
 
 
-def recover_runtime(db: Database, promote: bool = True,
-                    faults=None) -> dict:
-    """Rebuild catalog + runtime state from ``db``'s preloaded WAL.
-
-    With ``promote=False`` (a restarted standby) the streaming pipeline
-    DDL is *not* applied; the deferred specs are returned in the stats
-    dict under ``"deferred"`` for the standby controller to hold until
-    promotion.
-    """
+def recover_runtime(db: Database, standby: bool = False) -> dict:
+    """Rebuild catalog + runtime state from ``db``'s preloaded WAL: feed
+    its durable records through ``db.applier`` with the log muted —
+    recovery must not re-log what it is reading from the log — then
+    promote (which unmutes), unless this is a restarted ``standby``."""
     wal = db.storage.wal
-    stats = {"tables": 0, "rows": 0, "streams": 0,
-             "stream_tuples": 0, "deferred": [], "cqs": []}
-    deferred: List[dict] = []
-    # replay with the log muted: recovery must not re-log what it is
-    # reading from the log
+    applier = db.applier
     with wal.mute():
-        records = list(wal.durable_records())
-        for record in records:
-            if record.kind in (walrec.DDL, walrec.DDL_OBJ):
-                apply_ddl_record(db, record, deferred)
-        for name, rows in wal.replay().items():
-            if db.catalog.relation_kind(name) == cat.TABLE:
-                db.insert_table(name, rows)
-                stats["rows"] += len(rows)
-        # idempotent-ingest batch markers: a batch's rows and its
-        # stream_dedup marker become durable in one flush, so a rows
-        # record tagged with a (sender, seq) rid whose marker never made
-        # it is half of a torn batch — discard it; the client's retry of
-        # that whole batch will be accepted fresh
-        durable_batches = set()
-        for record in records:
-            if record.kind == walrec.STREAM_DEDUP \
-                    and record.rid is not None:
-                durable_batches.add(
-                    (record.table, tuple(record.rid)))
-        for record in records:
-            if record.rid is not None and \
-                    (record.table, tuple(record.rid)) not in durable_batches:
-                points = walrec.stream_points(record)
-                if points is not None:
-                    stats["torn_batch_rows"] = \
-                        stats.get("torn_batch_rows", 0) + len(points)
-                    continue
-            stats["stream_tuples"] += restore_stream_record(db, record)
-        # rebuild the dedup index from durable markers so replays sent
-        # to the recovered (or promoted) server are still recognised
-        stats["dedup_markers"] = db.admission.dedup.restore_from_wal(wal)
-        stats["tables"] = len(list(db.catalog.relations(cat.TABLE)))
-        stats["streams"] = len(list(db.catalog.relations(cat.STREAM)))
-        if not promote:
-            stats["deferred"] = deferred
-            return stats
-        apply_streaming_ddl(db, deferred)
-    # outside the mute: what a recovered CQ emits from here on (tail
-    # replay past its last close -> channel -> active table) is new,
-    # and is logged
-    stats["cqs"] = recover_cqs(db, faults=faults)
+        for record in wal.durable_records():
+            applier.apply(record)
+        snapshot = db.txn_manager.take_snapshot()
+        tables = [table for _name, table in db.catalog.relations(cat.TABLE)]
+        rows = sum(table.row_count(snapshot, db.txn_manager)
+                   for table in tables)
+        # still muted: the held DDL promote() starts with is in this log
+        cqs = [] if standby else applier.promote()
+    stats = {"tables": len(tables), "rows": rows,
+             "streams": len(list(db.catalog.relations(cat.STREAM))),
+             "stream_tuples": applier.stream_tuples,
+             "dedup_markers": applier.dedup_markers,
+             "deferred": list(applier.deferred), "cqs": cqs}
+    if applier.torn_batch_rows:
+        stats["torn_batch_rows"] = applier.torn_batch_rows
     return stats
-
-
-def restore_stream_record(db: Database, record) -> int:
-    """Replay a ``stream_rows`` / ``stream_advance`` record into its
-    stream: watermark + retained tail, no consumer fan-out.  Returns the
-    rows restored; other records (and dropped streams) restore none."""
-    if record.kind == walrec.STREAM_ADVANCE:
-        points = [(record.payload, None)]
-    else:
-        points = walrec.stream_points(record)
-    if points is None \
-            or db.catalog.relation_kind(record.table) != cat.STREAM:
-        return 0
-    stream = db.catalog.get_relation(record.table)
-    for event_time, row in points:
-        stream.restore_point(event_time, row)
-    return 0 if record.kind == walrec.STREAM_ADVANCE else len(points)
-
-
-# ---------------------------------------------------------------------------
-# DDL application (idempotent: creates skip existing objects)
-# ---------------------------------------------------------------------------
-
-
-def _has_channel(db: Database, name: str) -> bool:
-    return any(n == name for n, _c in db.catalog.channels())
-
-
-def _has_index(db: Database, name: str) -> bool:
-    return any(n == name for n, _i in db.catalog.indexes())
-
-
-def apply_ddl_record(db: Database, record, deferred: List[dict]) -> None:
-    """Apply one ``ddl``/``ddl_obj`` record to the catalog.
-
-    Streaming pipeline objects (derived streams, channels) are pushed
-    onto ``deferred`` instead of created: a standby must not run CQs
-    until promoted, and boot recovery creates them only once the stream
-    tails are back in place.
-    """
-    if record.kind == walrec.DDL:
-        if record.payload is not None \
-                and not db.catalog.has_relation(record.table):
-            db._register_table(record.table, Schema.from_specs(record.payload))
-        return
-    payload = record.payload
-    if not isinstance(payload, dict):
-        return
-    op = payload.get("op")
-    kind = payload.get("kind")
-    name = payload.get("name")
-    if op == "drop":
-        deferred[:] = [d for d in deferred if d.get("name") != name]
-        if kind == "channel" and _has_channel(db, name):
-            db.runtime.drop_channel(name)
-        elif kind == "stream" and db.catalog.has_relation(name):
-            db.runtime.drop_stream(name)
-        elif kind == "view" and db.catalog.has_relation(name):
-            db.catalog.drop_relation(name, cat.VIEW)
-        elif kind == "index" and _has_index(db, name):
-            db.execute(f"DROP INDEX {name}")
-        return
-    if kind == "stream":
-        if not db.catalog.has_relation(name):
-            stream = db.runtime.create_base_stream(
-                name, Schema.from_specs(payload["columns"]),
-                retention=payload.get("retention"),
-                slack=payload.get("slack") or 0.0,
-                watermark_bound=payload.get("watermark_bound"),
-                partition_by=payload.get("partition_by"))
-            policy = payload.get("disorder_policy")
-            if policy:
-                stream.disorder_policy = policy
-    elif kind == "view":
-        if not db.catalog.has_relation(name):
-            db.execute(f"CREATE VIEW {name} AS {payload['query']}")
-    elif kind == "index":
-        if not _has_index(db, name):
-            unique = "UNIQUE " if payload.get("unique") else ""
-            columns = ", ".join(payload["columns"])
-            db.execute(f"CREATE {unique}INDEX {name} "
-                       f"ON {payload['table']} ({columns})")
-    elif kind in ("derived_stream", "channel"):
-        deferred.append(payload)
-
-
-def apply_streaming_ddl(db: Database, deferred: List[dict]) -> None:
-    """Create the deferred derived streams and channels, in log order."""
-    for payload in deferred:
-        kind, name = payload.get("kind"), payload.get("name")
-        if kind == "derived_stream":
-            if not db.catalog.has_relation(name):
-                db.execute(f"CREATE STREAM {name} AS {payload['query']}")
-        elif kind == "channel":
-            if not _has_channel(db, name):
-                db.execute(
-                    f"CREATE CHANNEL {name} FROM {payload['source']} "
-                    f"INTO {payload['target']} {payload['mode'].upper()}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +437,11 @@ def recover_cqs(db: Database, faults=None) -> List[tuple]:
     back to a cold start.
 
     Returns ``[(cq_name, strategy), ...]``; failed CQs report
-    ``"cold:<error>"``.
+    ``"cold:<error>"``.  Runs at boot and at promotion only, which is
+    why the ``"empty-archive"`` rung may replay the whole retained tail
+    into the cold operator (the supervisor's in-process restart, whose
+    subscribers would see the windows twice, does not).
     """
-    if faults is None:
-        faults = db.faults
     from repro.streaming.supervisor import _guess_stime_column
     channels_by_source = {}
     for _name, channel in db.catalog.channels():
@@ -287,8 +460,16 @@ def recover_cqs(db: Database, faults=None) -> List[tuple]:
             channel = channels_by_source.get(derived.name)
             table = channel.table if channel is not None else None
             stime = _guess_stime_column(table) if table is not None else None
-            outcomes.append((cq.name, recover_cq(
-                cq, wal, table, stime, db.txn_manager)))
+            strategy = recover_cq(cq, wal, table, stime, db.txn_manager)
+            if strategy == "empty-archive" \
+                    and cq.stream.retention is not None:
+                # no window ever closed with rows, so the open window's
+                # rows are nowhere but the tail: replay all of it (windows
+                # are epoch-aligned — the cold grid is the crashed one —
+                # and nobody is subscribed yet to see them close again)
+                for when, row in cq.stream.replay_since(float("-inf")):
+                    op.on_tuple(row, when)
+            outcomes.append((cq.name, strategy))
         except Exception as exc:
             outcomes.append((cq.name, f"cold:{exc}"))
             if db.supervisor is not None:

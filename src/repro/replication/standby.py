@@ -1,26 +1,15 @@
-"""The warm standby: follow a primary's WAL, apply it, promote on loss.
+"""The warm standby: follow a primary's WAL, promote on loss.
 
-Two pieces:
-
-- :class:`WalApplier` — engine-thread state machine that takes shipped
-  records, appends them to the standby's own WAL verbatim (same LSNs, so
-  the standby log is a byte-prefix of the primary's), and applies their
-  effects: table rows through real MVCC transactions, stream tuples and
-  watermarks into retained tails, DDL into the catalog.  Streaming
-  pipeline DDL (derived streams, channels) is *held* until promotion —
-  a standby must not run CQs of its own.
-
-- :class:`StandbyController` — owns the follower thread: connects to
-  the primary over the ordinary frame protocol, issues ``replicate``,
-  pumps ``wal`` pushes into the applier, acks applied LSNs, heartbeats
-  when idle, reconnects with backoff, and promotes either on request
-  or after ``miss_limit`` consecutive failed contact attempts.
-
-Poison records (bad CRC on the wire, or the ``replication.apply``
-crashpoint) are quarantined through the supervisor as dead letters,
-re-stamped, and retained in the log so the standby neither dies nor
-loops re-requesting the same LSN forever — bounded divergence, loudly
-reported, instead of an outage.
+:class:`StandbyController` owns the follower thread: it connects to the
+primary over the ordinary frame protocol, issues ``replicate``, pumps
+``wal`` pushes into the database's
+:class:`~repro.replication.bootstrap.WalApplier` — the one replayer,
+and the same object that replayed this standby's own log if it was
+restarted — acks applied LSNs, heartbeats when idle, reconnects with
+backoff, and promotes either on request or after ``miss_limit``
+consecutive failed contact attempts.  Shipped records land in the
+standby's own WAL verbatim (same LSNs: a byte-prefix of the primary's);
+poison records are quarantined, not fatal (see ``apply_batches``).
 """
 
 from __future__ import annotations
@@ -29,178 +18,11 @@ import random
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro import client as client_mod
-from repro.catalog import catalog as cat
 from repro.errors import ReplicationGapError
-from repro.storage import wal as walrec
-from repro.storage.wal import record_from_wire
-from repro.replication.bootstrap import (
-    apply_ddl_record,
-    apply_streaming_ddl,
-    recover_cqs,
-    restore_stream_record,
-)
-
-
-class WalGap(Exception):
-    """Shipped records skipped an LSN; carries the resume point."""
-
-    def __init__(self, resume_lsn: int):
-        super().__init__(f"WAL gap: resume from lsn {resume_lsn}")
-        self.resume_lsn = resume_lsn
-
-
-class WalApplier:
-    """Applies shipped WAL records to the standby engine.
-
-    Every method runs on the engine thread (the controller crosses over
-    through the server's single-writer executor).  The followed log is
-    muted from here on: applying a shipped record's effect (a replayed
-    transaction, replayed DDL) authors nothing, `append_replicated` is
-    the only way in, and promotion unmutes it.
-    """
-
-    def __init__(self, db, faults=None):
-        self.db = db
-        db.storage.wal.muted = True
-        self.faults = faults if faults is not None else db.faults
-        self.deferred: List[dict] = []   # streaming DDL held for promotion
-        self._pending: Dict[int, list] = {}  # txid -> buffered data records
-        self.applied_records = 0
-        self.poisoned = 0
-        self.last_error: Optional[str] = None
-
-    @property
-    def applied_lsn(self) -> int:
-        return self.db.storage.wal.head_lsn
-
-    def apply_batches(self, frames: List[dict]) -> int:
-        """Apply ``wal`` push frames in order; returns records applied.
-
-        Raises :class:`WalGap` when the shipment skips past the next
-        expected LSN (a batch was lost — e.g. the ``replication.ship``
-        crashpoint, or a shed under backpressure); the controller
-        re-requests from ``gap.resume_lsn``.
-        """
-        wal = self.db.storage.wal
-        applied = 0
-        try:
-            for frame in frames:
-                for fields in frame.get("records", ()):
-                    record = record_from_wire(fields)
-                    expected = wal.head_lsn + 1
-                    if record.lsn < expected:
-                        continue        # duplicate (re-ship overlap)
-                    if record.lsn > expected:
-                        raise WalGap(expected)
-                    self._apply_one(record)
-                    applied += 1
-        finally:
-            if applied:
-                wal.flush()             # standby durability point
-        return applied
-
-    # -- one record --------------------------------------------------------
-
-    def _apply_one(self, record) -> None:
-        wal = self.db.storage.wal
-        poison = None
-        if not record.is_valid():
-            poison = (f"checksum mismatch (stored {record.crc}, "
-                      f"content {record.content_crc()})")
-        elif self.faults is not None and self.faults.armed:
-            exc = self.faults.poll("replication.apply",
-                                   f"lsn {record.lsn}")
-            if exc is not None:
-                poison = str(exc)
-        if poison is not None:
-            self._quarantine(record, poison)
-            # re-stamp so the retained log stays loadable on restart;
-            # the record's effect is intentionally NOT applied
-            record.crc = record.content_crc()
-            wal.append_replicated(record)
-            return
-        wal.append_replicated(record)
-        try:
-            self._apply_effect(record)
-            self.applied_records += 1
-        except Exception as exc:        # never kill the apply loop
-            self._quarantine(record, f"{type(exc).__name__}: {exc}")
-
-    def _quarantine(self, record, reason: str) -> None:
-        self.poisoned += 1
-        self.last_error = f"lsn {record.lsn}: {reason}"
-        supervisor = self.db.supervisor
-        if supervisor is not None:
-            supervisor.quarantine(
-                f"replication:{record.table or record.kind}",
-                "replication_apply", self.last_error,
-                [record.after] if record.after is not None else [])
-
-    def _apply_effect(self, record) -> None:
-        db = self.db
-        kind = record.kind
-        if kind in (walrec.DDL, walrec.DDL_OBJ):
-            apply_ddl_record(db, record, self.deferred)
-        elif kind == walrec.STREAM_DEDUP:
-            # keep the standby's dedup index warm: after promotion a
-            # client replaying an idempotent batch must still be told
-            # "duplicate", not have it applied twice
-            if record.rid is not None:
-                db.admission.dedup.record(
-                    record.table, str(record.rid[0]), int(record.rid[1]))
-        elif kind in (walrec.INSERT, walrec.DELETE, walrec.UPDATE):
-            self._pending.setdefault(record.txid, []).append(record)
-        elif kind == walrec.COMMIT:
-            self._commit(record.txid)
-        elif kind == walrec.ABORT:
-            self._pending.pop(record.txid, None)
-        else:
-            restore_stream_record(db, record)
-        # cq_checkpoint needs no live effect: it is now durable in the
-        # standby's log, where promotion-time recovery will find it
-
-    def _commit(self, txid: int) -> None:
-        """Replay one primary transaction's data ops atomically (the
-        log is muted — these ops are already in it)."""
-        ops = self._pending.pop(txid, None)
-        if not ops:
-            return
-        db = self.db
-        txn = db.txn_manager.begin()
-        try:
-            for record in ops:
-                table = db.catalog.get_relation(record.table, cat.TABLE)
-                if record.kind == walrec.INSERT:
-                    table.insert(txn, record.after)
-                elif record.kind == walrec.DELETE:
-                    self._delete_matching(table, txn, record.before)
-                else:  # UPDATE (defensive: engine logs delete+insert)
-                    self._delete_matching(table, txn, record.before)
-                    table.insert(txn, record.after)
-            txn.commit()
-        except Exception:
-            txn.abort()
-            raise
-
-    def _delete_matching(self, table, txn, before) -> None:
-        """Delete one visible row matching the primary's before-image.
-
-        The primary's rids don't map onto the standby's heap, so the
-        before-image is the join key; one arbitrary match suffices
-        because duplicates are interchangeable under MVCC."""
-        if before is None:
-            return
-        target = tuple(before)
-        snapshot = self.db.txn_manager.take_snapshot()
-        for rid, values in table.scan(snapshot, self.db.txn_manager,
-                                      own_txid=txn.txid):
-            if tuple(values) == target:
-                version = table.heap.read(table._pool, rid)
-                table.delete_version(txn, rid, version)
-                return
+from repro.replication.bootstrap import WalApplier, WalGap
 
 
 class _WalSink:
@@ -236,7 +58,12 @@ class StandbyController:
         self.auto_promote = auto_promote
         self.connect_timeout = connect_timeout
         self.max_backoff = max_backoff
-        self.applier = WalApplier(self.db)
+        # the replayer of this standby's own log, if it was restarted
+        self.applier = self.db.applier
+        if self.applier is None or self.applier.promoted:
+            self.applier = WalApplier(self.db)
+        # following starts here: the log stays muted until promotion
+        self.db.storage.wal.muted = True
         self.state = "connecting"
         self.head_seen = 0              # primary's head LSN, last we heard
         self.misses = 0
@@ -368,22 +195,16 @@ class StandbyController:
     def promote_on_engine(self, reason: str = "requested") -> dict:
         """Engine thread: become the primary.  Idempotent.
 
-        Applies the held streaming DDL, then rebuilds every CQ's
-        in-flight window from its active table / checkpoint — the same
-        path crash-consistent boot uses — and flips the server role so
-        it accepts writes (and future standbys of its own).
+        The applier's ``promote()`` — the same call crash-consistent
+        boot ends with, and the unmute: from there this node authors its
+        own log — then the server role flips so it accepts writes (and
+        future standbys of its own).
         """
         if self.promotion_stats is not None:
             return self.promotion_stats
         self._promoted.set()
         self.state = "promoting"
-        db = self.db
-        # still muted: the held DDL is already in the log
-        apply_streaming_ddl(db, self.applier.deferred)
-        # promotion = unmute: from here this node authors its own log
-        # (what the recovered CQs emit included)
-        db.storage.wal.muted = False
-        cqs = recover_cqs(db)
+        cqs = self.applier.promote()
         self.promotion_stats = {
             "reason": reason, "cqs": cqs,
             "applied_lsn": self.applier.applied_lsn,

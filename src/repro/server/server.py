@@ -156,10 +156,6 @@ class TruSQLServer:
                 heartbeat_interval=self.heartbeat_interval,
                 miss_limit=self.miss_limit,
                 auto_promote=self.auto_promote)
-            # a restarted standby's boot replay held the pipeline DDL back
-            stats = getattr(self.db, "recovery_stats", None)
-            if stats:
-                self.standby.applier.deferred.extend(stats["deferred"])
             self.standby.start()
         if self.idle_timeout is not None:
             self._reaper_task = asyncio.ensure_future(self._reap_idle())

@@ -34,8 +34,19 @@ class HeapFile:
 
     # -- public operations ---------------------------------------------------
 
-    def insert(self, pool: BufferPool, version: RowVersion) -> Rid:
-        """Insert a row version, returning its rid."""
+    def insert(self, pool: BufferPool, version: RowVersion,
+               rid: Optional[Rid] = None) -> Rid:
+        """Insert a row version, returning its rid — or, for WAL replay,
+        at the (empty) ``rid`` the log names: the rebuilt heap is the
+        logged one, and a later record's rid finds its row."""
+        if rid is not None:
+            while len(self._pages) <= rid[0]:
+                self._pages.append(Page(len(self._pages)))
+                pool.fetch_new(self, self._pages[-1])
+            pool.fetch(self, rid[0]).place(rid[1], version)
+            pool.mark_dirty(self, rid[0])
+            self.row_count += 1
+            return tuple(rid)
         nbytes = row_bytes(version.values)
         if self._pages:
             last_no = len(self._pages) - 1
@@ -53,10 +64,12 @@ class HeapFile:
         return (page.page_no, slot)
 
     def read(self, pool: BufferPool, rid: Rid) -> Optional[RowVersion]:
-        """Fetch one row version by rid (None if tombstoned)."""
+        """Fetch one row version by rid (None if tombstoned, or if the
+        heap never held that rid)."""
         page_no, slot = rid
-        page = pool.fetch(self, page_no)
-        return page.get(slot)
+        if page_no >= len(self._pages):
+            return None
+        return pool.fetch(self, page_no).get(slot)
 
     def mark_updated(self, pool: BufferPool, rid: Rid) -> None:
         """Charge the write-back for an in-place header update (xmax)."""

@@ -76,8 +76,15 @@ class Page:
         self.bytes_used += row_bytes(version.values) + _SLOT_OVERHEAD
         return len(self.slots) - 1
 
+    def place(self, slot: int, version: RowVersion) -> None:
+        """Put a version in a named slot (WAL replay); slots below it
+        that were never filled stay tombstones."""
+        self.slots.extend([None] * (slot + 1 - len(self.slots)))
+        self.slots[slot] = version
+        self.bytes_used += row_bytes(version.values) + _SLOT_OVERHEAD
+
     def get(self, slot: int) -> Optional[RowVersion]:
-        return self.slots[slot]
+        return self.slots[slot] if slot < len(self.slots) else None
 
     def remove(self, slot: int) -> None:
         """Physically drop a slot's payload (leaves a tombstone)."""

@@ -67,11 +67,17 @@ class Table:
 
     # -- write path -------------------------------------------------------------
 
-    def insert(self, txn: Transaction, values) -> tuple:
-        """Insert one row inside ``txn``; returns its rid."""
+    def insert(self, txn: Transaction, values, rid=None) -> tuple:
+        """Insert one row inside ``txn``; returns its rid.  WAL replay
+        passes the logged ``rid``; a row already there is replaced (the
+        later record wins, as in :meth:`WriteAheadLog.replay`)."""
         row = self.schema.coerce_row(values)
         version = RowVersion(txn.txid, row)
-        rid = self.heap.insert(self._pool, version)
+        if rid is not None:
+            old = self.heap.read(self._pool, rid)
+            if old is not None:
+                self.on_abort_remove(rid, old.values)
+        rid = self.heap.insert(self._pool, version, rid)
         if self._wal is not None:
             self._wal.append(txn.txid, "insert", self.name, rid, after=row)
         self._index_insert(row, rid)

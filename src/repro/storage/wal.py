@@ -3,8 +3,9 @@
 The WAL serves two masters, as in the paper (Section 4):
 
 - durability of *tables*: every insert/update/delete is logged before the
-  owning transaction commits, and :func:`WriteAheadLog.replay` rebuilds
-  table contents after a crash;
+  owning transaction commits, and ``replication.bootstrap.WalApplier``
+  rebuilds table contents after a crash (:meth:`WriteAheadLog.replay`,
+  the whole-log fold of the same, is only the tests' reference for it);
 - recovery of *CQ runtime state*: the checkpoint-based strategy writes
   serialized operator state as ``cq_checkpoint`` records, which
   :mod:`repro.streaming.recovery` contrasts with the paper's preferred
@@ -29,7 +30,11 @@ torn-write truncation, scrub, backup, archive catch-up or shipping.
 :meth:`WriteAheadLog.append` writes it and :func:`stream_points` is the
 one reader of a stream record, in each shape logs hold: the block, the
 ``[times, rows]`` JSON payload written before it, and the one-row
-``stream_insert`` records written before that.
+``stream_insert`` records written before that.  An idempotent batch is
+its rid-tagged ``stream_rows`` plus one ``stream_dedup`` marker; a
+``stream_abort`` record (same ``table`` and ``rid``) is the tombstone a
+replayer appends after discarding a batch whose marker never came: the
+rows under that rid *so far* are void, the client's retry is not.
 
 The log runs in one of two modes:
 
@@ -70,6 +75,7 @@ DDL_OBJ = "ddl_obj"              # stream/view/channel/index/drop (spec payload)
 STREAM_ROWS = "stream_rows"      # an ingest batch: a row block as text
 STREAM_ADVANCE = "stream_advance"  # a stream heartbeat (watermark move)
 STREAM_DEDUP = "stream_dedup"    # idempotent-ingest marker: rid=(sender, seq)
+STREAM_ABORT = "stream_abort"    # tombstone: rid's rows so far are void
 
 #: approximate bytes per log record header, for flush cost accounting
 _RECORD_OVERHEAD = 40

@@ -196,11 +196,14 @@ def recover_cq(cq: ContinuousQuery, wal, active_table, stime_column,
                txn_manager, fall_through: bool = False) -> str:
     """The CQ-recovery ladder: latest ``cq_checkpoint``, else the
     active table via its window-close column, else a cold start.
-    Returns the name of the rung that recovered ``cq`` (``"checkpoint"``
-    / ``"active-table"`` / ``"cold"``).  A rung that raises
-    :class:`RecoveryError` propagates it — unless ``fall_through``, which
-    tries the next rung instead (the supervisor: a restart must come back
-    with whatever state it can get)."""
+    Returns the name of the rung that recovered ``cq``: ``"checkpoint"``
+    / ``"active-table"`` / ``"cold"`` — or ``"empty-archive"``: there is
+    an active table but it holds nothing to align to, ``cq`` is as it
+    was built, and a caller with no subscribers yet (boot, promotion)
+    may replay the stream's whole retained tail into it.  A rung that
+    raises :class:`RecoveryError` propagates it — unless ``fall_through``,
+    which tries the next rung instead (the supervisor: a restart must
+    come back with whatever state it can get)."""
     rungs = []
     if wal is not None and wal.latest_checkpoint(cq.name) is not None:
         rungs.append(("checkpoint",
@@ -210,8 +213,8 @@ def recover_cq(cq: ContinuousQuery, wal, active_table, stime_column,
             cq, active_table, txn_manager, stime_column)))
     for name, recover in rungs:
         try:
-            recover()
-            return name
+            # only the active-table rung answers None: nothing archived
+            return name if recover() is not None else "empty-archive"
         except RecoveryError:
             if not fall_through:
                 raise

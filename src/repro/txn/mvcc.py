@@ -87,6 +87,12 @@ class TransactionManager:
         self._active.add(txid)
         return Transaction(txid, snapshot, self)
 
+    def skip_past(self, txid: int) -> None:
+        """Never issue ``txid`` or below: WAL replay saw it logged, and
+        a second transaction under it would share its commit or abort."""
+        if txid >= self._next_txid:
+            self._next_txid = txid + 1
+
     def take_snapshot(self) -> Snapshot:
         """A snapshot as of now (excludes all currently-active txns)."""
         return Snapshot(self._next_txid, frozenset(self._active))
@@ -117,26 +123,38 @@ class TransactionManager:
         if txn.status != ACTIVE:
             raise TransactionError(f"cannot commit {txn}")
         if self.wal is not None:
-            self.wal.append(txn.txid, "commit", flush=True)
-        self._status[txn.txid] = COMMITTED
-        self._active.discard(txn.txid)
-        txn.status = COMMITTED
+            try:
+                self.wal.append(txn.txid, "commit", flush=True)
+            except Exception:
+                # the flush failed: the buffered commit record rides the
+                # next one, so put the abort that overrules it behind it
+                self.abort(txn)
+                raise
+        self._finish(txn, COMMITTED)
 
     def abort(self, txn: Transaction) -> None:
         if txn.status != ACTIVE:
             raise TransactionError(f"cannot abort {txn}")
-        # physically undo this transaction's own writes so aborted
-        # versions don't accumulate (poor-man's instant vacuum)
+        self.revoke(txn)
+        if self.wal is not None:
+            self.wal.append(txn.txid, "abort")
+
+    def revoke(self, txn: Transaction) -> None:
+        """Physically undo ``txn``'s own writes, so aborted versions
+        don't accumulate (poor-man's instant vacuum), and mark it
+        aborted.  WAL replay calls this on a transaction it committed
+        when the next record is the ``abort`` that overrules it."""
         for table, rid, version in reversed(txn.deleted):
             version.xmax = None
             table.on_abort_undelete(rid)
         for table, rid, values in reversed(txn.inserted):
             table.on_abort_remove(rid, values)
-        if self.wal is not None:
-            self.wal.append(txn.txid, "abort")
-        self._status[txn.txid] = ABORTED
+        self._finish(txn, ABORTED)
+
+    def _finish(self, txn: Transaction, status: str) -> None:
+        self._status[txn.txid] = status
         self._active.discard(txn.txid)
-        txn.status = ABORTED
+        txn.status = status
 
     # -- visibility -----------------------------------------------------------
 
