@@ -21,6 +21,11 @@ deployment would — separate processes, a real TCP socket:
 4. the third server shuts down gracefully over the protocol and must
    exit 0.
 
+The archived CQ projects a timestamp (``max(ts)``) *after* its
+``cq_close(*)``: a restart must re-grid the windows on the close column,
+not on the last timestamp column, so every window is compared with a
+never-crashed embedded engine fed the same rows.
+
 Run from the repository root::
 
     PYTHONPATH=src python scripts/server_smoke.py
@@ -73,6 +78,27 @@ def json_ingest(host, port, rows):
         fail(f"version 1 ingest was not accepted whole: {answers[0]}")
 
 
+PIPELINE = (
+    "CREATE STREAM s (v integer, ts timestamp CQTIME USER)",
+    "CREATE STREAM agg AS SELECT sum(v) total, cq_close(*), "
+    "max(ts) newest FROM s <VISIBLE '10 seconds'>",
+    "CREATE TABLE archive (total bigint, ts timestamp, newest timestamp)",
+    "CREATE CHANNEL arch FROM agg INTO archive APPEND",
+)
+
+
+def never_crashed(batches, until):
+    """The archive of one embedded engine that saw every batch."""
+    from repro import Database
+    db = Database()
+    for statement in PIPELINE:
+        db.execute(statement)
+    for batch in batches:
+        db.insert_stream("s", batch)
+    db.advance_streams(until)
+    return sorted(db.table_rows("archive"), key=lambda row: row[1])
+
+
 def resend(conn, batch):
     """The client's retry of its last batch: a duplicate, whole."""
     ack = conn.ingest("s", batch, sender="smoke", seq=1)
@@ -91,6 +117,10 @@ def main():
     in_flight = [(2 * i, 10.0 + i / 5) for i in range(1, 21)]
     if protocol.encode_frame({}, blocked)[4:5] != protocol.BLOCK_BODY:
         fail("the client's batches would not be sent as row blocks")
+    last = [(5, 25.0)]
+    reference = never_crashed([blocked, plain, in_flight, last], 30.0)
+    if [row[1] for row in reference] != [10.0, 20.0, 30.0]:
+        fail(f"reference archive: {reference}")
 
     data_dir = tempfile.mkdtemp(prefix="repro-smoke-")
     proc = None
@@ -99,13 +129,8 @@ def main():
         with repro.client.connect(host, port) as conn:
             if (conn.protocol_version or 0) < 2:
                 fail(f"server speaks protocol {conn.protocol_version}")
-            conn.execute(
-                "CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-            conn.execute("CREATE STREAM agg AS SELECT sum(v) total, "
-                         "cq_close(*) FROM s <VISIBLE '10 seconds'>")
-            conn.execute("CREATE TABLE archive (total bigint, "
-                         "ts timestamp)")
-            conn.execute("CREATE CHANNEL arch FROM agg INTO archive APPEND")
+            for statement in PIPELINE:
+                conn.execute(statement)
             sub = conn.subscribe("agg")
 
             accepted = conn.ingest("s", blocked)
@@ -118,29 +143,29 @@ def main():
                 fail(f"ingest accepted {accepted}, wanted {len(in_flight)}")
 
             windows = sub.wait_windows(1, timeout=10.0)
-            want = sum(v for v, _t in blocked + plain)
-            if windows[0].rows != [(want, 10.0)]:
+            if reference[0][0] != sum(v for v, _t in blocked + plain):
+                fail(f"reference window (0, 10): {reference[0]}")
+            if windows[0].rows != reference[:1]:
                 fail(f"wrong window rows: {windows[0].rows}, wanted the "
-                     f"block and the JSON rows together: {want}")
+                     f"block and the JSON rows together: {reference[0]}")
             print(f"window ok (block + JSON rows): {windows[0].rows}")
 
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)
             print("server SIGKILLed with a window open")
 
-        replayed = sum(v for v, _t in in_flight)
         proc, host, port = boot(data_dir)
         with repro.client.connect(host, port) as conn:
-            archived = conn.query("SELECT total, ts FROM archive").rows
-            if archived != [(want, 10.0)]:
+            archived = conn.query("SELECT * FROM archive").rows
+            if archived != reference[:1]:
                 fail(f"archive after restart: {archived}")
             sub = conn.subscribe("agg")
             resend(conn, in_flight)
             conn.advance(20.0)
             windows = sub.wait_windows(1, timeout=10.0)
-            if windows[0].rows != [(replayed, 20.0)]:
+            if windows[0].rows != reference[1:2]:
                 fail(f"window rebuilt from replayed block records: "
-                     f"{windows[0].rows}, wanted {replayed}")
+                     f"{windows[0].rows}, wanted {reference[1]}")
             print(f"replayed window ok: {windows[0].rows}")
 
             proc.send_signal(signal.SIGKILL)
@@ -149,18 +174,22 @@ def main():
 
         proc, host, port = boot(data_dir)
         with repro.client.connect(host, port) as conn:
-            archived = conn.query(
-                "SELECT total, ts FROM archive ORDER BY ts").rows
-            if archived != [(want, 10.0), (replayed, 20.0)]:
+            archived = conn.query("SELECT * FROM archive ORDER BY ts").rows
+            if archived != reference[:2]:
                 fail(f"archive after the second restart: {archived}")
             sub = conn.subscribe("agg")
             resend(conn, in_flight)
-            conn.ingest("s", [(5, 25.0)])
+            conn.ingest("s", last)
             conn.advance(30.0)
             windows = sub.wait_windows(1, timeout=10.0)
-            if windows[0].rows != [(5, 30.0)]:
+            if windows[0].rows != reference[2:]:
                 fail(f"window after the second restart: {windows[0].rows}")
             print(f"second restart ok: {archived}, then {windows[0].rows}")
+            archived = conn.query("SELECT * FROM archive ORDER BY ts").rows
+            if archived != reference:
+                fail(f"archive {archived} is not the never-crashed "
+                     f"engine's {reference}")
+            print("archive equals the never-crashed reference")
 
             conn.shutdown_server()
             deadline = time.monotonic() + 10.0

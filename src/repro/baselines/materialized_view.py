@@ -71,12 +71,6 @@ class BatchRefreshMV:
                 parts.append(f"{op}({column})")
         return ", ".join(parts)
 
-    def _view_columns(self) -> List[str]:
-        names = list(self.group_columns)
-        for i, (op, _column) in enumerate(self.aggregates):
-            names.append(f"agg{i}_{op}")
-        return names
-
     def _create_view_table(self) -> None:
         base = self.db.get_table(self.base_table)
         parts = []

@@ -40,21 +40,58 @@ import argparse
 import sys
 import time
 
-from repro.catalog import catalog as cat
 from repro.core.database import Database
-from repro.core.results import ResultSet, Subscription
+from repro.core.results import ResultSet
 from repro.errors import TruvisoError
 
 PROMPT = "trusql> "
 CONTINUE_PROMPT = "   ...> "
 
+#: commands that print one system view: its query, and what to say when
+#: the view holds no rows
+VIEW_COMMANDS = {
+    "\\supervisor": (
+        "SELECT name, kind, state, failures, restarts, dead_letters "
+        "FROM repro_supervisor_status", "(nothing supervised yet)"),
+    "\\replication": (
+        "SELECT role, peer, state, shipped_lsn, applied_lsn, lag, "
+        "last_error FROM repro_replication_status", ""),
+    "\\storage": (
+        "SELECT mode, live_segments, live_bytes, archive_segments, "
+        "archive_bytes, head_lsn, low_water_lsn, last_backup_lsn, "
+        "backups, scrubs, scrub_errors, quarantined FROM repro_storage", ""),
+    "\\watermarks": (
+        "SELECT stream, mode, bound_seconds, watermark, max_event_time, "
+        "lag_seconds, late_rows, injections FROM repro_watermarks",
+        "(no streams yet)"),
+    "\\partitions": (
+        "SELECT worker, pid, state, transport, streams, rows_routed, "
+        "batches, spill_rows, watermark, lag_seconds, restarts, "
+        "replayed_batches, busy_seconds, wait_seconds FROM repro_partitions",
+        "(not a partition coordinator; see docs/PARTITION.md)"),
+}
+
 
 class Shell:
-    """State and command handling for one CLI session."""
+    """State and command handling for one CLI session over either kind
+    of engine: an embedded :class:`Database` (the default) or a
+    :class:`repro.client.Connection` to a ``repro-server``.  Both answer
+    ``execute`` / ``query``; continuous queries become subscriptions
+    polled with ``\\poll``, and every introspection command is a query
+    over the system views, which travel fine."""
 
-    def __init__(self, db: Database = None, out=None):
+    def __init__(self, db=None, out=None):
         self.db = db if db is not None else Database()
-        self.conn = None
+        self.remote = not isinstance(self.db, Database)
+        # the two verbs the engines name differently, and how long a
+        # poll waits for pushes still on the wire
+        if self.remote:
+            self._advance, self._flush = self.db.advance, self.db.flush
+            self._poll_args = (0.2,)
+        else:
+            self._advance = self.db.advance_streams
+            self._flush = self.db.flush_streams
+            self._poll_args = ()
         self.out = out if out is not None else sys.stdout
         self.subscriptions = {}
         self._sub_counter = 0
@@ -74,9 +111,13 @@ class Shell:
         stripped = line.strip()
         if not stripped:
             return True
-        if stripped.startswith("\\"):
-            return self._command(stripped)
-        self._statement(stripped)
+        try:
+            if stripped.startswith("\\"):
+                return self._command(stripped)
+            self._statement(stripped)
+        except TruvisoError as exc:     # a dropped connection included
+            self.write(f"ERROR: {exc}")
+            self.errors += 1
         return True
 
     def _command(self, text: str) -> bool:
@@ -92,25 +133,20 @@ class Shell:
             if not args:
                 self.write("usage: \\advance <event-time-seconds>")
             else:
-                self.db.advance_streams(float(args[0]))
+                self._advance(float(args[0]))
                 self.write(f"advanced all streams to t={args[0]}")
                 self._poll(None)
         elif command == "\\flush":
-            self.db.flush_streams()
+            self._flush()
             self.write("flushed all streams")
             self._poll(None)
         elif command == "\\supervisor":
-            self._supervisor()
+            if not self._supervision_off():
+                self._show(command)
         elif command == "\\deadletters":
             self._dead_letters(int(args[0]) if args else 20)
-        elif command == "\\replication":
-            self._replication()
-        elif command == "\\storage":
-            self._storage()
-        elif command == "\\watermarks":
-            self._watermarks()
-        elif command == "\\partitions":
-            self._partitions()
+        elif command in VIEW_COMMANDS:
+            self._show(command)
         elif command == "\\tenants":
             self._tenants()
         elif command == "\\stats":
@@ -128,16 +164,19 @@ class Shell:
 
     def _describe(self) -> None:
         rows = []
-        for name, kind in sorted(
-                (name, kind)
-                for name, (kind, _obj) in self.db.catalog._relations.items()):
-            rows.append(f"  {name:<28} {kind}")
-        for name, _channel in sorted(self.db.catalog.channels()):
-            rows.append(f"  {name:<28} channel")
-        for name, _index in sorted(self.db.catalog.indexes()):
-            rows.append(f"  {name:<28} index")
+        for view, label in (("repro_tables", "table"),
+                            ("repro_channels", "channel"),
+                            ("repro_indexes", "index"),
+                            ("repro_cqs", "cq")):
+            rows += [(row[0], label)
+                     for row in self.db.query(f"SELECT name FROM {view}")]
+        for name, kind in self.db.query(
+                "SELECT name, kind FROM repro_streams"):
+            rows.append((name, "stream" if kind == "base"
+                         else "derived stream"))
         if rows:
-            self.write("\n".join(rows))
+            self.write("\n".join(f"  {name:<28} {kind}"
+                                 for name, kind in sorted(rows)))
         else:
             self.write("(empty catalog)")
 
@@ -148,77 +187,32 @@ class Shell:
             self.write(f"no subscription named {name!r}")
             return
         for sub_name, sub in targets:
-            windows = sub.poll()
-            for window in windows:
-                kind = getattr(window, "kind", "window")
-                self.write(f"-- {sub_name}: {kind} "
+            for window in sub.poll(*self._poll_args):
+                self.write(f"-- {sub_name}: {window.kind} "
                            f"[{window.open_time:g}, {window.close_time:g})")
                 result = ResultSet(sub.columns, window.rows)
                 self.write(result.pretty())
 
-    def _supervisor(self) -> None:
-        if self.db.supervisor is None:
+    def _supervision_off(self) -> bool:
+        if self.db.query("SHOW supervision").scalar() == "off":
             self.write("supervision is off; SET supervision = on")
-            return
-        result = self.db.query(
-            "SELECT name, kind, state, failures, restarts, dead_letters "
-            "FROM repro_supervisor_status")
-        if result.rows:
-            self.write(result.pretty())
-        else:
-            self.write("(nothing supervised yet)")
+            return True
+        return False
 
-    def _replication(self) -> None:
-        result = (self.db or self.conn).query(
-            "SELECT role, peer, state, shipped_lsn, applied_lsn, lag, "
-            "last_error FROM repro_replication_status")
-        self.write(result.pretty())
-
-    def _storage(self) -> None:
-        """WAL lifecycle status (repro_storage)."""
-        source = self.db if self.db is not None else self.conn
-        result = source.query(
-            "SELECT mode, live_segments, live_bytes, archive_segments, "
-            "archive_bytes, head_lsn, low_water_lsn, last_backup_lsn, "
-            "backups, scrubs, scrub_errors, quarantined "
-            "FROM repro_storage")
-        self.write(result.pretty())
-
-    def _watermarks(self) -> None:
-        """Per-stream event-time watermark status (repro_watermarks)."""
-        source = self.db if self.db is not None else self.conn
-        result = source.query(
-            "SELECT stream, mode, bound_seconds, watermark, "
-            "max_event_time, lag_seconds, late_rows, injections "
-            "FROM repro_watermarks")
-        if result.rows:
-            self.write(result.pretty())
-        else:
-            self.write("(no streams yet)")
-
-    def _partitions(self) -> None:
-        """Partition-worker status (repro_partitions)."""
-        source = self.db if self.db is not None else self.conn
-        result = source.query(
-            "SELECT worker, pid, state, transport, streams, rows_routed, "
-            "batches, spill_rows, watermark, lag_seconds, restarts, "
-            "replayed_batches, busy_seconds, wait_seconds "
-            "FROM repro_partitions")
-        if result.rows:
-            self.write(result.pretty())
-        else:
-            self.write("(not a partition coordinator; see docs/PARTITION.md)")
+    def _show(self, command: str) -> None:
+        sql, empty = VIEW_COMMANDS[command]
+        result = self.db.query(sql)
+        self.write(result.pretty() if result.rows else empty)
 
     def _tenants(self) -> None:
         """Admission-control status: controller tier + per-tenant counters."""
-        source = self.db if self.db is not None else self.conn
-        admission = source.query(
+        admission = self.db.query(
             "SELECT enabled, tier, queue_depth, soft_depth, hard_depth, "
             "batches_admitted, batches_rejected, batches_shed, duplicates "
             "FROM repro_admission")
         self.write("-- admission")
         self.write(admission.pretty())
-        tenants = source.query(
+        tenants = self.db.query(
             "SELECT name, sessions, weight, rate_limit, row_quota, "
             "rows_ingested, batches_admitted, batches_rejected, "
             "batches_shed, duplicates FROM repro_tenants")
@@ -231,11 +225,10 @@ class Shell:
 
     def _stats(self, cq_name=None) -> None:
         """Engine metrics + per-CQ window and operator stats."""
-        source = self.db if self.db is not None else self.conn
         # derived streams register as "derived:<name>"; accept either form
         names = f"'{cq_name}', 'derived:{cq_name}'" if cq_name else ""
         where = f" WHERE name IN ({names})" if cq_name else ""
-        cqs = source.query(
+        cqs = self.db.query(
             "SELECT name, tuples_in, windows, rows_out, last_window_ms, "
             f"avg_window_ms, max_window_ms, slow_windows "
             f"FROM repro_cq_stats{where}")
@@ -243,7 +236,7 @@ class Shell:
             self.write("-- continuous queries")
             self.write(cqs.pretty())
         op_where = f" WHERE cq IN ({names})" if cq_name else ""
-        operators = source.query(
+        operators = self.db.query(
             "SELECT cq, depth, operator, tuples_out, calls, time_ms "
             f"FROM repro_operator_stats{op_where}")
         if operators.rows:
@@ -252,7 +245,7 @@ class Shell:
         if cq_name and not cqs.rows and not operators.rows:
             self.write(f"(no stats for '{cq_name}')")
         if not cq_name:
-            metrics = source.query(
+            metrics = self.db.query(
                 "SELECT name, kind, value, count, p50, p95, p99 "
                 "FROM repro_metrics")
             self.write("-- metrics")
@@ -260,8 +253,7 @@ class Shell:
 
     def _trace(self, limit: int = 5) -> None:
         """Span trees of the most recent sampled tuples."""
-        source = self.db if self.db is not None else self.conn
-        rows = source.query(
+        rows = self.db.query(
             "SELECT trace_id, span_id, parent_id, name, duration_ms "
             "FROM repro_traces").rows
         if not rows:
@@ -282,30 +274,29 @@ class Shell:
                 self.write(f"  {indent}{name}  ({duration:.3f} ms)")
 
     def _dead_letters(self, limit: int) -> None:
-        if self.db.supervisor is None:
-            self.write("supervision is off; SET supervision = on")
+        if self._supervision_off():
             return
-        letters = self.db.supervisor.dead_letter_rows()[-limit:]
+        letters = self.db.query(
+            "SELECT seq, source, kind, reason, rowcount, close_time "
+            "FROM repro_dead_letters").rows[-limit:]
         if not letters:
             self.write("(no dead letters)")
             return
-        for seq, source, kind, reason, rowcount, _payload, _open, close \
-                in letters:
+        for seq, source, kind, reason, rowcount, close in letters:
             suffix = f" @{close:g}" if close is not None else ""
             self.write(f"  #{seq} [{kind}] {source}{suffix}: {reason} "
                        f"({rowcount} row{'' if rowcount == 1 else 's'})")
 
+    def _io(self):
+        return self.db.query("SELECT pages_read, pages_written, "
+                             "sim_seconds FROM repro_io").first()
+
     def _statement(self, sql: str) -> None:
+        io_before = self._io() if self.timing else None
         started = time.perf_counter()
-        io_before = self.db.io_snapshot()
-        try:
-            result = self.db.execute(sql)
-        except TruvisoError as exc:
-            self.write(f"ERROR: {exc}")
-            self.errors += 1
-            return
+        result = self.db.execute(sql)
         elapsed = time.perf_counter() - started
-        if isinstance(result, Subscription):
+        if not isinstance(result, ResultSet):
             self._sub_counter += 1
             sub_name = f"sub{self._sub_counter}"
             self.subscriptions[sub_name] = result
@@ -318,11 +309,12 @@ class Shell:
         else:
             self.write(f"OK (rowcount={result.rowcount})")
         if self.timing:
-            delta = self.db.io_snapshot() - io_before
-            sim = self.db.disk.elapsed_seconds(delta)
+            read, written, sim = (
+                after - before
+                for after, before in zip(self._io(), io_before))
             self.write(f"Time: {elapsed * 1000:.2f} ms wall, "
                        f"{sim * 1000:.2f} ms simulated disk "
-                       f"(r={delta.pages_read} w={delta.pages_written})")
+                       f"(r={read} w={written})")
 
     # -- main loop -----------------------------------------------------------------
 
@@ -347,126 +339,6 @@ class Shell:
             self.handle_line(leftover)
 
 
-class RemoteShell(Shell):
-    """The same shell, speaking to a ``repro-server`` over a socket.
-
-    Statements go through :class:`repro.client.Connection`; continuous
-    queries become remote subscriptions polled with ``\\poll``.
-    Engine-introspection commands that need in-process objects
-    (``\\supervisor``, ``\\deadletters``) work here too — they are
-    plain queries over system views, which travel fine.
-    """
-
-    def __init__(self, connection, out=None):
-        # deliberately no super().__init__: there is no embedded Database
-        self.conn = connection
-        self.db = None
-        self.out = out if out is not None else sys.stdout
-        self.subscriptions = {}
-        self._sub_counter = 0
-        self.timing = False
-        self.errors = 0
-
-    def _command(self, text: str) -> bool:
-        parts = text.split()
-        command, args = parts[0], parts[1:]
-        if command in ("\\q", "\\quit"):
-            return False
-        if command == "\\poll":
-            self._poll(args[0] if args else None)
-        elif command == "\\advance":
-            if not args:
-                self.write("usage: \\advance <event-time-seconds>")
-            else:
-                self.conn.advance(float(args[0]))
-                self.write(f"advanced all streams to t={args[0]}")
-                self._poll(None)
-        elif command == "\\flush":
-            self.conn.flush()
-            self.write("flushed all streams")
-            self._poll(None)
-        elif command == "\\d":
-            self._describe()
-        elif command == "\\replication":
-            self._replication()
-        elif command == "\\storage":
-            self._storage()
-        elif command == "\\watermarks":
-            self._watermarks()
-        elif command == "\\partitions":
-            self._partitions()
-        elif command == "\\tenants":
-            self._tenants()
-        elif command == "\\stats":
-            self._stats(args[0] if args else None)
-        elif command == "\\trace":
-            self._trace(int(args[0]) if args else 5)
-        elif command in ("\\h", "\\help", "\\?"):
-            self.write(__doc__.strip())
-        else:
-            self.write(f"command {command} is not available over a "
-                       "connection; try \\help")
-        return True
-
-    def _describe(self) -> None:
-        from repro.errors import RemoteError
-        rows = []
-        try:
-            for name, kind, *_rest in self.conn.query(
-                    "SELECT name, kind FROM repro_streams").rows:
-                rows.append(f"  {name:<28} {kind} stream")
-            for (name, *_rest) in self.conn.query(
-                    "SELECT name FROM repro_tables").rows:
-                rows.append(f"  {name:<28} table")
-            for (name, *_rest) in self.conn.query(
-                    "SELECT name FROM repro_cqs").rows:
-                rows.append(f"  {name:<28} cq")
-        except RemoteError as exc:
-            self.write(f"ERROR: {exc}")
-            return
-        self.write("\n".join(sorted(rows)) if rows else "(empty catalog)")
-
-    def _poll(self, name) -> None:
-        targets = ([(name, self.subscriptions[name])]
-                   if name else sorted(self.subscriptions.items()))
-        if name and name not in self.subscriptions:
-            self.write(f"no subscription named {name!r}")
-            return
-        for sub_name, sub in targets:
-            for window in sub.poll(timeout=0.2):
-                kind = getattr(window, "kind", "window")
-                self.write(f"-- {sub_name}: {kind} "
-                           f"[{window.open_time:g}, {window.close_time:g})")
-                result = ResultSet(sub.columns, window.rows)
-                self.write(result.pretty())
-
-    def _statement(self, sql: str) -> None:
-        from repro.client import RemoteSubscription
-        from repro.errors import NetworkError
-        started = time.perf_counter()
-        try:
-            result = self.conn.execute(sql)
-        except (TruvisoError, NetworkError) as exc:
-            self.write(f"ERROR: {exc}")
-            self.errors += 1
-            return
-        elapsed = time.perf_counter() - started
-        if isinstance(result, RemoteSubscription):
-            self._sub_counter += 1
-            sub_name = f"sub{self._sub_counter}"
-            self.subscriptions[sub_name] = result
-            self.write(f"continuous query running as {sub_name!r} "
-                       f"({', '.join(result.columns)}); use \\poll")
-        elif result.columns:
-            self.write(result.pretty())
-            self.write(f"({len(result.rows)} row"
-                       f"{'' if len(result.rows) == 1 else 's'})")
-        else:
-            self.write(f"OK (rowcount={result.rowcount})")
-        if self.timing:
-            self.write(f"Time: {elapsed * 1000:.2f} ms wall (remote)")
-
-
 def _build_shell(args, out=None):
     if args.connect:
         from repro.client import connect
@@ -474,7 +346,7 @@ def _build_shell(args, out=None):
         if not port.isdigit():
             raise SystemExit(
                 f"--connect wants HOST:PORT, got {args.connect!r}")
-        return RemoteShell(connect(host or "127.0.0.1", int(port)), out=out)
+        return Shell(connect(host or "127.0.0.1", int(port)), out=out)
     return Shell(out=out)
 
 
@@ -518,8 +390,8 @@ def main(argv=None) -> int:
             return _run_one_shot(shell, args.execute)
         return _repl(shell)
     finally:
-        if isinstance(shell, RemoteShell):
-            shell.conn.close()
+        if shell.remote:
+            shell.db.close()
 
 
 def _repl(shell) -> int:

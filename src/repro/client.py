@@ -588,9 +588,6 @@ class Connection:
         response = self._request("backup", dest=dest)
         return response.get("backup", {})
 
-    def replication_status(self) -> ResultSet:
-        return self.query("SELECT * FROM repro_replication_status")
-
     def metrics(self) -> dict:
         """Scrape the server's observability surfaces in one round trip.
 

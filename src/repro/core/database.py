@@ -235,8 +235,7 @@ class Database:
             CQSupervisor,
             DEAD_LETTER_STREAM,
         )
-        supervisor = CQSupervisor(self.runtime, wal=self.storage.wal,
-                                  policy=policy)
+        supervisor = CQSupervisor(self.runtime, policy=policy)
         self.supervisor = supervisor
         self.runtime.supervisor = supervisor
         supervisor.dead_letter_stream()  # queryable from the start
@@ -1046,17 +1045,6 @@ class Database:
     def io_snapshot(self):
         """Copy of the simulated disk's counters (interval accounting)."""
         return self.storage.disk.snapshot()
-
-    def simulated_seconds(self, since=None) -> float:
-        """Simulated elapsed disk time (optionally since a snapshot)."""
-        if since is None:
-            return self.storage.disk.elapsed_seconds()
-        delta = self.storage.disk.snapshot() - since
-        return self.storage.disk.elapsed_seconds(delta)
-
-    def reset_io(self) -> None:
-        """Zero the simulated disk counters (between benchmark trials)."""
-        self.storage.disk.reset()
 
     def drop_caches(self) -> None:
         """Simulate a cold start: empty the buffer pool."""

@@ -40,9 +40,6 @@ class ResultSet:
     def first(self) -> Optional[tuple]:
         return self.rows[0] if self.rows else None
 
-    def to_dicts(self) -> List[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def pretty(self, max_rows: int = 20) -> str:
         """A fixed-width text rendering (for examples and debugging)."""
         shown = self.rows[:max_rows]
@@ -117,8 +114,7 @@ class Subscription:
         self._pending: List[WindowResult] = []
         self.closed = False
         cq.add_sink(self._on_window)
-        probe = getattr(cq, "is_event_time", None)
-        if probe is not None and cq.is_event_time():
+        if cq.is_event_time():
             cq.add_correction_sink(self._on_correction)
 
     @property
@@ -162,9 +158,7 @@ class Subscription:
         forwarders (the network server) use this so an unpolled
         subscription does not accumulate windows forever."""
         self._cq.remove_sink(self._on_window)
-        remove_correction = getattr(self._cq, "remove_correction_sink", None)
-        if remove_correction is not None:
-            remove_correction(self._on_correction)
+        self._cq.remove_correction_sink(self._on_correction)
         self._pending.clear()
         self._cq.add_sink(sink)
 

@@ -20,10 +20,6 @@ import numpy as np
 # DataType kind -> numpy dtype used for the value array.  Anything not
 # listed (varchar, unknown types) is stored as an object array, which
 # still vectorizes equality filters and grouping.
-_FLOAT_KINDS = {"double", "timestamp", "interval"}
-_INT_KINDS = {"integer", "bigint", "smallint"}
-
-
 def dtype_for(datatype) -> object:
     """Pick the numpy dtype for a column of the given engine DataType."""
     name = type(datatype).__name__

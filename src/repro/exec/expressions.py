@@ -245,8 +245,6 @@ SCALAR_FUNCTIONS = {
               DoubleType()),
 }
 
-_VARIADIC_NULL_OK = {"coalesce", "nullif", "concat", "greatest", "least"}
-
 
 # ---------------------------------------------------------------------------
 # arithmetic / logic helpers (three-valued)

@@ -255,10 +255,3 @@ class Observability:
                        - controller.applier.applied_lsn)
 
         self.registry.gauge("replication.apply_lag", fn=apply_lag)
-
-    # ------------------------------------------------------------------
-    # surfaces
-    # ------------------------------------------------------------------
-    def slow_window_rows(self) -> List[tuple]:
-        with self._lock:
-            return list(self.slow_windows)

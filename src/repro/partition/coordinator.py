@@ -466,8 +466,10 @@ class PartitionedEngine:
         #: the workers' log costs 2.1 us/event of append (every field is
         #: encoded for the CRC, in memory too) on partitioned_e1's 3.05
         #: us/event path, until one binary frame makes the append cheap.
-        #: Only ingest entries are pruned (`_prune_logs`); the broadcast
-        #: entries are kept for the engine's life.
+        #: What replaying could no longer change is pruned: ingest
+        #: frames under every CQ's horizon and the flushes they leave
+        #: with nothing to flush (`_prune_logs`), a `cq` with its
+        #: `stopcq`, a dropped stream's frames (`_forget`).
         self._logs: List[list] = [[] for _ in range(partitions)]
         self._broadcast_names = set()
         self.restarts = [0] * partitions
@@ -532,6 +534,9 @@ class PartitionedEngine:
             self._register_stream(statement, sql)
         elif isinstance(statement, ast.CreateView):
             self._broadcast_ddl(statement.name, sql)
+        elif isinstance(statement, ast.Drop) \
+                and statement.kind in ("stream", "view"):
+            self._forget(statement.name, sql)
         elif isinstance(statement, ast.CreateDerivedStream):
             cq = self.db.runtime.cqs()[f"derived:{statement.name}"]
             if self._reads_partitioned(cq):
@@ -570,6 +575,31 @@ class PartitionedEngine:
         self._broadcast_names.add(name)
         self._broadcast({"op": "ddl", "sql": sql}, "ddl")
 
+    def _forget(self, name: str, sql: str) -> None:
+        """A broadcast stream or view was dropped: the workers drop it
+        too (logged, so a respawn replays the drop), and a routed stream
+        takes its router, its CQs' merge stages and its replayable
+        frames with it — the name is free for a new ``CREATE``."""
+        name = next((known for known in self._broadcast_names
+                     if known.lower() == name.lower()), None)
+        if name is None:
+            return      # a derived stream: it only ever ran here
+        self._broadcast_names.discard(name)
+        route = self._routes.pop(name, None)
+        if route is not None:
+            route.stream.unsubscribe(route)
+            for pcq in list(route.cqs):
+                self._drop_pcq(pcq)
+            self._unlog(lambda entry: entry[0] == "ingest"
+                        and entry[1]["stream"] == name)
+        self._broadcast({"op": "ddl", "sql": sql}, "ddl")
+
+    def _unlog(self, gone) -> None:
+        """Take the acked frames ``gone(entry)`` picks out of every
+        worker's replay log."""
+        for log in self._logs:
+            log[:] = [entry for entry in log if not gone(entry)]
+
     def _partitionize(self, sub: Subscription, sql: str, params) -> None:
         """Split a CQ over a partitioned stream — or, when
         :func:`partition_plan` refuses its shape, leave it running on
@@ -606,6 +636,9 @@ class PartitionedEngine:
             self._broadcast({"op": "stopcq", "name": name}, "stopcq")
         except (WorkerDiedError, PartitionError):
             pass
+        # a respawn has nothing to build and nothing to stop
+        self._unlog(lambda entry: entry[0] in ("cq", "stopcq")
+                    and entry[1]["name"] == name)
 
     # -- ingest -------------------------------------------------------------
 
@@ -870,7 +903,9 @@ class PartitionedEngine:
 
     def _prune_logs(self, route: _StreamRoute) -> None:
         """Drop replayable ingest frames no unmerged window (nor any
-        in-bound recomputation) can still need."""
+        in-bound recomputation) can still need, and every flush left
+        with no ingest frame before it: it would flush a worker that
+        holds no rows."""
         horizons = [pcq.op.horizon for pcq in route.cqs]
         if None in horizons:
             return      # some CQ's boundary grid has not started yet
@@ -878,12 +913,17 @@ class PartitionedEngine:
         if horizon == NEG_INF:
             return
         for worker in range(self.partitions):
-            self._logs[worker] = [
-                entry for entry in self._logs[worker]
-                if not (entry[0] == "ingest"
-                        and entry[1].get("stream") == route.name
-                        and entry[2] < horizon)
-            ]
+            kept, holds_rows = [], False
+            for entry in self._logs[worker]:
+                if entry[0] == "ingest":
+                    if entry[1]["stream"] == route.name \
+                            and entry[2] < horizon:
+                        continue
+                    holds_rows = True
+                elif entry[0] == "flush" and not holds_rows:
+                    continue
+                kept.append(entry)
+            self._logs[worker] = kept
 
     def kill_worker(self, worker: int) -> None:
         """Hard-kill one worker (tests and the smoke harness); the next

@@ -39,8 +39,3 @@ def normalize_partial(groups: Dict[Tuple, List]) -> Dict[Tuple, List]:
             [normalize_value(state) for state in states]
         for key, states in groups.items()
     }
-
-
-def normalize_rows(rows) -> List[tuple]:
-    """Native-Python twin of a list of output rows."""
-    return [tuple(normalize_value(v) for v in row) for row in rows]

@@ -50,7 +50,8 @@ from repro.errors import WALError
 from repro.sql import ast
 from repro.storage import wal as walrec
 from repro.storage.wal import record_from_wire
-from repro.streaming.recovery import recover_cq
+from repro.streaming.channels import APPEND, archive_of
+from repro.streaming.recovery import recover_cq, replay_tail
 from repro.streaming.windows import TimeWindowOperator
 
 #: the single-file WAL of pre-segment data dirs; no longer readable
@@ -152,7 +153,17 @@ class WalApplier:
             finally:
                 if applied:
                     wal.flush()         # standby durability point
+                    self.trim_tails()
         return applied
+
+    def trim_tails(self) -> None:
+        """Cut every stream's tail back to its ``retention``.  ``apply``
+        keeps every row the log held — a booting node rebuilds its open
+        windows from them — so whoever is done with them trims: a
+        follower after each shipment, ``promote()`` after the CQs have
+        recovered."""
+        for _name, stream in self.db.catalog.relations(cat.STREAM):
+            stream.trim_tail()
 
     def _apply_one(self, record) -> None:
         """Adopt one shipped record, then apply it.  A poison record (bad
@@ -359,7 +370,9 @@ class WalApplier:
             self.torn_batch_rows += len(points)
             if db.runtime.stream_logger is not None:
                 wal.append(0, walrec.STREAM_ABORT, stream, rid=rid)
-        return recover_cqs(db, self.faults)
+        outcomes = recover_cqs(db, self.faults)
+        self.trim_tails()
+        return outcomes
 
 
 def open_database(data_dir: Optional[str] = None,
@@ -409,8 +422,12 @@ def recover_runtime(db: Database, standby: bool = False) -> dict:
         tables = [table for _name, table in db.catalog.relations(cat.TABLE)]
         rows = sum(table.row_count(snapshot, db.txn_manager)
                    for table in tables)
-        # still muted: the held DDL promote() starts with is in this log
-        cqs = [] if standby else applier.promote()
+        if standby:
+            applier.trim_tails()
+            cqs = []
+        else:
+            # still muted: the held DDL promote() starts with is in this log
+            cqs = applier.promote()
     stats = {"tables": len(tables), "rows": rows,
              "streams": len(list(db.catalog.relations(cat.STREAM))),
              "stream_tuples": applier.stream_tuples,
@@ -430,8 +447,7 @@ def recover_cqs(db: Database, faults=None) -> List[tuple]:
     """Rebuild in-flight window state for every derived-stream CQ.
 
     Strategy per CQ: :func:`~repro.streaming.recovery.recover_cq`'s
-    ladder, the active table being the one the CQ's archiving channel
-    writes.  A failure (including the ``server.boot_recovery``
+    ladder.  A failure (including the ``server.boot_recovery``
     crashpoint) quarantines the CQ as a dead letter when supervision is
     on — one unrecoverable CQ must not keep the server down — and falls
     back to a cold start.
@@ -442,33 +458,19 @@ def recover_cqs(db: Database, faults=None) -> List[tuple]:
     into the cold operator (the supervisor's in-process restart, whose
     subscribers would see the windows twice, does not).
     """
-    from repro.streaming.supervisor import _guess_stime_column
-    channels_by_source = {}
-    for _name, channel in db.catalog.channels():
-        channels_by_source[channel.source.name] = channel
     outcomes = []
-    wal = db.storage.wal
     for derived in list(db.runtime._derived_order):
         cq = derived.cq
-        op = getattr(cq, "_window_op", None)
-        if not isinstance(op, TimeWindowOperator):
-            outcomes.append((cq.name, "cold"))
-            continue
         try:
             if faults is not None:
                 faults.check("server.boot_recovery", cq.name)
-            channel = channels_by_source.get(derived.name)
-            table = channel.table if channel is not None else None
-            stime = _guess_stime_column(table) if table is not None else None
-            strategy = recover_cq(cq, wal, table, stime, db.txn_manager)
-            if strategy == "empty-archive" \
-                    and cq.stream.retention is not None:
+            strategy = recover_cq(cq, db.runtime)
+            if strategy == "empty-archive":
                 # no window ever closed with rows, so the open window's
                 # rows are nowhere but the tail: replay all of it (windows
                 # are epoch-aligned — the cold grid is the crashed one —
                 # and nobody is subscribed yet to see them close again)
-                for when, row in cq.stream.replay_since(float("-inf")):
-                    op.on_tuple(row, when)
+                replay_tail(cq, float("-inf"))
             outcomes.append((cq.name, strategy))
         except Exception as exc:
             outcomes.append((cq.name, f"cold:{exc}"))
@@ -497,22 +499,15 @@ def replay_derived_windows(db: Database, derived, since: float):
     if derived.retention is not None and derived._window_tail \
             and derived._window_tail[0][1] <= since:
         return derived.replay_windows(since)
-    channel = None
-    for _name, candidate in db.catalog.channels():
-        if candidate.source is derived and candidate.mode == "append":
-            channel = candidate
-            break
-    cq = derived.cq
-    op = getattr(cq, "_window_op", None)
-    if channel is None or not isinstance(op, TimeWindowOperator):
+    channel = archive_of(derived)
+    op = derived.cq._window_op
+    if channel is None or channel.mode != APPEND \
+            or channel.close_column is None \
+            or not isinstance(op, TimeWindowOperator):
         if derived.retention is not None:
             return derived.replay_windows(since)
         return []
-    from repro.streaming.supervisor import _guess_stime_column
-    stime = _guess_stime_column(channel.table)
-    if stime is None:
-        return []
-    position = channel.table.schema.index_of(stime)
+    position = channel.table.schema.index_of(channel.close_column)
     snapshot = db.txn_manager.take_snapshot()
     by_close = {}
     last_close = None

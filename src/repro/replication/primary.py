@@ -15,7 +15,6 @@ single-writer executor.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ReplicationGapError
@@ -38,7 +37,6 @@ class StandbyPeer:
         self.from_lsn = from_lsn
         self.sent_lsn = from_lsn - 1
         self.acked_lsn = 0
-        self.attached_at = time.monotonic()
         self.ship_drops = 0          # batches dropped (replication.ship)
         self.last_error: Optional[str] = None
 

@@ -66,10 +66,6 @@ class SingleWriterExecutor:
         self._jobs.put_fair(lane, weight, (fn, args, kwargs, future))
         return future
 
-    def run_sync(self, fn, *args, timeout: float = 30.0, **kwargs):
-        """Submit and block for the result (tests, synchronous callers)."""
-        return self.submit(fn, *args, **kwargs).result(timeout)
-
     def depth(self) -> int:
         """Jobs waiting (the admission controller's pressure signal)."""
         return self._jobs.qsize()

@@ -177,9 +177,6 @@ class FrameDecoder:
             del self._buffer[:end]
             frames.append(decode_body(body))
 
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
 
 async def read_frame(reader):
     """Read one frame from an ``asyncio.StreamReader``.

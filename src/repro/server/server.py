@@ -88,17 +88,27 @@ class TruSQLServer:
             else:
                 db = Database(**db_options)
         self.db = db
-        # partitioned execution: statements and ingest route through a
-        # PartitionedEngine wrapping this database (worker subprocesses
-        # are volatile — incompatible with standby replication)
+        # the four verbs a session runs on the engine thread, bound
+        # once.  Partitioned execution: a PartitionedEngine wrapping
+        # this database answers them (and fans clock advances and
+        # flushes out to its shards; worker subprocesses are volatile —
+        # incompatible with standby replication)
         self.partition_engine = None
         if partitions:
             if standby_of is not None:
                 raise ValueError(
                     "partitions are incompatible with standby mode")
             from repro.partition import PartitionedEngine
-            self.partition_engine = PartitionedEngine(
+            engine = self.partition_engine = PartitionedEngine(
                 partitions=partitions, transport="process", db=self.db)
+            self.ingest_entry = engine.ingest
+            self.advance_entry, self.flush_entry = engine.advance, engine.flush
+        else:
+            engine = self.db
+            self.ingest_entry = engine.ingest_batch
+            self.advance_entry = engine.advance_streams
+            self.flush_entry = engine.flush_streams
+        self.execute_entry = engine.execute
         self.requested_host = host
         self.requested_port = port
         self.standby_of = (_parse_hostport(standby_of)
@@ -232,44 +242,12 @@ class TruSQLServer:
     # engine bridge
     # ------------------------------------------------------------------
 
-    def execute_entry(self, sql, params=None):
-        """Statement entry point for sessions — partition-aware when
-        the server was started with ``--partitions``."""
-        if self.partition_engine is not None:
-            return self.partition_engine.execute(sql, params)
-        return self.db.execute(sql, params)
-
     def run_script(self, source: str) -> None:
         """Engine thread: run a ``;``-separated script (``--init``)
-        statement by statement through :meth:`execute_entry`, so a
+        statement by statement through ``execute_entry``, so a
         ``PARTITION BY`` stream it creates gets its router."""
         for statement in split_script(source):
             self.execute_entry(statement)
-
-    def ingest_entry(self, name, rows, at=None, sender=None, seq=None,
-                     watermark=None):
-        """Ingest entry point for sessions; same counted-ack shape as
-        :meth:`Database.ingest_batch` in both modes."""
-        if self.partition_engine is not None:
-            return self.partition_engine.ingest(
-                name, rows, at=at, watermark=watermark,
-                sender=sender, seq=seq)
-        return self.db.ingest_batch(name, rows, at, sender, seq,
-                                    watermark=watermark)
-
-    def advance_entry(self, event_time):
-        """Clock-advance entry point — fans out to worker shards so
-        their windows close in step with the coordinator."""
-        if self.partition_engine is not None:
-            return self.partition_engine.advance(event_time)
-        return self.db.advance_streams(event_time)
-
-    def flush_entry(self):
-        """Flush entry point — drains worker shards before the local
-        engine so no partial is stranded in a subprocess."""
-        if self.partition_engine is not None:
-            return self.partition_engine.flush()
-        return self.db.flush_streams()
 
     async def on_engine(self, fn, *args, **kwargs):
         """Run ``fn`` on the single-writer engine thread and await it.
@@ -858,6 +836,13 @@ def main(argv=None) -> int:
             with open(args.init, "r", encoding="utf-8") as handle:
                 await server.on_engine(server.run_script, handle.read())
         await server.start()
+        stats = getattr(server.db, "recovery_stats", None) or {}
+        for name, rung in stats.get("cqs", ()):
+            if rung.startswith("cold:"):
+                # its open window was lost: say so where an operator
+                # looks (stderr: the banner stays stdout's first line)
+                print(f"recovery: CQ {name!r} restarted cold "
+                      f"({rung[len('cold:'):]})", file=sys.stderr, flush=True)
         print(_BANNER.format(host=server.host, port=server.port),
               flush=True)
         loop = asyncio.get_running_loop()

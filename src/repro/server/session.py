@@ -517,8 +517,8 @@ class Session:
                 frame.get("id"), accepted=0, shed=len(rows), dropped=0,
                 duplicate=0)
         counts = await self.server.on_engine_fair(
-            self, self.server.ingest_entry, stream_name, rows, at,
-            sender, seq, watermark=watermark)
+            self, self.server.ingest_entry, stream_name, rows, at=at,
+            sender=sender, seq=seq, watermark=watermark)
         self.rows_ingested += counts["accepted"]
         # a batch the engine recognised as a replay applied nothing, so
         # it must not count against the tenant's byte quota either
@@ -629,8 +629,7 @@ class Session:
 def _wire_event_time(cq, sink: SessionSink) -> bool:
     """If ``cq`` runs event-time semantics, point the sink at its
     stream's watermark (stamped onto every push) and say so."""
-    probe = getattr(cq, "is_event_time", None)
-    if probe is None or not cq.is_event_time():
+    if not cq.is_event_time():
         return False
     stream = cq.stream
     sink.watermark_fn = lambda: stream.watermark

@@ -58,10 +58,6 @@ class Segment:
     sealed: bool = False
     archived: bool = False
 
-    def covers(self, lsn: int) -> bool:
-        return (self.first_lsn is not None and self.last_lsn is not None
-                and self.first_lsn <= lsn <= self.last_lsn)
-
     def manifest_entry(self) -> dict:
         return {"name": segment_name(self.index), "index": self.index,
                 "first_lsn": self.first_lsn, "last_lsn": self.last_lsn,
@@ -350,13 +346,6 @@ class SegmentedLog:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1)
         os.replace(tmp, self.manifest_path())
-
-    def read_manifest(self) -> Optional[dict]:
-        try:
-            with open(self.manifest_path(), "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
 
 
 def _read_segment(path: str) -> Tuple[List[dict], int, bool]:

@@ -635,23 +635,31 @@ class WriteAheadLog:
     def latest_checkpoint(self, name: str):
         """Most recent durable cq_checkpoint payload for ``name`` (or None).
 
-        Compaction never archives past the latest checkpoint of a live
-        CQ, so this normally finds it in memory; the archive fallback
-        covers a standby promoting after its *local* compaction ran
-        (the anchor LSN is tracked, so the fallback reads exactly one
-        archived record instead of scanning).
+        Found at its tracked anchor LSN, not by a scan (recovery asks
+        once per CQ).  Compaction never archives past the latest
+        checkpoint of a live CQ, so the record is normally in memory;
+        the archive read covers a standby promoting after its *local*
+        compaction ran.
         """
-        for record in reversed(self._validated()):
-            if record.kind == CHECKPOINT and record.table == name:
-                return record.payload
-        if self.segments is not None:
-            lsn = self._checkpoint_lsns.get(name)
-            if lsn is not None and lsn < self.compacted_below:
-                for wire in self.segments.archived_records(lsn, lsn):
-                    record = record_from_wire(wire)
-                    if record.is_valid() and record.kind == CHECKPOINT \
-                            and record.table == name:
-                        return record.payload
+        lsn = self._checkpoint_lsns.get(name)
+        if lsn is None:
+            return None
+        if lsn >= self.compacted_below:
+            position = lsn - self.records[0].lsn
+            if position < self._flushed_upto \
+                    and self.records[position].is_valid():
+                return self.records[position].payload
+            # the newest one is not durable (unflushed, or torn at its
+            # flush): the newest that is, the slow way
+            for record in reversed(self._validated()):
+                if record.kind == CHECKPOINT and record.table == name:
+                    return record.payload
+        elif self.segments is not None:
+            for wire in self.segments.archived_records(lsn, lsn):
+                record = record_from_wire(wire)
+                if record.is_valid() and record.kind == CHECKPOINT \
+                        and record.table == name:
+                    return record.payload
         return None
 
     def checkpoint_anchor_lsn(self, live_names=None) -> Optional[int]:

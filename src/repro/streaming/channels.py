@@ -18,9 +18,34 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ConstraintError, StreamingError
+from repro.sql import ast
 
 APPEND = "append"
 REPLACE = "replace"
+
+
+def _close_position(cq):
+    """Output position of a bare ``cq_close(*)`` in ``cq``'s select list
+    (None when the CQ does not project it bare).  A ``*`` widens the
+    list, so the position is counted from whichever end has none."""
+    items = cq.select.items
+    star = [isinstance(item.expr, ast.Star) for item in items]
+    for i, item in enumerate(items):
+        if isinstance(item.expr, ast.FunctionCall) \
+                and item.expr.name == "cq_close":
+            if not any(star[:i]):
+                return i
+            if not any(star[i + 1:]):
+                return len(cq.output_names) - (len(items) - i)
+    return None
+
+
+def archive_of(derived):
+    """The channel that archives ``derived`` — its active table is what a
+    restart rebuilds the CQ from — or None.  An APPEND channel (every
+    window kept) is preferred to a REPLACE one."""
+    channels = [c for c in derived.consumers if isinstance(c, Channel)]
+    return min(channels, key=lambda c: c.mode != APPEND, default=None)
 
 
 @dataclass
@@ -48,6 +73,15 @@ class Channel:
         self.source = source
         self.table = table
         self.mode = mode
+        #: the table column that holds each window's close time: where
+        #: the source CQ projects a bare ``cq_close(*)``, through the
+        #: positional stream -> table mapping.  None (a raw stream, or a
+        #: CQ that does not project it): nothing to rebuild a window
+        #: grid from, so no active-table recovery
+        cq = getattr(source, "cq", None)
+        position = _close_position(cq) if cq is not None else None
+        self.close_column = (None if position is None
+                             else table.schema.columns[position].name)
         self._txn_manager = txn_manager
         self.stats = ChannelStats()
         self._attached = False

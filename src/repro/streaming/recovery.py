@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import RecoveryError
+from repro.streaming.channels import archive_of
 from repro.streaming.cq import ContinuousQuery
 from repro.streaming.windows import TimeWindowOperator
 
@@ -112,8 +113,7 @@ class CheckpointManager:
         self.checkpoints_taken += 1
 
     @staticmethod
-    def recover(new_cq: ContinuousQuery, wal,
-                suppress_duplicates: bool = True) -> float:
+    def recover(new_cq: ContinuousQuery, wal) -> float:
         """Restore ``new_cq`` from the latest checkpoint and replay the
         stream tail after it.  Returns the replay start time.
 
@@ -123,36 +123,22 @@ class CheckpointManager:
         if payload is None:
             raise RecoveryError(
                 f"no checkpoint found for CQ {new_cq.name!r}")
-        restore_window_state(new_cq, payload)
         last_close = payload.get("close_time")
-        if suppress_duplicates and last_close is not None:
-            _suppress_through(new_cq, last_close)
+
+        def restore():
+            restore_window_state(new_cq, payload)
+            if last_close is not None:
+                _suppress_through(new_cq, last_close)
         replay_after = payload.get("replay_after")
         if replay_after is not None:
-            start = replay_after
-            exclusive = True
-        else:
-            start = payload.get("replay_from", float("-inf"))
-            exclusive = False
-        stream = new_cq.stream
-        if start == float("-inf"):
-            start = stream.replay_horizon()
-            if start == float("inf"):
-                return start  # nothing retained, nothing to replay
-        else:
-            _check_replayable(stream, start)
-        target = new_cq._window_op
-        for when, row in stream.replay_since(start):
-            if exclusive and when <= replay_after:
-                continue
-            target.on_tuple(row, when)
-        return start
+            return replay_tail(new_cq, replay_after, restore,
+                               after=replay_after)
+        return replay_tail(
+            new_cq, payload.get("replay_from", float("-inf")), restore)
 
 
 def recover_from_active_table(new_cq: ContinuousQuery, table, txn_manager,
-                              stime_column: str,
-                              suppress_duplicates: bool = True
-                              ) -> Optional[float]:
+                              stime_column: str) -> Optional[float]:
     """The paper's strategy: rebuild CQ state from its Active Table.
 
     Reads the archive's maximum window-close timestamp, aligns the fresh
@@ -175,27 +161,49 @@ def recover_from_active_table(new_cq: ContinuousQuery, table, txn_manager,
     if last_close is None:
         return None
 
-    # align the window grid: the next window closes at last_close + advance
-    op._base = last_close
-    op._boundary_index = 1
-
-    if suppress_duplicates:
+    def align():
+        # the next window closes at last_close + advance
+        op._base = last_close
+        op._boundary_index = 1
         _suppress_through(new_cq, last_close)
 
     # tuples contributing to the next window lie in
     # [last_close + advance - visible, last_close + advance)
-    replay_from = last_close + op.advance - op.visible
-    stream = new_cq.stream
-    _check_replayable(stream, replay_from)
-    for when, row in stream.replay_since(replay_from):
-        op.on_tuple(row, when)
-    return replay_from
+    return replay_tail(new_cq, last_close + op.advance - op.visible, align)
 
 
-def recover_cq(cq: ContinuousQuery, wal, active_table, stime_column,
-               txn_manager, fall_through: bool = False) -> str:
-    """The CQ-recovery ladder: latest ``cq_checkpoint``, else the
-    active table via its window-close column, else a cold start.
+def replay_tail(cq: ContinuousQuery, start: float, prepare=None,
+                after: Optional[float] = None) -> float:
+    """The one way window state comes back from the stream: feed
+    ``cq``'s operator every retained point at or after ``start`` (``-inf``:
+    whatever is retained; strictly after ``after`` when given).  Raises
+    :class:`RecoveryError` when the tail no longer reaches back to
+    ``start`` — before ``prepare()``, the rung's own change to the CQ,
+    has run, so a refused rung leaves the CQ as it was built.  Returns
+    the replay start (``inf``: nothing retained)."""
+    stream = cq.stream
+    if start == float("-inf"):
+        start = stream.replay_horizon()
+    else:
+        _check_replayable(stream, start)
+    if prepare is not None:
+        prepare()
+    if start != float("inf"):
+        op = cq._window_op
+        for when, row in stream.replay_since(start):
+            if after is None or when > after:
+                op.on_tuple(row, when)
+    return start
+
+
+def recover_cq(cq: ContinuousQuery, runtime,
+               fall_through: bool = False) -> str:
+    """The CQ-recovery ladder: latest ``cq_checkpoint`` in the runtime's
+    log, else the active table — the table of the channel that archives
+    the CQ's derived stream (:func:`~repro.streaming.channels.archive_of`)
+    through that channel's ``close_column`` — else a cold start.  A CQ
+    that is not archived, or does not project a bare ``cq_close(*)``,
+    has no active-table rung: the window grid is never guessed.
     Returns the name of the rung that recovered ``cq``: ``"checkpoint"``
     / ``"active-table"`` / ``"cold"`` — or ``"empty-archive"``: there is
     an active table but it holds nothing to align to, ``cq`` is as it
@@ -204,13 +212,20 @@ def recover_cq(cq: ContinuousQuery, wal, active_table, stime_column,
     raises :class:`RecoveryError` propagates it — unless ``fall_through``,
     which tries the next rung instead (the supervisor: a restart must
     come back with whatever state it can get)."""
+    if not isinstance(cq._window_op, TimeWindowOperator):
+        return "cold"
+    wal = runtime.txn_manager.wal
     rungs = []
     if wal is not None and wal.latest_checkpoint(cq.name) is not None:
         rungs.append(("checkpoint",
                       lambda: CheckpointManager.recover(cq, wal)))
-    if active_table is not None and stime_column is not None:
+    # a restart's replacement CQ carries the name of the one it replaces
+    channel = next((archive_of(derived)
+                    for derived in runtime._derived_order
+                    if derived.cq.name == cq.name), None)
+    if channel is not None and channel.close_column is not None:
         rungs.append(("active-table", lambda: recover_from_active_table(
-            cq, active_table, txn_manager, stime_column)))
+            cq, channel.table, runtime.txn_manager, channel.close_column)))
     for name, recover in rungs:
         try:
             # only the active-table rung answers None: nothing archived

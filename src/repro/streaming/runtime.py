@@ -110,6 +110,9 @@ class StreamingRuntime:
                 self._cqs.pop(obj.cq.name, None)
             if obj in self._derived_order:
                 self._derived_order.remove(obj)
+        if self.supervisor is not None:
+            self.supervisor.release(
+                obj.cq if kind == cat.DERIVED_STREAM else obj)
 
     # -- continuous queries --------------------------------------------------------
 
@@ -177,6 +180,8 @@ class StreamingRuntime:
     def drop_channel(self, name: str) -> None:
         channel = self.catalog.drop_channel(name)
         channel.detach()
+        if self.supervisor is not None:
+            self.supervisor.release(channel)
 
     # -- time control ----------------------------------------------------------------
 

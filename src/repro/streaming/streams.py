@@ -558,7 +558,7 @@ class BaseStream:
 
     def replay_since(self, event_time: float):
         """Yield retained (time, row) pairs with time >= ``event_time``."""
-        if self.retention is None:
+        if self.retention is None and not self._tail:
             raise StreamingError(
                 f"stream {self.name!r} has no retention configured"
             )
@@ -577,14 +577,15 @@ class BaseStream:
 
         Used by crash recovery and the standby applier: the tuple (or
         heartbeat, when ``row`` is None) moves the watermark and extends
-        the retained tail, but consumers are *not* delivered to — the
-        windows they would rebuild are recovered separately, from the
-        active table.
+        the tail, but consumers are *not* delivered to — the windows
+        they would rebuild are recovered separately, from the active
+        table.  Every row is kept, whatever ``retention`` says: the log
+        held it, and the replayer decides when the open windows have
+        been rebuilt from it (:meth:`trim_tail`).
         """
         if row is not None:
             self.tuples_in += 1
-            if self.retention is not None:
-                self._tail.append((event_time, tuple(row)))
+            self._tail.append((event_time, tuple(row)))
         if self.tracker is not None:
             # event-time replay: rows re-feed the bounded generator,
             # bare advances re-apply explicit injections — the
@@ -597,17 +598,19 @@ class BaseStream:
             if advanced is not None:
                 self.watermark = advanced
             self.raw_watermark = max(self.raw_watermark, event_time)
-            if self.retention is not None:
-                horizon = self.watermark - self.retention
-                while self._tail and self._tail[0][0] < horizon:
-                    self._tail.popleft()
             return
         self.watermark = max(self.watermark, event_time)
         self.raw_watermark = max(self.raw_watermark, self.watermark)
-        if self.retention is not None:
-            horizon = self.watermark - self.retention
-            while self._tail and self._tail[0][0] < horizon:
-                self._tail.popleft()
+
+    def trim_tail(self) -> None:
+        """Cut the tail back to what ``retention`` covers (nothing,
+        without one)."""
+        if self.retention is None:
+            self._tail.clear()
+            return
+        horizon = self.watermark - self.retention
+        while self._tail and self._tail[0][0] < horizon:
+            self._tail.popleft()
 
     def __repr__(self):
         return f"BaseStream({self.name}, watermark={self.watermark})"

@@ -112,10 +112,7 @@ class _Entry:
     dead_letters: int = 0
     backoff_seconds: float = 0.0
     last_error: Optional[str] = None
-    # cq-only recovery wiring
-    active_table: object = None
-    stime_column: Optional[str] = None
-    checkpointer: object = None
+    checkpointer: object = None  # cq only
 
 
 class CQSupervisor:
@@ -126,11 +123,10 @@ class CQSupervisor:
     supervision is switched on mid-session).
     """
 
-    def __init__(self, runtime, wal=None,
+    def __init__(self, runtime,
                  policy: Optional[SupervisorPolicy] = None,
                  sleep_fn: Optional[Callable[[float], None]] = None):
         self.runtime = runtime
-        self.wal = wal
         self.policy = policy if policy is not None else SupervisorPolicy()
         # backoff delays are *accounted* by default rather than slept:
         # the engine is simulated-time driven, and chaos tests should not
@@ -183,9 +179,10 @@ class CQSupervisor:
         self.dead_letter_log.append(letter)
         if len(self.dead_letter_log) > self.policy.dead_letter_capacity:
             del self.dead_letter_log[0]
-        entry = self._by_target.get(id(self._target_for(source)))
-        if entry is not None:
-            entry.dead_letters += 1
+        for entry in self._entries:
+            if entry.name == source:
+                entry.dead_letters += 1
+                break
         if not self._in_dead_letter:
             self._in_dead_letter = True
             try:
@@ -200,24 +197,16 @@ class CQSupervisor:
                 self._in_dead_letter = False
         return letter
 
-    def _target_for(self, source: str):
-        for entry in self._entries:
-            if entry.name == source:
-                return entry.target
-        return None
-
     # ------------------------------------------------------------------
     # adoption
     # ------------------------------------------------------------------
 
-    def adopt_cq(self, cq, active_table=None, stime_column: str = None,
-                 checkpointer=None) -> Optional[_Entry]:
+    def adopt_cq(self, cq, checkpointer=None) -> Optional[_Entry]:
         """Supervise one CQ: window failures are quarantined, repeated
         failures restart it through the recovery paths."""
         if id(cq) in self._by_target:
             return self._by_target[id(cq)]
-        entry = _Entry(cq.name, "cq", cq, active_table=active_table,
-                       stime_column=stime_column, checkpointer=checkpointer)
+        entry = _Entry(cq.name, "cq", cq, checkpointer=checkpointer)
         self._register(entry)
         self._wrap_cq(entry)
         return entry
@@ -230,13 +219,6 @@ class CQSupervisor:
         entry = _Entry(channel.name, "channel", channel)
         self._register(entry)
         self._wrap_channel(entry)
-        # give the channel's source CQ an active table to recover from
-        source_cq = getattr(channel.source, "cq", None)
-        if source_cq is not None:
-            cq_entry = self._by_target.get(id(source_cq))
-            if cq_entry is not None and cq_entry.active_table is None:
-                cq_entry.active_table = channel.table
-                cq_entry.stime_column = _guess_stime_column(channel.table)
         return entry
 
     def adopt_stream(self, stream: BaseStream) -> _Entry:
@@ -269,9 +251,16 @@ class CQSupervisor:
         stream.shed_handler = on_shed
         return entry
 
-    def release_stream(self, stream: BaseStream) -> None:
-        stream.error_handler = None
-        stream.shed_handler = None
+    def release(self, target) -> None:
+        """Forget a dropped stream, CQ or channel: it leaves
+        ``repro_supervisor_status``, and a stream's handlers go back to
+        raising into the inserter."""
+        entry = self._by_target.pop(id(target), None)
+        if entry is not None:
+            self._entries.remove(entry)
+        if isinstance(target, BaseStream):
+            target.error_handler = None
+            target.shed_handler = None
 
     def _register(self, entry: _Entry) -> None:
         self._entries.append(entry)
@@ -284,12 +273,14 @@ class CQSupervisor:
     def _wrap_cq(self, entry: _Entry) -> None:
         cq = entry.target
 
-        def guard(original):
-            def guarded(rows, open_time, close_time):
+        def guard(original, failed):
+            """``original`` with a failure handed to ``failed(exc,
+            *args)`` and a success clearing the entry's strikes."""
+            def guarded(*args):
                 try:
-                    original(rows, open_time, close_time)
+                    original(*args)
                 except Exception as exc:
-                    self._cq_failure(entry, rows, open_time, close_time, exc)
+                    failed(exc, *args)
                 else:
                     if entry.consecutive_failures:
                         entry.consecutive_failures = 0
@@ -297,40 +288,24 @@ class CQSupervisor:
                         entry.state = RUNNING
             return guarded
 
+        def window_failed(exc, rows, open_time, close_time):
+            self._cq_failure(entry, rows, open_time, close_time, exc)
+
         if cq._ports is not None:
             # two-stream join: the port lambdas resolve _on_joint at call
             # time, so an instance attribute intercepts every evaluation
-            original_joint = cq._on_joint
-
-            def guarded_joint(index, rows, open_time, close_time):
-                try:
-                    original_joint(index, rows, open_time, close_time)
-                except Exception as exc:
-                    self._cq_failure(entry, rows, open_time, close_time, exc)
-                else:
-                    if entry.consecutive_failures:
-                        entry.consecutive_failures = 0
-                    if entry.state == DEGRADED:
-                        entry.state = RUNNING
-            cq._on_joint = guarded_joint
+            cq._on_joint = guard(
+                cq._on_joint,
+                lambda exc, _index, *window: window_failed(exc, *window))
         elif cq._window_op is not None:
-            cq._window_op.sink = guard(cq._window_op.sink)
+            cq._window_op.sink = guard(cq._window_op.sink, window_failed)
         else:
             # window-less transform: the stream calls cq.on_tuple per row
-            original_tuple = cq.on_tuple
-
-            def guarded_tuple(row, event_time):
-                try:
-                    original_tuple(row, event_time)
-                except Exception as exc:
-                    self._cq_failure(entry, [row], event_time, event_time,
-                                     exc, kind=POISON_TUPLE)
-                else:
-                    if entry.consecutive_failures:
-                        entry.consecutive_failures = 0
-                    if entry.state == DEGRADED:
-                        entry.state = RUNNING
-            cq.on_tuple = guarded_tuple
+            cq.on_tuple = guard(
+                cq.on_tuple,
+                lambda exc, row, event_time: self._cq_failure(
+                    entry, [row], event_time, event_time, exc,
+                    kind=POISON_TUPLE))
 
     def _cq_failure(self, entry: _Entry, rows, open_time, close_time, exc,
                     kind: str = POISON_WINDOW) -> None:
@@ -355,7 +330,9 @@ class CQSupervisor:
             old.stop()
             fresh = self._build_replacement(old)
             try:
-                recovered = self._recover(entry, fresh)
+                # False when the CQ comes back cold
+                recovered = recover_cq(fresh, self.runtime,
+                                       fall_through=True) != "cold"
             except Exception as exc:
                 # replaying the tail re-executed the very failure that
                 # forced the restart (a poison window in the replay
@@ -392,12 +369,6 @@ class CQSupervisor:
         # corrections keep flowing to the same channels/subscriptions
         fresh._correction_sinks = old._correction_sinks
         return fresh
-
-    def _recover(self, entry: _Entry, fresh: ContinuousQuery) -> bool:
-        """Recover runtime state; False when the CQ comes back cold."""
-        return recover_cq(fresh, self.wal, entry.active_table,
-                          entry.stime_column, self.runtime.txn_manager,
-                          fall_through=True) != "cold"
 
     def _rebind(self, entry: _Entry, old, fresh) -> None:
         """Point everything that referenced the old CQ at the fresh one."""
@@ -459,9 +430,6 @@ class CQSupervisor:
     # introspection
     # ------------------------------------------------------------------
 
-    def entries(self) -> List[_Entry]:
-        return list(self._entries)
-
     def entry_for(self, target) -> Optional[_Entry]:
         return self._by_target.get(id(target))
 
@@ -486,14 +454,3 @@ class CQSupervisor:
                 letter.open_time, letter.close_time,
             ))
         return out
-
-
-def _guess_stime_column(table) -> Optional[str]:
-    """Best-effort window-close column of an active table: the last
-    timestamp column (channels archive ``cq_close(*)`` there by
-    convention in every example and benchmark)."""
-    candidate = None
-    for column in table.schema:
-        if isinstance(column.datatype, TimestampType):
-            candidate = column.name
-    return candidate

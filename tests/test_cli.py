@@ -195,6 +195,49 @@ class TestRemoteShell:
         assert code == 0
         assert "t " in out and "table" in out
 
+    def test_remote_describe_lists_what_the_embedded_shell_lists(
+            self, server, capsys):
+        from repro.cli import main
+        script = ("CREATE TABLE t (a integer); "
+                  "CREATE STREAM s (v integer, ts timestamp CQTIME USER); "
+                  "CREATE STREAM d AS SELECT count(*) c, cq_close(*) "
+                  "FROM s <VISIBLE '1 minute'>; "
+                  "CREATE TABLE arch (c bigint, ts timestamp); "
+                  "CREATE CHANNEL ch FROM d INTO arch APPEND; "
+                  "CREATE INDEX t_a ON t (a); \\d")
+        listings = []
+        for target in ([], ["--connect", f"{server.host}:{server.port}"]):
+            assert main(target + ["-c", script]) == 0
+            out = capsys.readouterr().out
+            listings.append(out[out.index("  arch"):])
+        assert listings[0] == listings[1]
+        for line in ("ch  ", "channel", "derived stream", "t_a", "index",
+                     "derived:d", "cq"):
+            assert line in listings[1]
+
+    def test_remote_supervisor_and_deadletters(self, capsys):
+        """The docstring always promised them over a connection; the
+        remote ``_command`` refused both."""
+        from repro.cli import main
+        from repro.server import ServerThread
+        with ServerThread() as plain:
+            target = ["--connect", f"{plain.host}:{plain.port}"]
+            assert main(target + ["-c", "\\supervisor; \\deadletters"]) == 0
+            assert capsys.readouterr().out.count("supervision is off") == 2
+        with ServerThread(supervised=True) as st:
+            target = ["--connect", f"{st.host}:{st.port}"]
+            code = main(target + ["-c",
+                "CREATE STREAM s (k varchar(10), v integer, "
+                "ts timestamp CQTIME USER); "
+                "SELECT 10 / v AS ratio FROM s WHERE v < 100; "
+                "INSERT INTO s VALUES ('a', 0, 5.0); "
+                "\\supervisor; \\deadletters 5; \\timing; SELECT 1"])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "degraded" in out
+            assert "[poison-tuple]" in out and "(1 row)" in out
+            assert "ms simulated disk" in out
+
     def test_bad_connect_spec(self):
         from repro.cli import main
         with pytest.raises(SystemExit):

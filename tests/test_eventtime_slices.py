@@ -293,8 +293,7 @@ class TestCheckpointRestart:
             cq = ContinuousQuery("r", parse_statement(self.SQL),
                                  db.catalog, db.txn_manager)
             wire(cq)
-            assert recover_cq(cq, wal, None, None, db.txn_manager) \
-                == "checkpoint"
+            assert recover_cq(cq, db.runtime) == "checkpoint"
             # the surface is points()/load(): rows, never partials
             assert cq.is_sliced() and len(cq._window_op.store) == 0
             assert cq._window_op.buffered == len(self.BEFORE)

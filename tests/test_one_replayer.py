@@ -32,12 +32,27 @@ from repro.storage.wal import (
 S_DDL = "CREATE STREAM s (v integer, ts timestamp CQTIME USER)"
 W_DDL = ("CREATE STREAM w (v integer, ts timestamp CQTIME USER) "
          "WATERMARK '5 seconds'")
-PIPELINE = (
-    "CREATE STREAM totals AS SELECT count(*) c, cq_close(*) FROM s "
-    "<VISIBLE '10 seconds' ADVANCE '10 seconds'>",
-    "CREATE TABLE archive (c bigint, ts timestamp)",
-    "CREATE CHANNEL arch FROM totals INTO archive APPEND",
-)
+#: the archive's column order is drawn: (select list, table columns,
+#: where the window close lands) — beside, before and after other
+#: timestamps
+ARCHIVES = [
+    ("count(*) c, cq_close(*)", "c bigint, ts timestamp", 1),
+    ("cq_close(*), count(*) c, max(ts) newest",
+     "closed timestamp, c bigint, newest timestamp", 0),
+    ("min(ts) oldest, cq_close(*) closed, count(*) c, max(ts) newest",
+     "oldest timestamp, closed timestamp, c bigint, newest timestamp", 1),
+]
+
+
+def pipeline(select, columns):
+    return (f"CREATE STREAM totals AS SELECT {select} FROM s "
+            "<VISIBLE '10 seconds' ADVANCE '10 seconds'>",
+            f"CREATE TABLE archive ({columns})",
+            "CREATE CHANNEL arch FROM totals INTO archive APPEND")
+
+
+PIPELINE = pipeline(*ARCHIVES[0][:2])
+
 RETENTION = 1e9
 X_SCHEMAS = {"int": "CREATE TABLE x (a integer)",
              "text": "CREATE TABLE x (a varchar(8), b integer)"}
@@ -153,7 +168,7 @@ _op = st.one_of(
 class Primary:
     """Runs a drawn history against a durable database."""
 
-    def __init__(self, work):
+    def __init__(self, work, archive=ARCHIVES[0]):
         self.faults = FaultInjector(seed=2009)
         self.db = db = Database(wal_path=os.path.join(work, "primary"),
                                 stream_retention=RETENTION,
@@ -162,7 +177,7 @@ class Primary:
         db.execute("CREATE TABLE t (a integer)")
         db.execute(S_DDL)
         db.execute(W_DDL)
-        for ddl in PIPELINE:
+        for ddl in pipeline(*archive[:2]):
             db.execute(ddl)
         self.setup = db.storage.wal.head_lsn     # no cut falls inside it
         self.now = 0.0
@@ -282,12 +297,14 @@ class TestReplayersAgree:
     fed the rest and promoted, and (d) ``recover_from_wal`` rebuild the
     same engine from any prefix of any history."""
 
-    @given(ops=st.lists(_op, min_size=12, max_size=50), cut=st.integers(0, 40))
+    @given(ops=st.lists(_op, min_size=12, max_size=50), cut=st.integers(0, 40),
+           archive=st.sampled_from(ARCHIVES))
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_every_entry_point_rebuilds_the_same_engine(self, ops, cut):
+    def test_every_entry_point_rebuilds_the_same_engine(self, ops, cut,
+                                                        archive):
         import tempfile
         with tempfile.TemporaryDirectory() as work:
-            primary = Primary(work)
+            primary = Primary(work, archive)
             records = primary.run(ops)
             keep = max(primary.setup, len(records) - cut)
             records = records[:keep]
@@ -366,6 +383,9 @@ class TestReplayersAgree:
                 db.insert_stream("s", [(0, probe + 10.0)])
                 if db is booted:
                     want = (answers, state_of(db))
+                    # ... on the grid a never-crashed engine closes on
+                    assert all(row[archive[2]] % 10 == 0
+                               for row in db.table_rows("archive"))
                 else:
                     assert (answers, state_of(db)) == want
             for db in (booted, fed, again, rebuilt, primary.db):

@@ -561,6 +561,105 @@ class TestCoordinatorStreamIsReal:
         eng.close()
 
 
+class TestDropAndRecreate:
+    """``DROP STREAM`` of a routed stream takes its router, its CQs'
+    merge stages and its replayable frames with it, on the workers too:
+    the name is free again, and a respawn replays the drop."""
+
+    FIRST = [("a", 1.0, 0.5), ("b", 2.0, 1.0), ("c", 3.0, 2.5)]
+    SECOND = [("a", 4.0, 0.7), ("d", 5.0, 1.0), ("b", 6.0, 3.5)]
+
+    def drive(self, execute, ingest, advance, between=lambda: None):
+        execute(ROWS_DDL)
+        old = execute(MERGED_CQ)
+        ingest("s", self.FIRST)
+        execute("DROP STREAM s")
+        execute(ROWS_DDL)
+        new = execute(MERGED_CQ)
+        between()
+        ingest("s", self.SECOND)
+        advance(10.0)
+        return windows(old), windows(new)
+
+    def single(self):
+        db = Database()
+        return self.drive(
+            lambda sql: db.subscribe(sql) if sql.startswith("SELECT")
+            else db.execute(sql.replace(" PARTITION BY k", "")),
+            db.ingest_batch, db.advance_streams)
+
+    @pytest.mark.parametrize("kill", [False, True],
+                             ids=["inline", "after-kill_worker"])
+    def test_recreated_stream_routes_like_one_database(self, kill):
+        want = self.single()
+        assert len(want[1]) == 5 and want[1][0][3]      # windows, with rows
+        eng = PartitionedEngine(partitions=2)
+        got = self.drive(
+            eng.execute, eng.ingest, eng.advance,
+            (lambda: eng.kill_worker(1)) if kill else (lambda: None))
+        assert got == want
+        assert eng.restarts == [0, int(kill)]
+        # the old incarnation left nothing behind to replay or to merge
+        assert len(eng._routes) == 1 and len(eng._pcqs) == 1
+        for log in eng._logs:
+            assert [kind for kind, _msg, _t in log].count("cq") == 1
+        eng.close()
+
+    def test_drop_by_another_spelling_and_of_a_broadcast_view(self):
+        eng = PartitionedEngine(partitions=2)
+        eng.execute(ROWS_DDL.replace("STREAM s", "STREAM Mixed"))
+        eng.execute("CREATE VIEW big AS SELECT k FROM Mixed WHERE v > 1")
+        eng.execute("DROP VIEW big")
+        eng.execute("DROP STREAM mixed")
+        assert not eng._routes and not eng._broadcast_names
+        for handle in eng._handles:
+            catalog = handle.engine.db.catalog
+            assert not catalog.has_relation("mixed")
+            assert not catalog.has_relation("big")
+        eng.close()
+
+
+class TestReplayLogStaysBounded:
+    def test_a_thousand_ingest_flush_rounds(self):
+        """One ``flush`` entry per ``flush()`` and one ``cq``/``stopcq``
+        pair per closed subscription used to stay for the engine's
+        life."""
+        single = Database()
+        single.execute(ROWS_DDL.replace(" PARTITION BY k", ""))
+        eng = PartitionedEngine(partitions=2)
+        eng.execute(ROWS_DDL)
+        subs = [single.subscribe(MERGED_CQ), eng.execute(MERGED_CQ)]
+
+        def rows(i):
+            return [(k, float(i), i + 0.25 * j)
+                    for j, k in enumerate("abcd")]
+        longest = 0
+        for i in range(1000):
+            single.ingest_batch("s", rows(i))
+            single.flush_streams()
+            eng.ingest("s", rows(i))
+            eng.flush()
+            if i % 100 == 0:
+                # a subscription that comes and goes leaves no entries
+                eng.execute(MERGED_CQ).close()
+                eng.advance(float(i))
+            longest = max(longest, max(len(log) for log in eng._logs))
+        assert longest < 300
+        kinds = [kind for kind, _msg, _t in eng._logs[0]]
+        assert kinds.count("cq") == 1 and "stopcq" not in kinds
+        # and a respawn from the pruned log is still invisible
+        eng.kill_worker(0)
+        for i in range(1000, 1010):
+            single.ingest_batch("s", rows(i))
+            eng.ingest("s", rows(i))
+        single.flush_streams()
+        eng.flush()
+        assert eng.restarts == [1, 0]
+        got = windows(subs[1])
+        assert got == windows(subs[0]) and len(got) > 500
+        eng.close()
+
+
 # -- transport: one write per response, no stall, no leaked child ------------
 
 

@@ -352,6 +352,208 @@ class TestActiveTableRecovery:
         assert f"have {stream.replay_horizon()}" in message
 
 
+# ---------------------------------------------------------------------------
+# the close column is a fact of the channel, not a guess about the table
+# ---------------------------------------------------------------------------
+
+#: select list of the archived CQ -> the active table's columns (mapped
+#: positionally, so the table may name them differently)
+ARCHIVES = {
+    "close-first-timestamp-last": (
+        "cq_close(*) AS stime, count(*) AS n, max(ts) AS last_seen",
+        "stime timestamp, n integer, last_seen timestamp"),
+    "close-in-the-middle": (
+        "count(*) AS n, cq_close(*), max(ts) AS last_seen",
+        "n integer, closed timestamp, last_seen timestamp"),
+    "close-last-aliased": (
+        "min(ts) AS first_seen, count(*) AS n, cq_close(*) AS closed_at",
+        "first_seen timestamp, n integer, closed_at timestamp"),
+}
+NO_CLOSE = ("count(*) AS n, max(ts) AS last_seen",
+            "n integer, last_seen timestamp")
+BEFORE = [1.0, 3.0, 12.0, 17.0, 23.0, 24.0]     # window 30 is open
+AFTER = [26.0, 31.0, 38.0, 45.0]
+
+
+def archived_pipeline(db, select, columns):
+    db.execute("CREATE STREAM s (k varchar(10), v integer, "
+               "ts timestamp CQTIME USER)")
+    db.execute(f"CREATE STREAM agg AS SELECT {select} FROM s "
+               "<VISIBLE '10 seconds' ADVANCE '10 seconds'>")
+    db.execute(f"CREATE TABLE arch ({columns})")
+    db.execute("CREATE CHANNEL ch FROM agg INTO arch APPEND")
+
+
+def feed(db, times):
+    for when in times:
+        db.insert_stream("s", [("a", 1, when)])
+
+
+def archive(db):
+    return sorted(db.table_rows("arch"), key=repr)  # an empty window: NULLs
+
+
+def never_crashed(select, columns):
+    db = Database(stream_retention=3600.0)
+    archived_pipeline(db, select, columns)
+    feed(db, BEFORE + AFTER)
+    db.advance_streams(60.0)
+    return db
+
+
+@pytest.mark.parametrize("shape", sorted(ARCHIVES))
+class TestCloseColumnIsAFact:
+    """A restart re-grids the CQ on the column its bare ``cq_close(*)``
+    lands in — wherever the select list puts it, whatever the table
+    calls it, whatever other timestamps sit beside it — and archives
+    exactly what a never-crashed run archives."""
+
+    def want(self, shape):
+        rows = archive(never_crashed(*ARCHIVES[shape]))
+        assert len(rows) == 6
+        return rows
+
+    def test_channel_knows_its_close_column(self, shape):
+        from repro.streaming.channels import archive_of
+        db = never_crashed(*ARCHIVES[shape])
+        channel = archive_of(db.catalog.get_relation("agg"))
+        position = [c.name for c in channel.table.schema].index(
+            channel.close_column)
+        assert sorted({row[position] for row in db.table_rows("arch")}) \
+            == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
+
+    @pytest.mark.parametrize("options", [{"stream_retention": 3600.0}, {}],
+                             ids=["retention", "no-retention"])
+    def test_open_database(self, shape, options, tmp_path):
+        from repro.replication import open_database
+        db = open_database(str(tmp_path), **options)
+        archived_pipeline(db, *ARCHIVES[shape])
+        feed(db, BEFORE)
+        db.close()
+        db = open_database(str(tmp_path), **options)
+        assert db.recovery_stats["cqs"] == [("derived:agg", "active-table")]
+        if not options:
+            # what the log held was kept for the rebuild, and only for it
+            assert db.get_stream("s").replay_horizon() == float("inf")
+        feed(db, AFTER)
+        db.advance_streams(60.0)
+        assert archive(db) == self.want(shape)
+        db.close()
+
+    def test_promoted_applier(self, shape, tmp_path):
+        from repro.replication.bootstrap import WalApplier
+        from repro.storage.wal import record_to_wire
+        primary = Database(wal_path=str(tmp_path / "wal"),
+                           stream_retention=3600.0)
+        archived_pipeline(primary, *ARCHIVES[shape])
+        feed(primary, BEFORE)
+        primary.storage.wal.flush()
+        shipped = [{"records": [
+            record_to_wire(r) for r in primary.storage.wal.durable_records()]}]
+        standby = Database(stream_retention=3600.0)
+        applier = WalApplier(standby)
+        assert applier.apply_batches(shipped) == primary.storage.wal.head_lsn
+        assert applier.promote() == [("derived:agg", "active-table")]
+        feed(standby, AFTER)
+        standby.advance_streams(60.0)
+        assert archive(standby) == self.want(shape)
+        primary.close()
+
+    def test_supervisor_restart(self, shape):
+        from repro.faults import FaultInjector
+        injector = FaultInjector()
+        injector.arm("cq.window", after=2, count=2)     # windows 30, 40
+        db = Database(supervised=True, stream_retention=3600.0,
+                      fault_injector=injector)
+        archived_pipeline(db, *ARCHIVES[shape])
+        feed(db, BEFORE + AFTER)
+        db.advance_streams(60.0)
+        entry = db.supervisor.entry_for(db.runtime.cqs()["derived:agg"])
+        assert entry.restarts == 1
+        kinds = [row[2] for row in db.supervisor.dead_letter_rows()]
+        assert "restart-loss" not in kinds
+        assert archive(db) == self.want(shape)
+
+    def test_resubscription_replays_the_archive_as_the_tail_would(
+            self, shape, tmp_path):
+        from repro.replication import open_database
+        from repro.replication.bootstrap import replay_derived_windows
+        reference = never_crashed(*ARCHIVES[shape])
+        want = reference.catalog.get_relation("agg").replay_windows(0.0)
+        assert [close for _open, close, _rows in want] \
+            == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
+        db = open_database(str(tmp_path), stream_retention=3600.0)
+        archived_pipeline(db, *ARCHIVES[shape])
+        feed(db, BEFORE)
+        db.close()
+        db = open_database(str(tmp_path), stream_retention=3600.0)
+        feed(db, AFTER)
+        db.advance_streams(60.0)
+        derived = db.catalog.get_relation("agg")
+        # the restart emptied the window tail: 10 and 20 are archive-only
+        assert derived.replay_windows(0.0)[0][1] == 30.0
+        got = replay_derived_windows(db, derived, 0.0)
+        assert [(o, c, [tuple(r) for r in rows]) for o, c, rows in got] \
+            == [(o, c, [tuple(r) for r in rows]) for o, c, rows in want]
+        db.close()
+
+
+class TestNoCloseColumnNoGuess:
+    """A CQ that does not project a bare ``cq_close(*)`` has no
+    active-table rung: the last timestamp column is not a stand-in."""
+
+    def test_restart_is_cold_and_stays_on_the_epoch_grid(self, tmp_path):
+        from repro.replication import open_database
+        from repro.streaming.channels import archive_of
+        db = open_database(str(tmp_path), stream_retention=3600.0)
+        archived_pipeline(db, *NO_CLOSE)
+        assert archive_of(
+            db.catalog.get_relation("agg")).close_column is None
+        sub = db.subscribe("SELECT * FROM agg")
+        feed(db, BEFORE)
+        assert [w.close_time for w in sub.poll()] == [10.0, 20.0]
+        db.close()
+        db = open_database(str(tmp_path), stream_retention=3600.0)
+        assert db.recovery_stats["cqs"] == [("derived:agg", "cold")]
+        closes = []
+        db.catalog.get_relation("agg").cq.add_sink(
+            lambda rows, open_time, close_time: closes.append(close_time))
+        feed(db, AFTER)
+        db.advance_streams(60.0)
+        assert closes == [30.0, 40.0, 50.0, 60.0]
+        db.close()
+
+    def test_supervisor_restart_reports_the_loss(self):
+        from repro.faults import FaultInjector
+        injector = FaultInjector()
+        injector.arm("cq.window", after=2, count=2)
+        db = Database(supervised=True, stream_retention=3600.0,
+                      fault_injector=injector)
+        archived_pipeline(db, *NO_CLOSE)
+        feed(db, BEFORE + AFTER)
+        db.advance_streams(60.0)
+        kinds = [row[2] for row in db.supervisor.dead_letter_rows()]
+        assert "restart-loss" in kinds
+
+    @pytest.mark.parametrize("select, position", [
+        ("*, cq_close(*)", 3), ("cq_close(*) AS c, *", 0),
+        ("k, *, cq_close(*), v", 4), ("*, cq_close(*), *", None),
+        ("cq_close(*) + 1 AS later, v", None),
+    ])
+    def test_a_star_widens_the_select_list(self, select, position):
+        from repro.streaming.channels import _close_position
+        db = Database()
+        db.execute("CREATE STREAM s (k varchar(10), v integer, "
+                   "ts timestamp CQTIME USER)")
+        db.execute(f"CREATE STREAM d AS SELECT {select} FROM s "
+                   "<VISIBLE '10 seconds'>")
+        cq = db.catalog.get_relation("d").cq
+        assert _close_position(cq) == position
+        if position is not None:
+            assert cq.output_schema.columns[position].datatype.sql_name() \
+                .startswith("timestamp")
+
+
 class TestRecordsFromEdges:
     """Direct contract tests for WriteAheadLog.records_from/head_lsn.
 

@@ -10,6 +10,7 @@ from repro import Database
 from repro.cli import Shell
 from repro.errors import BackpressureError, ExecutionError, FaultInjected
 from repro.faults import FaultInjector
+from repro.streaming.channels import archive_of
 from repro.streaming.supervisor import SupervisorPolicy
 
 STREAM_DDL = ("CREATE STREAM s (k varchar(10), v integer, "
@@ -184,7 +185,8 @@ class TestRestart:
             db.advance_streams(close)
         entry = db.supervisor.entry_for(db.runtime.cqs()["derived:agg"])
         assert entry.restarts >= 1
-        assert entry.active_table is db.catalog.get_relation("arch")
+        assert archive_of(db.catalog.get_relation("agg")).table \
+            is db.catalog.get_relation("arch")
         db.insert_stream("s", [("b", 10, 185.0)])
         db.advance_streams(240.0)
         assert ("b", 1.0, 240.0) in db.table_rows("arch")
@@ -358,6 +360,27 @@ class TestSupervisorStatusView:
         assert ("derived:agg", "cq") in entries
         assert ("ch", "channel") in entries
         assert all(state == "running" for _n, _k, state in rows)
+
+    def test_dropped_objects_leave_the_view(self, db):
+        db.execute_script("""
+            CREATE STREAM agg AS SELECT k, count(*) c, cq_close(*)
+                FROM s <VISIBLE '1 minute'> GROUP BY k;
+            CREATE TABLE arch (k varchar(10), c bigint, ts timestamp);
+            CREATE CHANNEL ch FROM agg INTO arch APPEND;
+        """)
+        stream = db.get_stream("s")
+        for statement, left in (("DROP CHANNEL ch", ["derived:agg", "s"]),
+                                ("DROP STREAM agg", ["s"]),
+                                ("DROP STREAM s", [])):
+            db.execute(statement)
+            names = [row[0] for row in db.query(
+                "SELECT name FROM repro_supervisor_status").rows]
+            assert sorted(names) == left
+        # the orphaned stream object raises into its inserter again
+        assert stream.error_handler is None and stream.shed_handler is None
+        db.execute(STREAM_DDL)
+        assert db.query("SELECT name, state FROM repro_supervisor_status") \
+            .rows == [("s", "running")]
 
     def test_view_empty_without_supervision(self):
         db = Database()
