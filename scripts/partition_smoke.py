@@ -1,13 +1,23 @@
 #!/usr/bin/env python
 """CI smoke test for partitioned execution: real workers, real SIGKILL.
 
-Boots a :class:`PartitionedEngine` with **subprocess workers** over
-loopback sockets, runs the standard keyed window CQ, then:
+First the poison-window leg: a supervised engine over two subprocess
+workers runs ``10 / (sum(v) - 6)`` over a window where a key sums to 6.
+The window must be dead-lettered on the CQ, every batch acked, every
+later window emitted — windows and ``repro_dead_letters`` equal to one
+supervised :class:`Database` fed the same batches (the merge stage used
+to retry the raising boundary forever and emit nothing again).
+
+Then it boots a :class:`PartitionedEngine` with **subprocess workers**
+over loopback sockets, runs the standard keyed window CQ, and:
 
 1. ingests two batches and notes each worker's PID from the
    ``repro_partitions`` status rows;
-2. SIGKILLs one worker **mid-window** (its shard has buffered rows the
-   next boundary still needs — no frame in flight, no warning);
+2. parks a **stray connection** in the listener's backlog — a pickle
+   frame whose ``__reduce__`` would create a file — and SIGKILLs one
+   worker **mid-window** (its shard has buffered rows the next boundary
+   still needs — no frame in flight, no warning); the respawn's accept
+   meets the stray first and must close it undecoded;
 3. keeps ingesting: the next frame owed to the dead worker triggers
    restart-with-replay — respawn, replay of the acked frame log,
    watermark fast-forward, then the in-flight frame;
@@ -33,8 +43,10 @@ Run from the repository root::
 
 import os
 import signal
+import socket
 import statistics
 import sys
+import tempfile
 import time
 
 
@@ -79,6 +91,71 @@ def reference():
     out = collect(sub)
     db.close()
     return out
+
+
+POISON_DDL = ("CREATE STREAM s (k varchar, v integer, ts timestamp "
+              "CQTIME USER) PARTITION BY k")
+POISON_CQ = ("SELECT k, 10 / (sum(v) - 6) AS r FROM s "
+             "<VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY k")
+POISON_BATCHES = [
+    [("a", 1, 1.0), ("a", 5, 3.0), ("b", 2, 4.0)],     # a sums to 6
+    [("a", 2, 12.0), ("b", 2, 14.0)],
+    [("a", 3, 22.0), ("b", 3, 24.0)],
+]
+
+
+def poison_run(engine, db, ingest, advance, ddl):
+    engine.execute(ddl)
+    sub = engine.execute(POISON_CQ)
+    acks = [ingest("s", rows)["accepted"] for rows in POISON_BATCHES]
+    advance(40.0)
+    windows = [(w.open_time, w.close_time, tuple(sorted(w.rows)))
+               for w in sub.poll()]
+    letters = db.query("SELECT source, kind FROM repro_dead_letters").rows
+    return windows, letters, acks
+
+
+def poison_leg():
+    from repro import Database
+    from repro.partition import PartitionedEngine
+
+    print("== partition smoke: poison window under supervision, "
+          "two process workers ==")
+    db = Database(supervised=True)
+    want = poison_run(db, db, db.ingest_batch, db.advance_streams,
+                      POISON_DDL.replace(" PARTITION BY k", ""))
+    db.close()
+    if [kind for _source, kind in want[1]] != ["poison-window"] \
+            or len(want[0]) != 3:
+        fail(f"single engine: expected one poison window and three "
+             f"emitted, got {want}")
+    with PartitionedEngine(partitions=2, transport="process",
+                           db=Database(supervised=True)) as eng:
+        try:
+            got = poison_run(eng, eng.db, eng.ingest, eng.advance,
+                             POISON_DDL)
+        except Exception as exc:        # noqa: BLE001 — the old wedge
+            fail(f"a poison window raised out of the partitioned engine: "
+                 f"{type(exc).__name__}: {exc}")
+    if got != want:
+        fail(f"poison window: partitioned {got} != single engine {want}")
+    print(f"  window 10 dead-lettered {want[1]}, {len(want[0])} later "
+          f"windows emitted, batches acked {want[2]}: as one Database")
+
+
+def park_stray(eng, target):
+    """A connection waiting in the listener's backlog for the next
+    accept, its bytes a pickle that would create ``target`` if loaded."""
+    from repro.partition import wire
+
+    class Evil:
+        def __reduce__(self):
+            return (open, (target, "w"))
+
+    stray = socket.create_connection((eng._host, eng._port))
+    stray.sendall(wire.encode_frame(
+        {"type": "hello", "worker": 1, "nonce": "0" * 32, "x": Evil()}))
+    return stray
 
 
 def bulk_rows():
@@ -144,6 +221,7 @@ def stall_check():
 def main():
     from repro.partition import PartitionedEngine
 
+    poison_leg()
     print("== partition smoke: subprocess workers + SIGKILL mid-window ==")
     want = reference()
     print(f"  reference: {len(want)} windows from the single engine")
@@ -159,7 +237,11 @@ def main():
         if any(r[3] != "process" for r in rows):
             fail(f"expected subprocess transport, got {rows}")
         victim, pid = rows[1][0], rows[1][1]
-        print(f"  SIGKILL worker {victim} (pid {pid}) mid-window")
+        ran = os.path.join(tempfile.mkdtemp(prefix="partition-smoke-"),
+                           "ran")
+        stray = park_stray(eng, ran)
+        print(f"  stray connection parked; SIGKILL worker {victim} "
+              f"(pid {pid}) mid-window")
         os.kill(pid, signal.SIGKILL)
 
         for rows in BATCHES[KILL_AFTER:]:
@@ -185,12 +267,24 @@ def main():
             fail("restart replayed no batches")
         if any(r[2] != "up" for r in status):
             fail(f"not all workers ended up: {status}")
+        if os.path.exists(ran):
+            fail("the coordinator unpickled a stray connection's bytes")
+        os.rmdir(os.path.dirname(ran))
+        stray.settimeout(5)
+        try:
+            if stray.recv(1) != b"":
+                fail("the stray connection was answered, not closed")
+        except ConnectionError:
+            pass
+        stray.close()
+        print("  stray connection closed undecoded, worker respawned past it")
     finally:
         eng.close()
 
     stall_check()
-    print(f"PARTITION SMOKE PASS: {len(want)} windows bit-identical "
-          "across a SIGKILL + restart-with-replay, no stalled hop")
+    print(f"PARTITION SMOKE PASS: poison window quarantined as on one "
+          f"Database, {len(want)} windows bit-identical across a stray "
+          "connection + SIGKILL + restart-with-replay, no stalled hop")
 
 
 if __name__ == "__main__":

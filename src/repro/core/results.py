@@ -130,26 +130,28 @@ class Subscription:
         return self._cq.stats
 
     def _on_window(self, rows, open_time, close_time):
-        self._pending.append(WindowResult(list(rows), open_time, close_time,
-                                          watermark=self._watermark()))
+        self._pending.append(self._result("window", rows, open_time,
+                                          close_time))
 
     def _on_correction(self, kind, rows, open_time, close_time):
-        self._pending.append(WindowResult(list(rows), open_time, close_time,
-                                          kind=kind,
-                                          watermark=self._watermark()))
+        self._pending.append(self._result(kind, rows, open_time, close_time))
 
-    def _watermark(self) -> Optional[float]:
+    def _result(self, kind, rows, open_time, close_time) -> WindowResult:
         stream = getattr(self._cq, "stream", None)
-        if stream is not None and getattr(stream, "tracker", None) is not None:
-            return stream.watermark
-        return None
+        event_time = getattr(stream, "tracker", None) is not None
+        return WindowResult(list(rows), open_time, close_time, kind=kind,
+                            watermark=stream.watermark if event_time else None)
 
     def listen(self, callback) -> None:
-        """Push mode: call ``callback(WindowResult)`` at every window
-        close, instead of (or in addition to) polling."""
-        self._cq.add_sink(
-            lambda rows, open_time, close_time: callback(
-                WindowResult(list(rows), open_time, close_time)))
+        """Push mode: call ``callback(WindowResult)`` for every record
+        :meth:`poll` would return — finals, and an event-time CQ's
+        retract / correct / early records — instead of (or in addition
+        to) polling."""
+        def push(kind, rows, open_time, close_time):
+            callback(self._result(kind, rows, open_time, close_time))
+        self._cq.add_sink(lambda *window: push("window", *window))
+        if self._cq.is_event_time():
+            self._cq.add_correction_sink(push)
 
     def stream_to(self, sink) -> None:
         """Switch to pure push mode: stop buffering windows for

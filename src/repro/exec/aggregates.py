@@ -106,11 +106,7 @@ class Sum(Aggregate):
         return state + value
 
     def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return left + right
+        return self.add(left, right)    # one monoid: NULL is the identity
 
     def result(self, state):
         return state
@@ -217,11 +213,7 @@ class BoolAnd(Aggregate):
         return state and bool(value)
 
     def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return left and right
+        return self.add(left, right)
 
     def result(self, state):
         return state
@@ -236,13 +228,6 @@ class BoolOr(BoolAnd):
         if state is None:
             return bool(value)
         return state or bool(value)
-
-    def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return left or right
 
 
 class Median(Aggregate):

@@ -211,19 +211,16 @@ class VectorAgg:
                 for i in range(g)]
 
 
-class BatchAggregate(ops.Operator):
-    """Vectorized GROUP BY (zero or one group key) with mergeable partials.
+class BatchAggregate(ops.HashAggregate):
+    """Vectorized GROUP BY (zero or one group key): the hash aggregate
+    with vector kernels in front of its rows loop.
 
-    Three entry points share the kernels:
-
-    - plain plan execution: ``rows(ctx)`` accumulates over the child's
-      batches and finalizes (whole-window vectorized aggregation);
-    - the sliced window path: ``partial_for_rows`` per sealed slice and
-      ``merge_partials`` + ``finalize`` at window close;
-    - ``set_merged`` lets the CQ inject the already-finalized window
-      rows so the same plan tree serves EXPLAIN/stats in sliced mode.
-
-    Groups are emitted in first-seen order, matching HashAggregate.
+    The partial protocol, the finalize and the pin (``set_merged``) are
+    :class:`~repro.exec.operators.HashAggregate`'s; this class reduces a
+    column batch to the same partial dict — same state shapes, same
+    first-seen group order — with numpy kernels, and hands a batch the
+    kernels cannot take exactly (a NULL group key, min/max over an
+    object lane) to the inherited loop.
     """
 
     mode = "batch"
@@ -232,93 +229,36 @@ class BatchAggregate(ops.Operator):
                  vector_aggs: Sequence[VectorAgg],
                  fallback_group_fns, fallback_specs, uses_context: bool,
                  signature: str):
-        self.child = child
+        super().__init__(child, fallback_group_fns, fallback_specs)
         self._group_kernel = group_kernel
         self._vector_aggs = list(vector_aggs)
-        self._fallback_group_fns = list(fallback_group_fns)
-        self._fallback_specs = list(fallback_specs)
         self.uses_context = uses_context
         #: rendering of the group keys and aggregate calls: with the
         #: signatures of the chain below, what a slice partial depends on
         self.signature = signature
-        self._merged = None
         self._timed = True
 
-    # -- plan protocol ------------------------------------------------------
-
-    def rows(self, ctx):
-        if self._merged is not None:
-            yield from self._merged
-            return
-        yield from self.finalize(self.accumulate(ctx))
+    # the benchmark ledger times these where it finds them: on this class
+    merge_partials = ops.HashAggregate.merge_partials
+    finalize = ops.HashAggregate.finalize
 
     def set_timing(self, active: bool) -> None:
         super().set_timing(active)
         self._timed = active
 
-    def set_merged(self, rows) -> None:
-        self._merged = rows
-
-    def _children(self):
-        return [self.child]
-
-    def _describe(self):
-        return (f"BatchAggregate({len(self._fallback_group_fns)} keys, "
-                f"{len(self._vector_aggs)} aggs)")
-
-    # -- partial aggregation ------------------------------------------------
-
     def accumulate(self, ctx) -> dict:
         """Aggregate the child's batches into a partial-state dict."""
-        merged: dict = {}
+        parts = []
         st = self.stats
         for batch in self.child.batches(ctx):
             if st is not None and self._timed:
                 st.batch_rows += batch.length
-            part = self._batch_partial(batch, ctx)
-            if not merged:
-                merged = part
-            else:
-                self._merge_into(merged, part)
-        return merged
+            parts.append(self._batch_partial(batch, ctx))
+        return parts[0] if len(parts) == 1 else self.merge_partials(parts)
 
     def partial_for_rows(self, batch: ColumnBatch, ctx) -> dict:
-        """One slice's partial states (used by the sliced window path)."""
+        """One batch's partial states."""
         return self._batch_partial(batch, ctx)
-
-    def merge_partials(self, partials) -> dict:
-        merged: dict = {}
-        for part in partials:
-            if not merged:
-                # copy the state lists: slice partials are reused across
-                # overlapping windows and must never be mutated
-                for key, states in part.items():
-                    merged[key] = list(states)
-            else:
-                self._merge_into(merged, part)
-        return merged
-
-    def finalize(self, groups: dict) -> List[tuple]:
-        specs = self._fallback_specs
-        if not groups and not self._fallback_group_fns:
-            groups = {(): [agg.create() for agg, _ in specs]}
-        return [
-            key + tuple(agg.result(state)
-                        for (agg, _), state in zip(specs, states))
-            for key, states in groups.items()
-        ]
-
-    def _merge_into(self, merged: dict, part: dict) -> None:
-        specs = self._fallback_specs
-        for key, states in part.items():
-            current = merged.get(key)
-            if current is None:
-                merged[key] = list(states)
-            else:
-                merged[key] = [
-                    agg.merge(a, b)
-                    for (agg, _), a, b in zip(specs, current, states)
-                ]
 
     def _batch_partial(self, batch: ColumnBatch, ctx) -> dict:
         n = batch.length
@@ -333,7 +273,7 @@ class BatchAggregate(ops.Operator):
             group_values, group_mask = self._group_kernel(batch, ctx)
             if group_mask is not None and group_mask.any():
                 # NULL group keys are rare; keep exact dict semantics
-                return self._rowwise_partial(batch, ctx)
+                return self._reduce_rows(batch.to_rows(), ctx)
             uniques, first_index, codes = np.unique(
                 group_values, return_index=True, return_inverse=True)
             g = len(uniques)
@@ -350,24 +290,8 @@ class BatchAggregate(ops.Operator):
                                   counts, g)
                        for va in self._vector_aggs]
         except _RowwiseNeeded:
-            return self._rowwise_partial(batch, ctx)
+            return self._reduce_rows(batch.to_rows(), ctx)
         return {
             keys[gi]: [states[gi] for states in per_agg]
             for gi in first_seen
         }
-
-    def _rowwise_partial(self, batch: ColumnBatch, ctx) -> dict:
-        """The HashAggregate loop over this one batch (exact semantics)."""
-        groups: dict = {}
-        group_fns = self._fallback_group_fns
-        specs = self._fallback_specs
-        for row in batch.to_rows():
-            key = tuple(e(row, ctx) for e in group_fns)
-            states = groups.get(key)
-            if states is None:
-                states = [agg.create() for agg, _ in specs]
-                groups[key] = states
-            for i, (agg, arg_fn) in enumerate(specs):
-                value = arg_fn(row, ctx) if arg_fn is not None else None
-                states[i] = agg.add(states[i], value)
-        return groups

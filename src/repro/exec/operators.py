@@ -363,11 +363,12 @@ class HashAggregate(Operator):
     arg_fn means ``count(*)``.  With no group keys, exactly one output
     row is produced even over empty input (scalar-aggregate semantics).
 
-    Like :class:`repro.exec.batch_ops.BatchAggregate` it exposes the
-    mergeable-partial protocol (``accumulate`` / ``merge_partials`` /
-    ``finalize`` / ``set_merged``) so partitioned and sliced execution
-    work on the iterator path too.  Groups are emitted in first-seen
-    order.
+    The mergeable-partial protocol lives here, once: ``accumulate``
+    (input -> partial ``{group key: [state, ...]}``), ``merge_partials``,
+    ``finalize`` and ``set_merged`` (pin the finalized rows: the plan
+    above runs over a merge made elsewhere) serve sliced windows and
+    partitioned CQs; :class:`repro.exec.batch_ops.BatchAggregate` only
+    puts vector kernels in front.  Groups come in first-seen order.
     """
 
     def __init__(self, child: Operator, group_exprs: Sequence[Callable],
@@ -386,14 +387,15 @@ class HashAggregate(Operator):
     def set_merged(self, rows) -> None:
         self._merged = rows
 
-    # -- partial aggregation (mirrors BatchAggregate) -----------------------
-
     def accumulate(self, ctx) -> dict:
         """Aggregate the child's rows into a partial-state dict."""
+        return self._reduce_rows(self.child.rows(ctx), ctx)
+
+    def _reduce_rows(self, rows, ctx) -> dict:
         groups: dict = {}
         group_exprs = self._group_exprs
         specs = self._agg_specs
-        for row in self.child.rows(ctx):
+        for row in rows:
             key = tuple(e(row, ctx) for e in group_exprs)
             states = groups.get(key)
             if states is None:
@@ -435,7 +437,7 @@ class HashAggregate(Operator):
         return [self.child]
 
     def _describe(self):
-        return (f"HashAggregate({len(self._group_exprs)} keys, "
+        return (f"{type(self).__name__}({len(self._group_exprs)} keys, "
                 f"{len(self._agg_specs)} aggs)")
 
 

@@ -14,9 +14,11 @@ boundary closes or a late row re-opens one — while the workers' partials
 supply *what* the window holds: each recorded boundary is gated on the
 **minimum acked worker watermark** (min-of-inputs merge,
 :class:`~repro.eventtime.watermark.WatermarkMerge`), the shard partials
-are merged, and the CQ's unchanged post-aggregate plan runs with the
-aggregate pinned to the merged rows — output is the single-engine
-output, bit for bit.  A CQ :func:`partition_plan` refuses, a derived
+are handed, as the window, to the CQ's own window callbacks (the entry
+its supervisor guards), and the CQ merges them and runs its unchanged
+post-aggregate plan with the aggregate pinned to the merged rows —
+output, poison windows included, is the single engine's, bit for bit.
+A CQ :func:`partition_plan` refuses, a derived
 stream, a channel or a ``since=`` replay reads the same stream and runs
 on the coordinator like on any single engine.
 
@@ -34,6 +36,9 @@ crash is invisible in the output.  Crashpoints ``partition.route`` (the
 router dies before the stream sees a row: batch refused whole) and
 ``partition.merge`` (the merge stage dies before emitting: partials
 retained, boundary stays pending) cover the coordinator's own hot path.
+A boundary whose emission was *attempted* has left the pending list: an
+evaluation error is the CQ's (quarantined under supervision, else
+raised once to that pump's caller), never a wedge.
 """
 
 from __future__ import annotations
@@ -43,22 +48,21 @@ import socket
 import subprocess
 import sys
 from collections import deque
-from time import perf_counter
+from time import monotonic, perf_counter
 from typing import Dict, List, Optional
 
 from repro.core.database import Database
 from repro.core.results import Subscription
 from repro.errors import FaultInjected, PartitionError, WorkerDiedError
-from repro.eventtime.operator import EventTimeWindowOperator
 from repro.eventtime.watermark import WatermarkMerge
 from repro.partition import wire
 from repro.partition.hashring import HashRing
 from repro.partition.planner import partition_plan
+from repro.partition.state import partial_from_wire
 from repro.partition.worker import WorkerEngine
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.streaming.streams import StreamConsumer
-from repro.streaming.windows import TimeWindowOperator
 
 NEG_INF = float("-inf")
 
@@ -130,10 +134,12 @@ class _InlineHandle:
 class _ProcessHandle:
     """Subprocess worker connected over a loopback socket.
 
-    The coordinator listens, the worker connects back and authenticates
-    with a nonce handed over argv — nothing outside the process tree
-    can impersonate a worker, which is what makes the pickle wire
-    format safe.  The socket is blocking and ``TCP_NODELAY``:
+    The coordinator listens, the worker connects back and opens with a
+    raw greeting carrying the nonce it was handed over argv.  Any local
+    process can reach the loopback listener, so nothing a connection
+    sends is decoded before that greeting matched; any other is closed
+    and the next accepted (:mod:`repro.partition.wire`, *Trust*).
+    The socket is blocking and ``TCP_NODELAY``:
     :meth:`send` writes one frame whole, :meth:`collect` reads the one
     response it is owed (partials, then the ack).  A worker never
     writes before it has read its whole frame, so a coordinator may
@@ -167,26 +173,34 @@ class _ProcessHandle:
             raise
 
     def _handshake(self, listener, nonce: str, timeout: float):
-        listener.settimeout(timeout)
-        try:
-            conn, _addr = listener.accept()
-        except socket.timeout:
-            raise PartitionError(
-                f"worker {self.worker_id} did not connect back within "
-                f"{timeout}s") from None
-        try:
-            conn.settimeout(timeout)
-            wire.no_delay(conn)
-            hello = wire.recv_frame(conn)
-            if (hello.get("type") != "hello"
-                    or hello.get("worker") != self.worker_id
-                    or hello.get("nonce") != nonce):
+        """Accept until a connection opens with this worker's greeting;
+        whatever else connects is closed with nothing it sent decoded."""
+        deadline = monotonic() + timeout
+        refused = ""
+        while True:
+            remaining = deadline - monotonic()
+            try:
+                if remaining <= 0:
+                    raise socket.timeout
+                listener.settimeout(remaining)
+                conn, _addr = listener.accept()
+            except socket.timeout:
                 raise PartitionError(
-                    f"worker {self.worker_id}: bad hello handshake")
-        except BaseException:
+                    f"worker {self.worker_id} did not connect back within "
+                    f"{timeout}s{refused}") from None
+            try:
+                conn.settimeout(remaining)
+                if wire.expect_hello(conn, self.worker_id, nonce):
+                    conn.settimeout(timeout)
+                    wire.no_delay(conn)
+                    return conn
+            except WorkerDiedError:
+                pass            # it hung up, or stalled past the deadline
+            except BaseException:
+                conn.close()
+                raise
             conn.close()
-            raise
-        return conn
+            refused = " (a connection was refused: bad hello)"
 
     @property
     def pid(self) -> int:
@@ -390,36 +404,25 @@ class _StreamRoute(StreamConsumer):
 class _PartitionedCQ:
     """Coordinator state for one partitionized CQ.  *When* a window
     closes or re-opens is decided by ``op`` — the operator the single
-    engine would run for this CQ, fed by the router and recording
-    boundaries instead of evaluating them; *what* the window holds comes
-    from the workers' partials in ``store``."""
+    engine would run for this CQ (``cq.window_operator``), fed by the
+    router and recording boundaries instead of evaluating them; *what*
+    the window holds comes from the workers' partials in ``store``."""
 
-    def __init__(self, cq, agg, route: _StreamRoute):
+    def __init__(self, cq, route: _StreamRoute):
         self.cq = cq
-        self.agg = agg
         self.route = route
         self.name = cq.name
-        spec = cq.window_spec
-        self.visible = spec.visible
+        self.visible = cq.window_spec.visible
+
         def record(kind):
             return lambda _rows, _open, close: \
                 route.pending.append((self, kind, close))
 
         # a shard cannot tell an empty window from an open one, so every
         # boundary is recorded (every close reaches the sink)
-        if cq.is_event_time():
-            stream = route.stream
-            self.op = EventTimeWindowOperator(
-                spec.visible, spec.advance, record("final"),
-                wm_fn=lambda: stream.watermark,
-                allowed_lateness=cq.allowed_lateness,
-                late_policy=cq.late_policy, on_late=cq._on_late,
-                on_correction=record("correct"))
-        else:
-            self.op = TimeWindowOperator(
-                spec.visible, spec.advance, record("final"))
-        #: close boundary -> {worker: (groups, shard_row_count)}
-        self.store: Dict[float, Dict[int, tuple]] = {}
+        self.op = cq.window_operator(record("final"), record("correct"))
+        #: close boundary -> {worker: partial | FailedPartial}
+        self.store: Dict[float, Dict[int, object]] = {}
         self.merged_through = NEG_INF
 
 
@@ -619,10 +622,11 @@ class PartitionedEngine:
             sub.close()
             raise
         # the CQ's own window operator leaves the stream: the router
-        # feeds its stand-in, and only the merge stage may emit
+        # feeds its stand-in, and the merge stage calls its callbacks
         cq.detach()
+        cq.split_at(split.agg)
         route = self._routes[split.stream_name]
-        pcq = _PartitionedCQ(cq, split.agg, route)
+        pcq = _PartitionedCQ(cq, route)
         route.cqs.append(pcq)
         self._pcqs[cq.name] = pcq
 
@@ -725,51 +729,50 @@ class PartitionedEngine:
         """Merge the recorded boundaries, in recorded order, as far as
         every shard has reported: the min-of-inputs worker watermark (or
         an acked flush) reaching a boundary is the proof its partials
-        are all in.  An entry leaves the list only once its emission
-        returned — a merge that dies is retried, exactly once."""
-        for pcq in list(route.cqs):
-            if not pcq.cq._running:
-                self._drop_pcq(pcq)
+        are all in.  An entry leaves the list when its emission is
+        attempted: an injected merge death fires before that and is
+        retried; an evaluation error is the CQ's, once."""
         gate = max(route.wm_merge.merged, route.flush_gate)
         pending = route.pending
         while pending:
             pcq, kind, boundary = pending[0]
-            if pcq.cq._running:
-                if boundary > gate:
-                    break
-                self._merge_boundary(pcq, kind, boundary)
+            if not pcq.cq._running:
+                pending.popleft()
+                continue
+            if boundary > gate:
+                break
+            if self.faults is not None and self.faults.armed:
+                self.faults.check("partition.merge",
+                                  f"{pcq.name}:{boundary}")
             pending.popleft()
+            self._merge_boundary(pcq, kind, boundary)
+        for pcq in list(route.cqs):
+            if not pcq.cq._running:
+                # a closed subscription — or a CQ its supervisor stopped
+                # and replaced: the replacement reads the stream here
+                self._drop_pcq(pcq)
+                fresh = self.db.runtime.cqs().get(pcq.name)
+                if fresh is not None:
+                    fresh.explain_note = ("partitioned: no (restarted on "
+                                          "the coordinator)")
 
     def _merge_boundary(self, pcq: _PartitionedCQ, kind: str,
                         boundary: float) -> None:
-        if self.faults is not None and self.faults.armed:
-            # before emitting: an injected merge death leaves the
-            # partials stored and the boundary pending
-            self.faults.check("partition.merge", f"{pcq.name}:{boundary}")
+        """Hand the CQ one boundary's shard partials as its window,
+        through the window callback the single engine would have called
+        — sinks, stats, EXPLAIN counters, retract bookkeeping and the
+        supervisor's guard all behave exactly as in single-engine mode."""
         entry = pcq.store.get(boundary, {})
-        parts = [entry.get(w) for w in range(self.partitions)]
-        if kind == "correct":
-            # a late row re-opened the window: retract/correct pair
-            self._emit_merged(pcq, parts, pcq.cq._on_reopened, boundary)
-            return
-        self._emit_merged(pcq, parts, pcq.cq._on_window, boundary)
-        pcq.merged_through = boundary
-        self._prune_store(pcq)
-
-    def _emit_merged(self, pcq: _PartitionedCQ, parts: list, emit,
-                     boundary: float) -> None:
-        """Merge + finalize the shard partials and run the CQ's
-        unchanged post-aggregate plan with the aggregate pinned to the
-        result — sinks, stats, EXPLAIN counters and retract bookkeeping
-        all behave exactly as in single-engine mode."""
-        agg = pcq.agg
-        groups = agg.merge_partials(
-            [p[0] if p is not None else {} for p in parts])
-        agg.set_merged(agg.finalize(groups))
+        parts = [entry.get(w, {}) for w in range(self.partitions)]
+        op = pcq.cq._window_op
+        # a late row re-opened the window: retract/correct pair
+        emit = op.on_correction if kind == "correct" else op.sink
         try:
-            emit([], boundary - pcq.visible, boundary)
+            emit(parts, boundary - pcq.visible, boundary)
         finally:
-            agg.set_merged(None)
+            if kind == "final":
+                pcq.merged_through = boundary
+                self._prune_store(pcq)
 
     def _absorb_partial(self, worker: int, frame: dict) -> None:
         pcq = self._pcqs.get(frame["cq"])
@@ -781,8 +784,8 @@ class PartitionedEngine:
         # a "correct" partial replaces the shard's contribution; the
         # coordinator's own boundary operator saw the same late row and
         # has the re-merge pending
-        pcq.store.setdefault(boundary, {})[worker] = (
-            frame["groups"], frame["rows"])
+        pcq.store.setdefault(boundary, {})[worker] = partial_from_wire(
+            frame["partial"])
 
     def _prune_store(self, pcq: _PartitionedCQ) -> None:
         """Drop merged partials — under retract only once the lateness

@@ -5,15 +5,15 @@ A CQ runs partitioned when its plan factors into::
     coordinator:  final/merge stage  (everything above the aggregate)
     workers:      per-partition window aggregation (aggregate + below)
 
-The aggregate operator is the split point — both ``BatchAggregate``
-(vectorized) and ``HashAggregate`` (iterator) expose the mergeable
-partial protocol (``accumulate`` / ``merge_partials`` / ``finalize`` /
-``set_merged``), so each worker reduces its shard's window to partial
-group states and the coordinator merges and finalizes them, then runs
-the unchanged post-aggregate plan (HAVING, projection with
-``cq_close``, ORDER BY, LIMIT) with the aggregate pinned to the merged
-rows.  Nothing about the TruSQL surface changes ("One SQL to Rule Them
-All": the split is invisible).
+The aggregate operator is the split point — ``HashAggregate``, or the
+vectorized ``BatchAggregate`` that inherits its mergeable partial
+protocol — and ``ContinuousQuery.split_at`` is told it on both sides:
+each worker's CQ reduces its shard's window to one partial, and the
+coordinator's CQ takes the shards' partials as its window, merges and
+finalizes them and runs the unchanged post-aggregate plan (HAVING,
+projection with ``cq_close``, ORDER BY, LIMIT) with the aggregate pinned
+to the merged rows.  Nothing about the TruSQL surface changes ("One SQL
+to Rule Them All": the split is invisible).
 
 ``partition_plan`` validates the shape and returns the split; it
 raises :class:`PartitionError` with a reason for plans the partitioned
@@ -36,7 +36,6 @@ from repro.obs.service import walk_operators
 class PartitionPlan:
     """The split of one CQ: its merge aggregate + source stream name."""
 
-    cq: object          # the coordinator-side ContinuousQuery
     agg: object         # BatchAggregate | HashAggregate (merge point)
     stream_name: str    # the partitioned source stream
 
@@ -72,8 +71,7 @@ def partition_plan(cq) -> PartitionPlan:
     ops = [op for op, _d, _p in walk_operators(cq._plan.root)]
     if any(len(op._children()) > 1 for op in ops):
         _fail(cq, "the plan is not a single operator chain")
-    aggs = [op for op in ops
-            if isinstance(op, (batch_ops.BatchAggregate, HashAggregate))]
+    aggs = [op for op in ops if isinstance(op, HashAggregate)]
     if len(aggs) != 1:
         _fail(cq, f"exactly one aggregation is required, found {len(aggs)}")
     leaves = [op for op in ops if not op._children()]
@@ -81,4 +79,4 @@ def partition_plan(cq) -> PartitionPlan:
             leaves[0], (RowSource, batch_ops.BatchSource)):
         _fail(cq, "the aggregate must read the stream's window relation "
                   "directly (no subqueries or table scans below it)")
-    return PartitionPlan(cq=cq, agg=aggs[0], stream_name=cq.stream.name)
+    return PartitionPlan(agg=aggs[0], stream_name=cq.stream.name)

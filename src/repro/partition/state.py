@@ -11,6 +11,9 @@ scalars compare equal but are not identical on the wire and render
 differently), so every partial is normalized to native Python values
 before transport.  ``normalize_partial`` is idempotent and cheap for
 already-native state.
+
+A shard's window whose evaluation raised crosses as data too: the
+error's type name and message (:func:`partial_to_wire`).
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as _np
+
+from repro import errors
+from repro.streaming.cq import FailedPartial
 
 
 def normalize_value(value):
@@ -39,3 +45,23 @@ def normalize_partial(groups: Dict[Tuple, List]) -> Dict[Tuple, List]:
             [normalize_value(state) for state in states]
         for key, states in groups.items()
     }
+
+
+def partial_to_wire(partial):
+    """What a worker ships for one window: the normalized partial, or a
+    deferred failure as ``(error type name, message)``."""
+    if isinstance(partial, FailedPartial):
+        return (type(partial.error).__name__, str(partial.error))
+    return normalize_partial(partial)
+
+
+def partial_from_wire(shipped):
+    """The coordinator's side: an evaluation error comes back as its
+    own class, anything else as a ``RemoteError`` carrying the name."""
+    if isinstance(shipped, dict):
+        return shipped
+    name, message = shipped
+    cls = getattr(errors, name, None)
+    if isinstance(cls, type) and issubclass(cls, errors.ExecutionError):
+        return FailedPartial(cls(message))
+    return FailedPartial(errors.RemoteError(message, name))

@@ -5,10 +5,17 @@ Same length-prefixed framing as the replication/server protocol
 the body, with the same 32 MiB frame cap.  The body is a pickled dict
 rather than JSON — partial aggregate states carry tuples and numpy
 scalars, and JSON framing was measured (PR 3/X3) to both lose dtypes
-and dominate small-batch cost.  Pickle is safe here because both ends
-of the socket are the same trusted process tree (the coordinator spawns
-the workers; nothing else can connect — the listener is loopback-bound
-and workers authenticate with a nonce handed over argv).
+and dominate small-batch cost.
+
+Trust.  The listener is loopback-bound, but any local process can
+connect to it.  So a connection is authenticated *before anything it
+sent is decoded* — a worker opens with a fixed-length raw greeting
+(:func:`hello`: its id and the nonce it got over argv), compared in
+constant time and answered, on a mismatch, by closing the socket — and
+every frame, both ways, is decoded by an unpickler that refuses every
+global: messages are dicts, lists, tuples, sets, strings and numbers
+(``normalize_partial`` sees to partials), so a frame naming a class or
+function raises :class:`ProtocolError` and runs nothing.
 
 Writes are whole responses: everything one side has to say goes out in
 **one** ``sendall`` (:func:`send_frames`), and both ends of the socket
@@ -20,6 +27,8 @@ used to be exactly that (partials, then the ack).
 
 from __future__ import annotations
 
+import hmac
+import io
 import pickle
 import socket
 import struct
@@ -41,8 +50,17 @@ def encode_frame(message: dict) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
+class _DataUnpickler(pickle.Unpickler):
+    """Plain data only: no frame gets to import or call anything."""
+
+    def find_class(self, module, name):
+        raise ProtocolError(
+            f"partition frame names the global {module}.{name}; "
+            "frames carry plain data only")
+
+
 def decode_body(body: bytes) -> dict:
-    message = pickle.loads(body)
+    message = _DataUnpickler(io.BytesIO(body)).load()
     if not isinstance(message, dict):
         raise ProtocolError("partition frame body must be a dict")
     return message
@@ -59,6 +77,18 @@ def roundtrip(message: dict) -> dict:
 def no_delay(sock) -> None:
     """Turn Nagle off: a frame is written whole and is wanted now."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def hello(worker_id: int, nonce: str) -> bytes:
+    """A worker's greeting: raw bytes of a length both ends know."""
+    return _LENGTH.pack(worker_id) + nonce.encode("ascii")
+
+
+def expect_hello(sock, worker_id: int, nonce: str) -> bool:
+    """Read a fresh connection's greeting and compare it in constant
+    time — read at its fixed length, never decoded."""
+    expected = hello(worker_id, nonce)
+    return hmac.compare_digest(_recv_exact(sock, len(expected)), expected)
 
 
 def send_frame(sock, message: dict) -> None:

@@ -3,17 +3,19 @@
 A worker hosts a plain :class:`~repro.core.database.Database` and
 applies coordinator frames in order: DDL, partial-mode CQ creation,
 ingest segments (rows + watermark/clock syncs), flush.  CQs run in
-**partial mode**: the window operator's sink is redirected so a window
-close ships the shard's mergeable partial states (and, under the
-retract policy, late corrections ship recomputed partials) instead of
-finalized rows — the coordinator merges and finalizes.
+**partial mode**: the window operator's callbacks are replaced by one
+ship function, so a window close ships the shard's mergeable partial
+(and, under the retract policy, a late correction ships the recomputed
+one) instead of finalized rows — the coordinator merges and finalizes.
+A window whose evaluation raised ships as that failure, as data: the
+frame keeps applying and the merge-stage CQ raises it in its window entry.
 
 The module doubles as the subprocess entry point::
 
     python -m repro.partition.worker <host> <port> <worker_id> <nonce>
 
 which pins the process to one CPU, connects back to the coordinator's
-loopback listener, authenticates with the argv nonce, and serves frames
+loopback listener, opens with the argv nonce's greeting, and serves frames
 — one write per response — until the socket closes or a ``stop`` frame
 arrives.  :class:`WorkerEngine` itself is transport-free so the inline
 (in-process) transport used by tests runs the identical code path.
@@ -32,7 +34,7 @@ from repro.errors import FaultInjected, PartitionError
 from repro.faults.injector import FaultInjector
 from repro.partition import wire
 from repro.partition.planner import partition_plan
-from repro.partition.state import normalize_partial
+from repro.partition.state import partial_to_wire
 
 
 class WorkerEngine:
@@ -43,7 +45,7 @@ class WorkerEngine:
         self.worker_id = worker_id
         self.db = Database()
         self.faults: Optional[FaultInjector] = None
-        self._cqs = {}      # cq name -> (cq, agg)
+        self._cqs = {}      # cq name -> cq
         self._out = []      # partial frames queued during apply
 
     # -- partial-mode CQ ----------------------------------------------------
@@ -51,8 +53,8 @@ class WorkerEngine:
     def create_cq(self, name: str, sql: str, params=None,
                   vectorize: bool = True) -> None:
         """Create the per-partition half of a CQ: parse the same SQL,
-        plan it locally, then redirect the window operator's sink to
-        ship partials instead of running the post-aggregate plan.
+        plan it locally, then replace the window operator's callbacks
+        with one that ships the window as a partial.
 
         ``vectorize`` mirrors the coordinator's executor choice so both
         sides aggregate with the same operator class and the partial
@@ -70,54 +72,31 @@ class WorkerEngine:
             cq = runtime.create_cq(statement, name=name, params=params)
         finally:
             runtime.vectorize = saved
-        split = partition_plan(cq)
-        agg = split.agg
+        cq.split_at(partition_plan(cq).agg)
         op = cq._window_op
-        # every close ships: a shard with no rows in a window reports an
-        # (empty) partial, or the coordinator could not tell "empty"
-        # from "still open"
-        make_ship = (self._make_sliced_ship if cq.is_sliced()
-                     else self._make_rows_ship)
-        op.sink = make_ship(name, cq, agg, "final")
+
+        def ship(kind):
+            # every close ships: a shard with no rows in a window reports
+            # an (empty) partial, or the coordinator could not tell
+            # "empty" from "still open"
+            def shipper(window, open_time, close_time):
+                if self.faults is not None and self.faults.armed:
+                    self.faults.check("partition.worker_crash",
+                                      f"{name}:{close_time}")
+                partial = cq.window_partial(window, open_time, close_time)
+                self._out.append({
+                    "type": "partial", "cq": name, "kind": kind,
+                    "close": close_time,
+                    "partial": partial_to_wire(partial),
+                })
+            return shipper
+
+        op.sink = ship("final")
         if cq.is_event_time():
             # late corrections recompute the shard's contribution; the
             # coordinator re-merges and emits the retract/correct pair
-            op.on_correction = make_ship(name, cq, agg, "correct")
-        self._cqs[name] = (cq, agg)
-
-    def _make_sliced_ship(self, name, cq, agg, kind):
-        from repro.streaming.cq import _FailedSlice
-
-        def ship(partials, open_time, close_time):
-            for part in partials:
-                if isinstance(part, _FailedSlice):
-                    raise part.error
-            groups = agg.merge_partials(partials)
-            self._ship(name, kind, groups, open_time, close_time,
-                       cq._window_op.last_window_input)
-        return ship
-
-    def _make_rows_ship(self, name, cq, agg, kind):
-        def ship(rows, open_time, close_time):
-            ctx = cq._make_ctx(open_time, close_time)
-            cq._batches[0] = rows
-            try:
-                groups = agg.accumulate(ctx)
-            finally:
-                cq._batches[0] = []
-            self._ship(name, kind, groups, open_time, close_time,
-                       len(rows))
-        return ship
-
-    def _ship(self, name, kind, groups, open_time, close_time, rows):
-        if self.faults is not None and self.faults.armed:
-            self.faults.check("partition.worker_crash",
-                              f"{name}:{close_time}")
-        self._out.append({
-            "type": "partial", "cq": name, "kind": kind,
-            "open": open_time, "close": close_time,
-            "groups": normalize_partial(groups), "rows": rows,
-        })
+            op.on_correction = ship("correct")
+        self._cqs[name] = cq
 
     # -- frame dispatch -----------------------------------------------------
 
@@ -133,12 +112,9 @@ class WorkerEngine:
         self._out = []
         try:
             ack = self._dispatch(msg)
-        except FaultInjected as exc:
+        except Exception as exc:            # noqa: BLE001 — one frame,
             if getattr(exc, "crashpoint", "") == "partition.worker_crash":
                 raise
-            return [{"type": "error", "error": type(exc).__name__,
-                     "message": str(exc)}]
-        except Exception as exc:            # noqa: BLE001 — one frame,
             return [{"type": "error", "error": type(exc).__name__,
                      "message": str(exc)}]  # typed for the coordinator
         ack["busy_s"] = perf_counter() - started
@@ -154,9 +130,9 @@ class WorkerEngine:
                            msg.get("vectorize", True))
             return self._ack()
         if op == "stopcq":
-            entry = self._cqs.pop(msg["name"], None)
-            if entry is not None:
-                self.db.runtime.stop_cq(entry[0])
+            cq = self._cqs.pop(msg["name"], None)
+            if cq is not None:
+                self.db.runtime.stop_cq(cq)
             return self._ack()
         if op == "ingest":
             return self._ingest(msg)
@@ -164,9 +140,8 @@ class WorkerEngine:
             self.db.flush_streams()
             return self._ack()
         if op == "explain":
-            cq, _agg = self._cqs[msg["name"]]
-            return self._ack(
-                explain=cq.explain(analyze=msg.get("analyze", False)))
+            return self._ack(explain=self._cqs[msg["name"]].explain(
+                analyze=msg.get("analyze", False)))
         if op == "arm_fault":
             if self.faults is None:
                 self.faults = FaultInjector(seed=msg.get("seed", 0))
@@ -235,14 +210,13 @@ def serve_frames(engine: WorkerEngine, sock) -> int:
 
 
 def serve(host: str, port: int, worker_id: int, nonce: str) -> int:
-    """Subprocess main loop: connect back, authenticate, serve frames."""
+    """Subprocess main loop: connect back, greet, serve frames."""
     pin_to_cpu(worker_id)
     engine = WorkerEngine(worker_id)
     sock = socket.create_connection((host, port))
     try:
         wire.no_delay(sock)
-        wire.send_frame(sock, {"type": "hello", "worker": worker_id,
-                               "nonce": nonce})
+        sock.sendall(wire.hello(worker_id, nonce))
         return serve_frames(engine, sock)
     finally:
         sock.close()

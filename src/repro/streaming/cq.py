@@ -133,11 +133,12 @@ def stream_layout(stream) -> RowLayout:
     ])
 
 
-class _FailedSlice:
-    """A slice whose aggregation raised: the error is deferred to the
-    first window close that covers the slice, so it surfaces inside the
-    supervisable window sink (where the supervisor can quarantine it as
-    a poison window), not mid-delivery."""
+class FailedPartial:
+    """A partial whose reduction raised (a slice sealed mid-delivery, a
+    shard's window on a partition worker): the error is deferred to the
+    first window entry that merges it, so it surfaces inside the
+    supervisable window callback (where the supervisor can quarantine
+    it as a poison window), not mid-delivery or in a worker's frame."""
 
     __slots__ = ("error",)
 
@@ -231,8 +232,10 @@ class ContinuousQuery(StreamConsumer):
         self._plan = self._build_plan()
         #: True when at least one plan operator runs in batch mode
         self.vectorized = False
-        #: the plan's BatchAggregate when the window runs sliced
-        self._sliced_agg = None
+        #: the aggregate whose partials a window arrives as (the plan's
+        #: BatchAggregate when sliced, a partitioned CQ's split point);
+        #: None: a window is its rows
+        self._agg = None
         #: what the slice partials depend on; equal keys share a store
         self.store_key = None
         if vectorize:
@@ -267,16 +270,15 @@ class ContinuousQuery(StreamConsumer):
             self._check_transform_shape()
         else:
             self._window_spec = WindowSpec.from_clause(self._stream_ref.window)
-            slice_fn = self._maybe_slice_window()
             if emit is not None \
                     or getattr(self.stream, "tracker", None) is not None:
-                self._window_op = self._init_event_time(emit, slice_fn)
-            else:
-                self._window_op = self._window_spec.make_operator(
-                    self._on_window, slice_fn)
+                self._init_event_time(emit)
+            self._window_op = self.window_operator(
+                self._on_window, self._on_reopened, self._on_early,
+                self._maybe_slice_window())
             self._ports = None
 
-    def _init_event_time(self, emit, slice_fn):
+    def _init_event_time(self, emit) -> None:
         """Window assignment by event time: the stream's watermark (not
         arrival order) closes slices, and the CQ's EMIT clause controls
         emission and lateness handling."""
@@ -304,15 +306,25 @@ class ContinuousQuery(StreamConsumer):
             self._c_late = self.obs.registry.counter("eventtime.late_rows")
             self._h_lag = self.obs.registry.histogram(
                 "eventtime.watermark_lag_seconds")
+
+    def window_operator(self, sink, on_correction=None, on_early=None,
+                        slice_fn=None):
+        """The window operator this CQ runs (arrival or event time, its
+        grid, lateness policy and EMIT settings) around the given
+        callbacks: the CQ's own, and the partition coordinator's
+        stand-in that decides when a boundary closes or re-opens."""
+        spec = self._window_spec
+        if not self.is_event_time():
+            return spec.make_operator(sink, slice_fn)
         stream = self.stream
         return EventTimeWindowOperator(
-            spec.visible, spec.advance, self._on_window, slice_fn,
+            spec.visible, spec.advance, sink, slice_fn,
             wm_fn=lambda: stream.watermark,
             allowed_lateness=self.allowed_lateness,
             late_policy=self.late_policy,
             on_late=self._on_late,
-            on_correction=self._on_reopened,
-            on_early=self._on_early,
+            on_correction=on_correction,
+            on_early=on_early,
             emit_mode=self.emit_mode,
             emit_every=self.emit_every)
 
@@ -380,8 +392,8 @@ class ContinuousQuery(StreamConsumer):
 
     def detach(self) -> None:
         """Stop consuming the source stream(s) without terminating: the
-        partitioned coordinator detaches its merge-stage CQ, which is
-        fed merged worker partials instead of the stream's rows."""
+        partitioned coordinator detaches its merge-stage CQ, whose
+        window callbacks are handed the workers' partials instead."""
         for stream, consumer in self._subscriptions():
             stream.unsubscribe(consumer)
         if self.is_sliced():
@@ -411,7 +423,7 @@ class ContinuousQuery(StreamConsumer):
             self._correction_sinks.remove(sink)
 
     def is_event_time(self) -> bool:
-        return isinstance(self._window_op, EventTimeWindowOperator)
+        return self.emit_mode is not None
 
     def _build_plan(self):
         holder = self
@@ -467,19 +479,22 @@ class ContinuousQuery(StreamConsumer):
 
     def _execute(self, batches, open_time: float, close_time: float) -> list:
         """Refresh the snapshot and run the plan over one window's
-        relation(s).  On the sliced path the window arrives as slice
-        partials: they are merged + finalized and the aggregate is
-        pinned to the result, so post-aggregate operators (projection
-        with cq_close, HAVING, ORDER BY) and the plan's instrumentation
-        behave exactly as in iterator mode.  A window of no partials
-        pins nothing and the plan runs over its empty relation — which
-        also leaves alone an aggregate the partition coordinator's merge
-        stage has already pinned."""
+        relation(s).  A sliced CQ, or a partitioned one's merge stage,
+        gets the window as partials (of its slices, of its shards):
+        they are merged + finalized — a failed one raises here — and
+        the aggregate is pinned to the result, so post-aggregate
+        operators (projection with cq_close, HAVING, ORDER BY) and the
+        plan's instrumentation behave exactly as in iterator mode.  A
+        window of no partials pins nothing and the plan runs over its
+        empty relation."""
         self.view.refresh()
-        agg = self._sliced_agg
+        agg = self._agg
         pinned = agg is not None and bool(batches[0])
         if pinned:
-            agg.set_merged(self._finalize_slices(batches[0]))
+            merged = self._merge(batches[0])
+            if isinstance(merged, FailedPartial):
+                raise merged.error
+            agg.set_merged(agg.finalize(merged))
             batches = [[]]
         self._batches = batches
         try:
@@ -538,8 +553,8 @@ class ContinuousQuery(StreamConsumer):
         """Window closed: run the plan over its relation — its rows, or
         on the sliced path the partials of the slices it covers."""
         if self._running:
-            scanned = (self._window_op.last_window_input if self.is_sliced()
-                       else len(window))
+            scanned = (self._window_op.last_window_input
+                       if self._agg is not None else len(window))
             self._evaluate([window], open_time, close_time, scanned,
                            (self.stream,))
 
@@ -590,35 +605,49 @@ class ContinuousQuery(StreamConsumer):
         ref = self._stream_ref
         self.store_key = (ref.name.lower(), (ref.alias or ref.name).lower(),
                           tuple(chain), repr(self.params))
-        self._sliced_agg = agg
-        return self._slice_partial
+        self._agg = agg
+        return self._reduce
 
-    def _slice_partial(self, rows):
-        """Reduce one sealed slice's rows to mergeable partial states by
-        running the batch subtree under the aggregate.  Evaluation
-        errors (division by zero, type clashes) are deferred: sealing
-        happens during stream delivery, but the error belongs to the
-        window close, where the supervisor can quarantine it as a
-        poison window just like an iterator-mode plan failure."""
-        ctx = {"params": self.params} if self.params is not None else {}
+    def _reduce(self, rows, ctx=None):
+        """Reduce rows (a sealed slice: no window context yet; a shard's
+        window) to the aggregate's mergeable partial by running the
+        plan subtree under it.  Evaluation errors (division by zero,
+        type clashes) are deferred: the error belongs to the window
+        entry, where the supervisor can quarantine it as a poison
+        window just like an iterator-mode plan failure."""
+        if ctx is None:
+            ctx = {"params": self.params} if self.params is not None else {}
         self._batches[0] = rows
         try:
-            return self._sliced_agg.accumulate(ctx)
+            return self._agg.accumulate(ctx)
         except Exception as exc:
-            return _FailedSlice(exc)
+            return FailedPartial(exc)
         finally:
             self._batches[0] = []
 
-    def _finalize_slices(self, partials):
+    def _merge(self, partials):
+        """Partials -> one merged partial; the first failed one wins."""
         for part in partials:
-            if isinstance(part, _FailedSlice):
-                raise part.error
-        agg = self._sliced_agg
-        return agg.finalize(agg.merge_partials(partials))
+            if isinstance(part, FailedPartial):
+                return part
+        return self._agg.merge_partials(partials)
+
+    def split_at(self, agg) -> None:
+        """One half of a partitioned CQ, split at ``agg``: a worker's
+        ships :meth:`window_partial`, the coordinator's takes the
+        workers' partials as its window."""
+        self._agg = agg
+
+    def window_partial(self, window, open_time: float, close_time: float):
+        """One window as one partial, or the :class:`FailedPartial`:
+        what a partition worker ships instead of running the plan."""
+        if self.is_sliced():
+            return self._merge(window)
+        return self._reduce(window, self._make_ctx(open_time, close_time))
 
     def is_sliced(self) -> bool:
         """True when the window runs incremental per-slice aggregation."""
-        return self._sliced_agg is not None
+        return self.store_key is not None
 
     @property
     def shared(self) -> bool:

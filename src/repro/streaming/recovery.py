@@ -237,11 +237,9 @@ def recover_cq(cq: ContinuousQuery, runtime,
 
 
 def _suppress_through(cq: ContinuousQuery, last_close: float) -> None:
-    """Wrap the CQ's emission so windows already produced are dropped."""
+    """Wrap the CQ's emission so windows already produced are dropped:
+    the operator's live sink — the window entry — whoever put it there."""
     op = cq._window_op
-    if op is None:
-        return
-    # wrap the operator's live sink rather than assuming which one it is
     original = op.sink
 
     def guarded(rows, open_time, close_time):

@@ -43,7 +43,7 @@ from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
 from repro.eventtime.lateness import LATE_EVENT as _LATE_EVENT
 from repro.streaming.cq import ContinuousQuery
-from repro.streaming.recovery import recover_cq
+from repro.streaming.recovery import CheckpointManager, recover_cq
 from repro.streaming.streams import BaseStream
 from repro.types.datatypes import (
     IntegerType,
@@ -112,7 +112,6 @@ class _Entry:
     dead_letters: int = 0
     backoff_seconds: float = 0.0
     last_error: Optional[str] = None
-    checkpointer: object = None  # cq only
 
 
 class CQSupervisor:
@@ -201,12 +200,12 @@ class CQSupervisor:
     # adoption
     # ------------------------------------------------------------------
 
-    def adopt_cq(self, cq, checkpointer=None) -> Optional[_Entry]:
+    def adopt_cq(self, cq) -> Optional[_Entry]:
         """Supervise one CQ: window failures are quarantined, repeated
         failures restart it through the recovery paths."""
         if id(cq) in self._by_target:
             return self._by_target[id(cq)]
-        entry = _Entry(cq.name, "cq", cq, checkpointer=checkpointer)
+        entry = _Entry(cq.name, "cq", cq)
         self._register(entry)
         self._wrap_cq(entry)
         return entry
@@ -298,7 +297,13 @@ class CQSupervisor:
                 cq._on_joint,
                 lambda exc, _index, *window: window_failed(exc, *window))
         elif cq._window_op is not None:
-            cq._window_op.sink = guard(cq._window_op.sink, window_failed)
+            # the whole window entry: a re-open and an early emit
+            # evaluate the same plan a close does
+            op = cq._window_op
+            for callback in ("sink", "on_correction", "on_early"):
+                if getattr(op, callback, None) is not None:
+                    setattr(op, callback,
+                            guard(getattr(op, callback), window_failed))
         else:
             # window-less transform: the stream calls cq.on_tuple per row
             cq.on_tuple = guard(
@@ -347,7 +352,7 @@ class CQSupervisor:
         except Exception as exc:  # restart itself failed
             self._quarantine_cq(entry, f"restart failed: {exc}")
             return
-        self._rebind(entry, old, fresh)
+        self._rebind(old, fresh)
         if not recovered:
             self.quarantine(
                 entry.name, RESTART_LOSS,
@@ -370,16 +375,19 @@ class CQSupervisor:
         fresh._correction_sinks = old._correction_sinks
         return fresh
 
-    def _rebind(self, entry: _Entry, old, fresh) -> None:
+    def _rebind(self, old, fresh) -> None:
         """Point everything that referenced the old CQ at the fresh one."""
         if old.name in self.runtime._cqs:
             self.runtime._cqs[old.name] = fresh
         for derived in self.runtime._derived_order:
             if derived.cq is old:
                 derived.cq = fresh
-        if entry.checkpointer is not None:
-            # its _on_window sink travelled over with old._sinks
-            entry.checkpointer.cq = fresh
+        for sink in fresh._sinks:
+            # a checkpoint manager travels with its sink and must capture
+            # the operator that is running, not the stopped one's
+            manager = getattr(sink, "__self__", None)
+            if isinstance(manager, CheckpointManager):
+                manager.cq = fresh
 
     def _quarantine_cq(self, entry: _Entry, reason: str) -> None:
         entry.state = QUARANTINED

@@ -138,10 +138,10 @@ class VarcharType(DataType):
             return None
         if isinstance(value, bool):
             text = "true" if value else "false"
-        elif isinstance(value, str):
+        elif type(value) is str:
             text = value
         else:
-            text = str(value)
+            text = str(value)   # a str subclass (numpy's) too: exact str
         if self.length is not None and len(text) > self.length:
             raise ConstraintError(
                 f"value of length {len(text)} exceeds {self.sql_name()}"

@@ -361,6 +361,22 @@ class TestLatenessPolicies:
             ("correct", 10.0, [(2,)]),
         ]
 
+    def test_listen_delivers_what_poll_returns(self):
+        # push mode sees the retract / correct pair and the watermark,
+        # built by the one construction poll's records come from
+        db = make_db()
+        sub = db.subscribe(
+            "SELECT count(*) FROM clicks <VISIBLE '10 seconds'> "
+            "EMIT ON WATERMARK ALLOW LATENESS '30 seconds' RETRACT")
+        pushed = []
+        sub.listen(pushed.append)
+        db.insert_stream("clicks", [("/a", 3.0), ("/b", 16.0)])
+        db.insert_stream("clicks", [("/late", 5.0)])  # in bound: 6 s late
+        polled = sub.poll()
+        assert [w.kind for w in polled] == ["window", "retract", "correct"]
+        assert all(w.watermark == 11.0 for w in polled)
+        assert pushed == polled
+
     def test_late_reason_helper(self):
         assert late_reason(5.0, 11.0) == \
             "late_event: event_time=5.0 watermark=11.0 lateness=6.0"

@@ -93,13 +93,49 @@ class TestWire:
         assert back == msg
         assert isinstance(back["segments"][0][1][0], tuple)
 
-    def test_roundtrip_preserves_numpy_dtypes(self):
+    def test_numpy_scalars_cross_only_normalized(self):
+        # a numpy scalar pickles as a global (numpy's reconstructor) and
+        # the wire refuses every global: partials are normalized first
         np = pytest.importorskip("numpy")
         partial = {("k",): [np.int64(3), np.float64(2.5)]}
-        back = wire.roundtrip({"groups": partial})["groups"]
-        assert back[("k",)][0] == 3 and back[("k",)][1] == 2.5
-        # pickle keeps the dtype (JSON would have collapsed it)
-        assert type(back[("k",)][0]) is np.int64
+        with pytest.raises(ProtocolError, match="global"):
+            wire.roundtrip({"groups": partial})
+        back = wire.roundtrip({"groups": normalize_partial(partial)})
+        assert back["groups"] == {("k",): [3, 2.5]}
+        assert type(back["groups"][("k",)][0]) is int
+
+    def test_numpy_cells_are_native_before_they_are_routed(self):
+        # the two numpy scalars coercion lets through subclass float and
+        # str; the schema makes them exact, so the routed rows are data
+        np = pytest.importorskip("numpy")
+        with PartitionedEngine(partitions=2) as eng:
+            eng.execute("CREATE STREAM s (t DOUBLE CQTIME, k TEXT, "
+                        "v DOUBLE) PARTITION BY k")
+            sub = eng.execute("SELECT k, sum(v) AS total FROM s "
+                              "<visible 10 advance 10> GROUP BY k")
+            eng.ingest("s", [(np.float64(1.0), np.str_("a"),
+                              np.float64(2.0)), (2.0, "b", 3.0)])
+            eng.flush()
+            (window,) = sub.poll()
+            assert sorted(window.rows) == [("a", 2.0), ("b", 3.0)]
+            assert {type(cell) for row in window.rows for cell in row} \
+                == {str, float}
+
+    def test_a_frame_naming_a_global_is_refused_and_runs_nothing(self,
+                                                                 tmp_path):
+        target = tmp_path / "ran"
+
+        class Evil:
+            def __reduce__(self):
+                return (open, (str(target), "w"))
+
+        body = pickle.dumps({"op": "ping", "x": Evil()})
+        with pytest.raises(ProtocolError, match="global"):
+            wire.decode_body(body)
+        assert not target.exists()
+        # sets, tuples, None, bools, big ints, bytes-free text: plain data
+        msg = {"a": {1, 2}, "b": (None, True, 2 ** 70, "é"), "c": [1.5]}
+        assert wire.roundtrip(msg) == msg
 
     def test_oversize_frame_refused(self):
         with pytest.raises(ProtocolError):
@@ -761,13 +797,51 @@ class TestTransport:
             assert len(sub.poll()) >= 40
             assert elapsed < 0.8
 
-    @pytest.mark.parametrize("sabotage, error", [
+    def test_stray_connection_is_refused_undecoded_and_spawn_succeeds(
+            self, tmp_path):
+        # any local process can reach the loopback listener and wait in
+        # its backlog for the next (re)spawn's accept: what it sent must
+        # never be unpickled, and the real worker must still get in
+        target = tmp_path / "ran"
+
+        class Evil:
+            def __reduce__(self):
+                return (open, (str(target), "w"))
+
+        with PartitionedEngine(partitions=2, transport="process") as eng:
+            eng.execute(self.DDL)
+            sub = eng.execute(self.CQ)
+            eng.ingest("s", [(1.0, "a", 1.0), (2.0, "b", 1.0)])
+            stray = socket.create_connection((eng._host, eng._port))
+            stray.sendall(wire.encode_frame(
+                {"type": "hello", "worker": 0, "nonce": "0" * 32,
+                 "payload": Evil()}))
+            eng.kill_worker(0)
+            assert eng.ping(0)
+            assert eng.restarts[0] == 1
+            assert not target.exists()
+            stray.settimeout(5)
+            try:
+                assert stray.recv(1) == b""     # hung up on, unanswered
+            except ConnectionError:
+                pass
+            stray.close()
+            eng.ingest("s", [(11.0, "a", 1.0), (12.0, "b", 1.0)])
+            # the windows closing at 5 and at 10, replayed shard included
+            assert [tuple(w.rows) for w in sub.poll()] == \
+                [(("a", 1), ("b", 1))] * 2
+
+    @pytest.mark.parametrize("sabotage, error, fates", [
         (lambda argv: [sys.executable, "-c", "import time; time.sleep(60)"],
-         "did not connect back"),
-        (lambda argv: argv[:-1] + ["0" * 32], "bad hello"),
+         "did not connect back", (-signal.SIGKILL,)),
+        # a refused connection is closed and the listener keeps waiting
+        # for the real worker: the impostor reads EOF and exits on its
+        # own, unless the deadline's kill gets there first
+        (lambda argv: argv[:-1] + ["0" * 32], "bad hello",
+         (0, -signal.SIGKILL)),
     ], ids=["never-connects", "wrong-nonce"])
     def test_failed_spawn_leaves_no_child_behind(self, monkeypatch,
-                                                 sabotage, error):
+                                                 sabotage, error, fates):
         spawned = []
         popen = subprocess.Popen
 
@@ -779,11 +853,11 @@ class TestTransport:
         monkeypatch.setattr(subprocess, "Popen", second_worker_is_broken)
         with pytest.raises(PartitionError, match=error):
             PartitionedEngine(partitions=2, transport="process",
-                              spawn_timeout=0.5)
+                              spawn_timeout=1.5)
         # reaped (wait() set a return code), not left as zombies: the
         # broken child killed, the healthy one stopped with the engine
-        assert [proc.returncode for proc in spawned] == \
-            [0, -signal.SIGKILL]
+        healthy, broken = [proc.returncode for proc in spawned]
+        assert healthy == 0 and broken in fates
 
 
 # -- repro_partitions view + shell command ------------------------------------

@@ -323,3 +323,55 @@ class TestDeathAroundTheScatter:
             assert all(r[2] == "up" for r in eng.status_rows())
         finally:
             eng.close()
+
+
+class TestSupervisedRestartOfAPartitionizedCQ:
+    """After ``restart_limit`` consecutive poison windows the supervisor
+    restarts a partitionized CQ like any other: the merge stage drops
+    the stopped CQ (``stopcq`` to the workers, as for a closed
+    subscription) and the replacement runs on the coordinator, reading
+    the same stream."""
+
+    DDL = ("CREATE STREAM s (k varchar, v integer, ts timestamp "
+           "CQTIME USER) PARTITION BY k")
+    CQ = ("SELECT k, 10 / (sum(v) - 6) AS r FROM s "
+          "<VISIBLE '10 seconds' ADVANCE '10 seconds'> GROUP BY k")
+
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    def test_replacement_runs_on_the_coordinator(self, transport):
+        eng = PartitionedEngine(partitions=2, transport=transport,
+                                db=Database(supervised=True))
+        try:
+            eng.execute(self.DDL)
+            sub = eng.execute(self.CQ)
+            name = sub.cq.name
+            assert not eng.explain(name).startswith("partitioned: no")
+            # sum(v) of key a is 6 in windows 10 and 20: two strikes
+            eng.ingest("s", [("a", 6, 1.0), ("b", 2, 4.0)])
+            eng.ingest("s", [("a", 6, 12.0), ("b", 2, 14.0)])
+            assert name in eng._pcqs
+            eng.ingest("s", [("a", 3, 22.0), ("b", 3, 24.0)])   # closes 20
+            entry = eng.db.supervisor.entry_for(
+                eng.db.runtime.cqs()[name])
+            assert (entry.restarts, entry.state) == (1, "running")
+            # the partitioned half is gone, on both sides
+            assert name not in eng._pcqs
+            for worker in range(2):
+                with pytest.raises(PartitionError, match="KeyError"):
+                    eng._request(worker, {"op": "explain", "name": name})
+            assert eng.explain(name).splitlines()[0] == \
+                "partitioned: no (restarted on the coordinator)"
+            assert "partition worker" not in eng.explain(name)
+            # it came back cold (a bare subscription has no archive)
+            letters = eng.query(
+                "SELECT source, kind FROM repro_dead_letters").rows
+            assert letters == [(name, "poison-window")] * 2 + \
+                [(name, "restart-loss")]
+            # ... and keeps answering through the same subscription
+            eng.ingest("s", [("a", 1, 32.0), ("b", 3, 34.0)])
+            eng.advance(50.0)
+            assert [(w.close_time, sorted(w.rows)) for w in sub.poll()] \
+                == [(40.0, [("a", -2.0), ("b", -10 / 3)]), (50.0, [])]
+            assert all(r[2] == "up" for r in eng.status_rows())
+        finally:
+            eng.close()

@@ -274,3 +274,143 @@ def converged(sequence):
             continue                    # its paired correct follows
         state[(open_time, close_time)] = rows
     return state
+
+
+# -- a poison window is the CQ's, in every topology ---------------------------
+#
+# A window whose evaluation raises reaches its CQ the same way everywhere:
+# through the window operator's callbacks, which the supervisor guards.  So
+# the partitioned engine must do what one supervised Database does — dead-
+# letter that window on the CQ, ack every batch, emit every later window —
+# whether the error is raised by the post-aggregate plan on the coordinator
+# (case A) or by a shard's reduction on a worker (case B), and whether the
+# window is closing or being re-opened by a late row.
+
+POISON_DDL = ("CREATE STREAM s (k varchar, v integer, ts timestamp "
+              "CQTIME USER) PARTITION BY k")
+WINDOW = "<VISIBLE '10 seconds' ADVANCE '10 seconds'>"
+POISON = {
+    # 10 / (sum(v) - 6): key a sums to 6 in the first window
+    "A-plan-above-the-aggregate": (
+        f"SELECT k, 10 / (sum(v) - 6) AS r FROM s {WINDOW} GROUP BY k",
+        [[("a", 1, 1.0), ("a", 5, 3.0), ("b", 2, 4.0)],
+         [("a", 2, 12.0), ("b", 2, 14.0)],
+         [("a", 3, 22.0), ("b", 3, 24.0)]]),
+    # sum(10 / v): a zero in the first window, under the aggregate
+    "B-reduction-on-a-worker": (
+        f"SELECT k, sum(10 / v) AS r FROM s {WINDOW} GROUP BY k",
+        [[("a", 1, 1.0), ("a", 0, 3.0), ("b", 2, 4.0)],
+         [("a", 2, 12.0), ("b", 2, 14.0)],
+         [("a", 3, 22.0), ("b", 3, 24.0)]]),
+}
+
+
+def dead_letters(db):
+    return db.query("SELECT source, kind FROM repro_dead_letters").rows
+
+
+def drive(engine, db, ingest, advance, ddl, cq_sql, batches, until):
+    """Feed one engine; returns (windows, dead letters, acks, raised)."""
+    engine.execute(ddl)
+    sub = engine.execute(cq_sql)
+    acks, raised = [], []
+    for step, rows in enumerate(batches):
+        try:
+            acks.append(ingest("s", rows)["accepted"])
+        except Exception as exc:            # noqa: BLE001 — reported
+            raised.append((step, type(exc).__name__, str(exc)))
+    try:
+        advance(until)
+    except Exception as exc:                # noqa: BLE001 — reported
+        raised.append(("advance", type(exc).__name__, str(exc)))
+    letters = dead_letters(db) if db.supervisor is not None else None
+    return canonical(sub), letters, acks, raised
+
+
+def poison_single(ddl, cq_sql, batches, until=40.0, supervised=True):
+    db = Database(supervised=supervised)
+    return drive(db, db, db.ingest_batch, db.advance_streams,
+                 ddl.replace(" PARTITION BY k", ""), cq_sql, batches, until)
+
+
+def poison_partitioned(transport, ddl, cq_sql, batches, until=40.0,
+                       supervised=True, vectorize=True):
+    eng = PartitionedEngine(partitions=2, transport=transport,
+                            db=Database(supervised=supervised,
+                                        vectorize=vectorize))
+    try:
+        return drive(eng, eng.db, eng.ingest, eng.advance, ddl, cq_sql,
+                     batches, until)
+    finally:
+        eng.close()
+
+
+class TestPoisonWindowParity:
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    @pytest.mark.parametrize("case", sorted(POISON))
+    def test_supervised_equals_one_supervised_database(self, case,
+                                                       transport):
+        cq_sql, batches = POISON[case]
+        want = poison_single(POISON_DDL, cq_sql, batches)
+        windows, letters, acks, raised = want
+        # the spec itself: window 10 quarantined, 20 / 30 / 40 emitted
+        assert [close for _k, _o, close, _r in windows] == [20.0, 30.0, 40.0]
+        assert letters == [("cq_1", "poison-window")]
+        assert acks == [3, 2, 2] and raised == []
+        assert poison_partitioned(transport, POISON_DDL, cq_sql,
+                                  batches) == want
+
+    @pytest.mark.parametrize("case", sorted(POISON))
+    def test_iterator_gear_too(self, case):
+        # HashAggregate workers ship the window reduced from its rows
+        cq_sql, batches = POISON[case]
+        got = poison_partitioned("inline", POISON_DDL, cq_sql, batches,
+                                 vectorize=False)
+        assert got == poison_single(POISON_DDL, cq_sql, batches)
+
+    @pytest.mark.parametrize("case", sorted(POISON))
+    def test_unsupervised_error_is_raised_once_and_nothing_wedges(self,
+                                                                  case):
+        cq_sql, batches = POISON[case]
+        windows, _letters, acks, raised = poison_partitioned(
+            "inline", POISON_DDL, cq_sql, batches, supervised=False)
+        # the pump that closed window 10 is batch 2's: its caller gets
+        # the error, once; nobody else does and every later window is out
+        assert [(step, name) for step, name, _msg in raised] == \
+            [(1, "ExecutionError")]
+        assert "division by zero" in raised[0][2]
+        assert acks == [3, 2]
+        # ... holding what the supervised run emits: the raising close
+        # cost the coordinator's stream no row (one unsupervised Database
+        # loses the batch whose first row closed the window)
+        assert windows == poison_single(POISON_DDL, cq_sql, batches)[0]
+
+    def test_poison_reopened_window_is_a_poison_window_on_the_cq(self):
+        # a late row makes sum(v) 6 in a window that already closed: the
+        # re-open evaluates the same plan and is guarded like a close
+        ddl = POISON_DDL.replace(" PARTITION", " WATERMARK '2 seconds' "
+                                 "PARTITION")
+        cq_sql = (f"SELECT k, 10 / (sum(v) - 6) AS r FROM s {WINDOW} "
+                  "GROUP BY k EMIT ON WATERMARK "
+                  "ALLOW LATENESS '30 seconds' RETRACT")
+        batches = [[("a", 1, 1.0), ("b", 2, 4.0)],
+                   [("a", 2, 13.0)],            # watermark 11: 10 closes
+                   [("a", 5, 3.0)],             # late: re-opens 10, a = 6
+                   [("a", 3, 22.0), ("b", 3, 24.0)]]
+        want = poison_single(ddl, cq_sql, batches)
+        windows, letters, acks, raised = want
+        assert letters == [("cq_1", "poison-window")]
+        assert acks == [2, 1, 1, 2] and raised == []
+        assert [kind for kind, _o, _c, _r in windows] == ["window"] * 4
+        for transport in ("inline", "process"):
+            assert poison_partitioned(transport, ddl, cq_sql,
+                                      batches) == want
+        # the single engine counts it on the CQ, not against the stream
+        db = Database(supervised=True)
+        db.execute(ddl.replace(" PARTITION BY k", ""))
+        sub = db.execute(cq_sql)
+        for rows in batches:
+            db.ingest_batch("s", rows)
+        status = {row[0]: row for row in db.supervisor.status_rows()}
+        assert status["s"][2] == "running" and status["s"][3] == 0
+        assert status[sub.cq.name][3] == 1

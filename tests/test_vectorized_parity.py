@@ -210,3 +210,86 @@ class TestEndToEndParity:
         db.advance_streams(float(events[-1][2]) + 60.0)
         got = [(w.close_time, sorted(w.rows)) for w in sub.poll()]
         assert got == run_cq(query, events, False)
+
+
+# ---------------------------------------------------------------------------
+# one partial protocol: the two gears' aggregates share the rows loop, the
+# merge and the finalize, so their partial dicts are the same dict
+# ---------------------------------------------------------------------------
+
+
+def both_gears(query):
+    """(cq, split aggregate) on the batch gear and on the iterator gear."""
+    from repro.partition.planner import partition_plan
+    pairs = []
+    for vectorize in (True, False):
+        db = Database(vectorize=vectorize)
+        db.execute("CREATE STREAM s (k integer, v double, "
+                   "ts timestamp CQTIME USER)")
+        cq = db.subscribe(query).cq
+        pairs.append((cq, partition_plan(cq).agg))
+    return pairs
+
+
+def partial_of(cq, agg, rows):
+    cq._batches[0] = rows
+    try:
+        return agg.accumulate({})
+    finally:
+        cq._batches[0] = []
+
+
+class TestOnePartialProtocol:
+    INTEGRAL = ("SELECT k, count(*), count(v), sum(v), min(v), max(v) "
+                "FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'> "
+                "GROUP BY k")
+    SCALAR = ("SELECT count(*), sum(v), avg(v), max(v) "
+              "FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'>")
+
+    def test_the_batch_aggregate_is_the_hash_aggregate(self):
+        from repro.exec.batch_ops import BatchAggregate
+        from repro.exec.operators import HashAggregate
+        (_cq, batch), (_cq2, rowwise) = both_gears(self.INTEGRAL)
+        assert type(batch) is BatchAggregate and type(rowwise) is HashAggregate
+        assert isinstance(batch, HashAggregate)
+        for name in ("merge_partials", "finalize", "set_merged", "rows",
+                     "_reduce_rows"):
+            assert getattr(BatchAggregate, name) is getattr(HashAggregate,
+                                                            name), name
+        # ... while the ledger still finds the three it times on the class
+        for name in ("partial_for_rows", "merge_partials", "finalize"):
+            assert name in vars(BatchAggregate), name
+
+    @pytest.mark.parametrize("rows", [
+        [],                                                     # empty input
+        [(2, 1.0, 0.0), (None, 2.0, 1.0), (1, None, 2.0),      # NULL key
+         (None, 4.0, 3.0), (2, 8.0, 4.0)],
+        [(3, 1.0, 0.0), (1, 2.0, 1.0), (3, 4.0, 2.0),          # kernels only
+         (2, None, 3.0), (1, 8.0, 4.0)],
+    ], ids=["empty", "null-key", "first-seen-order"])
+    def test_identical_partials_key_order_included(self, rows):
+        (bcq, batch), (rcq, rowwise) = both_gears(self.INTEGRAL)
+        got = partial_of(bcq, batch, rows)
+        want = partial_of(rcq, rowwise, rows)
+        assert list(got.items()) == list(want.items())
+        halves = [rows[:2], rows[2:]]
+        merged = [agg.merge_partials([partial_of(cq, agg, half)
+                                      for half in halves])
+                  for cq, agg in ((bcq, batch), (rcq, rowwise))]
+        assert list(merged[0].items()) == list(merged[1].items()) \
+            == list(want.items())
+        assert batch.finalize(merged[0]) == rowwise.finalize(merged[1])
+
+    @pytest.mark.parametrize("rows", [
+        [], [(1, None, 0.0)], [(1, 2.0, 0.0), (2, 4.0, 1.0), (3, None, 2.0)],
+    ], ids=["empty", "all-null", "some"])
+    def test_scalar_aggregates(self, rows):
+        (bcq, batch), (rcq, rowwise) = both_gears(self.SCALAR)
+        got = partial_of(bcq, batch, rows)
+        assert list(got.items()) == \
+            list(partial_of(rcq, rowwise, rows).items())
+        # no group key: one output row even over nothing at all
+        assert batch.finalize(batch.merge_partials([got, {}])) == \
+            rowwise.finalize(rowwise.merge_partials([got]))
+        assert len(batch.finalize({})) == 1
+        assert batch.finalize({}) == rowwise.finalize({})
