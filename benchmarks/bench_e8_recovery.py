@@ -47,7 +47,7 @@ def events(minute_from, minute_to):
 def archive_sink(db):
     table = db.get_table("archive")
 
-    def sink(rows, open_time, close_time):
+    def sink(_kind, rows, open_time, close_time):
         txn = db.txn_manager.begin()
         for row in rows:
             table.insert(txn, row)

@@ -35,7 +35,7 @@ def attach_archiving_cq(db, name="rollup"):
     cq = db.runtime.create_cq(parse_statement(CQ_SQL), name=name)
     table = db.get_table("archive")
 
-    def sink(rows, open_time, close_time):
+    def sink(_kind, rows, open_time, close_time):
         txn = db.txn_manager.begin()
         for row in rows:
             table.insert(txn, row)

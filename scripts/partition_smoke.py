@@ -13,11 +13,13 @@ over loopback sockets, runs the standard keyed window CQ, and:
 
 1. ingests two batches and notes each worker's PID from the
    ``repro_partitions`` status rows;
-2. parks a **stray connection** in the listener's backlog — a pickle
-   frame whose ``__reduce__`` would create a file — and SIGKILLs one
-   worker **mid-window** (its shard has buffered rows the next boundary
-   still needs — no frame in flight, no warning); the respawn's accept
-   meets the stray first and must close it undecoded;
+2. parks two **stray connections** in the listener's backlog — one a
+   pickle frame whose ``__reduce__`` would create a file, one that
+   sends nothing at all — and SIGKILLs one worker **mid-window** (its
+   shard has buffered rows the next boundary still needs — no frame in
+   flight, no warning); the respawn's accept meets the strays first and
+   must close the first undecoded and not wait on the silent one (were
+   it to, the respawn would fail after ``spawn_timeout``);
 3. keeps ingesting: the next frame owed to the dead worker triggers
    restart-with-replay — respawn, replay of the acked frame log,
    watermark fast-forward, then the in-flight frame;
@@ -68,6 +70,7 @@ BATCHES = [
     for b in range(8)
 ]
 KILL_AFTER = 2          # SIGKILL between batches 2 and 3 (mid-window)
+SILENT_STRAY_S = 10.0   # a third of the default spawn_timeout
 
 STALL_MS = 20.0         # half a delayed ACK: no healthy loopback hop is near
 ROUND_TRIPS = 41
@@ -240,11 +243,18 @@ def main():
         ran = os.path.join(tempfile.mkdtemp(prefix="partition-smoke-"),
                            "ran")
         stray = park_stray(eng, ran)
-        print(f"  stray connection parked; SIGKILL worker {victim} "
-              f"(pid {pid}) mid-window")
+        silent = socket.create_connection((eng._host, eng._port))
+        print(f"  stray connections parked (evil pickle, silent); SIGKILL "
+              f"worker {victim} (pid {pid}) mid-window")
         os.kill(pid, signal.SIGKILL)
 
-        for rows in BATCHES[KILL_AFTER:]:
+        began = time.perf_counter()
+        eng.ingest("s", BATCHES[KILL_AFTER])    # owed to the dead worker
+        respawn_s = time.perf_counter() - began
+        if respawn_s >= SILENT_STRAY_S:
+            fail(f"the respawn took {respawn_s:.2f} s past a silent stray "
+                 f"connection (the accept waited on it)")
+        for rows in BATCHES[KILL_AFTER + 1:]:
             eng.ingest("s", rows)
         eng.flush()
         got = collect(sub)
@@ -270,21 +280,23 @@ def main():
         if os.path.exists(ran):
             fail("the coordinator unpickled a stray connection's bytes")
         os.rmdir(os.path.dirname(ran))
-        stray.settimeout(5)
-        try:
-            if stray.recv(1) != b"":
-                fail("the stray connection was answered, not closed")
-        except ConnectionError:
-            pass
-        stray.close()
-        print("  stray connection closed undecoded, worker respawned past it")
+        for conn in (stray, silent):
+            conn.settimeout(5)
+            try:
+                if conn.recv(1) != b"":
+                    fail("a stray connection was answered, not closed")
+            except ConnectionError:
+                pass
+            conn.close()
+        print(f"  stray connections closed undecoded, worker respawned past "
+              f"them in {respawn_s:.2f} s")
     finally:
         eng.close()
 
     stall_check()
     print(f"PARTITION SMOKE PASS: poison window quarantined as on one "
-          f"Database, {len(want)} windows bit-identical across a stray "
-          "connection + SIGKILL + restart-with-replay, no stalled hop")
+          f"Database, {len(want)} windows bit-identical across stray "
+          "connections + SIGKILL + restart-with-replay, no stalled hop")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,12 @@ deployment would — separate processes, a real TCP socket:
 3. that server is ``kill -9``-ed too: the third process must find the
    same window in the archive, still know the batch, and still close
    windows;
-4. the third server shuts down gracefully over the protocol and must
+4. on that server, with ``SET supervision = on``, an ad-hoc CQ with a
+   poison expression is restarted by two poison windows and then
+   unsubscribed: the stream's consumer count in ``repro_streams`` must
+   fall back to what it was before the subscribe — a restart keeps the
+   subscription's CQ, so nothing of it may stay on the stream;
+5. the third server shuts down gracefully over the protocol and must
    exit 0.
 
 The archived CQ projects a timestamp (``max(ts)``) *after* its
@@ -106,6 +111,30 @@ def resend(conn, batch):
         fail(f"re-sent batch was not recognised: {ack!r}")
 
 
+def restart_leg(conn):
+    """A supervised restart keeps the subscription's CQ: unsubscribing
+    after it stops what runs."""
+    conn.execute("SET supervision = on")
+    conn.execute("CREATE STREAM p (v integer, ts timestamp CQTIME USER)")
+    consumers = "SELECT consumers FROM repro_streams WHERE name = 'p'"
+    before = conn.query(consumers).rows
+    sub = conn.execute("SELECT 10 / sum(v) AS r FROM p "
+                       "<VISIBLE '10 seconds'>")
+    for close in (40.0, 50.0):              # two poison windows
+        conn.ingest("p", [(0, close - 5.0)])
+        conn.advance(close)
+    restarts = conn.query("SELECT restarts FROM repro_supervisor_status "
+                          "WHERE name = ?", (sub.name,)).rows
+    if restarts != [(1,)]:
+        fail(f"two poison windows did not restart the CQ once: {restarts}")
+    sub.unsubscribe()
+    after = conn.query(consumers).rows
+    if after != before:
+        fail(f"unsubscribing the restarted CQ left consumers {after} on "
+             f"the stream (before the subscribe: {before})")
+    print(f"restarted CQ stopped by its unsubscribe: consumers {after}")
+
+
 def main():
     import repro.client
     from repro.server import protocol
@@ -190,6 +219,7 @@ def main():
                 fail(f"archive {archived} is not the never-crashed "
                      f"engine's {reference}")
             print("archive equals the never-crashed reference")
+            restart_leg(conn)
 
             conn.shutdown_server()
             deadline = time.monotonic() + 10.0

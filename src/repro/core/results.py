@@ -1,4 +1,9 @@
-"""Result objects: snapshot result sets and CQ subscriptions."""
+"""Result objects: snapshot result sets and CQ subscriptions.
+
+A :class:`Subscription` holds its CQ for the CQ's whole life — a
+supervised restart rebuilds the same object — and takes the CQ's one
+record stream: every final, retract, correct and early record becomes a
+:class:`WindowResult` of that ``kind``, in emission order."""
 
 from __future__ import annotations
 
@@ -113,9 +118,7 @@ class Subscription:
         self._runtime = runtime
         self._pending: List[WindowResult] = []
         self.closed = False
-        cq.add_sink(self._on_window)
-        if cq.is_event_time():
-            cq.add_correction_sink(self._on_correction)
+        cq.add_sink(self._on_record)
 
     @property
     def columns(self) -> List[str]:
@@ -129,11 +132,7 @@ class Subscription:
     def stats(self):
         return self._cq.stats
 
-    def _on_window(self, rows, open_time, close_time):
-        self._pending.append(self._result("window", rows, open_time,
-                                          close_time))
-
-    def _on_correction(self, kind, rows, open_time, close_time):
+    def _on_record(self, kind, rows, open_time, close_time):
         self._pending.append(self._result(kind, rows, open_time, close_time))
 
     def _result(self, kind, rows, open_time, close_time) -> WindowResult:
@@ -147,20 +146,15 @@ class Subscription:
         :meth:`poll` would return — finals, and an event-time CQ's
         retract / correct / early records — instead of (or in addition
         to) polling."""
-        def push(kind, rows, open_time, close_time):
-            callback(self._result(kind, rows, open_time, close_time))
-        self._cq.add_sink(lambda *window: push("window", *window))
-        if self._cq.is_event_time():
-            self._cq.add_correction_sink(push)
+        self._cq.add_sink(lambda *record: callback(self._result(*record)))
 
     def stream_to(self, sink) -> None:
-        """Switch to pure push mode: stop buffering windows for
-        :meth:`poll` and deliver every window to
-        ``sink(rows, open_time, close_time)`` instead.  Long-lived
-        forwarders (the network server) use this so an unpolled
-        subscription does not accumulate windows forever."""
-        self._cq.remove_sink(self._on_window)
-        self._cq.remove_correction_sink(self._on_correction)
+        """Switch to pure push mode: stop buffering records for
+        :meth:`poll` and deliver every one to ``sink(kind, rows,
+        open_time, close_time)`` instead.  Long-lived forwarders (the
+        network server) use this so an unpolled subscription does not
+        accumulate windows forever."""
+        self._cq.remove_sink(self._on_record)
         self._pending.clear()
         self._cq.add_sink(sink)
 

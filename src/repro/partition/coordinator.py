@@ -43,7 +43,9 @@ raised once to that pump's caller), never a wedge.
 
 from __future__ import annotations
 
+import hmac
 import os
+import selectors
 import socket
 import subprocess
 import sys
@@ -137,8 +139,10 @@ class _ProcessHandle:
     The coordinator listens, the worker connects back and opens with a
     raw greeting carrying the nonce it was handed over argv.  Any local
     process can reach the loopback listener, so nothing a connection
-    sends is decoded before that greeting matched; any other is closed
-    and the next accepted (:mod:`repro.partition.wire`, *Trust*).
+    sends is decoded before that greeting matched, and every connection
+    is waited on at once: a stray that sends nothing delays no one, one
+    that sends anything else is closed (:mod:`repro.partition.wire`,
+    *Trust*).
     The socket is blocking and ``TCP_NODELAY``:
     :meth:`send` writes one frame whole, :meth:`collect` reads the one
     response it is owed (partials, then the ack).  A worker never
@@ -173,34 +177,50 @@ class _ProcessHandle:
             raise
 
     def _handshake(self, listener, nonce: str, timeout: float):
-        """Accept until a connection opens with this worker's greeting;
-        whatever else connects is closed with nothing it sent decoded."""
+        """Wait on the listener and on every connection still owing its
+        greeting at once; the first exact greeting wins.  A wrong one or
+        an EOF is closed with nothing it sent decoded, a connection that
+        sends nothing holds up no one, and whatever is still waiting
+        when the worker is in is closed too."""
+        expected = wire.hello(self.worker_id, nonce)
         deadline = monotonic() + timeout
         refused = ""
-        while True:
-            remaining = deadline - monotonic()
-            try:
-                if remaining <= 0:
-                    raise socket.timeout
-                listener.settimeout(remaining)
-                conn, _addr = listener.accept()
-            except socket.timeout:
-                raise PartitionError(
-                    f"worker {self.worker_id} did not connect back within "
-                    f"{timeout}s{refused}") from None
-            try:
-                conn.settimeout(remaining)
-                if wire.expect_hello(conn, self.worker_id, nonce):
-                    conn.settimeout(timeout)
-                    wire.no_delay(conn)
-                    return conn
-            except WorkerDiedError:
-                pass            # it hung up, or stalled past the deadline
-            except BaseException:
+        greetings = {}      # accepted connection -> its bytes so far
+        selector = selectors.DefaultSelector()
+        selector.register(listener, selectors.EVENT_READ)
+        try:
+            while True:
+                ready = selector.select(max(0.0, deadline - monotonic()))
+                if not ready:
+                    raise PartitionError(
+                        f"worker {self.worker_id} did not connect back "
+                        f"within {timeout}s{refused}")
+                for key, _events in ready:
+                    conn = key.fileobj
+                    if conn is listener:
+                        conn, _addr = listener.accept()
+                        greetings[conn] = b""
+                        selector.register(conn, selectors.EVENT_READ)
+                        continue
+                    try:    # readable: data or EOF, without blocking
+                        chunk = conn.recv(len(expected) - len(greetings[conn]))
+                    except OSError:
+                        chunk = b""
+                    greeting = greetings[conn] = greetings[conn] + chunk
+                    if chunk and len(greeting) < len(expected):
+                        continue
+                    selector.unregister(conn)
+                    del greetings[conn]
+                    if chunk and hmac.compare_digest(greeting, expected):
+                        conn.settimeout(timeout)
+                        wire.no_delay(conn)
+                        return conn
+                    conn.close()
+                    refused = " (a connection was refused: bad hello)"
+        finally:
+            selector.close()
+            for conn in greetings:
                 conn.close()
-                raise
-            conn.close()
-            refused = " (a connection was refused: bad hello)"
 
     @property
     def pid(self) -> int:
@@ -421,9 +441,18 @@ class _PartitionedCQ:
         # a shard cannot tell an empty window from an open one, so every
         # boundary is recorded (every close reaches the sink)
         self.op = cq.window_operator(record("final"), record("correct"))
+        #: the CQ's own window operator, whose (guarded) callbacks take
+        #: the merged boundaries: a restart rebuilds the CQ around a new
+        #: one that reads the stream itself
+        self.window_op = cq._window_op
         #: close boundary -> {worker: partial | FailedPartial}
         self.store: Dict[float, Dict[int, object]] = {}
         self.merged_through = NEG_INF
+
+    @property
+    def stale(self) -> bool:
+        """The CQ stopped or restarted: nothing is merged for it here."""
+        return not self.cq._running or self.cq._window_op is not self.window_op
 
 
 # -- the engine ---------------------------------------------------------------
@@ -736,7 +765,7 @@ class PartitionedEngine:
         pending = route.pending
         while pending:
             pcq, kind, boundary = pending[0]
-            if not pcq.cq._running:
+            if pcq.stale:
                 pending.popleft()
                 continue
             if boundary > gate:
@@ -747,14 +776,13 @@ class PartitionedEngine:
             pending.popleft()
             self._merge_boundary(pcq, kind, boundary)
         for pcq in list(route.cqs):
-            if not pcq.cq._running:
-                # a closed subscription — or a CQ its supervisor stopped
-                # and replaced: the replacement reads the stream here
+            if pcq.stale:
+                # a closed subscription — or a CQ its supervisor rebuilt,
+                # which reads the stream here now
                 self._drop_pcq(pcq)
-                fresh = self.db.runtime.cqs().get(pcq.name)
-                if fresh is not None:
-                    fresh.explain_note = ("partitioned: no (restarted on "
-                                          "the coordinator)")
+                if pcq.cq._running:
+                    pcq.cq.explain_note = ("partitioned: no (restarted on "
+                                           "the coordinator)")
 
     def _merge_boundary(self, pcq: _PartitionedCQ, kind: str,
                         boundary: float) -> None:
@@ -764,7 +792,7 @@ class PartitionedEngine:
         supervisor's guard all behave exactly as in single-engine mode."""
         entry = pcq.store.get(boundary, {})
         parts = [entry.get(w, {}) for w in range(self.partitions)]
-        op = pcq.cq._window_op
+        op = pcq.window_op
         # a late row re-opened the window: retract/correct pair
         emit = op.on_correction if kind == "correct" else op.sink
         try:

@@ -27,7 +27,6 @@ used to be exactly that (partials, then the ack).
 
 from __future__ import annotations
 
-import hmac
 import io
 import pickle
 import socket
@@ -80,15 +79,9 @@ def no_delay(sock) -> None:
 
 
 def hello(worker_id: int, nonce: str) -> bytes:
-    """A worker's greeting: raw bytes of a length both ends know."""
+    """A worker's greeting: raw bytes of a length both ends know, read
+    at that length and compared in constant time, never decoded."""
     return _LENGTH.pack(worker_id) + nonce.encode("ascii")
-
-
-def expect_hello(sock, worker_id: int, nonce: str) -> bool:
-    """Read a fresh connection's greeting and compare it in constant
-    time — read at its fixed length, never decoded."""
-    expected = hello(worker_id, nonce)
-    return hmac.compare_digest(_recv_exact(sock, len(expected)), expected)
 
 
 def send_frame(sock, message: dict) -> None:

@@ -108,24 +108,13 @@ class SessionSink(StreamConsumer):
     def on_flush(self) -> None:
         return
 
-    # derived streams / CQ sinks call these -----------------------------------
+    # CQs and derived streams call these ------------------------------------
 
-    def on_batch(self, rows, open_time, close_time) -> None:
-        entry = self.entry
-        if entry.broken:
-            return
-        entry.windows_pushed += 1
-        self.session.enqueue_push(
-            entry,
-            protocol.window_push(entry.sub_id, rows, open_time, close_time,
-                                 seq=entry.next_seq(),
-                                 watermark=self._watermark()))
-
-    def on_correction(self, kind, rows, open_time, close_time) -> None:
-        """A typed event-time record (retract / correct / early) —
-        pushed as a window frame carrying its ``kind``, in sequence
-        with the finals, so the client sees retraction pairs in the
-        exact order the engine emitted them."""
+    def on_record(self, kind, rows, open_time, close_time) -> None:
+        """One CQ record — a final (``window``) or a typed retract /
+        correct / early — pushed as a window frame carrying its
+        ``kind``, in sequence, so the client sees retraction pairs in
+        the exact order the engine emitted them."""
         entry = self.entry
         if entry.broken:
             return
@@ -136,9 +125,10 @@ class SessionSink(StreamConsumer):
                                  kind=kind, seq=entry.next_seq(),
                                  watermark=self._watermark()))
 
-    def window_sink(self, rows, open_time, close_time) -> None:
-        """The ``fn(rows, open, close)`` shape CQ sinks expect."""
-        self.on_batch(rows, open_time, close_time)
+    def on_batch(self, rows, open_time, close_time) -> None:
+        self.on_record("window", rows, open_time, close_time)
+
+    on_correction = on_record
 
 
 class Session:
@@ -324,9 +314,8 @@ class Session:
                 sub_id, result.cq.name, "query", result.columns)
             sink = SessionSink(self, entry)
             entry.sink = sink
-            result.stream_to(sink.window_sink)
-            if _wire_event_time(result.cq, sink):
-                result.cq.add_correction_sink(sink.on_correction)
+            _wire_event_time(result.cq, sink)
+            result.stream_to(sink.on_record)
             entry.detach = result.close  # session-owned CQ: closing stops it
             return ("subscription", entry)
         if isinstance(result, ResultSet):
@@ -447,16 +436,9 @@ class Session:
             entry = SubscriptionEntry(sub_id, cq.name, "cq", cq.output_names)
             sink = SessionSink(self, entry)
             entry.sink = sink
-            cq.add_sink(sink.window_sink)
-            if _wire_event_time(cq, sink):
-                cq.add_correction_sink(sink.on_correction)
-
-                def detach(cq=cq, sink=sink):
-                    cq.remove_sink(sink.window_sink)
-                    cq.remove_correction_sink(sink.on_correction)
-                entry.detach = detach
-            else:
-                entry.detach = lambda: cq.remove_sink(sink.window_sink)
+            _wire_event_time(cq, sink)
+            cq.add_sink(sink.on_record)
+            entry.detach = lambda: cq.remove_sink(sink.on_record)
             return entry
         raise UnknownObjectError(
             f"nothing named {name!r} to subscribe to (expected a stream, "
@@ -626,14 +608,12 @@ class Session:
                 for name in SESSION_OPTIONS]
 
 
-def _wire_event_time(cq, sink: SessionSink) -> bool:
+def _wire_event_time(cq, sink: SessionSink) -> None:
     """If ``cq`` runs event-time semantics, point the sink at its
-    stream's watermark (stamped onto every push) and say so."""
-    if not cq.is_event_time():
-        return False
-    stream = cq.stream
-    sink.watermark_fn = lambda: stream.watermark
-    return True
+    stream's watermark (stamped onto every push)."""
+    if cq.is_event_time():
+        stream = cq.stream
+        sink.watermark_fn = lambda: stream.watermark
 
 
 def _render_option(value) -> str:

@@ -5,7 +5,10 @@ into an ordinary SQL table — the *active table*.  APPEND adds each
 result; REPLACE overwrites the previous one.  Each window's result is
 applied in its own transaction, so snapshot queries over the active table
 see whole windows or nothing (this is the flip side of window
-consistency).
+consistency).  An event-time CQ's ``retract`` / ``correct`` records go
+through the same transactional write as its finals (:meth:`Channel.
+write`, which the supervisor's retry and quarantine wrap); ``on_batch``
+and ``on_correction`` only decide what that write is.
 
 "the combination of Derived Streams with Active Tables can be viewed as
 an extremely efficient materialized view mechanism" — Section 3.3.
@@ -102,33 +105,7 @@ class Channel:
 
     def on_batch(self, rows, open_time: float, close_time: float) -> None:
         """Store one window's result transactionally."""
-        if self.faults is not None:
-            try:
-                self.faults.check("channel.write", self.name)
-            except Exception:
-                self.stats.write_failures += 1
-                raise
-        timer = self.flush_timer
-        started = time.perf_counter() if timer is not None else 0.0
-        txn = self._txn_manager.begin()
-        try:
-            if self.mode == REPLACE:
-                before = self.table.row_count(txn.snapshot, self._txn_manager)
-                self.table.truncate(txn)
-                self.stats.rows_replaced += before
-            for row in rows:
-                self.table.insert(txn, row)
-            txn.commit()
-        except Exception:
-            self.stats.write_failures += 1
-            if txn.is_active():
-                txn.abort()
-            raise
-        self.stats.batches += 1
-        self.stats.rows_written += len(rows)
-        self.stats.last_close = close_time
-        if timer is not None:
-            timer.observe(time.perf_counter() - started)
+        self.write("window", rows, open_time, close_time)
 
     def on_correction(self, kind: str, rows, open_time: float,
                       close_time: float) -> None:
@@ -145,38 +122,51 @@ class Channel:
         retracted rows, ``correct`` inserts the recomputed ones, and
         speculative ``early`` output is ignored (only finals are
         archived)."""
-        if self.mode == REPLACE:
-            if kind == "retract":
-                return
-            last = self.stats.last_close
-            if last is not None and close_time < last:
-                return  # stale: a newer window already owns the table
-            self.on_batch(rows, open_time, close_time)
-            return
         if kind == "early":
             return
-        if self.faults is not None:
-            try:
-                self.faults.check("channel.write", self.name)
-            except Exception:
-                self.stats.write_failures += 1
-                raise
-        txn = self._txn_manager.begin()
+        if self.mode == REPLACE:
+            last = self.stats.last_close
+            if kind == "retract" or (last is not None and close_time < last):
+                return  # its correct rewrites / a newer window owns it
+        self.write(kind, rows, open_time, close_time)
+
+    def write(self, kind: str, rows, open_time: float,
+              close_time: float) -> None:
+        """The channel's one transactional write: ``retract`` deletes
+        ``rows``; anything else stores them — in place of the table's
+        contents on REPLACE, after them on APPEND.  A failure (the
+        ``channel.write`` crashpoint included) aborts the transaction,
+        counts, and raises to the supervisor's retry when there is one."""
+        timer = self.flush_timer
+        started = time.perf_counter() if timer is not None else 0.0
+        stats = self.stats
+        txn = None
         try:
+            if self.faults is not None:
+                self.faults.check("channel.write", self.name)
+            txn = self._txn_manager.begin()
             if kind == "retract":
-                removed = self._delete_rows(txn, rows)
-                self.stats.rows_replaced += removed
+                stats.rows_replaced += self._delete_rows(txn, rows)
             else:
+                if self.mode == REPLACE:
+                    stats.rows_replaced += self.table.row_count(
+                        txn.snapshot, self._txn_manager)
+                    self.table.truncate(txn)
                 for row in rows:
                     self.table.insert(txn, row)
-                self.stats.rows_written += len(rows)
             txn.commit()
         except Exception:
-            self.stats.write_failures += 1
-            if txn.is_active():
+            stats.write_failures += 1
+            if txn is not None and txn.is_active():
                 txn.abort()
             raise
-        self.stats.batches += 1
+        stats.batches += 1
+        if kind != "retract":
+            stats.rows_written += len(rows)
+            if stats.last_close is None or close_time > stats.last_close:
+                stats.last_close = close_time
+        if timer is not None:
+            timer.observe(time.perf_counter() - started)
 
     def _delete_rows(self, txn, rows) -> int:
         """Delete one stored copy of each retracted row (values are

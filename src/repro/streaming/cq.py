@@ -13,6 +13,14 @@ each window boundary (Section 4's window consistency).
 
 Window-less stream references are allowed for pure row-wise transforms
 (filter/project), which run per-tuple without buffering.
+
+A CQ's output is one stream of typed records ``(kind, rows, open,
+close)`` — ``window`` (a final), ``retract`` / ``correct`` (a late row
+re-opened a closed window) and ``early`` — handed to every sink on one
+list.  A CQ is one object for its whole life: :meth:`ContinuousQuery.
+build` makes everything one life runs on, and a supervised restart
+calls it again on the stopped CQ, so whoever holds the CQ holds the
+running one.
 """
 
 from __future__ import annotations
@@ -133,6 +141,11 @@ def stream_layout(stream) -> RowLayout:
     ])
 
 
+def _discard(*_record) -> None:
+    """A stopped CQ's window callbacks: whatever its operators still
+    close goes nowhere."""
+
+
 class FailedPartial:
     """A partial whose reduction raised (a slice sealed mid-delivery, a
     shard's window on a partition worker): the error is deferred to the
@@ -182,17 +195,32 @@ class ContinuousQuery(StreamConsumer):
         self._catalog = catalog
         self._txn_manager = txn_manager
         self.params = params  # bound '?' values, fixed for the CQ's life
-        self.stats = CQStats()
+        self._vectorize = vectorize
         self.view = WindowConsistentView(txn_manager)
+        #: record sinks, ``fn(kind, rows, open, close)`` (:meth:`add_sink`)
         self._sinks = []
-        # typed retract/correct/early records; separate from _sinks so
-        # the 3-arg window-sink contract (supervisor wrapping,
-        # checkpointing) is untouched.  fn(kind, rows, open, close)
-        self._correction_sinks = []
         #: late-row quarantine hook: fn(cq_name, row, event_time,
         #: watermark, expired) — wired by the runtime when a
         #: supervisor's dead-letter stream exists
         self.late_handler = None
+        self.faults = None  # optional FaultInjector (cq.window crashpoint)
+        self.obs = obs      # Observability facade (None = uninstrumented)
+        #: a line EXPLAIN leads with, set by whoever placed the CQ (the
+        #: partition coordinator: why it runs unpartitioned)
+        self.explain_note = None
+        select.from_clause = inline_streaming_views(
+            select.from_clause, catalog)
+        self.build()
+
+    def build(self) -> None:
+        """Build one life of the CQ from its query: counters, plan (in
+        the executor gear it was created with), window operator(s).  The
+        constructor's work — and a supervised restart's, which calls it
+        again on the stopped CQ: the runtime registry, a derived stream,
+        subscriptions, sessions and checkpoint managers keep holding the
+        same object, and its sinks stay where they are."""
+        select, catalog = self.select, self._catalog
+        self.stats = CQStats()
         # resolved event-time config (None / defaults in arrival mode)
         self.emit_mode = None
         self.emit_every = None
@@ -202,22 +230,15 @@ class ContinuousQuery(StreamConsumer):
         self._c_late = None  # eventtime.late_rows counter (event-time CQs)
         self._h_lag = None   # eventtime.watermark_lag_seconds histogram
         self._running = True
-        self.faults = None  # optional FaultInjector (cq.window crashpoint)
-        self.obs = obs      # Observability facade (None = uninstrumented)
-        #: a line EXPLAIN leads with, set by whoever placed the CQ (the
-        #: partition coordinator: why it runs unpartitioned)
-        self.explain_note = None
         # per-operator timing is sampled: armed on every Nth evaluation
         # so untimed windows run through a bare yield-from pass-through
         self._timing_index = 0
         self._timing_on = True
 
-        select.from_clause = inline_streaming_views(
-            select.from_clause, catalog)
         refs = find_stream_refs(select.from_clause, catalog)
         if not refs:
             raise PlanningError(
-                f"query for CQ {name!r} references no stream")
+                f"query for CQ {self.name!r} references no stream")
         if len(refs) > 2:
             raise PlanningError(
                 "continuous queries over more than two streams are not "
@@ -238,13 +259,13 @@ class ContinuousQuery(StreamConsumer):
         self._agg = None
         #: what the slice partials depend on; equal keys share a store
         self.store_key = None
-        if vectorize:
+        if self._vectorize:
             from repro.exec.vectorize import vectorize_plan
             root, changed = vectorize_plan(self._plan.root)
             if changed:
                 self._plan.root = root
                 self.vectorized = True
-        if obs is not None:
+        if self.obs is not None:
             self._plan.instrument()
         self.output_names = self._plan.column_names
         self.output_schema = self._plan.output_schema()
@@ -400,12 +421,31 @@ class ContinuousQuery(StreamConsumer):
             leave_store(self.stream, self._window_op)
 
     def stop(self) -> None:
-        """Terminate the CQ (paper: CQs run "until explicitly terminated")."""
+        """Terminate the CQ (paper: CQs run "until explicitly terminated").
+        This life's window operators deliver nothing more — not even the
+        rest of a close already under way, which a restart's rebuilt CQ
+        (the same object) must not hear."""
         self.detach()
         self._running = False
+        for op, callback in self.window_entries():
+            setattr(op, callback, _discard)
+
+    def window_entries(self) -> list:
+        """``(operator, callback name)`` for every window callback this
+        life's operator(s) evaluate the plan through: a close, an
+        event-time re-open and an early emit, or each side of a join.
+        Empty for a window-less transform, whose entry is
+        :meth:`on_tuple`."""
+        ops = ([port._op for port in self._ports] if self._ports is not None
+               else [self._window_op] if self._window_op is not None else [])
+        return [(op, callback) for op in ops
+                for callback in ("sink", "on_correction", "on_early")
+                if getattr(op, callback, None) is not None]
 
     def add_sink(self, sink) -> None:
-        """``sink(rows, open_time, close_time)`` called per window."""
+        """``sink(kind, rows, open_time, close_time)`` gets every record
+        the CQ emits: each final (``window``) and, on an event-time CQ,
+        each ``retract`` / ``correct`` pair and ``early`` result."""
         self._sinks.append(sink)
 
     def remove_sink(self, sink) -> None:
@@ -413,14 +453,10 @@ class ContinuousQuery(StreamConsumer):
         if sink in self._sinks:
             self._sinks.remove(sink)
 
-    def add_correction_sink(self, sink) -> None:
-        """``sink(kind, rows, open_time, close_time)`` called for typed
-        retract/correct/early records (event-time CQs only)."""
-        self._correction_sinks.append(sink)
-
-    def remove_correction_sink(self, sink) -> None:
-        if sink in self._correction_sinks:
-            self._correction_sinks.remove(sink)
+    def _emit(self, kind: str, rows, open_time: float,
+              close_time: float) -> None:
+        for sink in self._sinks:
+            sink(kind, rows, open_time, close_time)
 
     def is_event_time(self) -> bool:
         return self.emit_mode is not None
@@ -539,8 +575,7 @@ class ContinuousQuery(StreamConsumer):
             if self._h_lag is not None:
                 self._h_lag.observe(self.stream.tracker.lag())
             emit_started = time.perf_counter()
-            for sink in self._sinks:
-                sink(out, open_time, close_time)
+            self._emit("window", out, open_time, close_time)
             emit_seconds = time.perf_counter() - emit_started
         if obs is not None:
             self._record_window(exec_seconds + emit_seconds, close_time)
@@ -552,11 +587,10 @@ class ContinuousQuery(StreamConsumer):
                    close_time: float) -> None:
         """Window closed: run the plan over its relation — its rows, or
         on the sliced path the partials of the slices it covers."""
-        if self._running:
-            scanned = (self._window_op.last_window_input
-                       if self._agg is not None else len(window))
-            self._evaluate([window], open_time, close_time, scanned,
-                           (self.stream,))
+        scanned = (self._window_op.last_window_input
+                   if self._agg is not None else len(window))
+        self._evaluate([window], open_time, close_time, scanned,
+                       (self.stream,))
 
     # -- sliced window mode (vectorized incremental aggregation) --------------
 
@@ -684,28 +718,19 @@ class ContinuousQuery(StreamConsumer):
         plan over the gathered relation (rows or slice partials, as
         :meth:`_on_window`) and emit a typed retract(old)/correct(new)
         pair so downstream state converges."""
-        if not self._running:
-            return
         out = self._execute([window], open_time, close_time)
         self.stats.rows_out += len(out)
         old = self._emitted.get(close_time)
         if old is not None:
-            self._emit_correction("retract", old, open_time, close_time)
-        self._emit_correction("correct", out, open_time, close_time)
+            self._emit("retract", old, open_time, close_time)
+        self._emit("correct", out, open_time, close_time)
         self._emitted[close_time] = out
 
     def _on_early(self, window, open_time: float, close_time: float) -> None:
         """EMIT ON CHANGE / EMIT EVERY: speculative early output of the
         still-open window, typed so consumers can tell it from a final."""
-        if not self._running:
-            return
         out = self._execute([window], open_time, close_time)
-        self._emit_correction("early", out, open_time, close_time)
-
-    def _emit_correction(self, kind: str, rows, open_time: float,
-                         close_time: float) -> None:
-        for sink in self._correction_sinks:
-            sink(kind, rows, open_time, close_time)
+        self._emit("early", out, open_time, close_time)
 
     # -- two-stream join mode ------------------------------------------------------
 
@@ -713,8 +738,6 @@ class ContinuousQuery(StreamConsumer):
                   close_time: float) -> None:
         """One stream's window closed; evaluate when both sides have the
         relation for this boundary."""
-        if not self._running:
-            return
         key = round(close_time / self._advance)
         self._pending[index][key] = (list(rows), open_time, close_time)
         if key in self._pending[1 - index]:

@@ -99,7 +99,9 @@ class CheckpointManager:
         self._windows_since = 0
         cq.add_sink(self._on_window)
 
-    def _on_window(self, rows, open_time, close_time) -> None:
+    def _on_window(self, kind, rows, open_time, close_time) -> None:
+        if kind != "window":
+            return      # only a final moves the window grid
         self._windows_since += 1
         if self._windows_since < self.every_windows:
             return
@@ -219,10 +221,9 @@ def recover_cq(cq: ContinuousQuery, runtime,
     if wal is not None and wal.latest_checkpoint(cq.name) is not None:
         rungs.append(("checkpoint",
                       lambda: CheckpointManager.recover(cq, wal)))
-    # a restart's replacement CQ carries the name of the one it replaces
     channel = next((archive_of(derived)
                     for derived in runtime._derived_order
-                    if derived.cq.name == cq.name), None)
+                    if derived.cq is cq), None)
     if channel is not None and channel.close_column is not None:
         rungs.append(("active-table", lambda: recover_from_active_table(
             cq, channel.table, runtime.txn_manager, channel.close_column)))

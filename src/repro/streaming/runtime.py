@@ -90,9 +90,7 @@ class StreamingRuntime:
         derived = DerivedStream(name, cq.output_schema, text,
                                 retention=self.default_retention)
         derived.cq = cq
-        cq.add_sink(derived.publish)
-        if cq.is_event_time():
-            cq.add_correction_sink(derived.publish_correction)
+        cq.add_sink(derived.on_record)
         cq.attach()
         self.catalog.add_relation(name, cat.DERIVED_STREAM, derived)
         self._cqs[cq.name] = cq

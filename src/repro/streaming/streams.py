@@ -649,8 +649,17 @@ class DerivedStream:
     def consumers(self):
         return list(self._consumers)
 
+    def on_record(self, kind: str, rows, open_time: float,
+                  close_time: float) -> None:
+        """The owning CQ's sink: a final is published, any other record
+        is a correction."""
+        if kind == "window":
+            self.publish(rows, open_time, close_time)
+        else:
+            self.publish_correction(kind, rows, open_time, close_time)
+
     def publish(self, rows, open_time: float, close_time: float) -> None:
-        """Called by the owning CQ at each window close."""
+        """One window close of the owning CQ."""
         self.batches_out += 1
         self.tuples_out += len(rows)
         if self.retention is not None:

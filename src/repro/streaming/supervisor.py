@@ -14,16 +14,23 @@ pipeline down.  The supervisor is the runtime's answer:
 - **Bounded retry with exponential backoff** for channel writes: a
   transient storage fault (the simulated disk hiccuping) is retried up
   to ``policy.channel_retry_limit`` times with delays
-  ``backoff_base * backoff_factor^attempt`` before the batch is
-  quarantined.
+  ``backoff_base * backoff_factor^attempt`` before the record is
+  quarantined.  The guard wraps the channel's one write, so a final, a
+  retract and a correct are retried alike, and a write that keeps
+  failing is the channel's dead letter — never a strike on the CQ whose
+  evaluation succeeded.
 
 - **Automatic restart** of a CQ that keeps failing: after
   ``policy.restart_limit`` consecutive window failures the supervisor
-  rebuilds the CQ and recovers its runtime state through the existing
+  rebuilds the CQ *in place* (``ContinuousQuery.build`` on the stopped
+  object) and recovers its runtime state through the existing
   :mod:`repro.streaming.recovery` paths — WAL checkpoint when one
   exists, else the paper's rebuild-from-active-table, else a cold start.
-  After ``policy.max_restarts`` unsuccessful restarts the CQ is
-  quarantined (detached) instead of flapping forever.
+  Every holder of the CQ — the runtime registry, a derived stream,
+  subscriptions, sessions, checkpoint managers, the partition merge
+  stage — keeps the running object; only the new window callbacks are
+  guarded again.  After ``policy.max_restarts`` unsuccessful restarts
+  the CQ is quarantined (detached) instead of flapping forever.
 
 Supervision state machine (per supervised entity)::
 
@@ -42,8 +49,7 @@ from typing import Callable, List, Optional
 from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
 from repro.eventtime.lateness import LATE_EVENT as _LATE_EVENT
-from repro.streaming.cq import ContinuousQuery
-from repro.streaming.recovery import CheckpointManager, recover_cq
+from repro.streaming.recovery import recover_cq
 from repro.streaming.streams import BaseStream
 from repro.types.datatypes import (
     IntegerType,
@@ -207,7 +213,15 @@ class CQSupervisor:
             return self._by_target[id(cq)]
         entry = _Entry(cq.name, "cq", cq)
         self._register(entry)
-        self._wrap_cq(entry)
+        if not cq.window_entries():
+            # window-less transform: the stream calls cq.on_tuple per
+            # row, and a restart keeps the object, so this is guarded once
+            cq.on_tuple = self._guard(
+                entry, cq.on_tuple,
+                lambda exc, row, event_time: self._cq_failure(
+                    entry, [row], event_time, event_time, exc,
+                    kind=POISON_TUPLE))
+        self._guard_windows(entry)
         return entry
 
     def adopt_channel(self, channel) -> _Entry:
@@ -217,7 +231,7 @@ class CQSupervisor:
             return self._by_target[id(channel)]
         entry = _Entry(channel.name, "channel", channel)
         self._register(entry)
-        self._wrap_channel(entry)
+        self._guard_channel(entry)
         return entry
 
     def adopt_stream(self, stream: BaseStream) -> _Entry:
@@ -269,48 +283,31 @@ class CQSupervisor:
     # CQ wrapping and restart
     # ------------------------------------------------------------------
 
-    def _wrap_cq(self, entry: _Entry) -> None:
-        cq = entry.target
+    def _guard(self, entry: _Entry, original, failed):
+        """``original`` with a failure handed to ``failed(exc, *args)``
+        and a success clearing the entry's strikes."""
+        def guarded(*args):
+            try:
+                original(*args)
+            except Exception as exc:
+                failed(exc, *args)
+            else:
+                if entry.consecutive_failures:
+                    entry.consecutive_failures = 0
+                if entry.state == DEGRADED:
+                    entry.state = RUNNING
+        return guarded
 
-        def guard(original, failed):
-            """``original`` with a failure handed to ``failed(exc,
-            *args)`` and a success clearing the entry's strikes."""
-            def guarded(*args):
-                try:
-                    original(*args)
-                except Exception as exc:
-                    failed(exc, *args)
-                else:
-                    if entry.consecutive_failures:
-                        entry.consecutive_failures = 0
-                    if entry.state == DEGRADED:
-                        entry.state = RUNNING
-            return guarded
-
+    def _guard_windows(self, entry: _Entry) -> None:
+        """Guard the window callbacks this life of the CQ built
+        (``ContinuousQuery.window_entries``): at adoption, and again
+        after every restart, which builds new ones."""
         def window_failed(exc, rows, open_time, close_time):
             self._cq_failure(entry, rows, open_time, close_time, exc)
 
-        if cq._ports is not None:
-            # two-stream join: the port lambdas resolve _on_joint at call
-            # time, so an instance attribute intercepts every evaluation
-            cq._on_joint = guard(
-                cq._on_joint,
-                lambda exc, _index, *window: window_failed(exc, *window))
-        elif cq._window_op is not None:
-            # the whole window entry: a re-open and an early emit
-            # evaluate the same plan a close does
-            op = cq._window_op
-            for callback in ("sink", "on_correction", "on_early"):
-                if getattr(op, callback, None) is not None:
-                    setattr(op, callback,
-                            guard(getattr(op, callback), window_failed))
-        else:
-            # window-less transform: the stream calls cq.on_tuple per row
-            cq.on_tuple = guard(
-                cq.on_tuple,
-                lambda exc, row, event_time: self._cq_failure(
-                    entry, [row], event_time, event_time, exc,
-                    kind=POISON_TUPLE))
+        for op, callback in entry.target.window_entries():
+            setattr(op, callback,
+                    self._guard(entry, getattr(op, callback), window_failed))
 
     def _cq_failure(self, entry: _Entry, rows, open_time, close_time, exc,
                     kind: str = POISON_WINDOW) -> None:
@@ -324,19 +321,21 @@ class CQSupervisor:
             self._restart_cq(entry)
 
     def _restart_cq(self, entry: _Entry) -> None:
-        """Rebuild a repeatedly-failing CQ through the recovery paths."""
+        """Rebuild a repeatedly-failing CQ in place — stop, build,
+        recover through the recovery paths, attach, guard — so every
+        holder of the CQ keeps the running one."""
         if entry.restarts >= self.policy.max_restarts:
             self._quarantine_cq(entry, "max_restarts exceeded")
             return
         entry.state = RESTARTING
         entry.restarts += 1
-        old = entry.target
+        cq = entry.target
         try:
-            old.stop()
-            fresh = self._build_replacement(old)
+            cq.stop()
+            cq.build()
             try:
                 # False when the CQ comes back cold
-                recovered = recover_cq(fresh, self.runtime,
+                recovered = recover_cq(cq, self.runtime,
                                        fall_through=True) != "cold"
             except Exception as exc:
                 # replaying the tail re-executed the very failure that
@@ -346,48 +345,20 @@ class CQSupervisor:
                 self.quarantine(
                     entry.name, POISON_WINDOW,
                     f"failure replayed during recovery: {exc}", [])
-                fresh = self._build_replacement(old)
+                cq.build()
                 recovered = False
-            fresh.attach()
+            cq.attach()
         except Exception as exc:  # restart itself failed
             self._quarantine_cq(entry, f"restart failed: {exc}")
             return
-        self._rebind(old, fresh)
         if not recovered:
             self.quarantine(
                 entry.name, RESTART_LOSS,
                 "cold restart: no checkpoint or active table to recover "
                 "from; in-flight window state was lost", [])
-        entry.target = fresh
         entry.consecutive_failures = 0
         entry.state = RUNNING
-        self._by_target.pop(id(old), None)
-        self._by_target[id(fresh)] = entry
-        self._wrap_cq(entry)
-
-    def _build_replacement(self, old) -> ContinuousQuery:
-        """A fresh CQ from the runtime's one constructor (same executor
-        gear, instrumentation, faults and late-row quarantine as any
-        CQ), with the old one's sinks handed over."""
-        fresh = self.runtime._make_cq(old.select, old.name, old.params)
-        fresh._sinks = old._sinks  # keep subscriptions/derived/channels
-        # corrections keep flowing to the same channels/subscriptions
-        fresh._correction_sinks = old._correction_sinks
-        return fresh
-
-    def _rebind(self, old, fresh) -> None:
-        """Point everything that referenced the old CQ at the fresh one."""
-        if old.name in self.runtime._cqs:
-            self.runtime._cqs[old.name] = fresh
-        for derived in self.runtime._derived_order:
-            if derived.cq is old:
-                derived.cq = fresh
-        for sink in fresh._sinks:
-            # a checkpoint manager travels with its sink and must capture
-            # the operator that is running, not the stopped one's
-            manager = getattr(sink, "__self__", None)
-            if isinstance(manager, CheckpointManager):
-                manager.cq = fresh
+        self._guard_windows(entry)
 
     def _quarantine_cq(self, entry: _Entry, reason: str) -> None:
         entry.state = QUARANTINED
@@ -403,16 +374,18 @@ class CQSupervisor:
     # channel wrapping
     # ------------------------------------------------------------------
 
-    def _wrap_channel(self, entry: _Entry) -> None:
+    def _guard_channel(self, entry: _Entry) -> None:
+        """Wrap the channel's one write — a final's, a retract's, a
+        correct's — in bounded retry with backoff, then quarantine."""
         channel = entry.target
-        original = channel.on_batch
+        write = channel.write
         policy = self.policy
 
-        def guarded(rows, open_time, close_time):
+        def guarded(kind, rows, open_time, close_time):
             delay = policy.backoff_base
             for attempt in range(policy.channel_retry_limit + 1):
                 try:
-                    original(rows, open_time, close_time)
+                    write(kind, rows, open_time, close_time)
                 except Exception as exc:
                     entry.last_error = f"{type(exc).__name__}: {exc}"
                     if attempt == policy.channel_retry_limit:
@@ -420,7 +393,8 @@ class CQSupervisor:
                         entry.state = DEGRADED
                         self.quarantine(
                             entry.name, CHANNEL_WRITE,
-                            f"gave up after {attempt + 1} attempts: {exc}",
+                            f"{kind} write gave up after {attempt + 1} "
+                            f"attempts: {exc}",
                             rows, open_time, close_time)
                         return
                     entry.retries += 1
@@ -432,7 +406,7 @@ class CQSupervisor:
                     if entry.state == DEGRADED:
                         entry.state = RUNNING
                     return
-        channel.on_batch = guarded
+        channel.write = guarded
 
     # ------------------------------------------------------------------
     # introspection

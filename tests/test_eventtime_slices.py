@@ -276,9 +276,7 @@ class TestCheckpointRestart:
         out = []
 
         def wire(cq):
-            cq.add_sink(lambda rows, o, c: out.append(("window", c, rows)))
-            cq.add_correction_sink(
-                lambda kind, rows, o, c: out.append((kind, c, rows)))
+            cq.add_sink(lambda kind, rows, o, c: out.append((kind, c, rows)))
         wire(cq)
         db.insert_stream("s", self.BEFORE)
         assert [c for _kind, c, _rows in out] == [5.0]

@@ -831,6 +831,28 @@ class TestTransport:
             assert [tuple(w.rows) for w in sub.poll()] == \
                 [(("a", 1), ("b", 1))] * 2
 
+    def test_a_silent_stray_does_not_hold_up_a_respawn(self):
+        # any local process can park a connection that sends nothing:
+        # it must not hold the accept, or the respawn fails after
+        # spawn_timeout
+        with PartitionedEngine(partitions=2, transport="process",
+                               spawn_timeout=3.0) as eng:
+            stray = socket.create_connection((eng._host, eng._port))
+            try:
+                started = time.perf_counter()
+                eng.kill_worker(0)
+                assert eng.ping(0)
+                assert time.perf_counter() - started < 1.5
+                assert eng.restarts[0] == 1
+                # still silent when the worker got in: closed, unanswered
+                stray.settimeout(5)
+                try:
+                    assert stray.recv(1) == b""
+                except ConnectionError:
+                    pass
+            finally:
+                stray.close()
+
     @pytest.mark.parametrize("sabotage, error, fates", [
         (lambda argv: [sys.executable, "-c", "import time; time.sleep(60)"],
          "did not connect back", (-signal.SIGKILL,)),

@@ -75,7 +75,7 @@ class TestCaptureRestore:
         fresh = ContinuousQuery("copy", parse_statement(self.EVENT_CQ),
                                 db.catalog, db.txn_manager)
         out = []
-        fresh.add_sink(lambda rows, o, c: out.append((o, c, rows)))
+        fresh.add_sink(lambda _kind, rows, o, c: out.append((o, c, rows)))
         restore_window_state(fresh, state)
         fresh._window_op.on_flush()
         return out
@@ -84,7 +84,7 @@ class TestCaptureRestore:
         db = self.event_time_db()
         cq = db.runtime.create_cq(parse_statement(self.EVENT_CQ))
         live = []
-        cq.add_sink(lambda rows, o, c: live.append((o, c, rows)))
+        cq.add_sink(lambda _kind, rows, o, c: live.append((o, c, rows)))
         arrivals = [("/a", 4.0), ("/b", 8.0), ("/c", 6.0), ("/d", 11.0),
                     ("/e", 9.0), ("/f", 7.0)]
         db.insert_stream("clicks", arrivals)
@@ -127,7 +127,8 @@ class TestCheckpointRecovery:
         db = make_db()
         cq = db.runtime.create_cq(parse_statement(CQ_SQL), name="reporting")
         outputs = []
-        cq.add_sink(lambda rows, o, c: outputs.append((c, sorted(rows))))
+        cq.add_sink(
+            lambda _kind, rows, o, c: outputs.append((c, sorted(rows))))
         manager = CheckpointManager(cq, db.storage.wal, every_windows=every)
 
         db.insert_stream("clicks", events(0, crash_minute))
@@ -138,7 +139,8 @@ class TestCheckpointRecovery:
         # checkpoints are keyed by CQ name: the restarted CQ reuses it
         new_cq = ContinuousQuery("reporting", parse_statement(CQ_SQL),
                                  db.catalog, db.txn_manager)
-        new_cq.add_sink(lambda rows, o, c: outputs.append((c, sorted(rows))))
+        new_cq.add_sink(
+            lambda _kind, rows, o, c: outputs.append((c, sorted(rows))))
         CheckpointManager.recover(new_cq, db.storage.wal)
         new_cq.attach()
 
@@ -202,7 +204,7 @@ class TestActiveTableRecovery:
         cq = db.runtime.create_cq(parse_statement(CQ_SQL))
         table = db.get_table("archive")
 
-        def archive_sink(rows, open_time, close_time):
+        def archive_sink(_kind, rows, open_time, close_time):
             txn = db.txn_manager.begin()
             for row in rows:
                 table.insert(txn, row)
@@ -517,7 +519,8 @@ class TestNoCloseColumnNoGuess:
         assert db.recovery_stats["cqs"] == [("derived:agg", "cold")]
         closes = []
         db.catalog.get_relation("agg").cq.add_sink(
-            lambda rows, open_time, close_time: closes.append(close_time))
+            lambda _kind, rows, open_time, close_time:
+            closes.append(close_time))
         feed(db, AFTER)
         db.advance_streams(60.0)
         assert closes == [30.0, 40.0, 50.0, 60.0]

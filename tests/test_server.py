@@ -312,6 +312,28 @@ class TestEndToEnd:
         conn.ingest("s", [(2, 2.0)])
         assert sub.tuples(timeout=0.3) == []
 
+    def test_unsubscribing_a_restarted_cq_stops_it(self, conn):
+        # two poison windows restart the ad-hoc CQ in place: the
+        # session still holds the running CQ, so unsubscribing stops it
+        # and takes it off the stream
+        conn.execute("SET supervision = on")
+        conn.execute(STREAM_DDL)
+        consumers = "SELECT consumers FROM repro_streams WHERE name = 's'"
+        before = conn.query(consumers).rows
+        sub = conn.execute("SELECT 10 / sum(v) AS r FROM s "
+                           "<VISIBLE '1 minute'>")
+        for close in (60.0, 120.0):
+            conn.ingest("s", [(0, close - 5.0)])
+            conn.advance(close)
+        assert conn.query("SELECT restarts FROM repro_supervisor_status "
+                          "WHERE name = ?", (sub.name,)).rows == [(1,)]
+        conn.ingest("s", [(5, 125.0)])
+        conn.advance(180.0)
+        assert [w.rows for w in sub.wait_windows(1, timeout=5.0)] == \
+            [[(2.0,)]]
+        sub.unsubscribe()
+        assert conn.query(consumers).rows == before
+
     def test_engine_errors_map_to_remote_errors(self, conn):
         with pytest.raises(RemoteError) as info:
             conn.execute("SELECT * FROM missing")

@@ -361,7 +361,7 @@ class TestStoreSafety:
         sql_b = CQ_TEMPLATE.format(v="2 minutes")
 
         def collector(out):
-            return lambda rows, o, c: out.append((c, sorted(rows)))
+            return lambda _kind, rows, o, c: out.append((c, sorted(rows)))
 
         def run(crash_minute):
             db = Database(stream_retention=3600.0)
@@ -406,7 +406,7 @@ class TestStoreSafety:
         events = click_events(n_per_minute=4, minutes=10)
 
         def collector(out):
-            return lambda rows, o, c: out.append((c, sorted(rows)))
+            return lambda _kind, rows, o, c: out.append((c, sorted(rows)))
 
         def run(crash):
             db = Database(stream_retention=3600.0)

@@ -8,6 +8,7 @@ import pytest
 
 from repro import Database
 from repro.cli import Shell
+from repro.core.results import Subscription
 from repro.errors import BackpressureError, ExecutionError, FaultInjected
 from repro.faults import FaultInjector
 from repro.streaming.channels import archive_of
@@ -148,6 +149,71 @@ class TestChannelRetry:
         assert db.table_rows("arch") == [("b", 1, 120.0)]
 
 
+class TestCorrectionWrites:
+    """A retract / correct record reaches the channel through the same
+    write as a final, so the supervisor retries and quarantines it the
+    same way — and a channel that cannot write is the channel's dead
+    letter, not a strike on the CQ whose evaluation succeeded."""
+
+    NO_FAULT, TRANSIENT, PERMANENT = 0, 1, None   # channel.write count
+
+    def run(self, mode, count=NO_FAULT):
+        db = Database(supervised=True, stream_retention=3600.0)
+        db.execute("CREATE STREAM clicks (url varchar(20), "
+                   "ts timestamp CQTIME USER) WATERMARK '5 seconds'")
+        injector = FaultInjector()
+        db.set_fault_injector(injector)
+        db.execute_script(f"""
+            CREATE STREAM counts AS SELECT url, count(*) AS n,
+                cq_close(*) AS stime
+                FROM clicks <VISIBLE '10 seconds'> GROUP BY url
+                EMIT ON WATERMARK ALLOW LATENESS '30 seconds' RETRACT;
+            CREATE TABLE arch (url varchar(20), n bigint, stime timestamp);
+            CREATE CHANNEL ch FROM counts INTO arch {mode};
+        """)
+        cq = db.catalog.get_relation("counts").cq
+        sub = Subscription(cq, db.runtime)
+        db.insert_stream("clicks", [("/a", 1.0), ("/a", 2.0), ("/b", 12.0),
+                                    ("/a", 16.0)])     # closes window 10
+        if count != self.NO_FAULT:
+            injector.arm("channel.write", count=count)
+        db.insert_stream("clicks", [("/a", 3.0)])      # re-opens it
+        return db, cq, sub
+
+    @pytest.mark.parametrize("mode", ["APPEND", "REPLACE"])
+    def test_a_transient_fault_on_a_correction_is_retried(self, mode):
+        clean, _cq, _sub = self.run(mode)
+        want = sorted(clean.table_rows("arch"))
+        assert want == [("/a", 3, 10.0)]
+        db, cq, _sub = self.run(mode, self.TRANSIENT)
+        channel = db.catalog.get_channel("ch")
+        assert sorted(db.table_rows("arch")) == want
+        assert db.supervisor.entry_for(channel).retries == 1
+        assert db.supervisor.entry_for(cq).failures == 0
+        assert db.supervisor.dead_letter_rows() == []
+        # the guard wraps the one write, not the consumer entry points
+        assert "on_batch" not in vars(channel)
+        assert "on_correction" not in vars(channel)
+
+    # APPEND writes the retract and the correct; on REPLACE the retract
+    # is a no-op and only the correct is written
+    @pytest.mark.parametrize("mode, failed", [("APPEND", 2), ("REPLACE", 1)])
+    def test_a_permanent_fault_is_the_channels_dead_letter(self, mode,
+                                                           failed):
+        db, cq, sub = self.run(mode, self.PERMANENT)
+        letters = [(row[1], row[2])
+                   for row in db.supervisor.dead_letter_rows()]
+        assert letters == [("ch", "channel-write")] * failed
+        assert db.supervisor.entry_for(cq).failures == 0
+        assert sorted(db.table_rows("arch")) == [("/a", 2, 10.0)]
+        # the CQ's other sinks got every record
+        assert [(w.kind, w.close_time, w.rows) for w in sub.poll()] == [
+            ("window", 10.0, [("/a", 2, 10.0)]),
+            ("retract", 10.0, [("/a", 2, 10.0)]),
+            ("correct", 10.0, [("/a", 3, 10.0)]),
+        ]
+
+
 class TestRestart:
     def failing_pipeline(self, db):
         db.execute_script("""
@@ -207,7 +273,7 @@ class TestRestart:
             db.insert_stream("s", [("a", 0, close - 5.0)])
             db.advance_streams(close)
         fresh = db.runtime.cqs()[old.name]
-        assert fresh is not old and manager.cq is fresh
+        assert fresh is old and manager.cq is fresh
         taken = manager.checkpoints_taken
         db.insert_stream("s", [("b", 5, 185.0)])
         db.advance_streams(240.0)               # two more windows
@@ -232,7 +298,7 @@ class TestRestart:
             db.insert_stream("s", [("a", 0, close - 5.0)])
             db.advance_streams(close)
         fresh = db.runtime.cqs()["derived:agg"]
-        assert fresh is not old
+        assert fresh is old
         assert db.supervisor.entry_for(fresh).restarts == 1
         # the replacement is the CQ the runtime would have built: same
         # window operator class, same executor gear, still instrumented
@@ -262,6 +328,68 @@ class TestRestart:
         db.insert_stream("s", [("b", 5, close - 5.0)])
         db.advance_streams(close)
         assert db.table_rows("arch") == []
+
+
+class TestRestartInPlace:
+    """A restart rebuilds the CQ in place: every holder keeps the
+    running object, and closing a subscription stops what runs."""
+
+    def test_a_subscription_stops_the_cq_it_started(self, db):
+        sub = db.subscribe("SELECT 10 / sum(v) AS r FROM s "
+                           "<VISIBLE '1 minute'>")
+        name, stream = sub.cq.name, db.get_stream("s")
+        for close in (60.0, 120.0):             # two poison windows
+            db.insert_stream("s", [("a", 0, close - 5.0)])
+            db.advance_streams(close)
+        assert sub.cq is db.runtime.cqs()[name]
+        assert db.supervisor.entry_for(sub.cq).restarts == 1
+        db.insert_stream("s", [("a", 5, 125.0)])
+        db.advance_streams(180.0)
+        assert sub.stats.windows_evaluated == 1   # the rebuilt life's
+        assert [w.rows for w in sub.poll()] == [[(2.0,)]]
+        sub.close()
+        assert name not in db.runtime.cqs()
+        assert len(stream.consumers) == 0
+        assert db.query("SELECT consumers FROM repro_streams "
+                        "WHERE name = 's'").scalar() == 0
+        db.insert_stream("s", [("a", 5, 185.0)])
+        db.advance_streams(300.0)
+        assert sub.poll() == []
+
+    TRANSFORM = ("SELECT k, 10 / v AS r FROM s", ("a", 0))
+    JOIN = ("SELECT 10 / (s.v - t.w) AS r FROM s <VISIBLE '1 minute'>, "
+            "t <VISIBLE '1 minute'> WHERE s.k = t.k", ("a", 3))
+
+    # a join side that only buffers its window is a success that clears
+    # the strikes, so a join takes restart_limit 1 to restart at all
+    @pytest.mark.parametrize("select, poison, limit", [
+        TRANSFORM + (1,), JOIN + (1,), TRANSFORM + (2,)],
+        ids=["transform", "join", "transform-limit-2"])
+    def test_restart_guards_are_installed_once(self, db, select, poison,
+                                               limit):
+        # a restart keeps the object: a guard stacked on a guard would
+        # count a failure once and then clear the strike as the outer
+        # layer's success — a CQ that never restarts again
+        db.execute("CREATE STREAM t (k varchar(10), w integer, "
+                   "ts timestamp CQTIME USER)")
+        policy = db.supervisor.policy
+        policy.restart_limit = limit
+        policy.max_restarts = 2
+        sub = db.subscribe(select)
+        close = 60.0
+        for _ in range(3 * limit + 1):
+            db.insert_stream("s", [poison + (close - 5.0,)])
+            db.insert_stream("t", [("a", 3, close - 4.0)])
+            db.advance_streams(close)
+            close += 60.0
+        status = {row[0]: row for row in db.supervisor.status_rows()}
+        name = sub.cq.name
+        assert (status[name][3], status[name][5], status[name][2]) == \
+            (3 * limit, 2, "quarantined")
+        strikes = ["poison-tuple" if "<" not in select
+                   else "poison-window"] * limit
+        assert [row[2] for row in db.supervisor.dead_letter_rows()] == \
+            (strikes + ["restart-loss"]) * 2 + strikes + ["poison-window"]
 
 
 class TestBackpressure:
