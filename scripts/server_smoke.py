@@ -24,7 +24,10 @@ deployment would — separate processes, a real TCP socket:
    fall back to what it was before the subscribe — a restart keeps the
    subscription's CQ, so nothing of it may stay on the stream;
 5. the third server shuts down gracefully over the protocol and must
-   exit 0.
+   exit 0;
+6. ``repro-server --archive-dir X`` without ``--data-dir`` must exit
+   non-zero before printing a banner: log options need a log directory,
+   and the server must not quietly run on an in-memory log instead.
 
 The archived CQ projects a timestamp (``max(ts)``) *after* its
 ``cq_close(*)``: a restart must re-grid the windows on the close column,
@@ -36,6 +39,7 @@ Run from the repository root::
     PYTHONPATH=src python scripts/server_smoke.py
 """
 
+import os
 import re
 import shutil
 import signal
@@ -133,6 +137,25 @@ def restart_leg(conn):
         fail(f"unsubscribing the restarted CQ left consumers {after} on "
              f"the stream (before the subscribe: {before})")
     print(f"restarted CQ stopped by its unsubscribe: consumers {after}")
+
+
+def refusal_leg(scratch):
+    """Log options without a log directory are a usage error."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.server", "--port", "0",
+         "--archive-dir", scratch],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        fail("--archive-dir without --data-dir served instead of exiting")
+    if proc.returncode == 0 or "listening on" in out:
+        fail(f"--archive-dir without --data-dir: exit {proc.returncode}, "
+             f"stdout {out!r}")
+    print("--archive-dir without --data-dir refused: "
+          f"{err.strip().splitlines()[-1]}")
 
 
 def main():
@@ -233,6 +256,7 @@ def main():
         code = proc.wait(timeout=10)
         if code != 0:
             fail(f"server exited {code}")
+        refusal_leg(os.path.join(data_dir, "refused-archive"))
         print("SMOKE OK")
     finally:
         if proc is not None and proc.poll() is None:

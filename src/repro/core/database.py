@@ -21,6 +21,11 @@ Typical use::
     db.advance_streams(120.0)
     for window in sub.poll():
         print(window.close_time, window.rows)
+
+``Database()`` is an engine on an empty in-memory log.  An engine on a
+log directory — new, reopened after a crash, or a standby — comes from
+:func:`repro.replication.open_database`, the one way onto a log: it
+builds the engine, replays the durable records and promotes it.
 """
 
 from __future__ import annotations
@@ -61,9 +66,6 @@ class Database:
                  fault_injector=None,
                  backpressure_policy: Optional[str] = None,
                  high_water_mark: Optional[int] = None,
-                 wal_path: Optional[str] = None,
-                 wal_segment_bytes: Optional[int] = None,
-                 wal_archive_dir: Optional[str] = None,
                  observability: bool = True,
                  trace_sample_rate: float = 0.01,
                  vectorize: bool = True,
@@ -75,10 +77,7 @@ class Database:
         self.faults = fault_injector
         self.obs = Observability(enabled=observability,
                                  sample_rate=trace_sample_rate)
-        self.storage = StorageManager(buffer_pages, faults=fault_injector,
-                                      wal_path=wal_path,
-                                      wal_segment_bytes=wal_segment_bytes,
-                                      wal_archive_dir=wal_archive_dir)
+        self.storage = StorageManager(buffer_pages, faults=fault_injector)
         self.obs.bind_storage(self.storage)
         self.txn_manager = TransactionManager(self.storage.wal)
         self.catalog = Catalog()
@@ -123,13 +122,6 @@ class Database:
         from repro.core.system_views import install_system_views
         install_system_views(self)
         self.obs.bind_admission(self.admission)
-        if wal_path is not None:
-            # file-backed logs carry streaming DDL and the stream tail,
-            # not just table rows — log those from the start.  Whether
-            # anything this engine does is *authored* into the log is the
-            # log's own switch (`wal.muted`: boot replay, a standby until
-            # promotion), not a second kind of database.
-            self.enable_replication_logging()
 
     def enable_replication_logging(self) -> None:
         """Start logging stream traffic and streaming DDL into the WAL.
@@ -138,7 +130,9 @@ class Database:
         ``stream_advance`` records, and every CREATE/DROP of a streaming
         object becomes a ``ddl_obj`` record — the extra record kinds a
         WAL-shipping standby (or a crash-consistent restart) needs to
-        mirror runtime state, not just durable tables.  Idempotent.
+        mirror runtime state, not just durable tables.  Idempotent;
+        ``open_database`` turns it on for a log directory, the
+        replication manager when a standby attaches to an in-memory one.
         """
         if self.runtime.stream_logger is not None:
             return
@@ -623,8 +617,8 @@ class Database:
         return _ok()
 
     def _register_table(self, name: str, schema: Schema):
-        """Create a table and log its DDL durably, so
-        :meth:`recover_from_wal` can rebuild the schema after a crash."""
+        """Create a table and log its DDL durably, so a replay of the log
+        can rebuild the schema after a crash."""
         table = self.storage.create_table(name, schema)
         self.catalog.add_relation(name, cat.TABLE, table)
         self.storage.wal.append(0, "ddl", name, payload=schema.to_specs(),
@@ -1086,28 +1080,6 @@ class Database:
     def __exit__(self, *exc):
         self.close()
         return False
-
-    @classmethod
-    def recover_from_wal(cls, wal, **options) -> "Database":
-        """Rebuild a database from a surviving write-ahead log.
-
-        The crash model of the paper's Section 4: "all in-flight
-        transactions are deemed aborted on failure" — only durably
-        logged, committed work is reconstructed, by the one replayer
-        (:class:`~repro.replication.bootstrap.WalApplier`), into a new
-        database whose own log is *not* muted: it authors a fresh log of
-        the durable state it rebuilds — schema, pipeline DDL, committed
-        rows, an abort after a commit it took back — while stream tails
-        and dedup watermarks come back in memory only
-        (``open_database`` reopens a data dir in place, log and all).
-        """
-        from repro.replication.bootstrap import WalApplier
-        db = cls(**options)
-        applier = WalApplier(db)
-        for record in wal.durable_records():
-            applier.apply(record)
-        applier.promote()
-        return db
 
     def vacuum(self, table_name: Optional[str] = None) -> int:
         """Reclaim dead MVCC versions; returns how many were removed.

@@ -1,4 +1,4 @@
-"""Partitioned parallel execution (ROADMAP item 2).
+"""Partitioned parallel execution.
 
 Hash-partition streams by a declared ``PARTITION BY`` key across N
 worker processes, each running the full single-process engine on its

@@ -7,7 +7,8 @@ package makes that true across process boundaries:
 - :mod:`repro.replication.bootstrap` — the one replayer
   (``WalApplier.apply`` / ``promote``): rebuild a whole engine (catalog,
   streams, tables, CQ windows) from WAL records, whether they come from
-  the data dir at boot or from a primary, one shipment at a time;
+  the data dir at boot or from a primary, one shipment at a time; and
+  ``open_database``, the one way to put an engine on a log;
 - :mod:`repro.replication.primary` — primary-side WAL shipping to any
   number of attached standbys, resumable from an LSN;
 - :mod:`repro.replication.standby` — the standby controller: pulls the
@@ -16,9 +17,9 @@ package makes that true across process boundaries:
   heartbeats) with the call boot ends with.
 """
 
-from repro.replication.bootstrap import (  # noqa: F401
-    open_database,
-    recover_runtime,
-)
-from repro.replication.primary import ReplicationManager  # noqa: F401
-from repro.replication.standby import StandbyController  # noqa: F401
+from repro.replication.bootstrap import WalApplier, open_database
+from repro.replication.primary import ReplicationManager
+from repro.replication.standby import StandbyController
+
+__all__ = ["open_database", "WalApplier", "ReplicationManager",
+           "StandbyController"]

@@ -24,18 +24,19 @@ tables, stream tails, catalog objects and dedup state, through two verbs:
   the retry.  (Truncating cannot work: a torn batch need not be the
   log's tail.  An older binary ignores the record.)
 
-Everything that replays a log calls those two.  Boot is a standby of its
-own log: :func:`open_database` applies the durable records with the log
-muted, then promotes — or, for a restarted standby, does not, and the
+Everything that replays a log calls those two, and :func:`open_database`
+is the one way to put an engine on a log: it builds the engine, applies
+the log's durable records, promotes — unless it opens a standby — and
+releases the archived records.  Boot is a standby of its own log; a
+restarted standby is not promoted, and the
 :class:`~repro.replication.standby.StandbyController` goes on feeding
 the *same* applier (``db.applier``: what it held at the restart it
 holds still) until ``promote_on_engine`` calls the same ``promote()``.
-``Database.recover_from_wal`` is the two verbs over a new, unmuted
-database.  Whether ``apply`` authors anything is the caller's switch
-(``wal.muted``: boot and a follower are muted); ``promote()`` ends by
-turning it off.  ``apply_batches`` is the follower's transport around
-``apply`` — LSN order, ``append_replicated``, poison quarantine — and
-takes nothing once promoted.  docs/REPLICATION.md has the long form.
+An applier never authors: it mutes its engine's log (``wal.muted``)
+when it is made, and ``promote()`` is the one unmute.  ``apply_batches``
+is the follower's transport around ``apply`` — LSN order,
+``append_replicated``, poison quarantine — and takes nothing once
+promoted.  docs/REPLICATION.md has the long form.
 """
 
 from __future__ import annotations
@@ -58,13 +59,11 @@ from repro.streaming.windows import TimeWindowOperator
 WAL_FILENAME = "wal.jsonl"
 #: the segmented WAL directory inside a ``--data-dir``
 WAL_DIRNAME = "wal"
-#: where compaction parks sealed segments (still replayed at boot)
-WAL_ARCHIVE_DIRNAME = "wal_archive"
 
 
-def _data_dir_wal_options(data_dir: str, options: dict) -> str:
-    """Resolve a data dir to the segmented-WAL layout and default the
-    archive option.  Returns the WAL directory path.  A data dir that
+def _data_dir_wal(data_dir: str) -> str:
+    """Resolve a data dir to its segment directory (``wal/``; the
+    archive defaults to its ``wal_archive/`` sibling).  A data dir that
     holds only a pre-segment ``wal.jsonl`` is refused: booting past it
     would silently start an empty database next to the old log."""
     os.makedirs(data_dir, exist_ok=True)
@@ -76,9 +75,6 @@ def _data_dir_wal_options(data_dir: str, options: dict) -> str:
             f"supported and there is no {WAL_DIRNAME}/ segment directory "
             "beside it (restore the data dir from a backup taken by a "
             "segmented server)")
-    if options.get("wal_archive_dir") is None:
-        options["wal_archive_dir"] = os.path.join(
-            data_dir, WAL_ARCHIVE_DIRNAME)
     return wal_dir
 
 
@@ -97,6 +93,9 @@ class WalApplier:
 
     def __init__(self, db, faults=None):
         self.db = db
+        # the one mute: what this applier replays is already on record
+        # (in its own log at boot, in the primary's while following)
+        db.storage.wal.muted = True
         self.faults = faults if faults is not None else db.faults
         self.deferred: List[dict] = []   # pipeline DDL held for promote()
         self._txns: Dict[int, list] = {}     # txid -> ops awaiting commit
@@ -123,11 +122,10 @@ class WalApplier:
 
     def apply_batches(self, frames: List[dict]) -> int:
         """Apply ``wal`` push frames in order; returns records applied.
-        A shipped record's effect authors nothing — a follower's log is
-        muted from the start, a bare applier's for the call — and
-        ``append_replicated`` is the only way in.  Once promoted this
-        node authors its own log: a frame the old primary still got out
-        is dropped whole.
+        A shipped record's effect authors nothing — the log is muted
+        until :meth:`promote` — and ``append_replicated`` is the only way
+        in.  Once promoted this node authors its own log: a frame the old
+        primary still got out is dropped whole.
 
         Raises :class:`WalGap` when the shipment skips past the next
         expected LSN (a batch was lost — e.g. the ``replication.ship``
@@ -138,22 +136,21 @@ class WalApplier:
             return 0
         wal = self.db.storage.wal
         applied = 0
-        with wal.mute():
-            try:
-                for frame in frames:
-                    for fields in frame.get("records", ()):
-                        record = record_from_wire(fields)
-                        expected = wal.head_lsn + 1
-                        if record.lsn < expected:
-                            continue    # duplicate (re-ship overlap)
-                        if record.lsn > expected:
-                            raise WalGap(expected)
-                        self._apply_one(record)
-                        applied += 1
-            finally:
-                if applied:
-                    wal.flush()         # standby durability point
-                    self.trim_tails()
+        try:
+            for frame in frames:
+                for fields in frame.get("records", ()):
+                    record = record_from_wire(fields)
+                    expected = wal.head_lsn + 1
+                    if record.lsn < expected:
+                        continue        # duplicate (re-ship overlap)
+                    if record.lsn > expected:
+                        raise WalGap(expected)
+                    self._apply_one(record)
+                    applied += 1
+        finally:
+            if applied:
+                wal.flush()             # standby durability point
+                self.trim_tails()
         return applied
 
     def trim_tails(self) -> None:
@@ -219,11 +216,8 @@ class WalApplier:
             self._txns.pop(record.txid, None)
             if self._applied[0] == record.txid:
                 # the abort on record wins over the commit before it (a
-                # commit whose flush failed): take the transaction back,
-                # on record too if this replay authors a log of its own
-                local = self._applied[1]
-                db.txn_manager.revoke(local)
-                db.storage.wal.append(local.txid, walrec.ABORT)
+                # commit whose flush failed): take the transaction back
+                db.txn_manager.revoke(self._applied[1])
                 self._applied = (None, None)
         elif kind == walrec.DDL:
             if record.payload is not None \
@@ -328,7 +322,6 @@ class WalApplier:
                 policy = payload.get("disorder_policy")
                 if policy:
                     stream.disorder_policy = policy
-                db._log_stream_ddl(stream)  # into an unmuted (fresh) log
         elif kind == "view":
             if not db.catalog.has_relation(name):
                 db.execute(f"CREATE VIEW {name} AS {payload['query']}")
@@ -344,11 +337,10 @@ class WalApplier:
     def promote(self) -> List[tuple]:
         """Discard what still waits, apply the held pipeline DDL, rebuild
         every CQ's in-flight window (returns :func:`recover_cqs`'
-        outcomes).  Promotion *is* the unmute, and it happens here: the
-        held DDL goes in first, in the mute state the records were
-        applied in (a follower's log, or a booting one, already holds
-        it; ``recover_from_wal``'s fresh log takes it down); the
-        tombstones, and what the CQs emit, are logged."""
+        outcomes).  Promotion *is* the unmute, and it happens here, after
+        the held DDL — the log it was replayed from already holds it —
+        and before the tombstones and what the CQs emit, which are
+        logged."""
         db = self.db
         wal = db.storage.wal
         self.promoted = True
@@ -378,64 +370,58 @@ class WalApplier:
 def open_database(data_dir: Optional[str] = None,
                   wal_path: Optional[str] = None, standby: bool = False,
                   **options) -> Database:
-    """Open (or create) a database on a data directory.
-
-    When the directory already holds a WAL, the returned database has
-    its full runtime state recovered (:func:`recover_runtime`: stats in
-    ``db.recovery_stats``); the replayer is left as ``db.applier``.
+    """Open (or create) a database — the one way to put an engine on a
+    log.  Build the engine, replay the log's durable records through a
+    :class:`WalApplier` (left as ``db.applier``), ``promote()`` it unless
+    this is a ``standby``, release the archived records from memory; what
+    the replay rebuilt is in ``db.recovery_stats``.
 
     A data dir uses the segmented WAL layout (``wal/`` + a
-    ``wal_archive/`` sibling); boot recovery replays archive + live
-    segments, then archived records are released from memory so a
-    long-compacted history costs RAM only during boot.  Passing
-    ``wal_path`` names the segment directory directly.
+    ``wal_archive/`` sibling, or ``wal_archive_dir``; segments roll at
+    ``wal_segment_bytes``); ``wal_path`` names the segment directory
+    directly; with neither, the log is in memory.  The other ``options``
+    are :class:`Database`'s.
 
-    ``standby=True`` opens the database of a follower: its log is muted
-    from the start — it must remain a verbatim prefix of the primary's,
-    so shipped records slot in at their original LSNs — and stays muted
-    until promotion.  A restarted standby is replayed, not promoted:
-    ``db.applier`` still holds what it held (see the module docstring).
+    ``standby=True`` opens the database of a follower: its log stays
+    muted — it must remain a verbatim prefix of the primary's, so
+    shipped records slot in at their original LSNs — until promotion.
+    A restarted standby is replayed, not promoted: ``db.applier`` still
+    holds what it held (see the module docstring).
     """
+    segment_bytes = options.pop("wal_segment_bytes", None)
+    archive_dir = options.pop("wal_archive_dir", None)
     if data_dir is not None:
-        wal_path = _data_dir_wal_options(data_dir, options)
-    db = Database(wal_path=wal_path, **options)
-    # before any replay: nothing below may author into a follower's log
-    db.storage.wal.muted = standby
-    db.applier = WalApplier(db)
-    db.recovery_stats = (recover_runtime(db, standby)
-                         if db.storage.wal.records else None)
-    db.storage.wal.release_archived()
-    return db
-
-
-def recover_runtime(db: Database, standby: bool = False) -> dict:
-    """Rebuild catalog + runtime state from ``db``'s preloaded WAL: feed
-    its durable records through ``db.applier`` with the log muted —
-    recovery must not re-log what it is reading from the log — then
-    promote (which unmutes), unless this is a restarted ``standby``."""
+        wal_path = _data_dir_wal(data_dir)
+    elif wal_path is None and (segment_bytes, archive_dir) != (None, None):
+        raise ValueError("wal_segment_bytes and wal_archive_dir need a log "
+                         "directory (data_dir or wal_path)")
+    db = Database(**options)
+    applier = db.applier = WalApplier(db)
     wal = db.storage.wal
-    applier = db.applier
-    with wal.mute():
-        for record in wal.durable_records():
-            applier.apply(record)
-        snapshot = db.txn_manager.take_snapshot()
-        tables = [table for _name, table in db.catalog.relations(cat.TABLE)]
-        rows = sum(table.row_count(snapshot, db.txn_manager)
-                   for table in tables)
-        if standby:
-            applier.trim_tails()
-            cqs = []
-        else:
-            # still muted: the held DDL promote() starts with is in this log
-            cqs = applier.promote()
-    stats = {"tables": len(tables), "rows": rows,
-             "streams": len(list(db.catalog.relations(cat.STREAM))),
-             "stream_tuples": applier.stream_tuples,
-             "dedup_markers": applier.dedup_markers,
-             "deferred": list(applier.deferred), "cqs": cqs}
+    if wal_path is not None:
+        wal.open(wal_path, segment_bytes, archive_dir)
+        # a log on disk carries streaming DDL and the stream tail too
+        db.enable_replication_logging()
+    for record in wal.durable_records():
+        applier.apply(record)
+    snapshot = db.txn_manager.take_snapshot()
+    tables = [table for _name, table in db.catalog.relations(cat.TABLE)]
+    rows = sum(table.row_count(snapshot, db.txn_manager) for table in tables)
+    if standby:
+        applier.trim_tails()
+        cqs = []
+    else:
+        cqs = applier.promote()
+    db.recovery_stats = {
+        "tables": len(tables), "rows": rows,
+        "streams": len(list(db.catalog.relations(cat.STREAM))),
+        "stream_tuples": applier.stream_tuples,
+        "dedup_markers": applier.dedup_markers,
+        "deferred": list(applier.deferred), "cqs": cqs}
     if applier.torn_batch_rows:
-        stats["torn_batch_rows"] = applier.torn_batch_rows
-    return stats
+        db.recovery_stats["torn_batch_rows"] = applier.torn_batch_rows
+    wal.release_archived()
+    return db
 
 
 # ---------------------------------------------------------------------------

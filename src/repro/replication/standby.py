@@ -4,12 +4,14 @@
 primary over the ordinary frame protocol, issues ``replicate``, pumps
 ``wal`` pushes into the database's
 :class:`~repro.replication.bootstrap.WalApplier` — the one replayer,
-and the same object that replayed this standby's own log if it was
-restarted — acks applied LSNs, heartbeats when idle, reconnects with
-backoff, and promotes either on request or after ``miss_limit``
-consecutive failed contact attempts.  Shipped records land in the
-standby's own WAL verbatim (same LSNs: a byte-prefix of the primary's);
-poison records are quarantined, not fatal (see ``apply_batches``).
+left on the database by ``open_database(standby=True)`` (the same
+object that replayed this standby's own log if it was restarted) —
+acks applied LSNs, heartbeats when idle, reconnects with backoff, and
+promotes either on request or after ``miss_limit`` consecutive failed
+contact attempts.  Until that applier is promoted this node authors
+nothing: shipped records land in the standby's own WAL verbatim (same
+LSNs: a byte-prefix of the primary's); poison records are quarantined,
+not fatal (see ``apply_batches``).
 """
 
 from __future__ import annotations
@@ -58,12 +60,9 @@ class StandbyController:
         self.auto_promote = auto_promote
         self.connect_timeout = connect_timeout
         self.max_backoff = max_backoff
-        # the replayer of this standby's own log, if it was restarted
-        self.applier = self.db.applier
-        if self.applier is None or self.applier.promoted:
-            self.applier = WalApplier(self.db)
-        # following starts here: the log stays muted until promotion
-        self.db.storage.wal.muted = True
+        # the replayer `open_database(standby=True)` left on the database;
+        # the log stays a copy of the primary's until it is promoted
+        self.applier: WalApplier = self.db.applier
         self.state = "connecting"
         self.head_seen = 0              # primary's head LSN, last we heard
         self.misses = 0

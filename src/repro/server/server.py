@@ -75,29 +75,29 @@ class TruSQLServer:
                  clock=None,
                  **db_options):
         from repro.clock import SYSTEM_CLOCK
+        from repro.replication.bootstrap import open_database
+        if partitions and (data_dir is not None or standby_of is not None):
+            # worker shards are volatile: a log replay (boot, or a
+            # standby's) would bypass the partition router
+            raise ValueError("partitions are incompatible with a data dir "
+                             "and with standby mode")
+        if standby_of is not None and db is not None:
+            raise ValueError("a standby opens its own database: standby_of "
+                             "takes no db")
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         if clock is not None and db is None:
             db_options.setdefault("clock", clock)
         self.role = "standby" if standby_of else "primary"
         if db is None:
-            if data_dir is not None or standby_of is not None:
-                from repro.replication.bootstrap import open_database
-                db = open_database(data_dir=data_dir,
-                                   standby=standby_of is not None,
-                                   **db_options)
-            else:
-                db = Database(**db_options)
+            db = open_database(data_dir=data_dir,
+                               standby=standby_of is not None, **db_options)
         self.db = db
         # the four verbs a session runs on the engine thread, bound
         # once.  Partitioned execution: a PartitionedEngine wrapping
         # this database answers them (and fans clock advances and
-        # flushes out to its shards; worker subprocesses are volatile —
-        # incompatible with standby replication)
+        # flushes out to its shards)
         self.partition_engine = None
         if partitions:
-            if standby_of is not None:
-                raise ValueError(
-                    "partitions are incompatible with standby mode")
             from repro.partition import PartitionedEngine
             engine = self.partition_engine = PartitionedEngine(
                 partitions=partitions, transport="process", db=self.db)
@@ -795,14 +795,6 @@ def main(argv=None) -> int:
                              "across N worker subprocesses")
     args = parser.parse_args(argv)
 
-    if args.partitions:
-        if args.standby_of is not None:
-            parser.error("--partitions is incompatible with --standby-of "
-                         "(worker shards are not replicated)")
-        if args.data_dir is not None:
-            parser.error("--partitions is incompatible with --data-dir "
-                         "(WAL replay would bypass the partition router)")
-
     if args.restore_from is not None:
         if args.data_dir is None:
             parser.error("--restore-from requires --data-dir")
@@ -813,17 +805,17 @@ def main(argv=None) -> int:
               f"(lsn {stats['first_lsn']}..{stats['head_lsn']}) "
               f"into {args.data_dir}", flush=True)
 
-    async def amain() -> None:
-        compact_interval = (args.compact_interval
-                            if args.data_dir is not None
-                            and args.compact_interval else None)
+    try:
+        # the server's refusals (option combinations) are usage errors
         server = TruSQLServer(
             host=args.host, port=args.port,
             data_dir=args.data_dir, standby_of=args.standby_of,
             auto_promote=not args.no_auto_promote,
             heartbeat_interval=args.heartbeat_interval,
             miss_limit=args.miss_limit, idle_timeout=args.idle_timeout,
-            compact_interval=compact_interval,
+            compact_interval=(args.compact_interval
+                              if args.data_dir is not None
+                              and args.compact_interval else None),
             scrub_interval=args.scrub_interval,
             backup_to=args.backup_to,
             backup_interval=args.backup_interval,
@@ -832,12 +824,15 @@ def main(argv=None) -> int:
             supervised=args.supervised,
             partitions=args.partitions,
             stream_retention=args.retention)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    async def amain() -> None:
         if args.init and server.role == "primary":
             with open(args.init, "r", encoding="utf-8") as handle:
                 await server.on_engine(server.run_script, handle.read())
         await server.start()
-        stats = getattr(server.db, "recovery_stats", None) or {}
-        for name, rung in stats.get("cqs", ()):
+        for name, rung in server.db.recovery_stats["cqs"]:
             if rung.startswith("cold:"):
                 # its open window was lost: say so where an operator
                 # looks (stderr: the banner stays stdout's first line)

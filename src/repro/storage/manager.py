@@ -15,18 +15,14 @@ class StorageManager:
     """One per database: the physical layer behind every table and index."""
 
     def __init__(self, buffer_pages: int = 256, disk: SimulatedDisk = None,
-                 faults=None, wal_path=None, wal_segment_bytes=None,
-                 wal_archive_dir=None):
+                 faults=None):
         self.disk = disk if disk is not None else SimulatedDisk()
         if faults is not None and self.disk.faults is None:
             self.disk.faults = faults
         self.pool = BufferPool(self.disk, buffer_pages, faults=faults)
-        # wal_path names a directory of rolling segments (None keeps the
-        # log in memory); wal_segment_bytes overrides the roll size
+        # in memory until `open_database` puts it on a directory
         self.wal = WriteAheadLog(self.disk, self.disk.page_size,
-                                 faults=faults, path=wal_path,
-                                 segment_bytes=wal_segment_bytes,
-                                 archive_dir=wal_archive_dir)
+                                 faults=faults)
         self._next_file_id = 1  # 0 is the WAL
 
     def allocate_file(self) -> HeapFile:

@@ -39,7 +39,8 @@ rows under that rid *so far* are void, the client's retry is not.
 The log runs in one of two modes:
 
 - **in-memory** (no ``path``): records only live in ``self.records``;
-- **segmented** (``path`` names a directory): records land in
+- **segmented** (``path`` names a directory, at construction or through
+  :meth:`WriteAheadLog.open`): records land in
   fixed-size rolling segment files managed by
   :class:`~repro.storage.segments.SegmentedLog`.  Sealed segments can be
   *archived* (moved to the archive dir by checkpoint-anchored
@@ -56,7 +57,6 @@ import json
 import os
 import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -244,10 +244,12 @@ class WriteAheadLog:
         self.flush_count = 0
         self.torn_records = 0
         #: the author switch.  A muted log takes nothing from `append`:
-        #: what the engine does while replaying records it already holds
-        #: (boot recovery), or while following a primary whose log this
-        #: one must stay a byte-prefix of (a standby, until promotion),
-        #: is not authored here.  `append_replicated` is the only way in.
+        #: what the engine does while a `WalApplier` replays records it
+        #: already holds (boot recovery), or follows a primary whose log
+        #: this one must stay a byte-prefix of (a standby), is not
+        #: authored here.  The applier mutes the log when it is made,
+        #: its `promote()` unmutes it; `append_replicated` is the only
+        #: way in meanwhile.
         self.muted = False
         #: called with each appended record (primary-side WAL shipping)
         self.on_append = None
@@ -259,23 +261,10 @@ class WriteAheadLog:
         #: cq name -> LSN of its latest checkpoint record (compaction
         #: anchor: segments holding these are never archived past)
         self._checkpoint_lsns = {}
-        self.path = path
+        self.path = None
         self.segments = None
         if path is not None:
-            from repro.storage.segments import (
-                DEFAULT_SEGMENT_BYTES,
-                SegmentedLog,
-            )
-            if os.path.isfile(path):
-                raise WALError(
-                    f"{path!r} is a file: the single-file WAL layout is "
-                    "no longer supported (the log is a directory of "
-                    "segments)")
-            self.segments = SegmentedLog(
-                path, archive_dir=archive_dir,
-                segment_bytes=(segment_bytes if segment_bytes is not None
-                               else DEFAULT_SEGMENT_BYTES))
-            self._open_segments()
+            self.open(path, segment_bytes, archive_dir)
 
     def append(self, txid: int, kind: str, table: str = None, rid=None,
                before=None, after=None, payload=None,
@@ -313,16 +302,6 @@ class WriteAheadLog:
         if flush:
             self.flush()
         return record
-
-    @contextmanager
-    def mute(self):
-        """Mute the log for a block, then put the switch back where it
-        was (a standby replaying its own log at boot stays muted)."""
-        before, self.muted = self.muted, True
-        try:
-            yield
-        finally:
-            self.muted = before
 
     def append_replicated(self, record: LogRecord) -> LogRecord:
         """Adopt a record shipped from a primary, preserving its LSN.
@@ -520,8 +499,10 @@ class WriteAheadLog:
 
     # -- file persistence --------------------------------------------------
 
-    def _open_segments(self) -> None:
-        """Load the segmented log: archive + live segments, in order.
+    def open(self, path: str, segment_bytes: Optional[int] = None,
+             archive_dir: Optional[str] = None) -> None:
+        """Put this still-empty log on a directory of segments and load
+        it: archive + live segments, in order.
 
         All records (archived included) are loaded into memory so boot
         recovery sees the full history; the caller trims them back with
@@ -531,6 +512,16 @@ class WriteAheadLog:
         A corrupt record in a *sealed* segment is not truncatable — it
         would silently discard durable history — and raises instead.
         """
+        from repro.storage.segments import DEFAULT_SEGMENT_BYTES, SegmentedLog
+        if os.path.isfile(path):
+            raise WALError(
+                f"{path!r} is a file: the single-file WAL layout is no "
+                "longer supported (the log is a directory of segments)")
+        self.path = path
+        self.segments = SegmentedLog(
+            path, archive_dir=archive_dir,
+            segment_bytes=(segment_bytes if segment_bytes is not None
+                           else DEFAULT_SEGMENT_BYTES))
         wires = self.segments.load()
         loaded: List[LogRecord] = []
         invalid_at: Optional[int] = None

@@ -10,3 +10,17 @@ from hypothesis import settings
 
 settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
+
+
+def rebuilt_from(wal, **options):
+    """A new in-memory engine rebuilt from ``wal``'s durable records: a
+    ``WalApplier`` fed them, then promoted (what an in-memory seeded
+    storm leaves behind has no directory to reopen)."""
+    from repro.core.database import Database
+    from repro.replication import WalApplier
+    db = Database(**options)
+    applier = WalApplier(db)
+    for record in wal.durable_records():
+        applier.apply(record)
+    applier.promote()
+    return db

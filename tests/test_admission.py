@@ -355,7 +355,7 @@ class TestDatabaseSurfaces:
     def test_dedup_markers_survive_recovery(self, tmp_path):
         from repro.replication import open_database
         wal_path = str(tmp_path / "wal.jsonl")
-        db = Database(wal_path=wal_path, stream_retention=600.0)
+        db = open_database(wal_path=wal_path, stream_retention=600.0)
         db.execute(STREAM_DDL)
         db.ingest_batch("s", [(1, 1.0), (2, 2.0)], sender="c1", seq=7)
         db.close()
@@ -380,7 +380,7 @@ class TestDatabaseSurfaces:
         from repro.replication import open_database
         from repro.storage.wal import stream_points
         wal_path = str(tmp_path / "wal")
-        db = Database(wal_path=wal_path, stream_retention=600.0)
+        db = open_database(wal_path=wal_path, stream_retention=600.0)
         db.execute(STREAM_DDL)
         first = [(i, float(i)) for i in range(1, 6)]
         second = [(i, float(i)) for i in range(6, 14)]

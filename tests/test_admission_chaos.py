@@ -95,8 +95,8 @@ class TestDedupPersistCrashpoint:
         faults = FaultInjector(seed=7)
         # after=1: let batch 1's marker persist cleanly, kill batch 2's
         faults.arm("admission.dedup_persist", count=1, after=1)
-        db = Database(wal_path=wal_path, stream_retention=3600.0,
-                      fault_injector=faults)
+        db = open_database(wal_path=wal_path, stream_retention=3600.0,
+                           fault_injector=faults)
         db.execute(STREAM_DDL)
         # batch 1 commits cleanly: rows + marker in one flush
         db.ingest_batch("s", self.batch([1, 2], at=1.0),

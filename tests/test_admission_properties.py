@@ -97,7 +97,7 @@ class TestReplayAfterRestartProperties:
         re-send *everything*: every row lands exactly once."""
         tmp = tmp_path_factory.mktemp("dedup-replay")
         wal_path = str(tmp / "wal.jsonl")
-        db = Database(wal_path=wal_path, stream_retention=3600.0)
+        db = open_database(wal_path=wal_path, stream_retention=3600.0)
         db.execute(
             "CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
         clock = 0.0

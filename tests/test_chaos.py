@@ -26,6 +26,7 @@ import pytest
 from repro import Database
 from repro.faults import FaultInjector
 from repro.workloads.clickstream import ClickstreamGenerator, URL_STREAM_DDL
+from tests.conftest import rebuilt_from
 
 SEED = 2009          # fixed: the whole suite must replay identically
 N_EVENTS = 1500
@@ -201,7 +202,7 @@ class TestChaosRun:
         db, fired, _view = chaos
         wal = db.storage.wal
         assert fired["wal.torn_write"] >= 1 and wal.torn_records >= 1
-        recovered = Database.recover_from_wal(wal)
+        recovered = rebuilt_from(wal)
         live = Counter(db.table_rows("url_archive"))
         replayed = Counter(recovered.table_rows("url_archive"))
         assert replayed <= live          # durable prefix, nothing invented

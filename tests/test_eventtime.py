@@ -451,7 +451,7 @@ class TestWatermarksView:
     def test_wal_replay_restores_watermark(self, tmp_path):
         from repro.replication import open_database
         wal = str(tmp_path / "wal.log")
-        db = Database(wal_path=wal)
+        db = open_database(wal_path=wal)
         db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER) "
                    "WATERMARK '5 seconds'")
         db.insert_stream("s", [(1, 10.0), (2, 30.0)])

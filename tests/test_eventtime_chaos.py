@@ -53,8 +53,8 @@ class TestWatermarkPersistCrashpoint:
         wal_path = str(tmp_path / "wal.jsonl")
         faults = FaultInjector(seed=13)
         faults.arm("eventtime.watermark_persist", count=1)
-        db = Database(wal_path=wal_path, stream_retention=3600.0,
-                      fault_injector=faults)
+        db = open_database(wal_path=wal_path, stream_retention=3600.0,
+                           fault_injector=faults)
         db.execute(STREAM_DDL)
         db.insert_stream("s", [(1, 3.0), (2, 8.0), (3, 12.0)])
         db.storage.wal.flush()  # the rows are durable
@@ -85,7 +85,7 @@ class TestWatermarkPersistCrashpoint:
 
     def test_flushed_injection_survives_crash(self, tmp_path):
         wal_path = str(tmp_path / "wal.jsonl")
-        db = Database(wal_path=wal_path, stream_retention=3600.0)
+        db = open_database(wal_path=wal_path, stream_retention=3600.0)
         db.execute(STREAM_DDL)
         db.insert_stream("s", [(1, 3.0)])
         db.inject_watermark("s", 40.0)  # unfaulted: flushed

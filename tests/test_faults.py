@@ -12,6 +12,7 @@ from repro.faults import (
     crashpoint_names,
     register_crashpoint,
 )
+from tests.conftest import rebuilt_from
 
 
 class TestRegistry:
@@ -167,7 +168,7 @@ class TestWalChecksums:
         wal = db.storage.wal
         assert wal.torn_records == 1
         assert wal.first_corrupt_lsn() is not None
-        recovered = Database.recover_from_wal(wal)
+        recovered = rebuilt_from(wal)
         # the first insert is durable; the torn commit and everything
         # after it is discarded — a strict prefix, never a gap
         assert recovered.table_rows("t") == [(1,)]
@@ -187,5 +188,5 @@ class TestWalChecksums:
         with pytest.raises(FaultInjected):
             db.execute("INSERT INTO t VALUES (2)")
         injector.disarm()
-        recovered = Database.recover_from_wal(db.storage.wal)
+        recovered = rebuilt_from(db.storage.wal)
         assert recovered.table_rows("t") == [(1,)]

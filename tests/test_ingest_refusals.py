@@ -15,13 +15,13 @@ import threading
 import pytest
 
 import repro.client as client
-from repro import Database
 from repro.errors import (
     ConstraintError,
     ProtocolError,
     RemoteError,
     StreamingError,
 )
+from repro.replication import open_database
 from repro.server import ServerThread
 from repro.server import protocol
 from repro.storage.wal import stream_points
@@ -52,7 +52,7 @@ def within(seconds, fn, *args, **kwargs):
 
 
 def windowed_db(ddl=USER_DDL, **options):
-    db = Database(stream_retention=3600.0, **options)
+    db = open_database(stream_retention=3600.0, **options)
     db.execute(ddl)
     return db, db.subscribe(WINDOWED)
 

@@ -1,11 +1,12 @@
 """The log has one replayer.
 
-Boot recovery, a restarted standby, a following standby, promotion and
-``Database.recover_from_wal`` all turn records into engine state through
-``WalApplier.apply`` / ``promote``.  One differential property checks
-that they agree with each other (and with ``WriteAheadLog.replay``, the
-reference fold no engine code calls any more) on histories hypothesis
-draws; the pinned cases below it are the bugs the fork used to hide.
+Boot recovery, a restarted standby, a following standby and promotion
+all turn records into engine state through ``WalApplier.apply`` /
+``promote``, and ``open_database`` is the one way onto a log.  One
+differential property checks that they agree with each other (and with
+``WriteAheadLog.replay``, the reference fold no engine code calls any
+more) on histories hypothesis draws; the pinned cases below it are the
+bugs the fork used to hide.
 """
 
 import os
@@ -28,6 +29,7 @@ from repro.storage.wal import (
     record_to_wire,
     stream_points,
 )
+from tests.conftest import rebuilt_from
 
 S_DDL = "CREATE STREAM s (v integer, ts timestamp CQTIME USER)"
 W_DDL = ("CREATE STREAM w (v integer, ts timestamp CQTIME USER) "
@@ -170,10 +172,10 @@ class Primary:
 
     def __init__(self, work, archive=ARCHIVES[0]):
         self.faults = FaultInjector(seed=2009)
-        self.db = db = Database(wal_path=os.path.join(work, "primary"),
-                                stream_retention=RETENTION,
-                                fault_injector=self.faults,
-                                clock=ManualClock())
+        self.db = db = open_database(wal_path=os.path.join(work, "primary"),
+                                     stream_retention=RETENTION,
+                                     fault_injector=self.faults,
+                                     clock=ManualClock())
         db.execute("CREATE TABLE t (a integer)")
         db.execute(S_DDL)
         db.execute(W_DDL)
@@ -293,9 +295,9 @@ class Primary:
 
 class TestReplayersAgree:
     """(a) ``open_database`` on the data dir, (b) a ``WalApplier`` fed
-    the same records and promoted, (c) a standby restarted half way then
-    fed the rest and promoted, and (d) ``recover_from_wal`` rebuild the
-    same engine from any prefix of any history."""
+    the same records and promoted, and (c) a standby restarted half way
+    then fed the rest and promoted rebuild the same engine from any
+    prefix of any history."""
 
     @given(ops=st.lists(_op, min_size=12, max_size=50), cut=st.integers(0, 40),
            archive=st.sampled_from(ARCHIVES))
@@ -356,14 +358,8 @@ class TestReplayersAgree:
             again_cqs = again.applier.promote()
             assert not again.storage.wal.muted
 
-            # (d) the durable-state classmethod
-            rebuilt = Database.recover_from_wal(
-                WriteAheadLog(path=write_log(os.path.join(work, "d"),
-                                             records)),
-                stream_retention=RETENTION)
-
             want = state_of(booted)
-            for other in (fed, again, rebuilt):
+            for other in (fed, again):
                 assert state_of(other) == want
             assert fed_cqs == again_cqs == stats["cqs"]
             torn = stats.get("torn_batch_rows", 0)
@@ -372,7 +368,7 @@ class TestReplayersAgree:
 
             # what each makes of a client's retries, and of the next window
             probe = primary.now + 25.0
-            for db in (booted, fed, again, rebuilt):
+            for db in (booted, fed, again):
                 answers = []
                 for (stream, sender), last in sorted(primary.seqs.items()):
                     if db.catalog.has_relation(stream):
@@ -388,7 +384,7 @@ class TestReplayersAgree:
                                for row in db.table_rows("archive"))
                 else:
                     assert (answers, state_of(db)) == want
-            for db in (booted, fed, again, rebuilt, primary.db):
+            for db in (booted, fed, again, primary.db):
                 db.close()
 
 
@@ -399,6 +395,52 @@ class TestReplayersAgree:
 
 def reopen(path):
     return open_database(wal_path=path, stream_retention=600.0)
+
+
+class TestOneWayToOpen:
+    """``open_database`` is the only way onto a log.  The constructor
+    used to take one too, load it and never apply it: a second life saw
+    an empty catalog, re-created the table and reused the first life's
+    txid and rids, and the third boot folded its rows onto the first's
+    (``[(2,), (30,)]`` for ``[(1,), (2,), (30,)]``)."""
+
+    def test_the_constructor_takes_no_log(self, tmp_path):
+        with pytest.raises(TypeError):
+            Database(wal_path=str(tmp_path / "wal"))
+
+    def test_three_lives_keep_every_committed_row(self, tmp_path):
+        path = str(tmp_path / "wal")
+        want = []
+        for life, (delete, insert) in enumerate(
+                [(None, [1, 2]), (1, [30]), (30, [300, 301])]):
+            db = open_database(wal_path=path)       # the last one crashed
+            assert db.recovery_stats["rows"] == len(want)
+            db.execute("CREATE TABLE IF NOT EXISTS t (a integer)")
+            assert sorted(db.table_rows("t")) == want
+            if delete is not None:
+                db.execute(f"DELETE FROM t WHERE a = {delete}")
+                want.remove((delete,))
+            db.execute("INSERT INTO t VALUES "
+                       + ", ".join(f"({v})" for v in insert))
+            want = sorted(want + [(v,) for v in insert])
+        last = open_database(wal_path=path)
+        assert sorted(last.table_rows("t")) == want == [(2,), (300,), (301,)]
+        records = last.storage.wal.records
+        commits = [r.txid for r in records if r.kind == "commit"]
+        assert len(commits) == len(set(commits))
+        rids = [r.rid for r in records if r.kind == "insert"]
+        assert len(rids) == len(set(rids))
+
+    def test_an_applier_holds_the_log_muted_until_promoted(self):
+        db = Database()
+        applier = WalApplier(db)
+        assert db.storage.wal.muted
+        applier.promote()
+        assert not db.storage.wal.muted
+        fresh = open_database()
+        assert not fresh.storage.wal.muted and fresh.applier.promoted
+        assert fresh.recovery_stats["cqs"] == []
+        assert open_database(standby=True).storage.wal.muted
 
 
 class TestTornBatch:
@@ -421,7 +463,7 @@ class TestTornBatch:
         """ROADMAP 2(c): the retry's marker used to vouch for the torn
         rows as well, from the second restart on (21 rows, not 13)."""
         path = str(tmp_path / "wal")
-        db = Database(wal_path=path, stream_retention=600.0)
+        db = open_database(wal_path=path, stream_retention=600.0)
         db.execute(S_DDL)
         self.tear_second_batch(db)
         db.close()
@@ -541,7 +583,7 @@ class TestTornBatch:
 class TestDropTable:
     def test_dropped_table_stays_dropped_across_restarts(self, tmp_path):
         path = str(tmp_path / "wal")
-        db = Database(wal_path=path)
+        db = open_database(wal_path=path)
         db.execute("CREATE TABLE t (a integer)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("DROP TABLE t")
@@ -565,7 +607,7 @@ class TestDropTable:
         db.execute("CREATE TABLE t (a integer)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("DROP TABLE t")
-        recovered = Database.recover_from_wal(db.storage.wal)
+        recovered = rebuilt_from(db.storage.wal)
         assert not recovered.catalog.has_relation("t")
 
     def test_drop_reaches_a_following_standby(self):
@@ -588,7 +630,7 @@ class TestDropTable:
 class TestFailedCommitFlush:
     def history(self, **options):
         injector = FaultInjector()
-        db = Database(fault_injector=injector, **options)
+        db = open_database(fault_injector=injector, **options)
         db.execute("CREATE TABLE t (a integer)")
         db.execute("INSERT INTO t VALUES (1)")
         injector.arm("disk.write_page", count=1)
@@ -628,14 +670,8 @@ class TestFailedCommitFlush:
         assert db.table_rows("t") == [(1,), (3,)]
         wal = db.storage.wal
         assert wal.replay() == {"t": [(1,), (3,)]}
-        rebuilt = Database.recover_from_wal(wal)
+        rebuilt = rebuilt_from(wal)
         assert rebuilt.table_rows("t") == [(1,), (3,)]
-        # the log it authored says so too: the commit it took back is
-        # followed by an abort there, as it is in the log it read
-        fresh = rebuilt.storage.wal
-        assert fresh.replay() == {"t": [(1,), (3,)]}
-        assert Database.recover_from_wal(fresh).table_rows("t") \
-            == [(1,), (3,)]
         standby = Database(supervised=True)
         applier = WalApplier(standby)
         # record by record: the commit is applied, then taken back
@@ -649,40 +685,13 @@ class TestFailedCommitFlush:
         reopened.close()
 
 
-class TestFreshLog:
-    def test_recover_from_wal_logs_the_pipeline_it_rebuilds(self, tmp_path):
-        """``promote()`` used to apply the held derived-stream and
-        channel DDL muted even into a log that had never seen it."""
-        source = Database(wal_path=str(tmp_path / "source"),
-                          stream_retention=600.0)
-        source.execute(S_DDL)
-        for ddl in PIPELINE:
-            source.execute(ddl)
-        source.insert_stream("s", [(1, 1.0), (2, 11.0)])
-        assert source.table_rows("archive") == [(1, 10.0)]
-        rebuilt = Database.recover_from_wal(
-            source.storage.wal, wal_path=str(tmp_path / "fresh"),
-            stream_retention=600.0)
-        logged = [r.payload["kind"] for r in rebuilt.storage.wal.records
-                  if r.kind == "ddl_obj"]
-        assert logged == ["stream", "derived_stream", "channel"]
-        rebuilt.close()
-        reopened = open_database(wal_path=str(tmp_path / "fresh"),
-                                 stream_retention=600.0)
-        assert reopened.table_rows("archive") == [(1, 10.0)]
-        reopened.insert_stream("s", [(3, 12.0), (4, 21.0)])
-        assert reopened.table_rows("archive") == [(1, 10.0), (1, 20.0)]
-        for db in (source, reopened):
-            db.close()
-
-
 class TestEmptyArchive:
     def test_open_window_keeps_its_rows_when_nothing_was_archived(
             self, tmp_path):
         """Two rows acked and flushed, crash, one more row: the first
         window used to count 1."""
         path = str(tmp_path / "wal")
-        db = Database(wal_path=path, stream_retention=600.0)
+        db = open_database(wal_path=path, stream_retention=600.0)
         db.execute(S_DDL)
         for ddl in PIPELINE:
             db.execute(ddl)
@@ -702,7 +711,7 @@ class TestLogWrittenAcrossRestarts:
         txids — the log had already used, so what the second life logged
         was folded onto the first life's rows at the third boot."""
         path = str(tmp_path / "wal")
-        db = Database(wal_path=path)
+        db = open_database(wal_path=path)
         db.execute("CREATE TABLE t (a integer)")
         for value in range(5):
             db.execute(f"INSERT INTO t VALUES ({value})")
@@ -766,7 +775,7 @@ class TestParentWrittenDataDir:
         that was dropped (its rows count for nothing, the batch it held
         pending is torn): same stats, tables, tails and watermarks as
         the binary that wrote it reported."""
-        reference = Database(wal_path=str(tmp_path / "ref"))
+        reference = open_database(wal_path=str(tmp_path / "ref"))
         reference.execute(S_DDL)
         reference.execute("CREATE TABLE t (a integer)")
         reference.execute("INSERT INTO t VALUES (1), (2)")

@@ -11,6 +11,7 @@ failed spawns reaped), and the ``repro_partitions`` system view +
 """
 
 import io
+import os
 import pickle
 import signal
 import socket
@@ -344,7 +345,7 @@ class TestPartitionByDDL:
         # ride the stream's ddl_obj record through a reopen
         from repro.replication.bootstrap import open_database
         wal_path = str(tmp_path / "wal")
-        db = Database(wal_path=wal_path)
+        db = open_database(wal_path=wal_path)
         db.execute("CREATE STREAM s (k TEXT, ts TIMESTAMP CQTIME USER) "
                    "WATERMARK '4 seconds' PARTITION BY k")
         db.storage.wal.close()
@@ -1068,6 +1069,21 @@ class TestServerPartitions:
 
         with pytest.raises(ValueError, match="standby"):
             TruSQLServer(partitions=2, standby_of="127.0.0.1:1")
+
+    def test_partitions_refused_with_a_data_dir(self, tmp_path, capsys):
+        """The server refuses what ``--partitions --data-dir`` refuses
+        (it used to boot, and the log replay bypassed the router); the
+        CLI reports the server's refusal as a usage error."""
+        from repro.server import TruSQLServer, main
+
+        with pytest.raises(ValueError, match="data dir"):
+            TruSQLServer(data_dir=str(tmp_path), partitions=2)
+        assert not os.listdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(["--port", "0", "--partitions", "2",
+                  "--data-dir", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "data dir" in capsys.readouterr().err
 
     def test_sql_insert_routes_to_workers(self):
         """INSERT INTO a partitioned stream must route like ingest():

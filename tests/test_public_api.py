@@ -19,6 +19,13 @@ PACKAGES = [
     "repro.baselines",
     "repro.workloads",
     "repro.bench",
+    "repro.admission",
+    "repro.eventtime",
+    "repro.faults",
+    "repro.obs",
+    "repro.partition",
+    "repro.replication",
+    "repro.server",
 ]
 
 
@@ -37,6 +44,18 @@ class TestExports:
     def test_version(self):
         import repro
         assert repro.__version__ == "1.0.0"
+
+    def test_one_way_onto_a_log(self):
+        """``open_database`` puts an engine on a log; the constructor
+        takes none, and there is no second way to rebuild one."""
+        from repro import Database, replication
+        from repro.replication import open_database
+        assert not hasattr(Database, "recover_from_wal")
+        assert not hasattr(replication, "recover_runtime")
+        assert not [name for name in inspect.signature(Database).parameters
+                    if name.startswith("wal_")]
+        assert {"data_dir", "wal_path", "standby"} \
+            <= set(inspect.signature(open_database).parameters)
 
 
 class TestPublicDocstrings:

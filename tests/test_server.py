@@ -5,7 +5,10 @@ loopback TCP socket) and drive it with the synchronous client — the
 same path a deployment uses.
 """
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -564,3 +567,36 @@ class TestServerMisc:
         finally:
             for c in connections:
                 c.close()
+
+
+class TestRefusals:
+    """A combination the server cannot honour is refused before it
+    serves, instead of being run on something else."""
+
+    def test_log_options_need_a_log_directory(self, tmp_path):
+        """They used to be ignored: the server ran on an in-memory log."""
+        from repro.server import TruSQLServer
+        with pytest.raises(ValueError, match="log directory"):
+            TruSQLServer(wal_archive_dir=str(tmp_path / "archive"),
+                         wal_segment_bytes=1024)
+        assert not os.listdir(tmp_path)
+
+    def test_a_standby_opens_its_own_database(self):
+        from repro.server import TruSQLServer
+        with pytest.raises(ValueError, match="standby"):
+            TruSQLServer(db=Database(), standby_of="127.0.0.1:1")
+
+    def test_cli_exits_before_the_banner(self, tmp_path):
+        """``repro-server --archive-dir X`` without ``--data-dir`` is a
+        usage error (it used to serve)."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "--port", "0",
+             "--archive-dir", str(tmp_path / "archive")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 2 and out == ""
+        assert "log directory" in err

@@ -5,62 +5,58 @@ import pytest
 
 from repro import Database
 from repro.errors import BindError
+from repro.replication import open_database
 
 
 class TestWalRecovery:
-    def crash(self, db):
-        """Simulate a crash: keep only what is on 'disk' — the WAL."""
-        return db.storage.wal
+    @pytest.fixture
+    def db(self, tmp_path):
+        return open_database(wal_path=str(tmp_path / "wal"))
 
-    def test_committed_rows_survive(self):
-        db = Database()
+    def crash(self, db):
+        """Simulate a crash: keep only what is on disk — the WAL — and
+        reopen it the way a server boots."""
+        return open_database(wal_path=db.storage.wal.path)
+
+    def test_committed_rows_survive(self, db):
         db.execute("CREATE TABLE t (a integer, b varchar(10))")
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
-        wal = self.crash(db)
-        recovered = Database.recover_from_wal(wal)
+        recovered = self.crash(db)
         assert sorted(recovered.table_rows("t")) == [(1, "x"), (2, "y")]
 
-    def test_schema_recovered(self):
-        db = Database()
+    def test_schema_recovered(self, db):
         db.execute("CREATE TABLE t (a integer NOT NULL, b varchar(7))")
-        wal = self.crash(db)
-        recovered = Database.recover_from_wal(wal)
+        recovered = self.crash(db)
         schema = recovered.get_table("t").schema
         assert schema.column("a").not_null
         assert schema.column("b").datatype.sql_name() == "varchar(7)"
 
-    def test_uncommitted_transaction_discarded(self):
-        db = Database()
+    def test_uncommitted_transaction_discarded(self, db):
         db.execute("CREATE TABLE t (a integer)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("BEGIN")
         db.execute("INSERT INTO t VALUES (2)")
         # crash before COMMIT: the in-flight txn is deemed aborted
-        wal = self.crash(db)
-        recovered = Database.recover_from_wal(wal)
+        recovered = self.crash(db)
         assert recovered.table_rows("t") == [(1,)]
 
-    def test_deletes_and_updates_replayed(self):
-        db = Database()
+    def test_deletes_and_updates_replayed(self, db):
         db.execute("CREATE TABLE t (a integer, b varchar(10))")
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
         db.execute("DELETE FROM t WHERE a = 2")
         db.execute("UPDATE t SET b = 'updated' WHERE a = 1")
-        wal = self.crash(db)
-        recovered = Database.recover_from_wal(wal)
+        recovered = self.crash(db)
         assert sorted(recovered.table_rows("t")) == [
             (1, "updated"), (3, "z")]
 
-    def test_recovered_database_is_usable(self):
-        db = Database()
+    def test_recovered_database_is_usable(self, db):
         db.execute("CREATE TABLE t (a integer)")
         db.execute("INSERT INTO t VALUES (1)")
-        recovered = Database.recover_from_wal(self.crash(db))
+        recovered = self.crash(db)
         recovered.execute("INSERT INTO t VALUES (2)")
         assert recovered.query("SELECT sum(a) FROM t").scalar() == 3
 
-    def test_active_table_contents_survive(self):
-        db = Database()
+    def test_active_table_contents_survive(self, db):
         db.execute("CREATE STREAM s (k varchar(5), ts timestamp CQTIME USER)")
         db.execute_script("""
             CREATE STREAM agg AS SELECT k, count(*) c, cq_close(*)
@@ -70,11 +66,11 @@ class TestWalRecovery:
         """)
         db.insert_stream("s", [("a", 5.0), ("a", 6.0)])
         db.advance_streams(60.0)
-        recovered = Database.recover_from_wal(self.crash(db))
-        # the archive (durable state) is back; the stream (runtime) is not
+        recovered = self.crash(db)
+        # the archive (durable state) is back, and so is the stream: a
+        # log on disk carries the streaming DDL too
         assert recovered.table_rows("arch") == [("a", 2, 60.0)]
-        with pytest.raises(Exception):
-            recovered.get_stream("s")
+        assert recovered.get_stream("s").name == "s"
 
 
 class TestTruncate:
