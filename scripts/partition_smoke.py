@@ -6,7 +6,10 @@ workers runs ``10 / (sum(v) - 6)`` over a window where a key sums to 6.
 The window must be dead-lettered on the CQ, every batch acked, every
 later window emitted — windows and ``repro_dead_letters`` equal to one
 supervised :class:`Database` fed the same batches (the merge stage used
-to retry the raising boundary forever and emit nothing again).
+to retry the raising boundary forever and emit nothing again).  The
+same workload then runs on two inline workers — threads on the same
+frame loop over socketpairs — with one killed mid-window: the output
+must be the same again, and no worker thread may outlive ``close()``.
 
 Then it boots a :class:`PartitionedEngine` with **subprocess workers**
 over loopback sockets, runs the standard keyed window CQ, and:
@@ -49,6 +52,7 @@ import socket
 import statistics
 import sys
 import tempfile
+import threading
 import time
 
 
@@ -107,10 +111,15 @@ POISON_BATCHES = [
 ]
 
 
-def poison_run(engine, db, ingest, advance, ddl):
+def poison_run(engine, db, ingest, advance, ddl, mid_window=None):
     engine.execute(ddl)
     sub = engine.execute(POISON_CQ)
-    acks = [ingest("s", rows)["accepted"] for rows in POISON_BATCHES]
+    acks = []
+    for rows in POISON_BATCHES:
+        acks.append(ingest("s", rows)["accepted"])
+        if mid_window is not None:
+            mid_window()            # after the first batch: window 10 open
+            mid_window = None
     advance(40.0)
     windows = [(w.open_time, w.close_time, tuple(sorted(w.rows)))
                for w in sub.poll()]
@@ -123,7 +132,7 @@ def poison_leg():
     from repro.partition import PartitionedEngine
 
     print("== partition smoke: poison window under supervision, "
-          "two process workers ==")
+          "two process workers, then two inline ones (one killed) ==")
     db = Database(supervised=True)
     want = poison_run(db, db, db.ingest_batch, db.advance_streams,
                       POISON_DDL.replace(" PARTITION BY k", ""))
@@ -132,18 +141,34 @@ def poison_leg():
             or len(want[0]) != 3:
         fail(f"single engine: expected one poison window and three "
              f"emitted, got {want}")
-    with PartitionedEngine(partitions=2, transport="process",
-                           db=Database(supervised=True)) as eng:
-        try:
-            got = poison_run(eng, eng.db, eng.ingest, eng.advance,
-                             POISON_DDL)
-        except Exception as exc:        # noqa: BLE001 — the old wedge
-            fail(f"a poison window raised out of the partitioned engine: "
-                 f"{type(exc).__name__}: {exc}")
-    if got != want:
-        fail(f"poison window: partitioned {got} != single engine {want}")
+    for transport in ("process", "inline"):
+        threads_before = set(threading.enumerate())
+        with PartitionedEngine(partitions=2, transport=transport,
+                               db=Database(supervised=True)) as eng:
+            # an inline worker is a thread on the process's frame loop:
+            # killed mid-window, its respawn replays like a process's
+            kill = (lambda: eng.kill_worker(0)) \
+                if transport == "inline" else None
+            try:
+                got = poison_run(eng, eng.db, eng.ingest, eng.advance,
+                                 POISON_DDL, mid_window=kill)
+            except Exception as exc:    # noqa: BLE001 — the old wedge
+                fail(f"a poison window raised out of the {transport} "
+                     f"partitioned engine: {type(exc).__name__}: {exc}")
+            if kill is not None and eng.restarts[0] != 1:
+                fail(f"inline worker 0 restarts = {eng.restarts[0]}, "
+                     "expected exactly 1")
+        if got != want:
+            fail(f"poison window: {transport} partitioned {got} != "
+                 f"single engine {want}")
+        survivors = [t.name for t in threading.enumerate()
+                     if t not in threads_before
+                     and t.name.startswith("repro-partition-worker-")]
+        if survivors:
+            fail(f"worker threads survived close(): {survivors}")
     print(f"  window 10 dead-lettered {want[1]}, {len(want[0])} later "
-          f"windows emitted, batches acked {want[2]}: as one Database")
+          f"windows emitted, batches acked {want[2]}: as one Database on "
+          "both transports, no worker thread left after close()")
 
 
 def park_stray(eng, target):

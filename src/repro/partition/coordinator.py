@@ -27,13 +27,16 @@ DDL or CQ broadcast — scatters all its frames before it gathers any
 ack (``PartitionedEngine._exchange``), so the shards work at the same
 time.
 
-Worker lifecycle: a worker that dies (socket drop, injected
-``partition.worker_crash``, SIGKILL) is respawned and replayed from the
-coordinator's per-worker log of acked frames, then synced to the
-current watermark — stale finals for already-merged boundaries are
-ignored and replayed partials only overwrite what is stored, so a
-crash is invisible in the output.  Crashpoints ``partition.route`` (the
-router dies before the stream sees a row: batch refused whole) and
+Worker lifecycle: a worker is a thread or a subprocess serving frames
+over a socket, and its death — an injected ``partition.worker_crash``
+(the frame loop returns and its end is closed), ``kill_worker`` or a
+SIGKILL — is the same EOF on either transport.  It is respawned and
+replayed from the coordinator's per-worker log of acked frames, then
+synced to the current watermark — stale finals for already-merged
+boundaries are ignored and replayed partials only overwrite what is
+stored, so a crash is invisible in the output.  Crashpoints
+``partition.route`` (the router dies before the stream sees a row:
+batch refused whole) and
 ``partition.merge`` (the merge stage dies before emitting: partials
 retained, boundary stays pending) cover the coordinator's own hot path.
 A boundary whose emission was *attempted* has left the pending list: an
@@ -49,19 +52,20 @@ import selectors
 import socket
 import subprocess
 import sys
+import threading
 from collections import deque
 from time import monotonic, perf_counter
 from typing import Dict, List, Optional
 
 from repro.core.database import Database
 from repro.core.results import Subscription
-from repro.errors import FaultInjected, PartitionError, WorkerDiedError
+from repro.errors import PartitionError, WorkerDiedError
 from repro.eventtime.watermark import WatermarkMerge
 from repro.partition import wire
 from repro.partition.hashring import HashRing
 from repro.partition.planner import partition_plan
 from repro.partition.state import partial_from_wire
-from repro.partition.worker import WorkerEngine
+from repro.partition.worker import WorkerEngine, serve_frames
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.streaming.streams import StreamConsumer
@@ -77,84 +81,56 @@ _PRUNE_EVERY = 64
 # -- worker transports --------------------------------------------------------
 
 
-class _InlineHandle:
-    """In-process worker.  Every frame still round-trips through the
-    wire encoding, so serialization is exercised identically to the
-    subprocess transport — and an injected worker crash kills the
-    handle exactly as a SIGKILL kills a subprocess: state gone, no
-    error frame, only a :class:`WorkerDiedError` on use.  The work is
-    done at :meth:`send` and its response waits for :meth:`collect`.
-
-    Why it stays (ROADMAP 3c): it is tier-1's in-process topology — the
-    parity and chaos suites need N workers without N processes — and it
-    checks the bytes a process worker would get, not a shortcut."""
-
-    kind = "inline"
-
-    def __init__(self, worker_id: int):
-        self.worker_id = worker_id
-        self.engine = WorkerEngine(worker_id)
-        self.alive = True
-        self._response: list = []
-
-    @property
-    def pid(self) -> int:
-        return os.getpid()
-
-    def send(self, msg: dict) -> None:
-        if not self.alive:
-            raise WorkerDiedError(f"worker {self.worker_id} is down")
-        try:
-            frames = self.engine.handle(wire.roundtrip(msg))
-        except FaultInjected as exc:
-            self.alive = False
-            raise WorkerDiedError(
-                f"worker {self.worker_id} crashed "
-                f"({getattr(exc, 'crashpoint', 'fault')})") from exc
-        self._response = [wire.roundtrip(frame) for frame in frames]
-
-    def collect(self) -> list:
-        if not self.alive:
-            raise WorkerDiedError(f"worker {self.worker_id} is down")
-        return self._response
-
-    def kill(self) -> None:
-        self.alive = False
-
-    def reap(self) -> None:
-        pass
-
-    def close(self) -> None:
-        if self.alive:
-            try:
-                self.send({"op": "stop"})
-            except (WorkerDiedError, PartitionError):
-                pass
-        self.alive = False
+def _serve_inline(engine: WorkerEngine, sock: socket.socket) -> None:
+    """An inline worker's thread: the subprocess's frame loop, then its
+    end of the socketpair closed — the EOF its death is to the handle."""
+    with sock:
+        serve_frames(engine, sock)
 
 
-class _ProcessHandle:
-    """Subprocess worker connected over a loopback socket.
+class _WorkerHandle:
+    """One worker at the far end of a socket, whichever way it runs.
 
-    The coordinator listens, the worker connects back and opens with a
-    raw greeting carrying the nonce it was handed over argv.  Any local
+    ``"process"`` spawns ``python -m repro.partition.worker``: the
+    coordinator listens, the worker connects back and opens with a raw
+    greeting carrying the nonce it was handed over argv.  Any local
     process can reach the loopback listener, so nothing a connection
     sends is decoded before that greeting matched, and every connection
     is waited on at once: a stray that sends nothing delays no one, one
     that sends anything else is closed (:mod:`repro.partition.wire`,
-    *Trust*).
-    The socket is blocking and ``TCP_NODELAY``:
-    :meth:`send` writes one frame whole, :meth:`collect` reads the one
-    response it is owed (partials, then the ack).  A worker never
-    writes before it has read its whole frame, so a coordinator may
-    send to every worker before collecting from any."""
+    *Trust*).  ``"inline"`` runs the same frame loop
+    (:func:`~repro.partition.worker.serve_frames`) on a thread at the
+    other end of a socketpair, which nothing else can reach, so it needs
+    no greeting; ``engine`` is that worker's state, for inspection.
 
-    kind = "process"
+    Either way the socket is blocking: :meth:`send` writes one frame
+    whole, :meth:`collect` reads the one response it is owed (partials,
+    then the ack).  A worker never writes before it has read its whole
+    frame, so a coordinator may send to every worker before collecting
+    from any.  A dead worker — crashed or killed — is an EOF or a reset
+    here, and a hung one the socket's timeout: each raised as
+    :class:`WorkerDiedError`."""
 
-    def __init__(self, worker_id: int, listener: socket.socket,
-                 host: str, port: int, timeout: float = 30.0):
+    def __init__(self, worker_id: int, transport: str, timeout: float,
+                 listener: Optional[socket.socket] = None):
         self.worker_id = worker_id
+        self.kind = transport
         self.alive = True
+        self.sock = self.proc = self.thread = self.engine = None
+        if transport == "inline":
+            self.sock, theirs = socket.socketpair()
+            self.engine = WorkerEngine(worker_id)
+            self.thread = threading.Thread(
+                target=_serve_inline, args=(self.engine, theirs),
+                name=f"repro-partition-worker-{worker_id}", daemon=True)
+            self.thread.start()
+        else:
+            self._spawn_process(listener, timeout)
+        self.sock.settimeout(timeout)
+
+    def _spawn_process(self, listener: socket.socket,
+                       timeout: float) -> None:
+        host, port = listener.getsockname()
         nonce = os.urandom(16).hex()
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -168,12 +144,12 @@ class _ProcessHandle:
         # close, and a mid-frame signal would look like a crash
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.partition.worker",
-             host, str(port), str(worker_id), nonce],
+             host, str(port), str(self.worker_id), nonce],
             env=env, start_new_session=True)
         try:
             self.sock = self._handshake(listener, nonce, timeout)
         except BaseException:
-            self.reap()     # a failed spawn must not leave a zombie
+            self.kill()     # a failed spawn must not leave a zombie
             raise
 
     def _handshake(self, listener, nonce: str, timeout: float):
@@ -212,7 +188,6 @@ class _ProcessHandle:
                     selector.unregister(conn)
                     del greetings[conn]
                     if chunk and hmac.compare_digest(greeting, expected):
-                        conn.settimeout(timeout)
                         wire.no_delay(conn)
                         return conn
                     conn.close()
@@ -224,7 +199,7 @@ class _ProcessHandle:
 
     @property
     def pid(self) -> int:
-        return self.proc.pid
+        return self.proc.pid if self.proc is not None else os.getpid()
 
     def send(self, msg: dict) -> None:
         if not self.alive:
@@ -251,17 +226,23 @@ class _ProcessHandle:
 
     def _drop(self) -> None:
         self.alive = False
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        if self.sock is not None:
+            try:
+                self.sock.close()
+            except OSError:
+                pass
 
     def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except OSError:
-            pass
+        """What SIGKILL does: a process is killed, a thread reads the EOF
+        of the closed socket and ends, dropping its engine.  Returns once
+        the worker is gone, so it also reaps a dead one."""
         self._drop()
+        if self.proc is not None:
+            try:
+                self.proc.kill()
+            except OSError:
+                pass
+        self._join()
 
     def close(self) -> None:
         if self.alive:
@@ -271,21 +252,17 @@ class _ProcessHandle:
             except (WorkerDiedError, PartitionError):
                 pass
         self._drop()
+        self._join()
+
+    def _join(self) -> None:
+        if self.thread is not None:
+            self.thread.join(timeout=5)
+            return
         try:
             self.proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-
-    def reap(self) -> None:
-        try:
-            self.proc.kill()
-        except OSError:
-            pass
-        try:
-            self.proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:  # pragma: no cover
-            pass
 
 
 # -- per-stream router --------------------------------------------------------
@@ -461,9 +438,10 @@ class _PartitionedCQ:
 class PartitionedEngine:
     """N-worker partitioned execution behind the one-database API.
 
-    ``transport="inline"`` hosts workers in-process (every frame still
-    round-trips the wire encoding); ``transport="process"`` spawns one
-    subprocess per worker over loopback sockets.
+    Every worker serves the same frame loop over a socket:
+    ``transport="inline"`` runs it on a thread per worker over a
+    socketpair, ``transport="process"`` in a subprocess per worker over
+    loopback TCP.
     """
 
     def __init__(self, partitions: int = 2, transport: str = "inline",
@@ -481,22 +459,19 @@ class PartitionedEngine:
         self.ring = HashRing(partitions, replicas=replicas)
         self.faults = None              # coordinator-side FaultInjector
         self._listener = None
-        self._host = "127.0.0.1"
-        self._port = 0
         if transport == "process":
-            self._listener = socket.socket(socket.AF_INET,
-                                           socket.SOCK_STREAM)
-            self._listener.bind((self._host, 0))
-            self._listener.listen(partitions + 2)
-            self._port = self._listener.getsockname()[1]
+            self._listener = socket.create_server(
+                ("127.0.0.1", 0), backlog=partitions + 2)
+            self._host, self._port = self._listener.getsockname()
         self._routes: Dict[str, _StreamRoute] = {}
         self._pcqs: Dict[str, _PartitionedCQ] = {}
         #: per-worker ordered log of acked frames, for restart-replay:
         #: ("ddl"|"cq"|"flush"|"stopcq", msg, None) or
-        #: ("ingest", msg, max_event_time).  Why it stays (ROADMAP 3b):
+        #: ("ingest", msg, max_event_time).  Why it stays (ROADMAP 6):
         #: it is the zero-copy replay source — the coordinator's WAL as
-        #: the workers' log costs 2.1 us/event of append (every field is
-        #: encoded for the CRC, in memory too) on partitioned_e1's 3.05
+        #: the workers' log costs 0.95 us/event of append
+        #: (storage.wal_append_us_per_event, one traced served_durable_e1
+        #: pass at 8664152, 2-vCPU Xeon) on partitioned_e1's 3.05
         #: us/event path, until one binary frame makes the append cheap.
         #: What replaying could no longer change is pruned: ingest
         #: frames under every CQ's horizon and the flushes they leave
@@ -522,11 +497,9 @@ class PartitionedEngine:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _spawn(self, worker: int):
-        if self.transport == "inline":
-            return _InlineHandle(worker)
-        return _ProcessHandle(worker, self._listener, self._host,
-                              self._port, timeout=self.spawn_timeout)
+    def _spawn(self, worker: int) -> _WorkerHandle:
+        return _WorkerHandle(worker, self.transport, self.spawn_timeout,
+                             self._listener)
 
     def close(self) -> None:
         if self._closed:
@@ -914,7 +887,7 @@ class PartitionedEngine:
         already-merged boundaries are ignored and replayed corrections
         overwrite what is stored with the same content — the restart is
         invisible."""
-        self._handles[worker].reap()
+        self._handles[worker].kill()
         self.restarts[worker] += 1
         self._handles[worker] = self._spawn(worker)
         for kind, msg, _max_time in self._logs[worker]:

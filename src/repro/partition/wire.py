@@ -7,9 +7,13 @@ rather than JSON — partial aggregate states carry tuples and numpy
 scalars, and JSON framing was measured (PR 3/X3) to both lose dtypes
 and dominate small-batch cost.
 
+Both transports speak it: a subprocess worker over loopback TCP, an
+inline one on a thread over a socketpair.
+
 Trust.  The listener is loopback-bound, but any local process can
-connect to it.  So a connection is authenticated *before anything it
-sent is decoded* — a worker opens with a fixed-length raw greeting
+connect to it (a socketpair has no listener and needs no greeting).
+So a connection is authenticated *before anything it sent is
+decoded* — a worker opens with a fixed-length raw greeting
 (:func:`hello`: its id and the nonce it got over argv), compared in
 constant time and answered, on a mismatch, by closing the socket — and
 every frame, both ways, is decoded by an unpickler that refuses every
@@ -18,11 +22,12 @@ global: messages are dicts, lists, tuples, sets, strings and numbers
 function raises :class:`ProtocolError` and runs nothing.
 
 Writes are whole responses: everything one side has to say goes out in
-**one** ``sendall`` (:func:`send_frames`), and both ends of the socket
-set ``TCP_NODELAY`` (:func:`no_delay`).  Two small writes in a row on a
-default TCP socket is the Nagle / delayed-ACK trap — the second write
-waits ~40 ms for the peer's ACK of the first — and a worker response
-used to be exactly that (partials, then the ack).
+**one** ``sendall`` (:func:`send_frames`), and both ends of a TCP
+socket set ``TCP_NODELAY`` (:func:`no_delay`; a socketpair has no
+Nagle).  Two small writes in a row on a default TCP socket is the
+Nagle / delayed-ACK trap — the second write waits ~40 ms for the
+peer's ACK of the first — and a worker response used to be exactly
+that (partials, then the ack).
 """
 
 from __future__ import annotations
@@ -63,14 +68,6 @@ def decode_body(body: bytes) -> dict:
     if not isinstance(message, dict):
         raise ProtocolError("partition frame body must be a dict")
     return message
-
-
-def roundtrip(message: dict) -> dict:
-    """Encode + decode one message (the in-process transport uses this
-    so inline workers exercise the same serialization as subprocesses)."""
-    data = encode_frame(message)
-    (length,) = _LENGTH.unpack_from(data)
-    return decode_body(data[_LENGTH.size:_LENGTH.size + length])
 
 
 def no_delay(sock) -> None:

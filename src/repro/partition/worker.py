@@ -15,10 +15,12 @@ The module doubles as the subprocess entry point::
     python -m repro.partition.worker <host> <port> <worker_id> <nonce>
 
 which pins the process to one CPU, connects back to the coordinator's
-loopback listener, opens with the argv nonce's greeting, and serves frames
-— one write per response — until the socket closes or a ``stop`` frame
-arrives.  :class:`WorkerEngine` itself is transport-free so the inline
-(in-process) transport used by tests runs the identical code path.
+loopback listener, opens with the argv nonce's greeting, and runs
+:func:`serve_frames`.  The inline transport runs the same
+:func:`serve_frames` on a thread at the far end of a socketpair, so both
+transports exchange the same bytes through the same loop, and both die
+the same way: an injected ``partition.worker_crash`` ends the loop, its
+caller closes the socket, and the coordinator reads an EOF.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from time import perf_counter
 from typing import Optional
 
 from repro.core.database import Database
-from repro.errors import FaultInjected, PartitionError
+from repro.errors import (FaultInjected, PartitionError, ProtocolError,
+                          WorkerDiedError)
 from repro.faults.injector import FaultInjector
 from repro.partition import wire
 from repro.partition.planner import partition_plan
@@ -38,8 +41,7 @@ from repro.partition.state import partial_to_wire
 
 
 class WorkerEngine:
-    """Frame handler for one worker (shared by inline and subprocess
-    transports)."""
+    """Frame handler for one worker, whichever transport serves it."""
 
     def __init__(self, worker_id: int):
         self.worker_id = worker_id
@@ -192,19 +194,17 @@ def pin_to_cpu(worker_id: int) -> None:
 def serve_frames(engine: WorkerEngine, sock) -> int:
     """Answer coordinator frames until the socket closes or a ``stop``
     frame arrives.  Every response — however many partials ride in
-    front of its ack — is one write."""
+    front of its ack — is one write.  An injected worker crash returns
+    like a SIGKILL would end the worker: no error frame, and the
+    caller's close of the socket is the coordinator's EOF."""
     while True:
         try:
-            msg = wire.recv_frame(sock)
-        except Exception:
-            return 0        # coordinator went away; die quietly
-        try:
-            frames = engine.handle(msg)
+            frames = engine.handle(wire.recv_frame(sock))
+            wire.send_frames(sock, frames)
         except FaultInjected:
-            # injected worker crash: die like a SIGKILL would —
-            # no error frame, no socket shutdown courtesy
-            os._exit(23)
-        wire.send_frames(sock, frames)
+            return 0        # the injected crash: no error frame
+        except (WorkerDiedError, ProtocolError):
+            return 0        # the coordinator went away
         if frames[-1].get("stopping"):
             return 0
 
@@ -213,13 +213,10 @@ def serve(host: str, port: int, worker_id: int, nonce: str) -> int:
     """Subprocess main loop: connect back, greet, serve frames."""
     pin_to_cpu(worker_id)
     engine = WorkerEngine(worker_id)
-    sock = socket.create_connection((host, port))
-    try:
+    with socket.create_connection((host, port)) as sock:
         wire.no_delay(sock)
         sock.sendall(wire.hello(worker_id, nonce))
         return serve_frames(engine, sock)
-    finally:
-        sock.close()
 
 
 def main(argv=None) -> int:

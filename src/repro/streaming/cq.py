@@ -208,6 +208,9 @@ class ContinuousQuery(StreamConsumer):
         #: a line EXPLAIN leads with, set by whoever placed the CQ (the
         #: partition coordinator: why it runs unpartitioned)
         self.explain_note = None
+        #: plan executions over the CQ's whole life: the supervisor's
+        #: guard clears strikes only on a call that moved it
+        self.plan_runs = 0
         select.from_clause = inline_streaming_views(
             select.from_clause, catalog)
         self.build()
@@ -407,7 +410,7 @@ class ContinuousQuery(StreamConsumer):
         # a straggler makes 2 000; B attached one row later, seals
         # 1 998, the straggler makes 1 999 — and B would be served A's
         # stale partial of its first 1 999).  Sharing across event-time
-        # CQs waits for the sealing-policy object (ROADMAP item 2).
+        # CQs waits for the sealing-policy object (ROADMAP item 3).
         if self.is_sliced() and not self.is_event_time():
             join_store(self.stream, self.store_key, self._window_op)
 
@@ -523,6 +526,7 @@ class ContinuousQuery(StreamConsumer):
         plan's instrumentation behave exactly as in iterator mode.  A
         window of no partials pins nothing and the plan runs over its
         empty relation."""
+        self.plan_runs += 1
         self.view.refresh()
         agg = self._agg
         pinned = agg is not None and bool(batches[0])

@@ -285,15 +285,20 @@ class CQSupervisor:
 
     def _guard(self, entry: _Entry, original, failed):
         """``original`` with a failure handed to ``failed(exc, *args)``
-        and a success clearing the entry's strikes."""
+        and a success that ran the CQ's plan clearing the entry's
+        strikes: a join side that only buffered its window proves
+        nothing about the plan."""
+        cq = entry.target
+
         def guarded(*args):
+            runs = cq.plan_runs
             try:
                 original(*args)
             except Exception as exc:
                 failed(exc, *args)
-            else:
-                if entry.consecutive_failures:
-                    entry.consecutive_failures = 0
+                return
+            if cq.plan_runs != runs:
+                entry.consecutive_failures = 0
                 if entry.state == DEGRADED:
                     entry.state = RUNNING
         return guarded

@@ -17,6 +17,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -86,11 +87,16 @@ class TestHashRing:
 # -- wire framing -------------------------------------------------------------
 
 
+def roundtrip(message: dict) -> dict:
+    """One message through the frame encoding and back."""
+    return wire.decode_body(wire.encode_frame(message)[4:])
+
+
 class TestWire:
     def test_roundtrip_preserves_tuples_and_none(self):
         msg = {"op": "ingest", "segments": [("rows", [(1.0, None, "x")],
                                             None), ("wm", 5.0)]}
-        back = wire.roundtrip(msg)
+        back = roundtrip(msg)
         assert back == msg
         assert isinstance(back["segments"][0][1][0], tuple)
 
@@ -100,8 +106,8 @@ class TestWire:
         np = pytest.importorskip("numpy")
         partial = {("k",): [np.int64(3), np.float64(2.5)]}
         with pytest.raises(ProtocolError, match="global"):
-            wire.roundtrip({"groups": partial})
-        back = wire.roundtrip({"groups": normalize_partial(partial)})
+            roundtrip({"groups": partial})
+        back = roundtrip({"groups": normalize_partial(partial)})
         assert back["groups"] == {("k",): [3, 2.5]}
         assert type(back["groups"][("k",)][0]) is int
 
@@ -136,7 +142,7 @@ class TestWire:
         assert not target.exists()
         # sets, tuples, None, bools, big ints, bytes-free text: plain data
         msg = {"a": {1, 2}, "b": (None, True, 2 ** 70, "é"), "c": [1.5]}
-        assert wire.roundtrip(msg) == msg
+        assert roundtrip(msg) == msg
 
     def test_oversize_frame_refused(self):
         with pytest.raises(ProtocolError):
@@ -258,7 +264,7 @@ class TestHashAggregatePartials:
             part = agg.accumulate({})
         finally:
             cq._batches[0] = []
-        shipped = wire.roundtrip({"groups": normalize_partial(part)})
+        shipped = roundtrip({"groups": normalize_partial(part)})
         merged = agg.finalize(agg.merge_partials([shipped["groups"]]))
         cq._batches[0] = [(1.0, "a", 2.0), (2.0, "b", 3.0)]
         try:
@@ -881,6 +887,54 @@ class TestTransport:
         # broken child killed, the healthy one stopped with the engine
         healthy, broken = [proc.returncode for proc in spawned]
         assert healthy == 0 and broken in fates
+
+
+def worker_threads(before) -> list:
+    """The live inline-worker threads started since ``before``."""
+    return sorted((t for t in threading.enumerate() if t not in before
+                   and t.name.startswith("repro-partition-worker-")),
+                  key=lambda t: t.name)
+
+
+class TestInlineWorkerThreads:
+    """An inline worker is a thread serving the subprocess's frame loop
+    over a socketpair: its life is the socket's."""
+
+    def test_kill_ends_the_thread_ping_respawns_close_ends_them_all(self):
+        before = set(threading.enumerate())
+        eng = PartitionedEngine(partitions=2)
+        try:
+            first, second = worker_threads(before)
+            assert (first.name, second.name) == (
+                "repro-partition-worker-0", "repro-partition-worker-1")
+            eng.kill_worker(0)
+            assert not first.is_alive() and second.is_alive()
+            assert eng.status_rows()[0][2] == "down"
+            assert eng.ping(0)
+            assert eng.restarts == [1, 0]
+            respawned, _second = worker_threads(before)
+            assert respawned.name == first.name and respawned is not first
+        finally:
+            eng.close()
+        assert worker_threads(before) == []
+
+    def test_every_frame_crosses_the_socket_into_serve_frames(
+            self, monkeypatch):
+        readers = []
+        recv_frame = wire.recv_frame
+
+        def counted(sock):
+            readers.append(threading.current_thread().name)
+            return recv_frame(sock)
+        monkeypatch.setattr(wire, "recv_frame", counted)
+        with PartitionedEngine(partitions=2) as eng:
+            eng.execute(TestTransport.DDL)
+            sub = eng.execute(TestTransport.CQ)
+            eng.ingest("s", [(1.0, "a", 1.0), (12.0, "b", 1.0)])
+            assert sub.poll()
+        # ddl, cq, ingest and stop, each read by both workers' loops
+        assert readers.count("repro-partition-worker-0") >= 4
+        assert readers.count("repro-partition-worker-1") >= 4
 
 
 # -- repro_partitions view + shell command ------------------------------------

@@ -236,6 +236,27 @@ class TestWorkerCrashCrashpoint:
         finally:
             eng.close()
 
+    def test_an_inline_crash_ends_its_thread_not_the_process(self):
+        # the frame loop returns on the crash and the thread closes its
+        # end: the coordinator reads the same EOF a SIGKILL gives
+        eng = PartitionedEngine(partitions=2)
+        try:
+            eng.execute(DDL)
+            sub = eng.execute(CQ)
+            crashed = eng._handles[0].thread
+            eng.arm_fault("partition.worker_crash", worker=0, seed=2009)
+            for rows in SPLIT_BATCHES:
+                eng.ingest("s", rows)
+            eng.flush()
+            assert not crashed.is_alive()
+            assert eng._handles[0].thread.is_alive()
+            assert eng.restarts == [1, 0]
+            got = [(w.kind, w.open_time, w.close_time, tuple(w.rows))
+                   for w in sub.poll()]
+            assert got == run_single(SPLIT_BATCHES)
+        finally:
+            eng.close()
+
     def test_ping_restarts_a_killed_worker(self):
         eng = PartitionedEngine(partitions=2)
         try:

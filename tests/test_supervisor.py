@@ -360,11 +360,11 @@ class TestRestartInPlace:
     JOIN = ("SELECT 10 / (s.v - t.w) AS r FROM s <VISIBLE '1 minute'>, "
             "t <VISIBLE '1 minute'> WHERE s.k = t.k", ("a", 3))
 
-    # a join side that only buffers its window is a success that clears
-    # the strikes, so a join takes restart_limit 1 to restart at all
+    # join-limit-2: a join side that only buffers its window runs no
+    # plan, so it must not clear the strike the other side's close took
     @pytest.mark.parametrize("select, poison, limit", [
-        TRANSFORM + (1,), JOIN + (1,), TRANSFORM + (2,)],
-        ids=["transform", "join", "transform-limit-2"])
+        TRANSFORM + (1,), JOIN + (1,), TRANSFORM + (2,), JOIN + (2,)],
+        ids=["transform", "join", "transform-limit-2", "join-limit-2"])
     def test_restart_guards_are_installed_once(self, db, select, poison,
                                                limit):
         # a restart keeps the object: a guard stacked on a guard would

@@ -175,7 +175,7 @@ class TestEndToEndParity:
         assert run_cq(AGG_QUERY, events, True) == \
             run_cq(AGG_QUERY, events, False)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b)")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(a)")
     def test_grouped_sum_is_summation_order_sensitive(self):
         # sum/avg differ in the last digit between the two executors
         events = [(0, -1.0, 0), (0, 171766514971.0, 0),
