@@ -18,14 +18,17 @@ over loopback sockets, runs the standard keyed window CQ, and:
    ``repro_partitions`` status rows;
 2. parks two **stray connections** in the listener's backlog — one a
    pickle frame whose ``__reduce__`` would create a file, one that
-   sends nothing at all — and SIGKILLs one worker **mid-window** (its
-   shard has buffered rows the next boundary still needs — no frame in
-   flight, no warning); the respawn's accept meets the strays first and
-   must close the first undecoded and not wait on the silent one (were
-   it to, the respawn would fail after ``spawn_timeout``);
-3. keeps ingesting: the next frame owed to the dead worker triggers
-   restart-with-replay — respawn, replay of the acked frame log,
-   watermark fast-forward, then the in-flight frame;
+   sends nothing at all — ingests a third batch, and SIGKILLs one
+   worker **mid-window** while that batch's frames are still owed
+   their acks (an ingest returns without waiting for them; its shard
+   has buffered rows the next boundary still needs — no warning); the
+   respawn's accept meets the strays first and must close the first
+   undecoded and not wait on the silent one (were it to, the respawn
+   would fail after ``spawn_timeout``);
+3. keeps ingesting: the next call reads the dead worker's EOF (or, if
+   it answered before it died, the next frame owed to it does) and
+   restarts it with replay — respawn, replay of the acked frame log,
+   watermark fast-forward, then the unanswered frame;
 4. flushes and compares the full window sequence against a plain
    single-process :class:`Database` fed exactly the same batches: the
    output must be **bit-identical** — same boundaries, same rows, no
@@ -73,7 +76,7 @@ BATCHES = [
      for t in range(b * 6, b * 6 + 6)]
     for b in range(8)
 ]
-KILL_AFTER = 2          # SIGKILL between batches 2 and 3 (mid-window)
+KILL_AFTER = 3          # SIGKILL after batch 3, its frames unanswered
 SILENT_STRAY_S = 10.0   # a third of the default spawn_timeout
 
 STALL_MS = 20.0         # half a delayed ACK: no healthy loopback hop is near
@@ -258,7 +261,7 @@ def main():
     try:
         eng.execute(DDL)
         sub = eng.execute(CQ)
-        for rows in BATCHES[:KILL_AFTER]:
+        for rows in BATCHES[:KILL_AFTER - 1]:
             eng.ingest("s", rows)
 
         rows = eng.status_rows()
@@ -269,19 +272,20 @@ def main():
                            "ran")
         stray = park_stray(eng, ran)
         silent = socket.create_connection((eng._host, eng._port))
+        eng.ingest("s", BATCHES[KILL_AFTER - 1])    # returns unanswered
         print(f"  stray connections parked (evil pickle, silent); SIGKILL "
-              f"worker {victim} (pid {pid}) mid-window")
+              f"worker {victim} (pid {pid}) mid-window, a batch in flight")
         os.kill(pid, signal.SIGKILL)
 
+        # the respawn happens in whichever call first reads the death
         began = time.perf_counter()
-        eng.ingest("s", BATCHES[KILL_AFTER])    # owed to the dead worker
+        for rows in BATCHES[KILL_AFTER:]:
+            eng.ingest("s", rows)
+        eng.flush()
         respawn_s = time.perf_counter() - began
         if respawn_s >= SILENT_STRAY_S:
             fail(f"the respawn took {respawn_s:.2f} s past a silent stray "
                  f"connection (the accept waited on it)")
-        for rows in BATCHES[KILL_AFTER + 1:]:
-            eng.ingest("s", rows)
-        eng.flush()
         got = collect(sub)
 
         status = eng.status_rows()
@@ -313,8 +317,8 @@ def main():
             except ConnectionError:
                 pass
             conn.close()
-        print(f"  stray connections closed undecoded, worker respawned past "
-              f"them in {respawn_s:.2f} s")
+        print(f"  stray connections closed undecoded; the feed after the "
+              f"kill, respawn past them included, took {respawn_s:.2f} s")
     finally:
         eng.close()
 

@@ -25,7 +25,13 @@ on the coordinator like on any single engine.
 Every exchange with the workers — a pump's ingest frames, a flush, a
 DDL or CQ broadcast — scatters all its frames before it gathers any
 ack (``PartitionedEngine._exchange``), so the shards work at the same
-time.
+time.  An ``ingest`` goes one step further and returns with its frames
+unanswered (the *flight*): the next call reads those acks, so the
+coordinator ingests and routes batch n+1 while the workers work on
+batch n.  Visibility rule: a window an ``ingest`` closed is merged by
+the next call that feeds or reads the engine, at the latest; one any
+other call closed, by that call; and every one by :meth:`drain` or
+``flush``.
 
 Worker lifecycle: a worker is a thread or a subprocess serving frames
 over a socket, and its death — an injected ``partition.worker_crash``
@@ -41,7 +47,7 @@ batch refused whole) and
 retained, boundary stays pending) cover the coordinator's own hot path.
 A boundary whose emission was *attempted* has left the pending list: an
 evaluation error is the CQ's (quarantined under supervision, else
-raised once to that pump's caller), never a wedge.
+raised once to the caller of the call that merges it), never a wedge.
 """
 
 from __future__ import annotations
@@ -106,10 +112,10 @@ class _WorkerHandle:
     Either way the socket is blocking: :meth:`send` writes one frame
     whole, :meth:`collect` reads the one response it is owed (partials,
     then the ack).  A worker never writes before it has read its whole
-    frame, so a coordinator may send to every worker before collecting
-    from any.  A dead worker — crashed or killed — is an EOF or a reset
-    here, and a hung one the socket's timeout: each raised as
-    :class:`WorkerDiedError`."""
+    frame, and never has two unanswered, so a coordinator may send to
+    every worker before collecting from any.  A dead worker — crashed or
+    killed — is an EOF or a reset here, and a hung one the socket's
+    timeout: each raised as :class:`WorkerDiedError`."""
 
     def __init__(self, worker_id: int, transport: str, timeout: float,
                  listener: Optional[socket.socket] = None):
@@ -305,6 +311,11 @@ class _StreamRoute(StreamConsumer):
         #: (pcq, "final" | "correct", close boundary) in the order the
         #: boundary operators decided them; merged in that order
         self.pending = deque()
+        #: entries counted from the route's start: ``popped`` have left
+        #: ``pending``, and those below ``proven`` were recorded before a
+        #: send whose acks are all in — a late row's correction may not
+        #: merge ahead of the partial its own frame brings back
+        self.popped = self.proven = 0
         self.rows_routed = [0] * n_workers
         self.spill_rows = [0] * n_workers
         self.batches = 0
@@ -394,6 +405,26 @@ class _StreamRoute(StreamConsumer):
                 self.segments[worker].append(("wm", watermark))
                 self._sent_wm[worker] = watermark
 
+    @property
+    def recorded(self) -> int:
+        return self.popped + len(self.pending)
+
+
+class _Flight:
+    """One route's ingest frames, sent and not yet answered: what their
+    acks prove once they are all in."""
+
+    def __init__(self, route: _StreamRoute, frames: dict, unsent: dict,
+                 horizon: Optional[float]):
+        self.route = route
+        self.frames = frames        # worker -> (msg, log record)
+        self.unsent = unsent        # worker -> the error its send raised
+        self.proves = route.recorded
+        self.watermark = route.stream.watermark
+        #: the log-prune horizon as of this send, or None: taken now,
+        #: before the next batch moves the boundary operators on
+        self.horizon = horizon
+
 
 # -- per-CQ merge state -------------------------------------------------------
 
@@ -442,6 +473,14 @@ class PartitionedEngine:
     ``transport="inline"`` runs it on a thread per worker over a
     socketpair, ``transport="process"`` in a subprocess per worker over
     loopback TCP.
+
+    :meth:`ingest` (and :meth:`insert`) return with their frames in
+    flight.  The next call that talks to a worker reads the acks they
+    are owed first; the calls that feed or read the engine
+    (``ingest``, ``execute``, ``advance``, ``inject_watermark``,
+    ``flush``, ``query``, ``drain``, ``close``) also merge the windows
+    the acks close, and may raise a window's evaluation error the way
+    an ``ingest`` does.
     """
 
     def __init__(self, partitions: int = 2, transport: str = "inline",
@@ -486,6 +525,8 @@ class PartitionedEngine:
         #: wait far above busy is a slow hop, not a slow worker
         self.busy_seconds = [0.0] * partitions
         self.wait_seconds = [0.0] * partitions
+        #: the last ingest's frames, owed their acks (at most one)
+        self._flight: Optional[_Flight] = None
         self._closed = False
         self._handles: list = []
         try:
@@ -502,16 +543,21 @@ class PartitionedEngine:
                              self._listener)
 
     def close(self) -> None:
+        """Merge what the last ingest closed, then stop every worker."""
         if self._closed:
             return
         self._closed = True
-        for handle in self._handles:
-            handle.close()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        try:
+            if self._flight is not None:
+                self.drain()
+        finally:
+            for handle in self._handles:
+                handle.close()
+            if self._listener is not None:
+                try:
+                    self._listener.close()
+                except OSError:
+                    pass
 
     def __enter__(self):
         return self
@@ -553,6 +599,7 @@ class PartitionedEngine:
         return result
 
     def query(self, sql: str, params=None):
+        self.drain()
         return self.db.query(sql, params)
 
     def _reads_partitioned(self, cq) -> bool:
@@ -653,9 +700,12 @@ class PartitionedEngine:
                sender: Optional[str] = None,
                seq: Optional[int] = None) -> dict:
         """Apply one ingest batch: :meth:`Database.ingest_batch`, then
-        send what the router collected.  A batch the stream refuses part
-        way (an out-of-order row under the ``raise`` policy) has still
-        delivered the rows before the offender — they go out too."""
+        read the acks the previous call left owed, send what the router
+        collected, merge what the acks closed — and return without
+        waiting for this batch's acks, so the workers chew it while the
+        caller makes the next.  A batch the stream refuses part way (an
+        out-of-order row under the ``raise`` policy) has still delivered
+        the rows before the offender — they go out too."""
         if name in self._routes \
                 and self.faults is not None and self.faults.armed:
             # before the stream sees a row: an injected router death
@@ -665,7 +715,7 @@ class PartitionedEngine:
             return self.db.ingest_batch(name, rows, at=at, sender=sender,
                                         seq=seq, watermark=watermark)
         finally:
-            self._pump()
+            self._pump(hold=True)
 
     def insert(self, name: str, values, at: Optional[float] = None) -> dict:
         return self.ingest(name, [values], at=at)
@@ -691,32 +741,32 @@ class PartitionedEngine:
         finally:
             self._pump(flush=True)
 
-    def _pump(self, flush: bool = False) -> None:
-        """Send what the routers collected, absorb the partials riding
-        the acks, merge what closed.  Segments leave a worker's queue
-        when it answers: what a dead worker never got (its respawn
-        failed too) goes out, in order, with the next pump."""
+    def drain(self) -> None:
+        """Read every ack still owed and merge what it closed: after
+        this, every window an earlier call closed is visible."""
+        self._pump()
+
+    def _pump(self, flush: bool = False, hold: bool = False) -> None:
+        """Read the acks the last ingest left owed, send what the
+        routers collected since, absorb the partials riding the acks,
+        merge what closed.  With ``hold`` the last route's frames are
+        left in flight for the next call to read — unless a send already
+        failed: a dead worker is respawned now, as on any exchange."""
+        self._land_flight()
         routes = list(self._routes.values())
+        launch = []
         for route in routes:
             route.sync()
-            stream = route.stream
-            frames = {
-                worker: ({"op": "ingest", "stream": route.name,
-                          "segments": segs},
-                         ("ingest", stream.raw_watermark))
-                for worker, segs in enumerate(route.segments) if segs}
-            try:
-                self._exchange(frames)
-            finally:
-                for worker in frames:
-                    if self._handles[worker].alive:
-                        route.segments[worker] = []
-            route.completed_wm = stream.watermark
-            if any(seg[0] == "rows" for msg, _record in frames.values()
-                   for seg in msg["segments"]):
-                route.batches += 1
-                if route.batches % _PRUNE_EVERY == 0:
-                    self._prune_logs(route)
+            if any(route.segments):
+                launch.append(route)
+            else:
+                route.proven = route.recorded   # nothing of it unanswered
+        for route in launch:
+            flight = self._launch(route)
+            if hold and route is launch[-1] and not flight.unsent:
+                self._flight = flight
+            else:
+                self._land(flight)
         if flush:
             self._broadcast({"op": "flush"}, "flush")
             for route in routes:
@@ -733,21 +783,23 @@ class PartitionedEngine:
         an acked flush) reaching a boundary is the proof its partials
         are all in.  An entry leaves the list when its emission is
         attempted: an injected merge death fires before that and is
-        retried; an evaluation error is the CQ's, once."""
+        retried; an evaluation error is the CQ's, once.  Nothing
+        recorded after the frames still in flight went out is merged:
+        their acks may carry a correction's partial."""
         gate = max(route.wm_merge.merged, route.flush_gate)
         pending = route.pending
-        while pending:
+        while pending and route.popped < route.proven:
             pcq, kind, boundary = pending[0]
-            if pcq.stale:
-                pending.popleft()
-                continue
-            if boundary > gate:
+            stale = pcq.stale
+            if not stale and boundary > gate:
                 break
-            if self.faults is not None and self.faults.armed:
+            if not stale and self.faults is not None and self.faults.armed:
                 self.faults.check("partition.merge",
                                   f"{pcq.name}:{boundary}")
             pending.popleft()
-            self._merge_boundary(pcq, kind, boundary)
+            route.popped += 1
+            if not stale:
+                self._merge_boundary(pcq, kind, boundary)
         for pcq in list(route.cqs):
             if pcq.stale:
                 # a closed subscription — or a CQ its supervisor rebuilt,
@@ -814,13 +866,24 @@ class PartitionedEngine:
         ``(kind, max_event_time)``, or None for an unlogged frame) only
         after its ack.  One worker's failure does not stop the gather —
         an ack left unread would answer that worker's next frame — so
-        the first failure is raised once every worker has been seen."""
+        the first failure is raised once every worker has been seen.
+        The acks an ingest left owed are read first: a worker has at
+        most one frame unanswered."""
+        self._land_flight()
+        return self._gather(frames, self._scatter(frames))
+
+    def _scatter(self, frames: dict) -> dict:
+        """Send every frame; returns the workers whose send failed, with
+        the error, for :meth:`_gather` to respawn."""
         unsent = {}
         for worker, (msg, _record) in frames.items():
             try:
                 self._handles[worker].send(msg)
-            except Exception as exc:    # noqa: BLE001 — raised below
+            except Exception as exc:    # noqa: BLE001 — raised in _gather
                 unsent[worker] = exc
+        return unsent
+
+    def _gather(self, frames: dict, unsent: dict) -> dict:
         acks = {}
         failure = None
         for worker, (msg, record) in frames.items():
@@ -841,6 +904,43 @@ class PartitionedEngine:
         if failure is not None:
             raise failure
         return acks
+
+    def _launch(self, route: _StreamRoute) -> _Flight:
+        """Send what the router collected; the route's queues empty."""
+        frames = {
+            worker: ({"op": "ingest", "stream": route.name,
+                      "segments": segs},
+                     ("ingest", route.stream.raw_watermark))
+            for worker, segs in enumerate(route.segments) if segs}
+        route.segments = [[] for _ in range(self.partitions)]
+        horizon = None
+        if any(seg[0] == "rows" for msg, _record in frames.values()
+               for seg in msg["segments"]):
+            route.batches += 1
+            if route.batches % _PRUNE_EVERY == 0:
+                horizon = self._horizon(route)
+        return _Flight(route, frames, self._scatter(frames), horizon)
+
+    def _land(self, flight: _Flight) -> None:
+        """Read a flight's acks.  What a dead worker never answered (its
+        respawn failed too) goes back to the front of its queue, for the
+        next pump to send."""
+        route = flight.route
+        try:
+            self._gather(flight.frames, flight.unsent)
+        finally:
+            for worker, (msg, _record) in flight.frames.items():
+                if not self._handles[worker].alive:
+                    route.segments[worker][:0] = msg["segments"]
+        route.completed_wm = flight.watermark
+        route.proven = flight.proves
+        if flight.horizon is not None:
+            self._prune_logs(route, flight.horizon)
+
+    def _land_flight(self) -> None:
+        flight, self._flight = self._flight, None
+        if flight is not None:
+            self._land(flight)
 
     def _broadcast(self, msg: dict, kind: str) -> None:
         """One logged frame to every worker."""
@@ -905,17 +1005,20 @@ class PartitionedEngine:
                     "segments": [("wm", route.completed_wm)]}
             self._take(worker, sync, self._ask(worker, sync))
 
-    def _prune_logs(self, route: _StreamRoute) -> None:
-        """Drop replayable ingest frames no unmerged window (nor any
-        in-bound recomputation) can still need, and every flush left
-        with no ingest frame before it: it would flush a worker that
-        holds no rows."""
+    @staticmethod
+    def _horizon(route: _StreamRoute) -> Optional[float]:
+        """The oldest event time an unmerged window (or an in-bound
+        recomputation) of the route's CQs can still need, or None."""
         horizons = [pcq.op.horizon for pcq in route.cqs]
         if None in horizons:
-            return      # some CQ's boundary grid has not started yet
+            return None     # some CQ's boundary grid has not started yet
         horizon = min(horizons, default=route.stream.watermark)
-        if horizon == NEG_INF:
-            return
+        return None if horizon == NEG_INF else horizon
+
+    def _prune_logs(self, route: _StreamRoute, horizon: float) -> None:
+        """Drop replayable ingest frames from below ``horizon``, and
+        every flush left with no ingest frame before it: it would flush
+        a worker that holds no rows."""
         for worker in range(self.partitions):
             kept, holds_rows = [], False
             for entry in self._logs[worker]:
@@ -930,8 +1033,10 @@ class PartitionedEngine:
             self._logs[worker] = kept
 
     def kill_worker(self, worker: int) -> None:
-        """Hard-kill one worker (tests and the smoke harness); the next
-        frame it owes triggers restart-with-replay."""
+        """Hard-kill one worker (tests and the smoke harness) once the
+        acks it owes are read; its next frame triggers
+        restart-with-replay."""
+        self._land_flight()
         self._handles[worker].kill()
 
     def ping(self, worker: int) -> bool:
@@ -985,7 +1090,9 @@ class PartitionedEngine:
         return "\n".join(pieces)
 
     def status_rows(self) -> List[tuple]:
-        """One row per worker for the ``repro_partitions`` view."""
+        """One row per worker for the ``repro_partitions`` view, as of
+        the last ack (the owed ones are read first)."""
+        self._land_flight()
         rows = []
         routes = list(self._routes.values())
         for worker in range(self.partitions):

@@ -101,7 +101,7 @@ class TruSQLServer:
             from repro.partition import PartitionedEngine
             engine = self.partition_engine = PartitionedEngine(
                 partitions=partitions, transport="process", db=self.db)
-            self.ingest_entry = engine.ingest
+            self.ingest_entry = self._settled_ingest
             self.advance_entry, self.flush_entry = engine.advance, engine.flush
         else:
             engine = self.db
@@ -248,6 +248,17 @@ class TruSQLServer:
         ``PARTITION BY`` stream it creates gets its router."""
         for statement in split_script(source):
             self.execute_entry(statement)
+
+    def _settled_ingest(self, *args, **kwargs) -> dict:
+        """Engine thread: a partitioned ingest answered once the windows
+        it closed are out, as an unpartitioned server answers — the
+        coordinator would otherwise merge them only at the next call,
+        and a quiet client's last windows would wait for one."""
+        engine = self.partition_engine
+        try:
+            return engine.ingest(*args, **kwargs)
+        finally:
+            engine.drain()
 
     async def on_engine(self, fn, *args, **kwargs):
         """Run ``fn`` on the single-writer engine thread and await it.

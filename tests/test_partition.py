@@ -775,10 +775,13 @@ class TestTransport:
                     return _call(*args)
                 setattr(handle, name, spy)
         eng.ingest("s", [(float(t), f"k{t}", 1.0) for t in range(12)])
+        # the ingest returns with its frames out and no ack read ...
+        assert calls == [("send", w) for w in range(3)]
         eng.flush()
         scatter_gather = [(op, w) for op in ("send", "collect")
                           for w in range(3)]
-        assert calls == scatter_gather * 2      # the ingest, the flush
+        # ... the flush reads them before it sends its own
+        assert calls == scatter_gather * 2
         eng.close()
 
     def test_coordinator_sockets_have_nagle_off(self):
@@ -834,6 +837,7 @@ class TestTransport:
                 pass
             stray.close()
             eng.ingest("s", [(11.0, "a", 1.0), (12.0, "b", 1.0)])
+            eng.drain()
             # the windows closing at 5 and at 10, replayed shard included
             assert [tuple(w.rows) for w in sub.poll()] == \
                 [(("a", 1), ("b", 1))] * 2
@@ -931,10 +935,50 @@ class TestInlineWorkerThreads:
             eng.execute(TestTransport.DDL)
             sub = eng.execute(TestTransport.CQ)
             eng.ingest("s", [(1.0, "a", 1.0), (12.0, "b", 1.0)])
+            eng.drain()
             assert sub.poll()
         # ddl, cq, ingest and stop, each read by both workers' loops
         assert readers.count("repro-partition-worker-0") >= 4
         assert readers.count("repro-partition-worker-1") >= 4
+
+
+class TestPipelinedPump:
+    """An ingest returns with its frames unanswered, so the coordinator
+    routes the next batch while the workers work on this one.  A window
+    it closed is merged by the next call that feeds or reads the engine
+    — whichever it is — and by ``close()``."""
+
+    CQ = ("SELECT k, count(*) AS n FROM s <visible 5 advance 5> "
+          "GROUP BY k ORDER BY k")
+
+    def closing(self, eng):
+        eng.execute(TestTransport.DDL)
+        sub = eng.execute(self.CQ)
+        eng.ingest("s", [(1.0, "a", 1.0), (2.0, "b", 1.0)])
+        eng.ingest("s", [(12.0, "a", 1.0)])          # closes 5 and 10
+        assert sub.poll() == []         # their partials are still owed
+        return sub
+
+    @pytest.mark.parametrize("next_call", [
+        lambda eng: eng.ingest("s", [(13.0, "b", 1.0)]),
+        lambda eng: eng.drain(),
+        lambda eng: eng.advance(12.0),
+        lambda eng: eng.query("SELECT count(*) FROM repro_streams"),
+        lambda eng: eng.execute("CREATE TABLE t (a INTEGER)"),
+        lambda eng: eng.flush(),
+    ], ids=["ingest", "drain", "advance", "query", "execute", "flush"])
+    def test_the_next_call_merges_what_an_ingest_closed(self, next_call):
+        with PartitionedEngine(partitions=2) as eng:
+            sub = self.closing(eng)
+            next_call(eng)
+            assert [(w.close_time, w.rows) for w in sub.poll()][:2] == [
+                (5.0, [("a", 1), ("b", 1)]), (10.0, [])]
+
+    def test_close_merges_what_the_last_ingest_closed(self):
+        eng = PartitionedEngine(partitions=2)
+        sub = self.closing(eng)
+        eng.close()
+        assert [w.close_time for w in sub.poll()] == [5.0, 10.0]
 
 
 # -- repro_partitions view + shell command ------------------------------------
@@ -1095,6 +1139,21 @@ class TestServerPartitions:
                 windows = sub.wait_windows(1, timeout=10.0)
                 total = sum(row[1] for w in windows for row in w.rows)
                 assert total >= 4
+
+    def test_an_ingest_op_pushes_the_windows_it_closed(self):
+        """The coordinator merges an ingest's windows at its next call;
+        the server drains before it answers, so a client that sends
+        one batch and waits still gets them."""
+        from repro import client
+        from repro.server import ServerThread
+
+        with ServerThread(partitions=2) as st:
+            with client.connect(st.host, st.port) as conn:
+                conn.execute(self.DDL)
+                sub = conn.execute(self.CQ)
+                conn.ingest("s", self.ROWS)         # t = 1..12
+                windows = sub.wait_windows(2, timeout=10.0)
+                assert [w.close_time for w in windows] == [5.0, 10.0]
 
     def test_init_script_goes_through_the_router(self):
         """``--partitions`` + ``--init``: a PARTITION BY stream the

@@ -18,7 +18,10 @@ A pump scatters every worker's frame before it gathers any ack, so a
 worker can also die *between* the two — at the send, or with its frame
 received and its neighbour's answer already waiting.  The per-worker
 contract is unchanged (respawn, replay, re-send once; a frame is logged
-once, after its ack) and the output is the single engine's.
+once, after its ack) and the output is the single engine's.  An
+``ingest`` returns with its frames unanswered, so a death is found by
+the next call — ``drain()`` below, or the next ingest after it routed
+its own batch.
 
 The deterministic schedule (seed 2009, ``make chaos``) keeps every
 failure reproducible; nothing here sleeps or races.
@@ -119,9 +122,11 @@ class TestMergeCrashpoint:
             eng.ingest("s", BATCHES[0])
             eng.arm_fault("partition.merge", seed=2009)
             # batch 2 closes the first boundary (t=5); the merge stage
-            # dies before emitting it
+            # dies before emitting it, in the call that reads batch 2's
+            # acks
+            eng.ingest("s", BATCHES[1])
             with pytest.raises(FaultInjected):
-                eng.ingest("s", BATCHES[1])
+                eng.drain()
             assert sub.poll() == []          # nothing partial escaped
             # the workers DID receive the batch (the crash is after the
             # sends) — replaying rows is the client's job only for
@@ -143,8 +148,9 @@ class TestMergeCrashpoint:
             sub = eng.execute(CQ)
             eng.ingest("s", BATCHES[0])
             eng.arm_fault("partition.merge", seed=2009)
+            eng.ingest("s", BATCHES[1])
             with pytest.raises(FaultInjected):
-                eng.ingest("s", BATCHES[1])
+                eng.drain()
             eng.flush()
             got = [(w.kind, w.open_time, w.close_time, tuple(w.rows))
                    for w in sub.poll()]
@@ -326,11 +332,13 @@ class TestDeathAroundTheScatter:
             eng.execute(DDL)
             sub = eng.execute(CQ)
             eng.ingest("s", SPLIT_BATCHES[0])
+            eng.drain()
             logged = [len(log) for log in eng._logs]
             death(eng)
             # closes boundary 5 on both shards: worker 0's response
             # carries partials too, and is absorbed exactly once
             eng.ingest("s", SPLIT_BATCHES[1])
+            eng.drain()
             assert eng.restarts == [0, 1]
             assert [len(log) for log in eng._logs] == \
                 [n + 1 for n in logged]
@@ -344,6 +352,67 @@ class TestDeathAroundTheScatter:
             assert all(r[2] == "up" for r in eng.status_rows())
         finally:
             eng.close()
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_a_death_with_a_batch_in_flight_is_read_by_the_next_ingest(
+        transport):
+    """An ingest returns with its frames unanswered.  A worker that dies
+    then is found by the next ingest, after it has routed its own batch:
+    the dead worker is respawned, replayed and sent the unanswered frame
+    before the new one goes out, and the output is the single engine's."""
+    want = run_single(SPLIT_BATCHES)
+    eng = PartitionedEngine(partitions=2, transport=transport)
+    try:
+        eng.execute(DDL)
+        sub = eng.execute(CQ)
+        eng.ingest("s", SPLIT_BATCHES[0])
+        eng.ingest("s", SPLIT_BATCHES[1])
+        eng._handles[1].kill()      # kill_worker would read the acks first
+        eng.ingest("s", SPLIT_BATCHES[2])
+        assert eng.restarts == [0, 1]
+        # batch 2's frame was resent, batch 3's is the one in flight
+        assert [kind for kind, _msg, _t in eng._logs[1]].count("ingest") == 2
+        eng.ingest("s", SPLIT_BATCHES[3])
+        eng.flush()
+        got = [(w.kind, w.open_time, w.close_time, tuple(w.rows))
+               for w in sub.poll()]
+        assert got == want
+        assert eng.restarts == [0, 1]
+    finally:
+        eng.close()
+
+
+def test_the_replay_log_is_pruned_as_of_the_send_not_the_ack():
+    """The 64th batch prunes the replay log when its acks are read —
+    after the next batch was routed and closed window [60, 70).  Pruned
+    by where the boundary operator stands *then*, the log would lose
+    that window's rows while the partial closing it is still owed; a
+    worker dying before it arrives would rebuild the window empty."""
+    tumbling = ("SELECT k, count(*) AS n FROM s "
+                "<visible 10 advance 10> GROUP BY k ORDER BY k")
+    batches = [[(k + 5.5, "alpha", 1.0), (k + 5.5, "delta", 1.0)]
+               for k in range(1, 66)]       # batch 64 at 69.5, 65 at 70.5
+    db = Database()
+    db.execute(DDL.replace(" PARTITION BY k", ""))
+    single = db.execute(tumbling)
+    for rows in batches:
+        db.ingest_batch("s", rows)
+    db.flush_streams()
+    want = [(w.close_time, tuple(w.rows)) for w in single.poll()]
+    eng = PartitionedEngine(partitions=2)
+    try:
+        eng.execute(DDL)
+        sub = eng.execute(tumbling)
+        for rows in batches:
+            eng.ingest("s", rows)
+        eng._handles[1].kill()      # batch 65, closing [60, 70), unanswered
+        eng.flush()
+        assert eng.restarts == [0, 1]
+        assert [(w.close_time, tuple(w.rows)) for w in sub.poll()] == want
+        assert (70.0, (("alpha", 10), ("delta", 10))) in want
+    finally:
+        eng.close()
 
 
 class TestSupervisedRestartOfAPartitionizedCQ:
@@ -372,6 +441,7 @@ class TestSupervisedRestartOfAPartitionizedCQ:
             eng.ingest("s", [("a", 6, 12.0), ("b", 2, 14.0)])
             assert name in eng._pcqs
             eng.ingest("s", [("a", 3, 22.0), ("b", 3, 24.0)])   # closes 20
+            eng.drain()
             entry = eng.db.supervisor.entry_for(
                 eng.db.runtime.cqs()[name])
             assert (entry.restarts, entry.state) == (1, "running")

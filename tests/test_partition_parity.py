@@ -374,10 +374,11 @@ class TestPoisonWindowParity:
         cq_sql, batches = POISON[case]
         windows, _letters, acks, raised = poison_partitioned(
             "inline", POISON_DDL, cq_sql, batches, supervised=False)
-        # the pump that closed window 10 is batch 2's: its caller gets
-        # the error, once; nobody else does and every later window is out
+        # batch 2 closed window 10 and batch 3's call reads its acks and
+        # merges it: that caller gets the error, once; nobody else does
+        # and every later window is out
         assert [(step, name) for step, name, _msg in raised] == \
-            [(1, "ExecutionError")]
+            [(2, "ExecutionError")]
         assert "division by zero" in raised[0][2]
         assert acks == [3, 2]
         # ... holding what the supervised run emits: the raising close
