@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import List, Optional
 
 from repro.errors import BindError, ConstraintError
+from repro.rowblock import F8, I8, NULL_FLAG, STR, Block
 from repro.types.datatypes import DataType, type_from_name
 
 #: value types ``DataType.coerce`` returns unchanged, per type class;
@@ -18,6 +20,10 @@ _CANONICAL_TYPES = {
     "BooleanType": frozenset((bool,)),
     "VarcharType": frozenset((str,)),
 }
+
+#: the row-block column kind that decodes to exactly those types
+_CANONICAL_TAGS = {"IntegerType": I8, "DoubleType": F8,
+                   "TimestampType": F8, "VarcharType": STR}
 
 
 class Column:
@@ -137,41 +143,45 @@ class Schema:
 
         A column whose values are already in canonical Python form
         (the exact type ``coerce`` would return unchanged) is passed
-        through after one C-level type scan instead of a Python-level
-        coercion call per value — the dominant case for programmatic
-        ingest, where this is ~5x cheaper than mapping ``coerce_row``.
-        Any column that fails the scan falls back to per-value
-        coercion, so semantics and error behaviour match exactly.
+        through instead of a Python-level coercion call per value: a
+        :class:`~repro.rowblock.Block`'s column by its kind tag (its null
+        flag only where NULL is allowed), any other after one C-level
+        type scan.  Any column that fails falls back to per-value
+        coercion, so semantics and error behaviour match exactly.  When
+        none failed the rows pass through, a block as itself.
         """
         columns = self.columns
         ncols = len(columns)
-        for values in rows:
-            if len(values) != ncols:
-                raise ConstraintError(
-                    f"row has {len(values)} values, schema has {ncols}")
+        if set(map(len, rows)) - {ncols}:
+            for values in rows:     # name the first offender
+                if len(values) != ncols:
+                    raise ConstraintError(
+                        f"row has {len(values)} values, schema has {ncols}")
         if not rows:
             return []
-        cols = zip(*rows)
+        block = isinstance(rows, Block)
+        cols, tags = ((rows.columns, rows.tags) if block
+                      else (zip(*rows), repeat(0)))
         out_cols = []
         rebuilt = False
-        for column, values in zip(columns, cols):
+        for column, values, tag in zip(columns, cols, tags):
             datatype = column.datatype
-            kinds = set(map(type, values))
-            has_none = type(None) in kinds
-            if has_none:
+            kind = type(datatype).__name__
+            if tag & ~NULL_FLAG == _CANONICAL_TAGS.get(kind) \
+                    and not (tag & NULL_FLAG and column.not_null):
+                has_none, fast = tag & NULL_FLAG, True   # typed by its bytes
+            else:
+                kinds = set(map(type, values))
+                has_none = type(None) in kinds
                 kinds.discard(type(None))
-            fast = False
-            if not (has_none and column.not_null):
-                canonical = _CANONICAL_TYPES.get(type(datatype).__name__)
-                if canonical is not None and kinds <= canonical:
-                    length = getattr(datatype, "length", None)
-                    if length is None:
-                        fast = True
-                    elif kinds:  # varchar(n): one C-level length scan
-                        fast = max(map(len, (v for v in values
-                                             if v is not None))) <= length
-                    else:
-                        fast = True  # all-NULL column
+                canonical = _CANONICAL_TYPES.get(kind)
+                fast = (not (has_none and column.not_null)
+                        and canonical is not None and kinds <= canonical)
+            length = getattr(datatype, "length", None)
+            if fast and length is not None:  # varchar(n): one length scan
+                present = ([v for v in values if v is not None]
+                           if has_none else values)
+                fast = not present or max(map(len, present)) <= length
             if fast:
                 out_cols.append(values)
                 continue
@@ -187,8 +197,7 @@ class Schema:
                 coerced.append(value)
             out_cols.append(coerced)
         if not rebuilt:
-            # every column was canonical: the rows pass through as-is
-            return list(map(tuple, rows))
+            return rows if block else list(map(tuple, rows))
         return list(zip(*out_cols))
 
     def project(self, names) -> "Schema":

@@ -143,16 +143,17 @@ class Database:
                 wal.append(0, walrec.STREAM_ADVANCE, name, payload=when)
                 return
             # one record per delivered batch (several when it exceeds
-            # MAX_ROWS_PER_RECORD).  Rows applied inside an idempotent
-            # ingest batch carry that batch's (sender, seq) as their rid,
-            # so recovery can discard them when the batch's dedup marker
-            # never became durable
+            # MAX_ROWS_PER_RECORD; a whole batch keeps a decoded block's
+            # bytes).  Rows applied inside an idempotent ingest batch carry
+            # that batch's (sender, seq) as their rid, so recovery can
+            # discard them when the batch's dedup marker never became
+            # durable
             rid = self.runtime.current_batch
             step = walrec.MAX_ROWS_PER_RECORD
             for start in range(0, len(rows), step):
-                wal.append(0, walrec.STREAM_ROWS, name, rid=rid,
-                           payload=(when[start:start + step],
-                                    rows[start:start + step]))
+                chunk = ((when, rows) if len(rows) <= step else
+                         (when[start:start + step], rows[start:start + step]))
+                wal.append(0, walrec.STREAM_ROWS, name, rid=rid, payload=chunk)
 
         self.runtime.stream_logger = logger
         from repro.streaming.supervisor import DEAD_LETTER_STREAM

@@ -25,6 +25,11 @@ Decoding trusts nothing: every count and length is checked against the
 buffer before it is used (a length larger than the buffer allocates
 nothing), bytes are only ever reinterpreted as numbers, text or JSON,
 and a malformed block raises :class:`~repro.errors.RowBlockError`.
+
+A frame is decoded once: :func:`decode` returns a :class:`Block`, whose
+columns ``Schema.coerce_rows`` checks by their tags and :func:`pack`
+logs as the bytes they arrived in — byte for byte ``encode(rows,
+times)`` for a block ``encode`` made, the same values for any other.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from repro.errors import RowBlockError
 
 F8, I8, STR, JSON = 1, 2, 3, 4
-_NULLS = 0x80
+NULL_FLAG = 0x80
 
 _HEAD = struct.Struct("<IH")
 _U32 = struct.Struct("<I")
@@ -61,26 +66,20 @@ def encode(rows, times=None) -> bytes:
     parts = [_HEAD.pack(len(rows), len(columns))]
     if not columns:
         parts.append(bytes(len(rows)))
-    for values in columns:
-        kinds = set(map(type, values))
-        nulls = _NONE in kinds
-        if nulls:
-            kinds.discard(_NONE)
-        kind, body = _column_body(kinds, values, nulls)
-        if nulls and kind != JSON:      # JSON spells its own nulls
-            parts.append(bytes((kind | _NULLS,)))
-            parts.append(np.packbits(
-                [value is None for value in values]).tobytes())
-        else:
-            parts.append(bytes((kind,)))
-        parts.append(body)
+    parts.extend(map(_column, columns))
     return b"".join(parts)
 
 
 def pack(times, rows) -> str:
     """Base64 text of ``encode(rows, times)``, for a record that lives in
-    a line of text."""
-    return base64.b64encode(encode(rows, times)).decode("ascii")
+    a line of text.  A :class:`Block` is not encoded again: the times
+    column is, and the bytes its columns arrived in follow it."""
+    if isinstance(rows, Block) and len(times) == len(rows):
+        data = b"".join((_HEAD.pack(len(rows), len(rows.tags) + 1),
+                         _column(times), rows.column_bytes()))
+    else:
+        data = encode(rows, times)
+    return base64.b64encode(data).decode("ascii")
 
 
 def check(rows) -> None:
@@ -98,6 +97,19 @@ def check(rows) -> None:
             raise RowBlockError(
                 f"row {index} has {len(row)} values, row 0 has "
                 f"{len(rows[0])}")
+
+
+def _column(values) -> bytes:
+    """One column as it sits in a block: kind, null bitmap, body."""
+    kinds = set(map(type, values))
+    nulls = _NONE in kinds
+    if nulls:
+        kinds.discard(_NONE)
+    kind, body = _column_body(kinds, values, nulls)
+    if nulls and kind != JSON:          # JSON spells its own nulls
+        return b"".join((bytes((kind | NULL_FLAG,)), np.packbits(
+            [value is None for value in values]).tobytes(), body))
+    return bytes((kind,)) + body
 
 
 def _column_body(kinds: set, values, nulls: bool) -> Tuple[int, bytes]:
@@ -128,13 +140,32 @@ def _column_body(kinds: set, values, nulls: bool) -> Tuple[int, bytes]:
 
 # -- decode --------------------------------------------------------------------
 
-def decode(buf, offset: int = 0) -> Tuple[List[tuple], int]:
-    """The rows of the block at ``buf[offset:]`` as tuples, and the
-    offset just past it."""
-    count, columns, end = _columns(buf, offset)
-    if not columns:
-        return [()] * count, end
-    return list(zip(*columns)), end
+class Block(list):
+    """A decoded block: its row tuples, and per column the decoded
+    ``columns``, the kind ``tags`` (null flag included) and the
+    ``(start, end)`` ``spans`` in ``source``.  Never changed in place: a
+    slice, a coerced or a stamped batch is a plain list, encoded anew."""
+
+    __slots__ = ("columns", "tags", "spans", "source")
+
+    def __init__(self, source, count: int, columns, tags, spans):
+        super().__init__(zip(*columns) if columns else [()] * count)
+        self.columns, self.tags, self.spans = columns, tags, spans
+        self.source = source
+
+    def column_bytes(self) -> bytes:
+        """The columns' bytes as they arrived (no header, no padding)."""
+        if not self.spans:
+            return b""
+        return self.source[self.spans[0][0]:self.spans[-1][1]]
+
+
+def decode(buf, offset: int = 0) -> Tuple[Block, int]:
+    """The rows of the block at ``buf[offset:]``, a :class:`Block`, and
+    the offset just past it."""
+    count, columns, tags, spans, end = _columns(buf, offset)
+    # bytes(): a bytearray may change before the block is logged
+    return Block(bytes(buf), count, columns, tags, spans), end
 
 
 def unpack(text: str) -> List[Tuple[float, tuple]]:
@@ -143,7 +174,7 @@ def unpack(text: str) -> List[Tuple[float, tuple]]:
         buf = base64.b64decode(text, validate=True)
     except (ValueError, TypeError) as exc:     # binascii.Error is one
         raise RowBlockError(f"row block is not base64 text: {exc}") from None
-    count, columns, end = _columns(buf, 0)
+    count, columns, _tags, _spans, end = _columns(buf, 0)
     if end != len(buf) or not columns:
         raise RowBlockError(
             "packed row block has no time column or trailing bytes")
@@ -161,7 +192,7 @@ def _take(buf, pos: int, size: int, what: str) -> int:
     return pos + size
 
 
-def _columns(buf, pos: int) -> Tuple[int, list, int]:
+def _columns(buf, pos: int) -> Tuple[int, list, list, list, int]:
     if pos < 0:
         raise RowBlockError(f"negative row block offset {pos}")
     body = _take(buf, pos, _HEAD.size, "header")
@@ -172,18 +203,19 @@ def _columns(buf, pos: int) -> Tuple[int, list, int]:
             f"row block claims {count} rows in {len(buf) - pos} bytes")
     if not width:
         pos = _take(buf, pos, count, "zero-column padding")
-    columns = []
+    columns, tags, spans = [], [], []
     for _ in range(width):
+        begin = pos
         end = _take(buf, pos, 1, "column kind")
         tag = buf[pos]
         pos = end
         nulls = ()
-        if tag & _NULLS:
+        if tag & NULL_FLAG:
             end = _take(buf, pos, (count + 7) // 8, "null bitmap")
             nulls = np.flatnonzero(np.unpackbits(np.frombuffer(
                 buf, np.uint8, end - pos, pos), count=count)).tolist()
             pos = end
-        kind = tag & ~_NULLS
+        kind = tag & ~NULL_FLAG
         if kind == F8 or kind == I8:
             end = _take(buf, pos, 8 * count, "numeric column")
             values = struct.unpack_from(
@@ -211,4 +243,6 @@ def _columns(buf, pos: int) -> Tuple[int, list, int]:
             for index in nulls:
                 values[index] = None
         columns.append(values)
-    return count, columns, pos
+        tags.append(tag)
+        spans.append((begin, pos))
+    return count, columns, tags, spans, pos

@@ -24,9 +24,11 @@ mid-replay.
 A record is a line of JSON, whatever it carries.  An ingest batch is
 one ``stream_rows`` record whose ``payload`` is a *string*: the base64
 text of one row block (:mod:`repro.rowblock`), the batch's event times
-as its first column and the rows' columns after it.  Being a JSON string
-in the same line under the same CRC, it needs nothing from segments,
-torn-write truncation, scrub, backup, archive catch-up or shipping.
+as its first column and the rows' columns after it (a decoded frame's
+``rowblock.Block`` that coercion left unchanged: the bytes the frame
+carried).  Being a JSON string in the same line under the same CRC, it
+needs nothing from segments, torn-write truncation, scrub, backup,
+archive catch-up or shipping.
 :meth:`WriteAheadLog.append` writes it and :func:`stream_points` is the
 one reader of a stream record, in each shape logs hold: the block, the
 ``[times, rows]`` JSON payload written before it, and the one-row

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import islice
 from math import isfinite
+from operator import ge, itemgetter
 from typing import Optional
 
 from repro.catalog.schema import Schema
@@ -368,6 +370,8 @@ class BaseStream:
         disorder policy.  The ingest wire ack reports these numbers, so
         they must add up: accepted + shed + dropped == len(rows).
         """
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)   # a generator: every pass below reads it
         fast = self._insert_fast_batch(rows, at)
         if fast is not None:
             return fast
@@ -441,12 +445,11 @@ class BaseStream:
                        for row in coerced]
             times = [arrival] * n
         else:
-            times = [row[cqtime] for row in coerced]
-            if any(when is None for when in times):
+            times = list(map(itemgetter(cqtime), coerced))
+            # a NULL time, disorder, or a nan (every comparison is False)
+            if None in times \
+                    or not all(map(ge, islice(times, 1, None), times)):
                 return None
-            for i in range(1, n):
-                if not times[i] >= times[i - 1]:    # disorder, or a nan
-                    return None
         if not times[0] >= self.watermark \
                 or not (isfinite(times[0]) and isfinite(times[-1])):
             return None

@@ -231,3 +231,75 @@ class TestNonFiniteTimeOverTheWire:
             with pytest.raises(RemoteError, match="finite"):
                 conn.advance(bad)
             assert conn.ingest("s", [(1, 5.0)]) == 1
+
+
+TYPED_DDL = ("CREATE STREAM s (k varchar(3) NOT NULL, x double, v integer, "
+             "ts timestamp CQTIME USER)")
+
+
+class TestATagRefusesWhatTheScanRefused:
+    """A block frame's columns are checked by their kind tags and, when
+    nothing had to change, logged as the bytes they arrived in; a row
+    list is type-scanned and encoded.  The same rows must meet the same
+    fate either way: the same ack or error text, the same records."""
+
+    CASES = {
+        "canonical, a NULL where allowed": (
+            TYPED_DDL, [("a", 0.5, 1, 1.0), ("bcd", None, 2, 2.0)]),
+        "varchar over its length": (
+            TYPED_DDL, [("abc", 0.5, 1, 1.0), ("abcd", 0.5, 2, 2.0)]),
+        "NULL in a NOT NULL column": (
+            TYPED_DDL, [("a", 0.5, 1, 1.0), (None, 0.5, 2, 2.0)]),
+        "I8 into a double column": (
+            TYPED_DDL, [("a", 1, 1, 1.0), ("b", 2, 2, 2.0)]),
+        "F8 3.0 into an integer column": (
+            TYPED_DDL, [("a", 0.5, 3.0, 1.0), ("b", 0.5, 4.0, 2.0)]),
+        "F8 3.5 into an integer column": (
+            TYPED_DDL, [("a", 0.5, 3.0, 1.0), ("b", 0.5, 3.5, 2.0)]),
+        "a SYSTEM-time stream": (
+            "CREATE STREAM s (k varchar(3), ts timestamp CQTIME SYSTEM)",
+            [("a", None), ("b", None)]),
+        "1 500 rows, split records": (
+            TYPED_DDL,
+            [(f"k{i % 10}", i / 3, i, float(i)) for i in range(1500)]),
+    }
+
+    @staticmethod
+    def logged(db):
+        return [(record.rid, record.payload, exact_points(record))
+                for record in db.storage.wal.records
+                if record.kind == "stream_rows"]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_served_block_and_embedded_list_agree(self, case, tmp_path):
+        ddl, rows = self.CASES[case]
+        served = open_database(data_dir=str(tmp_path / "served"))
+        with ServerThread(db=served) as st, \
+                client.connect(st.host, st.port, timeout=5.0) as conn:
+            conn.execute(ddl)
+            try:
+                ack = conn.ingest("s", rows, sender="t", seq=1)
+                over_wire = (ack.accepted, ack.shed, ack.dropped,
+                             ack.duplicate)
+            except RemoteError as exc:
+                over_wire = (exc.remote_type, str(exc))
+        embedded = open_database(data_dir=str(tmp_path / "embedded"))
+        embedded.execute(ddl)
+        try:
+            counts = embedded.ingest_batch("s", list(rows), sender="t",
+                                           seq=1)
+            in_process = (counts["accepted"], counts["shed"],
+                          counts["dropped"], counts["duplicate"])
+        except Exception as exc:           # compared, type and text
+            in_process = (type(exc).__name__, str(exc))
+        assert over_wire == in_process
+        assert self.logged(served) == self.logged(embedded)
+        assert len(self.logged(served)) == (2 if len(rows) > 1024 else 1)
+        served.close()
+        embedded.close()
+
+
+def exact_points(record):
+    """A stream record's ``(time, row)`` pairs with every value's type."""
+    return [(when, [(type(v).__name__, repr(v)) for v in row])
+            for when, row in stream_points(record)]

@@ -102,3 +102,31 @@ def test_an_ingest_frame_crosses_the_two_functions_the_ledger_times():
     assert totals["server.decode_body"]["calls"] >= 1
     assert totals["server.decode_body"]["self_s"] > 0
     assert totals["core.ingest_batch"]["calls"] == 1
+
+
+def test_a_durable_block_ingest_is_coerced_and_logged_where_timed(tmp_path):
+    """``catalog.coerce_us_per_event`` and ``storage.wal_append_us_per_event``
+    are read off ``Schema.coerce_rows`` and ``WriteAheadLog.append``: a
+    block frame that skipped either on its way to the log — checked by
+    its tags, logged as its bytes — would make them read 0 and fail the
+    traced pass of the served workloads.  One frame must cross each
+    once, and spend time in it."""
+    import repro.client as client
+    from repro.server import ServerThread
+    trace = load_trace()
+    recorder = trace.Recorder()
+    rows = [(i, float(i)) for i in range(64)]
+    try:
+        trace.install(recorder)
+        with ServerThread(data_dir=str(tmp_path / "node")) as st, \
+                client.connect(st.host, st.port) as conn:
+            conn.execute("CREATE STREAM s (v integer, ts timestamp "
+                         "CQTIME USER)")
+            recorder.reset()
+            assert conn.ingest("s", rows) == len(rows)
+            totals = recorder.totals()
+    finally:
+        recorder.uninstall()
+    for name in ("catalog.coerce_rows", "storage.wal.append"):
+        assert totals[name]["calls"] == 1, name
+        assert totals[name]["self_s"] > 0, name

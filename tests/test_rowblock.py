@@ -101,6 +101,44 @@ class TestRoundTrip:
             rowblock.pack([0.0] * len(rows), rows)
 
 
+class TestSplice:
+    """A decoded block is logged as the bytes it arrived in: ``pack``
+    writes the times column and splices the block's columns behind it."""
+
+    @given(rows=row_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_the_splice_is_the_encode(self, rows):
+        times = [float(i) / 3 for i in range(len(rows))]
+        block, _end = rowblock.decode(rowblock.encode(rows))
+        assert isinstance(block, rowblock.Block)
+        assert rowblock.pack(times, block) == rowblock.pack(times, list(rows))
+
+    @pytest.mark.parametrize("column, values", [
+        # a null flag over an all-zero bitmap
+        (bytes((rowblock.F8 | rowblock.NULL_FLAG, 0))
+         + struct.pack("<2d", 1.5, 2.5), [1.5, 2.5]),
+        # a non-zero fill under the NULL lane
+        (bytes((rowblock.I8 | rowblock.NULL_FLAG, 0x40))
+         + struct.pack("<2q", 7, 99), [7, None]),
+        # a JSON column of plain strings
+        (bytes((rowblock.JSON,)) + struct.pack("<I", 9) + b'["a","b"]',
+         ["a", "b"]),
+    ])
+    def test_a_foreign_block_logs_the_values_it_decoded_to(self, column,
+                                                           values):
+        data = struct.pack("<IH", 2, 2) + column \
+            + rowblock.encode([("x",), ("y",)])[6:]
+        block, end = rowblock.decode(data)
+        assert end == len(data)
+        assert exact(block) == exact(zip(values, "xy"))
+        times = [1.0, 2.0]
+        spliced = rowblock.pack(times, block)
+        encoded = rowblock.pack(times, list(block))
+        assert spliced != encoded           # the bytes as they came
+        assert exact(rowblock.unpack(spliced)) \
+            == exact(rowblock.unpack(encoded))
+
+
 SAMPLE = [(0.5, "192.168.0.1", 80, None, True, 2**70, "x"),
           (float("inf"), "é", -2**63, 2.5, None, 7, None),
           (-0.0, "", 2**63 - 1, None, False, 0, "zz")]

@@ -273,3 +273,24 @@ class TestDerivedStream:
         derived.publish([(2, 2.0), (3, 3.0)], 60.0, 120.0)
         assert derived.batches_out == 2
         assert derived.tuples_out == 3
+
+
+class TestRowsFromAnIterator:
+    """A batch handed over as a generator lands whole.  The batch fast
+    path reads its rows more than once, and used to exhaust the
+    iterator on the first pass: the batch "succeeded" with nothing in
+    it."""
+
+    @pytest.mark.parametrize("call", ["insert_stream", "ingest_batch"])
+    def test_every_row_lands(self, call):
+        from repro.core.database import Database
+        db = Database()
+        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
+        sub = db.subscribe("SELECT count(*) AS n FROM s <VISIBLE '1 second'>")
+        rows = [(i, i / 10) for i in range(5)]
+        result = getattr(db, call)("s", (row for row in rows))
+        accepted = result if call == "insert_stream" else result["accepted"]
+        assert accepted == 5
+        assert db.get_stream("s").tuples_in == 5
+        db.flush_streams()
+        assert [w.rows for w in sub.poll()] == [[(5,)]]
