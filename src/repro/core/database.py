@@ -104,8 +104,12 @@ class Database:
         # set by the replication layer: a zero-argument callable
         # returning rows for the repro_replication_status system view
         self.replication_registry = None
-        # set by `open_database`: the WalApplier that replayed this log
+        # set by `open_database`: the WalApplier that replayed this log,
+        # and what its replay rebuilt ("cqs": what each CQ came back as
+        # at the last boot or promotion — a cold one shows in
+        # repro_supervisor_status)
         self.applier = None
+        self.recovery_stats = {}
         # set by the partitioned engine (repro.partition): a zero-argument
         # callable returning rows for the repro_partitions system view
         self.partition_registry = None

@@ -164,9 +164,14 @@ def install_system_views(db) -> None:
     ]), stats_rows)
 
     def supervisor_rows():
-        if db.supervisor is None:
-            return []
-        return db.supervisor.status_rows()
+        rows = [] if db.supervisor is None else db.supervisor.status_rows()
+        # a CQ the last boot or promotion left cold lost its open
+        # windows: shown whether or not anything is supervised
+        return rows + [
+            (name, "recovery", "cold", 1, 0, 0, 0, 0.0, 0,
+             rung[len("cold:"):])
+            for name, rung in db.recovery_stats.get("cqs", ())
+            if rung.startswith("cold:")]
 
     supervisor = VirtualTable("repro_supervisor_status", Schema([
         _text("name"), _text("kind"), _text("state"), _int("failures"),

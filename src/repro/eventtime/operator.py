@@ -5,8 +5,8 @@ Arrival-time windows (:class:`~repro.streaming.windows.TimeWindowOperator`)
 close as soon as a tuple's timestamp proves the boundary passed; under
 reordered traffic that silently drops or mis-assigns late rows.  This
 operator keeps the parent's buffer (the held slices), its gather (rows,
-or slice partials when constructed with a reducer), its close, its
-eviction and its checkpoint surface, and overrides only *when*:
+or slice partials when constructed with a reducer), its close and its
+eviction, and overrides only *when*:
 
 - **assigns** every tuple to its slice by its *event time* (the
   stream's designated timestamp column), regardless of arrival order —
@@ -101,15 +101,15 @@ class EventTimeWindowOperator(TimeWindowOperator):
     # -- consumer protocol ------------------------------------------------------
 
     def on_tuple(self, row: tuple, event_time: float) -> None:
-        if self._base is None:
-            self._start_at(event_time)
-        elif self._boundary_index == 1 and event_time < self._base:
-            # the grid started on a reordered later row; an earlier
-            # on-time row pulls the first close back so its windows
-            # still emit (nothing has closed yet — an on-time row is
-            # never behind a closed boundary)
-            self._start_at(event_time)
         watermark = self.wm_fn()
+        if self._base is None \
+                or self._boundary_index == 1 and event_time < self._base:
+            # the grid starts on the first row — or, while nothing has
+            # closed, again on an earlier one (it started on a reordered
+            # later row) — but never behind the watermark: a boundary
+            # the watermark passed is sealed, so a late row corrects it
+            # and it is never closed as a final as well
+            self._start_at(max(event_time, watermark))
         if event_time < watermark:
             self._on_late_tuple(row, event_time, watermark)
             return
@@ -155,16 +155,16 @@ class EventTimeWindowOperator(TimeWindowOperator):
     def _recompute_closed(self, event_time: float,
                           watermark: float) -> None:
         """Re-open and recompute every window the late tuple belongs to
-        that the watermark has already passed: boundaries ``B`` on the
-        (epoch-aligned) advance grid with ``event_time < B <=
-        event_time + visible`` and ``B <= watermark``.  That covers
-        both windows that closed normally and windows the watermark
-        overtook before the grid started (the operator booted on a
-        reordered later row) — those were never emitted, so the
-        correction is their first output.  Boundaries still ahead of
-        the watermark are left alone: they close later and the buffered
-        row is simply part of them.  Only the affected windows are
-        recomputed."""
+        that the watermark has already passed — and so sealed: the grid
+        never starts behind the watermark (:meth:`on_tuple`), and every
+        advance closes what it passes.  Those are the boundaries ``B``
+        on the (epoch-aligned) advance grid with ``event_time < B <=
+        event_time + visible`` and ``B <= watermark``: windows that
+        closed normally, and windows the grid started past — never
+        emitted, so the correction is their first output and the only
+        one.  Boundaries still ahead of the watermark are left alone:
+        they close later and the buffered row is simply part of them.
+        Only the affected windows are recomputed."""
         if self.on_correction is None:
             return
         boundary = (math.floor(event_time / self.advance) + 1) * self.advance

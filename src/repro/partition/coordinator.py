@@ -37,10 +37,10 @@ Worker lifecycle: a worker is a thread or a subprocess serving frames
 over a socket, and its death — an injected ``partition.worker_crash``
 (the frame loop returns and its end is closed), ``kill_worker`` or a
 SIGKILL — is the same EOF on either transport.  It is respawned and
-replayed from the coordinator's per-worker log of acked frames, then
-synced to the current watermark — stale finals for already-merged
-boundaries are ignored and replayed partials only overwrite what is
-stored, so a crash is invisible in the output.  Crashpoints
+replayed from the coordinator's per-worker log of acked frames, which
+ends at the last acked watermark — a final never replaces one already
+absorbed and replayed corrections only overwrite what is stored, so a
+crash is invisible in the output.  Crashpoints
 ``partition.route`` (the router dies before the stream sees a row:
 batch refused whole) and
 ``partition.merge`` (the merge stage dies before emitting: partials
@@ -296,11 +296,6 @@ class _StreamRoute(StreamConsumer):
         self.n = n_workers
         self.key_index = stream.schema.index_of(stream.partition_by)
         self.wm_merge = WatermarkMerge(range(n_workers))
-        #: watermark as of the last fully-acked send — the respawn
-        #: fast-forward may only sync this far, or the retried
-        #: in-flight frame's rows would arrive below the fresh
-        #: worker's watermark
-        self.completed_wm = NEG_INF
         #: boundaries at or below it were closed by a flush every worker
         #: has acked: their partials are in, whatever the watermarks say
         self.flush_gate = NEG_INF
@@ -420,7 +415,6 @@ class _Flight:
         self.frames = frames        # worker -> (msg, log record)
         self.unsent = unsent        # worker -> the error its send raised
         self.proves = route.recorded
-        self.watermark = route.stream.watermark
         #: the log-prune horizon as of this send, or None: taken now,
         #: before the next batch moves the boundary operators on
         self.horizon = horizon
@@ -504,18 +498,14 @@ class PartitionedEngine:
             self._host, self._port = self._listener.getsockname()
         self._routes: Dict[str, _StreamRoute] = {}
         self._pcqs: Dict[str, _PartitionedCQ] = {}
-        #: per-worker ordered log of acked frames, for restart-replay:
-        #: ("ddl"|"cq"|"flush"|"stopcq", msg, None) or
-        #: ("ingest", msg, max_event_time).  Why it stays (ROADMAP 6):
-        #: it is the zero-copy replay source — the coordinator's WAL as
-        #: the workers' log costs 0.95 us/event of append
-        #: (storage.wal_append_us_per_event, one traced served_durable_e1
-        #: pass at 8664152, 2-vCPU Xeon) on partitioned_e1's 3.05
-        #: us/event path, until one binary frame makes the append cheap.
-        #: What replaying could no longer change is pruned: ingest
-        #: frames under every CQ's horizon and the flushes they leave
-        #: with nothing to flush (`_prune_logs`), a `cq` with its
-        #: `stopcq`, a dropped stream's frames (`_forget`).
+        #: per worker, its acked frames in order, for restart-replay:
+        #: (kind, msg, max event time or None, the ack's watermark).  It
+        #: is the zero-copy replay source: the coordinator's WAL as the
+        #: workers' log costs 0.95 us/event of append on partitioned_e1's
+        #: 3.05 us/event path (2-vCPU Xeon).  What replaying could no
+        #: longer change is pruned: the ingest frames under every CQ's
+        #: horizon become one ``"wm"`` sync (`_prune_logs`), a `cq` goes
+        #: with its `stopcq`, a dropped stream's frames with it.
         self._logs: List[list] = [[] for _ in range(partitions)]
         self._broadcast_names = set()
         self.restarts = [0] * partitions
@@ -642,7 +632,7 @@ class PartitionedEngine:
             route.stream.unsubscribe(route)
             for pcq in list(route.cqs):
                 self._drop_pcq(pcq)
-            self._unlog(lambda entry: entry[0] == "ingest"
+            self._unlog(lambda entry: entry[0] in ("ingest", "wm")
                         and entry[1]["stream"] == name)
         self._broadcast({"op": "ddl", "sql": sql}, "ddl")
 
@@ -747,13 +737,17 @@ class PartitionedEngine:
         self._pump()
 
     def _pump(self, flush: bool = False, hold: bool = False) -> None:
-        """Read the acks the last ingest left owed, send what the
-        routers collected since, absorb the partials riding the acks,
-        merge what closed.  With ``hold`` the last route's frames are
+        """Read the acks the last ingest left owed and merge what they
+        proved, send what the routers collected since, absorb the
+        partials riding the acks, merge what closed.  With ``hold`` the last route's frames are
         left in flight for the next call to read — unless a send already
         failed: a dead worker is respawned now, as on any exchange."""
         self._land_flight()
         routes = list(self._routes.values())
+        for route in routes:
+            # before this call's frames go out: one answered at once (a
+            # respawn) would bring its partials into those merges
+            self._merge_pending(route)
         launch = []
         for route in routes:
             route.sync()
@@ -832,13 +826,13 @@ class PartitionedEngine:
         if pcq is None:
             return
         boundary = frame["close"]
-        if frame["kind"] == "final" and boundary <= pcq.merged_through:
-            return      # a restarted worker replaying a merged boundary
+        stored = pcq.store.setdefault(boundary, {})
+        if frame["kind"] == "final" and worker in stored:
+            return      # a restarted worker replaying what it sent
         # a "correct" partial replaces the shard's contribution; the
         # coordinator's own boundary operator saw the same late row and
         # has the re-merge pending
-        pcq.store.setdefault(boundary, {})[worker] = partial_from_wire(
-            frame["partial"])
+        stored[worker] = partial_from_wire(frame["partial"])
 
     def _prune_store(self, pcq: _PartitionedCQ) -> None:
         """Drop merged partials — under retract only once the lateness
@@ -900,7 +894,8 @@ class PartitionedEngine:
                 failure = failure or exc
                 continue
             if record is not None:
-                self._logs[worker].append((record[0], msg, record[1]))
+                self._logs[worker].append(
+                    (record[0], msg, record[1], acks[worker].get("watermark")))
         if failure is not None:
             raise failure
         return acks
@@ -932,7 +927,6 @@ class PartitionedEngine:
             for worker, (msg, _record) in flight.frames.items():
                 if not self._handles[worker].alive:
                     route.segments[worker][:0] = msg["segments"]
-        route.completed_wm = flight.watermark
         route.proven = flight.proves
         if flight.horizon is not None:
             self._prune_logs(route, flight.horizon)
@@ -982,54 +976,54 @@ class PartitionedEngine:
         return ack
 
     def _respawn(self, worker: int) -> None:
-        """Restart a dead worker and replay its acked frame log, then
-        sync it to the current watermarks.  Replayed finals for
-        already-merged boundaries are ignored and replayed corrections
-        overwrite what is stored with the same content — the restart is
-        invisible."""
+        """Restart a dead worker and replay its acked frame log, which
+        ends at the last acked watermark.  Replayed finals never replace
+        absorbed ones and replayed corrections overwrite what is stored
+        with the same content — the restart is invisible."""
         self._handles[worker].kill()
         self.restarts[worker] += 1
         self._handles[worker] = self._spawn(worker)
-        for kind, msg, _max_time in self._logs[worker]:
+        for kind, msg, _max_time, _wm in self._logs[worker]:
             self._take(worker, msg, self._ask(worker, msg),
                        " replay failed")
             if kind == "ingest":
                 self.replayed_batches[worker] += 1
-        # fast-forward past pruned frames — only to the last *completed*
-        # batch's watermark: the in-flight frame is about to be retried
-        # and its rows must not land below the fresh worker's clock
-        for route in self._routes.values():
-            if route.completed_wm == NEG_INF:
-                continue
-            sync = {"op": "ingest", "stream": route.name,
-                    "segments": [("wm", route.completed_wm)]}
-            self._take(worker, sync, self._ask(worker, sync))
 
     @staticmethod
     def _horizon(route: _StreamRoute) -> Optional[float]:
         """The oldest event time an unmerged window (or an in-bound
-        recomputation) of the route's CQs can still need, or None."""
-        horizons = [pcq.op.horizon for pcq in route.cqs]
+        recomputation) of the route's CQs can still need — a boundary
+        the merge stage has not taken yet included — or None."""
+        horizons = [pcq.op.horizon for pcq in route.cqs] + [
+            b - pcq.visible - pcq.op.retention for pcq, _k, b in route.pending]
         if None in horizons:
             return None     # some CQ's boundary grid has not started yet
         horizon = min(horizons, default=route.stream.watermark)
         return None if horizon == NEG_INF else horizon
 
     def _prune_logs(self, route: _StreamRoute, horizon: float) -> None:
-        """Drop replayable ingest frames from below ``horizon``, and
-        every flush left with no ingest frame before it: it would flush
-        a worker that holds no rows."""
+        """Replace the replayable ingest frames from below ``horizon``
+        with one sync to the shard watermark the last one's ack reported
+        (what the kept frames' rows were judged by), and drop every
+        flush left with no ingest frame before it: it would flush a
+        worker that holds no rows."""
         for worker in range(self.partitions):
-            kept, holds_rows = [], False
+            kept, holds_rows, at, wm = [], False, None, NEG_INF
             for entry in self._logs[worker]:
-                if entry[0] == "ingest":
+                if entry[0] in ("ingest", "wm"):
                     if entry[1]["stream"] == route.name \
                             and entry[2] < horizon:
+                        at = len(kept) if at is None else at
+                        wm = max(wm, entry[3])
                         continue
-                    holds_rows = True
+                    holds_rows = holds_rows or entry[0] == "ingest"
                 elif entry[0] == "flush" and not holds_rows:
                     continue
                 kept.append(entry)
+            if wm > NEG_INF:
+                sync = {"op": "ingest", "stream": route.name,
+                        "segments": [("wm", wm)]}
+                kept.insert(at, ("wm", sync, NEG_INF, wm))
             self._logs[worker] = kept
 
     def kill_worker(self, worker: int) -> None:

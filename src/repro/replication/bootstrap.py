@@ -242,9 +242,9 @@ class WalApplier:
         elif kind == walrec.STREAM_ADVANCE:
             self._restore(record.table, [(record.payload, None)],
                           counted=False)
-        elif kind != walrec.CHECKPOINT:
-            # (a cq_checkpoint is found in the log by `recover_cqs`.)
-            # A stream record — or a kind from the future: no points
+        else:
+            # a stream record — or a kind this build does not read (a
+            # legacy ``cq_checkpoint``, one from the future): no points
             points = walrec.stream_points(record)
             if points is None:
                 return
@@ -362,7 +362,7 @@ class WalApplier:
             self.torn_batch_rows += len(points)
             if db.runtime.stream_logger is not None:
                 wal.append(0, walrec.STREAM_ABORT, stream, rid=rid)
-        outcomes = recover_cqs(db, self.faults)
+        outcomes = db.recovery_stats["cqs"] = recover_cqs(db, self.faults)
         self.trim_tails()
         return outcomes
 
@@ -432,17 +432,20 @@ def open_database(data_dir: Optional[str] = None,
 def recover_cqs(db: Database, faults=None) -> List[tuple]:
     """Rebuild in-flight window state for every derived-stream CQ.
 
-    Strategy per CQ: :func:`~repro.streaming.recovery.recover_cq`'s
-    ladder.  A failure (including the ``server.boot_recovery``
-    crashpoint) quarantines the CQ as a dead letter when supervision is
-    on — one unrecoverable CQ must not keep the server down — and falls
-    back to a cold start.
+    Per CQ: :func:`~repro.streaming.recovery.recover_cq` — the active
+    table, else cold — replayed through the CQ's own (supervised, when
+    supervision is on) window entries, so a poison window in the tail
+    is quarantined as it was live.  A failure (a replay window the tail
+    no longer covers, the ``server.boot_recovery`` crashpoint)
+    quarantines the CQ as a dead letter when supervision is on — one
+    unrecoverable CQ must not keep the server down — and leaves it
+    cold; ``repro_supervisor_status`` shows it either way.
 
     Returns ``[(cq_name, strategy), ...]``; failed CQs report
     ``"cold:<error>"``.  Runs at boot and at promotion only, which is
-    why the ``"empty-archive"`` rung may replay the whole retained tail
-    into the cold operator (the supervisor's in-process restart, whose
-    subscribers would see the windows twice, does not).
+    why an ``"empty-archive"`` CQ may be replayed the whole retained
+    tail (the supervisor's in-process restart, whose subscribers would
+    see the windows twice, does not).
     """
     outcomes = []
     for derived in list(db.runtime._derived_order):

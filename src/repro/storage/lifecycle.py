@@ -1,14 +1,15 @@
-"""WAL lifecycle: checkpoint-anchored compaction, backup/restore, scrub.
+"""WAL lifecycle: compaction, backup/restore, scrub.
 
 The missing half of the durability story ("Fast Data Management with
-Distributed Streaming SQL" makes checkpoint-anchored log truncation
-plus durable snapshots the backbone of streaming fault tolerance):
+Distributed Streaming SQL" makes log truncation plus durable snapshots
+the backbone of streaming fault tolerance):
 
 - **compaction** archives sealed segments wholly below the *low-water
-  mark* — the minimum of the durable boundary, every live CQ's latest
-  checkpoint LSN, and whatever retention hooks (attached standbys)
-  demand — so live WAL bytes stay bounded on a long-running server
-  while the archive keeps full replay history;
+  mark* — the minimum of the durable boundary and whatever retention
+  hooks (attached standbys) demand — so live WAL bytes stay bounded on
+  a long-running server while the archive keeps full replay history.
+  No CQ pins the log: a CQ's window state is rebuilt from its active
+  table and the stream tail, never from a logged checkpoint;
 - **online backup** seals the active segment and copies every sealed +
   archived segment into a destination directory, committed by a final
   ``BACKUP.json`` (a backup without it is incomplete and refused);
@@ -87,18 +88,10 @@ class WalLifecycle:
         """First LSN that must stay in the live WAL.
 
         Everything strictly below it may be archived: it is durable,
-        no live CQ's latest checkpoint sits there, and no retention
-        hook (attached standby) still needs it shipped from memory.
+        and no retention hook (attached standby) still needs it shipped
+        from memory.
         """
-        wal = self.wal
-        low = wal.durable_lsn + 1
-        cqs = self.db.runtime.cqs()
-        # a standby has no live CQs until promotion, but promotion may
-        # recover from any shipped checkpoint — keep every anchor then
-        names = set(cqs) if cqs else None
-        anchor = wal.checkpoint_anchor_lsn(names)
-        if anchor is not None:
-            low = min(low, anchor)
+        low = self.wal.durable_lsn + 1
         for hook in self.retain_hooks:
             needed = hook()
             if needed is not None:

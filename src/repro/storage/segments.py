@@ -13,7 +13,7 @@ segments into.  Each segment holds the same JSON-lines records as the
 single-file WAL, so every durability property — per-record CRC,
 truncate-at-first-corrupt replay of the active tail — carries over
 unchanged; segmentation only adds *lifecycle*: segments seal, get
-archived below the checkpoint/replication low-water mark, serve lagging
+archived below the replication low-water mark, serve lagging
 standbys from the archive, and feed online backups.
 
 Crash safety is directory-truth based: the manifest is advisory.  A

@@ -6,10 +6,10 @@ The WAL serves two masters, as in the paper (Section 4):
   owning transaction commits, and ``replication.bootstrap.WalApplier``
   rebuilds table contents after a crash (:meth:`WriteAheadLog.replay`,
   the whole-log fold of the same, is only the tests' reference for it);
-- recovery of *CQ runtime state*: the checkpoint-based strategy writes
-  serialized operator state as ``cq_checkpoint`` records, which
-  :mod:`repro.streaming.recovery` contrasts with the paper's preferred
-  rebuild-from-active-tables strategy.
+- recovery of *CQ runtime state*: stream rows and watermark advances
+  are logged, so a boot rebuilds each CQ's open windows by replaying
+  that tail into it, aligned on its active table
+  (:mod:`repro.streaming.recovery`).  No operator state is ever logged.
 
 Every record carries a CRC32 of its content, computed at append time the
 way a real engine checksums each log record on its way to disk.  A record
@@ -45,12 +45,12 @@ The log runs in one of two modes:
   :meth:`WriteAheadLog.open`): records land in
   fixed-size rolling segment files managed by
   :class:`~repro.storage.segments.SegmentedLog`.  Sealed segments can be
-  *archived* (moved to the archive dir by checkpoint-anchored
-  compaction) and the matching in-memory records trimmed; the in-memory
-  list then mirrors the live directory, with ``compacted_below`` naming
-  the lowest LSN still held.  A ``records_from`` below that boundary
-  raises a typed :class:`~repro.errors.ReplicationGapError` whose range
-  the primary's attach path answers from the archive.
+  *archived* (moved to the archive dir by compaction) and the matching
+  in-memory records trimmed; the in-memory list then mirrors the live
+  directory, with ``compacted_below`` naming the lowest LSN still held.
+  A ``records_from`` below that boundary raises a typed
+  :class:`~repro.errors.ReplicationGapError` whose range the primary's
+  attach path answers from the archive.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ DELETE = "delete"
 UPDATE = "update"
 COMMIT = "commit"
 ABORT = "abort"
-CHECKPOINT = "cq_checkpoint"
 DDL = "ddl"                      # table registration (schema payload)
 DDL_OBJ = "ddl_obj"              # stream/view/channel/index/drop (spec payload)
 STREAM_ROWS = "stream_rows"      # an ingest batch: a row block as text
@@ -99,7 +98,7 @@ class LogRecord:
     rid: Optional[tuple] = None
     before: Optional[tuple] = None
     after: Optional[tuple] = None
-    payload: Optional[object] = None  # checkpoint state
+    payload: Optional[object] = None  # schema, spec, rows or time
     crc: int = 0                      # CRC32 of the content at append time
     torn: bool = False                # True: the tail of this record was lost
 
@@ -260,9 +259,6 @@ class WriteAheadLog:
         #: lowest LSN still held in ``records``; anything below was
         #: trimmed after being archived (segmented mode only moves it)
         self.compacted_below = 1
-        #: cq name -> LSN of its latest checkpoint record (compaction
-        #: anchor: segments holding these are never archived past)
-        self._checkpoint_lsns = {}
         self.path = None
         self.segments = None
         if path is not None:
@@ -324,25 +320,8 @@ class WriteAheadLog:
         self._unflushed_bytes += _RECORD_OVERHEAD + size
         if line is not None:
             self._unflushed_lines.append(line)
-        self._note_record(record)
         if self.on_append is not None:
             self.on_append(record)
-
-    def _note_record(self, record: LogRecord) -> None:
-        """Track compaction anchors as records pass through.
-
-        The latest ``cq_checkpoint`` per CQ pins its segment against
-        archiving (promotion-time recovery must find it in the live
-        log); a logged DROP of the owning stream releases the pin so a
-        deleted CQ cannot hold retention hostage forever.
-        """
-        if record.kind == CHECKPOINT:
-            self._checkpoint_lsns[record.table] = record.lsn
-        elif record.kind == DDL_OBJ and isinstance(record.payload, dict) \
-                and record.payload.get("op") == "drop":
-            name = record.payload.get("name")
-            self._checkpoint_lsns.pop(name, None)
-            self._checkpoint_lsns.pop(f"derived:{name}", None)
 
     def records_from(self, from_lsn: int) -> List[LogRecord]:
         """All records with ``lsn >= from_lsn`` (shipping resume point).
@@ -544,8 +523,6 @@ class WriteAheadLog:
             self._next_lsn = loaded[-1].lsn + 1
             self.compacted_below = loaded[0].lsn
         self._flushed_upto = len(loaded)
-        for record in loaded:
-            self._note_record(record)
         # rewrite the active segment's validated prefix (drops any torn
         # tail) and reopen it for append
         lines = []
@@ -624,46 +601,6 @@ class WriteAheadLog:
             if rows:
                 tables[table] = list(rows.values())
         return tables
-
-    def latest_checkpoint(self, name: str):
-        """Most recent durable cq_checkpoint payload for ``name`` (or None).
-
-        Found at its tracked anchor LSN, not by a scan (recovery asks
-        once per CQ).  Compaction never archives past the latest
-        checkpoint of a live CQ, so the record is normally in memory;
-        the archive read covers a standby promoting after its *local*
-        compaction ran.
-        """
-        lsn = self._checkpoint_lsns.get(name)
-        if lsn is None:
-            return None
-        if lsn >= self.compacted_below:
-            position = lsn - self.records[0].lsn
-            if position < self._flushed_upto \
-                    and self.records[position].is_valid():
-                return self.records[position].payload
-            # the newest one is not durable (unflushed, or torn at its
-            # flush): the newest that is, the slow way
-            for record in reversed(self._validated()):
-                if record.kind == CHECKPOINT and record.table == name:
-                    return record.payload
-        elif self.segments is not None:
-            for wire in self.segments.archived_records(lsn, lsn):
-                record = record_from_wire(wire)
-                if record.is_valid() and record.kind == CHECKPOINT \
-                        and record.table == name:
-                    return record.payload
-        return None
-
-    def checkpoint_anchor_lsn(self, live_names=None) -> Optional[int]:
-        """Lowest LSN any (live) CQ's latest checkpoint sits at.
-
-        Compaction must retain the segment holding it.  ``live_names``
-        restricts the anchors to CQs that still exist; None keeps all.
-        """
-        lsns = [lsn for name, lsn in self._checkpoint_lsns.items()
-                if live_names is None or name in live_names]
-        return min(lsns) if lsns else None
 
     @property
     def durable_lsn(self) -> int:

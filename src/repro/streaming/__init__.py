@@ -6,8 +6,8 @@ into a sequence of relations (Figure 1); continuous queries re-run a
 relational plan per window (RSTREAM semantics); derived streams are
 always-on CQs (Example 3); channels persist them into active tables
 (Example 4); aggregate CQs share per-slice partial state (Section 2.2,
-refs [4, 12]); and runtime state recovers either from checkpoints or by
-the paper's preferred rebuild-from-active-tables (Section 4).
+refs [4, 12]); and runtime state recovers the paper's one way, rebuilt
+from the active table by replaying the stream tail (Section 4).
 """
 
 from repro.streaming.streams import BaseStream, DerivedStream, StreamConsumer
@@ -22,18 +22,10 @@ from repro.streaming.channels import Channel
 from repro.streaming.views import StreamingView
 from repro.streaming.shared import SliceStore
 from repro.streaming.runtime import StreamingRuntime
-from repro.streaming.recovery import (
-    CheckpointManager,
-    capture_window_state,
-    recover_from_active_table,
-    restore_window_state,
-)
+from repro.streaming.recovery import recover_from_active_table
 
 __all__ = [
-    "CheckpointManager",
-    "capture_window_state",
     "recover_from_active_table",
-    "restore_window_state",
     "BaseStream",
     "DerivedStream",
     "StreamConsumer",

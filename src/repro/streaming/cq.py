@@ -211,6 +211,10 @@ class ContinuousQuery(StreamConsumer):
         #: plan executions over the CQ's whole life: the supervisor's
         #: guard clears strikes only on a call that moved it
         self.plan_runs = 0
+        #: True while ``recovery.replay_tail`` rebuilds the window
+        #: state: a window that fails then is quarantined, never a
+        #: strike toward a restart
+        self.replaying = False
         select.from_clause = inline_streaming_views(
             select.from_clause, catalog)
         self.build()
@@ -220,8 +224,8 @@ class ContinuousQuery(StreamConsumer):
         the executor gear it was created with), window operator(s).  The
         constructor's work — and a supervised restart's, which calls it
         again on the stopped CQ: the runtime registry, a derived stream,
-        subscriptions, sessions and checkpoint managers keep holding the
-        same object, and its sinks stay where they are."""
+        subscriptions and sessions keep holding the same object, and its
+        sinks stay where they are."""
         select, catalog = self.select, self._catalog
         self.stats = CQStats()
         # resolved event-time config (None / defaults in arrival mode)

@@ -18,14 +18,14 @@ two readers have the same key.
 
 A partial is filed under (slice index, row count): a reader is only ever
 served a partial reduced from as many rows as it buffered for that slice
-itself, so a reader that attached mid-slice or was rebuilt from a
-checkpoint reduces its own shorter slice instead of borrowing a
-neighbour's.  The pair names a slice's *contents* only while slices are
-append-only and sealed once, which is arrival time; an event-time slice
-is sealed again whenever a late row grows it, so event-time readers keep
-a private store (see ``ContinuousQuery.attach``).  Within one reader a
-slice only grows, so a seal at a higher count retires the lower ones:
-no slot outlives the count it was reduced at.
+itself, so a reader that attached mid-slice reduces its own shorter
+slice instead of borrowing a neighbour's.  The pair names a slice's
+*contents* only while slices are append-only and sealed once, which is
+arrival time; an event-time slice is sealed again whenever a late row
+grows it, so event-time readers keep a private store (see
+``ContinuousQuery.attach``).  Within one reader a slice only grows, so
+a seal at a higher count retires the lower ones: no slot outlives the
+count it was reduced at.
 """
 
 from __future__ import annotations

@@ -128,7 +128,11 @@ class BaseStream:
         self.slice_stores = []
         self._pending = []  # reorder buffer: heap of (time, seq, row)
         self._seq = 0
-        self._tail = deque()  # (event_time, row) kept for replay
+        #: (event_time, row, watermark it was judged by) kept for replay
+        self._tail = deque()
+        #: newest event time a row left the tail (or was never kept) at:
+        #: a replay from at or before it would miss rows
+        self.evicted_through = float("-inf")
         # supervision hooks (set by CQSupervisor.adopt_stream); when
         # error_handler is set, subscriber exceptions are routed there
         # instead of propagating to the inserter
@@ -473,6 +477,8 @@ class BaseStream:
         if self.retention is not None:
             for when, row in zip(times, final_rows):
                 self._retain(when, row)
+        elif times[-1] > self.evicted_through:
+            self.evicted_through = times[-1]
         if self.replication_log is not None:
             self.replication_log(self.name, "rows", final_rows, times)
         if batch_capable:
@@ -553,11 +559,23 @@ class BaseStream:
 
     def _retain(self, event_time: float, row: tuple) -> None:
         if self.retention is None:
+            if event_time > self.evicted_through:
+                self.evicted_through = event_time
             return
-        self._tail.append((event_time, row))
+        # delivery precedes an event-time tracker's observation of the
+        # row: ``watermark`` is still the one the row is judged by
+        tail = self._tail
+        tail.append((event_time, row, self.watermark))
         horizon = self.watermark - self.retention
-        while self._tail and self._tail[0][0] < horizon:
-            self._tail.popleft()
+        if tail[0][0] < horizon:
+            self._trim(horizon)
+
+    def _trim(self, horizon: float) -> None:
+        tail = self._tail
+        while tail and tail[0][0] < horizon:
+            when = tail.popleft()[0]
+            if when > self.evicted_through:
+                self.evicted_through = when
 
     def replay_since(self, event_time: float):
         """Yield retained (time, row) pairs with time >= ``event_time``."""
@@ -565,9 +583,16 @@ class BaseStream:
             raise StreamingError(
                 f"stream {self.name!r} has no retention configured"
             )
-        for when, row in self._tail:
-            if when >= event_time:
-                yield when, row
+        for when, row, _watermark in self.replay_entries(event_time):
+            yield when, row
+
+    def replay_entries(self, event_time: float):
+        """Yield retained ``(time, row, watermark)`` triples with time >=
+        ``event_time``, in arrival order: each row with the watermark
+        it was delivered under."""
+        for entry in self._tail:
+            if entry[0] >= event_time:
+                yield entry
 
     def replay_horizon(self) -> float:
         """Earliest replayable event time (inf when nothing retained)."""
@@ -588,7 +613,7 @@ class BaseStream:
         """
         if row is not None:
             self.tuples_in += 1
-            self._tail.append((event_time, tuple(row)))
+            self._tail.append((event_time, tuple(row), self.watermark))
         if self.tracker is not None:
             # event-time replay: rows re-feed the bounded generator,
             # bare advances re-apply explicit injections — the
@@ -608,12 +633,8 @@ class BaseStream:
     def trim_tail(self) -> None:
         """Cut the tail back to what ``retention`` covers (nothing,
         without one)."""
-        if self.retention is None:
-            self._tail.clear()
-            return
-        horizon = self.watermark - self.retention
-        while self._tail and self._tail[0][0] < horizon:
-            self._tail.popleft()
+        self._trim(float("inf") if self.retention is None
+                   else self.watermark - self.retention)
 
     def __repr__(self):
         return f"BaseStream({self.name}, watermark={self.watermark})"

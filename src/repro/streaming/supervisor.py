@@ -23,14 +23,16 @@ pipeline down.  The supervisor is the runtime's answer:
 - **Automatic restart** of a CQ that keeps failing: after
   ``policy.restart_limit`` consecutive window failures the supervisor
   rebuilds the CQ *in place* (``ContinuousQuery.build`` on the stopped
-  object) and recovers its runtime state through the existing
-  :mod:`repro.streaming.recovery` paths — WAL checkpoint when one
-  exists, else the paper's rebuild-from-active-table, else a cold start.
-  Every holder of the CQ — the runtime registry, a derived stream,
-  subscriptions, sessions, checkpoint managers, the partition merge
-  stage — keeps the running object; only the new window callbacks are
-  guarded again.  After ``policy.max_restarts`` unsuccessful restarts
-  the CQ is quarantined (detached) instead of flapping forever.
+  object), guards its new window callbacks, and recovers its runtime
+  state the one way :mod:`repro.streaming.recovery` knows — the
+  paper's rebuild-from-active-table, replayed through those guarded
+  callbacks, else a cold start.  A window that fails during the replay
+  is quarantined as it was live, never a strike toward another
+  restart.  Every holder of the CQ — the runtime registry, a derived
+  stream, subscriptions, sessions, the partition merge stage — keeps
+  the running object.  After ``policy.max_restarts`` unsuccessful
+  restarts the CQ is quarantined (detached) instead of flapping
+  forever.
 
 Supervision state machine (per supervised entity)::
 
@@ -48,6 +50,7 @@ from typing import Callable, List, Optional
 
 from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
+from repro.errors import RecoveryError
 from repro.eventtime.lateness import LATE_EVENT as _LATE_EVENT
 from repro.streaming.recovery import recover_cq
 from repro.streaming.streams import BaseStream
@@ -322,13 +325,14 @@ class CQSupervisor:
         entry.last_error = f"{type(exc).__name__}: {exc}"
         self.quarantine(entry.name, kind, entry.last_error, rows,
                         open_time, close_time)
-        if entry.consecutive_failures >= self.policy.restart_limit:
+        if entry.consecutive_failures >= self.policy.restart_limit \
+                and not entry.target.replaying:
             self._restart_cq(entry)
 
     def _restart_cq(self, entry: _Entry) -> None:
         """Rebuild a repeatedly-failing CQ in place — stop, build,
-        recover through the recovery paths, attach, guard — so every
-        holder of the CQ keeps the running one."""
+        guard, recover, attach — so every holder of the CQ keeps the
+        running one."""
         if entry.restarts >= self.policy.max_restarts:
             self._quarantine_cq(entry, "max_restarts exceeded")
             return
@@ -338,19 +342,12 @@ class CQSupervisor:
         try:
             cq.stop()
             cq.build()
+            # guarded before the replay: the poison window that forced
+            # the restart is quarantined again, not sent cold
+            self._guard_windows(entry)
             try:
-                # False when the CQ comes back cold
-                recovered = recover_cq(cq, self.runtime,
-                                       fall_through=True) != "cold"
-            except Exception as exc:
-                # replaying the tail re-executed the very failure that
-                # forced the restart (a poison window in the replay
-                # range); give up on recovery and start cold instead of
-                # flapping forever on the same data
-                self.quarantine(
-                    entry.name, POISON_WINDOW,
-                    f"failure replayed during recovery: {exc}", [])
-                cq.build()
+                recovered = recover_cq(cq, self.runtime) != "cold"
+            except RecoveryError:
                 recovered = False
             cq.attach()
         except Exception as exc:  # restart itself failed
@@ -359,11 +356,11 @@ class CQSupervisor:
         if not recovered:
             self.quarantine(
                 entry.name, RESTART_LOSS,
-                "cold restart: no checkpoint or active table to recover "
-                "from; in-flight window state was lost", [])
+                "cold restart: no active table to recover from, or the "
+                "stream tail no longer covers its replay; in-flight "
+                "window state was lost", [])
         entry.consecutive_failures = 0
         entry.state = RUNNING
-        self._guard_windows(entry)
 
     def _quarantine_cq(self, entry: _Entry, reason: str) -> None:
         entry.state = QUARANTINED

@@ -237,8 +237,8 @@ class TimeWindowOperator(StreamConsumer):
         self.store.evict()
 
     def points(self) -> list:
-        """The buffer as ``[(event_time, row)]`` — the checkpoint
-        surface, with :meth:`load`."""
+        """The buffer as ``[(event_time, row)]`` — what :meth:`join`
+        re-slots, with :meth:`load`."""
         return [point for _index, (times, rows) in sorted(self._slices.items())
                 for point in zip(times, rows)]
 

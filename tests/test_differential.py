@@ -13,7 +13,8 @@ poison windows — and feeds each engine, and one iterator ``Database``
 must equal the oracle's, and its typed record sequence (where
 docs/PARTITION.md promises one) and dead letters the spec's, all under
 one float rule (``float_sum``).  ``REFUSALS`` lists what the engine
-refuses; ROADMAP item 2, what the machine found and does not draw.
+refuses.  The partition replay logs are pruned after every batch, not
+every 64th, so a short run reaches what only a long one would.
 """
 
 import math
@@ -43,7 +44,7 @@ from repro.errors import (
     WindowError,
 )
 from repro.faults import FaultInjector
-from repro.partition import PartitionedEngine
+from repro.partition import PartitionedEngine, coordinator
 from repro.replication import WalApplier, open_database
 from repro.server import ServerThread, TruSQLServer
 from repro.storage.wal import WriteAheadLog, record_line, record_to_wire, \
@@ -145,22 +146,14 @@ def configs(draw):
     event_time = draw(st.sampled_from([True, True, False]))
     supervised = draw(st.booleans())
     poison = draw(st.sampled_from(POISONS)) if supervised else None
-    if event_time or poison:
-        # a boot judges replayed rows by the restored watermark, and a
-        # poison window in the tail it replays sends the CQ cold (ROADMAP
-        # item 2, found by this machine): not drawn until fixed
-        topologies = [t for t in topologies if t != "reopen"] or ["db"]
     time = {}
     if event_time:
         time = dict(bound=draw(st.sampled_from([2.0, 5.0])),
                     policy=draw(st.sampled_from(POLICIES)),
                     emit=draw(st.sampled_from(
                         ["ON WATERMARK", "ON CHANGE", "EVERY '3 seconds'"])),
-                    lateness=draw(st.sampled_from([6.0, 20.0])))
-        if "partitions" not in topologies:
-            # one store key, two policies: a shared event-time partial
-            # would serve one reader the other's rows (ROADMAP item 2)
-            time["late_policy"] = draw(st.sampled_from(POLICIES))
+                    lateness=draw(st.sampled_from([6.0, 20.0])),
+                    late_policy=draw(st.sampled_from(POLICIES)))
     return Config(
         vectorize=draw(st.sampled_from([True, True, False])),
         topologies=tuple(topologies),
@@ -181,14 +174,14 @@ class Engine:
         self.cfg, self.topology = cfg, topology
         self.faults = FaultInjector(seed=2009)
         self.subs, self.seen, self.roles = {}, {}, {"derived:arch": "archive"}
-        self.letters, self.cold = [], []    # earlier lives'; cold boots
+        self.letters, self.cold = [], []    # earlier lives'; cold CQs
         self.acks, self.seqs, self.dirs = [], Counter(), []
         self.last, self.tears, self.x = None, 0, None
         self.server = self.conn = None
-        self.db = self.front = self._supervised(
-            self._open(self._new_dir()) if topology == "reopen" else
-            Database(vectorize=cfg.vectorize, disorder_policy="drop",
-                     fault_injector=self.faults))
+        self.db = self.front = self._open(self._new_dir()) \
+            if topology == "reopen" else self._supervised(Database(
+                vectorize=cfg.vectorize, disorder_policy="drop",
+                fault_injector=self.faults))
         if topology == "partitions":
             self.front = PartitionedEngine(
                 partitions=cfg.partitions, transport=cfg.transport,
@@ -203,7 +196,7 @@ class Engine:
 
     def _supervised(self, db):
         if self.cfg.supervised:
-            db.enable_supervision(POLICY)
+            db.enable_supervision().policy = POLICY
         return db
 
     def _new_dir(self):
@@ -211,10 +204,12 @@ class Engine:
         return self.dirs[-1]
 
     def _open(self, path, standby=False):
-        return open_database(
+        """A life on the log at ``path``: supervised from its boot on,
+        as a served data dir is, under the default policy until then."""
+        return self._supervised(open_database(
             wal_path=path, standby=standby, stream_retention=1e9,
             disorder_policy="drop", vectorize=self.cfg.vectorize,
-            fault_injector=self.faults)
+            fault_injector=self.faults, supervised=self.cfg.supervised))
 
     def subscribe(self, role):
         """A subscribed CQ — none on a data dir: it ends with its life."""
@@ -249,8 +244,7 @@ class Engine:
     def flush(self):
         getattr(self.front, "flush", self.db.flush_streams)()
 
-    def crash(self, torn, failover, frontier, cut=0,
-              tear="admission.dedup_persist"):
+    def crash(self, torn, failover, cut=0, tear="admission.dedup_persist"):
         """Kill -9: only the log survives.  ``torn``: the last batch, its
         dedup marker lost (``tear``: not persisted, or torn on its way to
         disk after the ack), re-sent to the next life.  ``failover``: that
@@ -279,17 +273,12 @@ class Engine:
                 db = self._open(path, standby=True)
                 db.applier.apply_batches([{"records": [
                     record_to_wire(record) for record in shipped]}])
-            rungs = db.applier.promote()
+            db.applier.promote()
         else:
             db = self._open(self.dirs[-1])
-            rungs = db.recovery_stats["cqs"]
-        self.db = self.front = self._supervised(db)
-        if any(rung.startswith("cold") for _cq, rung in rungs):
-            # a boot also goes cold when the stream's first row is
-            # younger than the replay window (ROADMAP item 2, found by
-            # this machine): what the lost windows held is not judged
-            self.cold.append((max(self.archive(), default=-math.inf),
-                              frontier))
+        self.db = self.front = db
+        self.cold += [(cq, rung) for cq, rung in db.recovery_stats["cqs"]
+                      if rung.startswith("cold")]
         # a window the batch closed flushes its channel write first: the
         # tear may fall there, before the rows, and take them along
         torn_rows = db.applier.torn_batch_rows
@@ -472,13 +461,16 @@ def replayers_agree(engine, records, whole):
     ``whole``, the live engine's tables).  Then each answers the client's
     retries and the next windows alike."""
     work = tempfile.mkdtemp(prefix="replayers-")
-    options = dict(stream_retention=1e9, vectorize=engine.cfg.vectorize)
+    # supervised, as a poison window in the tail each replays is
+    # quarantined, not raised
+    options = dict(stream_retention=1e9, vectorize=engine.cfg.vectorize,
+                   supervised=True)
     try:
         booted = open_database(
             wal_path=write_log(os.path.join(work, "a"), records), **options)
         stats = booted.recovery_stats
 
-        fed = Database(supervised=True, **options)
+        fed = Database(**options)
         follower = WalApplier(fed)
         assert follower.apply_batches(frames(records)) == len(records)
         assert follower.poisoned == 0, follower.last_error
@@ -573,6 +565,7 @@ class Differential(RuleBasedStateMachine):
 
     def start(self, config):
         self.cfg = config
+        self.cadence, coordinator._PRUNE_EVERY = coordinator._PRUNE_EVERY, 1
         self.engines = []
         self.arrivals = []      # the oracle's input: rows and clock times
         self.now = 0.0          # the frontier rows are drawn behind
@@ -588,10 +581,6 @@ class Differential(RuleBasedStateMachine):
         self.engines.append(self.reference)
         for engine in self.engines:
             engine.subscribe("early")
-        if "reopen" in config.topologies:
-            # an old first row: a boot goes cold while the stream's first
-            # row is younger than its replay window (ROADMAP item 2)
-            self.send([(None, 0, -30.0)])
 
     def frontier(self):
         return max([self.now] + [a for a in self.arrivals
@@ -667,9 +656,7 @@ class Differential(RuleBasedStateMachine):
                   and not self.flushed)
     @rule(worker=st.integers(0, 3), mid_frame=st.booleans())
     def kill_worker(self, worker, mid_frame):
-        # a mid-frame crash in event time can admit rows the single engine
-        # drops (ROADMAP item 2, found by this machine): not drawn there
-        self.kill(worker, mid_frame and not self.cfg.event_time)
+        self.kill(worker, mid_frame)
 
     def kill(self, worker, mid_frame=False):
         """Between frames, or (``partition.worker_crash``) mid-frame."""
@@ -684,10 +671,9 @@ class Differential(RuleBasedStateMachine):
 
     def crash(self, torn=None, failover=False, cut=0,
               tear="admission.dedup_persist"):
-        frontier = self.frontier() if torn is None else torn[2]
         for engine in self.engines:
             if engine.topology == "reopen":
-                engine.crash(torn, failover, frontier, cut, tear)
+                engine.crash(torn, failover, cut, tear)
             elif torn is not None:
                 engine.ingest([torn])
         if torn is not None:
@@ -777,24 +763,21 @@ class Differential(RuleBasedStateMachine):
                     self.end()
                 self.check()
         finally:
-            for engine in getattr(self, "engines", ()):
-                engine.close()
+            self.close()
+
+    def close(self):
+        for engine in getattr(self, "engines", ()):
+            engine.close()
+        if hasattr(self, "cadence"):
+            coordinator._PRUNE_EVERY = self.cadence
 
     def check(self):
         spec = {role: self.reference.records(role)
                 for role in self.reference.subs}
-        # an APPEND archive holds twice a window a correction reached
-        # before its final (ROADMAP item 2, found by this machine)
-        corrected, doubled = set(), set()
-        for w in spec["early"]:
-            if w.kind == "correct":
-                corrected.add(w.close_time)
-            elif w.kind == "window" and w.close_time in corrected:
-                doubled.add(w.close_time)
         for engine in self.engines[:-1]:
-            self.check_engine(engine, spec, doubled)
+            self.check_engine(engine, spec)
 
-    def check_engine(self, engine, spec, doubled):
+    def check_engine(self, engine, spec):
         cfg, where = self.cfg, engine.topology
         assert Counter(a for (a,) in engine.front.query(
             "SELECT a FROM t").rows) == +self.table, f"{where}: table t"
@@ -806,12 +789,8 @@ class Differential(RuleBasedStateMachine):
             unsure[role] = reopened if cfg.poison else set()
             if role == "archive":
                 have = engine.archive()
-                unsure[role] |= doubled | {
-                    close for _source, kind, close in letters
-                    if kind == "channel-write"} | {
-                    close for last, frontier in engine.cold
-                    for close in set(want) | set(have)
-                    if last < close <= frontier + cfg.window[0]}
+                unsure[role] |= {close for _source, kind, close in letters
+                                 if kind == "channel-write"}
             else:
                 have = converged(got[role])
             for close in unsure[role]:
@@ -824,7 +803,8 @@ class Differential(RuleBasedStateMachine):
         # the same frame's closes by frame, so only batch size 1 pins it
         # (and which evaluations of a re-opened poison window fail)
         framed = set(unsure) if where == "partitions" and cfg.event_time \
-            and cfg.batch > 1 and cfg.policy == "RETRACT" else set()
+            and cfg.batch > 1 and "RETRACT" in (cfg.policy, cfg.late_policy) \
+            else set()
         for role in set(got) - framed:
             assert self.sequence(got[role]) == self.loosened(spec[role]), \
                 f"{where} {role}: record sequence"
@@ -911,20 +891,18 @@ def run(config, *steps):
     """An explicit step program — ``("send", rows)``, ``("move_clock",
     t)``, ``("crash", torn row, failover, cut, tear)``, or any other
     rule's name and arguments — then the end of input and the checks;
-    returns the machine.  No boot may go cold: the checks skip the
-    windows a cold boot lost."""
+    returns the machine.  No boot may go cold."""
     machine = Differential()
     machine.start(config)
     try:
         for name, *args in steps:
             getattr(machine, name)(*args)
         machine.end()
-        machine.check()
         assert not any(e.cold for e in machine.engines), "cold boot"
+        machine.check()
         return machine
     finally:
-        for engine in machine.engines:
-            engine.close()
+        machine.close()
 
 
 def _slack_with_partition_by(_tmp):
@@ -983,3 +961,80 @@ def refused(combination, tmp=None):
 def test_refused_combination_raises_its_documented_error(combination,
                                                          tmp_path):
     refused(combination, str(tmp_path))
+
+
+class TestFound:
+    """Step programs for what this machine found, each failing before
+    its fix: three ways a rebuilt CQ took a route the live one never
+    takes, a window archived twice, three ways the partition replay log
+    forgot what its pruned prefix implied, and two merges that saw a
+    respawned worker's later partials."""
+
+    def test_event_time_boot_judges_rows_by_the_watermark_as_logged(self):
+        run(Config(topologies=("reopen",), event_time=True, bound=2.0),
+            ("send", [("a", 1, 0.0), ("a", 1, 3.0)]), ("crash",))
+
+    def test_a_stream_younger_than_the_replay_window_boots_warm(self):
+        run(Config(topologies=("reopen",)),
+            ("send", [("a", 1, 22.0), ("a", 1, 27.0)]), ("crash",))
+
+    def test_poison_windows_in_the_replayed_tail_are_quarantined(self):
+        """Two in a row: the boot's policy would restart the CQ — not
+        while it replays."""
+        run(Config(topologies=("reopen",), supervised=True,
+                   poison="10 / (sum(v) - 0)", window=(6.0, 6.0)),
+            ("send", [("a", 1, 1.0), ("a", 0, 7.0), ("a", 0, 13.0),
+                      ("a", 1, 19.0)]), ("crash",))
+
+    def test_a_late_row_before_the_first_close_is_archived_once(self):
+        """The grid never starts behind the watermark, so the window the
+        row at 2 re-opens is sealed: its correction is its only output,
+        not followed by a final the APPEND archive would hold again."""
+        machine = run(Config(event_time=True, policy="RETRACT"),
+                      ("send", [("a", 1, float(t))
+                                for t in (5, 8, 10, 2, 8)]))
+        assert [w.kind for w in machine.engine.seen["early"]
+                if w.close_time == 5.0] == ["correct"]
+
+    #: one inline partition, its log pruned after every batch, the late
+    #: reader attached first, three batches, then worker 0 killed
+    KILLED = Config(topologies=("partitions",), partitions=1,
+                    window=(4.0, 10.0), batch=8)
+
+    def killed(self, config, *seeds):
+        run(config, ("attach_late",),
+            *[("ingest", seed, size) for seed, size in seeds], ("kill", 0))
+
+    def test_a_pruned_log_keeps_the_rows_of_an_unmerged_boundary(self):
+        self.killed(self.KILLED, (1013818839, 5), (3097603021, 11),
+                    (665600858, 5))
+
+    def test_a_pruned_log_keeps_the_watermark_its_frames_were_judged_by(
+            self):
+        self.killed(replace(self.KILLED, event_time=True),
+                    (4145683452, 4), (155376646, 7), (72501884, 16))
+
+    def test_a_replayed_final_never_replaces_an_absorbed_one(self):
+        self.killed(replace(self.KILLED, event_time=True, bound=2.0,
+                            policy="RETRACT", late_policy="DROP",
+                            emit="ON CHANGE"),
+                    (2454155475, 10), (63704871, 11), (3493188185, 8))
+
+    def test_a_correction_never_reaches_the_final_it_corrects(self):
+        """The send to a killed worker fails, so its frame is answered
+        at once: the late row's correction partial arrived before the
+        final it corrects was merged, and was merged as that final."""
+        run(Config(topologies=("partitions",), partitions=2,
+                   event_time=True, bound=2.0, policy="RETRACT",
+                   lateness=6.0, archive=False, batch=1),
+            ("ingest", 2330497980, 4), ("ingest", 121568, 12),
+            ("ingest", 141, 10), ("kill", 0), ("ingest", 531, 12))
+
+    def test_a_respawned_frame_waits_for_what_earlier_acks_proved(self):
+        """Two late rows re-open window 5, one per worker; the second
+        one's worker was killed, so its frame is answered at once: the
+        first correction still merges without the second row."""
+        run(Config(topologies=("partitions",), partitions=2,
+                   event_time=True, bound=2.0, policy="RETRACT",
+                   lateness=6.0, archive=False, batch=1),
+            ("advance", 7, False), ("kill", 0), ("ingest", 3312678, 8))

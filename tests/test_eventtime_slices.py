@@ -16,17 +16,12 @@ one ``TimeWindowOperator._window``.  What is pinned here:
 * the store stays **private** to an event-time reader and holds one
   partial per held slice however often a slice is sealed again;
 * a retraction finds its rows from the newest end of the active table;
-* a checkpoint carries no partials: a rebuilt CQ seals its slices again.
+* a CQ rebuilt from its active table seals its slices again, and
+  retracts what it emitted before the restart.
 """
 
 from repro import Database
-from repro.sql import parse_statement
-from repro.streaming.cq import ContinuousQuery
-from repro.streaming.recovery import (
-    capture_window_state,
-    recover_cq,
-    restore_window_state,
-)
+from repro.streaming.recovery import recover_cq
 from tests.test_differential import Config, run as run_program
 
 DDL = ("CREATE STREAM s (k varchar(10), v integer, ts timestamp CQTIME USER) "
@@ -234,10 +229,13 @@ class TestRetractionWalk:
         assert len(self.stored(db)) == 5000 - self.ROWS
 
 
-# -- checkpoint / restart ---------------------------------------------------------
+# -- restart --------------------------------------------------------------------
 
-class TestCheckpointRestart:
-    SQL = (f"{SELECT}<VISIBLE '10 seconds' ADVANCE '5 seconds'> GROUP BY k "
+class TestRestart:
+    """A CQ rebuilt in place — stop, build, recover, attach, what a
+    supervised restart does — from its active table."""
+    SQL = (SELECT.replace(" FROM", ", cq_close(*) AS stime FROM")
+           + "<VISIBLE '10 seconds' ADVANCE '5 seconds'> GROUP BY k "
            "EMIT ON WATERMARK ALLOW LATENESS '30 seconds' RETRACT")
     BEFORE = [("a", 1, 1.0), ("b", 2, 3.0), ("a", 3, 6.0), ("b", 4, 8.0),
               ("a", 5, 12.0)]                   # watermark 7: [-5, 5) closed
@@ -247,27 +245,22 @@ class TestCheckpointRestart:
     def run(self, restart, late=LATE):
         db = Database(stream_retention=3600.0)
         db.execute(DDL)
-        cq = db.runtime.create_cq(parse_statement(self.SQL), name="r")
+        db.execute(f"CREATE STREAM r AS {self.SQL}")
+        db.execute("CREATE TABLE active (k varchar(10), c bigint, "
+                   "total bigint, lo integer, hi integer, stime timestamp)")
+        db.execute("CREATE CHANNEL ch FROM r INTO active APPEND")
+        cq = db.catalog.get_relation("r").cq
         out = []
-
-        def wire(cq):
-            cq.add_sink(lambda kind, rows, o, c: out.append((kind, c, rows)))
-        wire(cq)
+        cq.add_sink(lambda kind, rows, o, c: out.append((kind, c, rows)))
         db.insert_stream("s", self.BEFORE)
         assert [c for _kind, c, _rows in out] == [5.0]
         if restart:
             # mid-retention: the closed window's slices are still held
             assert len(cq._window_op.store) == 1
-            payload = capture_window_state(cq)
-            payload["close_time"] = cq.stats.last_close
-            wal = db.storage.wal
-            wal.append(0, "cq_checkpoint", "r", payload=payload, flush=True)
-            db.runtime.stop_cq(cq)
-            cq = ContinuousQuery("r", parse_statement(self.SQL),
-                                 db.catalog, db.txn_manager)
-            wire(cq)
-            assert recover_cq(cq, db.runtime) == "checkpoint"
-            # the surface is points()/load(): rows, never partials
+            cq.stop()
+            cq.build()
+            assert recover_cq(cq, db.runtime) == "active-table"
+            # the replay refiles rows, never partials
             assert cq.is_sliced() and len(cq._window_op.store) == 0
             assert cq._window_op.buffered == len(self.BEFORE)
             cq.attach()
@@ -289,8 +282,8 @@ class TestCheckpointRestart:
 
     def test_a_window_closed_before_the_restart_is_still_retracted(self):
         """The late row lands in [-5, 5), which closed — and emitted —
-        *before* the checkpoint: its remembered output rides the
-        checkpoint, so the rebuilt CQ retracts exactly that."""
+        *before* the restart: the rebuilt CQ reads what it emitted back
+        from the active table, so it retracts exactly that."""
         late = [("z", 8, 2.0)]                  # re-opens 5 and 10
         _, want = self.run(restart=False, late=late)
         _, got = self.run(restart=True, late=late)
@@ -301,17 +294,3 @@ class TestCheckpointRestart:
             ("retract", 5.0), ("correct", 5.0),
             ("retract", 10.0), ("correct", 10.0)]
         assert got[-4][2] == first_close[2]     # the pre-restart output
-
-    def test_a_checkpoint_without_the_key_restores_with_nothing_to_retract(
-            self):
-        db = Database(stream_retention=3600.0)
-        db.execute(DDL)
-        cq = db.runtime.create_cq(parse_statement(self.SQL), name="r")
-        db.insert_stream("s", self.BEFORE)
-        payload = capture_window_state(cq)
-        assert [close for close, _rows in payload.pop("emitted")] == [5.0]
-        fresh = ContinuousQuery("r", parse_statement(self.SQL),
-                                db.catalog, db.txn_manager)
-        fresh._emitted = {1.0: []}
-        restore_window_state(fresh, payload)
-        assert fresh._emitted == {}

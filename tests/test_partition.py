@@ -631,7 +631,7 @@ class TestDropAndRecreate:
         # the old incarnation left nothing behind to replay or to merge
         assert len(eng._routes) == 1 and len(eng._pcqs) == 1
         for log in eng._logs:
-            assert [kind for kind, _msg, _t in log].count("cq") == 1
+            assert [entry[0] for entry in log].count("cq") == 1
         eng.close()
 
     def test_drop_by_another_spelling_and_of_a_broadcast_view(self):
@@ -674,7 +674,7 @@ class TestReplayLogStaysBounded:
                 eng.advance(float(i))
             longest = max(longest, max(len(log) for log in eng._logs))
         assert longest < 300
-        kinds = [kind for kind, _msg, _t in eng._logs[0]]
+        kinds = [entry[0] for entry in eng._logs[0]]
         assert kinds.count("cq") == 1 and "stopcq" not in kinds
         # and a respawn from the pruned log is still invisible
         eng.kill_worker(0)

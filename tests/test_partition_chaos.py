@@ -340,7 +340,7 @@ def test_a_death_with_a_batch_in_flight_is_read_by_the_next_ingest(
         eng.ingest("s", SPLIT_BATCHES[2])
         assert eng.restarts == [0, 1]
         # batch 2's frame was resent, batch 3's is the one in flight
-        assert [kind for kind, _msg, _t in eng._logs[1]].count("ingest") == 2
+        assert [entry[0] for entry in eng._logs[1]].count("ingest") == 2
         eng.ingest("s", SPLIT_BATCHES[3])
         eng.flush()
         got = [(w.kind, w.open_time, w.close_time, tuple(w.rows))

@@ -1,8 +1,11 @@
-"""Tests for CQ recovery: checkpointing vs rebuild-from-active-tables.
+"""Tests for CQ recovery: rebuild-from-active-tables.
 
 The crash model: the CQ (runtime state) dies; tables, the WAL and the
-stream's retained tail survive.  Both strategies must resume producing
-exactly the windows an uninterrupted run would have produced.
+stream's retained tail survive.  A recovered CQ must resume producing
+exactly the windows an uninterrupted run would have produced
+(``tests/test_differential.py`` draws reopened and promoted lives;
+these pin what it does not: supervised restarts, refusals, the close
+column's place).
 """
 
 import pytest
@@ -11,12 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Database
 from repro.errors import RecoveryError
 from repro.streaming.cq import ContinuousQuery
-from repro.streaming.recovery import (
-    CheckpointManager,
-    capture_window_state,
-    recover_from_active_table,
-    restore_window_state,
-)
+from repro.streaming.recovery import recover_from_active_table
 from repro.sql import parse_statement
 
 CQ_SQL = ("SELECT url, count(*) scnt, cq_close(*) FROM clicks "
@@ -47,156 +45,6 @@ def run_uninterrupted(total_minutes=8):
     return [(w.close_time, sorted(w.rows)) for w in sub.poll()]
 
 
-class TestCaptureRestore:
-    def test_roundtrip(self):
-        db = make_db()
-        cq = db.runtime.create_cq(parse_statement(CQ_SQL))
-        db.insert_stream("clicks", events(0, 3))
-        state = capture_window_state(cq)
-        assert state["buffer"]
-        fresh = ContinuousQuery("copy", parse_statement(CQ_SQL),
-                                db.catalog, db.txn_manager)
-        restore_window_state(fresh, state)
-        assert fresh._window_op.points() == cq._window_op.points()
-        assert fresh._window_op._base == cq._window_op._base
-
-
-    EVENT_CQ = ("SELECT count(*) FROM clicks "
-                "<VISIBLE '10 seconds' ADVANCE '5 seconds'>")
-
-    def event_time_db(self):
-        db = Database(stream_retention=3600.0)
-        db.execute("CREATE STREAM clicks (url varchar(100), "
-                   "ts timestamp CQTIME USER) WATERMARK '5 seconds'")
-        return db
-
-    def windows_after_restore(self, db, state):
-        """Restore ``state`` into a fresh copy of EVENT_CQ and flush it."""
-        fresh = ContinuousQuery("copy", parse_statement(self.EVENT_CQ),
-                                db.catalog, db.txn_manager)
-        out = []
-        fresh.add_sink(lambda _kind, rows, o, c: out.append((o, c, rows)))
-        restore_window_state(fresh, state)
-        fresh._window_op.on_flush()
-        return out
-
-    def test_event_time_roundtrip_of_an_out_of_order_buffer(self):
-        db = self.event_time_db()
-        cq = db.runtime.create_cq(parse_statement(self.EVENT_CQ))
-        live = []
-        cq.add_sink(lambda _kind, rows, o, c: live.append((o, c, rows)))
-        arrivals = [("/a", 4.0), ("/b", 8.0), ("/c", 6.0), ("/d", 11.0),
-                    ("/e", 9.0), ("/f", 7.0)]
-        db.insert_stream("clicks", arrivals)
-        # the watermark (6) has closed [-5, 5); the rest is buffered,
-        # filed by event time: slice-major, arrival order within a slice
-        assert live == [(-5.0, 5.0, [(1,)])]
-        state = capture_window_state(cq)
-        assert [when for when, _row in state["buffer"]] \
-            == [4.0, 8.0, 6.0, 9.0, 7.0, 11.0]
-        restored = self.windows_after_restore(db, state)
-        assert restored == [(0.0, 10.0, [(5,)]), (5.0, 15.0, [(5,)]),
-                            (10.0, 20.0, [(1,)])]
-        del live[:]
-        db.flush_streams()
-        assert live == restored
-
-    def test_old_arrival_ordered_payload_restores_to_the_same_windows(self):
-        """A ``cq_checkpoint`` written when the buffer was one
-        arrival-ordered list: same keys, same ``[[when, row], ...]``."""
-        db = self.event_time_db()
-        cq = db.runtime.create_cq(parse_statement(self.EVENT_CQ))
-        arrivals = [("/a", 4.0), ("/b", 8.0), ("/c", 6.0), ("/d", 11.0),
-                    ("/e", 9.0), ("/f", 7.0)]
-        db.insert_stream("clicks", arrivals)
-        state = capture_window_state(cq)
-        old = {"buffer": [[when, [url, when]] for url, when in arrivals],
-               "base": 0.0, "boundary_index": 2,
-               "replay_after": 11.0, "replay_from": None,
-               "last_close": 5.0, "close_time": 5.0}
-        assert set(state) | {"close_time"} == set(old)
-        assert sorted(map(repr, old["buffer"])) \
-            == sorted(repr([when, row]) for when, row in state["buffer"])
-        from_new = self.windows_after_restore(db, state)
-        from_old = self.windows_after_restore(db, old)
-        assert from_old == from_new and len(from_old) == 3
-
-
-class TestCheckpointRecovery:
-    def crash_and_recover(self, crash_minute=4, total_minutes=8, every=1):
-        db = make_db()
-        cq = db.runtime.create_cq(parse_statement(CQ_SQL), name="reporting")
-        outputs = []
-        cq.add_sink(
-            lambda _kind, rows, o, c: outputs.append((c, sorted(rows))))
-        manager = CheckpointManager(cq, db.storage.wal, every_windows=every)
-
-        db.insert_stream("clicks", events(0, crash_minute))
-        db.advance_streams(crash_minute * 60.0)
-        # crash: kill the CQ, lose its runtime state
-        db.runtime.stop_cq(cq)
-
-        # checkpoints are keyed by CQ name: the restarted CQ reuses it
-        new_cq = ContinuousQuery("reporting", parse_statement(CQ_SQL),
-                                 db.catalog, db.txn_manager)
-        new_cq.add_sink(
-            lambda _kind, rows, o, c: outputs.append((c, sorted(rows))))
-        CheckpointManager.recover(new_cq, db.storage.wal)
-        new_cq.attach()
-
-        db.insert_stream("clicks", events(crash_minute, total_minutes))
-        db.advance_streams(total_minutes * 60.0)
-        return outputs, manager
-
-    def test_output_matches_uninterrupted_run(self):
-        outputs, _manager = self.crash_and_recover()
-        assert outputs == run_uninterrupted()
-
-    def test_no_duplicate_windows(self):
-        outputs, _manager = self.crash_and_recover()
-        closes = [c for c, _rows in outputs]
-        assert len(closes) == len(set(closes))
-
-    def test_checkpoints_pay_wal_io(self):
-        db = make_db()
-        cq = db.runtime.create_cq(parse_statement(CQ_SQL))
-        CheckpointManager(cq, db.storage.wal, every_windows=1)
-        before = db.io_snapshot()
-        db.insert_stream("clicks", events(0, 5))
-        db.advance_streams(300.0)
-        delta = db.io_snapshot() - before
-        assert delta.pages_written >= 4  # one flush per window close
-
-    def test_every_n_checkpoints_less_often(self):
-        db = make_db()
-        cq = db.runtime.create_cq(parse_statement(CQ_SQL))
-        manager = CheckpointManager(cq, db.storage.wal, every_windows=3)
-        db.insert_stream("clicks", events(0, 7))
-        db.advance_streams(420.0)
-        assert manager.checkpoints_taken == 2
-
-    def test_recover_without_checkpoint_raises(self):
-        db = make_db()
-        cq = ContinuousQuery("never_seen", parse_statement(CQ_SQL),
-                             db.catalog, db.txn_manager)
-        with pytest.raises(RecoveryError):
-            CheckpointManager.recover(cq, db.storage.wal)
-
-    def test_sparse_checkpoints_are_at_least_once(self):
-        """With checkpoint gaps, windows emitted after the last checkpoint
-        are re-emitted on recovery — at-least-once, never lossy."""
-        outputs, _manager = self.crash_and_recover(every=3)
-        reference = run_uninterrupted()
-        # no window is lost, and duplicates are exact repeats
-        deduped = []
-        for item in outputs:
-            if item not in deduped:
-                deduped.append(item)
-        assert deduped == reference
-        for item in outputs:
-            assert item in reference
-
-
 class TestActiveTableRecovery:
     def build_pipeline(self, db):
         db.execute("CREATE TABLE archive (url varchar(100), scnt integer, "
@@ -211,60 +59,6 @@ class TestActiveTableRecovery:
             txn.commit()
         cq.add_sink(archive_sink)
         return cq, table, archive_sink
-
-    def test_output_matches_uninterrupted_run(self):
-        total, crash = 8, 4
-        db = make_db()
-        cq, table, archive_sink = self.build_pipeline(db)
-        db.insert_stream("clicks", events(0, crash))
-        db.advance_streams(crash * 60.0)
-        db.runtime.stop_cq(cq)  # crash
-
-        new_cq = ContinuousQuery("recovered", parse_statement(CQ_SQL),
-                                 db.catalog, db.txn_manager)
-        new_cq.add_sink(archive_sink)
-        replay_from = recover_from_active_table(
-            new_cq, table, db.txn_manager, "stime")
-        assert replay_from is not None
-        new_cq.attach()
-        db.insert_stream("clicks", events(crash, total))
-        db.advance_streams(total * 60.0)
-
-        # compare archives: crashed+recovered vs uninterrupted
-        reference_db = make_db()
-        _cq2, table2, _sink2 = self.build_pipeline(reference_db)
-        reference_db.insert_stream("clicks", events(0, total))
-        reference_db.advance_streams(total * 60.0)
-
-        recovered = sorted(db.table_rows("archive"))
-        reference = sorted(reference_db.table_rows("archive"))
-        assert recovered == reference
-
-    def test_empty_archive_means_cold_start(self):
-        db = make_db()
-        _cq, table, _sink = self.build_pipeline(db)
-        fresh = ContinuousQuery("fresh", parse_statement(CQ_SQL),
-                                db.catalog, db.txn_manager)
-        assert recover_from_active_table(
-            fresh, table, db.txn_manager, "stime") is None
-
-    def test_no_steady_state_overhead(self):
-        """The paper's key claim: this strategy costs nothing during
-        normal operation beyond what the channel already writes."""
-        db_plain = make_db()
-        cq_plain = db_plain.runtime.create_cq(parse_statement(CQ_SQL))
-        db_ckpt = make_db()
-        cq_ckpt = db_ckpt.runtime.create_cq(parse_statement(CQ_SQL))
-        CheckpointManager(cq_ckpt, db_ckpt.storage.wal, every_windows=1)
-
-        for db in (db_plain, db_ckpt):
-            before = db.io_snapshot()
-            db.insert_stream("clicks", events(0, 6))
-            db.advance_streams(360.0)
-            db._steady_io = db.io_snapshot() - before
-
-        assert db_plain._steady_io.pages_written == 0
-        assert db_ckpt._steady_io.pages_written > 0
 
     def test_supervised_restart_matches_uninterrupted_run(self):
         """A supervisor-driven restart (poison windows, then recovery from
@@ -526,6 +320,26 @@ class TestNoCloseColumnNoGuess:
         db.advance_streams(60.0)
         assert closes == [30.0, 40.0, 50.0, 60.0]
         db.close()
+
+    def test_an_unsupervised_cold_promotion_shows_in_the_status_view(
+            self, tmp_path):
+        """A standby trims its tails to retention as it follows, so the
+        open window's rows are gone by its promotion: the CQ comes back
+        cold, and says so in ``repro_supervisor_status`` with nothing
+        supervised."""
+        from repro.replication import open_database
+        db = open_database(str(tmp_path))
+        archived_pipeline(db, *ARCHIVES["close-last-aliased"])
+        feed(db, BEFORE)
+        db.close()
+        db = open_database(str(tmp_path), standby=True,
+                           stream_retention=0.5)
+        [(name, rung)] = db.applier.promote()
+        assert rung.startswith("cold:") and "need 20.0" in rung
+        assert db.supervisor is None
+        assert db.query("SELECT name, kind, state, last_error FROM "
+                        "repro_supervisor_status").rows == [
+            (name, "recovery", "cold", rung[len("cold:"):])]
 
     def test_supervisor_restart_reports_the_loss(self):
         from repro.faults import FaultInjector

@@ -12,7 +12,7 @@ import pytest
 
 from repro import Database
 from repro.sql import parse_statement
-from repro.streaming import CheckpointManager, ContinuousQuery
+from repro.streaming import ContinuousQuery, recover_from_active_table
 from tests.test_differential import Config, run
 
 CLICKS_DDL = ("CREATE STREAM clicks (url varchar(100), "
@@ -54,6 +54,26 @@ def stores(db, stream="clicks"):
 
 def windows(sub):
     return [(w.close_time, sorted(w.rows)) for w in sub.poll()]
+
+
+def collector(out):
+    return lambda _kind, rows, _open, close: out.append((close, sorted(rows)))
+
+
+def archiving(db, out):
+    """A sink that collects each window and archives it, with its
+    close, into the active table ``arch``."""
+    db.execute("CREATE TABLE arch (url varchar(100), c bigint, "
+               "stime timestamp)")
+    table, collect = db.get_table("arch"), collector(out)
+
+    def sink(kind, rows, open_time, close_time):
+        collect(kind, rows, open_time, close_time)
+        txn = db.txn_manager.begin()
+        for row in rows:
+            table.insert(txn, tuple(row) + (close_time,))
+        txn.commit()
+    return sink
 
 
 class TestEligibility:
@@ -320,15 +340,12 @@ class TestStoreSafety:
                       in machine.engine.dead_letters()) == \
             [(narrow.name, 60.0), (wide.name, 60.0), (wide.name, 120.0)]
 
-    def test_checkpoint_recovery_of_one_sharing_reader(self):
-        """Crash one of two sharing CQs, recover it from its checkpoint:
-        its output equals the uninterrupted run, and the survivor's is
-        untouched."""
+    def test_active_table_recovery_of_one_sharing_reader(self):
+        """Crash one of two sharing CQs mid-slice, recover it from its
+        active table: its output equals the uninterrupted run, and the
+        survivor's is untouched."""
         sql_a = CQ_TEMPLATE.format(v="3 minutes")
         sql_b = CQ_TEMPLATE.format(v="2 minutes")
-
-        def collector(out):
-            return lambda _kind, rows, o, c: out.append((c, sorted(rows)))
 
         def run(crash_minute):
             db = Database(stream_retention=3600.0)
@@ -336,23 +353,24 @@ class TestStoreSafety:
             out_a, out_b = [], []
             cq_a = db.runtime.create_cq(parse_statement(sql_a), name="a")
             cq_b = db.runtime.create_cq(parse_statement(sql_b), name="b")
-            cq_a.add_sink(collector(out_a))
+            sink = archiving(db, out_a)
+            cq_a.add_sink(sink)
             cq_b.add_sink(collector(out_b))
-            CheckpointManager(cq_a, db.storage.wal)
             events = click_events(n_per_minute=4, minutes=8)
             if crash_minute is None:
                 db.insert_stream("clicks", events)
             else:
-                # crash mid-slice: the checkpoint's buffer tail is a
-                # partial slice the survivor's store holds in full
+                # crash mid-slice: the replayed tail ends in a partial
+                # slice, as the survivor's does
                 cut = 4 * crash_minute + 2
                 db.insert_stream("clicks", events[:cut])
                 db.runtime.stop_cq(cq_a)
                 assert not cq_b.shared
                 fresh = ContinuousQuery("a", parse_statement(sql_a),
                                         db.catalog, db.txn_manager)
-                fresh.add_sink(collector(out_a))
-                CheckpointManager.recover(fresh, db.storage.wal)
+                fresh.add_sink(sink)
+                recover_from_active_table(fresh, db.get_table("arch"),
+                                          db.txn_manager, "stime")
                 fresh.attach()
                 assert fresh.shared and cq_b.shared
                 db.insert_stream("clicks", events[cut:])
@@ -362,8 +380,8 @@ class TestStoreSafety:
         assert run(crash_minute=4) == run(crash_minute=None)
 
     def test_restored_reader_reslots_onto_a_finer_store(self):
-        """A recovered CQ is restored before it attaches, so its buffer
-        is filed on its own grid (2-minute slices); attaching joins the
+        """A recovered CQ replays before it attaches, so its buffer is
+        filed on its own grid (2-minute slices); attaching joins the
         survivor's 1-minute store: the held rows are re-slotted, the
         slices the survivor already reduced are not reduced again, and
         the output equals the uninterrupted run."""
@@ -372,17 +390,14 @@ class TestStoreSafety:
         sql_b = CQ_TEMPLATE.format(v="2 minutes")
         events = click_events(n_per_minute=4, minutes=10)
 
-        def collector(out):
-            return lambda _kind, rows, o, c: out.append((c, sorted(rows)))
-
         def run(crash):
             db = Database(stream_retention=3600.0)
             db.execute(CLICKS_DDL)
             out = []
             db.runtime.create_cq(parse_statement(sql_b), name="b")
             cq_a = db.runtime.create_cq(parse_statement(sql_a), name="a")
-            cq_a.add_sink(collector(out))
-            CheckpointManager(cq_a, db.storage.wal)
+            sink = archiving(db, out)
+            cq_a.add_sink(sink)
             (store,) = stores(db)
             assert store.width == 60.0
             if not crash:
@@ -393,8 +408,9 @@ class TestStoreSafety:
                 db.runtime.stop_cq(cq_a)
                 fresh = ContinuousQuery("a", parse_statement(sql_a),
                                         db.catalog, db.txn_manager)
-                fresh.add_sink(collector(out))
-                CheckpointManager.recover(fresh, db.storage.wal)
+                fresh.add_sink(sink)
+                recover_from_active_table(fresh, db.get_table("arch"),
+                                          db.txn_manager, "stime")
                 op = fresh._window_op
                 assert op.slice_width == 120.0 and op.buffered
                 held = op.points()

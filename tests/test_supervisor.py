@@ -260,31 +260,6 @@ class TestRestart:
         closes = [row[2] for row in db.table_rows("arch")]
         assert len(closes) == len(set(closes))
 
-    def test_restart_repoints_the_checkpoint_manager(self, db):
-        # the manager's sink travels to the replacement with the other
-        # sinks; it must capture the operator that is running, not keep
-        # writing the stopped one's frozen buffer as the latest checkpoint
-        from repro.streaming.recovery import CheckpointManager
-        sub = db.subscribe("SELECT sum(10 / v) FROM s "
-                           "<VISIBLE '2 minutes' ADVANCE '1 minute'>")
-        old, wal = sub.cq, db.storage.wal
-        manager = CheckpointManager(old, wal)
-        for close in (60.0, 120.0):             # two poison closes
-            db.insert_stream("s", [("a", 0, close - 5.0)])
-            db.advance_streams(close)
-        fresh = db.runtime.cqs()[old.name]
-        assert fresh is old and manager.cq is fresh
-        taken = manager.checkpoints_taken
-        db.insert_stream("s", [("b", 5, 185.0)])
-        db.advance_streams(240.0)               # two more windows
-        db.insert_stream("s", [("c", 2, 245.0)])
-        db.advance_streams(300.0)
-        assert manager.checkpoints_taken > taken
-        buffered = [tuple(row) for _when, row in
-                    wal.latest_checkpoint(old.name)["buffer"]]
-        assert buffered == [row for _when, row in
-                            fresh._window_op.points()] == [("c", 2, 245.0)]
-
     @pytest.mark.parametrize("vectorize", [True, False],
                              ids=["batch", "iterator"])
     def test_restart_keeps_the_gear_and_the_instrumentation(self,

@@ -61,46 +61,6 @@ class TestWAL:
         # crash before flush: nothing durable
         assert wal.replay() == {}
 
-    def test_latest_checkpoint(self):
-        wal = WriteAheadLog()
-        wal.append(0, "cq_checkpoint", "cq1", payload={"v": 1})
-        wal.append(0, "cq_checkpoint", "cq1", payload={"v": 2})
-        wal.append(0, "cq_checkpoint", "other", payload={"v": 9})
-        wal.flush()
-        assert wal.latest_checkpoint("cq1") == {"v": 2}
-        assert wal.latest_checkpoint("nope") is None
-
-    def test_latest_checkpoint_validates_one_record_not_the_log(
-            self, monkeypatch):
-        from repro.storage.wal import LogRecord
-        wal = WriteAheadLog()
-        wal.append(0, "cq_checkpoint", "cq1", payload={"v": 1})
-        for i in range(200):
-            wal.append(1, "insert", "t", (0, i), after=(i,))
-        wal.flush()
-        checked = []
-        valid = LogRecord.is_valid
-        monkeypatch.setattr(
-            LogRecord, "is_valid",
-            lambda record: checked.append(record.lsn) or valid(record))
-        assert wal.latest_checkpoint("cq1") == {"v": 1}
-        assert checked == [1]
-
-    def test_latest_checkpoint_is_a_durable_one(self):
-        from repro.faults import FaultInjector
-        faults = FaultInjector(7)
-        wal = WriteAheadLog(faults=faults)
-        wal.append(0, "cq_checkpoint", "cq1", payload={"v": 1}, flush=True)
-        wal.append(0, "cq_checkpoint", "cq1", payload={"v": 2})
-        assert wal.latest_checkpoint("cq1") == {"v": 1}      # unflushed
-        faults.arm("wal.torn_write", probability=1.0, count=1)
-        wal.flush()
-        assert wal.latest_checkpoint("cq1") == {"v": 1}      # torn
-        # the stream's logged drop takes its CQ's checkpoints with it
-        wal.append(0, "ddl_obj", payload={"op": "drop", "name": "cq1"},
-                   flush=True)
-        assert wal.latest_checkpoint("cq1") is None
-
 
 @pytest.fixture
 def manager():

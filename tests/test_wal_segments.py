@@ -275,86 +275,24 @@ class TestCompaction:
             wal.archived_wire_records(1, 2)   # archive is empty
         wal.close()
 
-    def test_checkpoint_anchor_pins_compaction(self, tmp_path):
-        db = boot(tmp_path, segment_bytes=512)
+    def test_a_legacy_cq_checkpoint_record_is_replayed_past(self, tmp_path):
+        """A log written when CQs still checkpointed opens: the replay
+        skips the record, and it pins nothing — compaction archives
+        past it."""
+        db = boot(tmp_path)
         db.execute("CREATE TABLE t (a integer, b varchar(40))")
         insert_rows(db, 0, 5)
-        wal = db.storage.wal
-        wal.append(0, "cq_checkpoint", "derived:reporting",
-                   payload={"state": 1})
-        wal.flush()
-        ckpt_lsn = wal._checkpoint_lsns["derived:reporting"]
-        insert_rows(db, 5, 40)
-        db.compact_wal()
-        # nothing at or above the anchor was archived
-        assert wal.compacted_below <= ckpt_lsn
-        assert wal.latest_checkpoint("derived:reporting") == {"state": 1}
+        checkpoint = db.storage.wal.append(
+            0, "cq_checkpoint", "derived:reporting", payload={"state": 1},
+            flush=True)
+        for lo in range(5, 40, 5):
+            insert_rows(db, lo, lo + 5)
         db.close()
-
-    def test_logged_drop_releases_checkpoint_anchor(self, tmp_path):
-        db = boot(tmp_path, segment_bytes=512)
-        db.execute("CREATE TABLE t (a integer, b varchar(40))")
-        wal = db.storage.wal
-        wal.append(0, "cq_checkpoint", "derived:reporting",
-                   payload={"state": 1})
-        wal.append(0, "ddl_obj",
-                   payload={"op": "drop", "name": "reporting"})
-        wal.flush()
-        insert_rows(db, 0, 40)
+        db = boot(tmp_path)
+        assert sorted(a for a, _b in db.table_rows("t")) == list(range(40))
         db.compact_wal()
-        # the dropped CQ no longer pins retention
-        assert "derived:reporting" not in wal._checkpoint_lsns
-        assert wal.compacted_below > 2
+        assert db.storage.wal.compacted_below > checkpoint.lsn
         db.close()
-
-
-class TestCheckpointSegmentBoundaries:
-    """latest_checkpoint at segment boundaries: the checkpoint as the
-    last record of a sealed segment and as the first record of a new
-    one, both in memory and after its segment was archived."""
-
-    def checkpointed_wal(self, tmp_path, boundary):
-        wal = make_wal(tmp_path, segment_bytes=10_000)
-        fill(wal, 4)
-        if boundary == "last-of-sealed":
-            wal.append(0, "cq_checkpoint", "cq1", payload={"n": 1})
-            wal.flush()
-            wal.roll_segment(force=True)       # checkpoint seals its segment
-        else:
-            wal.roll_segment(force=True)
-            wal.append(0, "cq_checkpoint", "cq1", payload={"n": 1})
-            wal.flush()                        # checkpoint opens the next
-        fill(wal, 4, start_tx=100)
-        return wal
-
-    @pytest.mark.parametrize("boundary",
-                             ["last-of-sealed", "first-of-new"])
-    def test_found_in_memory(self, tmp_path, boundary):
-        wal = self.checkpointed_wal(tmp_path, boundary)
-        assert wal.latest_checkpoint("cq1") == {"n": 1}
-        wal.close()
-
-    @pytest.mark.parametrize("boundary",
-                             ["last-of-sealed", "first-of-new"])
-    def test_survives_reload(self, tmp_path, boundary):
-        wal = self.checkpointed_wal(tmp_path, boundary)
-        wal.close()
-        back = make_wal(tmp_path, segment_bytes=10_000)
-        assert back.latest_checkpoint("cq1") == {"n": 1}
-        back.close()
-
-    def test_found_in_archive_after_its_segment_compacts(self, tmp_path):
-        """A standby compacts without live CQs; at promotion the
-        checkpoint may only exist in the archive — the tracked anchor
-        LSN reads exactly that record back."""
-        wal = self.checkpointed_wal(tmp_path, "last-of-sealed")
-        ckpt_lsn = wal._checkpoint_lsns["cq1"]
-        for seg in list(wal.segments.sealed_live_segments()):
-            wal.segments.archive_segment(seg)
-        wal.release_archived()
-        assert wal.compacted_below > ckpt_lsn
-        assert wal.latest_checkpoint("cq1") == {"n": 1}
-        wal.close()
 
 
 # ---------------------------------------------------------------------------
