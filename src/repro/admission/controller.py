@@ -141,7 +141,7 @@ class AdmissionController:
 
     def set_default(self, option: str, value) -> None:
         """Change a default limit and apply it to every known tenant
-        (mirrors how SET backpressure_policy retunes live streams)."""
+        (a SET of a tenant_* option retunes live tenants)."""
         if option not in self.LIMIT_OPTIONS:
             raise ValueError(f"unknown tenant limit {option!r}")
         with self._lock:

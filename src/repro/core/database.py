@@ -61,11 +61,8 @@ class Database:
     def __init__(self, buffer_pages: int = 256,
                  stream_retention: Optional[float] = None,
                  disorder_policy: str = "raise",
-                 stream_slack: float = 0.0,
                  supervised: bool = False,
                  fault_injector=None,
-                 backpressure_policy: Optional[str] = None,
-                 high_water_mark: Optional[int] = None,
                  observability: bool = True,
                  trace_sample_rate: float = 0.01,
                  vectorize: bool = True,
@@ -85,9 +82,6 @@ class Database:
             self.catalog, self.txn_manager,
             default_retention=stream_retention,
             disorder_policy=disorder_policy,
-            default_slack=stream_slack,
-            backpressure_policy=backpressure_policy,
-            high_water_mark=high_water_mark,
             vectorize=vectorize,
         )
         self.runtime.faults = fault_injector
@@ -206,7 +200,7 @@ class Database:
         self._log_ddl({
             "op": "create", "kind": "stream", "name": stream.name,
             "columns": stream.schema.to_specs(),
-            "retention": stream.retention, "slack": stream.slack,
+            "retention": stream.retention,
             "disorder_policy": stream.disorder_policy,
             "watermark_bound": stream.watermark_bound,
             "partition_by": stream.partition_by,
@@ -351,29 +345,6 @@ class Database:
                 raise ExecutionError(
                     "supervision cannot be disabled once enabled")
             return _ok()
-        if name == "backpressure_policy":
-            from repro.streaming.streams import BACKPRESSURE_POLICIES
-            if value is False:
-                value = None
-            elif value not in BACKPRESSURE_POLICIES:
-                raise ExecutionError(
-                    f"unknown backpressure policy {value!r}; choose one "
-                    f"of {', '.join(BACKPRESSURE_POLICIES)}"
-                )
-            self.runtime.backpressure_policy = value
-            for _name, stream in self.catalog.relations(cat.STREAM):
-                stream.backpressure_policy = value
-            return _ok()
-        if name == "high_water_mark":
-            if value is False:
-                value = None
-            elif not isinstance(value, int) or value <= 0:
-                raise ExecutionError(
-                    "high_water_mark must be a positive integer (or OFF)")
-            self.runtime.high_water_mark = value
-            for _name, stream in self.catalog.relations(cat.STREAM):
-                stream.high_water_mark = value
-            return _ok()
         if name == "fault_seed":
             if not isinstance(value, int):
                 raise ExecutionError("fault_seed must be an integer")
@@ -454,8 +425,6 @@ class Database:
     def _show_option(self, statement: ast.ShowOption) -> ResultSet:
         options = {
             "supervision": self.supervisor is not None,
-            "backpressure_policy": self.runtime.backpressure_policy,
-            "high_water_mark": self.runtime.high_water_mark,
             "fault_seed": getattr(self.faults, "seed", None),
             "observability": self.obs.enabled,
             "slow_window_ms": self.obs.slow_window_ms,

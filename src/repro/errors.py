@@ -113,11 +113,6 @@ class RecoveryError(StreamingError):
     """Runtime state could not be rebuilt after a crash."""
 
 
-class BackpressureError(StreamingError):
-    """A stream's reorder buffer hit its high-water mark under the
-    ``raise`` backpressure policy."""
-
-
 class PartitionError(StreamingError):
     """A CQ or stream cannot run on the partitioned engine (unsupported
     plan shape, missing partition key, bad worker configuration)."""

@@ -22,7 +22,7 @@ RETRACT = "retract"
 LATENESS_POLICIES = (DROP, DEAD_LETTER, RETRACT)
 
 #: dead-letter kind for rows rejected by a lateness policy (joins the
-#: supervisor's POISON_WINDOW / LOAD_SHED / ... constants)
+#: supervisor's POISON_WINDOW / CHANNEL_WRITE / ... constants)
 LATE_EVENT = "late-event"
 
 

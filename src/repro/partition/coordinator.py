@@ -603,10 +603,6 @@ class PartitionedEngine:
         self._broadcast_ddl(stream.name, sql)
         if stream.partition_by is None:
             return
-        if stream.slack > 0:
-            raise PartitionError(
-                f"stream {stream.name!r}: SLACK reordering is per-shard "
-                "state and cannot be partitioned")
         route = _StreamRoute(stream, self.ring, self.partitions)
         stream.subscribe(route)
         self._routes[stream.name] = route

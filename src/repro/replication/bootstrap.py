@@ -316,7 +316,6 @@ class WalApplier:
                 stream = db.runtime.create_base_stream(
                     name, Schema.from_specs(payload["columns"]),
                     retention=payload.get("retention"),
-                    slack=payload.get("slack") or 0.0,
                     watermark_bound=payload.get("watermark_bound"),
                     partition_by=payload.get("partition_by"))
                 policy = payload.get("disorder_policy")

@@ -8,7 +8,7 @@ An asyncio TCP server speaks a length-prefixed JSON frame protocol
 (:mod:`repro.server.session`) whose statements are serialized onto the
 single-threaded engine through a single-writer executor
 (:mod:`repro.server.engine`).  Continuous-query results are *pushed* to
-subscribed clients, with the engine's backpressure policies applied to
+subscribed clients, with a per-session slow-client policy applied to
 slow consumers.  See docs/SERVER.md for the protocol reference.
 """
 

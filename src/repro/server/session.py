@@ -6,8 +6,8 @@ buffer of push frames.  Engine-side window/tuple sinks run on the
 single-writer engine thread (:mod:`repro.server.engine`) and append to
 that buffer; an asyncio writer task drains it to the socket.  When a
 client reads slower than its subscriptions produce, the buffer hits the
-session's high-water mark and the engine's backpressure vocabulary
-applies (PR 1's policies, surfaced as protocol frames):
+session's high-water mark and its slow-client policy applies
+(surfaced as protocol frames):
 
 - ``shed-oldest`` — drop the oldest buffered push, tell the client with
   a ``shed`` frame, and (under supervision) quarantine the dropped
@@ -38,7 +38,7 @@ from repro.server import protocol
 from repro.sql import ast, first_word, parse_statement
 from repro.streaming.streams import StreamConsumer
 
-#: slow-client policies (the engine's backpressure vocabulary + an alias)
+#: slow-client policies (``error`` is an alias of ``raise``)
 POLICY_BLOCK = "block"
 POLICY_SHED = "shed-oldest"
 POLICY_RAISE = "raise"

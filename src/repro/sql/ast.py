@@ -451,7 +451,7 @@ class Rollback(Statement):
 @dataclass
 class SetOption(Statement):
     """``SET name [=|TO] value`` — session option (supervision,
-    backpressure, fault injection and supervisor policy knobs)."""
+    fault injection, admission and supervisor policy knobs)."""
 
     name: str
     value: object

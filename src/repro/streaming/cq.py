@@ -712,7 +712,10 @@ class ContinuousQuery(StreamConsumer):
                  expired: bool) -> None:
         """A tuple arrived below the watermark.  Counting is free; the
         dead-letter policy (and retract's expired leftovers) hand the
-        row to the runtime-wired quarantine hook."""
+        row to the runtime-wired quarantine hook.  A replayed late row
+        was counted and filed when it arrived live."""
+        if self.replaying:
+            return
         if self._c_late is not None:
             self._c_late.inc()
         if self.late_handler is not None \

@@ -14,7 +14,8 @@ state of every operator — and that is the one way this engine does it:
   rebuild — boot, promotion, a supervised restart — walks the tail
   through the CQ's own window operator and its (guarded) window
   entries, each row judged by the watermark it was delivered under, so
-  a replayed row meets exactly what it met live.
+  a replayed row meets exactly what it met live — a window whose
+  evaluation raised live raises again, and the replay walks past it.
 
 No extra I/O is paid during normal operation.  The stream source must
 retain a replayable tail (``retention`` on the stream, or the log a
@@ -26,6 +27,7 @@ to it as the benchmark's strawman.
 
 from __future__ import annotations
 
+import logging
 from typing import Optional
 
 from repro.errors import RecoveryError
@@ -34,6 +36,8 @@ from repro.streaming.cq import ContinuousQuery
 from repro.streaming.windows import TimeWindowOperator
 
 NEG_INF = float("-inf")
+
+log = logging.getLogger("repro.recovery")
 
 
 def recover_from_active_table(cq: ContinuousQuery, table, txn_manager,
@@ -117,10 +121,10 @@ def replay_tail(cq: ContinuousQuery, start: float, prepare=None,
         for when, row, watermark in stream.replay_entries(start):
             if wm_fn is not None and watermark > clock[0]:
                 clock[0] = watermark
-                op.on_heartbeat(watermark)
-            op.on_tuple(row, when)
+                _walk(op.on_heartbeat, watermark)
+            _walk(op.on_tuple, row, when)
         clock[0] = stream.watermark
-        op.on_heartbeat(stream.watermark)
+        _walk(op.on_heartbeat, stream.watermark)
     finally:
         cq.replaying = False
         for owner, name, entry in entries:
@@ -152,6 +156,16 @@ def recover_cq(cq: ContinuousQuery, runtime) -> str:
     replayed = recover_from_active_table(
         cq, channel.table, runtime.txn_manager, channel.close_column)
     return "empty-archive" if replayed is None else "active-table"
+
+
+def _walk(step, *args) -> None:
+    """One replayed delivery.  A window whose evaluation raises is
+    walked past, as the live stream did: the error reached that row's
+    inserter then, and the operator is left where it left it."""
+    try:
+        step(*args)
+    except Exception:
+        log.debug("replay walked past a raise", exc_info=True)
 
 
 def _after(through: float, entry):

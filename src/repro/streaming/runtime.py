@@ -24,18 +24,12 @@ class StreamingRuntime:
     def __init__(self, catalog, txn_manager,
                  default_retention: Optional[float] = None,
                  disorder_policy: str = "raise",
-                 default_slack: float = 0.0,
-                 backpressure_policy: Optional[str] = None,
-                 high_water_mark: Optional[int] = None,
                  vectorize: bool = True):
         self.catalog = catalog
         self.txn_manager = txn_manager
         self.vectorize = vectorize
         self.default_retention = default_retention
         self.disorder_policy = disorder_policy
-        self.default_slack = default_slack
-        self.backpressure_policy = backpressure_policy
-        self.high_water_mark = high_water_mark
         self.supervisor = None  # set by Database.enable_supervision
         self.faults = None      # optional FaultInjector, set by Database
         self.obs = None         # Observability facade, set by Database
@@ -55,7 +49,6 @@ class StreamingRuntime:
 
     def create_base_stream(self, name: str, schema: Schema,
                            retention: Optional[float] = None,
-                           slack: Optional[float] = None,
                            watermark_bound: Optional[float] = None,
                            partition_by: Optional[str] = None
                            ) -> BaseStream:
@@ -64,12 +57,6 @@ class StreamingRuntime:
             disorder_policy=self.disorder_policy,
             retention=retention if retention is not None
             else self.default_retention,
-            # an event-time stream accepts out-of-order rows directly;
-            # the engine-wide slack reorder buffer must stay out of its way
-            slack=(0.0 if watermark_bound is not None
-                   else slack if slack is not None else self.default_slack),
-            backpressure_policy=self.backpressure_policy,
-            high_water_mark=self.high_water_mark,
             watermark_bound=watermark_bound,
             partition_by=partition_by,
         )

@@ -14,7 +14,6 @@ production system would re-read a message broker after a crash.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from itertools import islice
 from math import isfinite
@@ -22,22 +21,11 @@ from operator import ge, itemgetter
 from typing import Optional
 
 from repro.catalog.schema import Schema
-from repro.errors import (
-    BackpressureError,
-    ConstraintError,
-    OutOfOrderError,
-    StreamingError,
-)
+from repro.errors import ConstraintError, OutOfOrderError, StreamingError
 from repro.eventtime.watermark import WatermarkTracker
 
 RAISE = "raise"
 DROP = "drop"
-
-# backpressure policies for a full reorder buffer (high-water mark hit)
-BP_BLOCK = "block"
-BP_SHED_OLDEST = "shed-oldest"
-BP_RAISE = "raise"
-BACKPRESSURE_POLICIES = (BP_BLOCK, BP_SHED_OLDEST, BP_RAISE)
 
 
 class StreamConsumer:
@@ -56,20 +44,16 @@ class StreamConsumer:
 class BaseStream:
     """A raw stream: schema, CQTIME ordering, subscribers, retention.
 
-    ``slack`` enables bounded out-of-order ingest (the paper assumes
-    perfectly ordered streams; real feeds are not): tuples are held in a
-    reorder buffer and released in timestamp order once the raw clock has
-    advanced ``slack`` seconds past them.  Consumers always see a
-    non-decreasing sequence; tuples later than the slack bound fall back
-    to the disorder policy (raise or drop).
+    The paper assumes every stream arrives in CQTIME order.  A stream
+    declared with ``watermark_bound`` (``WATERMARK '…'``) accepts rows out
+    of order and leaves lateness to its CQs; an arrival-time stream
+    applies ``disorder_policy`` (raise or drop) to a row behind its
+    watermark.
     """
 
     def __init__(self, name: str, schema: Schema,
                  disorder_policy: str = RAISE,
                  retention: Optional[float] = None,
-                 slack: float = 0.0,
-                 backpressure_policy: Optional[str] = None,
-                 high_water_mark: Optional[int] = None,
                  watermark_bound: Optional[float] = None,
                  partition_by: Optional[str] = None):
         self.name = name
@@ -79,24 +63,12 @@ class BaseStream:
             raise StreamingError(
                 f"stream {name!r} has no CQTIME column"
             )
-        if backpressure_policy is not None \
-                and backpressure_policy not in BACKPRESSURE_POLICIES:
-            raise StreamingError(
-                f"unknown backpressure policy {backpressure_policy!r}; "
-                f"choose one of {', '.join(BACKPRESSURE_POLICIES)}"
-            )
         self.cqtime_index = cqtime
         self.cqtime_mode = schema.columns[cqtime].cqtime or "user"
-        if watermark_bound is not None:
-            if slack and slack > 0:
-                raise StreamingError(
-                    f"stream {name!r}: SLACK and WATERMARK are mutually "
-                    "exclusive — slack reorders arrivals, a watermark "
-                    "accepts them out of order")
-            if self.cqtime_mode == "system":
-                raise StreamingError(
-                    f"stream {name!r}: a SYSTEM-time stream cannot carry "
-                    "a watermark (arrival time is never out of order)")
+        if watermark_bound is not None and self.cqtime_mode == "system":
+            raise StreamingError(
+                f"stream {name!r}: a SYSTEM-time stream cannot carry "
+                "a watermark (arrival time is never out of order)")
         self.watermark_bound = watermark_bound
         if partition_by is not None and not schema.has_column(partition_by):
             raise StreamingError(
@@ -110,24 +82,17 @@ class BaseStream:
                         if watermark_bound is not None else None)
         self.disorder_policy = disorder_policy
         self.retention = retention
-        self.slack = float(slack)
-        self.backpressure_policy = backpressure_policy
-        self.high_water_mark = high_water_mark
-        self.watermark = float("-inf")   # delivered (post-reorder) clock
+        self.watermark = float("-inf")   # delivered clock
         self.raw_watermark = float("-inf")  # max event time ever seen
         self.tuples_in = 0
         self.tuples_dropped = 0
         self.tuples_reordered = 0
-        self.tuples_shed = 0       # dropped by the shed-oldest policy
-        self.forced_releases = 0   # tuples force-delivered by block policy
         self.delivery_errors = 0   # subscriber exceptions seen in fan-out
         self.slow_deliveries = 0   # stream.slow_consumer crashpoint fires
         self._consumers = []
         #: slice stores of the sliced CQs reading this stream, one per
         #: (key, incompatible slice grid) — see repro.streaming.shared
         self.slice_stores = []
-        self._pending = []  # reorder buffer: heap of (time, seq, row)
-        self._seq = 0
         #: (event_time, row, watermark it was judged by) kept for replay
         self._tail = deque()
         #: newest event time a row left the tail (or was never kept) at:
@@ -137,7 +102,6 @@ class BaseStream:
         # error_handler is set, subscriber exceptions are routed there
         # instead of propagating to the inserter
         self.error_handler = None   # fn(row, event_time, [(consumer, exc)])
-        self.shed_handler = None    # fn(row, event_time, reason)
         self.faults = None          # optional FaultInjector
         # replication hook (set by Database.enable_replication_logging),
         # so a WAL-shipping standby can mirror the stream tail:
@@ -240,25 +204,6 @@ class BaseStream:
                 f"watermark {self.watermark}"
             )
         final = tuple(row)
-        if self.slack > 0:
-            if event_time < self.raw_watermark:
-                self.tuples_reordered += 1
-            if self.high_water_mark is not None \
-                    and len(self._pending) >= self.high_water_mark:
-                if not self._relieve_pressure(final, event_time):
-                    return False  # the new tuple itself was shed
-            self.raw_watermark = max(self.raw_watermark, event_time)
-            heapq.heappush(self._pending, (event_time, self._seq, final))
-            self._seq += 1
-            self.tuples_in += 1
-            countdown = self._trace_countdown
-            if countdown:
-                if countdown == 1:
-                    self.obs.start_trace(self, event_time)
-                else:
-                    self._trace_countdown = countdown - 1
-            self._release(self.raw_watermark - self.slack)
-            return True
         self.watermark = max(self.watermark, event_time)
         self.raw_watermark = self.watermark
         self.tuples_in += 1
@@ -269,40 +214,6 @@ class BaseStream:
             else:
                 self._trace_countdown = countdown - 1
         self._deliver(final, event_time)
-        return True
-
-    # -- backpressure -----------------------------------------------------------
-
-    def _relieve_pressure(self, row: tuple, event_time: float) -> bool:
-        """The reorder buffer is at its high-water mark; apply the
-        configured policy.  Returns False when the incoming tuple should
-        be discarded instead of buffered (shed-oldest, incoming oldest).
-        """
-        policy = self.backpressure_policy
-        if policy == BP_RAISE or policy is None:
-            raise BackpressureError(
-                f"stream {self.name!r}: reorder buffer at high-water mark "
-                f"({self.high_water_mark} tuples)"
-            )
-        if policy == BP_SHED_OLDEST:
-            # drop the oldest queued tuple — or the incoming one, if it is
-            # older than everything queued (it would be popped first anyway)
-            if self._pending and self._pending[0][0] <= event_time:
-                when, _seq, shed = heapq.heappop(self._pending)
-            else:
-                when, shed = event_time, row
-            self.tuples_shed += 1
-            if self.shed_handler is not None:
-                self.shed_handler(shed, when, "load-shed")
-            return shed is not row
-        # BP_BLOCK: the inserter "waits" for the consumers — in this
-        # synchronous engine that means force-draining the oldest buffered
-        # tuples now, trading slack headroom for bounded memory
-        while len(self._pending) >= self.high_water_mark:
-            when, _seq, oldest = heapq.heappop(self._pending)
-            self.watermark = max(self.watermark, when)
-            self.forced_releases += 1
-            self._deliver(oldest, when)
         return True
 
     # -- delivery ---------------------------------------------------------------
@@ -344,35 +255,20 @@ class BaseStream:
             return
         raise errors[0][1]
 
-    def _release(self, threshold: float) -> None:
-        """Deliver buffered tuples with event time <= ``threshold``,
-        in timestamp order (the delivered watermark trails by slack)."""
-        while self._pending and self._pending[0][0] <= threshold:
-            event_time, _seq, row = heapq.heappop(self._pending)
-            self.watermark = max(self.watermark, event_time)
-            self._deliver(row, event_time)
-
     def insert_many(self, rows, at: Optional[float] = None) -> int:
-        """Ingest a batch; returns how many rows were actually accepted.
-
-        Under the shed-oldest backpressure policy a row can be stored and
-        then displaced by a later row of the same batch (or displace an
-        older buffered tuple).  The return value is net acceptance: rows
-        stored minus tuples the batch forced out of the reorder buffer,
-        so a caller can tell shed from stored.
-        """
+        """Ingest a batch; returns how many rows were accepted (a row
+        behind the watermark of a ``drop`` stream is not)."""
         return self.insert_many_counted(rows, at)["accepted"]
 
     def insert_many_counted(self, rows, at: Optional[float] = None) -> dict:
         """Ingest a batch and account for every row:
         ``{"accepted", "shed", "dropped"}``.
 
-        ``accepted`` is net acceptance (stored minus buffered tuples
-        this batch displaced), ``shed`` counts backpressure sheds —
-        incoming rows refused plus buffered tuples displaced — and
-        ``dropped`` counts rows discarded as too-late under the ``drop``
-        disorder policy.  The ingest wire ack reports these numbers, so
-        they must add up: accepted + shed + dropped == len(rows).
+        ``accepted`` counts rows stored and ``dropped`` rows discarded as
+        too late under the ``drop`` disorder policy.  A stream never
+        sheds, so ``shed`` is 0; the ingest wire ack carries the field
+        for the admission controller's shed.  The numbers add up:
+        accepted + shed + dropped == len(rows).
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)   # a generator: every pass below reads it
@@ -381,8 +277,6 @@ class BaseStream:
             return fast
         stored = 0
         submitted = 0
-        shed_before = self.tuples_shed
-        dropped_before = self.tuples_dropped
         delivered = self._unlogged = ([], [])
         try:
             for row in rows:
@@ -396,24 +290,14 @@ class BaseStream:
             self._unlogged = None
             if delivered[0] and self.replication_log is not None:
                 self.replication_log(self.name, "rows", *delivered)
-        rejected = submitted - stored
-        dropped_late = self.tuples_dropped - dropped_before
-        shed_total = self.tuples_shed - shed_before
-        # sheds of incoming rows already show up as insert() == False;
-        # only subtract the *buffered* tuples this batch displaced
-        shed_incoming = rejected - dropped_late
-        shed_buffered = shed_total - shed_incoming
-        return {
-            "accepted": max(stored - shed_buffered, 0),
-            "shed": shed_total,
-            "dropped": dropped_late,
-        }
+        return {"accepted": stored, "shed": 0,
+                "dropped": submitted - stored}
 
     def _insert_fast_batch(self, rows, at: Optional[float]) -> Optional[dict]:
         """Batch ingest without the per-row :meth:`insert` overhead.
 
         Only the plain configuration qualifies: arrival-ordered traffic
-        (no watermark tracker, no slack reorder buffer), unsupervised
+        (no watermark tracker), unsupervised
         delivery, no armed fault injector.  Any disorder, NULL CQTIME,
         or coercion problem defers to the per-row path, which raises
         (or drops) with exactly the single-insert semantics — and so does
@@ -422,8 +306,7 @@ class BaseStream:
         batch in one call.  Returns None when the batch must take the
         slow path.
         """
-        if (self.tracker is not None or self.slack > 0
-                or self.error_handler is not None
+        if (self.tracker is not None or self.error_handler is not None
                 or (self.faults is not None and self.faults.armed)):
             return None
         consumers = self._consumers
@@ -501,8 +384,6 @@ class BaseStream:
     def advance_to(self, event_time: float) -> None:
         """Heartbeat: assert no tuple before ``event_time`` will arrive.
 
-        With slack, the heartbeat first drains the reorder buffer up to
-        ``event_time - slack`` and consumers see that (delayed) clock.
         In event-time mode this is *explicit watermark injection*: the
         source asserts completeness through ``event_time`` and the
         tracker publishes it (monotone).  Unlike observation-derived
@@ -518,15 +399,6 @@ class BaseStream:
             if advanced is not None:
                 self.watermark = advanced
                 self._broadcast_heartbeat(advanced)
-            return
-        if self.slack > 0:
-            self.raw_watermark = max(self.raw_watermark, event_time)
-            threshold = event_time - self.slack
-            self._release(threshold)
-            if threshold <= self.watermark:
-                return
-            self.watermark = threshold
-            self._broadcast_heartbeat(threshold)
             return
         if event_time < self.watermark:
             return
@@ -551,7 +423,6 @@ class BaseStream:
 
     def flush(self) -> None:
         """End-of-stream: force pending windows out (tests, benches)."""
-        self._release(float("inf"))
         for consumer in tuple(self._consumers):
             consumer.on_flush()
 

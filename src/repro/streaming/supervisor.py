@@ -71,7 +71,6 @@ POISON_WINDOW = "poison-window"
 POISON_TUPLE = "poison-tuple"
 SUBSCRIBER_ERROR = "subscriber-error"
 CHANNEL_WRITE = "channel-write"
-LOAD_SHED = "load-shed"
 RESTART_LOSS = "restart-loss"
 SLOW_CONSUMER = "slow-consumer"   # a network subscriber fell behind
 #: rows below the watermark, quarantined by a CQ's lateness policy
@@ -259,12 +258,7 @@ class CQSupervisor:
                     [row] if row is not None else [],
                     open_time=event_time, close_time=event_time)
 
-        def on_shed(row, event_time, reason):
-            self.quarantine(stream.name, LOAD_SHED, reason, [row],
-                            open_time=event_time, close_time=event_time)
-
         stream.error_handler = on_errors
-        stream.shed_handler = on_shed
         return entry
 
     def release(self, target) -> None:
@@ -276,7 +270,6 @@ class CQSupervisor:
             self._entries.remove(entry)
         if isinstance(target, BaseStream):
             target.error_handler = None
-            target.shed_handler = None
 
     def _register(self, entry: _Entry) -> None:
         self._entries.append(entry)

@@ -40,15 +40,6 @@ class TestWindowBufferBounds:
         # what a future window can still see: [40, 50) and the head row
         assert op.buffered == 11
 
-    def test_slack_buffer_drains(self):
-        db = Database(stream_slack=30.0)
-        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-        stream = db.get_stream("s")
-        for i in range(5000):
-            stream.insert((i, float(i)))
-            assert len(stream._pending) <= 32  # ~slack x 1 event/second
-        assert stream.watermark >= 4969.0
-
     def test_retention_tail_bounded(self):
         db = Database(stream_retention=60.0)
         db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")

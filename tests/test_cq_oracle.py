@@ -242,30 +242,3 @@ def test_channel_archive_matches_oracle_totals(events, extents):
         for key, count in counts.items()
     )
     assert sorted(db.table_rows("arch")) == expected
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.tuples(st.sampled_from(KEYS),
-                       st.integers(min_value=0, max_value=300)),
-             min_size=1, max_size=40),
-    st.integers(min_value=1, max_value=120),
-)
-def test_slack_stream_matches_sorted_ingest(jittered, slack):
-    """Any jittered arrival order + enough slack == sorted arrival."""
-    ordered = sorted(jittered, key=lambda e: e[1])
-    end_time = float(max(t for _k, t in jittered)) + 120.0
-
-    def run(rows, use_slack):
-        db = Database(stream_slack=float(use_slack))
-        db.execute("CREATE STREAM s (k varchar(5), ts timestamp CQTIME USER)")
-        sub = db.subscribe(
-            "SELECT k, count(*) FROM s <VISIBLE 60 ADVANCE 60> GROUP BY k")
-        db.insert_stream("s", [(k, float(t)) for k, t in rows])
-        # the visible clock trails the raw clock by the slack: heartbeat
-        # far enough that both runs' delivered clocks reach end_time
-        db.get_stream("s").advance_to(end_time + use_slack)
-        db.flush_streams()
-        return [(w.close_time, dict(w.rows)) for w in sub.poll()]
-
-    assert run(jittered, 400) == run(ordered, 0)

@@ -38,7 +38,6 @@ from hypothesis.stateful import (
 from repro import Database, client
 from repro.errors import (
     FaultInjected,
-    PartitionError,
     PlanningError,
     StreamingError,
     WindowError,
@@ -64,8 +63,8 @@ POLICY = SupervisorPolicy(restart_limit=10 ** 6, backoff_base=0.0)
 PERMANENT = POLICY.channel_retry_limit + 1
 #: columns holding a double ``sum`` / ``avg`` (``r`` too, for sum(10 / v))
 SUM, MEAN, R = 2, 3, 6
-#: arrivals before the input may end: 30 at the default step count, ten
-#: times that under the ``deep`` profile, so its runs are ten times as long
+#: arrivals before the input may end: 18 at the default step count, 300
+#: under the ``deep`` profile, so its runs are that much longer
 ENOUGH = settings().stateful_step_count * 3 // 2
 #: objects on a data dir only the replayers answer for (``ddl``)
 W_DDL = ("CREATE STREAM w (v integer, ts timestamp CQTIME USER) "
@@ -880,7 +879,7 @@ class Differential(RuleBasedStateMachine):
 
 
 #: the loaded profile sets the depth (tests/conftest.py): 400 runs under
-#: ``repro``, 4000 ten times as long under ``deep`` (``make differential``)
+#: ``repro``, 4000 far longer ones under ``deep`` (``make differential``)
 TestDifferential = Differential.TestCase
 TestDifferential.settings = settings(
     max_examples=4 * settings().max_examples, deadline=None,
@@ -905,11 +904,6 @@ def run(config, *steps):
         machine.close()
 
 
-def _slack_with_partition_by(_tmp):
-    with PartitionedEngine(db=Database(stream_slack=5.0)) as engine:
-        engine.execute(Config().ddl())
-
-
 def _sql(statement, **stream):
     """``statement`` on an engine holding ``Config(**stream)``'s stream."""
     def attempt(_tmp):
@@ -922,8 +916,6 @@ def _sql(statement, **stream):
 #: every combination the engine refuses, and how — the one list of them,
 #: which later work shrinks (ROADMAP item 2)
 REFUSALS = {
-    "SLACK with PARTITION BY": (
-        _slack_with_partition_by, PartitionError, "SLACK reordering"),
     "partitions with a data dir": (
         lambda tmp: TruSQLServer(partitions=2, data_dir=tmp), ValueError,
         "incompatible with a data dir"),

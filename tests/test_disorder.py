@@ -1,216 +1,82 @@
-"""Tests for bounded out-of-order ingest (reorder slack)."""
+"""Out-of-order ingest under supervision: a ``WATERMARK`` stream takes a
+jittered feed, an arrival-time stream applies its disorder policy."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import Database
-from repro.catalog.schema import Column, Schema
 from repro.errors import OutOfOrderError
-from repro.streaming.streams import BaseStream
-from repro.types.datatypes import IntegerType, TimestampType
-
-
-def schema():
-    return Schema([Column("v", IntegerType()),
-                   Column("ts", TimestampType(), cqtime="user")])
-
-
-class Recorder:
-    def __init__(self):
-        self.delivered = []
-        self.heartbeats = []
-
-    def on_tuple(self, row, event_time):
-        self.delivered.append(event_time)
-
-    def on_heartbeat(self, event_time):
-        self.heartbeats.append(event_time)
-
-    def on_flush(self):
-        pass
-
-
-class TestSlackReordering:
-    def make(self, slack=10.0, policy="raise"):
-        stream = BaseStream("s", schema(), disorder_policy=policy,
-                            slack=slack)
-        sink = Recorder()
-        stream.subscribe(sink)
-        return stream, sink
-
-    def test_in_order_within_slack_delivered_sorted(self):
-        stream, sink = self.make(slack=10.0)
-        for t in (5.0, 3.0, 8.0, 6.0, 20.0):
-            stream.insert((1, t))
-        # raw clock is 20, threshold 10: 3,5,6,8 released in order
-        assert sink.delivered == [3.0, 5.0, 6.0, 8.0]
-
-    def test_flush_releases_everything(self):
-        stream, sink = self.make(slack=10.0)
-        for t in (5.0, 3.0):
-            stream.insert((1, t))
-        stream.flush()
-        assert sink.delivered == [3.0, 5.0]
-
-    def test_heartbeat_releases_and_delays(self):
-        stream, sink = self.make(slack=10.0)
-        stream.insert((1, 5.0))
-        stream.advance_to(30.0)
-        assert sink.delivered == [5.0]
-        assert sink.heartbeats == [20.0]  # consumers see now - slack
-
-    def test_late_beyond_slack_raises(self):
-        stream, _sink = self.make(slack=10.0)
-        stream.insert((1, 100.0))  # releases nothing yet (threshold 90)
-        stream.insert((1, 95.0))   # within slack: fine
-        stream.insert((1, 120.0))  # threshold 110: releases 95,100
-        with pytest.raises(OutOfOrderError):
-            stream.insert((1, 99.0))  # older than delivered watermark
-
-    def test_late_beyond_slack_dropped_under_drop_policy(self):
-        stream, sink = self.make(slack=10.0, policy="drop")
-        stream.insert((1, 100.0))
-        stream.insert((1, 120.0))
-        assert stream.insert((1, 50.0)) is False
-        assert stream.tuples_dropped == 1
-
-    def test_reordered_counter(self):
-        stream, _sink = self.make(slack=10.0)
-        stream.insert((1, 5.0))
-        stream.insert((1, 3.0))
-        assert stream.tuples_reordered == 1
-
-    def test_zero_slack_keeps_strict_behaviour(self):
-        stream, _sink = self.make(slack=0.0)
-        stream.insert((1, 5.0))
-        with pytest.raises(OutOfOrderError):
-            stream.insert((1, 4.0))
-
-    def test_retention_tail_is_in_delivered_order(self):
-        stream = BaseStream("s", schema(), slack=10.0, retention=1000.0)
-        for t in (5.0, 3.0, 30.0):
-            stream.insert((1, t))
-        stream.flush()
-        times = [when for when, _row in stream.replay_since(0.0)]
-        assert times == sorted(times)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1,
-                    max_size=50))
-    def test_delivery_is_always_sorted(self, jittered):
-        stream, sink = self.make(slack=200.0, policy="drop")
-        for t in jittered:
-            stream.insert((1, float(t)))
-        stream.flush()
-        assert sink.delivered == sorted(sink.delivered)
-        assert len(sink.delivered) == len(jittered)
-
-
-class TestSlackWithWindows:
-    def test_cq_over_jittered_stream_matches_ordered_run(self):
-        """A windowed CQ over a slack stream must produce exactly what it
-        produces when the same events arrive pre-sorted."""
-        events = [(i, float(t)) for i, t in enumerate(
-            [12, 5, 48, 33, 61, 55, 70, 68, 90, 88, 130, 122])]
-
-        def run(rows, slack):
-            db = Database(stream_slack=slack)
-            db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-            sub = db.subscribe(
-                "SELECT count(*), cq_close(*) FROM s <VISIBLE '1 minute'>")
-            db.insert_stream("s", rows)
-            db.flush_streams()
-            return [(w.close_time, w.rows) for w in sub.poll()]
-
-        jittered = run(events, slack=30.0)
-        ordered = run(sorted(events, key=lambda e: e[1]), slack=0.0)
-        assert jittered == ordered
-
-    def test_database_slack_option(self):
-        db = Database(stream_slack=15.0)
-        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-        assert db.get_stream("s").slack == 15.0
+from repro.faults import FaultInjector
 
 
 class TestDisorderUnderFaults:
-    """Slack and disorder policies must hold while the supervisor is
-    quarantining windows and restarting CQs underneath the stream."""
+    """Watermarks, lateness and disorder policies must hold while the
+    supervisor is quarantining windows and restarting CQs underneath the
+    stream."""
 
     JITTERED = [(i, float(t)) for i, t in enumerate(
         [12, 5, 48, 33, 61, 55, 70, 68, 125, 118, 190, 182, 250, 248])]
 
-    def pipeline(self, injector=None, policy="drop"):
-        from repro.faults import FaultInjector  # noqa: F401 (doc pointer)
-        db = Database(supervised=injector is not None, stream_slack=30.0,
-                      disorder_policy=policy, stream_retention=3600.0,
-                      fault_injector=injector)
-        db.execute("CREATE STREAM s (v integer, ts timestamp CQTIME USER)")
-        db.execute_script("""
+    def pipeline(self, injector=None, watermark=True):
+        db = Database(supervised=injector is not None,
+                      stream_retention=3600.0, fault_injector=injector)
+        if watermark:
+            db.execute("CREATE STREAM s (v integer, ts timestamp "
+                       "CQTIME USER) WATERMARK '30 seconds'")
+            emit = " EMIT ON WATERMARK ALLOW LATENESS '0 seconds' DROP"
+        else:
+            db.execute("CREATE STREAM s (v integer, ts timestamp "
+                       "CQTIME USER)")
+            emit = ""
+        db.execute_script(f"""
             CREATE STREAM agg AS SELECT count(*) c, cq_close(*)
-                FROM s <VISIBLE '1 minute'>;
+                FROM s <VISIBLE '1 minute'>{emit};
             CREATE TABLE arch (c bigint, ts timestamp);
             CREATE CHANNEL ch FROM agg INTO arch APPEND;
         """)
         return db
 
-    def test_restart_under_jitter_matches_fault_free_run(self):
-        from repro.faults import FaultInjector
-
-        def run(injector):
-            db = self.pipeline(injector)
-            db.insert_stream("s", self.JITTERED)
-            db.advance_streams(400.0)
-            return db
-
+    def faulted(self, watermark=True, rows=JITTERED):
         injector = FaultInjector()
         # two consecutive poison windows force a supervised restart;
         # recovery replays the tail, so the archive converges anyway
         injector.arm("cq.window", after=1, count=2)
-        faulted = run(injector)
-        reference = run(None)
-        assert sorted(faulted.table_rows("arch")) \
-            == sorted(reference.table_rows("arch"))
-        entry = faulted.supervisor.entry_for(
-            faulted.runtime.cqs()["derived:agg"])
+        db = self.pipeline(injector, watermark)
+        db.insert_stream("s", rows)
+        db.advance_streams(400.0)
+        entry = db.supervisor.entry_for(db.runtime.cqs()["derived:agg"])
         assert entry.restarts == 1
+        return db
+
+    def test_restart_under_jitter_matches_fault_free_run(self):
+        reference = self.pipeline()
+        reference.insert_stream("s", self.JITTERED)
+        reference.advance_streams(400.0)
+        assert sorted(self.faulted().table_rows("arch")) \
+            == sorted(reference.table_rows("arch"))
 
     def test_no_double_counting_across_restart(self):
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector()
-        injector.arm("cq.window", after=1, count=2)
-        db = self.pipeline(injector)
-        db.insert_stream("s", self.JITTERED)
-        db.advance_streams(400.0)
-        stream = db.get_stream("s")
+        db = self.faulted()
         counted = sum(c for c, _ts in db.table_rows("arch"))
-        accepted = stream.tuples_in - stream.tuples_dropped
-        assert counted == accepted
+        assert counted == db.get_stream("s").tuples_in == len(self.JITTERED)
         closes = [ts for _c, ts in db.table_rows("arch")]
         assert len(closes) == len(set(closes))
 
     def test_late_tuple_after_restart_still_dropped(self):
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector()
-        injector.arm("cq.window", after=1, count=2)
-        db = self.pipeline(injector, policy="drop")
-        db.insert_stream("s", self.JITTERED)
-        db.advance_streams(400.0)
-        dropped_before = db.get_stream("s").tuples_dropped
-        # far beyond slack: the disorder policy applies, restart or not
-        assert db.insert_stream("s", [(99, 10.0)]) == 0
-        assert db.get_stream("s").tuples_dropped == dropped_before + 1
+        db = self.faulted()
+        archived = sorted(db.table_rows("arch"))
+        stream = db.get_stream("s")
+        late_before = stream.tracker.late_rows
+        # far behind the watermark: the CQ's lateness policy drops it,
+        # restart or not, and no dead letter or correction follows
+        assert db.insert_stream("s", [(99, 10.0)]) == 1
+        assert stream.tracker.late_rows == late_before + 1
+        assert sorted(db.table_rows("arch")) == archived
+        assert "late-event" not in [
+            row[2] for row in db.supervisor.dead_letter_rows()]
 
     def test_late_tuple_after_restart_still_raises(self):
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector()
-        injector.arm("cq.window", after=1, count=2)
-        db = self.pipeline(injector, policy="raise")
-        events = [e for e in self.JITTERED]
-        db.insert_stream("s", events)
-        db.advance_streams(400.0)
+        db = self.faulted(watermark=False,
+                          rows=sorted(self.JITTERED, key=lambda e: e[1]))
         # disorder violations are an *inserter* error, not a subscriber
         # fault: supervision must not swallow them
         with pytest.raises(OutOfOrderError):

@@ -10,7 +10,7 @@ answer.
 import pytest
 
 from repro import Database
-from repro.errors import ParseError, StreamingError
+from repro.errors import ParseError
 from repro.eventtime import WatermarkTracker, late_reason
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -160,21 +160,6 @@ class TestEventTimeDDL:
         stream = db.runtime.get_stream("clicks")
         assert stream.watermark_bound == 5.0
         assert stream.tracker is not None
-
-    def test_slack_and_watermark_exclusive(self):
-        from repro.streaming.streams import BaseStream
-        db = make_db()
-        schema = db.runtime.get_stream("clicks").schema
-        with pytest.raises(StreamingError):
-            BaseStream("s", schema, slack=2.0, watermark_bound=5.0)
-
-    def test_engine_default_slack_yields_to_watermark(self):
-        # the engine-wide slack default must not block event-time DDL:
-        # the stream simply opts out of the reorder buffer
-        db = Database(stream_slack=2.0)
-        db.execute("CREATE STREAM s (v integer, ts timestamp "
-                   "CQTIME USER) WATERMARK '5 seconds'")
-        assert db.runtime.get_stream("s").slack == 0.0
 
     def test_system_time_stream_rejected(self):
         refused("a watermark on a SYSTEM-time stream")

@@ -385,3 +385,30 @@ class TestParentWrittenDataDir:
         assert recovered.get_stream("s").watermark == 11.0
         assert recovered.admission.dedup.watermark("s", "c1") == 1
         recovered.close()
+
+    def test_a_stream_logged_with_slack_opens_without_it(self, tmp_path):
+        """Logs once recorded each stream's reorder-buffer ``slack``.
+        The key is ignored: the stream replays its rows and takes a
+        later in-order row."""
+        data_dir = str(tmp_path / "data")
+        writer = open_database(data_dir)
+        writer.storage.wal.append(0, "ddl_obj", "s", payload={
+            "op": "create", "kind": "stream", "name": "s",
+            "columns": [
+                {"name": "v", "type": "integer", "not_null": False,
+                 "primary_key": False, "cqtime": None},
+                {"name": "ts", "type": "timestamp", "not_null": False,
+                 "primary_key": False, "cqtime": "user"}],
+            "retention": 3600.0, "slack": 5.0, "disorder_policy": "raise",
+            "watermark_bound": None, "partition_by": None}, flush=True)
+        writer.storage.wal.append(0, "stream_rows", "s", payload=(
+            [1.0, 2.0], [(1, 1.0), (2, 2.0)]), flush=True)
+        writer.close()
+        recovered = open_database(data_dir)
+        stream = recovered.get_stream("s")
+        assert not hasattr(stream, "slack")
+        assert [row for _t, row in tail(recovered, "s")] == [
+            (1, 1.0), (2, 2.0)]
+        assert recovered.insert_stream("s", [(3, 3.0)]) == 1
+        assert stream.watermark == 3.0
+        recovered.close()

@@ -575,9 +575,6 @@ class TestCoordinatorStreamIsReal:
         assert eng.query(view).rows[0][2:4] == (9, 1)
         eng.close()
 
-    def test_slack_and_partition_by_still_refuse(self):
-        refused("SLACK with PARTITION BY")
-
     def test_worker_side_failure_raises_and_leaves_no_cq(self):
         eng = PartitionedEngine(partitions=2)
         eng.execute(ROWS_DDL)

@@ -295,6 +295,86 @@ class TestCloseColumnIsAFact:
         db.close()
 
 
+class TestReplayMeetsWhatLiveMet:
+    """A replay walks the tail as the live stream delivered it, and what
+    the live rows already did is not done again."""
+
+    def test_a_restart_files_a_late_row_once(self):
+        from repro.faults import FaultInjector
+        injector = FaultInjector()
+        db = Database(supervised=True, stream_retention=3600.0,
+                      fault_injector=injector)
+        db.execute("CREATE STREAM s (k varchar(8), v integer, "
+                   "ts timestamp CQTIME USER) WATERMARK '2 seconds'")
+        db.execute_script("""
+            CREATE STREAM agg AS SELECT k, count(*) AS n,
+                cq_close(*) AS stime
+                FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'>
+                GROUP BY k EMIT ON WATERMARK
+                ALLOW LATENESS '20 seconds' DEAD LETTER;
+            CREATE TABLE arch (k varchar(8), n bigint, stime timestamp);
+            CREATE CHANNEL ch FROM agg INTO arch APPEND;
+        """)
+
+        def late_letters():
+            return [row for row in db.supervisor.dead_letter_rows()
+                    if row[2] == "late-event"]
+
+        for when in (1, 12, 22, 26, 21):
+            db.insert_stream("s", [("a", 1, float(when))])
+        assert len(late_letters()) == 1
+        injector.arm("cq.window", count=2)
+        for when in (33, 45):
+            db.insert_stream("s", [("a", 1, float(when))])
+        entry = db.supervisor.entry_for(db.runtime.cqs()["derived:agg"])
+        assert entry.restarts == 1
+        # the replayed tail holds the row at 21 again: not a new letter
+        assert len(late_letters()) == 1
+
+    def test_a_boot_walks_past_a_window_that_raised_live(self, tmp_path):
+        """Unsupervised, the window closed by the row at 22 divides by
+        zero: the live insert raised, the live stream went on, and a
+        boot replaying that tail goes on too."""
+        from repro.replication import open_database
+
+        def pipeline(db):
+            db.execute_script("""
+                CREATE STREAM s (k varchar(8), v integer,
+                    ts timestamp CQTIME USER);
+                CREATE STREAM agg AS SELECT k, count(*) AS n,
+                    10 / (sum(v) - 0) AS r, cq_close(*) AS stime
+                    FROM s <VISIBLE '10 seconds' ADVANCE '10 seconds'>
+                    GROUP BY k;
+                CREATE TABLE arch (k varchar(8), n bigint, r double,
+                    stime timestamp);
+                CREATE CHANNEL ch FROM agg INTO arch APPEND;
+            """)
+            return db
+
+        before = [(1, 1.0), (1, 5.0), (1, 12.0), (0, 15.0), (-1, 18.0),
+                  (1, 22.0), (2, 25.0)]
+
+        def feed_rows(db, rows):
+            for v, when in rows:
+                try:
+                    db.insert_stream("s", [("a", v, when)])
+                except Exception as exc:
+                    assert when == 22.0 and "division by zero" in str(exc)
+
+        reference = pipeline(Database(stream_retention=3600.0))
+        feed_rows(reference, before + [(1, 31.0)])
+        want = archive(reference)
+        assert want == [("a", 1, 5.0, 30.0), ("a", 2, 5.0, 10.0)]
+        db = pipeline(open_database(str(tmp_path), stream_retention=3600.0))
+        feed_rows(db, before)
+        db.close()
+        db = open_database(str(tmp_path), stream_retention=3600.0)
+        assert db.recovery_stats["cqs"] == [("derived:agg", "active-table")]
+        feed_rows(db, [(1, 31.0)])
+        assert archive(db) == want
+        db.close()
+
+
 class TestNoCloseColumnNoGuess:
     """A CQ that does not project a bare ``cq_close(*)`` has no
     active-table rung: the last timestamp column is not a stand-in."""

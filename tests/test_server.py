@@ -400,16 +400,6 @@ class TestEndToEnd:
             time.sleep(0.02)
         assert stream_consumers == 0
 
-    def test_ingest_reports_shed_rows(self, server, conn):
-        conn.execute("SET backpressure_policy = 'shed-oldest'")
-        conn.execute("SET high_water_mark = 4")
-        conn.execute("CREATE STREAM lossy "
-                     "(v integer, ts timestamp CQTIME USER)")
-        stream = server.db.get_stream("lossy")
-        stream.slack = 1000.0   # everything buffers: the mark bites
-        accepted = conn.ingest("lossy", [(i, float(i)) for i in range(10)])
-        assert accepted == 4    # 10 in, 6 shed by the high-water mark
-
     def test_micro_batch_equivalence(self, server, conn):
         """Framed micro-batches land in insert_many: same totals as
         embedded ingest of the same rows."""

