@@ -78,7 +78,8 @@ partition-smoke:
 	$(PYTHON) scripts/partition_smoke.py
 
 # the differential harness (tests/test_differential.py) replayed from the
-# same seeds ten times as far: every gear and topology against the oracle
+# same seeds under the deep profile: 4 000 runs of up to 200 steps each
+# (tier-1: 400 of up to 12): every gear and topology against the oracle
 differential:
 	$(PYTHON) -m pytest tests/test_differential.py --hypothesis-profile=deep
 

@@ -1,7 +1,7 @@
 """X2 — the cost of staying alive: supervision overhead under the E1
 ingest workload, and the same pipeline with live fault injection.
 
-The supervisor (quarantine, retry, restart — docs/FAULTS.md) only earns
+The supervisor (quarantine and retry — docs/FAULTS.md) only earns
 its place in an always-on engine if the fault-free path stays cheap: its
 wrappers sit on every window close, every channel write and every tuple
 fan-out.  This benchmark ingests the E1 security workload through the

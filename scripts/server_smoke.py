@@ -19,10 +19,10 @@ deployment would — separate processes, a real TCP socket:
    same window in the archive, still know the batch, and still close
    windows;
 4. on that server, with ``SET supervision = on``, an ad-hoc CQ with a
-   poison expression is restarted by two poison windows and then
-   unsubscribed: the stream's consumer count in ``repro_streams`` must
-   fall back to what it was before the subscribe — a restart keeps the
-   subscription's CQ, so nothing of it may stay on the stream;
+   poison expression meets two poison windows: each must be one
+   ``poison-window`` dead letter, the CQ must run on, and unsubscribing
+   must bring the stream's consumer count in ``repro_streams`` back to
+   what it was before the subscribe;
 5. the third server shuts down gracefully over the protocol and must
    exit 0;
 6. ``repro-server --archive-dir X`` without ``--data-dir`` must exit
@@ -30,9 +30,9 @@ deployment would — separate processes, a real TCP socket:
    and the server must not quietly run on an in-memory log instead.
 
 The archived CQ projects a timestamp (``max(ts)``) *after* its
-``cq_close(*)``: a restart must re-grid the windows on the close column,
-not on the last timestamp column, so every window is compared with a
-never-crashed embedded engine fed the same rows.
+``cq_close(*)``: a boot after ``kill -9`` must re-grid the windows on
+the close column, not on the last timestamp column, so every window is
+compared with a never-crashed embedded engine fed the same rows.
 
 Run from the repository root::
 
@@ -115,9 +115,9 @@ def resend(conn, batch):
         fail(f"re-sent batch was not recognised: {ack!r}")
 
 
-def restart_leg(conn):
-    """A supervised restart keeps the subscription's CQ: unsubscribing
-    after it stops what runs."""
+def poison_leg(conn):
+    """Two poison windows are two dead letters and the CQ runs on;
+    unsubscribing stops it."""
     conn.execute("SET supervision = on")
     conn.execute("CREATE STREAM p (v integer, ts timestamp CQTIME USER)")
     consumers = "SELECT consumers FROM repro_streams WHERE name = 'p'"
@@ -127,16 +127,17 @@ def restart_leg(conn):
     for close in (40.0, 50.0):              # two poison windows
         conn.ingest("p", [(0, close - 5.0)])
         conn.advance(close)
-    restarts = conn.query("SELECT restarts FROM repro_supervisor_status "
-                          "WHERE name = ?", (sub.name,)).rows
-    if restarts != [(1,)]:
-        fail(f"two poison windows did not restart the CQ once: {restarts}")
+    letters = conn.query("SELECT kind, close_time FROM repro_dead_letters "
+                         "WHERE source = ?", (sub.name,)).rows
+    if letters != [("poison-window", 40.0), ("poison-window", 50.0)]:
+        fail(f"two poison windows are not two dead letters: {letters}")
     sub.unsubscribe()
     after = conn.query(consumers).rows
     if after != before:
-        fail(f"unsubscribing the restarted CQ left consumers {after} on "
-             f"the stream (before the subscribe: {before})")
-    print(f"restarted CQ stopped by its unsubscribe: consumers {after}")
+        fail(f"unsubscribing the CQ left consumers {after} on the stream "
+             f"(before the subscribe: {before})")
+    print(f"two poison windows quarantined, CQ stopped by its "
+          f"unsubscribe: consumers {after}")
 
 
 def refusal_leg(scratch):
@@ -242,7 +243,7 @@ def main():
                 fail(f"archive {archived} is not the never-crashed "
                      f"engine's {reference}")
             print("archive equals the never-crashed reference")
-            restart_leg(conn)
+            poison_leg(conn)
 
             conn.shutdown_server()
             deadline = time.monotonic() + 10.0

@@ -51,7 +51,7 @@ CONTINUE_PROMPT = "   ...> "
 #: the view holds no rows
 VIEW_COMMANDS = {
     "\\supervisor": (
-        "SELECT name, kind, state, failures, restarts, dead_letters "
+        "SELECT name, kind, state, failures, retries, dead_letters "
         "FROM repro_supervisor_status", "(nothing supervised yet)"),
     "\\replication": (
         "SELECT role, peer, state, shipped_lsn, applied_lsn, lag, "

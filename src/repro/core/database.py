@@ -333,8 +333,7 @@ class Database:
     # ------------------------------------------------------------------
 
     _POLICY_OPTIONS = ("channel_retry_limit", "backoff_base",
-                       "backoff_factor", "restart_limit", "max_restarts",
-                       "dead_letter_capacity")
+                       "backoff_factor", "dead_letter_capacity")
 
     def _set_option(self, statement: ast.SetOption) -> ResultSet:
         name, value = statement.name, statement.value

@@ -1,9 +1,9 @@
 """Result objects: snapshot result sets and CQ subscriptions.
 
-A :class:`Subscription` holds its CQ for the CQ's whole life — a
-supervised restart rebuilds the same object — and takes the CQ's one
-record stream: every final, retract, correct and early record becomes a
-:class:`WindowResult` of that ``kind``, in emission order."""
+A :class:`Subscription` holds its CQ for the CQ's whole life and takes
+the CQ's one record stream: every final, retract, correct and early
+record becomes a :class:`WindowResult` of that ``kind``, in emission
+order."""
 
 from __future__ import annotations
 

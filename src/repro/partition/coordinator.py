@@ -443,18 +443,14 @@ class _PartitionedCQ:
         # a shard cannot tell an empty window from an open one, so every
         # boundary is recorded (every close reaches the sink)
         self.op = cq.window_operator(record("final"), record("correct"))
-        #: the CQ's own window operator, whose (guarded) callbacks take
-        #: the merged boundaries: a restart rebuilds the CQ around a new
-        #: one that reads the stream itself
-        self.window_op = cq._window_op
         #: close boundary -> {worker: partial | FailedPartial}
         self.store: Dict[float, Dict[int, object]] = {}
         self.merged_through = NEG_INF
 
     @property
     def stale(self) -> bool:
-        """The CQ stopped or restarted: nothing is merged for it here."""
-        return not self.cq._running or self.cq._window_op is not self.window_op
+        """The CQ stopped: nothing is merged for it here."""
+        return not self.cq._running
 
 
 # -- the engine ---------------------------------------------------------------
@@ -791,13 +787,8 @@ class PartitionedEngine:
             if not stale:
                 self._merge_boundary(pcq, kind, boundary)
         for pcq in list(route.cqs):
-            if pcq.stale:
-                # a closed subscription — or a CQ its supervisor rebuilt,
-                # which reads the stream here now
+            if pcq.stale:      # a closed subscription
                 self._drop_pcq(pcq)
-                if pcq.cq._running:
-                    pcq.cq.explain_note = ("partitioned: no (restarted on "
-                                           "the coordinator)")
 
     def _merge_boundary(self, pcq: _PartitionedCQ, kind: str,
                         boundary: float) -> None:
@@ -807,7 +798,7 @@ class PartitionedEngine:
         supervisor's guard all behave exactly as in single-engine mode."""
         entry = pcq.store.get(boundary, {})
         parts = [entry.get(w, {}) for w in range(self.partitions)]
-        op = pcq.window_op
+        op = pcq.cq._window_op
         # a late row re-opened the window: retract/correct pair
         emit = op.on_correction if kind == "correct" else op.sink
         try:

@@ -16,7 +16,8 @@ tables, stream tails, catalog objects and dedup state, through two verbs:
 - ``promote()`` — stop following, start serving: what still waits is
   discarded (the paper's Section 4: in-flight work is "deemed
   aborted"), the held pipeline DDL is applied, every CQ's in-flight
-  window is rebuilt (:func:`recover_cqs`).  A discarded batch (rows
+  window is rebuilt (:func:`recover_cqs`, which runs nowhere else: a
+  live CQ is never rebuilt).  A discarded batch (rows
   durable, marker lost: the client will retry it) is *aborted on
   record* with one ``stream_abort`` tombstone — or the retry's marker
   would vouch for the torn rows too at the next replay — so every later
@@ -441,10 +442,10 @@ def recover_cqs(db: Database, faults=None) -> List[tuple]:
     cold; ``repro_supervisor_status`` shows it either way.
 
     Returns ``[(cq_name, strategy), ...]``; failed CQs report
-    ``"cold:<error>"``.  Runs at boot and at promotion only, which is
-    why an ``"empty-archive"`` CQ may be replayed the whole retained
-    tail (the supervisor's in-process restart, whose subscribers would
-    see the windows twice, does not).
+    ``"cold:<error>"``.  Runs at boot and at promotion only — the one
+    place a CQ's window state is rebuilt — which is why an
+    ``"empty-archive"`` CQ may be replayed the whole retained tail:
+    nobody is subscribed yet to see its windows close twice.
     """
     outcomes = []
     for derived in list(db.runtime._derived_order):

@@ -6,7 +6,6 @@ A segmented WAL is a directory of fixed-size rolling segment files::
       wal.000001.log        sealed (full) segment
       wal.000002.log        sealed segment
       wal.000003.log        active segment (append target)
-      wal.manifest.json     advisory manifest (rewritten on every roll)
 
 plus a sibling archive directory that compaction moves whole sealed
 segments into.  Each segment holds the same JSON-lines records as the
@@ -16,9 +15,10 @@ unchanged; segmentation only adds *lifecycle*: segments seal, get
 archived below the replication low-water mark, serve lagging
 standbys from the archive, and feed online backups.
 
-Crash safety is directory-truth based: the manifest is advisory.  A
-compaction copies the segment into the archive under a temporary name,
-renames it into place, and only then deletes the live copy — a crash
+Crash safety is directory-truth based: the directory listing is the
+only record of which segments exist.  A compaction copies the segment
+into the archive under a temporary name, renames it into place, and
+only then deletes the live copy — a crash
 between those steps leaves the segment present in *both* places, and
 :meth:`SegmentedLog.load` reconciles by deleting the live duplicate.
 No ordering of crash and compaction can lose a durable record.
@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import WALError
 
 SEGMENT_RE = re.compile(r"^wal\.(\d{6})\.log$")
-MANIFEST_NAME = "wal.manifest.json"
 QUARANTINE_DIRNAME = "quarantine"
 
 #: default size at which the active segment seals and rolls
@@ -166,7 +165,6 @@ class SegmentedLog:
                           if self.segments else 1)
             self.active = Segment(next_index)
             self.segments.append(self.active)
-        self.write_manifest()
         return records
 
     def _scan_dir(self, path: str) -> Dict[int, str]:
@@ -219,7 +217,8 @@ class SegmentedLog:
 
         The sealed segment's records are already durable (roll happens
         after flush), so a crash here at worst leaves a sealed segment
-        the manifest does not know about — load() trusts the directory.
+        with no active one after it — load() makes the highest-index
+        segment active again.
         """
         sealed = self.active
         if self.active_fh is not None:
@@ -231,7 +230,6 @@ class SegmentedLog:
         self.segments.append(self.active)
         self.open_active()
         self.rolls += 1
-        self.write_manifest()
         return sealed
 
     def close(self) -> None:
@@ -271,7 +269,6 @@ class SegmentedLog:
         os.remove(src)
         segment.archived = True
         self.archived_total += 1
-        self.write_manifest()
         return dst
 
     def quarantine_segment(self, segment: Segment) -> str:
@@ -283,7 +280,6 @@ class SegmentedLog:
         os.replace(src, dst)
         self.segments = [s for s in self.segments if s is not segment]
         self.quarantined_total += 1
-        self.write_manifest()
         return dst
 
     # -- reads -------------------------------------------------------------
@@ -329,23 +325,6 @@ class SegmentedLog:
 
     def live_count(self) -> int:
         return sum(1 for seg in self.segments if not seg.archived)
-
-    # -- manifest ----------------------------------------------------------
-
-    def manifest_path(self) -> str:
-        return os.path.join(self.live_dir, MANIFEST_NAME)
-
-    def write_manifest(self) -> None:
-        manifest = {
-            "segment_bytes": self.segment_bytes,
-            "archive_dir": self.archive_dir,
-            "active_index": self.active.index if self.active else None,
-            "segments": [seg.manifest_entry() for seg in self.segments],
-        }
-        tmp = self.manifest_path() + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
-        os.replace(tmp, self.manifest_path())
 
 
 def _read_segment(path: str) -> Tuple[List[dict], int, bool]:

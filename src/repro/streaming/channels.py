@@ -45,8 +45,8 @@ def _close_position(cq):
 
 def archive_of(derived):
     """The channel that archives ``derived`` — its active table is what a
-    restart rebuilds the CQ from — or None.  An APPEND channel (every
-    window kept) is preferred to a REPLACE one."""
+    boot or a promotion rebuilds the CQ from — or None.  An APPEND
+    channel (every window kept) is preferred to a REPLACE one."""
     channels = [c for c in derived.consumers if isinstance(c, Channel)]
     return min(channels, key=lambda c: c.mode != APPEND, default=None)
 

@@ -17,10 +17,9 @@ Window-less stream references are allowed for pure row-wise transforms
 A CQ's output is one stream of typed records ``(kind, rows, open,
 close)`` — ``window`` (a final), ``retract`` / ``correct`` (a late row
 re-opened a closed window) and ``early`` — handed to every sink on one
-list.  A CQ is one object for its whole life: :meth:`ContinuousQuery.
-build` makes everything one life runs on, and a supervised restart
-calls it again on the stopped CQ, so whoever holds the CQ holds the
-running one.
+list.  A CQ is one object for its whole life, built once from its
+query; rebuilding its window state is recovery's job, at boot and at
+promotion (:mod:`repro.streaming.recovery`).
 """
 
 from __future__ import annotations
@@ -195,7 +194,6 @@ class ContinuousQuery(StreamConsumer):
         self._catalog = catalog
         self._txn_manager = txn_manager
         self.params = params  # bound '?' values, fixed for the CQ's life
-        self._vectorize = vectorize
         self.view = WindowConsistentView(txn_manager)
         #: record sinks, ``fn(kind, rows, open, close)`` (:meth:`add_sink`)
         self._sinks = []
@@ -208,25 +206,11 @@ class ContinuousQuery(StreamConsumer):
         #: a line EXPLAIN leads with, set by whoever placed the CQ (the
         #: partition coordinator: why it runs unpartitioned)
         self.explain_note = None
-        #: plan executions over the CQ's whole life: the supervisor's
-        #: guard clears strikes only on a call that moved it
-        self.plan_runs = 0
         #: True while ``recovery.replay_tail`` rebuilds the window
-        #: state: a window that fails then is quarantined, never a
-        #: strike toward a restart
+        #: state: a late row replayed then was handled when it arrived
         self.replaying = False
         select.from_clause = inline_streaming_views(
             select.from_clause, catalog)
-        self.build()
-
-    def build(self) -> None:
-        """Build one life of the CQ from its query: counters, plan (in
-        the executor gear it was created with), window operator(s).  The
-        constructor's work — and a supervised restart's, which calls it
-        again on the stopped CQ: the runtime registry, a derived stream,
-        subscriptions and sessions keep holding the same object, and its
-        sinks stay where they are."""
-        select, catalog = self.select, self._catalog
         self.stats = CQStats()
         # resolved event-time config (None / defaults in arrival mode)
         self.emit_mode = None
@@ -266,7 +250,7 @@ class ContinuousQuery(StreamConsumer):
         self._agg = None
         #: what the slice partials depend on; equal keys share a store
         self.store_key = None
-        if self._vectorize:
+        if vectorize:
             from repro.exec.vectorize import vectorize_plan
             root, changed = vectorize_plan(self._plan.root)
             if changed:
@@ -429,17 +413,16 @@ class ContinuousQuery(StreamConsumer):
 
     def stop(self) -> None:
         """Terminate the CQ (paper: CQs run "until explicitly terminated").
-        This life's window operators deliver nothing more — not even the
-        rest of a close already under way, which a restart's rebuilt CQ
-        (the same object) must not hear."""
+        Its window operators deliver nothing more — not even the rest of
+        a close already under way."""
         self.detach()
         self._running = False
         for op, callback in self.window_entries():
             setattr(op, callback, _discard)
 
     def window_entries(self) -> list:
-        """``(operator, callback name)`` for every window callback this
-        life's operator(s) evaluate the plan through: a close, an
+        """``(operator, callback name)`` for every window callback the
+        CQ's operator(s) evaluate the plan through: a close, an
         event-time re-open and an early emit, or each side of a join.
         Empty for a window-less transform, whose entry is
         :meth:`on_tuple`."""
@@ -530,7 +513,6 @@ class ContinuousQuery(StreamConsumer):
         plan's instrumentation behave exactly as in iterator mode.  A
         window of no partials pins nothing and the plan runs over its
         empty relation."""
-        self.plan_runs += 1
         self.view.refresh()
         agg = self._agg
         pinned = agg is not None and bool(batches[0])

@@ -11,11 +11,11 @@ state of every operator — and that is the one way this engine does it:
   :func:`replay_tail` feeds it the stream's retained tail from there.
 
 - :func:`replay_tail` — the one way window state comes back.  Every
-  rebuild — boot, promotion, a supervised restart — walks the tail
-  through the CQ's own window operator and its (guarded) window
-  entries, each row judged by the watermark it was delivered under, so
-  a replayed row meets exactly what it met live — a window whose
-  evaluation raised live raises again, and the replay walks past it.
+  rebuild — at boot and at promotion — walks the tail through the
+  CQ's own window operator and its (guarded) window entries, each row
+  judged by the watermark it was delivered under, so a replayed row
+  meets exactly what it met live — a window whose evaluation raised
+  live raises again, and the replay walks past it.
 
 No extra I/O is paid during normal operation.  The stream source must
 retain a replayable tail (``retention`` on the stream, or the log a

@@ -234,8 +234,8 @@ class BaseStream:
             injected = faults.poll("stream.deliver", self.name)
             if injected is not None:
                 errors = [(None, injected)]
-        # snapshot: a supervised restart may unsubscribe/resubscribe
-        # a consumer from inside its own on_tuple
+        # snapshot: a consumer's on_tuple may unsubscribe a consumer
+        # (a sink that closes its subscription)
         for consumer in tuple(self._consumers):
             try:
                 consumer.on_tuple(row, event_time)

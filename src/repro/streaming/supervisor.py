@@ -1,15 +1,20 @@
-"""CQSupervisor: per-window error isolation, quarantine and restart.
+"""CQSupervisor: per-window error isolation and quarantine.
 
 The paper's operational claim is that continuous queries are *always on*
 (Sections 3.1, 4): a production stream-relational engine cannot let one
 poison tuple, one raising subscriber or one failed archive write take the
 pipeline down.  The supervisor is the runtime's answer:
 
-- **Dead-letter quarantine.**  A failing window, tuple or archive batch
-  is captured as a :class:`DeadLetter` — queryable through the
-  ``repro_dead_letters`` system view and republished on a real stream
-  (``repro_dead_letter_stream``) so a CQ can watch failures like any
-  other feed.  The affected CQ keeps producing subsequent windows.
+- **Dead-letter quarantine.**  A failing window, correction, early
+  result or transform tuple is captured as a :class:`DeadLetter` —
+  queryable through the ``repro_dead_letters`` system view and
+  republished on a real stream (``repro_dead_letter_stream``) so a CQ
+  can watch failures like any other feed.  The affected CQ keeps its
+  window state and keeps producing subsequent windows: the engine is
+  deterministic, so re-running the same rows through the same plan
+  would fail the same way.  Rebuilding a CQ's runtime state is
+  recovery's job, at boot and at promotion
+  (:mod:`repro.streaming.recovery`).
 
 - **Bounded retry with exponential backoff** for channel writes: a
   transient storage fault (the simulated disk hiccuping) is retried up
@@ -17,30 +22,14 @@ pipeline down.  The supervisor is the runtime's answer:
   ``backoff_base * backoff_factor^attempt`` before the record is
   quarantined.  The guard wraps the channel's one write, so a final, a
   retract and a correct are retried alike, and a write that keeps
-  failing is the channel's dead letter — never a strike on the CQ whose
-  evaluation succeeded.
-
-- **Automatic restart** of a CQ that keeps failing: after
-  ``policy.restart_limit`` consecutive window failures the supervisor
-  rebuilds the CQ *in place* (``ContinuousQuery.build`` on the stopped
-  object), guards its new window callbacks, and recovers its runtime
-  state the one way :mod:`repro.streaming.recovery` knows — the
-  paper's rebuild-from-active-table, replayed through those guarded
-  callbacks, else a cold start.  A window that fails during the replay
-  is quarantined as it was live, never a strike toward another
-  restart.  Every holder of the CQ — the runtime registry, a derived
-  stream, subscriptions, sessions, the partition merge stage — keeps
-  the running object.  After ``policy.max_restarts`` unsuccessful
-  restarts the CQ is quarantined (detached) instead of flapping
-  forever.
+  failing is the channel's dead letter — never a failure of the CQ
+  whose evaluation succeeded.
 
 Supervision state machine (per supervised entity)::
 
-    RUNNING --failure--> DEGRADED --restart_limit--> RESTARTING
-       ^                     |                            |
-       |<----next success----+            RUNNING <-------+
-       |                                       (recovery ok)
-       +--- QUARANTINED <--- max_restarts exceeded / restart failed
+    RUNNING --failure--> DEGRADED
+       ^                     |
+       +----next success-----+
 """
 
 from __future__ import annotations
@@ -50,9 +39,7 @@ from typing import Callable, List, Optional
 
 from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
-from repro.errors import RecoveryError
 from repro.eventtime.lateness import LATE_EVENT as _LATE_EVENT
-from repro.streaming.recovery import recover_cq
 from repro.streaming.streams import BaseStream
 from repro.types.datatypes import (
     IntegerType,
@@ -63,15 +50,12 @@ from repro.types.datatypes import (
 # supervision states
 RUNNING = "running"
 DEGRADED = "degraded"
-RESTARTING = "restarting"
-QUARANTINED = "quarantined"
 
 # dead-letter kinds
 POISON_WINDOW = "poison-window"
 POISON_TUPLE = "poison-tuple"
 SUBSCRIBER_ERROR = "subscriber-error"
 CHANNEL_WRITE = "channel-write"
-RESTART_LOSS = "restart-loss"
 SLOW_CONSUMER = "slow-consumer"   # a network subscriber fell behind
 #: rows below the watermark, quarantined by a CQ's lateness policy
 LATE_EVENT = _LATE_EVENT
@@ -87,8 +71,6 @@ class SupervisorPolicy:
     channel_retry_limit: int = 3     # retries before a batch is quarantined
     backoff_base: float = 0.01       # seconds; first retry delay
     backoff_factor: float = 2.0      # delay multiplier per retry
-    restart_limit: int = 2           # consecutive window failures -> restart
-    max_restarts: int = 3            # restarts before quarantine
     dead_letter_capacity: int = 10000
 
 
@@ -114,8 +96,6 @@ class _Entry:
     target: object
     state: str = RUNNING
     failures: int = 0
-    consecutive_failures: int = 0
-    restarts: int = 0
     retries: int = 0
     dead_letters: int = 0
     backoff_seconds: float = 0.0
@@ -209,21 +189,26 @@ class CQSupervisor:
     # ------------------------------------------------------------------
 
     def adopt_cq(self, cq) -> Optional[_Entry]:
-        """Supervise one CQ: window failures are quarantined, repeated
-        failures restart it through the recovery paths."""
+        """Supervise one CQ: a failed window, correction, early result
+        or transform tuple is quarantined, and the CQ runs on."""
         if id(cq) in self._by_target:
             return self._by_target[id(cq)]
         entry = _Entry(cq.name, "cq", cq)
         self._register(entry)
         if not cq.window_entries():
-            # window-less transform: the stream calls cq.on_tuple per
-            # row, and a restart keeps the object, so this is guarded once
+            # window-less transform: the stream calls cq.on_tuple per row
             cq.on_tuple = self._guard(
                 entry, cq.on_tuple,
                 lambda exc, row, event_time: self._cq_failure(
                     entry, [row], event_time, event_time, exc,
                     kind=POISON_TUPLE))
-        self._guard_windows(entry)
+
+        def window_failed(exc, rows, open_time, close_time):
+            self._cq_failure(entry, rows, open_time, close_time, exc)
+
+        for op, callback in cq.window_entries():
+            setattr(op, callback,
+                    self._guard(entry, getattr(op, callback), window_failed))
         return entry
 
     def adopt_channel(self, channel) -> _Entry:
@@ -276,94 +261,30 @@ class CQSupervisor:
         self._by_target[id(entry.target)] = entry
 
     # ------------------------------------------------------------------
-    # CQ wrapping and restart
+    # CQ wrapping
     # ------------------------------------------------------------------
 
-    def _guard(self, entry: _Entry, original, failed):
+    @staticmethod
+    def _guard(entry: _Entry, original, failed):
         """``original`` with a failure handed to ``failed(exc, *args)``
-        and a success that ran the CQ's plan clearing the entry's
-        strikes: a join side that only buffered its window proves
-        nothing about the plan."""
-        cq = entry.target
-
+        and a success taking a degraded entry back to running."""
         def guarded(*args):
-            runs = cq.plan_runs
             try:
                 original(*args)
             except Exception as exc:
                 failed(exc, *args)
                 return
-            if cq.plan_runs != runs:
-                entry.consecutive_failures = 0
-                if entry.state == DEGRADED:
-                    entry.state = RUNNING
+            if entry.state == DEGRADED:
+                entry.state = RUNNING
         return guarded
-
-    def _guard_windows(self, entry: _Entry) -> None:
-        """Guard the window callbacks this life of the CQ built
-        (``ContinuousQuery.window_entries``): at adoption, and again
-        after every restart, which builds new ones."""
-        def window_failed(exc, rows, open_time, close_time):
-            self._cq_failure(entry, rows, open_time, close_time, exc)
-
-        for op, callback in entry.target.window_entries():
-            setattr(op, callback,
-                    self._guard(entry, getattr(op, callback), window_failed))
 
     def _cq_failure(self, entry: _Entry, rows, open_time, close_time, exc,
                     kind: str = POISON_WINDOW) -> None:
         entry.failures += 1
-        entry.consecutive_failures += 1
         entry.state = DEGRADED
         entry.last_error = f"{type(exc).__name__}: {exc}"
         self.quarantine(entry.name, kind, entry.last_error, rows,
                         open_time, close_time)
-        if entry.consecutive_failures >= self.policy.restart_limit \
-                and not entry.target.replaying:
-            self._restart_cq(entry)
-
-    def _restart_cq(self, entry: _Entry) -> None:
-        """Rebuild a repeatedly-failing CQ in place — stop, build,
-        guard, recover, attach — so every holder of the CQ keeps the
-        running one."""
-        if entry.restarts >= self.policy.max_restarts:
-            self._quarantine_cq(entry, "max_restarts exceeded")
-            return
-        entry.state = RESTARTING
-        entry.restarts += 1
-        cq = entry.target
-        try:
-            cq.stop()
-            cq.build()
-            # guarded before the replay: the poison window that forced
-            # the restart is quarantined again, not sent cold
-            self._guard_windows(entry)
-            try:
-                recovered = recover_cq(cq, self.runtime) != "cold"
-            except RecoveryError:
-                recovered = False
-            cq.attach()
-        except Exception as exc:  # restart itself failed
-            self._quarantine_cq(entry, f"restart failed: {exc}")
-            return
-        if not recovered:
-            self.quarantine(
-                entry.name, RESTART_LOSS,
-                "cold restart: no active table to recover from, or the "
-                "stream tail no longer covers its replay; in-flight "
-                "window state was lost", [])
-        entry.consecutive_failures = 0
-        entry.state = RUNNING
-
-    def _quarantine_cq(self, entry: _Entry, reason: str) -> None:
-        entry.state = QUARANTINED
-        entry.last_error = reason
-        try:
-            entry.target.stop()
-        except Exception:
-            pass
-        self.quarantine(entry.name, POISON_WINDOW,
-                        f"CQ quarantined: {reason}", [])
 
     # ------------------------------------------------------------------
     # channel wrapping
@@ -415,8 +336,7 @@ class CQSupervisor:
         out = []
         for e in self._entries:
             out.append((
-                e.name, e.kind, e.state, e.failures,
-                e.consecutive_failures, e.restarts, e.retries,
+                e.name, e.kind, e.state, e.failures, e.retries,
                 round(e.backoff_seconds, 6), e.dead_letters, e.last_error,
             ))
         return out

@@ -7,8 +7,8 @@ other means is pinned as an explicit test next to its property.
 
 ``stateful_step_count`` only reaches the one state machine,
 ``tests/test_differential.py``.  The ``deep`` profile replays the same
-seeds much further: ten times the examples, each up to 200 steps
-instead of 12 (``make differential``).
+seeds much further: 1 000 examples per property instead of 100, each
+up to 200 steps instead of 12 (``make differential``).
 """
 
 from hypothesis import settings

@@ -146,13 +146,6 @@ class TestChaosRun:
         got = by_close(db.table_rows("url_archive"))
         affected = {l.close_time for l in db.supervisor.dead_letter_log
                     if l.close_time is not None}
-        # a cold restart (no recoverable state) loses in-flight window
-        # content; everything from the first quarantine onward is then
-        # suspect, so widen the affected set past any restart-loss
-        if any(l.kind == "restart-loss"
-               for l in db.supervisor.dead_letter_log):
-            horizon = min(affected) if affected else 0.0
-            affected |= {c for c in got if c >= horizon}
         clean = [c for c in ref if c not in affected]
         assert clean, "chaos affected every window; lower the fault rates"
         for close in clean:
@@ -170,11 +163,9 @@ class TestChaosRun:
         got = by_close(db.table_rows("url_archive"))
         accounted = {l.close_time for l in db.supervisor.dead_letter_log
                      if l.close_time is not None}
-        lossy = any(l.kind == "restart-loss"
-                    for l in db.supervisor.dead_letter_log)
         for close in ref:
             if got.get(close) != ref[close]:
-                assert close in accounted or lossy, \
+                assert close in accounted, \
                     f"window {close} lost without a dead letter"
 
     def test_dead_letters_queryable_through_system_view(self, chaos):

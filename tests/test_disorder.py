@@ -10,8 +10,8 @@ from repro.faults import FaultInjector
 
 class TestDisorderUnderFaults:
     """Watermarks, lateness and disorder policies must hold while the
-    supervisor is quarantining windows and restarting CQs underneath the
-    stream."""
+    supervisor quarantines windows underneath the stream: the CQ keeps
+    its window state through consecutive poison windows."""
 
     JITTERED = [(i, float(t)) for i, t in enumerate(
         [12, 5, 48, 33, 61, 55, 70, 68, 125, 118, 190, 182, 250, 248])]
@@ -37,46 +37,54 @@ class TestDisorderUnderFaults:
 
     def faulted(self, watermark=True, rows=JITTERED):
         injector = FaultInjector()
-        # two consecutive poison windows force a supervised restart;
-        # recovery replays the tail, so the archive converges anyway
+        # two consecutive poison windows, each quarantined
         injector.arm("cq.window", after=1, count=2)
         db = self.pipeline(injector, watermark)
         db.insert_stream("s", rows)
         db.advance_streams(400.0)
-        entry = db.supervisor.entry_for(db.runtime.cqs()["derived:agg"])
-        assert entry.restarts == 1
-        return db
+        letters = db.supervisor.dead_letter_rows()
+        assert [row[2] for row in letters] == ["poison-window"] * 2
+        return db, [row[7] for row in letters]
 
-    def test_restart_under_jitter_matches_fault_free_run(self):
+    def test_poison_windows_under_jitter_match_fault_free(self):
         reference = self.pipeline()
         reference.insert_stream("s", self.JITTERED)
         reference.advance_streams(400.0)
-        assert sorted(self.faulted().table_rows("arch")) \
-            == sorted(reference.table_rows("arch"))
+        db, lost = self.faulted()
+        assert lost == [120.0, 180.0]
+        assert sorted(db.table_rows("arch")) == sorted(
+            row for row in reference.table_rows("arch")
+            if row[1] not in lost)
 
-    def test_no_double_counting_across_restart(self):
-        db = self.faulted()
+    def test_no_double_counting_across_poison_windows(self):
+        db, lost = self.faulted()
         counted = sum(c for c, _ts in db.table_rows("arch"))
-        assert counted == db.get_stream("s").tuples_in == len(self.JITTERED)
+        # the rows of the two quarantined windows, [60, 120) and
+        # [120, 180), are the only ones not archived
+        in_lost = sum(1 for _v, t in self.JITTERED if 60.0 <= t < 180.0)
+        assert counted + in_lost == db.get_stream("s").tuples_in \
+            == len(self.JITTERED)
         closes = [ts for _c, ts in db.table_rows("arch")]
         assert len(closes) == len(set(closes))
+        assert not set(closes) & set(lost)
 
-    def test_late_tuple_after_restart_still_dropped(self):
-        db = self.faulted()
+    def test_late_tuple_after_poison_windows_still_dropped(self):
+        db, _lost = self.faulted()
         archived = sorted(db.table_rows("arch"))
         stream = db.get_stream("s")
         late_before = stream.tracker.late_rows
         # far behind the watermark: the CQ's lateness policy drops it,
-        # restart or not, and no dead letter or correction follows
+        # and no dead letter or correction follows
         assert db.insert_stream("s", [(99, 10.0)]) == 1
         assert stream.tracker.late_rows == late_before + 1
         assert sorted(db.table_rows("arch")) == archived
         assert "late-event" not in [
             row[2] for row in db.supervisor.dead_letter_rows()]
 
-    def test_late_tuple_after_restart_still_raises(self):
-        db = self.faulted(watermark=False,
-                          rows=sorted(self.JITTERED, key=lambda e: e[1]))
+    def test_late_tuple_after_poison_windows_still_raises(self):
+        db, _lost = self.faulted(watermark=False,
+                                 rows=sorted(self.JITTERED,
+                                             key=lambda e: e[1]))
         # disorder violations are an *inserter* error, not a subscriber
         # fault: supervision must not swallow them
         with pytest.raises(OutOfOrderError):

@@ -21,7 +21,7 @@ one ``TimeWindowOperator._window``.  What is pinned here:
 """
 
 from repro import Database
-from repro.streaming.recovery import recover_cq
+from repro.replication import open_database
 from tests.test_differential import Config, run as run_program
 
 DDL = ("CREATE STREAM s (k varchar(10), v integer, ts timestamp CQTIME USER) "
@@ -232,8 +232,7 @@ class TestRetractionWalk:
 # -- restart --------------------------------------------------------------------
 
 class TestRestart:
-    """A CQ rebuilt in place — stop, build, recover, attach, what a
-    supervised restart does — from its active table."""
+    """A CQ rebuilt from its active table by a boot of its data dir."""
     SQL = (SELECT.replace(" FROM", ", cq_close(*) AS stime FROM")
            + "<VISIBLE '10 seconds' ADVANCE '5 seconds'> GROUP BY k "
            "EMIT ON WATERMARK ALLOW LATENESS '30 seconds' RETRACT")
@@ -242,35 +241,43 @@ class TestRestart:
     AFTER = [("b", 6, 14.0), ("a", 7, 27.0)]    # closes 10, 15, 20
     LATE = [("z", 8, 7.0)]                      # re-opens 10 and 15
 
-    def run(self, restart, late=LATE):
-        db = Database(stream_retention=3600.0)
+    @staticmethod
+    def watch(db, out):
+        cq = db.catalog.get_relation("r").cq
+        cq.add_sink(lambda kind, rows, o, c: out.append((kind, c, rows)))
+        return cq
+
+    def run(self, data_dir, restart, late=LATE):
+        db = open_database(data_dir=str(data_dir), stream_retention=3600.0)
         db.execute(DDL)
         db.execute(f"CREATE STREAM r AS {self.SQL}")
         db.execute("CREATE TABLE active (k varchar(10), c bigint, "
                    "total bigint, lo integer, hi integer, stime timestamp)")
         db.execute("CREATE CHANNEL ch FROM r INTO active APPEND")
-        cq = db.catalog.get_relation("r").cq
         out = []
-        cq.add_sink(lambda kind, rows, o, c: out.append((kind, c, rows)))
+        cq = self.watch(db, out)
         db.insert_stream("s", self.BEFORE)
         assert [c for _kind, c, _rows in out] == [5.0]
         if restart:
             # mid-retention: the closed window's slices are still held
             assert len(cq._window_op.store) == 1
-            cq.stop()
-            cq.build()
-            assert recover_cq(cq, db.runtime) == "active-table"
+            db.close()
+            db = open_database(data_dir=str(data_dir),
+                               stream_retention=3600.0)
+            assert db.recovery_stats["cqs"] == [("derived:r",
+                                                 "active-table")]
+            cq = self.watch(db, out)
             # the replay refiles rows, never partials
             assert cq.is_sliced() and len(cq._window_op.store) == 0
             assert cq._window_op.buffered == len(self.BEFORE)
-            cq.attach()
         db.insert_stream("s", self.AFTER)
         db.insert_stream("s", late)
         return cq, out
 
-    def test_a_rebuilt_cq_seals_again_and_corrects_identically(self):
-        _, want = self.run(restart=False)
-        cq, got = self.run(restart=True)
+    def test_a_rebuilt_cq_seals_again_and_corrects_identically(self,
+                                                                tmp_path):
+        _, want = self.run(tmp_path / "once", restart=False)
+        cq, got = self.run(tmp_path / "twice", restart=True)
         assert got == want
         assert [(kind, c) for kind, c, _rows in got[-4:]] == [
             ("retract", 10.0), ("correct", 10.0),
@@ -280,13 +287,14 @@ class TestRestart:
         # slice [5, 10) once more, at three
         assert cq._window_op.store.rows_reduced == 2 + 2 + 2 + 3
 
-    def test_a_window_closed_before_the_restart_is_still_retracted(self):
+    def test_a_window_closed_before_the_restart_is_still_retracted(
+            self, tmp_path):
         """The late row lands in [-5, 5), which closed — and emitted —
         *before* the restart: the rebuilt CQ reads what it emitted back
         from the active table, so it retracts exactly that."""
         late = [("z", 8, 2.0)]                  # re-opens 5 and 10
-        _, want = self.run(restart=False, late=late)
-        _, got = self.run(restart=True, late=late)
+        _, want = self.run(tmp_path / "once", restart=False, late=late)
+        _, got = self.run(tmp_path / "twice", restart=True, late=late)
         assert got == want
         first_close = got[0]
         assert first_close[:2] == ("window", 5.0)

@@ -412,3 +412,40 @@ class TestParentWrittenDataDir:
         assert recovered.insert_stream("s", [(3, 3.0)]) == 1
         assert stream.watermark == 3.0
         recovered.close()
+
+    def test_a_data_dir_holding_a_wal_manifest_opens_and_replays(
+            self, tmp_path):
+        """Logs once kept a ``wal.manifest.json`` beside their segments,
+        rewritten on every roll.  Nothing read it: a leftover one —
+        here a stale one naming a segment that is not there, and its
+        ``.tmp`` — is neither read nor rewritten, and the directory's
+        segments replay."""
+        import json
+        import os
+        data_dir = str(tmp_path / "data")
+        writer = open_database(data_dir, stream_retention=3600.0,
+                               wal_segment_bytes=256)
+        writer.execute(S_DDL)
+        rows = [(i, float(i)) for i in range(12)]
+        for i in range(0, len(rows), 3):
+            writer.insert_stream("s", rows[i:i + 3])
+        writer.close()
+        wal_dir = os.path.join(data_dir, "wal")
+        assert len([n for n in os.listdir(wal_dir)
+                    if n.endswith(".log")]) >= 2
+        manifest = {"segment_bytes": 256, "archive_dir": None,
+                    "active_index": 99,
+                    "segments": [{"name": "wal.000099.log", "index": 99,
+                                  "first_lsn": 1, "last_lsn": 1,
+                                  "bytes": 0, "sealed": False,
+                                  "archived": False}]}
+        for name in ("wal.manifest.json", "wal.manifest.json.tmp"):
+            with open(os.path.join(wal_dir, name), "w") as fh:
+                json.dump(manifest, fh)
+        recovered = open_database(data_dir, stream_retention=3600.0,
+                                  wal_segment_bytes=256)
+        assert [row for _t, row in tail(recovered, "s")] == rows
+        assert recovered.insert_stream("s", [(12, 12.0)]) == 1
+        recovered.close()
+        with open(os.path.join(wal_dir, "wal.manifest.json")) as fh:
+            assert json.load(fh) == manifest

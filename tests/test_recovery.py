@@ -4,8 +4,9 @@ The crash model: the CQ (runtime state) dies; tables, the WAL and the
 stream's retained tail survive.  A recovered CQ must resume producing
 exactly the windows an uninterrupted run would have produced
 (``tests/test_differential.py`` draws reopened and promoted lives;
-these pin what it does not: supervised restarts, refusals, the close
-column's place).
+these pin what it does not: refusals, the close column's place, a late
+row replayed at boot).  A live CQ is never rebuilt: poison windows are
+quarantined and the CQ runs on.
 """
 
 import pytest
@@ -60,11 +61,12 @@ class TestActiveTableRecovery:
         cq.add_sink(archive_sink)
         return cq, table, archive_sink
 
-    def test_supervised_restart_matches_uninterrupted_run(self):
-        """A supervisor-driven restart (poison windows, then recovery from
-        the channel's active table) must converge to the same archive as a
-        fault-free run: failed windows are re-derived by the replay, and
-        nothing is archived twice."""
+    def test_poison_windows_leave_the_rest_uninterrupted(self):
+        """Two consecutive poison windows are quarantined, and the CQ
+        keeps its window state: every other window is archived as a
+        fault-free run archives it, once, and each missing window is a
+        dead letter."""
+        from collections import Counter
         from repro.faults import FaultInjector
 
         def run(injector):
@@ -84,19 +86,16 @@ class TestActiveTableRecovery:
         injector.arm("cq.window", after=2, count=2)
         faulted = run(injector)
         reference = run(None)
-        assert sorted(faulted.table_rows("archive")) \
-            == sorted(reference.table_rows("archive"))
-        # every window close appears the same number of times as in the
-        # reference (no double-archival from the replay)
-        from collections import Counter
+        letters = faulted.supervisor.dead_letter_rows()
+        assert [row[2] for row in letters] == ["poison-window"] * 2
+        lost = [row[7] for row in letters]
+        assert lost == [180.0, 240.0]
+        assert sorted(faulted.table_rows("archive")) == sorted(
+            row for row in reference.table_rows("archive")
+            if row[2] not in lost)
         assert Counter(r[2] for r in faulted.table_rows("archive")) \
-            == Counter(r[2] for r in reference.table_rows("archive"))
-        entry = faulted.supervisor.entry_for(
-            faulted.runtime.cqs()["derived:agg"])
-        assert entry.restarts == 1
-        # the two poison windows were quarantined before being re-derived
-        kinds = [row[2] for row in faulted.supervisor.dead_letter_rows()]
-        assert kinds.count("poison-window") >= 2
+            == Counter(r[2] for r in reference.table_rows("archive")
+                       if r[2] not in lost)
 
     def test_insufficient_retention_detected(self):
         db = Database(stream_retention=30.0)  # too short for a 2min window
@@ -199,10 +198,10 @@ def never_crashed(select, columns):
 
 @pytest.mark.parametrize("shape", sorted(ARCHIVES))
 class TestCloseColumnIsAFact:
-    """A restart re-grids the CQ on the column its bare ``cq_close(*)``
-    lands in — wherever the select list puts it, whatever the table
-    calls it, whatever other timestamps sit beside it — and archives
-    exactly what a never-crashed run archives."""
+    """A boot or a promotion re-grids the CQ on the column its bare
+    ``cq_close(*)`` lands in — wherever the select list puts it,
+    whatever the table calls it, whatever other timestamps sit beside
+    it — and archives exactly what a never-crashed run archives."""
 
     def want(self, shape):
         rows = archive(never_crashed(*ARCHIVES[shape]))
@@ -256,21 +255,6 @@ class TestCloseColumnIsAFact:
         assert archive(standby) == self.want(shape)
         primary.close()
 
-    def test_supervisor_restart(self, shape):
-        from repro.faults import FaultInjector
-        injector = FaultInjector()
-        injector.arm("cq.window", after=2, count=2)     # windows 30, 40
-        db = Database(supervised=True, stream_retention=3600.0,
-                      fault_injector=injector)
-        archived_pipeline(db, *ARCHIVES[shape])
-        feed(db, BEFORE + AFTER)
-        db.advance_streams(60.0)
-        entry = db.supervisor.entry_for(db.runtime.cqs()["derived:agg"])
-        assert entry.restarts == 1
-        kinds = [row[2] for row in db.supervisor.dead_letter_rows()]
-        assert "restart-loss" not in kinds
-        assert archive(db) == self.want(shape)
-
     def test_resubscription_replays_the_archive_as_the_tail_would(
             self, shape, tmp_path):
         from repro.replication import open_database
@@ -299,11 +283,12 @@ class TestReplayMeetsWhatLiveMet:
     """A replay walks the tail as the live stream delivered it, and what
     the live rows already did is not done again."""
 
-    def test_a_restart_files_a_late_row_once(self):
-        from repro.faults import FaultInjector
-        injector = FaultInjector()
-        db = Database(supervised=True, stream_retention=3600.0,
-                      fault_injector=injector)
+    def test_a_restart_files_a_late_row_once(self, tmp_path):
+        """A boot replays the tail holding the late row at 21: it was
+        dead-lettered when it arrived, and is not filed again."""
+        from repro.replication import open_database
+        db = open_database(str(tmp_path), supervised=True,
+                           stream_retention=3600.0)
         db.execute("CREATE STREAM s (k varchar(8), v integer, "
                    "ts timestamp CQTIME USER) WATERMARK '2 seconds'")
         db.execute_script("""
@@ -323,13 +308,15 @@ class TestReplayMeetsWhatLiveMet:
         for when in (1, 12, 22, 26, 21):
             db.insert_stream("s", [("a", 1, float(when))])
         assert len(late_letters()) == 1
-        injector.arm("cq.window", count=2)
-        for when in (33, 45):
-            db.insert_stream("s", [("a", 1, float(when))])
-        entry = db.supervisor.entry_for(db.runtime.cqs()["derived:agg"])
-        assert entry.restarts == 1
+        db.close()
+        db = open_database(str(tmp_path), supervised=True,
+                           stream_retention=3600.0)
+        assert db.recovery_stats["cqs"] == [("derived:agg", "active-table")]
         # the replayed tail holds the row at 21 again: not a new letter
+        assert late_letters() == []
+        db.insert_stream("s", [("a", 1, 8.0)])
         assert len(late_letters()) == 1
+        db.close()
 
     def test_a_boot_walks_past_a_window_that_raised_live(self, tmp_path):
         """Unsupervised, the window closed by the row at 22 divides by
@@ -420,18 +407,6 @@ class TestNoCloseColumnNoGuess:
         assert db.query("SELECT name, kind, state, last_error FROM "
                         "repro_supervisor_status").rows == [
             (name, "recovery", "cold", rung[len("cold:"):])]
-
-    def test_supervisor_restart_reports_the_loss(self):
-        from repro.faults import FaultInjector
-        injector = FaultInjector()
-        injector.arm("cq.window", after=2, count=2)
-        db = Database(supervised=True, stream_retention=3600.0,
-                      fault_injector=injector)
-        archived_pipeline(db, *NO_CLOSE)
-        feed(db, BEFORE + AFTER)
-        db.advance_streams(60.0)
-        kinds = [row[2] for row in db.supervisor.dead_letter_rows()]
-        assert "restart-loss" in kinds
 
     @pytest.mark.parametrize("select, position", [
         ("*, cq_close(*)", 3), ("cq_close(*) AS c, *", 0),

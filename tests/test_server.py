@@ -315,10 +315,10 @@ class TestEndToEnd:
         conn.ingest("s", [(2, 2.0)])
         assert sub.tuples(timeout=0.3) == []
 
-    def test_unsubscribing_a_restarted_cq_stops_it(self, conn):
-        # two poison windows restart the ad-hoc CQ in place: the
-        # session still holds the running CQ, so unsubscribing stops it
-        # and takes it off the stream
+    def test_unsubscribing_after_poison_windows_stops_the_cq(self, conn):
+        # two poison windows are dead letters and the ad-hoc CQ runs on:
+        # the next window is pushed, and unsubscribing takes it off the
+        # stream
         conn.execute("SET supervision = on")
         conn.execute(STREAM_DDL)
         consumers = "SELECT consumers FROM repro_streams WHERE name = 's'"
@@ -328,8 +328,9 @@ class TestEndToEnd:
         for close in (60.0, 120.0):
             conn.ingest("s", [(0, close - 5.0)])
             conn.advance(close)
-        assert conn.query("SELECT restarts FROM repro_supervisor_status "
-                          "WHERE name = ?", (sub.name,)).rows == [(1,)]
+        assert conn.query("SELECT kind, close_time FROM repro_dead_letters "
+                          "WHERE source = ?", (sub.name,)).rows == [
+            ("poison-window", 60.0), ("poison-window", 120.0)]
         conn.ingest("s", [(5, 125.0)])
         conn.advance(180.0)
         assert [w.rows for w in sub.wait_windows(1, timeout=5.0)] == \

@@ -1,7 +1,8 @@
 """Tests for the supervised CQ runtime: dead-letter quarantine,
-channel-write retry with backoff, automatic restart through the recovery
-paths, and the SET/SHOW + system-view surface."""
+channel-write retry with backoff, a CQ that runs on through consecutive
+poison windows, and the SET/SHOW + system-view surface."""
 
+import dataclasses
 import io
 
 import pytest
@@ -11,7 +12,6 @@ from repro.cli import Shell
 from repro.core.results import Subscription
 from repro.errors import ExecutionError
 from repro.faults import FaultInjector
-from repro.streaming.channels import archive_of
 from repro.streaming.supervisor import SupervisorPolicy
 
 STREAM_DDL = ("CREATE STREAM s (k varchar(10), v integer, "
@@ -214,7 +214,11 @@ class TestCorrectionWrites:
         ]
 
 
-class TestRestart:
+class TestConsecutivePoisonWindows:
+    """Consecutive poison windows are each quarantined and the CQ runs
+    on with its window state: every other window is what a fault-free
+    run emits, and every missing one is a dead letter."""
+
     def failing_pipeline(self, db):
         db.execute_script("""
             CREATE STREAM agg AS SELECT k, sum(10 / v) x, cq_close(*)
@@ -224,73 +228,69 @@ class TestRestart:
             CREATE CHANNEL ch FROM agg INTO arch APPEND;
         """)
 
-    def test_repeated_failures_restart_the_cq(self, db):
+    def test_repeated_failures_keep_the_cq_running(self, db):
         self.failing_pipeline(db)
-        # two consecutive poison windows hit restart_limit (default 2)
         db.insert_stream("s", [("a", 0, 5.0)])
         db.advance_streams(60.0)
         db.insert_stream("s", [("a", 0, 65.0)])
         db.advance_streams(120.0)
         cq = db.runtime.cqs()["derived:agg"]
         entry = db.supervisor.entry_for(cq)
-        assert entry.restarts == 1
-        assert entry.state == "running"
-        # the restarted CQ is rebound everywhere and keeps archiving
+        assert (entry.failures, entry.state) == (2, "degraded")
         db.insert_stream("s", [("b", 5, 125.0)])
         db.advance_streams(180.0)
-        assert ("b", 2.0, 180.0) in db.table_rows("arch")
+        assert entry.state == "running"
+        assert db.runtime.cqs()["derived:agg"] is cq
+        assert db.table_rows("arch") == [("b", 2.0, 180.0)]
+        assert [(row[1], row[2], row[7]) for row in
+                db.supervisor.dead_letter_rows()] == [
+            ("derived:agg", "poison-window", 60.0),
+            ("derived:agg", "poison-window", 120.0)]
 
-    def test_restart_recovers_from_active_table(self, db):
-        self.failing_pipeline(db)
-        # a healthy window first, so the active table has a high-water mark
-        db.insert_stream("s", [("a", 5, 5.0)])
-        db.advance_streams(60.0)
-        assert db.table_rows("arch") == [("a", 2.0, 60.0)]
-        for close in (120.0, 180.0):
-            db.insert_stream("s", [("a", 0, close - 5.0)])
-            db.advance_streams(close)
-        entry = db.supervisor.entry_for(db.runtime.cqs()["derived:agg"])
-        assert entry.restarts >= 1
-        assert archive_of(db.catalog.get_relation("agg")).table \
-            is db.catalog.get_relation("arch")
-        db.insert_stream("s", [("b", 10, 185.0)])
-        db.advance_streams(240.0)
-        assert ("b", 1.0, 240.0) in db.table_rows("arch")
-        # no window double-archived by the recovery replay
-        closes = [row[2] for row in db.table_rows("arch")]
-        assert len(closes) == len(set(closes))
+    def test_the_rest_equal_a_fault_free_run(self):
+        """Windows 120 and 180 hold a ``v = 0`` row; the fault-free run
+        is the same input without them."""
+        clean = [("a", 5, 5.0), ("b", 2, 30.0), ("a", 1, 65.0),
+                 ("b", 5, 130.0), ("a", 2, 170.0), ("b", 1, 185.0),
+                 ("a", 10, 230.0)]
+        poison = [("a", 0, 100.0), ("b", 0, 150.0)]
+
+        def archived(rows):
+            db = Database(supervised=True, stream_retention=3600.0)
+            db.execute(STREAM_DDL)
+            self.failing_pipeline(db)
+            db.insert_stream("s", sorted(rows, key=lambda r: r[2]))
+            db.advance_streams(300.0)
+            return db, sorted(db.table_rows("arch"), key=lambda r: r[2])
+
+        _, want = archived(clean)
+        db, got = archived(clean + poison)
+        lost = [row[7] for row in db.supervisor.dead_letter_rows()]
+        assert lost == [120.0, 180.0]
+        assert got == [row for row in want if row[2] not in lost]
+        assert {row[2] for row in want} >= set(lost)
 
     @pytest.mark.parametrize("vectorize", [True, False],
                              ids=["batch", "iterator"])
-    def test_restart_keeps_the_gear_and_the_instrumentation(self,
-                                                            vectorize):
-        db = Database(supervised=True, stream_retention=3600.0,
-                      vectorize=vectorize)
+    def test_gear_and_instrumentation_stay(self, vectorize):
+        db = Database(supervised=True, vectorize=vectorize)
         db.execute(STREAM_DDL)
         self.failing_pipeline(db)
-        old = db.runtime.cqs()["derived:agg"]
+        cq = db.runtime.cqs()["derived:agg"]
+        window_op = cq._window_op
         for close in (60.0, 120.0):
             db.insert_stream("s", [("a", 0, close - 5.0)])
             db.advance_streams(close)
-        fresh = db.runtime.cqs()["derived:agg"]
-        assert fresh is old
-        assert db.supervisor.entry_for(fresh).restarts == 1
-        # the replacement is the CQ the runtime would have built: same
-        # window operator class, same executor gear, still instrumented
-        assert type(fresh._window_op) is type(old._window_op)
-        assert fresh.vectorized == old.vectorized
-        assert fresh.obs is old.obs and fresh.obs is not None
-        assert fresh.late_handler is not None
+        assert db.runtime.cqs()["derived:agg"] is cq
+        assert cq._window_op is window_op
+        assert cq.vectorized == vectorize
         db.insert_stream("s", [("b", 5, 125.0)])
         db.advance_streams(180.0)
         stats = db.query("SELECT operator FROM repro_operator_stats "
                          "WHERE cq = 'derived:agg'").rows
-        assert stats, "EXPLAIN ANALYZE went dark after the restart"
+        assert stats, "EXPLAIN ANALYZE went dark after the poison windows"
 
-    def test_flapping_cq_is_quarantined(self, db):
-        policy = db.supervisor.policy
-        policy.restart_limit = 1
-        policy.max_restarts = 2
+    def test_a_cq_failing_every_window_is_never_detached(self, db):
         self.failing_pipeline(db)
         close = 60.0
         for _ in range(6):
@@ -298,16 +298,13 @@ class TestRestart:
             db.advance_streams(close)
             close += 60.0
         status = {row[0]: row for row in db.supervisor.status_rows()}
-        assert status["derived:agg"][2] == "quarantined"
-        # a quarantined CQ is detached: inserts no longer fail or archive
+        assert status["derived:agg"][2:4] == ("degraded", 6)
+        assert [row[2] for row in db.supervisor.dead_letter_rows()] == \
+            ["poison-window"] * 6
+        # still attached: the next healthy window is archived
         db.insert_stream("s", [("b", 5, close - 5.0)])
         db.advance_streams(close)
-        assert db.table_rows("arch") == []
-
-
-class TestRestartInPlace:
-    """A restart rebuilds the CQ in place: every holder keeps the
-    running object, and closing a subscription stops what runs."""
+        assert db.table_rows("arch") == [("b", 2.0, close)]
 
     def test_a_subscription_stops_the_cq_it_started(self, db):
         sub = db.subscribe("SELECT 10 / sum(v) AS r FROM s "
@@ -317,10 +314,9 @@ class TestRestartInPlace:
             db.insert_stream("s", [("a", 0, close - 5.0)])
             db.advance_streams(close)
         assert sub.cq is db.runtime.cqs()[name]
-        assert db.supervisor.entry_for(sub.cq).restarts == 1
         db.insert_stream("s", [("a", 5, 125.0)])
         db.advance_streams(180.0)
-        assert sub.stats.windows_evaluated == 1   # the rebuilt life's
+        assert sub.stats.windows_evaluated == 1   # the poisoned raised
         assert [w.rows for w in sub.poll()] == [[(2.0,)]]
         sub.close()
         assert name not in db.runtime.cqs()
@@ -335,36 +331,31 @@ class TestRestartInPlace:
     JOIN = ("SELECT 10 / (s.v - t.w) AS r FROM s <VISIBLE '1 minute'>, "
             "t <VISIBLE '1 minute'> WHERE s.k = t.k", ("a", 3))
 
-    # join-limit-2: a join side that only buffers its window runs no
-    # plan, so it must not clear the strike the other side's close took
-    @pytest.mark.parametrize("select, poison, limit", [
-        TRANSFORM + (1,), JOIN + (1,), TRANSFORM + (2,), JOIN + (2,)],
-        ids=["transform", "join", "transform-limit-2", "join-limit-2"])
-    def test_restart_guards_are_installed_once(self, db, select, poison,
-                                               limit):
-        # a restart keeps the object: a guard stacked on a guard would
-        # count a failure once and then clear the strike as the outer
-        # layer's success — a CQ that never restarts again
+    @pytest.mark.parametrize("select, poison", [TRANSFORM, JOIN],
+                             ids=["transform", "join"])
+    def test_every_poison_is_one_dead_letter(self, db, select, poison):
+        # the guard is installed once: a failure is counted once, and
+        # a healthy window after the poisoned ones is delivered
         db.execute("CREATE STREAM t (k varchar(10), w integer, "
                    "ts timestamp CQTIME USER)")
-        policy = db.supervisor.policy
-        policy.restart_limit = limit
-        policy.max_restarts = 2
         sub = db.subscribe(select)
         close = 60.0
-        for _ in range(3 * limit + 1):
+        for _ in range(5):
             db.insert_stream("s", [poison + (close - 5.0,)])
             db.insert_stream("t", [("a", 3, close - 4.0)])
             db.advance_streams(close)
             close += 60.0
-        status = {row[0]: row for row in db.supervisor.status_rows()}
         name = sub.cq.name
-        assert (status[name][3], status[name][5], status[name][2]) == \
-            (3 * limit, 2, "quarantined")
-        strikes = ["poison-tuple" if "<" not in select
-                   else "poison-window"] * limit
+        status = {row[0]: row for row in db.supervisor.status_rows()}
+        assert status[name][3] == 5
+        kind = "poison-tuple" if "<" not in select else "poison-window"
         assert [row[2] for row in db.supervisor.dead_letter_rows()] == \
-            (strikes + ["restart-loss"]) * 2 + strikes + ["poison-window"]
+            [kind] * 5
+        db.insert_stream("s", [("a", 5, close - 5.0)])
+        db.insert_stream("t", [("a", 3, close - 4.0)])
+        db.advance_streams(close)
+        assert [w.rows for w in sub.poll()] == [[("a", 2.0)]] \
+            if "<" not in select else [[(5.0,)]]
 
 
 class TestSessionOptions:
@@ -389,10 +380,16 @@ class TestSessionOptions:
     def test_set_policy_knob_requires_supervision(self):
         db = Database()
         with pytest.raises(ExecutionError):
-            db.execute("SET restart_limit = 5")
+            db.execute("SET channel_retry_limit = 5")
         db.execute("SET supervision = on")
-        db.execute("SET restart_limit = 5")
-        assert db.supervisor.policy.restart_limit == 5
+        db.execute("SET channel_retry_limit = 5")
+        assert db.supervisor.policy.channel_retry_limit == 5
+        # no option sets a restart: a poison window is only quarantined
+        for name in ("restart_limit", "max_restarts"):
+            with pytest.raises(ExecutionError, match="unknown session option"):
+                db.execute(f"SET {name} = 2")
+            with pytest.raises(ExecutionError, match="unknown session option"):
+                db.query(f"SHOW {name}")
 
     def test_set_fault_seed_installs_injector(self):
         db = Database()
@@ -418,7 +415,9 @@ class TestSessionOptions:
         result = db.query("SHOW ALL")
         names = [row[0] for row in result.rows]
         assert "supervision" in names
-        assert "restart_limit" in names
+        assert "channel_retry_limit" in names
+        assert len(names) == 18
+        assert len(Database().query("SHOW ALL").rows) == 14
 
 
 class TestSupervisorStatusView:
@@ -495,11 +494,9 @@ class TestShellCommands:
 class TestPolicyDefaults:
     def test_policy_dataclass_defaults(self):
         policy = SupervisorPolicy()
-        assert policy.channel_retry_limit == 3
-        assert policy.restart_limit == 2
-        assert policy.max_restarts == 3
+        assert dataclasses.astuple(policy) == (3, 0.01, 2.0, 10000)
 
     def test_custom_policy_via_enable(self):
         db = Database()
-        db.enable_supervision(policy=SupervisorPolicy(restart_limit=7))
-        assert db.supervisor.policy.restart_limit == 7
+        db.enable_supervision(policy=SupervisorPolicy(channel_retry_limit=7))
+        assert db.supervisor.policy.channel_retry_limit == 7

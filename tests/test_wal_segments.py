@@ -23,7 +23,6 @@ from repro.server import ServerThread
 from repro.storage.lifecycle import restore_backup
 from repro.storage.segments import (
     DEFAULT_SEGMENT_BYTES,
-    MANIFEST_NAME,
     segment_name,
 )
 from repro.storage.wal import (
@@ -95,7 +94,7 @@ class TestSegmentRolling:
         segments = [n for n in names if n.endswith(".log")]
         assert len(segments) >= 3
         assert segments[0] == segment_name(1)
-        assert MANIFEST_NAME in names
+        assert names == segments         # segment files and nothing else
         assert wal.segments.rolls >= 2
         wal.close()
 
