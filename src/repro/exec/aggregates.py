@@ -27,6 +27,8 @@ class Aggregate:
 
     name = "aggregate"
     result_type = DoubleType()
+    #: ``result`` returns the state unchanged (a finalize may skip it)
+    result_is_state = False
 
     def create(self):
         raise NotImplementedError
@@ -46,6 +48,7 @@ class CountStar(Aggregate):
 
     name = "count"
     result_type = IntegerType("bigint")
+    result_is_state = True
 
     def create(self):
         return 0
@@ -94,6 +97,7 @@ class Sum(Aggregate):
     """``sum(x)`` — NULL over empty input, per the standard."""
 
     name = "sum"
+    result_is_state = True
 
     def create(self):
         return None
@@ -138,6 +142,8 @@ class Avg(Aggregate):
 
 class _Extreme(Aggregate):
     """Shared implementation of MIN/MAX."""
+
+    result_is_state = True
 
     def __init__(self, want_max: bool):
         self._want_max = want_max
@@ -201,6 +207,7 @@ class Variance(Aggregate):
 
 class BoolAnd(Aggregate):
     name = "bool_and"
+    result_is_state = True
 
     def create(self):
         return None

@@ -315,7 +315,12 @@ def compile_expr(expr: ast.Expr, layout: RowLayout):
 
     if isinstance(expr, ast.ColumnRef):
         index, _type = layout.resolve(expr.table, expr.name)
-        return lambda row, ctx: row[index]
+
+        def column(row, ctx):
+            return row[index]
+        # a projection of bare column references picks them in C
+        column.column_ref = (index, len(layout))
+        return column
 
     if isinstance(expr, ast.Parameter):
         position = expr.index

@@ -10,6 +10,7 @@ out in Section 4.
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence
 
 from repro.types.values import sql_sort_key
@@ -223,16 +224,38 @@ class Filter(Operator):
 
 
 class Project(Operator):
-    """Compute the output expressions for each input row."""
+    """Compute the output expressions for each input row.
+
+    A list of bare column references (``compile_expr`` marks them) does
+    no per-row Python work: the input row as it is when the list is
+    that row, else its columns picked in C."""
 
     def __init__(self, child: Operator, exprs: Sequence[Callable]):
         self.child = child
         self._exprs = list(exprs)
+        refs = [getattr(e, "column_ref", None) for e in self._exprs]
+        #: True (pass the row through), a picker, or None (evaluate)
+        self._pick = None
+        if refs and None not in refs:
+            width = len(refs)
+            indices = [index for index, _width in refs]
+            if refs == [(i, width) for i in range(width)]:
+                self._pick = True
+            elif width == 1:
+                self._pick = lambda row, i=indices[0]: (row[i],)
+            else:
+                self._pick = itemgetter(*indices)
 
     def rows(self, ctx):
-        exprs = self._exprs
-        for row in self.child.rows(ctx):
-            yield tuple(e(row, ctx) for e in exprs)
+        pick = self._pick
+        if pick is True:
+            yield from self.child.rows(ctx)
+        elif pick is not None:
+            yield from map(pick, self.child.rows(ctx))
+        else:
+            exprs = self._exprs
+            for row in self.child.rows(ctx):
+                yield tuple([e(row, ctx) for e in exprs])
 
     def _children(self):
         return [self.child]
@@ -376,6 +399,10 @@ class HashAggregate(Operator):
         self.child = child
         self._group_exprs = list(group_exprs)
         self._agg_specs = list(agg_specs)
+        #: count / sum / min / max: a state is its own result, so
+        #: finalize builds each row without a call per aggregate
+        self._states_are_results = all(agg.result_is_state
+                                       for agg, _ in self._agg_specs)
         self._merged = None
 
     def rows(self, ctx):
@@ -407,26 +434,30 @@ class HashAggregate(Operator):
         return groups
 
     def merge_partials(self, partials) -> dict:
-        specs = self._agg_specs
-        merged: dict = {}
-        for part in partials:
-            for key, states in part.items():
-                current = merged.get(key)
-                if current is None:
-                    # copy the state lists: partials are reused across
-                    # overlapping windows and must never be mutated
-                    merged[key] = list(states)
-                else:
-                    merged[key] = [
-                        agg.merge(a, b)
-                        for (agg, _), a, b in zip(specs, current, states)
-                    ]
+        """Fold partials into one, a dict at a time: the first is copied
+        whole, each later one is laid over the copy with ``update`` and
+        only the keys both hold are merged state by state.  ``update``
+        keeps a key where it was first seen and appends new ones in the
+        partial's order, so groups stay in first-seen order; ``merge``
+        always returns a new value, so no input state is mutated
+        (partials are reused across overlapping windows)."""
+        aggs = [agg for agg, _ in self._agg_specs]
+        parts = iter(partials)
+        merged = dict(next(parts, {}))
+        for part in parts:
+            both = {key: [agg.merge(a, b)
+                          for agg, a, b in zip(aggs, merged[key], part[key])]
+                    for key in merged.keys() & part.keys()}
+            merged.update(part)
+            merged.update(both)
         return merged
 
     def finalize(self, groups: dict):
         specs = self._agg_specs
         if not groups and not self._group_exprs:
             groups = {(): [agg.create() for agg, _ in specs]}
+        if self._states_are_results:
+            return [key + tuple(states) for key, states in groups.items()]
         return [
             key + tuple(agg.result(state)
                         for (agg, _), state in zip(specs, states))

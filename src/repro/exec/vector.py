@@ -104,7 +104,7 @@ def compile_batch_expr(expr: ast.Expr, layout: RowLayout, flags: dict):
         index, _type = layout.resolve(expr.table, expr.name)
 
         def column(batch: ColumnBatch, ctx):
-            return batch.columns[index], batch.masks[index]
+            return batch.column(index)
         return column
 
     if isinstance(expr, ast.BinaryOp):

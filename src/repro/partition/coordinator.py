@@ -75,6 +75,7 @@ from repro.partition.worker import WorkerEngine, serve_frames
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.streaming.streams import StreamConsumer
+from repro.streaming.windows import Partials
 
 NEG_INF = float("-inf")
 
@@ -303,8 +304,9 @@ class _StreamRoute(StreamConsumer):
         self._memo: Dict[object, int] = {}
         #: per worker, the segments collected since its last acked send
         self.segments: List[list] = [[] for _ in range(n_workers)]
-        #: (pcq, "final" | "correct", close boundary) in the order the
-        #: boundary operators decided them; merged in that order
+        #: (pcq, "final" | "correct", close boundary, the window's rows)
+        #: in the order the boundary operators decided them; merged in
+        #: that order
         self.pending = deque()
         #: entries counted from the route's start: ``popped`` have left
         #: ``pending``, and those below ``proven`` were recorded before a
@@ -437,8 +439,8 @@ class _PartitionedCQ:
         self.visible = cq.window_spec.visible
 
         def record(kind):
-            return lambda _rows, _open, close: \
-                route.pending.append((self, kind, close))
+            return lambda rows, _open, close: \
+                route.pending.append((self, kind, close, rows))
 
         # a shard cannot tell an empty window from an open one, so every
         # boundary is recorded (every close reaches the sink)
@@ -756,8 +758,8 @@ class PartitionedEngine:
         if flush:
             self._broadcast({"op": "flush"}, "flush")
             for route in routes:
-                route.flush_gate = max(
-                    [route.flush_gate] + [b for _p, _k, b in route.pending])
+                route.flush_gate = max([route.flush_gate] + [
+                    b for _p, _k, b, _r in route.pending])
         for route in routes:
             self._merge_pending(route)
 
@@ -775,7 +777,7 @@ class PartitionedEngine:
         gate = max(route.wm_merge.merged, route.flush_gate)
         pending = route.pending
         while pending and route.popped < route.proven:
-            pcq, kind, boundary = pending[0]
+            pcq, kind, boundary, rows = pending[0]
             stale = pcq.stale
             if not stale and boundary > gate:
                 break
@@ -785,19 +787,21 @@ class PartitionedEngine:
             pending.popleft()
             route.popped += 1
             if not stale:
-                self._merge_boundary(pcq, kind, boundary)
+                self._merge_boundary(pcq, kind, boundary, rows)
         for pcq in list(route.cqs):
             if pcq.stale:      # a closed subscription
                 self._drop_pcq(pcq)
 
     def _merge_boundary(self, pcq: _PartitionedCQ, kind: str,
-                        boundary: float) -> None:
+                        boundary: float, rows: list) -> None:
         """Hand the CQ one boundary's shard partials as its window,
         through the window callback the single engine would have called
         — sinks, stats, EXPLAIN counters, retract bookkeeping and the
-        supervisor's guard all behave exactly as in single-engine mode."""
+        supervisor's guard (which letters the window's ``rows``) all
+        behave exactly as in single-engine mode."""
         entry = pcq.store.get(boundary, {})
-        parts = [entry.get(w, {}) for w in range(self.partitions)]
+        parts = Partials([entry.get(w, {}) for w in range(self.partitions)],
+                         [rows])
         op = pcq.cq._window_op
         # a late row re-opened the window: retract/correct pair
         emit = op.on_correction if kind == "correct" else op.sink
@@ -830,7 +834,8 @@ class PartitionedEngine:
         retention = pcq.op.retention
         if retention:
             horizon = min(horizon, pcq.route.stream.watermark - retention)
-            named = {b for p, _kind, b in pcq.route.pending if p is pcq}
+            named = {b for p, _kind, b, _rows in pcq.route.pending
+                     if p is pcq}
         for boundary in [b for b in pcq.store
                          if b <= horizon and b not in named]:
             del pcq.store[boundary]
@@ -982,7 +987,8 @@ class PartitionedEngine:
         recomputation) of the route's CQs can still need — a boundary
         the merge stage has not taken yet included — or None."""
         horizons = [pcq.op.horizon for pcq in route.cqs] + [
-            b - pcq.visible - pcq.op.retention for pcq, _k, b in route.pending]
+            b - pcq.visible - pcq.op.retention
+            for pcq, _k, b, _r in route.pending]
         if None in horizons:
             return None     # some CQ's boundary grid has not started yet
         horizon = min(horizons, default=route.stream.watermark)

@@ -41,6 +41,7 @@ from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
 from repro.eventtime.lateness import LATE_EVENT as _LATE_EVENT
 from repro.streaming.streams import BaseStream
+from repro.streaming.windows import Partials
 from repro.types.datatypes import (
     IntegerType,
     TimestampType,
@@ -203,7 +204,9 @@ class CQSupervisor:
                     entry, [row], event_time, event_time, exc,
                     kind=POISON_TUPLE))
 
-        def window_failed(exc, rows, open_time, close_time):
+        def window_failed(exc, window, open_time, close_time):
+            # a window of partials letters its rows, as the rows path does
+            rows = window.rows if isinstance(window, Partials) else window
             self._cq_failure(entry, rows, open_time, close_time, exc)
 
         for op, callback in cq.window_entries():

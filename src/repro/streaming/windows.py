@@ -77,6 +77,23 @@ class WindowSpec:
         return f"WindowSpec({self.kind}, visible={self.visible}, advance={self.advance})"
 
 
+class Partials(list):
+    """A window handed over as mergeable partials — one per covered
+    slice, or per shard — that still knows its relation: :attr:`rows`
+    (slice-major, arrival order within a slice) is what a dead letter
+    of the window holds, in every gear."""
+
+    __slots__ = ("_slices",)
+
+    def __init__(self, partials, slices):
+        super().__init__(partials)
+        self._slices = slices       # the window's row lists, in order
+
+    @property
+    def rows(self) -> list:
+        return [row for rows in self._slices for row in rows]
+
+
 class TimeWindowOperator(StreamConsumer):
     """Sliding/tumbling time window over the slice grid.
 
@@ -224,7 +241,8 @@ class TimeWindowOperator(StreamConsumer):
         # the sink merges + finalizes the partials; a deferred slice
         # error re-raises there, under the supervisor's window guard
         seal = self.store.seal
-        return [seal(index, rows, reduce) for index, rows in covered]
+        return Partials([seal(index, rows, reduce) for index, rows in covered],
+                        [rows for _index, rows in covered])
 
     def _evict(self) -> None:
         """Drop every slice no future window can see — here, and from

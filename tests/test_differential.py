@@ -341,7 +341,8 @@ class Engine:
 
     def _letters(self):
         return [tuple(row) for row in self.front.query(
-            "SELECT source, kind, close_time FROM repro_dead_letters").rows
+            "SELECT source, kind, close_time, rowcount, payload "
+            "FROM repro_dead_letters").rows
         ] if self.cfg.supervised else []
 
     def records(self, role):
@@ -788,8 +789,8 @@ class Differential(RuleBasedStateMachine):
             unsure[role] = reopened if cfg.poison else set()
             if role == "archive":
                 have = engine.archive()
-                unsure[role] |= {close for _source, kind, close in letters
-                                 if kind == "channel-write"}
+                unsure[role] |= {close for _source, kind, close, *_held
+                                 in letters if kind == "channel-write"}
             else:
                 have = converged(got[role])
             for close in unsure[role]:
@@ -807,7 +808,8 @@ class Differential(RuleBasedStateMachine):
         for role in set(got) - framed:
             assert self.sequence(got[role]) == self.loosened(spec[role]), \
                 f"{where} {role}: record sequence"
-        named = [Counter((role, kind) for source, kind, close
+        named = [Counter((role, kind, close, rowcount, payload)
+                         for source, kind, close, rowcount, payload
                          in e.dead_letters()
                          for role in [e.roles.get(source, source)]
                          if role not in framed or close not in unsure[role])
@@ -960,7 +962,8 @@ class TestFound:
     its fix: three ways a rebuilt CQ took a route the live one never
     takes, a window archived twice, three ways the partition replay log
     forgot what its pruned prefix implied, and two merges that saw a
-    respawned worker's later partials."""
+    respawned worker's later partials — and two poison windows the batch
+    gear and the partitions lettered as partials, not rows."""
 
     def test_event_time_boot_judges_rows_by_the_watermark_as_logged(self):
         run(Config(topologies=("reopen",), event_time=True, bound=2.0),
@@ -1029,3 +1032,25 @@ class TestFound:
                    event_time=True, bound=2.0, policy="RETRACT",
                    lateness=6.0, archive=False, batch=1),
             ("advance", 7, False), ("kill", 0), ("ingest", 3312678, 8))
+
+    #: a window poisoned by group b (v = 0, so sum(10 / v) fails in its
+    #: slice) or by group a's total (7), on the iterator spec, the batch
+    #: gear and two inline partitions; every gear letters the window's
+    #: rows (docs/FAULTS.md), and the machine compares whole letters
+    LETTERED = Config(topologies=("db", "partitions"), partitions=2,
+                      supervised=True, window=(60.0, 60.0))
+
+    def lettered(self, poison):
+        rows = [("a", 5, 1.0), ("b", 0, 2.0), ("a", 2, 3.0)]
+        machine = run(replace(self.LETTERED, poison=poison),
+                      ("send", rows), ("move_clock", 120.0))
+        letters = machine.reference.dead_letters()
+        assert {letter[1:] for letter in letters} \
+            == {("poison-window", 60.0, 3, repr(rows))}
+        assert len(letters) == 2        # the subscription and the archive
+
+    def test_a_poison_slice_letters_the_window_rows_in_every_gear(self):
+        self.lettered("sum(10 / v)")
+
+    def test_a_poison_merge_letters_the_window_rows_in_every_gear(self):
+        self.lettered("10 / (sum(v) - 7)")

@@ -336,7 +336,7 @@ class TestStoreSafety:
         narrow, wide = (machine.engine.subs[role].cq
                         for role in ("early", "late"))
         assert narrow.shared and wide.shared
-        assert sorted((source, close) for source, _kind, close
+        assert sorted((source, close) for source, _kind, close, *_held
                       in machine.engine.dead_letters()) == \
             [(narrow.name, 60.0), (wide.name, 60.0), (wide.name, 120.0)]
 
