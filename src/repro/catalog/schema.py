@@ -58,6 +58,11 @@ class Schema:
 
     def __init__(self, columns: List[Column]):
         self.columns = list(columns)
+        #: per column, the value types that pass :meth:`coerce_row` as
+        #: they are, and a varchar's length limit
+        self._passes = [
+            (_CANONICAL_TYPES.get(type(c.datatype).__name__, ()),
+             getattr(c.datatype, "length", None)) for c in self.columns]
         self._index = {}
         for i, column in enumerate(self.columns):
             # first occurrence wins for duplicate names (SQL allows dups
@@ -129,7 +134,12 @@ class Schema:
                 f"row has {width} values, schema has {len(self.columns)}"
             )
         out = []
-        for column, value in zip(self.columns, values):
+        for column, (canonical, length), value in zip(
+                self.columns, self._passes, values):
+            if type(value) in canonical \
+                    and (length is None or len(value) <= length):
+                out.append(value)   # what coerce would return
+                continue
             coerced = column.datatype.coerce(value)
             if coerced is None and column.not_null:
                 raise ConstraintError(

@@ -97,6 +97,12 @@ class EventTimeWindowOperator(TimeWindowOperator):
         # coordinator's merged partials read it from here.
         if late_policy == RETRACT:
             self.retention = self.allowed_lateness + self.advance
+        if emit_mode != EMIT_ON_WATERMARK \
+                or self.advance > self.visible + self.retention:
+            # rows one at a time: early results are per row, and past a
+            # gap wider than the retention a row filed after a close is
+            # held below its horizon until the next close (on_tuples)
+            self.on_tuples = None
 
     # -- consumer protocol ------------------------------------------------------
 
@@ -118,10 +124,29 @@ class EventTimeWindowOperator(TimeWindowOperator):
         if self.emit_mode != EMIT_ON_WATERMARK:
             self._maybe_emit_early(event_time)
 
+    def on_tuples(self, rows: list, times: list) -> None:
+        """An in-order frame (``times`` non-decreasing from at or after
+        the watermark), filed by slice; the heartbeat the stream sends
+        after it closes.  The same as ``on_tuple`` per row, each row
+        followed by its heartbeat: no row of the frame is late, and a
+        row at or after the watermark before it never falls in a window
+        that watermark closed, so filing the frame and then closing
+        through its final watermark closes the same windows over the
+        same rows, in the same order.  Nor does eviction differ: a row
+        filed after a close is at or after its boundary, above the
+        horizon it leaves — unless a gap between windows is wider than
+        the retention, where ``__init__`` withdraws this entry."""
+        first = times[0]
+        if self._base is None \
+                or self._boundary_index == 1 and first < self._base:
+            # on_tuple's grid start: later rows are at or after this one
+            self._start_at(max(first, self.wm_fn()))
+        self._file_sorted(rows, times, closing=False)
+
     def on_heartbeat(self, event_time: float) -> None:
         # the event-time stream broadcasts every watermark advance as a
-        # heartbeat — on ordered traffic that is once per tuple, so the
-        # no-close case must be a single inline compare
+        # heartbeat — once per frame, or on disordered traffic once per
+        # tuple, so the no-close case must be a single inline compare
         base = self._base
         if base is None \
                 or base + self._boundary_index * self.advance > event_time:

@@ -356,8 +356,24 @@ class _StreamRoute(StreamConsumer):
         for pcq in self.cqs:
             pcq.op.on_tuple(row, event_time)
 
-    def on_tuples(self, rows: list, times: list) -> None:
-        """An arrival-ordered batch off the stream's fast path."""
+    @property
+    def on_tuples(self):
+        """The batch entry, withdrawn while a partitionized CQ's boundary
+        operator withdraws its own (an event-time window with a gap:
+        ``EventTimeWindowOperator.__init__``) — it must see every row."""
+        if all(getattr(pcq.op, "on_tuples", True) is not None
+               for pcq in self.cqs):
+            return self._on_batch
+        return None
+
+    def _on_batch(self, rows: list, times: list) -> None:
+        """A sorted batch off the stream's fast path: arrival-ordered, or
+        an event-time frame in order from at or after the watermark.
+        That needs no ``("wm", t)`` in front of a run: a worker's
+        watermark is at most the stream's before the frame (the last
+        :meth:`sync`) or its own newest row's time less the bound, so no
+        row is late at its worker, and the windows the sync after the
+        frame closes hold what they would have held between rows."""
         runs: List[list] = [[] for _ in range(self.n)]
         memo = self._memo
         key_index = self.key_index

@@ -23,6 +23,7 @@ from typing import Optional
 from repro.catalog.schema import Schema
 from repro.errors import ConstraintError, OutOfOrderError, StreamingError
 from repro.eventtime.watermark import WatermarkTracker
+from repro.rowblock import Block
 
 RAISE = "raise"
 DROP = "drop"
@@ -180,20 +181,12 @@ class BaseStream:
                 else:
                     self._trace_countdown = countdown - 1
             self._deliver(final, event_time)
-            # WatermarkTracker.observe, inlined: on ordered traffic
-            # every tuple advances the watermark, so this runs hot
-            tracker = self.tracker
-            if event_time < tracker.watermark:
-                tracker.late_rows += 1
-            if event_time > tracker.max_event_time:
-                tracker.max_event_time = event_time
-                advanced = event_time - tracker.bound
-                if advanced > tracker.watermark:
-                    tracker.watermark = advanced
-                    self.watermark = advanced
-                    # derived advances are reconstructed from the insert
-                    # records at replay time — no WAL record of their own
-                    self._broadcast_heartbeat(advanced, log=False)
+            advanced = self.tracker.observe(event_time)
+            if advanced is not None:
+                self.watermark = advanced
+                # derived advances are reconstructed from the insert
+                # records at replay time — no WAL record of their own
+                self._broadcast_heartbeat(advanced, log=False)
             return True
         if event_time < self.watermark:
             if self.disorder_policy == DROP:
@@ -296,28 +289,43 @@ class BaseStream:
     def _insert_fast_batch(self, rows, at: Optional[float]) -> Optional[dict]:
         """Batch ingest without the per-row :meth:`insert` overhead.
 
-        Only the plain configuration qualifies: arrival-ordered traffic
-        (no watermark tracker), unsupervised
-        delivery, no armed fault injector.  Any disorder, NULL CQTIME,
-        or coercion problem defers to the per-row path, which raises
-        (or drops) with exactly the single-insert semantics — and so does
-        a non-finite event time, which only that path refuses.  Consumers
-        implementing ``on_tuples(rows, times)`` receive the whole sorted
-        batch in one call.  Returns None when the batch must take the
-        slow path.
+        A frame qualifies when it is in CQTIME order from at or after the
+        stream's watermark, delivery is unsupervised and no fault
+        injector is armed.  It is coerced once, logged as one record and
+        handed to each consumer once: to ``on_tuples(rows, times)``, or
+        row by row to a lone arrival-time consumer without it.  On an
+        event-time stream every consumer must take it whole: such a
+        frame holds no late row, so the watermark advances once, after
+        delivery, with one heartbeat.  Disorder, NULL CQTIME, coercion
+        problems and non-finite event times defer to the per-row path,
+        which judges each row by its own watermark and raises (or drops)
+        with exactly the single-insert semantics.  Returns None when the
+        batch must take that path.
         """
-        if (self.tracker is not None or self.error_handler is not None
-                or (self.faults is not None and self.faults.armed)):
+        tracker = self.tracker
+        if self.error_handler is not None \
+                or (self.faults is not None and self.faults.armed):
             return None
         consumers = self._consumers
         batch_capable = all(
             getattr(consumer, "on_tuples", None) is not None
             for consumer in consumers)
-        if not batch_capable and len(consumers) > 1:
-            # per-row fan-out interleaves consumers row by row; keep
+        if not batch_capable and (tracker is not None or len(consumers) > 1):
+            # per-row fan-out interleaves consumers row by row, and an
+            # event-time consumer needs a heartbeat after each row; keep
             # those exact semantics (incl. error accumulation) slow
             return None
         cqtime = self.cqtime_index
+        if tracker is not None:
+            # a disordered frame goes per-row: find out before coercing
+            # it, which that path does again
+            try:
+                raw = (rows.columns[cqtime] if isinstance(rows, Block)
+                       else list(map(itemgetter(cqtime), rows)))
+                if not all(map(ge, islice(raw, 1, None), raw)):
+                    return None
+            except Exception:
+                return None
         try:
             coerced = self.schema.coerce_rows(rows)
         except Exception:
@@ -337,12 +345,16 @@ class BaseStream:
             if None in times \
                     or not all(map(ge, islice(times, 1, None), times)):
                 return None
-        if not times[0] >= self.watermark \
+        watermark = self.watermark
+        if not times[0] >= watermark \
                 or not (isfinite(times[0]) and isfinite(times[-1])):
             return None
         final_rows = coerced
-        self.watermark = max(self.watermark, times[-1])
-        self.raw_watermark = self.watermark
+        if tracker is None:
+            self.watermark = max(watermark, times[-1])
+            self.raw_watermark = self.watermark
+        elif times[-1] > self.raw_watermark:
+            self.raw_watermark = times[-1]
         self.tuples_in += n
         # trace sampling: the batch form of insert()'s every-Nth
         # countdown — trace rows countdown-1, then every interval
@@ -358,8 +370,14 @@ class BaseStream:
             if countdown:
                 self._trace_countdown = i - n + 1
         if self.retention is not None:
-            for when, row in zip(times, final_rows):
-                self._retain(when, row)
+            # each row with the watermark it is judged by: an event-time
+            # row's is the one its predecessor's observation leaves
+            marks = [self.watermark] * n
+            if tracker is not None:
+                marks[1:] = [max(watermark, when - tracker.bound)
+                             for when in islice(times, n - 1)]
+            self._tail.extend(zip(times, final_rows, marks))
+            self._trim(marks[-1] - self.retention)
         elif times[-1] > self.evicted_through:
             self.evicted_through = times[-1]
         if self.replication_log is not None:
@@ -379,6 +397,13 @@ class BaseStream:
                     except Exception as exc:
                         self._report_delivery_errors(
                             row, when, [(consumer, exc)])
+        if tracker is not None:
+            # one observation for the frame, after its delivery, as
+            # insert() makes one per row
+            advanced = tracker.observe(times[-1])
+            if advanced is not None:
+                self.watermark = advanced
+                self._broadcast_heartbeat(advanced, log=False)
         return {"accepted": n, "shed": 0, "dropped": 0}
 
     def advance_to(self, event_time: float) -> None:

@@ -214,6 +214,32 @@ class TimeWindowOperator(StreamConsumer):
             held[0].append(event_time)
             held[1].append(row)
 
+    def _file_sorted(self, rows: list, times: list, closing: bool) -> None:
+        """File a time-sorted batch by slice, two list extends a chunk.
+        ``closing`` (arrival time): a chunk's first time closes what it
+        passed and no chunk crosses the next boundary, so windows fire
+        in order; event time leaves closing to the heartbeat."""
+        slices = self._slices
+        n = len(rows)
+        i = 0
+        while i < n:
+            when = times[i]
+            idx = self._slice_index(when)
+            # the slice edge shares _slice_index's epsilon
+            limit = (idx + 1 - 1e-9) * self.slice_width
+            if closing:
+                self._close_through(when)
+                limit = min(self._next_boundary(), limit)
+            j = bisect_left(times, limit, i)
+            held = slices.get(idx)
+            if held is None:
+                slices[idx] = (times[i:j], rows[i:j])
+            else:
+                held[0].extend(times[i:j])
+                held[1].extend(rows[i:j])
+            self.tuples_in += j - i
+            i = j
+
     def _covered(self, open_time: float, boundary: float) -> list:
         """The held slices of the window ``[open_time, boundary)`` as
         ``[(index, rows)]``, in slice order.  Walks the held keys, not
@@ -329,31 +355,11 @@ class SlicedTimeWindowOperator(TimeWindowOperator):
     vectorized gear's bulk ``on_tuples``, nothing else."""
 
     def on_tuples(self, rows: list, times: list) -> None:
-        """Bulk arrival (sorted): chunk rows by slice so each chunk is
-        filed with two list extends instead of per-row calls."""
-        slices = self._slices
-        n = len(rows)
-        i = 0
-        while i < n:
-            when = times[i]
-            if self._base is None:
-                self._start_at(when)
-            self._close_through(when)
-            idx = self._slice_index(when)
-            # the chunk may not cross the next close boundary (windows
-            # must fire in order) nor the end of the current slice (the
-            # slice edge shares _slice_index's epsilon)
-            limit = min(self._next_boundary(),
-                        (idx + 1 - 1e-9) * self.slice_width)
-            j = bisect_left(times, limit, i)
-            held = slices.get(idx)
-            if held is None:
-                slices[idx] = (times[i:j], rows[i:j])
-            else:
-                held[0].extend(times[i:j])
-                held[1].extend(rows[i:j])
-            self.tuples_in += j - i
-            i = j
+        """Bulk arrival (sorted): each row's time closes the boundaries
+        it passed, then the batch is filed by slice."""
+        if self._base is None:
+            self._start_at(times[0])
+        self._file_sorted(rows, times, closing=True)
 
 
 class RowWindowOperator(StreamConsumer):

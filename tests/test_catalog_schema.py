@@ -10,7 +10,12 @@ from repro.errors import (
     DuplicateObjectError,
     UnknownObjectError,
 )
-from repro.types.datatypes import IntegerType, TimestampType, VarcharType
+from repro.types.datatypes import (
+    IntegerType,
+    TimestampType,
+    VarcharType,
+    type_from_name,
+)
 
 
 def schema():
@@ -51,6 +56,50 @@ class TestSchema:
     def test_coerce_not_null(self):
         with pytest.raises(ConstraintError):
             schema().coerce_row((None, "x", 0.0))
+
+    def test_coerce_row_matches_a_coerce_call_per_value(self):
+        """A value whose exact type is the column's canonical one passes
+        ``coerce_row`` as it is; every value — that one, ``bool`` into an
+        integer, a numpy ``str``, an integral float, timestamp text —
+        comes out as ``datatype.coerce`` makes it, with the same type or
+        the same refusal."""
+        import numpy
+
+        def coerced(column, value):
+            try:
+                out = Schema([column]).coerce_row((value,))[0]
+            except Exception as exc:
+                return type(exc), str(exc)
+            return type(out), repr(out)
+
+        def one_call(column, value):     # the loop before the pass-through
+            try:
+                out = column.datatype.coerce(value)
+                if out is None and column.not_null:
+                    raise ConstraintError(
+                        f"null value in column {column.name!r} violates "
+                        "NOT NULL")
+            except Exception as exc:
+                return type(exc), str(exc)
+            return type(out), repr(out)
+
+        columns = [Column(f"c{i}", type_from_name(name, length),
+                          not_null=not_null)
+                   for i, (name, length, not_null) in enumerate([
+                       ("integer", None, False), ("bigint", None, True),
+                       ("double precision", None, False),
+                       ("timestamp", None, True), ("boolean", None, False),
+                       ("varchar", 3, False), ("varchar", 3, True),
+                       ("text", None, False), ("interval", None, False)])]
+        values = [None, 0, 7, -3, 10 ** 30, True, False, 2.0, 2.5,
+                  float("nan"), float("inf"), "7", " 8 ", "abc", "abcd", "",
+                  "true", "1970-01-01 00:01:00", numpy.str_("ab"),
+                  numpy.str_("abcd"), numpy.int64(3), numpy.float64(1.5),
+                  numpy.bool_(True), b"ab", (1,)]
+        for column in columns:
+            for value in values:
+                assert coerced(column, value) == one_call(column, value), (
+                    column, value)
 
     def test_project(self):
         projected = schema().project(["ts", "id"])

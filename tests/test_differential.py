@@ -593,18 +593,23 @@ class Differential(RuleBasedStateMachine):
         self.now = max([self.now] + [ts for _k, _v, ts in rows])
 
     @precondition(lambda self: not self.flushed)
-    @rule(seed=st.integers(0, 2 ** 32), size=st.integers(4, 16))
-    def ingest(self, seed, size):
+    @rule(seed=st.integers(0, 2 ** 32), size=st.integers(4, 16),
+          ordered=st.booleans())
+    def ingest(self, seed, size, ordered=False):
         """``size`` rows from ``seed``, sent ``batch`` at a time: each row
         ``back`` behind a frontier moving ``gap`` a row (drawn from a
-        seed, not field by field, so a run's data is never all zeros)."""
+        seed, not field by field, so a run's data is never all zeros).
+        ``ordered`` puts every row on the frontier: each frame is in time
+        order from at or after the watermark — the stream's batch path —
+        unless a clock step or injection moved the watermark past it."""
         rnd, rows, when = random.Random(seed), [], self.now
         for _ in range(size):
             when += rnd.randint(0, 4)
             value = rnd.uniform(-1, 1) * 10.0 ** rnd.randint(-3, 12) \
                 if self.cfg.doubles else rnd.randint(-3, 9)
-            rows.append((rnd.choice(KEYS), value, float(
-                when - rnd.choice([0, 0, 0, 1, 3, 8, 15, 40]))))
+            key, back = rnd.choice(KEYS), rnd.choice([0, 0, 0, 1, 3, 8, 15,
+                                                      40])
+            rows.append((key, value, float(when - (0 if ordered else back))))
         for start in range(0, len(rows), self.cfg.batch):
             self.send(rows[start:start + self.cfg.batch])
         self.now = when
