@@ -5,13 +5,18 @@ PYTHON ?= python
 .PHONY: install test bench chaos examples shell server smoke \
 	failover-smoke dr-smoke obs-smoke admission-smoke \
 	vectorized-smoke partition-smoke differential \
-	bench-all bench-diff bench-smoke bench-pairs artifacts clean
+	bench-all bench-diff bench-smoke bench-pairs artifacts clean loc
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# src/repro source lines, and code-only lines (no blank lines, comments
+# or docstrings): the two numbers a change's CHANGES.md entry reports
+loc:
+	$(PYTHON) scripts/loc.py src/repro
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

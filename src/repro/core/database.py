@@ -217,18 +217,19 @@ class Database:
             self.storage.wal.append(0, "ddl_obj", payload.get("name"),
                                     payload=payload, flush=True)
 
-    def enable_supervision(self, policy=None):
+    def enable_supervision(self):
         """Switch the runtime to supervised mode: every CQ, channel and
         base stream — existing and future — gets per-window error
-        isolation, dead-letter quarantine, channel-write retry and
-        automatic restart.  Idempotent; returns the supervisor."""
+        isolation, dead-letter quarantine and channel-write retry.  A
+        failing CQ is never restarted: it runs on with its window
+        state.  Idempotent; returns the supervisor."""
         if self.supervisor is not None:
             return self.supervisor
         from repro.streaming.supervisor import (
             CQSupervisor,
             DEAD_LETTER_STREAM,
         )
-        supervisor = CQSupervisor(self.runtime, policy=policy)
+        supervisor = CQSupervisor(self.runtime)
         self.supervisor = supervisor
         self.runtime.supervisor = supervisor
         supervisor.dead_letter_stream()  # queryable from the start
@@ -332,9 +333,6 @@ class Database:
     # session options (SET / SHOW)
     # ------------------------------------------------------------------
 
-    _POLICY_OPTIONS = ("channel_retry_limit", "backoff_base",
-                       "backoff_factor", "dead_letter_capacity")
-
     def _set_option(self, statement: ast.SetOption) -> ResultSet:
         name, value = statement.name, statement.value
         if name == "supervision":
@@ -408,17 +406,6 @@ class Database:
                     "dedup_window must be a positive integer")
             self.admission.dedup.window = value
             return _ok()
-        if name in self._POLICY_OPTIONS:
-            if self.supervisor is None:
-                raise ExecutionError(
-                    f"option {name!r} needs supervision; "
-                    "run SET supervision = on first"
-                )
-            if not isinstance(value, (int, float)) or value is True:
-                raise ExecutionError(f"option {name!r} takes a number")
-            current = getattr(self.supervisor.policy, name)
-            setattr(self.supervisor.policy, name, type(current)(value))
-            return _ok()
         raise ExecutionError(f"unknown session option {name!r}")
 
     def _show_option(self, statement: ast.ShowOption) -> ResultSet:
@@ -438,9 +425,6 @@ class Database:
             "admission_hard_depth": self.admission.hard_depth,
             "dedup_window": self.admission.dedup.window,
         }
-        if self.supervisor is not None:
-            for key in self._POLICY_OPTIONS:
-                options[key] = getattr(self.supervisor.policy, key)
         if statement.name == "all":
             rows = [(key, _option_text(value))
                     for key, value in sorted(options.items())]

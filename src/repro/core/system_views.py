@@ -168,14 +168,13 @@ def install_system_views(db) -> None:
         # a CQ the last boot or promotion left cold lost its open
         # windows: shown whether or not anything is supervised
         return rows + [
-            (name, "recovery", "cold", 1, 0, 0.0, 0, rung[len("cold:"):])
+            (name, "recovery", "cold", 1, 0, 0, rung[len("cold:"):])
             for name, rung in db.recovery_stats.get("cqs", ())
             if rung.startswith("cold:")]
 
     supervisor = VirtualTable("repro_supervisor_status", Schema([
         _text("name"), _text("kind"), _text("state"), _int("failures"),
-        _int("retries"), Column("backoff_seconds", DoubleType()),
-        _int("dead_letters"), _text("last_error"),
+        _int("retries"), _int("dead_letters"), _text("last_error"),
     ]), supervisor_rows)
 
     def dead_letter_rows():

@@ -97,11 +97,8 @@ class EventTimeWindowOperator(TimeWindowOperator):
         # coordinator's merged partials read it from here.
         if late_policy == RETRACT:
             self.retention = self.allowed_lateness + self.advance
-        if emit_mode != EMIT_ON_WATERMARK \
-                or self.advance > self.visible + self.retention:
-            # rows one at a time: early results are per row, and past a
-            # gap wider than the retention a row filed after a close is
-            # held below its horizon until the next close (on_tuples)
+        if emit_mode != EMIT_ON_WATERMARK:
+            # rows one at a time: early results are per row
             self.on_tuples = None
 
     # -- consumer protocol ------------------------------------------------------
@@ -133,9 +130,9 @@ class EventTimeWindowOperator(TimeWindowOperator):
         that watermark closed, so filing the frame and then closing
         through its final watermark closes the same windows over the
         same rows, in the same order.  Nor does eviction differ: a row
-        filed after a close is at or after its boundary, above the
-        horizon it leaves — unless a gap between windows is wider than
-        the retention, where ``__init__`` withdraws this entry."""
+        filed after a close is at or after its boundary, and one in the
+        gap before the next window opens is not filed at all, so what is
+        held is above the horizon the close leaves."""
         first = times[0]
         if self._base is None \
                 or self._boundary_index == 1 and first < self._base:

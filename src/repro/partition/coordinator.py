@@ -356,17 +356,7 @@ class _StreamRoute(StreamConsumer):
         for pcq in self.cqs:
             pcq.op.on_tuple(row, event_time)
 
-    @property
-    def on_tuples(self):
-        """The batch entry, withdrawn while a partitionized CQ's boundary
-        operator withdraws its own (an event-time window with a gap:
-        ``EventTimeWindowOperator.__init__``) — it must see every row."""
-        if all(getattr(pcq.op, "on_tuples", True) is not None
-               for pcq in self.cqs):
-            return self._on_batch
-        return None
-
-    def _on_batch(self, rows: list, times: list) -> None:
+    def on_tuples(self, rows: list, times: list) -> None:
         """A sorted batch off the stream's fast path: arrival-ordered, or
         an event-time frame in order from at or after the watermark.
         That needs no ``("wm", t)`` in front of a run: a worker's
@@ -392,14 +382,14 @@ class _StreamRoute(StreamConsumer):
         spill = self.ring.spill_worker
         self.spill_rows[spill] += sum(
             1 for row in runs[spill] if row[key_index] is None)
-        # closes depend on times only, and on_flush on the newest
-        # buffered one: the ends of an ordered batch say everything
-        ends = [(rows[0], times[0])]
-        if len(rows) > 1:
-            ends.append((rows[-1], times[-1]))
+        # closes depend on times only, and on_flush on the newest row a
+        # window shows: the ends of an ordered batch say everything,
+        # and past a gapped window's gap the newest row before it
+        last = len(rows) - 1
         for pcq in self.cqs:
-            for row, when in ends:
-                pcq.op.on_tuple(row, when)
+            op = pcq.op
+            for i in sorted({0, op.newest_shown(times), last} - {-1}):
+                op.on_tuple(rows[i], times[i])
 
     def on_heartbeat(self, event_time: float) -> None:
         for pcq in self.cqs:
@@ -454,13 +444,12 @@ class _PartitionedCQ:
         self.name = cq.name
         self.visible = cq.window_spec.visible
 
-        def record(kind):
-            return lambda rows, _open, close: \
-                route.pending.append((self, kind, close, rows))
+        def record(kind, rows, _open, close):
+            route.pending.append((self, kind, close, rows))
 
         # a shard cannot tell an empty window from an open one, so every
-        # boundary is recorded (every close reaches the sink)
-        self.op = cq.window_operator(record("final"), record("correct"))
+        # boundary is recorded (every close reaches the entry)
+        self.op = cq.window_operator(record)
         #: close boundary -> {worker: partial | FailedPartial}
         self.store: Dict[float, Dict[int, object]] = {}
         self.merged_through = NEG_INF
@@ -492,7 +481,7 @@ class PartitionedEngine:
     """
 
     def __init__(self, partitions: int = 2, transport: str = "inline",
-                 db: Optional[Database] = None, replicas: int = 64,
+                 db: Optional[Database] = None,
                  spawn_timeout: float = 30.0):
         if partitions < 1:
             raise PartitionError("need at least one partition")
@@ -503,7 +492,7 @@ class PartitionedEngine:
         self.spawn_timeout = spawn_timeout
         self.db = db if db is not None else Database()
         self.db.partition_registry = self.status_rows
-        self.ring = HashRing(partitions, replicas=replicas)
+        self.ring = HashRing(partitions)
         self.faults = None              # coordinator-side FaultInjector
         self._listener = None
         if transport == "process":
@@ -811,18 +800,17 @@ class PartitionedEngine:
     def _merge_boundary(self, pcq: _PartitionedCQ, kind: str,
                         boundary: float, rows: list) -> None:
         """Hand the CQ one boundary's shard partials as its window,
-        through the window callback the single engine would have called
-        — sinks, stats, EXPLAIN counters, retract bookkeeping and the
-        supervisor's guard (which letters the window's ``rows``) all
-        behave exactly as in single-engine mode."""
+        through the CQ's window entry, as a ``final`` or — a late row
+        re-opened the window — a ``correct``: sinks, stats, EXPLAIN
+        counters, retract bookkeeping and the supervisor's handler
+        (which letters the window's ``rows``) all behave exactly as in
+        single-engine mode."""
         entry = pcq.store.get(boundary, {})
         parts = Partials([entry.get(w, {}) for w in range(self.partitions)],
                          [rows])
-        op = pcq.cq._window_op
-        # a late row re-opened the window: retract/correct pair
-        emit = op.on_correction if kind == "correct" else op.sink
         try:
-            emit(parts, boundary - pcq.visible, boundary)
+            pcq.cq.window_entry(kind, parts, boundary - pcq.visible,
+                                boundary)
         finally:
             if kind == "final":
                 pcq.merged_through = boundary

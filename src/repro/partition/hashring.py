@@ -1,6 +1,6 @@
 """Consistent hashing of partition keys onto workers.
 
-The ring places ``replicas`` virtual nodes per worker on a 32-bit
+The ring places :data:`REPLICAS` virtual nodes per worker on a 32-bit
 circle; a key routes to the first virtual node at or clockwise from its
 hash.  Keys hash through :func:`zlib.crc32` over their string form —
 deterministic across processes and Python runs, unlike the builtin
@@ -18,6 +18,9 @@ import bisect
 import zlib
 from typing import List
 
+#: virtual nodes per worker on the ring
+REPLICAS = 64
+
 
 def stable_hash(value) -> int:
     """Deterministic 32-bit hash of a key value (process-independent).
@@ -32,18 +35,16 @@ def stable_hash(value) -> int:
 class HashRing:
     """Consistent hash ring over ``n_workers`` workers."""
 
-    def __init__(self, n_workers: int, replicas: int = 64,
-                 spill_worker: int = 0):
+    def __init__(self, n_workers: int, spill_worker: int = 0):
         if n_workers < 1:
             raise ValueError("need at least one worker")
         if not 0 <= spill_worker < n_workers:
             raise ValueError("spill worker out of range")
         self.n_workers = n_workers
-        self.replicas = replicas
         self.spill_worker = spill_worker
         points = []
         for worker in range(n_workers):
-            for replica in range(replicas):
+            for replica in range(REPLICAS):
                 points.append((stable_hash(f"w{worker}:{replica}"), worker))
         points.sort()
         self._hashes: List[int] = [h for h, _ in points]
@@ -61,4 +62,4 @@ class HashRing:
 
     def __repr__(self):
         return (f"HashRing(workers={self.n_workers}, "
-                f"replicas={self.replicas}, spill={self.spill_worker})")
+                f"replicas={REPLICAS}, spill={self.spill_worker})")

@@ -3,10 +3,10 @@
 A worker hosts a plain :class:`~repro.core.database.Database` and
 applies coordinator frames in order: DDL, partial-mode CQ creation,
 ingest segments (rows + watermark/clock syncs), flush.  CQs run in
-**partial mode**: the window operator's callbacks are replaced by one
-ship function, so a window close ships the shard's mergeable partial
-(and, under the retract policy, a late correction ships the recomputed
-one) instead of finalized rows — the coordinator merges and finalizes.
+**partial mode**: the CQ's window entry hands each window to one ship
+function, so a window close ships the shard's mergeable partial (and,
+under the retract policy, a late correction ships the recomputed one)
+instead of finalized rows — the coordinator merges and finalizes.
 A window whose evaluation raised ships as that failure, as data: the
 frame keeps applying and the merge-stage CQ raises it in its window entry.
 
@@ -55,8 +55,8 @@ class WorkerEngine:
     def create_cq(self, name: str, sql: str, params=None,
                   vectorize: bool = True) -> None:
         """Create the per-partition half of a CQ: parse the same SQL,
-        plan it locally, then replace the window operator's callbacks
-        with one that ships the window as a partial.
+        plan it locally, and split it so that its window entry ships
+        each window as a partial.
 
         ``vectorize`` mirrors the coordinator's executor choice so both
         sides aggregate with the same operator class and the partial
@@ -74,30 +74,22 @@ class WorkerEngine:
             cq = runtime.create_cq(statement, name=name, params=params)
         finally:
             runtime.vectorize = saved
-        cq.split_at(partition_plan(cq).agg)
-        op = cq._window_op
 
-        def ship(kind):
+        def ship(kind, close_time, partial):
             # every close ships: a shard with no rows in a window reports
             # an (empty) partial, or the coordinator could not tell
-            # "empty" from "still open"
-            def shipper(window, open_time, close_time):
-                if self.faults is not None and self.faults.armed:
-                    self.faults.check("partition.worker_crash",
-                                      f"{name}:{close_time}")
-                partial = cq.window_partial(window, open_time, close_time)
-                self._out.append({
-                    "type": "partial", "cq": name, "kind": kind,
-                    "close": close_time,
-                    "partial": partial_to_wire(partial),
-                })
-            return shipper
+            # "empty" from "still open".  A late correction ships the
+            # shard's recomputed contribution; the coordinator re-merges
+            # and emits the retract/correct pair
+            if self.faults is not None and self.faults.armed:
+                self.faults.check("partition.worker_crash",
+                                  f"{name}:{close_time}")
+            self._out.append({
+                "type": "partial", "cq": name, "kind": kind,
+                "close": close_time, "partial": partial_to_wire(partial),
+            })
 
-        op.sink = ship("final")
-        if cq.is_event_time():
-            # late corrections recompute the shard's contribution; the
-            # coordinator re-merges and emits the retract/correct pair
-            op.on_correction = ship("correct")
+        cq.split_at(partition_plan(cq).agg, ship)
         self._cqs[name] = cq
 
     # -- frame dispatch -----------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 from repro.catalog import catalog as cat
@@ -43,7 +44,7 @@ from repro.exec.planner import PlanContext, Planner
 from repro.sql import ast
 from repro.streaming.shared import join_store, leave_store
 from repro.streaming.streams import BaseStream, DerivedStream, StreamConsumer
-from repro.streaming.windows import WindowSpec
+from repro.streaming.windows import Partials, WindowSpec
 from repro.txn.window_consistency import WindowConsistentView
 
 
@@ -140,11 +141,6 @@ def stream_layout(stream) -> RowLayout:
     ])
 
 
-def _discard(*_record) -> None:
-    """A stopped CQ's window callbacks: whatever its operators still
-    close goes nowhere."""
-
-
 class FailedPartial:
     """A partial whose reduction raised (a slice sealed mid-delivery, a
     shard's window on a partition worker): the error is deferred to the
@@ -206,9 +202,17 @@ class ContinuousQuery(StreamConsumer):
         #: a line EXPLAIN leads with, set by whoever placed the CQ (the
         #: partition coordinator: why it runs unpartitioned)
         self.explain_note = None
-        #: True while ``recovery.replay_tail`` rebuilds the window
-        #: state: a late row replayed then was handled when it arrived
-        self.replaying = False
+        #: while ``recovery.replay_tail`` rebuilds the window state, the
+        #: close through which windows were produced before (-inf: none);
+        #: a late row replayed then was handled when it arrived
+        self.replay_through: Optional[float] = None
+        #: where a failed window entry goes, set by a supervisor:
+        #: ``fn(exc, kind, rows, open, close)``, and ``exc`` None after
+        #: an entry that succeeded; None: a failure raises
+        self.failure_handler = None
+        #: a worker half of a partitioned CQ: ``fn(kind, close, partial)``
+        #: ships each window's partial instead of evaluating it
+        self._ship = None
         select.from_clause = inline_streaming_views(
             select.from_clause, catalog)
         self.stats = CQStats()
@@ -280,14 +284,17 @@ class ContinuousQuery(StreamConsumer):
             self._window_op = None
             self._ports = None
             self._check_transform_shape()
+            self._evaluators = {"tuple": self._on_row}
         else:
             self._window_spec = WindowSpec.from_clause(self._stream_ref.window)
             if emit is not None \
                     or getattr(self.stream, "tracker", None) is not None:
                 self._init_event_time(emit)
+            self._evaluators = {"final": self._on_window,
+                                "correct": self._on_reopened,
+                                "early": self._on_early}
             self._window_op = self.window_operator(
-                self._on_window, self._on_reopened, self._on_early,
-                self._maybe_slice_window())
+                slice_fn=self._maybe_slice_window())
             self._ports = None
 
     def _init_event_time(self, emit) -> None:
@@ -319,24 +326,27 @@ class ContinuousQuery(StreamConsumer):
             self._h_lag = self.obs.registry.histogram(
                 "eventtime.watermark_lag_seconds")
 
-    def window_operator(self, sink, on_correction=None, on_early=None,
-                        slice_fn=None):
+    def window_operator(self, entry=None, slice_fn=None):
         """The window operator this CQ runs (arrival or event time, its
-        grid, lateness policy and EMIT settings) around the given
-        callbacks: the CQ's own, and the partition coordinator's
-        stand-in that decides when a boundary closes or re-opens."""
+        grid, lateness policy and EMIT settings), its close, re-open and
+        early emit bound to ``entry(kind, window, open, close)`` as
+        ``final`` / ``correct`` / ``early``: the CQ's own
+        :meth:`window_entry`, or the partition coordinator's stand-in
+        that records when a boundary closes or re-opens."""
+        if entry is None:
+            entry = self.window_entry
         spec = self._window_spec
         if not self.is_event_time():
-            return spec.make_operator(sink, slice_fn)
+            return spec.make_operator(partial(entry, "final"), slice_fn)
         stream = self.stream
         return EventTimeWindowOperator(
-            spec.visible, spec.advance, sink, slice_fn,
+            spec.visible, spec.advance, partial(entry, "final"), slice_fn,
             wm_fn=lambda: stream.watermark,
             allowed_lateness=self.allowed_lateness,
             late_policy=self.late_policy,
             on_late=self._on_late,
-            on_correction=on_correction,
-            on_early=on_early,
+            on_correction=partial(entry, "correct"),
+            on_early=partial(entry, "early"),
             emit_mode=self.emit_mode,
             emit_every=self.emit_every)
 
@@ -362,11 +372,11 @@ class ContinuousQuery(StreamConsumer):
         self._window_op = None
         self._pending = [{}, {}]        # boundary number -> (rows, open, close)
         self._flushed = [False, False]
-        ops_pair = [
-            spec.make_operator(
-                lambda rows, o, c, i=i: self._on_joint(i, rows, o, c))
-            for i, spec in enumerate(specs)
-        ]
+        sides = ("left", "right")
+        self._evaluators = {side: partial(self._on_joint, i)
+                            for i, side in enumerate(sides)}
+        ops_pair = [spec.make_operator(partial(self.window_entry, side))
+                    for side, spec in zip(sides, specs)]
         self._ports = [_StreamPort(self, i, op)
                        for i, op in enumerate(ops_pair)]
 
@@ -398,14 +408,14 @@ class ContinuousQuery(StreamConsumer):
         # a straggler makes 2 000; B attached one row later, seals
         # 1 998, the straggler makes 1 999 — and B would be served A's
         # stale partial of its first 1 999).  Sharing across event-time
-        # CQs waits for the sealing-policy object (ROADMAP item 3).
+        # CQs waits for the sealing-policy object (ROADMAP item 5).
         if self.is_sliced() and not self.is_event_time():
             join_store(self.stream, self.store_key, self._window_op)
 
     def detach(self) -> None:
         """Stop consuming the source stream(s) without terminating: the
         partitioned coordinator detaches its merge-stage CQ, whose
-        window callbacks are handed the workers' partials instead."""
+        window entry is handed the workers' partials instead."""
         for stream, consumer in self._subscriptions():
             stream.unsubscribe(consumer)
         if self.is_sliced():
@@ -413,24 +423,47 @@ class ContinuousQuery(StreamConsumer):
 
     def stop(self) -> None:
         """Terminate the CQ (paper: CQs run "until explicitly terminated").
-        Its window operators deliver nothing more — not even the rest of
-        a close already under way."""
+        Its window entry emits nothing more — not even the rest of a
+        close already under way."""
         self.detach()
         self._running = False
-        for op, callback in self.window_entries():
-            setattr(op, callback, _discard)
 
-    def window_entries(self) -> list:
-        """``(operator, callback name)`` for every window callback the
-        CQ's operator(s) evaluate the plan through: a close, an
-        event-time re-open and an early emit, or each side of a join.
-        Empty for a window-less transform, whose entry is
-        :meth:`on_tuple`."""
-        ops = ([port._op for port in self._ports] if self._ports is not None
-               else [self._window_op] if self._window_op is not None else [])
-        return [(op, callback) for op in ops
-                for callback in ("sink", "on_correction", "on_early")
-                if getattr(op, callback, None) is not None]
+    def window_entry(self, kind: str, window, open_time: float,
+                     close_time: float) -> None:
+        """The one way a window reaches the CQ.  Every callback of its
+        window operator(s) is this entry, bound to a kind when the
+        operator is built, and the partitioned coordinator's merge
+        calls it directly.  ``kind`` is ``final`` (a close), ``correct``
+        (a late row re-opened a closed window), ``early``, ``left`` /
+        ``right`` (one side of a join closed) or ``tuple`` (a
+        window-less transform's row).  In order:
+
+        - a stopped CQ emits nothing;
+        - during a replay, a window closing at or before
+          :attr:`replay_through` was produced before and is skipped;
+        - a worker half ships the window's partial instead of
+          evaluating it;
+        - a failure goes to :attr:`failure_handler` with the window's
+          rows, or raises when none is set."""
+        if not self._running:
+            return
+        through = self.replay_through
+        if through is not None and close_time <= through + 1e-9:
+            return
+        try:
+            if self._ship is not None:
+                self._ship(kind, close_time,
+                           self.window_partial(window, open_time, close_time))
+            else:
+                self._evaluators[kind](window, open_time, close_time)
+        except Exception as exc:
+            if self.failure_handler is None:
+                raise
+            rows = window.rows if isinstance(window, Partials) else window
+            self.failure_handler(exc, kind, rows, open_time, close_time)
+            return
+        if self.failure_handler is not None:
+            self.failure_handler(None, kind, window, open_time, close_time)
 
     def add_sink(self, sink) -> None:
         """``sink(kind, rows, open_time, close_time)`` gets every record
@@ -656,11 +689,13 @@ class ContinuousQuery(StreamConsumer):
                 return part
         return self._agg.merge_partials(partials)
 
-    def split_at(self, agg) -> None:
+    def split_at(self, agg, ship=None) -> None:
         """One half of a partitioned CQ, split at ``agg``: a worker's
-        ships :meth:`window_partial`, the coordinator's takes the
+        hands each window's :meth:`window_partial` to ``ship(kind,
+        close, partial)``, the coordinator's (no ``ship``) takes the
         workers' partials as its window."""
         self._agg = agg
+        self._ship = ship
 
     def window_partial(self, window, open_time: float, close_time: float):
         """One window as one partial, or the :class:`FailedPartial`:
@@ -696,7 +731,7 @@ class ContinuousQuery(StreamConsumer):
         dead-letter policy (and retract's expired leftovers) hand the
         row to the runtime-wired quarantine hook.  A replayed late row
         was counted and filed when it arrived live."""
-        if self.replaying:
+        if self.replay_through is not None:
             return
         if self._c_late is not None:
             self._c_late.inc()
@@ -766,10 +801,11 @@ class ContinuousQuery(StreamConsumer):
     # -- transform (window-less) mode -------------------------------------------
 
     def on_tuple(self, row: tuple, event_time: float) -> None:
-        if not self._running:
-            return
+        self.window_entry("tuple", [row], event_time, event_time)
+
+    def _on_row(self, rows, event_time: float, _close_time) -> None:
         self.stats.tuples_in += 1
-        self._evaluate([[row]], event_time, event_time, 1, (self.stream,),
+        self._evaluate([rows], event_time, event_time, 1, (self.stream,),
                        per_tuple=True)
 
     def on_heartbeat(self, event_time: float) -> None:

@@ -12,10 +12,10 @@ state of every operator — and that is the one way this engine does it:
 
 - :func:`replay_tail` — the one way window state comes back.  Every
   rebuild — at boot and at promotion — walks the tail through the
-  CQ's own window operator and its (guarded) window entries, each row
-  judged by the watermark it was delivered under, so a replayed row
-  meets exactly what it met live — a window whose evaluation raised
-  live raises again, and the replay walks past it.
+  CQ's own window operator and its window entry, each row judged by
+  the watermark it was delivered under, so a replayed row meets
+  exactly what it met live — a window whose evaluation raised live
+  raises again, and the replay walks past it.
 
 No extra I/O is paid during normal operation.  The stream source must
 retain a replayable tail (``retention`` on the stream, or the log a
@@ -89,9 +89,9 @@ def replay_tail(cq: ContinuousQuery, start: float, prepare=None,
     delivered it — each row judged by the watermark it was delivered
     under, the windows that watermark closed closed first — then close
     what the stream's watermark has closed since.  Closes, corrections
-    and early results go through the CQ's window entries (a
-    supervisor's guard, if any, included); those at or before
-    ``through`` were already produced and are dropped.
+    and early results go through the CQ's window entry (a
+    supervisor's handler, if any, included), which skips those at or
+    before ``through``: they were already produced.
 
     Raises :class:`RecoveryError` when rows at or after ``start`` were
     evicted from the tail — before ``prepare()``, the caller's own
@@ -105,18 +105,13 @@ def replay_tail(cq: ContinuousQuery, start: float, prepare=None,
     if prepare is not None:
         prepare()
     op = cq._window_op
-    entries = [(owner, name, getattr(owner, name))
-               for owner, name in cq.window_entries()]
-    if through is not None:
-        for owner, name, entry in entries:
-            setattr(owner, name, _after(through, entry))
     # an event-time operator reads the replay's clock; an arrival-time
     # one closes on the rows themselves
     clock = [NEG_INF]
     wm_fn = getattr(op, "wm_fn", None)
     if wm_fn is not None:
         op.wm_fn = lambda: clock[0]
-    cq.replaying = True
+    cq.replay_through = NEG_INF if through is None else through
     try:
         for when, row, watermark in stream.replay_entries(start):
             if wm_fn is not None and watermark > clock[0]:
@@ -126,9 +121,7 @@ def replay_tail(cq: ContinuousQuery, start: float, prepare=None,
         clock[0] = stream.watermark
         _walk(op.on_heartbeat, stream.watermark)
     finally:
-        cq.replaying = False
-        for owner, name, entry in entries:
-            setattr(owner, name, entry)
+        cq.replay_through = None
         if wm_fn is not None:
             op.wm_fn = wm_fn
     return start
@@ -166,11 +159,3 @@ def _walk(step, *args) -> None:
         step(*args)
     except Exception:
         log.debug("replay walked past a raise", exc_info=True)
-
-
-def _after(through: float, entry):
-    """``entry`` for windows closing after ``through`` only."""
-    def produced_later(window, open_time, close_time):
-        if close_time > through + 1e-9:
-            entry(window, open_time, close_time)
-    return produced_later

@@ -602,9 +602,10 @@ class DerivedStream:
         CQ's lateness machinery.  ``correct`` rewrites the retained
         window in place, so failover replay (``replay_windows``) hands
         a reconnecting subscriber the *corrected* content; consumers
-        that understand corrections (``on_correction``) get the typed
-        record, others are left alone (they will converge through
-        replay or the REPLACE table)."""
+        that understand corrections (``on_correction``: a channel) get
+        the typed record.  Every other consumer is left alone and does
+        not converge: a windowed CQ over this stream keeps what it
+        computed from the uncorrected window (ROADMAP item 3)."""
         if kind == "correct" and self.retention is not None:
             for i, (w_open, w_close, _rows) in enumerate(self._window_tail):
                 if w_close == close_time and w_open == open_time:

@@ -16,14 +16,19 @@ pipeline down.  The supervisor is the runtime's answer:
   recovery's job, at boot and at promotion
   (:mod:`repro.streaming.recovery`).
 
-- **Bounded retry with exponential backoff** for channel writes: a
-  transient storage fault (the simulated disk hiccuping) is retried up
-  to ``policy.channel_retry_limit`` times with delays
-  ``backoff_base * backoff_factor^attempt`` before the record is
-  quarantined.  The guard wraps the channel's one write, so a final, a
-  retract and a correct are retried alike, and a write that keeps
-  failing is the channel's dead letter — never a failure of the CQ
-  whose evaluation succeeded.
+- **Bounded retry** for channel writes: a transient storage fault (the
+  simulated disk hiccuping) is retried at once, up to
+  :data:`CHANNEL_RETRY_LIMIT` times, before the record is quarantined.
+  Nothing sleeps between attempts: the engine runs on one thread, and a
+  pause there would stall every session.  The guard wraps the channel's
+  one write, so a final, a retract and a correct are retried alike, and
+  a write that keeps failing is the channel's dead letter — never a
+  failure of the CQ whose evaluation succeeded.
+
+A CQ is not wrapped: the supervisor sets the CQ's one
+``failure_handler``, which its window entry
+(:meth:`~repro.streaming.cq.ContinuousQuery.window_entry`) calls after
+every window, correction, early result or transform tuple.
 
 Supervision state machine (per supervised entity)::
 
@@ -35,13 +40,12 @@ Supervision state machine (per supervised entity)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
 from repro.eventtime.lateness import LATE_EVENT as _LATE_EVENT
 from repro.streaming.streams import BaseStream
-from repro.streaming.windows import Partials
 from repro.types.datatypes import (
     IntegerType,
     TimestampType,
@@ -64,15 +68,10 @@ LATE_EVENT = _LATE_EVENT
 #: catalog name of the stream dead letters are republished on
 DEAD_LETTER_STREAM = "repro_dead_letter_stream"
 
-
-@dataclass
-class SupervisorPolicy:
-    """Tunables; every field is reachable through ``SET`` session options."""
-
-    channel_retry_limit: int = 3     # retries before a batch is quarantined
-    backoff_base: float = 0.01       # seconds; first retry delay
-    backoff_factor: float = 2.0      # delay multiplier per retry
-    dead_letter_capacity: int = 10000
+#: retries of a failed channel write before its record is quarantined
+CHANNEL_RETRY_LIMIT = 3
+#: dead letters kept in ``repro_dead_letters``; the oldest go first
+DEAD_LETTER_CAPACITY = 10000
 
 
 @dataclass
@@ -99,7 +98,6 @@ class _Entry:
     failures: int = 0
     retries: int = 0
     dead_letters: int = 0
-    backoff_seconds: float = 0.0
     last_error: Optional[str] = None
 
 
@@ -111,15 +109,8 @@ class CQSupervisor:
     supervision is switched on mid-session).
     """
 
-    def __init__(self, runtime,
-                 policy: Optional[SupervisorPolicy] = None,
-                 sleep_fn: Optional[Callable[[float], None]] = None):
+    def __init__(self, runtime):
         self.runtime = runtime
-        self.policy = policy if policy is not None else SupervisorPolicy()
-        # backoff delays are *accounted* by default rather than slept:
-        # the engine is simulated-time driven, and chaos tests should not
-        # wall-block.  Pass sleep_fn=time.sleep for real pauses.
-        self._sleep_fn = sleep_fn
         self._entries: List[_Entry] = []
         self._by_target = {}
         self.dead_letter_log: List[DeadLetter] = []
@@ -165,7 +156,7 @@ class CQSupervisor:
         letter = DeadLetter(self._dl_seq, source, kind, reason,
                             list(rows), open_time, close_time)
         self.dead_letter_log.append(letter)
-        if len(self.dead_letter_log) > self.policy.dead_letter_capacity:
+        if len(self.dead_letter_log) > DEAD_LETTER_CAPACITY:
             del self.dead_letter_log[0]
         for entry in self._entries:
             if entry.name == source:
@@ -196,27 +187,25 @@ class CQSupervisor:
             return self._by_target[id(cq)]
         entry = _Entry(cq.name, "cq", cq)
         self._register(entry)
-        if not cq.window_entries():
-            # window-less transform: the stream calls cq.on_tuple per row
-            cq.on_tuple = self._guard(
-                entry, cq.on_tuple,
-                lambda exc, row, event_time: self._cq_failure(
-                    entry, [row], event_time, event_time, exc,
-                    kind=POISON_TUPLE))
 
-        def window_failed(exc, window, open_time, close_time):
-            # a window of partials letters its rows, as the rows path does
-            rows = window.rows if isinstance(window, Partials) else window
-            self._cq_failure(entry, rows, open_time, close_time, exc)
+        def outcome(exc, kind, rows, open_time, close_time):
+            if exc is None:
+                if entry.state == DEGRADED:
+                    entry.state = RUNNING
+                return
+            entry.failures += 1
+            entry.state = DEGRADED
+            entry.last_error = f"{type(exc).__name__}: {exc}"
+            self.quarantine(
+                entry.name, POISON_TUPLE if kind == "tuple" else POISON_WINDOW,
+                entry.last_error, rows, open_time, close_time)
 
-        for op, callback in cq.window_entries():
-            setattr(op, callback,
-                    self._guard(entry, getattr(op, callback), window_failed))
+        cq.failure_handler = outcome
         return entry
 
     def adopt_channel(self, channel) -> _Entry:
-        """Supervise one channel: bounded retry with exponential backoff,
-        then quarantine of the failed batch."""
+        """Supervise one channel: bounded retry, then quarantine of the
+        failed batch."""
         if id(channel) in self._by_target:
             return self._by_target[id(channel)]
         entry = _Entry(channel.name, "channel", channel)
@@ -264,50 +253,22 @@ class CQSupervisor:
         self._by_target[id(entry.target)] = entry
 
     # ------------------------------------------------------------------
-    # CQ wrapping
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _guard(entry: _Entry, original, failed):
-        """``original`` with a failure handed to ``failed(exc, *args)``
-        and a success taking a degraded entry back to running."""
-        def guarded(*args):
-            try:
-                original(*args)
-            except Exception as exc:
-                failed(exc, *args)
-                return
-            if entry.state == DEGRADED:
-                entry.state = RUNNING
-        return guarded
-
-    def _cq_failure(self, entry: _Entry, rows, open_time, close_time, exc,
-                    kind: str = POISON_WINDOW) -> None:
-        entry.failures += 1
-        entry.state = DEGRADED
-        entry.last_error = f"{type(exc).__name__}: {exc}"
-        self.quarantine(entry.name, kind, entry.last_error, rows,
-                        open_time, close_time)
-
-    # ------------------------------------------------------------------
     # channel wrapping
     # ------------------------------------------------------------------
 
     def _guard_channel(self, entry: _Entry) -> None:
         """Wrap the channel's one write — a final's, a retract's, a
-        correct's — in bounded retry with backoff, then quarantine."""
+        correct's — in bounded retry, then quarantine."""
         channel = entry.target
         write = channel.write
-        policy = self.policy
 
         def guarded(kind, rows, open_time, close_time):
-            delay = policy.backoff_base
-            for attempt in range(policy.channel_retry_limit + 1):
+            for attempt in range(CHANNEL_RETRY_LIMIT + 1):
                 try:
                     write(kind, rows, open_time, close_time)
                 except Exception as exc:
                     entry.last_error = f"{type(exc).__name__}: {exc}"
-                    if attempt == policy.channel_retry_limit:
+                    if attempt == CHANNEL_RETRY_LIMIT:
                         entry.failures += 1
                         entry.state = DEGRADED
                         self.quarantine(
@@ -317,10 +278,6 @@ class CQSupervisor:
                             rows, open_time, close_time)
                         return
                     entry.retries += 1
-                    entry.backoff_seconds += delay
-                    if self._sleep_fn is not None:
-                        self._sleep_fn(delay)
-                    delay *= policy.backoff_factor
                 else:
                     if entry.state == DEGRADED:
                         entry.state = RUNNING
@@ -340,7 +297,7 @@ class CQSupervisor:
         for e in self._entries:
             out.append((
                 e.name, e.kind, e.state, e.failures, e.retries,
-                round(e.backoff_seconds, 6), e.dead_letters, e.last_error,
+                e.dead_letters, e.last_error,
             ))
         return out
 

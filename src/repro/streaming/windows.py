@@ -138,6 +138,7 @@ class TimeWindowOperator(StreamConsumer):
                             else time_gcd(self.visible, self.advance))
         if self.slice_width <= 0:
             raise WindowError("window extents must be at least 1 microsecond")
+        self._gap = self._gap_slices()
         self._slices = {}                 # slice index -> (times, rows)
         self._base: Optional[float] = None
         self._boundary_index = 0          # next close = base + index*advance
@@ -160,6 +161,7 @@ class TimeWindowOperator(StreamConsumer):
         if store.width != self.slice_width:
             points = self.points()
             self.slice_width = store.width
+            self._gap = self._gap_slices()
             self.load(points)
 
     def leave(self) -> None:
@@ -198,6 +200,21 @@ class TimeWindowOperator(StreamConsumer):
             return None
         return self._slice_index(horizon)
 
+    def _gap_slices(self) -> Optional[tuple]:
+        """``(slices per ADVANCE, how many open each ADVANCE)`` when
+        ADVANCE is wider than VISIBLE, else None: the first slices of
+        each ADVANCE lie in no window, and a row filed into one is
+        dropped (the check runs when a slice is first held, so a window
+        without a gap pays nothing per row)."""
+        if math.isinf(self.visible) or self.advance <= self.visible:
+            return None
+        per_advance = round(self.advance / self.slice_width)
+        return per_advance, per_advance - round(self.visible / self.slice_width)
+
+    def _in_gap(self, index: int) -> bool:
+        gap = self._gap
+        return gap is not None and index % gap[0] < gap[1]
+
     def _slice_index(self, event_time: float) -> int:
         # the epsilon keeps an event exactly on a slice edge (up to float
         # representation) in the slice it opens
@@ -209,7 +226,8 @@ class TimeWindowOperator(StreamConsumer):
         index = self._slice_index(event_time)
         held = self._slices.get(index)
         if held is None:
-            self._slices[index] = ([event_time], [row])
+            if not self._in_gap(index):
+                self._slices[index] = ([event_time], [row])
         else:
             held[0].append(event_time)
             held[1].append(row)
@@ -233,12 +251,28 @@ class TimeWindowOperator(StreamConsumer):
             j = bisect_left(times, limit, i)
             held = slices.get(idx)
             if held is None:
-                slices[idx] = (times[i:j], rows[i:j])
+                if not self._in_gap(idx):
+                    slices[idx] = (times[i:j], rows[i:j])
             else:
                 held[0].extend(times[i:j])
                 held[1].extend(rows[i:j])
             self.tuples_in += j - i
             i = j
+
+    def newest_shown(self, times: list) -> int:
+        """Index of the newest row of a time-sorted batch that a window
+        shows (-1: none): the last — unless it lies in a gap, then the
+        newest before that gap.  A flush closes through it."""
+        last = len(times) - 1
+        gap = self._gap
+        while gap is not None and last >= 0:
+            index = self._slice_index(times[last])
+            if index % gap[0] >= gap[1]:
+                break
+            opens = index - index % gap[0]      # the gap's first slice
+            last = bisect_left(times, (opens - 1e-9) * self.slice_width,
+                               0, last) - 1
+        return last
 
     def _covered(self, open_time: float, boundary: float) -> list:
         """The held slices of the window ``[open_time, boundary)`` as
@@ -307,7 +341,8 @@ class TimeWindowOperator(StreamConsumer):
         index = int(math.floor(event_time / self.slice_width + 1e-9))
         held = self._slices.get(index)
         if held is None:
-            self._slices[index] = ([event_time], [row])
+            if not self._in_gap(index):
+                self._slices[index] = ([event_time], [row])
         else:
             held[0].append(event_time)
             held[1].append(row)

@@ -48,7 +48,7 @@ from repro.replication import WalApplier, open_database
 from repro.server import ServerThread, TruSQLServer
 from repro.storage.wal import WriteAheadLog, record_line, record_to_wire, \
     stream_points
-from repro.streaming.supervisor import SupervisorPolicy
+from repro.streaming.supervisor import CHANNEL_RETRY_LIMIT
 from tests.test_cq_oracle import Approx, event_oracle, float_sum
 
 TOPOLOGIES = ["db", "partitions", "wire", "reopen"]
@@ -58,9 +58,7 @@ KEYS = ["a", "b", "g", "h", None]
 WINDOWS = [(10.0, 5.0), (6.0, 6.0), (4.0, 10.0)]
 POLICIES = ["DROP", "DEAD LETTER", "RETRACT", "RETRACT"]
 POISONS = [None, "10 / (sum(v) - 6)", "10 / (sum(v) - 0)", "sum(10 / v)"]
-#: a retried channel write accounts no backoff
-POLICY = SupervisorPolicy(backoff_base=0.0)
-PERMANENT = POLICY.channel_retry_limit + 1
+PERMANENT = CHANNEL_RETRY_LIMIT + 1
 #: columns holding a double ``sum`` / ``avg`` (``r`` too, for sum(10 / v))
 SUM, MEAN, R = 2, 3, 6
 #: arrivals before the input may end: 18 at the default step count, 300
@@ -178,9 +176,9 @@ class Engine:
         self.last, self.tears, self.x = None, 0, None
         self.server = self.conn = None
         self.db = self.front = self._open(self._new_dir()) \
-            if topology == "reopen" else self._supervised(Database(
+            if topology == "reopen" else Database(
                 vectorize=cfg.vectorize, disorder_policy="drop",
-                fault_injector=self.faults))
+                fault_injector=self.faults, supervised=cfg.supervised)
         if topology == "partitions":
             self.front = PartitionedEngine(
                 partitions=cfg.partitions, transport=cfg.transport,
@@ -193,22 +191,17 @@ class Engine:
             self.front.execute(ddl)
         self.setup = self.db.storage.wal.head_lsn   # no cut falls inside
 
-    def _supervised(self, db):
-        if self.cfg.supervised:
-            db.enable_supervision().policy = POLICY
-        return db
-
     def _new_dir(self):
         self.dirs.append(tempfile.mkdtemp(prefix="differential-"))
         return self.dirs[-1]
 
     def _open(self, path, standby=False):
         """A life on the log at ``path``: supervised from its boot on,
-        as a served data dir is, under the default policy until then."""
-        return self._supervised(open_database(
+        as a served data dir is."""
+        return open_database(
             wal_path=path, standby=standby, stream_retention=1e9,
             disorder_policy="drop", vectorize=self.cfg.vectorize,
-            fault_injector=self.faults, supervised=self.cfg.supervised))
+            fault_injector=self.faults, supervised=self.cfg.supervised)
 
     def subscribe(self, role):
         """A subscribed CQ — none on a data dir: it ends with its life."""

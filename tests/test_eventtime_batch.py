@@ -13,9 +13,12 @@ What is pinned here:
   and ``RETRACT`` with a straggler frame after the ordered ones; a
   reopened data dir and sampled traces agree too;
 * **the path taken** — an in-order frame makes no ``BaseStream.insert``
-  call and one heartbeat; a disordered frame, a frame starting behind
-  the watermark, an ``EMIT ON CHANGE`` reader, a gapped ``DROP`` window
-  and a supervised stream keep one ``insert`` per row;
+  call and one heartbeat, a gapped window's too; a disordered frame, a
+  frame starting behind the watermark, an ``EMIT ON CHANGE`` reader and
+  a supervised stream keep one ``insert`` per row;
+* **the gap** — a row in no window (``ADVANCE`` wider than ``VISIBLE``)
+  is dropped when it is filed, so a flush closes no extra empty window,
+  in arrival and event time;
 * **the partition router** — in-order frames at two workers, then a
   straggler under ``RETRACT``, answer what one ``Database`` answers.
 """
@@ -193,12 +196,15 @@ def ingest(frames, query=sql("sliding", "RETRACT"), **options):
     return db
 
 
-@pytest.mark.parametrize("form", ["rows", "row block"])
+@pytest.mark.parametrize("form", ["rows", "row block",
+                                  "a gapped DROP window"])
 def test_an_in_order_frame_makes_no_insert_call_and_one_heartbeat(calls,
                                                                   form):
-    db = ingest(FRAMES[:1])
-    frame = FRAMES[1] if form == "rows" \
-        else rowblock.decode(rowblock.encode(FRAMES[1]))[0]
+    gapped = form == "a gapped DROP window"
+    db = ingest(FRAMES[:1], sql("gapped", "DROP")) if gapped \
+        else ingest(FRAMES[:1])
+    frame = rowblock.decode(rowblock.encode(FRAMES[1]))[0] \
+        if form == "row block" else FRAMES[1]
     calls.clear()
     db.insert_stream("s", frame)
     assert calls == {"_broadcast_heartbeat": 1}
@@ -206,7 +212,7 @@ def test_an_in_order_frame_makes_no_insert_call_and_one_heartbeat(calls,
 
 @pytest.mark.parametrize("case", [
     "a row behind its predecessor", "a row behind the watermark",
-    "an EMIT ON CHANGE reader", "a gapped DROP window", "a supervised stream"])
+    "an EMIT ON CHANGE reader", "a supervised stream"])
 def test_every_other_frame_goes_a_row_at_a_time(calls, case):
     frame = list(FRAMES[1])
     query, options = sql("sliding", "RETRACT"), {}
@@ -217,14 +223,62 @@ def test_every_other_frame_goes_a_row_at_a_time(calls, case):
         frame[0] = (frame[0][0], frame[0][1], -3.0)   # the watermark is -1
     elif case == "an EMIT ON CHANGE reader":
         query = query.replace("ON WATERMARK", "ON CHANGE")
-    elif case == "a gapped DROP window":
-        query = sql("gapped", "DROP")
     else:
         options["supervised"] = True
     db = ingest(FRAMES[:1], query, **options)
     calls.clear()
     db.insert_stream("s", frame)
     assert calls["insert"] == len(frame)
+
+
+# -- the gap -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("event_time", [False, True],
+                         ids=["arrival time", "event time"])
+@pytest.mark.parametrize("row_at_a_time", [False, True],
+                         ids=["frame", "row at a time"])
+def test_a_row_in_the_gap_is_in_no_window_and_flush_adds_none(
+        event_time, row_at_a_time):
+    """Windows [6, 10), [16, 20), [26, 30): 12 and 21 lie in a gap.  The
+    window over 17 closes at 20 with a row; nothing is held after it,
+    so the flush closes no empty window at 30."""
+    ddl = DDL if event_time else DDL.replace(" WATERMARK '5 seconds'", "")
+    db = Database()
+    db.execute(ddl)
+    sub = db.subscribe(f"SELECT count(*) c FROM s {WINDOWS['gapped']}")
+    if row_at_a_time:
+        per_row(db.runtime.get_stream("s"))
+    db.insert_stream("s", [("a", 1, 7.0), ("b", 1, 12.0), ("c", 1, 17.0),
+                           ("d", 1, 21.0)])
+    assert sub.cq._window_op.buffered == (1 if event_time else 0)
+    db.flush_streams()
+    assert [(w.close_time, w.rows) for w in sub.poll()] == [
+        (10.0, [(1,)]), (20.0, [(1,)])]
+    db.close()
+
+
+def test_the_router_flushes_the_window_between_two_gap_rows():
+    """A frame whose first and last rows lie in gaps: the router hands
+    its boundary operator the newest row a window shows (17), so the
+    flush closes 20 as the single engine does."""
+    ddl = DDL + " PARTITION BY k"
+    query = f"SELECT k, count(*) c FROM s {WINDOWS['gapped']} GROUP BY k"
+
+    def answers(ingest, flush, sub):
+        ingest("s", [("a", 1, 7.0)])
+        ingest("s", [("b", 1, 12.0), ("c", 1, 17.0), ("d", 1, 21.0)])
+        flush()
+        return [(w.close_time, sorted(w.rows)) for w in sub.poll()]
+
+    db = Database()
+    db.execute(ddl)
+    want = answers(db.insert_stream, db.flush_streams, db.subscribe(query))
+    db.close()
+    assert want == [(10.0, [("a", 1)]), (20.0, [("c", 1)])]
+    with PartitionedEngine(partitions=2) as eng:
+        eng.execute(ddl)
+        assert answers(eng.ingest, eng.flush, eng.execute(query)) == want
 
 
 # -- the partition router -------------------------------------------------------
@@ -235,13 +289,13 @@ def test_partition_router_under_event_time_frames(monkeypatch):
     segment rides in front of a worker's run: no row is late at its
     worker, and the sync after the frame tops every worker up."""
     batches = []
-    on_batch = coordinator._StreamRoute._on_batch
+    on_tuples = coordinator._StreamRoute.on_tuples
 
     def counted(self, rows, times):
         batches.append(len(rows))
-        return on_batch(self, rows, times)
+        return on_tuples(self, rows, times)
 
-    monkeypatch.setattr(coordinator._StreamRoute, "_on_batch", counted)
+    monkeypatch.setattr(coordinator._StreamRoute, "on_tuples", counted)
     ddl = DDL + " PARTITION BY k"
     cq = sql("sliding", "RETRACT")
 

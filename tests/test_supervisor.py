@@ -1,8 +1,7 @@
 """Tests for the supervised CQ runtime: dead-letter quarantine,
-channel-write retry with backoff, a CQ that runs on through consecutive
-poison windows, and the SET/SHOW + system-view surface."""
+channel-write retry, a CQ that runs on through consecutive poison
+windows, and the SET/SHOW + system-view surface."""
 
-import dataclasses
 import io
 
 import pytest
@@ -12,7 +11,7 @@ from repro.cli import Shell
 from repro.core.results import Subscription
 from repro.errors import ExecutionError
 from repro.faults import FaultInjector
-from repro.streaming.supervisor import SupervisorPolicy
+from repro.streaming.supervisor import CHANNEL_RETRY_LIMIT
 
 STREAM_DDL = ("CREATE STREAM s (k varchar(10), v integer, "
               "ts timestamp CQTIME USER)")
@@ -125,10 +124,6 @@ class TestChannelRetry:
         assert db.table_rows("arch") == [("a", 1, 60.0)]
         entry = db.supervisor.entry_for(db.catalog.get_channel("ch"))
         assert entry.retries == 2
-        # exponential: base + base*factor
-        policy = db.supervisor.policy
-        expected = policy.backoff_base * (1 + policy.backoff_factor)
-        assert entry.backoff_seconds == pytest.approx(expected)
 
     def test_permanent_fault_quarantines_batch(self, db):
         injector = FaultInjector()
@@ -142,6 +137,8 @@ class TestChannelRetry:
                    if row[2] == "channel-write"]
         assert len(letters) == 1
         assert letters[0][4] == 1  # the lost batch had one row
+        entry = db.supervisor.entry_for(db.catalog.get_channel("ch"))
+        assert entry.retries == CHANNEL_RETRY_LIMIT
         # the pipeline keeps running once the fault clears
         injector.disarm()
         db.insert_stream("s", [("b", 1, 65.0)])
@@ -377,20 +374,6 @@ class TestSessionOptions:
         names = [row[0] for row in db.supervisor.status_rows()]
         assert "s" in names
 
-    def test_set_policy_knob_requires_supervision(self):
-        db = Database()
-        with pytest.raises(ExecutionError):
-            db.execute("SET channel_retry_limit = 5")
-        db.execute("SET supervision = on")
-        db.execute("SET channel_retry_limit = 5")
-        assert db.supervisor.policy.channel_retry_limit == 5
-        # no option sets a restart: a poison window is only quarantined
-        for name in ("restart_limit", "max_restarts"):
-            with pytest.raises(ExecutionError, match="unknown session option"):
-                db.execute(f"SET {name} = 2")
-            with pytest.raises(ExecutionError, match="unknown session option"):
-                db.query(f"SHOW {name}")
-
     def test_set_fault_seed_installs_injector(self):
         db = Database()
         db.execute("SET fault_seed = 1234")
@@ -409,14 +392,23 @@ class TestSessionOptions:
                 db.execute(f"SET {name} = 2")
             with pytest.raises(ExecutionError):
                 db.query(f"SHOW {name}")
+        # no option sets a restart (a poison window is only quarantined)
+        # or tunes the retry and the dead-letter log: they are constants
+        db.execute("SET supervision = on")
+        for name in ("restart_limit", "max_restarts", "channel_retry_limit",
+                     "backoff_base", "backoff_factor",
+                     "dead_letter_capacity"):
+            with pytest.raises(ExecutionError, match="unknown session option"):
+                db.execute(f"SET {name} = 5")
+            with pytest.raises(ExecutionError, match="unknown session option"):
+                db.query(f"SHOW {name}")
 
     def test_show_all(self):
         db = Database(supervised=True)
         result = db.query("SHOW ALL")
         names = [row[0] for row in result.rows]
         assert "supervision" in names
-        assert "channel_retry_limit" in names
-        assert len(names) == 18
+        assert len(names) == 14
         assert len(Database().query("SHOW ALL").rows) == 14
 
 
@@ -435,6 +427,9 @@ class TestSupervisorStatusView:
         assert ("derived:agg", "cq") in entries
         assert ("ch", "channel") in entries
         assert all(state == "running" for _n, _k, state in rows)
+        columns = db.query("SELECT * FROM repro_supervisor_status").columns
+        assert columns == ["name", "kind", "state", "failures", "retries",
+                           "dead_letters", "last_error"]
 
     def test_dropped_objects_leave_the_view(self, db):
         db.execute_script("""
@@ -489,14 +484,3 @@ class TestShellCommands:
         shell, out = self.shell(db)
         shell.handle_line("\\deadletters")
         assert "no dead letters" in out.getvalue()
-
-
-class TestPolicyDefaults:
-    def test_policy_dataclass_defaults(self):
-        policy = SupervisorPolicy()
-        assert dataclasses.astuple(policy) == (3, 0.01, 2.0, 10000)
-
-    def test_custom_policy_via_enable(self):
-        db = Database()
-        db.enable_supervision(policy=SupervisorPolicy(channel_retry_limit=7))
-        assert db.supervisor.policy.channel_retry_limit == 7

@@ -94,10 +94,10 @@ class TestTimeWindows:
         op, out = collect(1, 5)
         for t in (4.5, 6, 7, 9.5, 12):
             op.on_tuple((t,), t)
-        # 6 and 7 fall between [4, 5) and [9, 10): no window sees them,
-        # and they go with the next close
+        # 6, 7 and 12 fall in the gaps [5, 9) and [10, 14): no window
+        # sees them, and none is held
         assert out == [(4, 5, [4.5]), (9, 10, [9.5])]
-        assert op.buffered == 1
+        assert op.buffered == 0
 
     def test_heartbeat_before_any_tuple_is_noop(self):
         op, out = collect(60, 60)
