@@ -9,6 +9,13 @@ and every CQ merges the slices its window sees.  A1 is the ablation:
 the same K CQs made key-distinct by a per-CQ stream alias, so each
 keeps a store of its own and reduces every slice again.  We report rows
 reduced to partials (the stores' counter) and wall time as K grows.
+
+The W sweep is the other half of a sliced close: one CQ at
+``VISIBLE 'W minutes' ADVANCE '1 minute'`` merges the partials of the W
+slices its window covers.  A left fold makes W - 1 pairwise merges a
+close; the CQ's two stacks (``SlidingMerge``) make at most 3 amortized,
+whatever W is.  We report merges per close and wall time for W = 2..60,
+over enough data that every W fills.
 """
 
 import time
@@ -22,6 +29,11 @@ EVENTS = 12_000
 RATE = 100.0  # events/second -> 2 minutes of data
 
 WINDOW_MINUTES = [1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 30, 40, 50, 60, 90]
+
+W_SWEEP = [2, 5, 10, 20, 30, 60]
+SWEEP_URLS = 300
+SWEEP_RATE = 10.0     # events/second: 600 rows a slice
+SWEEP_MINUTES = 120   # every W fills, and W = 60 closes 60 full windows
 
 
 def cq_sql(minutes, alias=""):
@@ -84,3 +96,52 @@ def test_e4_shared_vs_unshared(benchmark, report):
     assert distinct_work == [EVENTS * k for k in K_SWEEP]
 
     benchmark.pedantic(lambda: run(4, share=True), rounds=2, iterations=1)
+
+
+def sweep(minutes):
+    """One CQ at ``minutes`` slices a window: (merges per close, closes,
+    wall seconds)."""
+    db = Database()
+    db.execute("CREATE STREAM url_stream (url varchar(1024), "
+               "atime timestamp CQTIME USER, client_ip varchar(50))")
+    sub = db.subscribe(cq_sql(minutes))
+    agg = sub.cq._agg
+    merge_partials = agg.merge_partials
+    merges = [0]
+
+    def counting(parts):
+        parts = list(parts)
+        merges[0] += max(len(parts) - 1, 0)
+        return merge_partials(parts)
+
+    agg.merge_partials = counting
+    gen = ClickstreamGenerator(n_urls=SWEEP_URLS, rate_per_second=SWEEP_RATE,
+                               seed=4)
+    events = gen.batch(int(SWEEP_RATE * 60 * SWEEP_MINUTES))
+    started = time.perf_counter()
+    for i in range(0, len(events), 600):
+        db.insert_stream("url_stream", events[i:i + 600])
+    wall = time.perf_counter() - started
+    closes = len(sub.poll())
+    return merges[0] / closes, closes, wall
+
+
+def test_e4_window_length_sweep(benchmark, report):
+    report.experiment_id = "E4_window_sweep"
+    rows = []
+    for minutes in W_SWEEP:
+        per_close, closes, wall = sweep(minutes)
+        rows.append([minutes, minutes - 1, round(per_close, 2), closes,
+                     round(wall, 3)])
+        # a close reuses the window before it: ≤ 3 merges amortized
+        assert per_close <= 3
+    text = format_table(
+        ["W slices", "left-fold merges per full close",
+         "merges per close", "closes", "wall s"],
+        rows,
+        title=f"E4 W sweep: one CQ <VISIBLE 'W minutes' ADVANCE '1 minute'>,"
+              f" {SWEEP_MINUTES} min at {SWEEP_RATE:g} ev/s over "
+              f"{SWEEP_URLS} urls")
+    print("\n" + text)
+    report.add(text)
+    benchmark.pedantic(lambda: sweep(W_SWEEP[-1]), rounds=1, iterations=1)

@@ -217,10 +217,13 @@ class BatchAggregate(ops.HashAggregate):
 
     The partial protocol, the finalize and the pin (``set_merged``) are
     :class:`~repro.exec.operators.HashAggregate`'s; this class reduces a
-    column batch to the same partial dict — same state shapes, same
+    column batch to the same partial dict — same state tuples, same
     first-seen group order — with numpy kernels, and hands a batch the
     kernels cannot take exactly (a NULL group key, min/max over an
-    object lane) to the inherited loop.
+    object lane) to the inherited loop.  A numeric group lane is
+    grouped by ``np.unique``; an object lane (text) is hashed through a
+    dict, as the rows loop groups it, so it needs no sort of Python
+    strings and its groups come out first-seen as they are found.
     """
 
     mode = "batch"
@@ -266,21 +269,30 @@ class BatchAggregate(ops.HashAggregate):
             return {}
         if self._group_kernel is None:
             codes = np.zeros(n, dtype=np.intp)
-            g = 1
             keys = [()]
-            first_seen = range(1)
         else:
             group_values, group_mask = self._group_kernel(batch, ctx)
             if group_mask is not None and group_mask.any():
                 # NULL group keys are rare; keep exact dict semantics
                 return self._reduce_rows(batch.to_rows(), ctx)
-            uniques, first_index, codes = np.unique(
-                group_values, return_index=True, return_inverse=True)
-            g = len(uniques)
-            key_values = uniques.tolist()
+            if group_values.dtype == object:
+                # hash, as the rows loop does: codes in first-seen order
+                values = group_values.tolist()
+                key_values = list(dict.fromkeys(values))
+                code_of = dict(zip(key_values, range(len(key_values))))
+                codes = np.fromiter(map(code_of.__getitem__, values),
+                                    dtype=np.intp, count=n)
+            else:
+                uniques, first_index, codes = np.unique(
+                    group_values, return_index=True, return_inverse=True)
+                # np.unique sorts; renumber the groups first-seen
+                first_seen = np.argsort(first_index, kind="stable")
+                rank = np.empty_like(first_seen)
+                rank[first_seen] = np.arange(len(first_seen))
+                codes = rank[codes]
+                key_values = uniques[first_seen].tolist()
             keys = [(k,) for k in key_values]
-            # np.unique sorts; HashAggregate emits first-seen order
-            first_seen = np.argsort(first_index, kind="stable").tolist()
+        g = len(keys)
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
         starts = np.searchsorted(sorted_codes, np.arange(g))
@@ -291,7 +303,4 @@ class BatchAggregate(ops.HashAggregate):
                        for va in self._vector_aggs]
         except _RowwiseNeeded:
             return self._reduce_rows(batch.to_rows(), ctx)
-        return {
-            keys[gi]: [states[gi] for states in per_agg]
-            for gi in first_seen
-        }
+        return dict(zip(keys, zip(*per_agg) if per_agg else [()] * g))

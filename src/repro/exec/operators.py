@@ -387,11 +387,13 @@ class HashAggregate(Operator):
     row is produced even over empty input (scalar-aggregate semantics).
 
     The mergeable-partial protocol lives here, once: ``accumulate``
-    (input -> partial ``{group key: [state, ...]}``), ``merge_partials``,
+    (input -> partial ``{group key: (state, ...)}``), ``merge_partials``,
     ``finalize`` and ``set_merged`` (pin the finalized rows: the plan
     above runs over a merge made elsewhere) serve sliced windows and
     partitioned CQs; :class:`repro.exec.batch_ops.BatchAggregate` only
-    puts vector kernels in front.  Groups come in first-seen order.
+    puts vector kernels in front.  Groups come in first-seen order.  A
+    state vector is a tuple: a merge shares it by reference with the
+    partials it came from, and nothing can change it in place.
     """
 
     def __init__(self, child: Operator, group_exprs: Sequence[Callable],
@@ -431,7 +433,7 @@ class HashAggregate(Operator):
             for i, (agg, arg_fn) in enumerate(specs):
                 value = arg_fn(row, ctx) if arg_fn is not None else None
                 states[i] = agg.add(states[i], value)
-        return groups
+        return {key: tuple(states) for key, states in groups.items()}
 
     def merge_partials(self, partials) -> dict:
         """Fold partials into one, a dict at a time: the first is copied
@@ -441,12 +443,12 @@ class HashAggregate(Operator):
         partial's order, so groups stay in first-seen order; ``merge``
         always returns a new value, so no input state is mutated
         (partials are reused across overlapping windows)."""
-        aggs = [agg for agg, _ in self._agg_specs]
+        merges = [agg.merge for agg, _ in self._agg_specs]
         parts = iter(partials)
         merged = dict(next(parts, {}))
         for part in parts:
-            both = {key: [agg.merge(a, b)
-                          for agg, a, b in zip(aggs, merged[key], part[key])]
+            both = {key: tuple([merge(a, b) for merge, a, b
+                                in zip(merges, merged[key], part[key])])
                     for key in merged.keys() & part.keys()}
             merged.update(part)
             merged.update(both)
@@ -455,9 +457,9 @@ class HashAggregate(Operator):
     def finalize(self, groups: dict):
         specs = self._agg_specs
         if not groups and not self._group_exprs:
-            groups = {(): [agg.create() for agg, _ in specs]}
+            groups = {(): tuple(agg.create() for agg, _ in specs)}
         if self._states_are_results:
-            return [key + tuple(states) for key, states in groups.items()]
+            return [key + states for key, states in groups.items()]
         return [
             key + tuple(agg.result(state)
                         for (agg, _), state in zip(specs, states))

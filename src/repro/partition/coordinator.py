@@ -68,7 +68,7 @@ from repro.core.results import Subscription
 from repro.errors import PartitionError, WorkerDiedError
 from repro.eventtime.watermark import WatermarkMerge
 from repro.partition import wire
-from repro.partition.hashring import HashRing
+from repro.partition.hashring import SPILL_WORKER, HashRing
 from repro.partition.planner import partition_plan
 from repro.partition.state import partial_from_wire
 from repro.partition.worker import WorkerEngine, serve_frames
@@ -320,7 +320,7 @@ class _StreamRoute(StreamConsumer):
 
     def worker_for(self, key) -> int:
         if key is None:
-            return self.ring.spill_worker
+            return SPILL_WORKER
         memo = self._memo
         try:
             return memo[key]
@@ -379,9 +379,8 @@ class _StreamRoute(StreamConsumer):
             if run:
                 self.segments[worker].append(("rows", run, at))
                 self.rows_routed[worker] += len(run)
-        spill = self.ring.spill_worker
-        self.spill_rows[spill] += sum(
-            1 for row in runs[spill] if row[key_index] is None)
+        self.spill_rows[SPILL_WORKER] += sum(
+            1 for row in runs[SPILL_WORKER] if row[key_index] is None)
         # closes depend on times only, and on_flush on the newest row a
         # window shows: the ends of an ordered batch say everything,
         # and past a gapped window's gap the newest row before it

@@ -8,8 +8,8 @@ deterministic across processes and Python runs, unlike the builtin
 break restart-with-replay and cross-run parity.
 
 NULL keys never enter the ring: the router sends them down the **spill
-lane**, a designated worker (worker 0 by convention) that absorbs rows
-the key expression cannot place.
+lane**, worker :data:`SPILL_WORKER`, which absorbs the rows the key
+expression cannot place.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from typing import List
 
 #: virtual nodes per worker on the ring
 REPLICAS = 64
+#: the worker that takes every NULL key
+SPILL_WORKER = 0
 
 
 def stable_hash(value) -> int:
@@ -35,13 +37,10 @@ def stable_hash(value) -> int:
 class HashRing:
     """Consistent hash ring over ``n_workers`` workers."""
 
-    def __init__(self, n_workers: int, spill_worker: int = 0):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        if not 0 <= spill_worker < n_workers:
-            raise ValueError("spill worker out of range")
         self.n_workers = n_workers
-        self.spill_worker = spill_worker
         points = []
         for worker in range(n_workers):
             for replica in range(REPLICAS):
@@ -53,7 +52,7 @@ class HashRing:
     def worker_for(self, key) -> int:
         """Worker owning ``key``; NULL keys go to the spill lane."""
         if key is None:
-            return self.spill_worker
+            return SPILL_WORKER
         point = stable_hash(key)
         i = bisect.bisect_left(self._hashes, point)
         if i == len(self._hashes):
@@ -62,4 +61,4 @@ class HashRing:
 
     def __repr__(self):
         return (f"HashRing(workers={self.n_workers}, "
-                f"replicas={REPLICAS}, spill={self.spill_worker})")
+                f"replicas={REPLICAS}, spill={SPILL_WORKER})")

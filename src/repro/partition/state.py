@@ -1,6 +1,6 @@
 """Cross-process form of aggregate partial state.
 
-A partial is ``{group_key_tuple: [state, ...]}`` as produced by
+A partial is ``{group_key_tuple: (state, ...)}`` as produced by
 ``BatchAggregate.accumulate`` / ``partial_for_rows`` and
 ``HashAggregate.accumulate``.  The vectorized kernels materialize
 states through ``.tolist()`` (native Python), but the row-wise
@@ -18,7 +18,7 @@ error's type name and message (:func:`partial_to_wire`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as _np
 
@@ -38,11 +38,12 @@ def normalize_value(value):
     return value
 
 
-def normalize_partial(groups: Dict[Tuple, List]) -> Dict[Tuple, List]:
-    """Partial-state dict with every key and state made native."""
+def normalize_partial(groups: Dict[Tuple, Tuple]) -> Dict[Tuple, Tuple]:
+    """Partial-state dict with every key and state made native; the
+    state vectors stay tuples, the shape on both sides of the wire."""
     return {
         tuple(normalize_value(k) for k in key):
-            [normalize_value(state) for state in states]
+            tuple(normalize_value(state) for state in states)
         for key, states in groups.items()
     }
 

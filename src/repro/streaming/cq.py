@@ -28,6 +28,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from operator import is_
 from typing import List, Optional
 
 from repro.catalog import catalog as cat
@@ -154,6 +155,123 @@ class FailedPartial:
         self.error = error
 
 
+class SlidingMerge:
+    """A window's partials merged into one in a constant number of
+    pairwise merges, whatever the window's length: two stacks over the
+    partials (Tangwongsan et al.'s two-stacks sliding aggregation).
+
+    Each window on a sliding grid is the one before it less its oldest
+    partials plus the newest.  The held partials are a *front* (the
+    older ones, each with its suffix: its merge with every front
+    partial after it) and a *back* (the newer ones and their running
+    merge).  A window is the oldest front suffix merged with the back:
+    sliding drops front partials, pushes new ones onto the back (one
+    merge each), and when the front runs out the back is flipped into
+    it.  Merging is associative, key order included (a merge keeps
+    first-seen order), so every window equals the left fold.
+
+    Partials are matched by identity: the stacks hold them, so no
+    other object can take their place.  A window that is not the held
+    partials less a prefix plus new ones (a re-sealed slice, the
+    correction of an older window, a boundary's shard partials, a
+    window of one) is folded left, and the fold becomes the back.
+    Input partials are never changed (a store's partials are shared by
+    windows and readers); the stacks change only their own merges.
+
+    The stacks never hold more entries (keys summed over the suffixes
+    and the back merge) than the rows of the slices they cover.  A
+    flip whose suffixes could outgrow them (keys that do not repeat
+    across slices, where the stacks would save nothing) is not made:
+    the window folds left, at the fold's merges.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._parts = []     # the held partials, oldest first
+        self._rows = []      # the rows each was reduced from
+        self._suffix = []    # front: _suffix[i] merges _parts[i:len(_suffix)]
+        self._back = None    # the merge of _parts[len(_suffix):]
+
+    def merge(self, window, rows, merge_partials):
+        """``window``'s partials merged, given the rows behind each
+        partial (None: nothing to bound the stacks by, the window
+        folds).  ``merge_partials`` makes every merge, so its caller
+        sees them all.  The result is read, never changed."""
+        if rows is None or len(window) < 2:
+            self.clear()
+            return merge_partials(window)
+        parts = self._parts
+        first = window[0]
+        start = next((i for i, part in enumerate(parts) if part is first),
+                     len(parts))
+        kept = len(parts) - start
+        if not kept or kept > len(window) \
+                or not all(map(is_, parts[start:], window)):
+            return self._restart(window, rows, merge_partials)
+        del parts[:start], self._rows[:start]
+        if start <= len(self._suffix):
+            del self._suffix[:start]
+        elif not self._flip(merge_partials):
+            return self._restart(window, rows, merge_partials)
+        for part, count in zip(window[kept:], rows[kept:]):
+            parts.append(part)
+            self._rows.append(count)
+            back = self._back
+            self._back = part if back is None \
+                else merge_partials((back, part))
+        if not self._suffix:
+            return self._back
+        if self._back is None:
+            return self._suffix[0]
+        return merge_partials((self._suffix[0], self._back))
+
+    def _flip(self, merge_partials) -> bool:
+        """The front ran out: make every held partial a front one,
+        unless their suffixes could hold more entries than the rows
+        behind them.  A suffix holds at most the back merge's keys (the
+        back covered every partial it merges) and at most the keys of
+        those partials; every run of suffixes from the newest, so
+        whatever a later slide leaves, must stay within its rows.
+        Nothing is merged when the bound trips."""
+        parts = self._parts
+        cap = len(self._back)
+        keys = bound = covered = 0
+        for part, count in zip(reversed(parts), reversed(self._rows)):
+            keys += len(part)
+            bound += min(cap, keys)
+            covered += count
+            if bound > covered:
+                return False
+        self._back = None
+        suffix = [parts[-1]]
+        for part in reversed(parts[:-1]):
+            suffix.append(merge_partials((part, suffix[-1])))
+        suffix.reverse()
+        self._suffix = suffix
+        return True
+
+    def _restart(self, window, rows, merge_partials):
+        """Fold ``window`` left and hold the fold as the back of a new
+        pair of stacks."""
+        self.clear()
+        merged = merge_partials(window)
+        self._parts = list(window)
+        self._rows = list(rows)
+        self._back = merged
+        return merged
+
+    @property
+    def entries(self) -> int:
+        """Keys held in the suffixes and the back merge."""
+        return sum(map(len, self._suffix)) + len(self._back or ())
+
+    @property
+    def covered_rows(self) -> int:
+        return sum(self._rows)
+
+
 class _StreamPort(StreamConsumer):
     """Forwards one stream's events to its window operator and tells the
     owning two-stream CQ when that stream has flushed."""
@@ -252,6 +370,8 @@ class ContinuousQuery(StreamConsumer):
         #: BatchAggregate when sliced, a partitioned CQ's split point);
         #: None: a window is its rows
         self._agg = None
+        #: the merge of a sliding window's partials, window to window
+        self._stacks = SlidingMerge()
         #: what the slice partials depend on; equal keys share a store
         self.store_key = None
         if vectorize:
@@ -683,11 +803,15 @@ class ContinuousQuery(StreamConsumer):
             self._batches[0] = []
 
     def _merge(self, partials):
-        """Partials -> one merged partial; the first failed one wins."""
+        """Partials -> one merged partial; the first failed one wins.
+        A sliced window's partials go through the CQ's
+        :class:`SlidingMerge`, so the merges of the window before are
+        reused; the result is read, never changed."""
         for part in partials:
             if isinstance(part, FailedPartial):
                 return part
-        return self._agg.merge_partials(partials)
+        sizes = partials.sizes() if isinstance(partials, Partials) else None
+        return self._stacks.merge(partials, sizes, self._agg.merge_partials)
 
     def split_at(self, agg, ship=None) -> None:
         """One half of a partitioned CQ, split at ``agg``: a worker's

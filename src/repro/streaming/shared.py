@@ -49,7 +49,13 @@ def time_gcd(a: float, b: float) -> float:
 
 
 class SliceStore:
-    """Sealed slice partials on one slice grid, shared by its readers."""
+    """Sealed slice partials on one slice grid, shared by its readers.
+
+    A partial served here is shared — by every reader, and by every
+    window of one reader that covers its slice — and is never changed
+    after it is sealed: a merge builds new dicts and state tuples.  A
+    CQ's two stacks (``SlidingMerge``) rely on that: they hold the
+    partials they merged and know one again by identity."""
 
     def __init__(self, key, width: float):
         self.key = key

@@ -93,6 +93,13 @@ class Partials(list):
     def rows(self) -> list:
         return [row for rows in self._slices for row in rows]
 
+    def sizes(self) -> Optional[list]:
+        """The rows behind each partial, or None when the partials are
+        not one per slice (a boundary's shard partials)."""
+        if len(self._slices) != len(self):
+            return None
+        return [len(rows) for rows in self._slices]
+
 
 class TimeWindowOperator(StreamConsumer):
     """Sliding/tumbling time window over the slice grid.

@@ -54,8 +54,9 @@ from tests.test_cq_oracle import Approx, event_oracle, float_sum
 TOPOLOGIES = ["db", "partitions", "wire", "reopen"]
 #: keys that land on every worker at 2, 3 and 4 partitions (and NULL)
 KEYS = ["a", "b", "g", "h", None]
-#: (VISIBLE, ADVANCE): hopping, tumbling, and one with a gap
-WINDOWS = [(10.0, 5.0), (6.0, 6.0), (4.0, 10.0)]
+#: (VISIBLE, ADVANCE): hopping, tumbling, one with a gap, and one five
+#: slices long, whose two stacks flip (streaming/cq.py ``SlidingMerge``)
+WINDOWS = [(10.0, 5.0), (6.0, 6.0), (4.0, 10.0), (10.0, 2.0)]
 POLICIES = ["DROP", "DEAD LETTER", "RETRACT", "RETRACT"]
 POISONS = [None, "10 / (sum(v) - 6)", "10 / (sum(v) - 0)", "sum(10 / v)"]
 PERMANENT = CHANNEL_RETRY_LIMIT + 1

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.partition import HashRing, PartitionedEngine, partition_plan
 from repro.partition import wire
-from repro.partition.hashring import stable_hash
+from repro.partition.hashring import SPILL_WORKER, stable_hash
 from repro.partition.state import normalize_partial, normalize_value
 from repro.partition.worker import WorkerEngine, serve_frames
 from tests.test_differential import Config, refused, run
@@ -66,9 +66,8 @@ class TestHashRing:
         assert max(counts) < 2000
 
     def test_null_key_takes_the_spill_lane(self):
-        ring = HashRing(4, spill_worker=2)
-        assert ring.worker_for(None) == 2
-        assert HashRing(4).worker_for(None) == 0
+        assert SPILL_WORKER == 0
+        assert HashRing(4).worker_for(None) == SPILL_WORKER
 
     def test_scaling_moves_a_minority_of_keys(self):
         # the consistent-hash property: going 4 -> 5 workers remaps
@@ -81,8 +80,6 @@ class TestHashRing:
     def test_validation(self):
         with pytest.raises(ValueError):
             HashRing(0)
-        with pytest.raises(ValueError):
-            HashRing(2, spill_worker=5)
 
 
 # -- wire framing -------------------------------------------------------------
@@ -105,11 +102,11 @@ class TestWire:
         # a numpy scalar pickles as a global (numpy's reconstructor) and
         # the wire refuses every global: partials are normalized first
         np = pytest.importorskip("numpy")
-        partial = {("k",): [np.int64(3), np.float64(2.5)]}
+        partial = {("k",): (np.int64(3), np.float64(2.5))}
         with pytest.raises(ProtocolError, match="global"):
             roundtrip({"groups": partial})
         back = roundtrip({"groups": normalize_partial(partial)})
-        assert back["groups"] == {("k",): [3, 2.5]}
+        assert back["groups"] == {("k",): (3, 2.5)}
         assert type(back["groups"][("k",)][0]) is int
 
     def test_numpy_cells_are_native_before_they_are_routed(self):
@@ -183,7 +180,7 @@ class TestStateNormalization:
         assert type(key[0]) is str and type(states[0]) is int
 
     def test_idempotent_and_cheap_on_native(self):
-        partial = {("a", 1): [2, 3.5, None, [1, 2]]}
+        partial = {("a", 1): (2, 3.5, None, [1, 2])}
         assert normalize_partial(partial) == partial
         assert normalize_value("x") == "x"
 

@@ -74,9 +74,9 @@ def loop_merge(node, parts):
     for part in parts:
         for key, states in part.items():
             current = merged.get(key)
-            merged[key] = list(states) if current is None else [
+            merged[key] = tuple(states) if current is None else tuple(
                 agg.merge(a, b)
-                for (agg, _), a, b in zip(node._agg_specs, current, states)]
+                for (agg, _), a, b in zip(node._agg_specs, current, states))
     return merged
 
 
