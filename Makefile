@@ -102,8 +102,10 @@ bench-smoke:
 bench-diff:
 	$(PYTHON) benchmarks/ledger/compare.py $(A) $(B)
 
-# ten alternating pairs of one workload, a ref against the working tree,
-# with medians, quartiles, pairs won and failed operations per metric:
+# ten alternating pairs of each workload named (W="a b", or W=all: every
+# one BENCHMARK.json lists), a ref against the working tree, with
+# medians, quartiles, pairs won and failed operations per metric, and a
+# last line naming every end-to-end regression:
 # make bench-pairs REF=HEAD W=served_durable_e1
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py $(REF) $(W)

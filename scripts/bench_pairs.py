@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Ten alternating pairs of one ledger workload: a ref against this tree.
+"""Ten alternating pairs of ledger workloads: a ref against this tree.
 
-    python scripts/bench_pairs.py REF WORKLOAD [--pairs N]
+    python scripts/bench_pairs.py REF WORKLOAD [WORKLOAD ...] [--pairs N]
+    python scripts/bench_pairs.py REF all
 
-Exports ``REF`` (``git archive``) into a scratch directory and runs the
-command ``BENCHMARK.json`` declares —
+Exports ``REF`` (``git archive``) into a temporary directory once and, for
+each workload named (``all``: every one ``BENCHMARK.json`` lists), runs
+the command ``BENCHMARK.json`` declares —
 
     python3 benchmarks/ledger/run.py --workload WORKLOAD --seed N \
         --seconds <run_seconds> --trace 0
@@ -15,7 +17,9 @@ metric the workload measures: each side's median and quartiles, pairs
 won (ties count for neither), failed operations, and how the numbers
 read against the two rules the guides set — a gain needs nine tenths of
 the pairs and a median shift wider than the ref's own quartile spread;
-a regression is a median worse than the metric's bound.
+a regression is a median worse than the metric's bound.  One table is
+printed per workload, and a last line says whether any end-to-end
+metric regressed on any of them.
 
 It only calls the ledger's command; every run made is printed.
 """
@@ -69,12 +73,14 @@ def quartiles(values):
 
 
 def report(spec, workload, ref, runs):
-    """``runs``: one ``{"ref": result, "tree": result}`` per pair."""
+    """``runs``: one ``{"ref": result, "tree": result}`` per pair.
+    Returns the metrics that read as a regression."""
     measured = [m for m in spec["end_to_end"]
                 if m["name"] in runs[0]["tree"]["metrics"]
                 and m["name"] not in runs[0]["tree"]["stand_ins"]]
     print(f"\n# {workload}: {len(runs)} pairs, ref {ref} against the "
           "working tree")
+    regressed = []
     for metric in measured:
         name, higher = metric["name"], metric["better"] == "higher"
         sides = {side: [run[side]["metrics"][name]["value"] for run in runs]
@@ -101,6 +107,7 @@ def report(spec, workload, ref, runs):
                   "ref's quartile spread)")
         elif -gain > metric["bound"] * rmed:
             print("  reads as: REGRESSION (median worse than the bound)")
+            regressed.append(name)
         else:
             print("  reads as: no claimable change")
     print()
@@ -110,38 +117,58 @@ def report(spec, workload, ref, runs):
         wrong = sum(1 for run in runs if not run[side]["correct"])
         print(f"{side:<5} operations: {attempted} attempted, {failed} "
               f"failed; {wrong} of {len(runs)} runs incorrect")
+    return regressed
+
+
+def run_pairs(spec, trees, workload, pairs):
+    """``pairs`` alternating pairs of ``workload``: one seed per pair,
+    the side that goes first alternating pair by pair."""
+    runs = []
+    for pair in range(pairs):
+        seed = FIRST_SEED + pair
+        order = ("ref", "tree") if pair % 2 == 0 else ("tree", "ref")
+        run = {side: run_once(trees[side], spec["command"], workload, seed,
+                              spec["run_seconds"])
+               for side in order}
+        runs.append(run)
+        print(f"{workload} pair {pair + 1:2d} seed {seed} first "
+              f"{order[0]:<4} " + "  ".join(
+                  f"{side} {name}={values['value']:.4f}"
+                  for side in ("ref", "tree")
+                  for name, values in run[side]["metrics"].items()
+                  if name not in run[side]["stand_ins"]), flush=True)
+    return runs
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="commit to compare against")
-    parser.add_argument("workload")
+    parser.add_argument("workloads", nargs="+", metavar="workload",
+                        help="ledger workload names, or all")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    if args.workload not in [w["name"] for w in spec["workloads"]]:
-        parser.error(f"unknown workload {args.workload!r}")
-    runs = []
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = names if args.workloads == ["all"] else args.workloads
+    for workload in workloads:
+        if workload not in names:
+            parser.error(f"unknown workload {workload!r}")
+    failed = False
+    regressed = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         export_ref(args.ref, scratch)
         trees = {"ref": scratch, "tree": ROOT}
-        for pair in range(args.pairs):
-            seed = FIRST_SEED + pair
-            order = ("ref", "tree") if pair % 2 == 0 else ("tree", "ref")
-            run = {side: run_once(trees[side], spec["command"],
-                                  args.workload, seed, spec["run_seconds"])
-                   for side in order}
-            runs.append(run)
-            print(f"pair {pair + 1:2d} seed {seed} first {order[0]:<4} " +
-                  "  ".join(
-                      f"{side} {name}={values['value']:.4f}"
-                      for side in ("ref", "tree")
-                      for name, values in run[side]["metrics"].items()
-                      if name not in run[side]["stand_ins"]), flush=True)
-    report(spec, args.workload, args.ref, runs)
-    return 1 if any(run["tree"]["failed"] or not run["tree"]["correct"]
-                    for run in runs) else 0
+        for workload in workloads:
+            runs = run_pairs(spec, trees, workload, args.pairs)
+            regressed += [f"{workload} {name}" for name
+                          in report(spec, workload, args.ref, runs)]
+            failed |= any(run["tree"]["failed"] or not run["tree"]["correct"]
+                          for run in runs)
+    print("\nend-to-end regressions: " + (", ".join(regressed) or
+                                          f"none on {len(workloads)} "
+                                          "workload(s)"))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ callable evaluated at query time, planned as a plain row source.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro.catalog import catalog as cat
 from repro.catalog.schema import Column, Schema
@@ -51,6 +51,21 @@ def _int(name):
     return Column(name, IntegerType("bigint"))
 
 
+#: each view's schema, built by the first install in the process: the
+#: schemas are constants, and a process builds many engines (each
+#: replayer, each test engine), whose allocations a garbage collector
+#: over a large heap makes slow
+_SCHEMAS: Dict[str, Schema] = {}
+
+
+def _view(name: str, columns: Callable[[], List[Column]],
+          rows_fn: Callable) -> VirtualTable:
+    schema = _SCHEMAS.get(name)
+    if schema is None:
+        schema = _SCHEMAS[name] = Schema(columns())
+    return VirtualTable(name, schema, rows_fn)
+
+
 def install_system_views(db) -> None:
     """Register the repro_* views in ``db``'s catalog."""
 
@@ -71,10 +86,10 @@ def install_system_views(db) -> None:
             ))
         return out
 
-    streams = VirtualTable("repro_streams", Schema([
+    streams = _view("repro_streams", lambda: [
         _text("name"), _text("kind"), _int("tuples"), _int("dropped"),
         Column("watermark", TimestampType()), _int("consumers"),
-    ]), streams_rows)
+    ], streams_rows)
 
     def channels_rows():
         out = []
@@ -86,11 +101,11 @@ def install_system_views(db) -> None:
             ))
         return out
 
-    channels = VirtualTable("repro_channels", Schema([
+    channels = _view("repro_channels", lambda: [
         _text("name"), _text("source"), _text("target"), _text("mode"),
         _int("batches"), _int("rows_written"),
         Column("last_close", TimestampType()),
-    ]), channels_rows)
+    ], channels_rows)
 
     def tables_rows():
         out = []
@@ -101,9 +116,9 @@ def install_system_views(db) -> None:
             ))
         return out
 
-    tables = VirtualTable("repro_tables", Schema([
+    tables = _view("repro_tables", lambda: [
         _text("name"), _int("pages"), _int("row_slots"), _int("indexes"),
-    ]), tables_rows)
+    ], tables_rows)
 
     def indexes_rows():
         out = []
@@ -114,10 +129,10 @@ def install_system_views(db) -> None:
             ))
         return out
 
-    indexes = VirtualTable("repro_indexes", Schema([
+    indexes = _view("repro_indexes", lambda: [
         _text("name"), _text("table_name"), _text("columns"),
         Column("is_unique", BooleanType()), _int("entries"),
-    ]), indexes_rows)
+    ], indexes_rows)
 
     def cqs_rows():
         out = []
@@ -129,11 +144,11 @@ def install_system_views(db) -> None:
             ))
         return out
 
-    cqs = VirtualTable("repro_cqs", Schema([
+    cqs = _view("repro_cqs", lambda: [
         _text("name"), Column("shared", BooleanType()),
         _int("windows"), _int("rows_out"),
         Column("last_close", TimestampType()),
-    ]), cqs_rows)
+    ], cqs_rows)
 
     def io_rows():
         stats = db.disk.stats
@@ -143,11 +158,11 @@ def install_system_views(db) -> None:
             db.storage.pool.hits, db.storage.pool.misses,
         )]
 
-    io = VirtualTable("repro_io", Schema([
+    io = _view("repro_io", lambda: [
         _int("pages_read"), _int("pages_written"), _int("seeks"),
         Column("sim_seconds", DoubleType()),
         _int("buffer_hits"), _int("buffer_misses"),
-    ]), io_rows)
+    ], io_rows)
 
     def stats_rows():
         out = []
@@ -158,10 +173,10 @@ def install_system_views(db) -> None:
                 out.append((name, column, n_distinct, null_frac))
         return out
 
-    stats = VirtualTable("repro_stats", Schema([
+    stats = _view("repro_stats", lambda: [
         _text("table_name"), _text("column_name"), _int("n_distinct"),
         Column("null_frac", DoubleType()),
-    ]), stats_rows)
+    ], stats_rows)
 
     def supervisor_rows():
         rows = [] if db.supervisor is None else db.supervisor.status_rows()
@@ -172,22 +187,22 @@ def install_system_views(db) -> None:
             for name, rung in db.recovery_stats.get("cqs", ())
             if rung.startswith("cold:")]
 
-    supervisor = VirtualTable("repro_supervisor_status", Schema([
+    supervisor = _view("repro_supervisor_status", lambda: [
         _text("name"), _text("kind"), _text("state"), _int("failures"),
         _int("retries"), _int("dead_letters"), _text("last_error"),
-    ]), supervisor_rows)
+    ], supervisor_rows)
 
     def dead_letter_rows():
         if db.supervisor is None:
             return []
         return db.supervisor.dead_letter_rows()
 
-    dead_letters = VirtualTable("repro_dead_letters", Schema([
+    dead_letters = _view("repro_dead_letters", lambda: [
         _int("seq"), _text("source"), _text("kind"), _text("reason"),
         _int("rowcount"), _text("payload"),
         Column("open_time", TimestampType()),
         Column("close_time", TimestampType()),
-    ]), dead_letter_rows)
+    ], dead_letter_rows)
 
     def connections_rows():
         provider = getattr(db, "connection_registry", None)
@@ -195,7 +210,7 @@ def install_system_views(db) -> None:
             return []
         return provider()
 
-    connections = VirtualTable("repro_connections", Schema([
+    connections = _view("repro_connections", lambda: [
         _int("session_id"), _text("peer"), _text("tenant"),
         _text("state"),
         _int("statements"), _int("rows_ingested"), _int("subscriptions"),
@@ -205,7 +220,7 @@ def install_system_views(db) -> None:
         # wall-clock only here in the view; the reaper and the idle
         # computation use the monotonic clock internally
         Column("last_seen", TimestampType()),
-    ]), connections_rows)
+    ], connections_rows)
 
     def replication_rows():
         provider = getattr(db, "replication_registry", None)
@@ -215,11 +230,11 @@ def install_system_views(db) -> None:
         return [("standalone", None, "standalone",
                  db.storage.wal.head_lsn, None, None, None, None)]
 
-    replication = VirtualTable("repro_replication_status", Schema([
+    replication = _view("repro_replication_status", lambda: [
         _text("role"), _text("peer"), _text("state"),
         _int("shipped_lsn"), _int("applied_lsn"), _int("acked_lsn"),
         _int("lag"), _text("last_error"),
-    ]), replication_rows)
+    ], replication_rows)
 
     def crashpoint_rows():
         if db.faults is None:
@@ -227,21 +242,21 @@ def install_system_views(db) -> None:
             return [(name, False, None, 0, 0) for name in sorted(CRASHPOINTS)]
         return db.faults.stats_rows()
 
-    crashpoints = VirtualTable("repro_crashpoints", Schema([
+    crashpoints = _view("repro_crashpoints", lambda: [
         _text("crashpoint"), Column("armed", BooleanType()),
         Column("probability", DoubleType()),
         _int("evaluations"), _int("fires"),
-    ]), crashpoint_rows)
+    ], crashpoint_rows)
 
     def metrics_rows():
         return db.obs.registry.snapshot_rows()
 
-    metrics = VirtualTable("repro_metrics", Schema([
+    metrics = _view("repro_metrics", lambda: [
         _text("name"), _text("kind"), Column("value", DoubleType()),
         _int("count"), Column("sum", DoubleType()),
         Column("p50", DoubleType()), Column("p95", DoubleType()),
         Column("p99", DoubleType()), Column("max", DoubleType()),
-    ]), metrics_rows)
+    ], metrics_rows)
 
     def cq_stats_rows():
         out = []
@@ -260,7 +275,7 @@ def install_system_views(db) -> None:
             ))
         return out
 
-    cq_stats = VirtualTable("repro_cq_stats", Schema([
+    cq_stats = _view("repro_cq_stats", lambda: [
         _text("name"), Column("shared", BooleanType()),
         _int("tuples_in"), _int("windows"), _int("rows_scanned"),
         _int("rows_out"), Column("last_close", TimestampType()),
@@ -268,7 +283,7 @@ def install_system_views(db) -> None:
         Column("avg_window_ms", DoubleType()),
         Column("max_window_ms", DoubleType()),
         _int("slow_windows"),
-    ]), cq_stats_rows)
+    ], cq_stats_rows)
 
     def operator_stats_rows():
         from repro.obs.service import walk_operators
@@ -296,17 +311,17 @@ def install_system_views(db) -> None:
     # tuples_out/calls/time_ms cover the sampled (timed) evaluations:
     # CQs arm per-operator instrumentation on every Nth window; mode
     # says whether the operator ran vectorized (batch) or row-at-a-time
-    operator_stats = VirtualTable("repro_operator_stats", Schema([
+    operator_stats = _view("repro_operator_stats", lambda: [
         _text("cq"), _int("op_id"), _int("parent_id"), _int("depth"),
         _text("operator"), _int("tuples_out"), _int("calls"),
         Column("time_ms", DoubleType()),
         _text("mode"), _int("batch_rows"),
-    ]), operator_stats_rows)
+    ], operator_stats_rows)
 
     def tenants_rows():
         return db.admission.tenants_rows()
 
-    tenants = VirtualTable("repro_tenants", Schema([
+    tenants = _view("repro_tenants", lambda: [
         _text("name"), _int("sessions"),
         Column("weight", DoubleType()),
         Column("rate_limit", DoubleType()), Column("burst", DoubleType()),
@@ -315,12 +330,12 @@ def install_system_views(db) -> None:
         _int("batches_admitted"), _int("batches_rejected"),
         _int("batches_shed"), _int("rows_rejected"), _int("rows_shed"),
         _int("duplicates"),
-    ]), tenants_rows)
+    ], tenants_rows)
 
     def admission_rows():
         return db.admission.admission_rows()
 
-    admission = VirtualTable("repro_admission", Schema([
+    admission = _view("repro_admission", lambda: [
         Column("enabled", BooleanType()), _int("queue_depth"),
         _int("tier"), _int("soft_depth"), _int("hard_depth"),
         _int("bulk_rows"), _int("tenants"),
@@ -328,7 +343,7 @@ def install_system_views(db) -> None:
         _int("batches_shed"), _int("rows_admitted"),
         _int("rows_rejected"), _int("rows_shed"),
         _int("duplicates"), _int("dedup_senders"),
-    ]), admission_rows)
+    ], admission_rows)
 
     def watermarks_rows():
         neg_inf = float("-inf")
@@ -350,14 +365,14 @@ def install_system_views(db) -> None:
             ))
         return out
 
-    watermarks = VirtualTable("repro_watermarks", Schema([
+    watermarks = _view("repro_watermarks", lambda: [
         _text("stream"), _text("mode"),
         Column("bound_seconds", DoubleType()),
         Column("watermark", TimestampType()),
         Column("max_event_time", TimestampType()),
         Column("lag_seconds", DoubleType()),
         _int("late_rows"), _int("injections"),
-    ]), watermarks_rows)
+    ], watermarks_rows)
 
     def storage_rows():
         lifecycle = getattr(db, "wal_lifecycle", None)
@@ -365,14 +380,14 @@ def install_system_views(db) -> None:
             return []
         return [lifecycle.status_row()]
 
-    storage = VirtualTable("repro_storage", Schema([
+    storage = _view("repro_storage", lambda: [
         _text("mode"), _int("live_segments"), _int("live_bytes"),
         _int("archive_segments"), _int("archive_bytes"),
         _int("archived_total"), _int("head_lsn"), _int("low_water_lsn"),
         _int("last_backup_lsn"), _int("backups"), _int("scrubs"),
         Column("last_scrub", TimestampType()), _int("scrub_errors"),
         _int("quarantined"),
-    ]), storage_rows)
+    ], storage_rows)
 
     def partitions_rows():
         provider = getattr(db, "partition_registry", None)
@@ -383,7 +398,7 @@ def install_system_views(db) -> None:
     # one row per partition worker, provided by the coordinating
     # PartitionedEngine (repro.partition); empty when this database is
     # not a partition coordinator
-    partitions = VirtualTable("repro_partitions", Schema([
+    partitions = _view("repro_partitions", lambda: [
         _int("worker"), _int("pid"), _text("state"), _text("transport"),
         _int("streams"), _int("rows_routed"), _int("batches"),
         _int("spill_rows"), Column("watermark", TimestampType()),
@@ -393,16 +408,16 @@ def install_system_views(db) -> None:
         # spent blocked on it: wait >> busy is the hop, not the worker
         Column("busy_seconds", DoubleType()),
         Column("wait_seconds", DoubleType()),
-    ]), partitions_rows)
+    ], partitions_rows)
 
     def traces_rows():
         return db.obs.tracer.rows()
 
-    traces = VirtualTable("repro_traces", Schema([
+    traces = _view("repro_traces", lambda: [
         _int("trace_id"), _int("span_id"), _int("parent_id"),
         _text("name"), Column("start_time", TimestampType()),
         Column("duration_ms", DoubleType()),
-    ]), traces_rows)
+    ], traces_rows)
 
     for view in (streams, channels, tables, indexes, cqs, io, stats,
                  supervisor, dead_letters, crashpoints, connections,

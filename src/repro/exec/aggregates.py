@@ -10,6 +10,8 @@ close — and many CQs can combine the same slices.
 
 from __future__ import annotations
 
+import operator
+
 from repro.errors import BindError
 from repro.types.datatypes import DoubleType, IntegerType, VarcharType
 from repro.types.values import sql_compare
@@ -29,6 +31,13 @@ class Aggregate:
     result_type = DoubleType()
     #: ``result`` returns the state unchanged (a finalize may skip it)
     result_is_state = False
+    #: the state holds its input values, so it grows with its rows: a
+    #: window of slice partials merged on two stacks would hold O(W²)
+    #: of them, and such an aggregate is not sliced
+    state_grows = False
+    #: a builtin equal to ``merge`` wherever it raises no TypeError (a
+    #: column of states merges in one ``map`` through it); None: none is
+    fast_merge = None
 
     def create(self):
         raise NotImplementedError
@@ -49,6 +58,7 @@ class CountStar(Aggregate):
     name = "count"
     result_type = IntegerType("bigint")
     result_is_state = True
+    fast_merge = operator.add
 
     def create(self):
         return 0
@@ -77,6 +87,7 @@ class CountDistinct(Aggregate):
 
     name = "count_distinct"
     result_type = IntegerType("bigint")
+    state_grows = True
 
     def create(self):
         return set()
@@ -98,6 +109,7 @@ class Sum(Aggregate):
 
     name = "sum"
     result_is_state = True
+    fast_merge = operator.add     # a NULL (None) state raises: merge it
 
     def create(self):
         return None
@@ -148,6 +160,9 @@ class _Extreme(Aggregate):
     def __init__(self, want_max: bool):
         self._want_max = want_max
         self.name = "max" if want_max else "min"
+        # the builtins keep the left operand on a tie and compare as
+        # sql_compare does wherever they do not raise (NULL, kind clash)
+        self.fast_merge = max if want_max else min
 
     def create(self):
         return None
@@ -246,6 +261,7 @@ class Median(Aggregate):
     """
 
     name = "median"
+    state_grows = True
 
     def create(self):
         return []
@@ -273,6 +289,7 @@ class StringAgg(Aggregate):
 
     name = "string_agg"
     result_type = VarcharType(None, "text")
+    state_grows = True
 
     def create(self):
         return []

@@ -88,13 +88,9 @@ class BatchSource(BatchOperator):
 class BatchFilter(BatchOperator):
     """WHERE over batches: computes the predicate kernel, compresses."""
 
-    def __init__(self, child: BatchOperator, kernel: Callable,
-                 uses_context: bool, signature: str):
+    def __init__(self, child: BatchOperator, kernel: Callable):
         self.child = child
         self._kernel = kernel
-        self.uses_context = uses_context
-        #: rendering of the compiled predicate (slice-store key part)
-        self.signature = signature
 
     def batches(self, ctx):
         kernel = self._kernel
@@ -113,13 +109,9 @@ class BatchFilter(BatchOperator):
 class BatchProject(BatchOperator):
     """Projection over batches: one kernel per output column."""
 
-    def __init__(self, child: BatchOperator, kernels: Sequence[Callable],
-                 uses_context: bool, signature: str):
+    def __init__(self, child: BatchOperator, kernels: Sequence[Callable]):
         self.child = child
         self._kernels = list(kernels)
-        self.uses_context = uses_context
-        #: rendering of the compiled select items (slice-store key part)
-        self.signature = signature
 
     def batches(self, ctx):
         kernels = self._kernels
@@ -230,15 +222,10 @@ class BatchAggregate(ops.HashAggregate):
 
     def __init__(self, child, group_kernel: Optional[Callable],
                  vector_aggs: Sequence[VectorAgg],
-                 fallback_group_fns, fallback_specs, uses_context: bool,
-                 signature: str):
+                 fallback_group_fns, fallback_specs):
         super().__init__(child, fallback_group_fns, fallback_specs)
         self._group_kernel = group_kernel
         self._vector_aggs = list(vector_aggs)
-        self.uses_context = uses_context
-        #: rendering of the group keys and aggregate calls: with the
-        #: signatures of the chain below, what a slice partial depends on
-        self.signature = signature
         self._timed = True
 
     # the benchmark ledger times these where it finds them: on this class

@@ -379,6 +379,20 @@ class HashJoin(Operator):
         return f"HashJoin({self.kind}, {len(self._left_keys)} keys, {side})"
 
 
+def _merge_states(agg, lefts, rights) -> list:
+    """``agg.merge`` over two columns of states: through its exact
+    builtin when it has one, and state by state when that raises (a
+    NULL state, a kind clash), so the result and the error are
+    ``merge``'s own."""
+    fast = agg.fast_merge
+    if fast is not None:
+        try:
+            return list(map(fast, lefts, rights))
+        except TypeError:
+            pass
+    return list(map(agg.merge, lefts, rights))
+
+
 class HashAggregate(Operator):
     """GROUP BY via a hash table; output = group keys ++ aggregate results.
 
@@ -438,20 +452,22 @@ class HashAggregate(Operator):
     def merge_partials(self, partials) -> dict:
         """Fold partials into one, a dict at a time: the first is copied
         whole, each later one is laid over the copy with ``update`` and
-        only the keys both hold are merged state by state.  ``update``
+        only the keys both hold are merged, a column at a time (one
+        ``map`` per aggregate over those keys' states).  ``update``
         keeps a key where it was first seen and appends new ones in the
-        partial's order, so groups stay in first-seen order; ``merge``
+        partial's order, so groups stay in first-seen order; a merge
         always returns a new value, so no input state is mutated
         (partials are reused across overlapping windows)."""
-        merges = [agg.merge for agg, _ in self._agg_specs]
+        aggs = [agg for agg, _ in self._agg_specs]
         parts = iter(partials)
         merged = dict(next(parts, {}))
         for part in parts:
-            both = {key: tuple([merge(a, b) for merge, a, b
-                                in zip(merges, merged[key], part[key])])
-                    for key in merged.keys() & part.keys()}
+            keys = list(merged.keys() & part.keys())
+            columns = [_merge_states(agg, lefts, rights) for agg, lefts, rights
+                       in zip(aggs, zip(*map(merged.__getitem__, keys)),
+                              zip(*map(part.__getitem__, keys)))]
             merged.update(part)
-            merged.update(both)
+            merged.update(zip(keys, zip(*columns)))
         return merged
 
     def finalize(self, groups: dict):

@@ -89,14 +89,8 @@ def _masked_out(n, part_dtype):
     return np.zeros(n, dtype=part_dtype)
 
 
-def compile_batch_expr(expr: ast.Expr, layout: RowLayout, flags: dict):
-    """Compile ``expr`` to a batch kernel or raise NotVectorizable.
-
-    ``flags`` collects compile-time facts about the kernel tree; the
-    slicing eligibility check reads ``flags['context']`` (True when the
-    expression reads ``cq_close``/``cq_open``, which vary per window and
-    therefore must not be evaluated per slice).
-    """
+def compile_batch_expr(expr: ast.Expr, layout: RowLayout):
+    """Compile ``expr`` to a batch kernel or raise NotVectorizable."""
     if isinstance(expr, ast.Literal):
         return _literal_kernel(expr.value)
 
@@ -110,18 +104,18 @@ def compile_batch_expr(expr: ast.Expr, layout: RowLayout, flags: dict):
     if isinstance(expr, ast.BinaryOp):
         op = expr.op
         if op in ("AND", "OR"):
-            return _logic_kernel(expr, layout, flags)
+            return _logic_kernel(expr, layout)
         if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _compare_kernel(expr, layout, flags)
+            return _compare_kernel(expr, layout)
         if op in ("+", "-", "*", "/", "%"):
-            return _arith_kernel(expr, layout, flags)
+            return _arith_kernel(expr, layout)
         raise NotVectorizable(op)
 
     if isinstance(expr, ast.UnaryOp):
-        return _unary_kernel(expr, layout, flags)
+        return _unary_kernel(expr, layout)
 
     if isinstance(expr, ast.IsNull):
-        operand = compile_batch_expr(expr.operand, layout, flags)
+        operand = compile_batch_expr(expr.operand, layout)
         negated = expr.negated
 
         def isnull(batch: ColumnBatch, ctx):
@@ -136,13 +130,13 @@ def compile_batch_expr(expr: ast.Expr, layout: RowLayout, flags: dict):
         return isnull
 
     if isinstance(expr, ast.Between):
-        return _between_kernel(expr, layout, flags)
+        return _between_kernel(expr, layout)
 
     if isinstance(expr, ast.InList):
-        return _in_list_kernel(expr, layout, flags)
+        return _in_list_kernel(expr, layout)
 
     if isinstance(expr, ast.FunctionCall):
-        return _function_kernel(expr, layout, flags)
+        return _function_kernel(expr, layout)
 
     raise NotVectorizable(type(expr).__name__)
 
@@ -169,14 +163,14 @@ def _literal_kernel(value):
     return literal
 
 
-def _logic_kernel(expr: ast.BinaryOp, layout, flags):
+def _logic_kernel(expr: ast.BinaryOp, layout):
     # the iterator's _and/_or treat any non-False, non-None value as
     # true; bitwise & / | only match that for genuinely boolean operands
     if _family(expr.left, layout) != "bool" or \
             _family(expr.right, layout) != "bool":
         raise NotVectorizable(f"{expr.op} over non-boolean operands")
-    left = compile_batch_expr(expr.left, layout, flags)
-    right = compile_batch_expr(expr.right, layout, flags)
+    left = compile_batch_expr(expr.left, layout)
+    right = compile_batch_expr(expr.right, layout)
     is_and = expr.op == "AND"
 
     def logic(batch: ColumnBatch, ctx):
@@ -229,11 +223,11 @@ def _lanewise_compare(op, a, b, valid, n):
     return out
 
 
-def _compare_kernel(expr: ast.BinaryOp, layout, flags):
+def _compare_kernel(expr: ast.BinaryOp, layout):
     if not _comparable(_family(expr.left, layout), _family(expr.right, layout)):
         raise NotVectorizable(f"compare {expr.op} across type families")
-    left = compile_batch_expr(expr.left, layout, flags)
-    right = compile_batch_expr(expr.right, layout, flags)
+    left = compile_batch_expr(expr.left, layout)
+    right = compile_batch_expr(expr.right, layout)
     op = expr.op
 
     def compare(batch: ColumnBatch, ctx):
@@ -246,12 +240,12 @@ def _compare_kernel(expr: ast.BinaryOp, layout, flags):
     return compare
 
 
-def _arith_kernel(expr: ast.BinaryOp, layout, flags):
+def _arith_kernel(expr: ast.BinaryOp, layout):
     lf, rf = _family(expr.left, layout), _family(expr.right, layout)
     if lf != "num" or rf != "num":
         raise NotVectorizable(f"arithmetic {expr.op} on non-numeric operands")
-    left = compile_batch_expr(expr.left, layout, flags)
-    right = compile_batch_expr(expr.right, layout, flags)
+    left = compile_batch_expr(expr.left, layout)
+    right = compile_batch_expr(expr.right, layout)
     op = expr.op
 
     def arith(batch: ColumnBatch, ctx):
@@ -286,11 +280,11 @@ def _arith_kernel(expr: ast.BinaryOp, layout, flags):
     return arith
 
 
-def _unary_kernel(expr: ast.UnaryOp, layout, flags):
+def _unary_kernel(expr: ast.UnaryOp, layout):
     if expr.op == "NOT":
         if _family(expr.operand, layout) != "bool":
             raise NotVectorizable("NOT over non-boolean")
-        operand = compile_batch_expr(expr.operand, layout, flags)
+        operand = compile_batch_expr(expr.operand, layout)
 
         def negate(batch: ColumnBatch, ctx):
             values, mask = operand(batch, ctx)
@@ -300,25 +294,25 @@ def _unary_kernel(expr: ast.UnaryOp, layout, flags):
         datatype = infer_type(expr.operand, layout)
         if not isinstance(datatype, _NUMERIC_TYPES):
             raise NotVectorizable("unary minus over non-numeric")
-        operand = compile_batch_expr(expr.operand, layout, flags)
+        operand = compile_batch_expr(expr.operand, layout)
 
         def minus(batch: ColumnBatch, ctx):
             values, mask = operand(batch, ctx)
             return -values, mask
         return minus
     # unary '+' compiles to the bare operand in the iterator too
-    return compile_batch_expr(expr.operand, layout, flags)
+    return compile_batch_expr(expr.operand, layout)
 
 
-def _between_kernel(expr: ast.Between, layout, flags):
+def _between_kernel(expr: ast.Between, layout):
     vf = _family(expr.operand, layout)
     lof = _family(expr.low, layout)
     hif = _family(expr.high, layout)
     if not (_comparable(vf, lof) and _comparable(vf, hif)):
         raise NotVectorizable("BETWEEN across type families")
-    operand = compile_batch_expr(expr.operand, layout, flags)
-    low = compile_batch_expr(expr.low, layout, flags)
-    high = compile_batch_expr(expr.high, layout, flags)
+    operand = compile_batch_expr(expr.operand, layout)
+    low = compile_batch_expr(expr.low, layout)
+    high = compile_batch_expr(expr.high, layout)
     negated = expr.negated
 
     def between(batch: ColumnBatch, ctx):
@@ -339,13 +333,13 @@ def _between_kernel(expr: ast.Between, layout, flags):
     return between
 
 
-def _in_list_kernel(expr: ast.InList, layout, flags):
+def _in_list_kernel(expr: ast.InList, layout):
     vf = _family(expr.operand, layout)
     for item in expr.items:
         if not _comparable(vf, _family(item, layout)):
             raise NotVectorizable("IN across type families")
-    operand = compile_batch_expr(expr.operand, layout, flags)
-    items = [compile_batch_expr(item, layout, flags) for item in expr.items]
+    operand = compile_batch_expr(expr.operand, layout)
+    items = [compile_batch_expr(item, layout) for item in expr.items]
     negated = expr.negated
 
     def contains(batch: ColumnBatch, ctx):
@@ -382,11 +376,9 @@ def _round_digits(expr: ast.FunctionCall):
     raise NotVectorizable("round with non-literal digits")
 
 
-def _function_kernel(expr: ast.FunctionCall, layout, flags):
+def _function_kernel(expr: ast.FunctionCall, layout):
     name = expr.name
     if name in CONTEXT_FUNCTIONS:
-        flags["context"] = True
-
         def from_context(batch: ColumnBatch, ctx, name=name):
             if ctx is None or name not in ctx:
                 raise ExecutionError(
@@ -404,7 +396,7 @@ def _function_kernel(expr: ast.FunctionCall, layout, flags):
             # mixed-dtype coalesce would promote lanes the iterator
             # returns untouched (e.g. int lanes to float)
             raise NotVectorizable("coalesce across dtypes")
-        args = [compile_batch_expr(a, layout, flags) for a in expr.args]
+        args = [compile_batch_expr(a, layout) for a in expr.args]
 
         def coalesce(batch: ColumnBatch, ctx):
             out = None
@@ -437,7 +429,7 @@ def _function_kernel(expr: ast.FunctionCall, layout, flags):
             digits = _round_digits(expr)
         elif len(expr.args) != 1:
             raise NotVectorizable(f"{name} arity")
-        arg = compile_batch_expr(expr.args[0], layout, flags)
+        arg = compile_batch_expr(expr.args[0], layout)
 
         if name == "abs":
             def kernel(batch: ColumnBatch, ctx):

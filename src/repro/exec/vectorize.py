@@ -15,6 +15,10 @@ The planner attaches the conversion inputs at plan build time:
 - ``Filter.vector_info`` — ``(predicate_ast, layout)``;
 - ``Project.vector_info`` — ``(item_asts, layout)``;
 - ``HashAggregate.vector_info`` — ``(group_exprs, agg_calls, layout)``.
+
+A batch twin keeps the ``vector_info`` of the node it replaces: what a
+slice partial depends on is read off it in either gear
+(``streaming/cq.py``, ``_slice_signature``).
 """
 from __future__ import annotations
 
@@ -73,18 +77,16 @@ def _convert(op: ops.Operator) -> ops.Operator:
         info = getattr(op, "vector_info", None)
         if info is not None and isinstance(child, batch_ops.BatchOperator):
             predicate, layout = info
-            flags = {"context": False}
             try:
                 # Filter keeps rows whose predicate `is True`; only a
                 # genuinely boolean kernel reproduces that
                 if expr_family(predicate, layout) != "bool":
                     raise NotVectorizable("non-boolean predicate")
-                kernel = compile_batch_expr(predicate, layout, flags)
+                kernel = compile_batch_expr(predicate, layout)
             except NotVectorizable:
                 op.child = _demote(child)
                 return op
-            return batch_ops.BatchFilter(child, kernel, flags["context"],
-                                         repr(predicate))
+            return _twin(batch_ops.BatchFilter(child, kernel), op)
         op.child = _demote(child)
         return op
 
@@ -96,15 +98,12 @@ def _convert(op: ops.Operator) -> ops.Operator:
         # construction costs more than it saves
         if info is not None and isinstance(child, batch_ops.BatchOperator):
             item_exprs, layout = info
-            flags = {"context": False}
             try:
-                kernels = [compile_batch_expr(e, layout, flags)
-                           for e in item_exprs]
+                kernels = [compile_batch_expr(e, layout) for e in item_exprs]
             except NotVectorizable:
                 op.child = _demote(child)
                 return op
-            return batch_ops.BatchProject(child, kernels, flags["context"],
-                                          repr(item_exprs))
+            return _twin(batch_ops.BatchProject(child, kernels), op)
         op.child = _demote(child)
         return op
 
@@ -126,14 +125,19 @@ def _convert(op: ops.Operator) -> ops.Operator:
     return op
 
 
+def _twin(batch_op, op):
+    """``batch_op``, replacing ``op``, with ``op``'s conversion input."""
+    batch_op.vector_info = op.vector_info
+    return batch_op
+
+
 def _convert_aggregate(op: ops.HashAggregate, child, info):
     group_exprs, agg_calls, layout = info
     if len(group_exprs) > 1:
         # multi-key grouping falls back to the iterator HashAggregate
         return None
-    flags = {"context": False}
     try:
-        group_kernel = (compile_batch_expr(group_exprs[0], layout, flags)
+        group_kernel = (compile_batch_expr(group_exprs[0], layout)
                         if group_exprs else None)
         vector_aggs = []
         for call in agg_calls:
@@ -153,11 +157,9 @@ def _convert_aggregate(op: ops.HashAggregate, child, info):
                 # sum/avg/min/max kernels reduce numeric lanes only
                 # (count(x) just needs the null mask, any type goes)
                 raise NotVectorizable(f"{name} over non-numeric argument")
-            arg_kernel = compile_batch_expr(arg, layout, flags)
+            arg_kernel = compile_batch_expr(arg, layout)
             vector_aggs.append(batch_ops.VectorAgg(name, arg_kernel))
     except NotVectorizable:
         return None
-    return batch_ops.BatchAggregate(
-        child, group_kernel, vector_aggs,
-        op._group_exprs, op._agg_specs, flags["context"],
-        repr((group_exprs, agg_calls)))
+    return _twin(batch_ops.BatchAggregate(
+        child, group_kernel, vector_aggs, op._group_exprs, op._agg_specs), op)

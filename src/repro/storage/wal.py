@@ -567,41 +567,6 @@ class WriteAheadLog:
         """Records that survived the last flush intact (what replay sees)."""
         return iter(self._validated())
 
-    def replay(self) -> dict:
-        """Reconstruct committed table contents from the durable log.
-
-        Returns ``{table_name: [row_tuple, ...]}`` for all rows inserted
-        by committed transactions and not deleted by committed
-        transactions — the durable state a restarted engine would load.
-        The log is truncated at the first corrupt/torn record, and a
-        transaction whose abort is on record is never replayed even if a
-        stray commit record precedes it (a commit whose flush failed).
-        """
-        durable = self._validated()
-        committed = set()
-        aborted = set()
-        for record in durable:
-            if record.kind == COMMIT:
-                committed.add(record.txid)
-            elif record.kind == ABORT:
-                aborted.add(record.txid)
-        committed -= aborted
-        tables: dict = {}
-        live: dict = {}
-        for record in durable:
-            if record.txid not in committed:
-                continue
-            if record.kind == INSERT:
-                live.setdefault(record.table, {})[record.rid] = record.after
-            elif record.kind == DELETE:
-                live.setdefault(record.table, {}).pop(record.rid, None)
-            elif record.kind == UPDATE:
-                live.setdefault(record.table, {})[record.rid] = record.after
-        for table, rows in live.items():
-            if rows:
-                tables[table] = list(rows.values())
-        return tables
-
     @property
     def durable_lsn(self) -> int:
         """LSN of the newest record known durable (0 when none are)."""

@@ -39,9 +39,11 @@ from repro.eventtime.operator import (
     EMIT_PERIODIC,
     EventTimeWindowOperator,
 )
-from repro.exec import operators as ops
-from repro.exec.expressions import RowLayout
+from repro.exec import batch_ops, operators as ops
+from repro.exec.expressions import CONTEXT_FUNCTIONS, PlannedSubquery, \
+    RowLayout
 from repro.exec.planner import PlanContext, Planner
+from repro.exec.vectorize import vectorize_plan, walk
 from repro.sql import ast
 from repro.streaming.shared import join_store, leave_store
 from repro.streaming.streams import BaseStream, DerivedStream, StreamConsumer
@@ -153,6 +155,36 @@ class FailedPartial:
 
     def __init__(self, error: Exception):
         self.error = error
+
+
+def _slice_signature(node) -> Optional[str]:
+    """What a slice partial owes to ``node`` — an aggregate or a node of
+    the filter/project chain below it, in either gear — rendered from
+    its ``vector_info``, or None when the node must not run per slice:
+    it reads ``cq_close`` / ``cq_open`` (they vary per window), or a
+    subquery (its rows follow the window-consistent table version, so
+    a sealed partial would keep a stale one), or it is an aggregate
+    whose state grows with its rows."""
+    info = getattr(node, "vector_info", None)
+    if info is None:
+        return None
+    if isinstance(node, ops.HashAggregate):
+        group_exprs, agg_calls, _layout = info
+        if any(agg.state_grows for agg, _arg in node._agg_specs):
+            return None
+        exprs, rendered = group_exprs + agg_calls, (group_exprs, agg_calls)
+    elif isinstance(node, (ops.Filter, batch_ops.BatchFilter)):
+        rendered = info[0]
+        exprs = [rendered]
+    else:
+        exprs = rendered = info[0]
+    for expr in exprs:
+        for sub in ast.walk_expr(expr):
+            if isinstance(sub, PlannedSubquery) or (
+                    isinstance(sub, ast.FunctionCall)
+                    and sub.name in CONTEXT_FUNCTIONS):
+                return None
+    return repr(rendered)
 
 
 class SlidingMerge:
@@ -367,7 +399,7 @@ class ContinuousQuery(StreamConsumer):
         #: True when at least one plan operator runs in batch mode
         self.vectorized = False
         #: the aggregate whose partials a window arrives as (the plan's
-        #: BatchAggregate when sliced, a partitioned CQ's split point);
+        #: aggregate when sliced, a partitioned CQ's split point);
         #: None: a window is its rows
         self._agg = None
         #: the merge of a sliding window's partials, window to window
@@ -375,7 +407,6 @@ class ContinuousQuery(StreamConsumer):
         #: what the slice partials depend on; equal keys share a store
         self.store_key = None
         if vectorize:
-            from repro.exec.vectorize import vectorize_plan
             root, changed = vectorize_plan(self._plan.root)
             if changed:
                 self._plan.root = root
@@ -414,7 +445,7 @@ class ContinuousQuery(StreamConsumer):
                                 "correct": self._on_reopened,
                                 "early": self._on_early}
             self._window_op = self.window_operator(
-                slice_fn=self._maybe_slice_window())
+                slice_fn=self._maybe_slice_window() if vectorize else None)
             self._ports = None
 
     def _init_event_time(self, emit) -> None:
@@ -457,7 +488,12 @@ class ContinuousQuery(StreamConsumer):
             entry = self.window_entry
         spec = self._window_spec
         if not self.is_event_time():
-            return spec.make_operator(partial(entry, "final"), slice_fn)
+            # only the batch gear takes a frame whole: a row-gear slice
+            # is filed row by row, as its unsliced window's rows were
+            bulk = slice_fn is not None \
+                and isinstance(self._agg, batch_ops.BatchAggregate)
+            return spec.make_operator(partial(entry, "final"), slice_fn,
+                                      bulk)
         stream = self.stream
         return EventTimeWindowOperator(
             spec.visible, spec.advance, partial(entry, "final"), slice_fn,
@@ -740,49 +776,48 @@ class ContinuousQuery(StreamConsumer):
     def _maybe_slice_window(self):
         """The reducer that upgrades a time window — arrival time or
         event time alike — to per-slice incremental aggregation, or
-        None (the window hands the plan its rows) unless the vectorized
-        plan allows it: a single BatchAggregate over a batch
-        filter/project chain rooted at the stream's window relation,
-        with nothing below the aggregate reading the window-close
-        context.  Each sealed slice is then reduced once, and window
-        close merges slice partials instead of re-aggregating every
-        visible row.
+        None (the window hands the plan its rows) unless the plan
+        allows it: exactly one aggregate, over a filter/project chain
+        rooted at the stream's window relation, whose state has
+        constant size and with nothing at or below it that must see
+        the whole window (:func:`_slice_signature`).  Each sealed slice
+        is then reduced once, and window close merges slice partials
+        instead of re-aggregating every visible row.  The aggregate
+        reduces a slice in whichever gear the vectorizer left it: a
+        ``BatchAggregate`` with its kernels, a refused plan's iterator
+        ``HashAggregate`` with its rows loop (the row gear) — one
+        partial protocol, one store, one merge.
 
         What a slice partial depends on — the stream reference, that
-        sub-aggregate chain and the bound parameters — becomes the
-        slice-store key: CQs with equal keys read one store."""
-        from repro.exec import batch_ops
-        from repro.exec.vectorize import walk
-
+        sub-aggregate chain, rendered from each node's ``vector_info``
+        whichever gear it runs in, and the bound parameters — becomes
+        the slice-store key: CQs with equal keys read one store."""
         spec = self._window_spec
-        if (not self.vectorized
-                or spec.kind != "time"
-                or math.isinf(spec.visible)):
+        if spec.kind != "time" or math.isinf(spec.visible):
             return None
         aggs = [op for op in walk(self._plan.root)
-                if isinstance(op, batch_ops.BatchAggregate)]
+                if isinstance(op, ops.HashAggregate)]
         if len(aggs) != 1:
             return None
-        agg = aggs[0]
-        if agg.uses_context:
-            return None
-        chain = [agg.signature]
-        node = agg.child
-        while isinstance(node, (batch_ops.BatchFilter,
-                                batch_ops.BatchProject)):
-            if node.uses_context:
-                # cq_close/cq_open below the aggregate vary per window;
-                # a slice partial would bake in the wrong close time
-                return None
-            chain.append(node.signature)
-            node = node.child
-        if not (isinstance(node, batch_ops.BatchSource)
-                and node.is_stream_source):
+        chain = aggs
+        while isinstance(chain[-1].child, (ops.Filter, ops.Project,
+                                           batch_ops.BatchFilter,
+                                           batch_ops.BatchProject)):
+            chain.append(chain[-1].child)
+        signatures = [_slice_signature(node) for node in chain]
+        source = chain[-1].child
+        # the window relation, as either gear reads it (mixed mode
+        # bridges a batch chain to an iterator aggregate)
+        if None in signatures or not (
+                isinstance(source, batch_ops.BatchSource)
+                and source.is_stream_source
+                or isinstance(source, ops.RowSource)
+                and getattr(source, "vector_source", None) is not None):
             return None
         ref = self._stream_ref
         self.store_key = (ref.name.lower(), (ref.alias or ref.name).lower(),
-                          tuple(chain), repr(self.params))
-        self._agg = agg
+                          tuple(signatures), repr(self.params))
+        self._agg = chain[0]
         return self._reduce
 
     def _reduce(self, rows, ctx=None):

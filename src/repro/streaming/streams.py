@@ -23,7 +23,6 @@ from typing import Optional
 from repro.catalog.schema import Schema
 from repro.errors import ConstraintError, OutOfOrderError, StreamingError
 from repro.eventtime.watermark import WatermarkTracker
-from repro.rowblock import Block
 
 RAISE = "raise"
 DROP = "drop"
@@ -138,15 +137,17 @@ class BaseStream:
 
     # -- ingest ---------------------------------------------------------------
 
-    def insert(self, values, at: Optional[float] = None) -> bool:
+    def insert(self, values, at: Optional[float] = None, *,
+               coerced: bool = False) -> bool:
         """Ingest one row.
 
         For a USER-time stream the event time is the CQTIME column of the
         row itself; for a SYSTEM-time stream it is ``at`` (the arrival
         clock), stamped into the row.  Returns False when a late tuple is
-        dropped under the ``drop`` policy.
+        dropped under the ``drop`` policy.  ``coerced``: the row comes
+        from a frame already coerced whole (:meth:`insert_many_counted`).
         """
-        row = list(self.schema.coerce_row(values))
+        row = list(values if coerced else self.schema.coerce_row(values))
         if self.cqtime_mode == "system":
             arrival = at if at is not None else max(self.watermark, 0.0)
             row[self.cqtime_index] = float(arrival)
@@ -265,16 +266,24 @@ class BaseStream:
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)   # a generator: every pass below reads it
-        fast = self._insert_fast_batch(rows, at)
-        if fast is not None:
-            return fast
+        # coerced once, a column at a time, for either path; a frame
+        # that does not coerce whole is coerced row by row below, which
+        # names the refused row and applies the rows before it
+        try:
+            coerced = self.schema.coerce_rows(rows)
+        except Exception:
+            coerced = None
+        else:
+            fast = self._insert_fast_batch(coerced, at)
+            if fast is not None:
+                return fast
         stored = 0
         submitted = 0
         delivered = self._unlogged = ([], [])
         try:
-            for row in rows:
+            for row in rows if coerced is None else coerced:
                 submitted += 1
-                if self.insert(row, at):
+                if self.insert(row, at, coerced=coerced is not None):
                     stored += 1
         except ConstraintError as exc:
             # rows before the refused one stay applied, so say which it was
@@ -286,21 +295,22 @@ class BaseStream:
         return {"accepted": stored, "shed": 0,
                 "dropped": submitted - stored}
 
-    def _insert_fast_batch(self, rows, at: Optional[float]) -> Optional[dict]:
-        """Batch ingest without the per-row :meth:`insert` overhead.
+    def _insert_fast_batch(self, coerced, at: Optional[float]
+                           ) -> Optional[dict]:
+        """Batch ingest of a coerced frame without the per-row
+        :meth:`insert` overhead.
 
         A frame qualifies when it is in CQTIME order from at or after the
         stream's watermark, delivery is unsupervised and no fault
-        injector is armed.  It is coerced once, logged as one record and
-        handed to each consumer once: to ``on_tuples(rows, times)``, or
-        row by row to a lone arrival-time consumer without it.  On an
-        event-time stream every consumer must take it whole: such a
-        frame holds no late row, so the watermark advances once, after
-        delivery, with one heartbeat.  Disorder, NULL CQTIME, coercion
-        problems and non-finite event times defer to the per-row path,
-        which judges each row by its own watermark and raises (or drops)
-        with exactly the single-insert semantics.  Returns None when the
-        batch must take that path.
+        injector is armed.  It is logged as one record and handed to
+        each consumer once: to ``on_tuples(rows, times)``, or row by row
+        to a lone arrival-time consumer without it.  On an event-time
+        stream every consumer must take it whole: such a frame holds no
+        late row, so the watermark advances once, after delivery, with
+        one heartbeat.  Disorder, NULL CQTIME and non-finite event times
+        defer to the per-row path, which judges each row by its own
+        watermark and raises (or drops) with exactly the single-insert
+        semantics.  Returns None when the batch must take that path.
         """
         tracker = self.tracker
         if self.error_handler is not None \
@@ -316,20 +326,6 @@ class BaseStream:
             # those exact semantics (incl. error accumulation) slow
             return None
         cqtime = self.cqtime_index
-        if tracker is not None:
-            # a disordered frame goes per-row: find out before coercing
-            # it, which that path does again
-            try:
-                raw = (rows.columns[cqtime] if isinstance(rows, Block)
-                       else list(map(itemgetter(cqtime), rows)))
-                if not all(map(ge, islice(raw, 1, None), raw)):
-                    return None
-            except Exception:
-                return None
-        try:
-            coerced = self.schema.coerce_rows(rows)
-        except Exception:
-            return None
         n = len(coerced)
         if n == 0:
             return {"accepted": 0, "shed": 0, "dropped": 0}

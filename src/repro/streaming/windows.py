@@ -18,10 +18,11 @@ A window is the run of held slices between its open and its close; one
 ``_close`` gathers it, drops every slice no future window can see and
 calls the sink.  *What* a close hands the sink is decided by the
 reducer the operator is constructed with, not by *when* it closes: none
-→ the window's rows (the iterator gear), a reducer → the mergeable
-aggregate partials of the slices it covers.  The event-time operator
-overrides only when a boundary has passed (the watermark, not arrival);
-the sliced operator only adds the bulk ``on_tuples``.
+→ the window's rows (``vectorize=False``, or a plan that does not
+slice), a reducer → the mergeable aggregate partials of the slices it
+covers, whichever gear reduces them.  The event-time operator overrides
+only when a boundary has passed (the watermark, not arrival); the
+sliced operator only adds the bulk ``on_tuples`` (the batch gear's).
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ class WindowSpec:
         return cls("time", visible=float(clause.visible),
                    advance=float(clause.advance))
 
-    def make_operator(self, sink: Sink, slice_fn=None):
+    def make_operator(self, sink: Sink, slice_fn=None, bulk: bool = False):
+        """The window operator for this spec; a time window reduces its
+        slices with ``slice_fn`` when given one, and takes sorted
+        batches whole (``on_tuples``) when ``bulk``."""
         if self.kind == "time":
-            cls = (TimeWindowOperator if slice_fn is None
-                   else SlicedTimeWindowOperator)
+            cls = SlicedTimeWindowOperator if bulk else TimeWindowOperator
             return cls(self.visible, self.advance, sink, slice_fn)
         if self.kind == "rows":
             return RowWindowOperator(self.visible, self.advance, sink)
@@ -394,7 +397,8 @@ class TimeWindowOperator(StreamConsumer):
 
 class SlicedTimeWindowOperator(TimeWindowOperator):
     """An arrival-time window that takes sorted batches whole: the
-    vectorized gear's bulk ``on_tuples``, nothing else."""
+    batch gear's bulk ``on_tuples``, nothing else.  A row-gear sliced
+    window is a plain :class:`TimeWindowOperator` with a reducer."""
 
     def on_tuples(self, rows: list, times: list) -> None:
         """Bulk arrival (sorted): each row's time closes the boundaries

@@ -31,3 +31,29 @@ def rebuilt_from(wal, **options):
         applier.apply(record)
     applier.promote()
     return db
+
+
+def replay(wal) -> dict:
+    """Reconstruct committed table contents from the durable log.
+
+    Returns ``{table_name: [row_tuple, ...]}`` for all rows inserted
+    by committed transactions and not deleted by committed
+    transactions — the durable state a restarted engine would load.
+    The log is truncated at the first corrupt/torn record, and a
+    transaction whose abort is on record is never replayed even if a
+    stray commit record precedes it (a commit whose flush failed).
+    """
+    from repro.storage.wal import ABORT, COMMIT, DELETE, INSERT, UPDATE
+    durable = list(wal.durable_records())
+    committed = {r.txid for r in durable if r.kind == COMMIT} \
+        - {r.txid for r in durable if r.kind == ABORT}
+    live: dict = {}
+    for record in durable:
+        if record.txid not in committed:
+            continue
+        if record.kind in (INSERT, UPDATE):
+            live.setdefault(record.table, {})[record.rid] = record.after
+        elif record.kind == DELETE:
+            live.setdefault(record.table, {}).pop(record.rid, None)
+    return {table: list(rows.values())
+            for table, rows in live.items() if rows}

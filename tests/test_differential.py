@@ -49,6 +49,7 @@ from repro.server import ServerThread, TruSQLServer
 from repro.storage.wal import WriteAheadLog, record_line, record_to_wire, \
     stream_points
 from repro.streaming.supervisor import CHANNEL_RETRY_LIMIT
+from tests.conftest import replay
 from tests.test_cq_oracle import Approx, event_oracle, float_sum
 
 TOPOLOGIES = ["db", "partitions", "wire", "reopen"]
@@ -93,6 +94,7 @@ class Config:
     close_first: bool = False       # where the archive's close lands
     supervised: bool = False
     poison: Optional[str] = None
+    big: bool = False               # bool_or: the vectorizer refuses it
     batch: int = 8                  # the largest batch sent
 
     def ddl(self):
@@ -106,6 +108,8 @@ class Config:
                  "min(v) AS lo, max(v) AS hi")
         if self.poison:
             items += f", {self.poison} AS r"
+        if self.big:
+            items += ", bool_or(v > 3) AS big"
         if close:
             items = f"{close}, {items}" if self.close_first \
                 else f"{items}, {close}"
@@ -130,6 +134,7 @@ class Config:
             f"CREATE TABLE archive ({'stime timestamp, ' * self.close_first}"
             f"k varchar(8), n bigint, total {kind}, mean double, lo {kind}, "
             f"hi {kind}{', r double' if self.poison else ''}"
+            f"{', big boolean' if self.big else ''}"
             f"{', stime timestamp' * (not self.close_first)})",
             "CREATE CHANNEL ch FROM arch INTO archive APPEND",
         ] * self.archive
@@ -162,7 +167,10 @@ def configs(draw):
         order_by=draw(st.booleans()), archive=draw(st.booleans()),
         close_first=draw(st.booleans()),
         supervised=supervised, poison=poison,
-        batch=draw(st.sampled_from([1, 3, 8])), **time)
+        batch=draw(st.sampled_from([1, 3, 8])),
+        # one config in three slices the row gear too; drawn last, so
+        # the draws before it stay where they were
+        big=draw(st.sampled_from([True, False, False])), **time)
 
 
 class Engine:
@@ -451,7 +459,7 @@ def replayers_agree(engine, records, whole):
     """(a) ``open_database`` on ``records``, (b) a ``WalApplier`` fed
     them and promoted, and (c) a standby restarted half way, fed the rest
     and promoted rebuild the same engine — and (b) holds what
-    ``WriteAheadLog.replay`` and ``spelled_out`` read off them (and, when
+    ``tests.conftest.replay`` and ``spelled_out`` read off them (and, when
     ``whole``, the live engine's tables).  Then each answers the client's
     retries and the next windows alike."""
     work = tempfile.mkdtemp(prefix="replayers-")
@@ -468,8 +476,8 @@ def replayers_agree(engine, records, whole):
         follower = WalApplier(fed)
         assert follower.apply_batches(frames(records)) == len(records)
         assert follower.poisoned == 0, follower.last_error
-        fold = WriteAheadLog(path=write_log(os.path.join(work, "f"),
-                                            records)).replay()
+        fold = replay(WriteAheadLog(path=write_log(os.path.join(work, "f"),
+                                                   records)))
         dropped = any(r.kind == "ddl_obj" and r.payload["op"] == "drop"
                       and r.table == "x" for r in records)
         for name, rows in tables_of(fed).items():
@@ -840,11 +848,16 @@ class Differential(RuleBasedStateMachine):
                float_sum(values, mean=True) if cfg.doubles
                else total / len(values), min(values), max(values))
         if cfg.poison == "sum(10 / v)":
-            return None if 0 in values \
-                else row + (float_sum([10 / v for v in values]),)
-        if cfg.poison:
+            if 0 in values:
+                return None
+            row += (float_sum([10 / v for v in values]),)
+        elif cfg.poison:
             k = int(cfg.poison.rstrip(")").rsplit("- ", 1)[1])
-            return None if total == k else row + (10 / (total - k),)
+            if total == k:
+                return None
+            row += (10 / (total - k),)
+        if cfg.big:
+            row += (any(v > 3 for v in values),)
         return row
 
     def sequence(self, records):

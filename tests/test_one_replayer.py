@@ -19,7 +19,7 @@ from repro.replication import open_database
 from repro.replication.bootstrap import WalApplier
 from repro.storage.table import Table
 from repro.storage.wal import LogRecord
-from tests.conftest import rebuilt_from
+from tests.conftest import rebuilt_from, replay
 from tests.test_differential import Config, frames, run, tail, write_log
 
 S_DDL = "CREATE STREAM s (v integer, ts timestamp CQTIME USER)"
@@ -28,7 +28,7 @@ S_DDL = "CREATE STREAM s (v integer, ts timestamp CQTIME USER)"
 class TestReplayersAgree:
     """Boot, a follower fed the records and a standby restarted half way
     rebuild the same engine from any prefix of the log, and agree with
-    ``WriteAheadLog.replay``: the differential machine
+    ``tests.conftest.replay``: the differential machine
     (``tests/test_differential.py``, ``replayers_agree``) checks it
     before every crash it draws — table transactions in any ending,
     DDL, a WATERMARK stream, torn batches and log cuts included — and
@@ -247,7 +247,7 @@ class TestFailedCommitFlush:
         db.execute("INSERT INTO t VALUES (3)")
         assert db.table_rows("t") == [(1,), (3,)]
         wal = db.storage.wal
-        assert wal.replay() == {"t": [(1,), (3,)]}
+        assert replay(wal) == {"t": [(1,), (3,)]}
         rebuilt = rebuilt_from(wal)
         assert rebuilt.table_rows("t") == [(1,), (3,)]
         standby = Database(supervised=True)
@@ -280,7 +280,7 @@ class TestLogWrittenAcrossRestarts:
         txids — the log had already used, so what the second life logged
         was folded onto the first life's rows at the third boot (a step
         program of tests/test_differential.py: each life checks its log,
-        each crash the replayers against ``wal.replay()``)."""
+        each crash the replayers against ``replay(wal)``)."""
         machine = run(Config(topologies=("reopen",)),
                       *[("write", [v], "insert", "COMMIT") for v in range(5)],
                       ("write", [1], "delete", "COMMIT"),

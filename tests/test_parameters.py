@@ -110,11 +110,11 @@ class TestCQParameters:
         assert len(db.get_stream("s").slice_stores) == 2
         same = db.subscribe(sql, (1,))
         assert one.cq.shared and same.cq.shared and not other.cq.shared
-        # a ``?`` below the aggregate has no batch kernel: that CQ runs
-        # the per-row gear, which never slices
+        # a ``?`` below the aggregate has no batch kernel: that CQ
+        # slices in the row gear, on a store of its own key
         below = db.subscribe(
             "SELECT count(*) FROM s <VISIBLE '1 minute'> WHERE v > ?", (1,))
-        assert not below.cq.is_sliced() and not below.cq.shared
+        assert below.cq.is_sliced() and not below.cq.shared
         db.insert_stream("s", [(5, 1.0), (200, 2.0)])
         db.advance_streams(60.0)
         assert one.rows() == same.rows() == below.rows() == [(2,)]

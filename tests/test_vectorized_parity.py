@@ -48,7 +48,7 @@ def run_iterator(expr, rows):
 
 def run_batch(expr, rows):
     from repro.exec.vector import compile_batch_expr
-    kernel = compile_batch_expr(expr, LAYOUT, {})
+    kernel = compile_batch_expr(expr, LAYOUT)
     batch = ColumnBatch.from_rows(rows, TYPES)
     values, mask = kernel(batch, {})
     out = values.tolist() if hasattr(values, "tolist") else list(values)
@@ -141,7 +141,7 @@ class TestKernelParity:
         keeps the iterator operator) rather than diverge silently."""
         from repro.exec.vector import NotVectorizable, compile_batch_expr
         with pytest.raises(NotVectorizable):
-            compile_batch_expr(expr_of(fragment), LAYOUT, {})
+            compile_batch_expr(expr_of(fragment), LAYOUT)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.storage.wal import WriteAheadLog
 from repro.txn.mvcc import TransactionManager
 from repro.txn.window_consistency import WindowConsistentView
 from repro.types.datatypes import IntegerType, VarcharType
+from tests.conftest import replay
 
 
 class TestWAL:
@@ -44,7 +45,7 @@ class TestWAL:
         wal.append(1, "commit")
         wal.append(2, "insert", "t", (0, 1), after=(2,))  # never commits
         wal.flush()
-        assert wal.replay() == {"t": [(1,)]}
+        assert replay(wal) == {"t": [(1,)]}
 
     def test_replay_respects_deletes(self):
         wal = WriteAheadLog()
@@ -52,14 +53,14 @@ class TestWAL:
         wal.append(1, "delete", "t", (0, 0), before=(1,))
         wal.append(1, "commit")
         wal.flush()
-        assert wal.replay() == {}
+        assert replay(wal) == {}
 
     def test_unflushed_records_not_replayed(self):
         wal = WriteAheadLog()
         wal.append(1, "insert", "t", (0, 0), after=(1,))
         wal.append(1, "commit")
         # crash before flush: nothing durable
-        assert wal.replay() == {}
+        assert replay(wal) == {}
 
 
 @pytest.fixture

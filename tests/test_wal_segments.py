@@ -33,6 +33,7 @@ from repro.storage.wal import (
     record_to_wire,
     stream_points,
 )
+from tests.conftest import replay
 
 
 def make_wal(tmp_path, segment_bytes=256, faults=None):
@@ -102,13 +103,13 @@ class TestSegmentRolling:
         wal = make_wal(tmp_path)
         fill(wal, 20)
         head = wal.head_lsn
-        replayed = wal.replay()
+        replayed = replay(wal)
         wal.close()
 
         back = make_wal(tmp_path)
         assert back.head_lsn == head
         assert [r.lsn for r in back.records] == list(range(1, head + 1))
-        assert back.replay() == replayed
+        assert replay(back) == replayed
         back.close()
 
     def test_torn_tail_in_active_segment_truncates(self, tmp_path):
