@@ -117,9 +117,6 @@ class PartitionError(StreamingError):
     """A CQ or stream cannot run on the partitioned engine (unsupported
     plan shape, missing partition key, bad worker configuration)."""
 
-    #: the bare reason of a ``partition_plan`` refusal (EXPLAIN shows it)
-    reason = None
-
 
 class WorkerDiedError(StreamingError):
     """A partition worker process died mid-exchange; the coordinator

@@ -8,7 +8,7 @@ merges per-partition watermarks as minimum-of-inputs, and restarts dead
 workers with replay.  See docs/PARTITION.md.
 """
 
-__all__ = ["HashRing", "PartitionedEngine", "partition_plan"]
+__all__ = ["HashRing", "PartitionedEngine"]
 
 
 def __getattr__(name):
@@ -21,7 +21,4 @@ def __getattr__(name):
     if name == "PartitionedEngine":
         from repro.partition.coordinator import PartitionedEngine
         return PartitionedEngine
-    if name == "partition_plan":
-        from repro.partition.planner import partition_plan
-        return partition_plan
     raise AttributeError(name)

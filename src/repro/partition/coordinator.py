@@ -18,9 +18,9 @@ are handed, as the window, to the CQ's own window callbacks (the entry
 its supervisor guards), and the CQ merges them and runs its unchanged
 post-aggregate plan with the aggregate pinned to the merged rows —
 output, poison windows included, is the single engine's, bit for bit.
-A CQ :func:`partition_plan` refuses, a derived
-stream, a channel or a ``since=`` replay reads the same stream and runs
-on the coordinator like on any single engine.
+A CQ with a :meth:`~repro.streaming.cq.ContinuousQuery.partition_refusal`,
+a derived stream, a channel or a ``since=`` replay reads the same
+stream and runs on the coordinator like on any single engine.
 
 Every exchange with the workers — a pump's ingest frames, a flush, a
 DDL or CQ broadcast — scatters all its frames before it gathers any
@@ -69,7 +69,6 @@ from repro.errors import PartitionError, WorkerDiedError
 from repro.eventtime.watermark import WatermarkMerge
 from repro.partition import wire
 from repro.partition.hashring import SPILL_WORKER, HashRing
-from repro.partition.planner import partition_plan
 from repro.partition.state import partial_from_wire
 from repro.partition.worker import WorkerEngine, serve_frames
 from repro.sql import ast
@@ -564,8 +563,8 @@ class PartitionedEngine:
         """Run one TruSQL statement on the local database, then place
         what it made: a ``PARTITION BY`` stream gets a router, a CQ over
         one splits into per-worker aggregation plus a coordinator merge
-        stage when :func:`partition_plan` accepts it — and otherwise
-        simply runs on the coordinator, reading the same stream."""
+        stage when it has no partition refusal — and otherwise simply
+        runs on the coordinator, reading the same stream."""
         statement = parse_statement(sql)
         try:
             result = self.db.execute(sql, params)
@@ -641,14 +640,13 @@ class PartitionedEngine:
             log[:] = [entry for entry in log if not gone(entry)]
 
     def _partitionize(self, sub: Subscription, sql: str, params) -> None:
-        """Split a CQ over a partitioned stream — or, when
-        :func:`partition_plan` refuses its shape, leave it running on
-        the coordinator and say why in EXPLAIN."""
+        """Split a CQ over a partitioned stream — or, when it has a
+        partition refusal, leave it running on the coordinator and say
+        why in EXPLAIN."""
         cq = sub.cq
-        try:
-            split = partition_plan(cq)
-        except PartitionError as exc:
-            cq.explain_note = f"partitioned: no ({exc.reason})"
+        refusal = cq.partition_refusal()
+        if refusal is not None:
+            cq.explain_note = f"partitioned: no ({refusal})"
             return
         msg = {"op": "cq", "name": cq.name, "sql": sql, "params": params,
                "vectorize": self.db.runtime.vectorize}
@@ -661,8 +659,8 @@ class PartitionedEngine:
         # the CQ's own window operator leaves the stream: the router
         # feeds its stand-in, and the merge stage calls its callbacks
         cq.detach()
-        cq.split_at(split.agg)
-        route = self._routes[split.stream_name]
+        cq.split_at()
+        route = self._routes[cq.stream.name]
         pcq = _PartitionedCQ(cq, route)
         route.cqs.append(pcq)
         self._pcqs[cq.name] = pcq

@@ -36,7 +36,6 @@ from repro.errors import (FaultInjected, PartitionError, ProtocolError,
                           WorkerDiedError)
 from repro.faults.injector import FaultInjector
 from repro.partition import wire
-from repro.partition.planner import partition_plan
 from repro.partition.state import partial_to_wire
 
 
@@ -89,8 +88,10 @@ class WorkerEngine:
                 "close": close_time, "partial": partial_to_wire(partial),
             })
 
-        cq.split_at(partition_plan(cq).agg, ship)
+        # registered first: a refused split is stopped by the
+        # coordinator's ``stopcq``
         self._cqs[name] = cq
+        cq.split_at(ship)
 
     # -- frame dispatch -----------------------------------------------------
 

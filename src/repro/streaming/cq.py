@@ -32,7 +32,7 @@ from operator import is_
 from typing import List, Optional
 
 from repro.catalog import catalog as cat
-from repro.errors import PlanningError, WindowError
+from repro.errors import PartitionError, PlanningError, WindowError
 from repro.eventtime.lateness import DEAD_LETTER, DROP, RETRACT
 from repro.eventtime.operator import (
     EMIT_ON_WATERMARK,
@@ -157,32 +157,37 @@ class FailedPartial:
         self.error = error
 
 
-def _slice_signature(node) -> Optional[str]:
-    """What a slice partial owes to ``node`` — an aggregate or a node of
-    the filter/project chain below it, in either gear — rendered from
-    its ``vector_info``, or None when the node must not run per slice:
-    it reads ``cq_close`` / ``cq_open`` (they vary per window), or a
-    subquery (its rows follow the window-consistent table version, so
-    a sealed partial would keep a stale one), or it is an aggregate
-    whose state grows with its rows."""
-    info = getattr(node, "vector_info", None)
-    if info is None:
-        return None
+#: the nodes a split's chain may hold below its aggregate, in either gear
+_CHAIN = (ops.Filter, ops.Project, batch_ops.BatchFilter,
+          batch_ops.BatchProject)
+
+
+def _rendered(node):
+    """The expressions of an aggregate or a chain node, in either gear,
+    and what renders them, from its ``vector_info``."""
+    info = node.vector_info
     if isinstance(node, ops.HashAggregate):
         group_exprs, agg_calls, _layout = info
-        if any(agg.state_grows for agg, _arg in node._agg_specs):
-            return None
-        exprs, rendered = group_exprs + agg_calls, (group_exprs, agg_calls)
-    elif isinstance(node, (ops.Filter, batch_ops.BatchFilter)):
-        rendered = info[0]
-        exprs = [rendered]
-    else:
-        exprs = rendered = info[0]
+        return group_exprs + agg_calls, (group_exprs, agg_calls)
+    if isinstance(node, (ops.Filter, batch_ops.BatchFilter)):
+        return [info[0]], info[0]
+    return info[0], info[0]
+
+
+def _slice_signature(node) -> Optional[str]:
+    """What a slice partial owes to ``node`` — the split's aggregate or
+    a node of its chain — rendered from its ``vector_info``, or None
+    when the node must not run per slice: it reads ``cq_close`` /
+    ``cq_open`` (they vary per window), or it is an aggregate whose
+    state grows with its rows."""
+    if isinstance(node, ops.HashAggregate) \
+            and any(agg.state_grows for agg, _arg in node._agg_specs):
+        return None
+    exprs, rendered = _rendered(node)
     for expr in exprs:
         for sub in ast.walk_expr(expr):
-            if isinstance(sub, PlannedSubquery) or (
-                    isinstance(sub, ast.FunctionCall)
-                    and sub.name in CONTEXT_FUNCTIONS):
+            if isinstance(sub, ast.FunctionCall) \
+                    and sub.name in CONTEXT_FUNCTIONS:
                 return None
     return repr(rendered)
 
@@ -395,11 +400,14 @@ class ContinuousQuery(StreamConsumer):
         self.stream = self.streams[0]
         self._batches = [[] for _ in refs]
 
+        #: the tables the plan reads (its subqueries' too): partition
+        #: workers hold none
+        self._tables = set()
         self._plan = self._build_plan()
         #: True when at least one plan operator runs in batch mode
         self.vectorized = False
-        #: the aggregate whose partials a window arrives as (the plan's
-        #: aggregate when sliced, a partitioned CQ's split point);
+        #: the split's aggregate when a window arrives as its partials
+        #: (of its slices when sliced, of its shards when partitioned);
         #: None: a window is its rows
         self._agg = None
         #: the merge of a sliding window's partials, window to window
@@ -444,9 +452,13 @@ class ContinuousQuery(StreamConsumer):
             self._evaluators = {"final": self._on_window,
                                 "correct": self._on_reopened,
                                 "early": self._on_early}
+            self._ports = None
+        #: the plan's one aggregate and the chain under it, or None
+        self._split, self._no_split = self._find_split()
+        if self._ports is None and self._window_spec is not None:
+            # one windowed stream
             self._window_op = self.window_operator(
                 slice_fn=self._maybe_slice_window() if vectorize else None)
-            self._ports = None
 
     def _init_event_time(self, emit) -> None:
         """Window assignment by event time: the stream's watermark (not
@@ -655,6 +667,7 @@ class ContinuousQuery(StreamConsumer):
                         [c.datatype for c in holder.streams[i].schema],
                         stream_ref.name, True)
                     return source, stream_layout(holder.streams[i])
+            holder._tables.add(ref.name.lower())
             return None
 
         ctx = PlanContext(
@@ -773,51 +786,73 @@ class ContinuousQuery(StreamConsumer):
 
     # -- sliced window mode (vectorized incremental aggregation) --------------
 
+    def _find_split(self):
+        """Where the plan factors into a mergeable partial and an answer
+        (Fegaras's homomorphism and answer function): ``(chain, None)``,
+        the chain being the plan's one aggregate and the filter/project
+        nodes under it, in either gear, down to the stream's window
+        relation — or ``(None, why not)``.  Only a finite time window
+        splits, and nothing at or below the aggregate may read a
+        subquery: its rows follow the window-consistent table version,
+        which a slice's or a shard's partial cannot.  Anything else
+        below the aggregate (DISTINCT, ORDER BY, LIMIT, a join) must see
+        the whole window.  Slicing (:meth:`_maybe_slice_window`) and
+        partitioning (:meth:`partition_refusal`) both start here."""
+        if self.is_join():
+            return None, "a two-stream join has no split"
+        spec = self._window_spec
+        if spec is None or spec.kind != "time":
+            return None, "a time window (VISIBLE/ADVANCE) is required"
+        if math.isinf(spec.visible):
+            return None, "an UNBOUNDED window has no split"
+        chain = [op for op in walk(self._plan.root)
+                 if isinstance(op, ops.HashAggregate)]
+        if len(chain) != 1:
+            return None, ("exactly one aggregation is required, found "
+                          f"{len(chain)}")
+        while isinstance(chain[-1].child, _CHAIN) \
+                and getattr(chain[-1].child, "vector_info", None) is not None:
+            chain.append(chain[-1].child)
+        source = chain[-1].child
+        # the window relation, as either gear reads it (mixed mode
+        # bridges a batch chain to an iterator aggregate)
+        if not (isinstance(source, batch_ops.BatchSource)
+                and source.is_stream_source
+                or isinstance(source, ops.RowSource)
+                and getattr(source, "vector_source", None) is not None):
+            return None, f"{type(source).__name__} below the aggregate"
+        if any(isinstance(sub, PlannedSubquery) for node in chain
+               for expr in _rendered(node)[0] for sub in ast.walk_expr(expr)):
+            return None, "a subquery below the aggregate"
+        return chain, None
+
     def _maybe_slice_window(self):
         """The reducer that upgrades a time window — arrival time or
         event time alike — to per-slice incremental aggregation, or
-        None (the window hands the plan its rows) unless the plan
-        allows it: exactly one aggregate, over a filter/project chain
-        rooted at the stream's window relation, whose state has
-        constant size and with nothing at or below it that must see
-        the whole window (:func:`_slice_signature`).  Each sealed slice
-        is then reduced once, and window close merges slice partials
-        instead of re-aggregating every visible row.  The aggregate
-        reduces a slice in whichever gear the vectorizer left it: a
+        None (the window hands the plan its rows) unless the plan has a
+        split (:meth:`_find_split`) whose aggregate's state has constant
+        size, with no ``cq_close`` / ``cq_open`` at or below it
+        (:func:`_slice_signature`).  Each sealed slice is then reduced
+        once, and window close merges slice partials instead of
+        re-aggregating every visible row.  The aggregate reduces a
+        slice in whichever gear the vectorizer left it: a
         ``BatchAggregate`` with its kernels, a refused plan's iterator
         ``HashAggregate`` with its rows loop (the row gear) — one
         partial protocol, one store, one merge.
 
-        What a slice partial depends on — the stream reference, that
-        sub-aggregate chain, rendered from each node's ``vector_info``
+        What a slice partial depends on — the stream reference, the
+        split's chain, rendered from each node's ``vector_info``
         whichever gear it runs in, and the bound parameters — becomes
         the slice-store key: CQs with equal keys read one store."""
-        spec = self._window_spec
-        if spec.kind != "time" or math.isinf(spec.visible):
+        if self._split is None:
             return None
-        aggs = [op for op in walk(self._plan.root)
-                if isinstance(op, ops.HashAggregate)]
-        if len(aggs) != 1:
-            return None
-        chain = aggs
-        while isinstance(chain[-1].child, (ops.Filter, ops.Project,
-                                           batch_ops.BatchFilter,
-                                           batch_ops.BatchProject)):
-            chain.append(chain[-1].child)
-        signatures = [_slice_signature(node) for node in chain]
-        source = chain[-1].child
-        # the window relation, as either gear reads it (mixed mode
-        # bridges a batch chain to an iterator aggregate)
-        if None in signatures or not (
-                isinstance(source, batch_ops.BatchSource)
-                and source.is_stream_source
-                or isinstance(source, ops.RowSource)
-                and getattr(source, "vector_source", None) is not None):
+        signatures = [_slice_signature(node) for node in self._split]
+        if None in signatures:
             return None
         ref = self._stream_ref
         self.store_key = (ref.name.lower(), (ref.alias or ref.name).lower(),
                           tuple(signatures), repr(self.params))
-        self._agg = chain[0]
+        self._agg = self._split[0]
         return self._reduce
 
     def _reduce(self, rows, ctx=None):
@@ -848,12 +883,33 @@ class ContinuousQuery(StreamConsumer):
         sizes = partials.sizes() if isinstance(partials, Partials) else None
         return self._stacks.merge(partials, sizes, self._agg.merge_partials)
 
-    def split_at(self, agg, ship=None) -> None:
-        """One half of a partitioned CQ, split at ``agg``: a worker's
-        hands each window's :meth:`window_partial` to ``ship(kind,
-        close, partial)``, the coordinator's (no ``ship``) takes the
-        workers' partials as its window."""
-        self._agg = agg
+    def partition_refusal(self) -> Optional[str]:
+        """Why this CQ cannot run partitioned, or None.  It needs a
+        split, an EMIT that waits for the watermark (an early result is
+        per-shard speculative state), and no table read anywhere in its
+        plan: a partition worker plans the whole query and holds no
+        tables."""
+        if self._split is None:
+            return self._no_split
+        if self.emit_mode not in (None, EMIT_ON_WATERMARK):
+            return ("EMIT ON CHANGE / EMIT EVERY early emission is "
+                    "per-shard speculative state")
+        if self._tables:
+            return (f"it reads table {', '.join(sorted(self._tables))}, "
+                    "which partition workers do not hold")
+        return None
+
+    def split_at(self, ship=None) -> None:
+        """One half of a partitioned CQ, split at its aggregate: a
+        worker's hands each window's :meth:`window_partial` to
+        ``ship(kind, close, partial)``, the coordinator's (no ``ship``)
+        takes the workers' partials as its window.  Raises
+        :class:`PartitionError` with :meth:`partition_refusal`."""
+        refusal = self.partition_refusal()
+        if refusal is not None:
+            raise PartitionError(
+                f"CQ {self.name!r} cannot run partitioned: {refusal}")
+        self._agg = self._split[0]
         self._ship = ship
 
     def window_partial(self, window, open_time: float, close_time: float):

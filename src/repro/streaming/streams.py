@@ -582,7 +582,7 @@ class DerivedStream:
             horizon = close_time - self.retention
             while self._window_tail and self._window_tail[0][1] <= horizon:
                 self._window_tail.popleft()
-        for consumer in self._consumers:
+        for consumer in tuple(self._consumers):
             on_batch = getattr(consumer, "on_batch", None)
             if on_batch is not None:
                 on_batch(rows, open_time, close_time)
@@ -607,13 +607,13 @@ class DerivedStream:
                 if w_close == close_time and w_open == open_time:
                     self._window_tail[i] = (w_open, w_close, list(rows))
                     break
-        for consumer in self._consumers:
+        for consumer in tuple(self._consumers):
             on_correction = getattr(consumer, "on_correction", None)
             if on_correction is not None:
                 on_correction(kind, rows, open_time, close_time)
 
     def flush(self) -> None:
-        for consumer in self._consumers:
+        for consumer in tuple(self._consumers):
             consumer.on_flush()
 
     def replay_windows(self, since: float):

@@ -16,11 +16,10 @@ class StreamingView:
     """A named, stored SELECT; ``references_streams`` decides its nature."""
 
     def __init__(self, name: str, query: ast.Select,
-                 references_streams: bool, text: str = ""):
+                 references_streams: bool):
         self.name = name
         self.query = query
         self.references_streams = references_streams
-        self.text = text
 
     def __repr__(self):
         kind = "streaming view" if self.references_streams else "view"

@@ -4,7 +4,7 @@ Covers the consistent-hash ring (determinism, spread, spill lane), the
 pickle wire framing (dtype-preserving serialization of partial state —
 the satellite fix: JSON framing lost numpy dtypes), partial-state
 normalization, the iterator-path HashAggregate's mergeable-partial
-protocol, partition-plan validation, PARTITION BY DDL, the
+protocol, the CQ's split and partition refusals, PARTITION BY DDL, the
 coordinator↔worker transport (one write per response, no Nagle stall,
 failed spawns reaped), and the ``repro_partitions`` system view +
 ``\\partitions`` shell command.
@@ -30,7 +30,7 @@ from repro.errors import (
     ProtocolError,
     StreamingError,
 )
-from repro.partition import HashRing, PartitionedEngine, partition_plan
+from repro.partition import HashRing, PartitionedEngine
 from repro.partition import wire
 from repro.partition.hashring import SPILL_WORKER, stable_hash
 from repro.partition.state import normalize_partial, normalize_value
@@ -196,7 +196,7 @@ class TestHashAggregatePartials:
             "FROM s <visible 10 advance 10> GROUP BY k")
         cq = sub.cq
         assert not cq.vectorized        # iterator path
-        return sub, cq, partition_plan(cq).agg
+        return sub, cq, cq._split[0]
 
     def test_split_accumulate_merge_matches_single_run(self):
         db = Database()
@@ -239,7 +239,7 @@ class TestHashAggregatePartials:
         db.execute("CREATE STREAM s (t DOUBLE CQTIME, v DOUBLE)")
         sub = db.execute(
             "SELECT count(*) AS n FROM s <visible 10 advance 10>")
-        agg = partition_plan(sub.cq).agg
+        agg = sub.cq._split[0]
         assert agg.finalize(agg.merge_partials([{}, {}])) == [(0,)]
 
     def test_set_merged_pins_rows(self):
@@ -272,10 +272,13 @@ class TestHashAggregatePartials:
         assert sorted(merged) == sorted(direct)
 
 
-# -- plan validation ----------------------------------------------------------
+# -- the CQ's split -----------------------------------------------------------
 
 
 class TestPartitionPlanValidation:
+    """A CQ finds its split once; ``partition_refusal`` reads it (and
+    the EMIT clause and the tables the plan reads)."""
+
     def _db(self):
         db = Database()
         db.execute("CREATE STREAM s (t DOUBLE CQTIME, k TEXT, v DOUBLE)")
@@ -283,49 +286,42 @@ class TestPartitionPlanValidation:
 
     def test_happy_path_finds_the_aggregate(self):
         db = self._db()
-        sub = db.execute("SELECT k, count(*) AS n FROM s "
-                         "<visible 10 advance 5> GROUP BY k")
-        split = partition_plan(sub.cq)
-        assert split.stream_name == "s"
-        assert hasattr(split.agg, "merge_partials")
+        cq = db.execute("SELECT k, count(*) AS n FROM s "
+                        "<visible 10 advance 5> GROUP BY k").cq
+        assert cq.partition_refusal() is None
+        assert hasattr(cq._split[0], "merge_partials")
 
     def test_unbounded_window_rejected(self):
         db = self._db()
-        sub = db.execute("SELECT count(*) AS n FROM s "
-                         "<visible unbounded advance 5>")
+        cq = db.execute("SELECT count(*) AS n FROM s "
+                        "<visible unbounded advance 5>").cq
+        assert cq._split is None
+        assert "UNBOUNDED" in cq.partition_refusal()
         with pytest.raises(PartitionError, match="UNBOUNDED"):
-            partition_plan(sub.cq)
-
-    def test_windowless_select_rejected(self):
-        db = self._db()
-        db.execute("CREATE TABLE plain (a INTEGER)")
-        result = db.execute("SELECT a FROM plain")
-        with pytest.raises(PartitionError):
-            partition_plan(result)
+            cq.split_at()
 
     def test_no_aggregate_rejected(self):
         db = self._db()
-        sub = db.execute("SELECT k, v FROM s <visible 10 advance 10>")
-        with pytest.raises(PartitionError, match="aggregation"):
-            partition_plan(sub.cq)
+        cq = db.execute("SELECT k, v FROM s <visible 10 advance 10>").cq
+        assert "aggregation" in cq.partition_refusal()
 
     def test_join_rejected(self):
         db = self._db()
         db.execute("CREATE STREAM s2 (t DOUBLE CQTIME, k TEXT)")
-        sub = db.execute(
+        cq = db.execute(
             "SELECT count(*) AS n FROM s <visible 10 advance 10> "
-            "JOIN s2 <visible 10 advance 10> ON s.k = s2.k")
-        with pytest.raises(PartitionError, match="join"):
-            partition_plan(sub.cq)
+            "JOIN s2 <visible 10 advance 10> ON s.k = s2.k").cq
+        assert "join" in cq.partition_refusal()
 
     def test_emit_on_change_rejected(self):
         db = Database()
         db.execute("CREATE STREAM s (t DOUBLE CQTIME, k TEXT, v DOUBLE) "
                    "WATERMARK '2 seconds'")
-        sub = db.execute("SELECT count(*) AS n FROM s "
-                         "<visible 10 advance 10> EMIT ON CHANGE")
-        with pytest.raises(PartitionError, match="EMIT"):
-            partition_plan(sub.cq)
+        cq = db.execute("SELECT count(*) AS n FROM s "
+                        "<visible 10 advance 10> EMIT ON CHANGE").cq
+        # split, and sliced, but not partitionable
+        assert cq._split is not None and cq.is_sliced()
+        assert "EMIT" in cq.partition_refusal()
 
 
 # -- DDL + engine surface -----------------------------------------------------
@@ -416,13 +412,20 @@ BATCHES = [
 ]
 
 
-def engines(ddl=ROWS_DDL, **options):
-    """One ``Database`` and one 2-partition inline engine with the same
+#: rows of keys on worker 0 at 2 partitions (``BATCHES``' are on 1)
+SPREAD = [("e", 0.25, 8.0), ("h", 0.5, 8.5), ("h", 9.0, 9.0)]
+#: the table the subquery and join cases read
+LIM = ["CREATE TABLE lim (x INTEGER)", "INSERT INTO lim VALUES (1)",
+       "INSERT INTO lim VALUES (2)", "INSERT INTO lim VALUES (4)"]
+
+
+def engines(ddl=ROWS_DDL, partitions=2, **options):
+    """One ``Database`` and one inline partitioned engine with the same
     options and the same streams."""
     single = Database(**options)
     single.execute(ddl.replace(" PARTITION BY k", ""))
     single.execute(SIDE_DDL)
-    eng = PartitionedEngine(partitions=2, db=Database(**options))
+    eng = PartitionedEngine(partitions=partitions, db=Database(**options))
     eng.execute(ddl)
     eng.execute(SIDE_DDL)
     return single, eng
@@ -498,13 +501,39 @@ class TestCoordinatorStreamIsReal:
                    "<visible unbounded advance 2>", "UNBOUNDED"),
         (EVENT_DDL, "SELECT k, count(*) AS n FROM s <visible 2 advance 2> "
                     "GROUP BY k EMIT ON CHANGE ORDER BY k", "EMIT"),
-    ], ids=["windowless", "join", "unbounded", "emit-on-change"])
+        # below the aggregate, each of these must see the whole window
+        (ROWS_DDL, "SELECT count(*) AS n FROM (SELECT DISTINCT v > 0 AS x "
+                   "FROM s <visible 10 advance 10>) d", "Distinct"),
+        (ROWS_DDL, "SELECT count(*) AS n FROM (SELECT v FROM s "
+                   "<visible 10 advance 10> LIMIT 2) d", "Limit"),
+        (ROWS_DDL, "SELECT k, count(*) AS n FROM (SELECT k, v FROM s "
+                   "<visible 10 advance 10> ORDER BY v LIMIT 3) d "
+                   "GROUP BY k ORDER BY k", "Limit"),
+        (ROWS_DDL, "SELECT k, count(*) AS n FROM s <visible 2 advance 2> "
+                   "WHERE v > (SELECT max(x) FROM lim) GROUP BY k "
+                   "ORDER BY k", "subquery"),
+        (ROWS_DDL, "SELECT k, count(*) AS n FROM s <visible 2 advance 2> "
+                   "WHERE v IN (SELECT x FROM lim) GROUP BY k ORDER BY k",
+         "subquery"),
+        # split, but the workers could not plan the table above it
+        (ROWS_DDL, "SELECT c.k, c.n FROM (SELECT k, count(*) AS n FROM s "
+                   "<visible 2 advance 2> GROUP BY k) c JOIN lim "
+                   "ON c.n = lim.x ORDER BY c.k", "table lim"),
+        (ROWS_DDL, "SELECT k, count(*) AS n FROM s <visible 2 advance 2> "
+                   "GROUP BY k HAVING count(*) >= (SELECT min(x) FROM lim) "
+                   "ORDER BY k", "table lim"),
+    ], ids=["windowless", "join", "unbounded", "emit-on-change", "distinct",
+            "limit", "order-by-limit", "scalar-subquery", "in-subquery",
+            "join-above", "having-subquery"])
     def test_unpartitionable_cq_runs_on_the_coordinator(self, ddl, sql,
                                                         reason):
         single, eng = engines(ddl)
+        for statement in LIM:
+            single.execute(statement)
+            eng.execute(statement)
         want = [single.subscribe(MERGED_CQ), single.subscribe(sql)]
         got = [eng.execute(MERGED_CQ), eng.execute(sql)]
-        feed(single, eng)
+        feed(single, eng, BATCHES + [SPREAD])
         assert windows(got[1]) == windows(want[1])
         assert windows(got[0]) == windows(want[0])
         assert got[1].cq.stats.windows_evaluated > 0
@@ -514,6 +543,22 @@ class TestCoordinatorStreamIsReal:
         assert text.startswith("partitioned: no (") and reason in text
         via_sql = eng.execute(f"EXPLAIN {got[1].cq.name}").rows
         assert via_sql[0][0] == text.split("\n")[0]
+        eng.close()
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_split_but_unsliced_cq_partitions(self, partitions, vectorize):
+        sql = ("SELECT k, median(v) AS m, count(*) AS n FROM s "
+               "<visible 4 advance 2> WHERE ts < cq_close(*) GROUP BY k "
+               "ORDER BY k")
+        single, eng = engines(partitions=partitions, vectorize=vectorize)
+        want, got = single.subscribe(sql), eng.execute(sql)
+        assert got.cq.partition_refusal() is None
+        assert not got.cq.is_sliced()
+        feed(single, eng, BATCHES + [SPREAD])
+        assert windows(got) == windows(want)
+        assert got.cq.stats.windows_evaluated > 3
+        assert "-- partition worker 0 --" in eng.explain(got.cq.name)
         eng.close()
 
     def test_derived_stream_cq_and_channel_over_a_partitioned_stream(self):

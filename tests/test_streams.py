@@ -236,6 +236,48 @@ class TestDerivedStream:
         assert sink.tuples == []
         assert sink.heartbeats == [60.0]
 
+    @pytest.mark.parametrize("deliver", [
+        lambda d: d.publish([(1, 60.0)], 0.0, 60.0),
+        lambda d: d.publish_correction("correct", [(1, 60.0)], 0.0, 60.0),
+        lambda d: d.flush(),
+    ], ids=["publish", "correction", "flush"])
+    def test_a_consumer_leaving_mid_delivery_skips_no_other(self, deliver):
+        derived = self.make()
+        seen = []
+
+        class Leaver(StreamConsumer):
+            def __init__(self, name):
+                self.name = name
+
+            def on_tuple(self, row, event_time):
+                self.on_flush()
+
+            def on_correction(self, *record):
+                self.on_flush()
+
+            def on_flush(self):
+                seen.append(self.name)
+                derived.unsubscribe(self)
+
+        for name in ("a", "b"):
+            derived.subscribe(Leaver(name))
+        deliver(derived)
+        assert seen == ["a", "b"]
+
+    def test_a_subscription_closed_by_its_listener_skips_no_other(self):
+        from repro.core.database import Database
+        db = Database()
+        db.execute("CREATE STREAM s (k integer, ts timestamp CQTIME USER)")
+        db.execute("CREATE STREAM d AS SELECT count(*) AS n, cq_close(*) "
+                   "AS t FROM s <VISIBLE '10 seconds'>")
+        a, b = (db.subscribe("SELECT n, t FROM d") for _ in range(2))
+        closes = []
+        a.listen(lambda window: a.close())
+        b.listen(lambda window: closes.append(window.close_time))
+        for ts in (1.0, 12.0, 25.0, 37.0):
+            db.insert_stream("s", [(1, ts)])
+        assert closes == [10.0, 20.0, 30.0]
+
     def test_stats(self):
         derived = self.make()
         derived.publish([(1, 1.0)], 0.0, 60.0)

@@ -234,14 +234,13 @@ class TestEndToEndParity:
 
 def both_gears(query):
     """(cq, split aggregate) on the batch gear and on the iterator gear."""
-    from repro.partition.planner import partition_plan
     pairs = []
     for vectorize in (True, False):
         db = Database(vectorize=vectorize)
         db.execute("CREATE STREAM s (k integer, v double, "
                    "ts timestamp CQTIME USER)")
         cq = db.subscribe(query).cq
-        pairs.append((cq, partition_plan(cq).agg))
+        pairs.append((cq, cq._split[0]))
     return pairs
 
 
